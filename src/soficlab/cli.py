@@ -1,4 +1,5 @@
-"""Batch command-line front end: model loading, experiment dispatch, CSV/JSON output."""
+"""Batch command-line front end: one RunConfig run path (`run_config`) that
+`soficlab run` and every console script share, and CSV/JSON output."""
 
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ from jsonschema import Draft202012Validator
 from . import groups
 from .constraints import check_tssm
 from .errors import SchemaError, SoficLabError
-from .finitemodel import DerivedSpace, pressure_estimate
+from .finitemodel import METHODS, pressure_estimate
 from .gibbs import entropy_rate_estimate, ssm_profile, uniform_bound_c
 from .marginals import make_oracle
 from .modelbuild import build_sofic
-from .modelfile import Model, load_graph, load_model
+from .modelfile import Model, load_graph, load_model, parse_model
 from .randominfo import kp_pressure_at_fixed_point, kp_pressure_at_measure
 from .saw import hardcore_marginal_via_saw
 from .soficmaps import good_vertices
@@ -50,17 +51,6 @@ RUNCONFIG_SCHEMA = {
 }
 
 
-def _record(experiment: str, inputs: dict, outputs, started: float, seed) -> dict:
-    return {
-        "experiment": experiment,
-        "inputs": inputs,
-        "outputs": outputs,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": round(time.time() - started, 3),
-    }
-
-
 def _emit(record: dict, fmt: str, out_path: str | None, csv_fields=None):
     if fmt == "csv":
         buf = io.StringIO()
@@ -87,41 +77,6 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
-def _builder_desc(args, model: Model | None) -> dict:
-    if getattr(args, "builder", None):
-        desc = {"builder": args.builder}
-        if args.builder in ("torus", "folner"):
-            desc["d"] = args.d
-        else:
-            desc["k"] = args.k
-        if getattr(args, "seed", None) is not None:
-            desc["seed"] = args.seed
-        return desc
-    if model is not None and model.sofic:
-        return {
-            "builder": model.sofic["builder"],
-            **model.sofic.get("params", {}),
-            "seed": model.sofic.get("seed", 0),
-        }
-    raise SchemaError("no sofic builder given (flag --builder or model 'sofic' block)")
-
-
-def _load_model_with_override(args) -> Model:
-    model = load_model(args.model)
-    lam = getattr(args, "lam", None)
-    if lam is not None:
-        data = dict(model.raw)
-        weights = list(data["vertex_log_weights"])
-        if len(weights) != 2:
-            raise SchemaError("--lambda override needs a binary alphabet")
-        weights[1] = math.log(lam)
-        data["vertex_log_weights"] = weights
-        from .modelfile import parse_model
-
-        model = parse_model(data)
-    return model
 
 
 # ---------------------------------------------------------------- experiments
@@ -185,6 +140,7 @@ def run_entropy(model: Model, params: dict, seed: int):
         params["sizes"],
         method=params.get("method", "auto"),
         seed=seed,
+        mcmc_kwargs=params.get("mcmc"),
     )
 
 
@@ -198,6 +154,8 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
     r = int(params.get("r", 16))
     N = int(params.get("N", 200_000))
     nu = params.get("nu", "fixed0")
+    if nu not in ("fixed0", "mu"):
+        raise SchemaError(f"unknown nu {nu!r}; expected fixed0 or mu")
     oracle_kind = params.get("oracle", "auto")
     if oracle_kind == "auto":
         oracle_kind = "transfer" if model.spec.rank == 1 else "ball"
@@ -247,7 +205,7 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
 
 def run_saw_marginal(params: dict) -> dict:
     adj, lam, pins = load_graph(params["graph"])
-    if "lambda" in params and params["lambda"] is not None:
+    if params.get("lambda") is not None:
         lam = params["lambda"]
     root = int(params.get("root", 0))
     p = hardcore_marginal_via_saw(adj, root, lam, pins)
@@ -255,6 +213,17 @@ def run_saw_marginal(params: dict) -> dict:
 
 
 # ---------------------------------------------------------------- dispatch
+
+
+def _with_lambda(model: Model, lam) -> Model:
+    """The binary model with its occupied-symbol activity set to lam."""
+    weights = list(model.raw["vertex_log_weights"])
+    if len(weights) != 2:
+        raise SchemaError("params.lambda needs a binary alphabet")
+    if not isinstance(lam, (int, float)) or not lam > 0:
+        raise SchemaError(f"params.lambda must be a positive number, got {lam!r}")
+    weights[1] = math.log(lam)
+    return parse_model({**model.raw, "vertex_log_weights": weights})
 
 
 def run_config(config: dict) -> dict:
@@ -265,7 +234,11 @@ def run_config(config: dict) -> dict:
     params = dict(config.get("params", {}))
     seed = int(config.get("seed", 0))
     started = time.time()
+    if "model" not in config and experiment not in ("sofic-stats", "saw-marginal"):
+        raise SchemaError(f"{experiment} needs a model")
     model = load_model(config["model"]) if "model" in config else None
+    if model is not None and params.get("lambda") is not None:
+        model = _with_lambda(model, params["lambda"])
     if experiment == "sofic-stats":
         outputs = run_sofic_stats(params, seed)
     elif experiment == "tssm-check":
@@ -281,7 +254,7 @@ def run_config(config: dict) -> dict:
     elif experiment in ("pressure", "entropy"):
         if "builder_desc" not in params:
             if model.sofic is None:
-                raise SchemaError("pressure/entropy need a builder block in model or params")
+                raise SchemaError("pressure/entropy need a builder: --builder, params.builder_desc or a model 'sofic' block")
             params["builder_desc"] = {
                 "builder": model.sofic["builder"],
                 **model.sofic.get("params", {}),
@@ -291,8 +264,14 @@ def run_config(config: dict) -> dict:
         outputs = runner(model, params, seed)
     else:  # pragma: no cover - schema guards
         raise SchemaError(f"unknown experiment {experiment!r}")
-    record = _record(experiment, {k: v for k, v in config.items() if k != "output"}, outputs, started, seed)
-    return record
+    return {
+        "experiment": experiment,
+        "inputs": {k: v for k, v in config.items() if k != "output"},
+        "outputs": outputs,
+        "seed": seed,
+        "version": __version__,
+        "wall_time_s": round(time.time() - started, 3),
+    }
 
 
 def _scalar_of(record: dict):
@@ -349,6 +328,18 @@ def _run_and_exit(fn):
         sys.exit(exc.exit_code)
 
 
+def _console(args, config: dict, csv_fields=None):
+    """Run a console script's RunConfig and write its record.
+
+    The record's inputs are the RunConfig itself, so `soficlab run` replays
+    them.  Scripts with csv_fields write CSV unless --json is given.
+    """
+    if getattr(args, "lam", None) is not None:
+        config["params"]["lambda"] = args.lam
+    fmt = "csv" if csv_fields and not args.json else "json"
+    _run_and_exit(lambda: _emit(run_config(config), fmt, args.out, csv_fields))
+
+
 def main_sofic_stats(argv=None):
     p = argparse.ArgumentParser(prog="sofic-stats", description="Window-goodness report for a sofic builder")
     _add_builder_flags(p)
@@ -358,18 +349,9 @@ def main_sofic_stats(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     args = p.parse_args(argv)
-
-    def go():
-        started = time.time()
-        params = {"builder": args.builder, "d": args.d, "k": args.k, "r": args.r}
-        if args.m is not None:
-            params["m"] = args.m
-        if args.n is not None:
-            params["n"] = args.n
-        outputs = run_sofic_stats(params, args.seed)
-        _emit(_record("sofic-stats", params, outputs, started, args.seed), "json", args.out)
-
-    _run_and_exit(go)
+    params = {"builder": args.builder, "d": args.d, "k": args.k, "r": args.r}
+    params.update({key: v for key, v in (("m", args.m), ("n", args.n)) if v is not None})
+    _console(args, {"experiment": "sofic-stats", "params": params, "seed": args.seed})
 
 
 def main_tssm_check(argv=None):
@@ -380,66 +362,36 @@ def main_tssm_check(argv=None):
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--out")
     args = p.parse_args(argv)
-
-    def go():
-        started = time.time()
-        model = load_model(args.model)
-        outputs = run_tssm_check(model, {"range": args.range, "radius": args.radius, "kmax": args.kmax})
-        _emit(_record("tssm-check", vars(args), outputs, started, 0), "json", args.out)
-
-    _run_and_exit(go)
+    params = {"range": args.range, "radius": args.radius, "kmax": args.kmax}
+    _console(args, {"experiment": "tssm-check", "model": args.model, "params": params})
 
 
-def _sizes(text: str):
-    return [int(x) for x in text.split(",") if x]
+def _size_sweep(experiment: str, description: str, csv_fields: list, argv):
+    """The shared front end of `pressure` and `entropy`."""
+    p = argparse.ArgumentParser(prog=experiment, description=description)
+    p.add_argument("--model", required=True)
+    _add_builder_flags(p)
+    p.add_argument("--sizes", required=True)
+    p.add_argument("--method", default="auto", choices=["auto", *METHODS])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--out")
+    args = p.parse_args(argv)
+    params = {"sizes": [int(x) for x in args.sizes.split(",") if x], "method": args.method}
+    if args.builder:
+        size_key = "d" if args.builder in ("torus", "folner") else "k"
+        params["builder_desc"] = {"builder": args.builder, size_key: getattr(args, size_key), "seed": args.seed}
+    _console(args, {"experiment": experiment, "model": args.model, "params": params, "seed": args.seed}, csv_fields)
 
 
 def main_pressure(argv=None):
-    p = argparse.ArgumentParser(prog="pressure", description="Normalized log partition values per size")
-    p.add_argument("--model", required=True)
-    _add_builder_flags(p)
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "exact", "transfer", "cycles", "mcmc"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    args = p.parse_args(argv)
-
-    def go():
-        started = time.time()
-        model = _load_model_with_override(args)
-        params = {"builder_desc": _builder_desc(args, model), "sizes": _sizes(args.sizes), "method": args.method}
-        outputs = run_pressure(model, params, args.seed)
-        record = _record("pressure", {**params, "model": args.model}, outputs, started, args.seed)
-        _emit(record, "json" if args.json else "csv", args.out,
-              csv_fields=["n", "log_Z", "pressure_estimate", "stderr", "method", "seed"])
-
-    _run_and_exit(go)
+    _size_sweep("pressure", "Normalized log partition values per size",
+                ["n", "log_Z", "pressure_estimate", "stderr", "method", "seed"], argv)
 
 
 def main_entropy(argv=None):
-    p = argparse.ArgumentParser(prog="entropy", description="Entropy-rate estimates per size")
-    p.add_argument("--model", required=True)
-    _add_builder_flags(p)
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "exact", "transfer", "cycles", "mcmc"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    args = p.parse_args(argv)
-
-    def go():
-        started = time.time()
-        model = _load_model_with_override(args)
-        params = {"builder_desc": _builder_desc(args, model), "sizes": _sizes(args.sizes), "method": args.method}
-        outputs = run_entropy(model, params, args.seed)
-        record = _record("entropy", {**params, "model": args.model}, outputs, started, args.seed)
-        _emit(record, "json" if args.json else "csv", args.out,
-              csv_fields=["n", "entropy_rate", "stderr", "method"])
-
-    _run_and_exit(go)
+    _size_sweep("entropy", "Entropy-rate estimates per size", ["n", "entropy_rate", "stderr", "method"], argv)
 
 
 def main_ssm_profile(argv=None):
@@ -450,15 +402,8 @@ def main_ssm_profile(argv=None):
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     args = p.parse_args(argv)
-
-    def go():
-        started = time.time()
-        model = _load_model_with_override(args)
-        outputs = run_ssm_profile(model, {"rmax": args.rmax})
-        record = _record("ssm-profile", {"model": args.model, "rmax": args.rmax}, outputs, started, 0)
-        _emit(record, "json" if args.json else "csv", args.out, csv_fields=["r", "beta_hat"])
-
-    _run_and_exit(go)
+    _console(args, {"experiment": "ssm-profile", "model": args.model, "params": {"rmax": args.rmax}},
+             ["r", "beta_hat"])
 
 
 def main_kp_estimate(argv=None):
@@ -477,19 +422,11 @@ def main_kp_estimate(argv=None):
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out")
     args = p.parse_args(argv)
-
-    def go():
-        started = time.time()
-        model = _load_model_with_override(args)
-        params = {"r": args.r, "N": args.N, "nu": args.nu, "oracle": args.oracle, "pad": args.pad,
-                  "N_inner": args.N_inner, "past": args.past, "saw_boundary": args.saw_boundary}
-        if args.M_outer:
-            params["M_outer"] = args.M_outer
-        outputs = run_kp_estimate(model, params, args.seed)
-        record = _record("kp-estimate", {**params, "model": args.model}, outputs, started, args.seed)
-        _emit(record, "json", args.out)
-
-    _run_and_exit(go)
+    params = {"r": args.r, "N": args.N, "nu": args.nu, "oracle": args.oracle, "pad": args.pad,
+              "N_inner": args.N_inner, "past": args.past, "saw_boundary": args.saw_boundary}
+    if args.M_outer:
+        params["M_outer"] = args.M_outer
+    _console(args, {"experiment": "kp-estimate", "model": args.model, "params": params, "seed": args.seed})
 
 
 def main_saw_marginal(argv=None):
@@ -499,14 +436,7 @@ def main_saw_marginal(argv=None):
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--out")
     args = p.parse_args(argv)
-
-    def go():
-        started = time.time()
-        outputs = run_saw_marginal({"graph": args.graph, "root": args.root, "lambda": args.lam})
-        record = _record("saw-marginal", vars(args), outputs, started, 0)
-        _emit(record, "json", args.out)
-
-    _run_and_exit(go)
+    _console(args, {"experiment": "saw-marginal", "graph": args.graph, "params": {"root": args.root}})
 
 
 def main(argv=None):

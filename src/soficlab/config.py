@@ -2,12 +2,17 @@
 
 import os
 
+from .errors import SchemaError
+
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise SchemaError(f"{name}={raw!r} is not an integer") from None
 
 
 def ball_cap() -> int:

@@ -64,10 +64,6 @@ class Potential:
         """Upper bound on |phi|: max|h| + sum_s max|J_s|."""
         return float(np.max(np.abs(self.h)) + np.sum(np.max(np.abs(self.J), axis=(1, 2))))
 
-    def value_at_origin(self, center: int, successors) -> float:
-        """phi of a point read at the identity: h(center) + sum_s J_s(center, x(s))."""
-        return float(self.h[center] + sum(self.J[s, center, b] for s, b in enumerate(successors)))
-
 
 def zero_potential(alphabet: int, n_generators: int) -> Potential:
     return Potential(np.zeros(alphabet), np.zeros((n_generators, alphabet, alphabet)))
@@ -106,18 +102,8 @@ class Pattern:
         if len(self.sites) != len(self.values):
             raise ValueError("sites and values must align")
 
-    @staticmethod
-    def from_dict(d: dict) -> "Pattern":
-        items = sorted(d.items(), key=lambda kv: (groups_len(kv[0]), kv[0]))
-        return Pattern(tuple(k for k, _ in items), tuple(int(v) for _, v in items))
-
     def as_dict(self) -> dict:
         return dict(zip(self.sites, self.values))
-
-
-def groups_len(g: Element) -> int:
-    # sort key usable for both group kinds without a spec in scope
-    return sum(abs(int(a)) for a in g)
 
 
 def detect_safe_symbol(structure: ConstraintStructure):

@@ -39,10 +39,6 @@ class SiteGraph:
                 edges.append((v, s, int(dst[v])))
         return SiteGraph(sm.n, edges)
 
-    @staticmethod
-    def from_undirected(n: int, und_edges, generator: int = 0) -> "SiteGraph":
-        return SiteGraph(n, [(min(u, v), generator, max(u, v)) for u, v in und_edges])
-
 
 class _Stream:
     """Streaming log-sum-exp accumulator."""

@@ -57,3 +57,9 @@ class EmptyFiberError(SoficLabError):
     """No interior completion of an admissible boundary; internal error."""
 
     exit_code = 11
+
+
+class ReducibleTransferError(SoficLabError):
+    """The transfer relation has no positive Perron pair, hence no stationary chain."""
+
+    exit_code = 12

@@ -27,6 +27,7 @@ from .errors import (
     CapExceededError,
     NoConsistentColorError,
     NoSafeSymbolError,
+    SchemaError,
 )
 from .sampling import GlauberEngine
 from .soficmaps import SoficMap, good_vertices, require_builder
@@ -396,16 +397,25 @@ def _simpson_irregular(ts: np.ndarray, ys: np.ndarray):
     return float(w @ ys), w
 
 
-def sample_gibbs(space: DerivedSpace, sweeps: int, seed: int) -> np.ndarray:
-    """A configuration after `sweeps` heat-bath sweeps from the all-safe start."""
-    safe = space.safe_symbol
-    if safe is None:
-        raise NoSafeSymbolError("heat-bath sampling needs a safe symbol")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, space.n, 0x5A3]))
-    engine = GlauberEngine(space.sm, space.structure, space.potential)
-    x = engine.initial_state(safe)
-    engine.sweeps(x, sweeps, rng)
-    return x
+METHODS = ("exact", "transfer", "cycles", "mcmc")
+
+
+def choose_method(builder: dict, space: DerivedSpace, method: str, exact_cap: int) -> str:
+    """The route for one size: `method` itself, or under "auto" the transfer
+    trace on a rank-1 torus, cycle decomposition on any other one-generator
+    map, exact enumeration up to exact_cap sites, thermodynamic integration
+    beyond."""
+    if method != "auto":
+        if method not in METHODS:
+            raise SchemaError(f"unknown method {method!r}; expected auto or one of {', '.join(METHODS)}")
+        return method
+    if builder.get("builder") == "torus" and builder.get("d", 0) == 1:
+        return "transfer"
+    if space.sm.n_generators == 1:
+        return "cycles"
+    if space.n <= exact_cap:
+        return "exact"
+    return "mcmc"
 
 
 def pressure_estimate(
@@ -420,30 +430,17 @@ def pressure_estimate(
     """Per-size normalized log partition values for a builder family."""
     from .modelbuild import build_sofic
 
+    routes = {
+        "transfer": partition_transfer_cycle,
+        "cycles": partition_cycle_decomposition,
+        "exact": partition_exact,
+        "mcmc": lambda space: partition_mcmc(space, seed=seed, **(mcmc_kwargs or {})),
+    }
     rows = []
     for size in sizes:
         sm = build_sofic({**builder, "size": int(size)}, seed=seed)
         space = DerivedSpace(sm, structure, potential)
-        chosen = method
-        if method == "auto":
-            if builder.get("builder") == "torus" and builder.get("d", 0) == 1:
-                chosen = "transfer"
-            elif sm.n_generators == 1:
-                chosen = "cycles"
-            elif space.n <= exact_partition_cap():
-                chosen = "exact"
-            else:
-                chosen = "mcmc"
-        if chosen == "transfer":
-            res = partition_transfer_cycle(space)
-        elif chosen == "cycles":
-            res = partition_cycle_decomposition(space)
-        elif chosen == "exact":
-            res = partition_exact(space)
-        elif chosen == "mcmc":
-            res = partition_mcmc(space, seed=seed, **(mcmc_kwargs or {}))
-        else:
-            raise ValueError(f"unknown method {chosen!r}")
+        res = routes[choose_method(builder, space, method, exact_partition_cap())](space)
         rows.append(
             {
                 "n": space.n,

@@ -18,7 +18,8 @@ from .constraints import ConstraintStructure, Pattern, Potential, core_symbols
 from .constraints import detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import CapExceededError, EmptyFiberError, NoSafeSymbolError
-from .finitemodel import DerivedSpace, derived_energy, _iter_Xn
+from .finitemodel import DerivedSpace, _iter_Xn, choose_method, derived_energy, partition_cycle_decomposition
+from .finitemodel import partition_mcmc, partition_transfer_cycle
 from .groups import GroupSpec
 from .sampling import GlauberEngine
 from .transfer import TransferMatrix, build_transfer
@@ -80,12 +81,6 @@ class ExactGibbs:
     log_weights: np.ndarray
     log_Z: float
     probs: np.ndarray
-
-    def index_of(self, x) -> int:
-        hit = np.flatnonzero((self.configs == np.asarray(x, dtype=np.int8)).all(axis=1))
-        if hit.size != 1:
-            raise KeyError("configuration not in the derived space")
-        return int(hit[0])
 
 
 def derived_gibbs_exact(space: DerivedSpace, cap: int | None = None) -> ExactGibbs:
@@ -397,42 +392,20 @@ def entropy_rate_estimate(
 ):
     """Per-size H(mu_n)/n via the exact table, the transfer/cycle identities,
     or log Z (MCMC) minus a sampled energy expectation."""
-    from .finitemodel import partition_mcmc, partition_transfer_cycle
     from .modelbuild import build_sofic
 
     rows = []
     for size in sizes:
         sm = build_sofic({**builder, "size": int(size)}, seed=seed)
         space = DerivedSpace(sm, structure, potential)
-        chosen = method
-        if method == "auto":
-            if builder.get("builder") == "torus" and builder.get("d", 0) == 1:
-                chosen = "transfer"
-            elif sm.n_generators == 1:
-                chosen = "cycles"
-            elif space.n <= exact_table_cap():
-                chosen = "exact"
-            else:
-                chosen = "mcmc"
+        chosen = choose_method(builder, space, method, exact_table_cap())
+        stderr = 0.0
         if chosen == "exact":
-            table = derived_gibbs_exact(space)
-            h = shannon_entropy_exact(space, table)
-            rows.append({"n": space.n, "entropy_rate": h / space.n, "stderr": 0.0, "method": "exact"})
+            rate = shannon_entropy_exact(space) / space.n
         elif chosen == "transfer":
-            tm = build_transfer(structure, potential)
-            log_z = partition_transfer_cycle(space).log_Z
-            mean_e = tm.mean_energy_per_site_cycle(space.n)
-            rows.append(
-                {
-                    "n": space.n,
-                    "entropy_rate": log_z / space.n - mean_e,
-                    "stderr": 0.0,
-                    "method": "transfer",
-                }
-            )
+            mean_e = build_transfer(structure, potential).mean_energy_per_site_cycle(space.n)
+            rate = partition_transfer_cycle(space).log_Z / space.n - mean_e
         elif chosen == "cycles":
-            from .finitemodel import partition_cycle_decomposition
-
             tm = build_transfer(structure, potential)
             res = partition_cycle_decomposition(space)
             mean_e = sum(
@@ -445,15 +418,8 @@ def entropy_rate_estimate(
                     w = np.exp(potential.h + np.diag(potential.J[0]))
                     p = w / w.sum()
                     mean_e += float(p @ (potential.h + np.diag(potential.J[0])))
-            rows.append(
-                {
-                    "n": space.n,
-                    "entropy_rate": (res.log_Z - mean_e) / space.n,
-                    "stderr": 0.0,
-                    "method": "cycles",
-                }
-            )
-        elif chosen == "mcmc":
+            rate = (res.log_Z - mean_e) / space.n
+        else:
             res = partition_mcmc(space, seed=seed, **(mcmc_kwargs or {}))
             sk = {"sweeps": 200, "n_samples": 200, "thin": 2, **(sample_kwargs or {})}
             samples = sample_derived_gibbs(
@@ -461,16 +427,9 @@ def entropy_rate_estimate(
             )
             energies = np.array([derived_energy(space, s) for s in samples])
             se_e = energies.std(ddof=1) / math.sqrt(len(energies))
-            rows.append(
-                {
-                    "n": space.n,
-                    "entropy_rate": (res.log_Z - energies.mean()) / space.n,
-                    "stderr": (res.stderr + se_e) / space.n,
-                    "method": "mcmc",
-                }
-            )
-        else:
-            raise ValueError(f"unknown method {chosen!r}")
+            rate = (res.log_Z - energies.mean()) / space.n
+            stderr = (res.stderr + se_e) / space.n
+        rows.append({"n": space.n, "entropy_rate": rate, "stderr": stderr, "method": chosen})
     return rows
 
 

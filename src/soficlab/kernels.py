@@ -1,8 +1,7 @@
 """Sweep-kernel backend selection: compiled extension if built, else pure Python.
 
-Set SOFICLAB_KERNEL=python to force the fallback (used by the benchmark and
-for debugging); both backends consume identical uniforms and produce
-bitwise-equal trajectories.
+Set SOFICLAB_KERNEL=python to force the fallback (for debugging); both
+backends consume identical uniforms and produce bitwise-equal trajectories.
 """
 
 import os

@@ -15,7 +15,7 @@ import numpy as np
 from . import enumeration, groups
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
-from .errors import NoSafeSymbolError
+from .errors import NoSafeSymbolError, SchemaError
 from .groups import GroupSpec
 from .saw import hardcore_marginal_via_saw
 from .transfer import build_transfer
@@ -157,7 +157,7 @@ class SawOracle:
             lam_vec[shell_start:] = rstar
             self.lam = lam_vec
         elif boundary != "free":
-            raise ValueError(f"unknown boundary policy {boundary!r}")
+            raise SchemaError(f"unknown saw_boundary {boundary!r}; expected free or self_consistent")
 
     def conditional(self, values, mask) -> float:
         # pins live inside the query window; the marginal is computed on the
@@ -215,4 +215,4 @@ def make_oracle(
         # one layer beyond the conditioning radius suffices
         extra = 1 if saw_boundary == "self_consistent" else pad
         return SawOracle(structure, potential, spec, r_max + extra, boundary=saw_boundary)
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    raise SchemaError(f"unknown oracle {kind!r}; expected auto, transfer, ball or saw")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import SchemaError
 from .soficmaps import SoficMap, build_folner_box, build_random_perm, build_torus
 
 
@@ -14,4 +15,4 @@ def build_sofic(desc: dict, seed: int = 0) -> SoficMap:
         return build_folner_box(int(desc.get("d", 1)), size)
     if builder == "random_perm":
         return build_random_perm(int(desc.get("k", 1)), size, int(desc.get("seed", seed)))
-    raise ValueError(f"unknown builder {builder!r}")
+    raise SchemaError(f"unknown builder {builder!r}; expected torus, folner or random_perm")

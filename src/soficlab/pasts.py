@@ -26,13 +26,6 @@ class PastSample:
     membership: np.ndarray  # bool per ball element; identity entry False
     uniforms: np.ndarray | None = None
 
-    def member_elements(self) -> list[Element]:
-        b = groups.ball(self.spec, self.radius)
-        return [g for g, m in zip(b.elements, self.membership) if m]
-
-    def to_json(self) -> dict:
-        return {"r": self.radius, "members": np.flatnonzero(self.membership).tolist()}
-
 
 def sample_percolation_past(spec: GroupSpec, r: int, seed: int) -> PastSample:
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0xFA57]))

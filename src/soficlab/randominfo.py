@@ -17,7 +17,7 @@ import numpy as np
 
 from . import groups
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
-from .errors import BallMismatchError, NoSafeSymbolError
+from .errors import BallMismatchError, NoSafeSymbolError, SchemaError
 from .groups import GroupSpec
 from .pasts import lex_past_mask, sample_percolation_masks
 
@@ -78,7 +78,7 @@ def random_info(
         f = info_fn_truncated(oracle, spec, vals, mask, r)
         return InfoEstimate(f, 0.0, r, 1, oracle.name)
     if past != "percolation":
-        raise ValueError(f"unknown past {past!r}")
+        raise SchemaError(f"unknown past {past!r}; expected percolation or lex")
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x1FF0]))
     masks = sample_percolation_masks(spec, r, N, rng)
     rows = np.broadcast_to(vals, (N, L_r))

@@ -61,13 +61,6 @@ def sigma_word(sm: SoficMap, g: Element, v: int) -> int:
     return int(sm.sigma_array(g)[v])
 
 
-def _box_vertex_id(coords, m: int) -> int:
-    out = 0
-    for c in coords:
-        out = out * m + c
-    return out
-
-
 def build_torus(d: int, m: int, cap: int = 100_000_000) -> SoficMap:
     """Exact quotient (Z/mZ)^d: sigma^{e_i} adds e_i mod m."""
     if m < 2:

@@ -4,6 +4,9 @@ The weighted transfer matrix is T[a, b] = 1[(a,b) allowed] * exp(h(b) +
 J(a,b)).  Traces of powers give exact cycle partition functions; the Perron
 data gives the infinite-volume stationary Markov chain, whose conditionals
 are computed exactly by screening to the nearest pinned site on each side.
+A reducible relation such as [[1, 1], [0, 1]] has traces but no positive
+Perron pair (left . right = 0); everything built on the pair raises
+ReducibleTransferError there.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential
+from .errors import ReducibleTransferError
 
 
 @dataclass
@@ -33,13 +37,23 @@ class TransferMatrix:
         """Per-site free energy of the line, log of the dominant eigenvalue."""
         return math.log(self.lam)
 
+    def perron(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Perron pair (left, right) with left . right = 1."""
+        if not np.isfinite(self.left).all():
+            raise ReducibleTransferError(
+                "transfer relation is reducible: left . right = 0, so there is no stationary chain"
+            )
+        return self.left, self.right
+
     def stationary(self) -> np.ndarray:
-        p = self.left * self.right
+        left, right = self.perron()
+        p = left * right
         return p / p.sum()
 
     def step_probs(self) -> np.ndarray:
         """P(a -> b) of the stationary chain."""
-        return self.T * self.right[None, :] / (self.lam * self.right[:, None])
+        _, right = self.perron()
+        return self.T * right[None, :] / (self.lam * right[:, None])
 
     def _scaled_powers(self, k_max: int) -> np.ndarray:
         """(T / lam)^k for k = 0..k_max."""
@@ -72,9 +86,6 @@ class TransferMatrix:
         raw = (self.T / self.lam) * powers[m - 1].T
         return raw / raw.sum()
 
-    def cycle_site_marginal(self, m: int) -> np.ndarray:
-        return self.cycle_pair_marginal(m).sum(axis=1)
-
     def window_distribution(self, r: int) -> dict:
         """Infinite-volume marginal on the interval [-r..r], keyed by value tuples."""
         pi = self.stationary()
@@ -98,20 +109,21 @@ class TransferMatrix:
         The stationary chain is Markov, so only the nearest pinned offset on
         each side matters.
         """
-        left = [(-o, v) for o, v in pins.items() if o < 0]
-        rightp = [(o, v) for o, v in pins.items() if o > 0]
-        dl, bl = min(left) if left else (0, -1)
-        dr, br = min(rightp) if rightp else (0, -1)
+        left, right = self.perron()
+        lpins = [(-o, v) for o, v in pins.items() if o < 0]
+        rpins = [(o, v) for o, v in pins.items() if o > 0]
+        dl, bl = min(lpins) if lpins else (0, -1)
+        dr, br = min(rpins) if rpins else (0, -1)
         k = max(dl, dr, 1)
         powers = self._scaled_powers(k)
         if dl and dr:
             w = powers[dl][bl, :] * powers[dr][:, br]
         elif dl:
-            w = powers[dl][bl, :] * self.right
+            w = powers[dl][bl, :] * right
         elif dr:
-            w = self.left * powers[dr][:, br]
+            w = left * powers[dr][:, br]
         else:
-            w = self.left * self.right
+            w = left * right
         tot = w.sum()
         if tot <= 0.0:
             raise ValueError("conditioning pattern has probability zero")
@@ -124,6 +136,7 @@ class TransferMatrix:
         pinned site on each side (0 = no pin on that side, then b index 0 used).
         """
         a = self.alphabet
+        left, right = self.perron()
         powers = self._scaled_powers(max(r_max, 1))
         tab = np.zeros((a, r_max + 1, a, r_max + 1, a))
         for dl in range(r_max + 1):
@@ -133,11 +146,11 @@ class TransferMatrix:
                         if dl and dr:
                             w = powers[dl][bl, :] * powers[dr][:, br]
                         elif dl:
-                            w = powers[dl][bl, :] * self.right
+                            w = powers[dl][bl, :] * right
                         elif dr:
-                            w = self.left * powers[dr][:, br]
+                            w = left * powers[dr][:, br]
                         else:
-                            w = self.left * self.right
+                            w = left * right
                         tot = w.sum()
                         if tot > 0.0:
                             tab[:, dl, bl, dr, br] = w / tot
@@ -165,11 +178,6 @@ class TransferMatrix:
         site = pair.sum(axis=1)
         return float(site @ self.potential.h + (pair * self.potential.J[0]).sum())
 
-    def mean_energy_per_site_line(self) -> float:
-        pi = self.stationary()
-        pair = pi[:, None] * self.step_probs()
-        return float(pi @ self.potential.h + (pair * self.potential.J[0]).sum())
-
 
 def build_transfer(structure: ConstraintStructure, potential: Potential) -> TransferMatrix:
     if structure.n_generators != 1:
@@ -183,7 +191,9 @@ def build_transfer(structure: ConstraintStructure, potential: Potential) -> Tran
     lvals, lvecs = np.linalg.eig(T.T)
     j = int(np.argmax(lvals.real))
     left = np.abs(lvecs[:, j].real)
-    # normalize so that left . right = 1
+    # normalize so that left . right = 1; a reducible relation leaves left
+    # non-finite here, which perron() reports
     right = right / right.sum()
-    left = left / (left @ right)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = left / (left @ right)
     return TransferMatrix(structure, potential, T, lam, right, left)

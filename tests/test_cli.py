@@ -7,6 +7,7 @@ import pytest
 from soficlab.cli import (
     compare_configs,
     main,
+    main_entropy,
     main_kp_estimate,
     main_pressure,
     main_saw_marginal,
@@ -15,6 +16,7 @@ from soficlab.cli import (
     main_tssm_check,
     run_config,
 )
+from soficlab.gibbs import entropy_rate_estimate
 from soficlab.modelfile import hardcore_model_dict, load_model, parse_model
 from soficlab.errors import SchemaError
 
@@ -204,3 +206,96 @@ def test_umbrella_run_and_compare(tmp_path, hc_model, capsys):
     main(["compare", str(pa), str(pb), "--tolerance", "1e-9"])
     out2 = json.loads(capsys.readouterr().out)
     assert out2["outputs"]["verdict"] == "PASS"
+
+
+@pytest.fixture
+def c4_graph(tmp_path):
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "pins": {"empty": [2]}}))
+    return str(path)
+
+
+CONSOLE_RUNS = {
+    "sofic-stats": (main_sofic_stats, ["--builder", "random_perm", "--k", "2", "--m", "40", "--r", "1", "--seed", "3"]),
+    "tssm-check": (main_tssm_check, ["--model", "{model}", "--radius", "2", "--kmax", "2"]),
+    "pressure": (main_pressure, ["--model", "{model}", "--builder", "torus", "--sizes", "8,16", "--lambda", "2.0", "--json"]),
+    "entropy": (main_entropy, ["--model", "{model}", "--builder", "random_perm", "--sizes", "10", "--seed", "4", "--json"]),
+    "ssm-profile": (main_ssm_profile, ["--model", "{model}", "--rmax", "3", "--lambda", "0.5", "--json"]),
+    "kp-estimate": (main_kp_estimate, ["--model", "{model}", "--oracle", "transfer", "--r", "6", "--N", "2000", "--seed", "5"]),
+    "saw-marginal": (main_saw_marginal, ["--graph", "{graph}", "--lambda", "1.5"]),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(CONSOLE_RUNS))
+def test_console_record_replays_through_run_config(experiment, hc_model, c4_graph, capsys):
+    """Every console script's record holds the RunConfig that reproduces it."""
+    main_fn, argv = CONSOLE_RUNS[experiment]
+    main_fn([a.format(model=hc_model, graph=c4_graph) for a in argv])
+    record = json.loads(capsys.readouterr().out)
+    assert record["inputs"]["experiment"] == experiment
+    replay = run_config(record["inputs"])
+    # compare through JSON, the form the console record was written in
+    assert json.loads(json.dumps(replay["outputs"])) == record["outputs"]
+
+
+@pytest.mark.parametrize(
+    "params, experiment",
+    [
+        ({"sizes": [8], "builder_desc": {"builder": "torus", "d": 1}, "method": "nope"}, "pressure"),
+        ({"sizes": [8], "builder_desc": {"builder": "torus", "d": 1}, "method": "nope"}, "entropy"),
+        ({"sizes": [8], "builder_desc": {"builder": "nope", "d": 1}}, "pressure"),
+        ({"r": 4, "N": 100, "oracle": "nope"}, "kp-estimate"),
+        ({"r": 4, "N": 100, "oracle": "saw", "saw_boundary": "nope"}, "kp-estimate"),
+        ({"r": 4, "N": 100, "oracle": "transfer", "past": "nope"}, "kp-estimate"),
+        ({"r": 4, "N": 100, "oracle": "transfer", "nu": "nope"}, "kp-estimate"),
+    ],
+)
+def test_run_unknown_name_is_schema_error(params, experiment, hc_model, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"experiment": experiment, "model": hc_model, "params": params}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and "nope" in err["message"]
+
+
+def test_run_without_model_is_schema_error():
+    with pytest.raises(SchemaError, match="needs a model"):
+        run_config({"experiment": "ssm-profile", "params": {"rmax": 2}})
+
+
+def test_entropy_config_passes_mcmc_block(hc_model):
+    block = {"grid_points": 5, "samples_per_point": 40}
+    builder = {"builder": "torus", "d": 1}
+    record = run_config({
+        "experiment": "entropy",
+        "model": hc_model,
+        "params": {"builder_desc": builder, "sizes": [8], "method": "mcmc", "mcmc": block},
+        "seed": 2,
+    })
+    model = load_model(hc_model)
+    direct = entropy_rate_estimate(model.structure, model.potential, builder, [8], method="mcmc",
+                                   seed=2, mcmc_kwargs=block)
+    assert record["outputs"] == direct
+
+
+def test_lambda_param_rewrites_activity(hc_model):
+    base = {"experiment": "pressure", "model": hc_model,
+            "params": {"sizes": [64], "builder_desc": {"builder": "torus", "d": 1}}}
+    at_two = run_config({**base, "params": {**base["params"], "lambda": 2.0}})["outputs"][0]
+    # hardcore line at activity 2: T = [[1, 2], [1, 0]] has Perron root 2
+    assert at_two["pressure_estimate"] == pytest.approx(math.log(2), abs=1e-12)
+    with pytest.raises(SchemaError):
+        run_config({**base, "params": {**base["params"], "lambda": -1.0}})
+
+
+def test_ssm_profile_reducible_relation_exit_code(tmp_path, capsys):
+    data = {"group": {"kind": "Zd", "d": 1}, "alphabet": 2,
+            "relations": {"e1": [[True, True], [False, True]]}, "vertex_log_weights": [0.0, 0.0]}
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main_ssm_profile(["--model", str(path), "--rmax", "3"])
+    assert exc.value.code == 12
+    assert "ReducibleTransferError" in capsys.readouterr().err

@@ -5,7 +5,8 @@ import pytest
 
 from soficlab import groups, soficmaps
 from soficlab.constraints import Pattern, checkerboard, full_shift, hardcore, zero_potential
-from soficlab.errors import CapExceededError, NoSafeSymbolError, WrongBuilderError
+from soficlab.config import exact_partition_cap
+from soficlab.errors import CapExceededError, NoSafeSymbolError, SchemaError, WrongBuilderError
 from soficlab.finitemodel import (
     DerivedSpace,
     correct_errors,
@@ -163,6 +164,12 @@ def test_partition_cap():
     sp = _space(soficmaps.build_torus(1, 30), HC1)
     with pytest.raises(CapExceededError):
         partition_exact(sp)
+
+
+def test_malformed_cap_is_schema_error(monkeypatch):
+    monkeypatch.setenv("SOFICLAB_EXACT_CAP", "1e3")
+    with pytest.raises(SchemaError, match="SOFICLAB_EXACT_CAP='1e3'"):
+        exact_partition_cap()
 
 
 def test_exact_vs_transfer_all_small_cycles():

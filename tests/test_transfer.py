@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from soficlab import groups
-from soficlab.constraints import checkerboard, full_shift, hardcore, zero_potential
+from soficlab.constraints import ConstraintStructure, checkerboard, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph, joint_distribution, log_partition, site_marginal
+from soficlab.errors import ReducibleTransferError
+from soficlab.finitemodel import pressure_estimate
+from soficlab.gibbs import entropy_rate_estimate, uniform_bound_c
 from soficlab.transfer import build_transfer
 
 from oracles import (
@@ -153,3 +156,43 @@ def test_full_shift_partition():
     pot = zero_potential(2, 1)
     g = _cycle_graph(10)
     assert log_partition(g, st, pot) == pytest.approx(10 * math.log(2), abs=1e-9)
+
+
+def _reducible():
+    # 0 -> 1 allowed, 1 -> 0 forbidden: both symbols are core, T is a Jordan block
+    st = ConstraintStructure(2, np.array([[[True, True], [False, True]]]))
+    return st, zero_potential(2, 1)
+
+
+def test_reducible_relation_raises_where_perron_pair_is_used():
+    tm = build_transfer(*_reducible())
+    for use in (tm.stationary, tm.step_probs, lambda: tm.conditional_center({}),
+                lambda: tm.conditional_center({-2: 1, 2: 1}), lambda: tm.conditional_tables(2),
+                lambda: tm.window_distribution(1)):
+        with pytest.raises(ReducibleTransferError):
+            use()
+
+
+def test_reducible_relation_keeps_trace_routes():
+    st, pot = _reducible()
+    builder = {"builder": "torus", "d": 1}
+    # the admissible 8-cycles are all-0 and all-1
+    (row,) = pressure_estimate(st, pot, builder, [8])
+    assert row["method"] == "transfer_cycle"
+    assert row["pressure_estimate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
+    (row,) = entropy_rate_estimate(st, pot, builder, [8])
+    assert row["method"] == "transfer"
+    assert row["entropy_rate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
+
+
+def test_checkerboard_stationary_is_uniform():
+    tm = build_transfer(checkerboard(1), zero_potential(2, 1))
+    assert tm.stationary() == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def test_zero_probability_conditioning_stays_value_error():
+    tm = build_transfer(checkerboard(1), zero_potential(2, 1))
+    # x_{-1} = 0 and x_1 = 1 leave no admissible symbol at the center
+    with pytest.raises(ValueError, match="probability zero"):
+        tm.conditional_center({-1: 0, 1: 1})
+    assert uniform_bound_c(checkerboard(1), zero_potential(2, 1), Z1, 2).c_hat == pytest.approx(0.5)
