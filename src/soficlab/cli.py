@@ -51,6 +51,16 @@ RUNCONFIG_SCHEMA = {
 }
 
 
+# params an experiment cannot run without; saw-marginal also takes its graph
+# from the RunConfig's top-level "graph"
+REQUIRED_PARAMS = {
+    "pressure": ("sizes",),
+    "entropy": ("sizes",),
+    "sofic-stats": ("builder",),
+    "saw-marginal": ("graph",),
+}
+
+
 def _emit(record: dict, fmt: str, out_path: str | None, csv_fields=None):
     if fmt == "csv":
         buf = io.StringIO()
@@ -236,6 +246,11 @@ def run_config(config: dict) -> dict:
     started = time.time()
     if "model" not in config and experiment not in ("sofic-stats", "saw-marginal"):
         raise SchemaError(f"{experiment} needs a model")
+    if experiment == "saw-marginal" and "graph" in config:
+        params["graph"] = config["graph"]
+    for key in REQUIRED_PARAMS.get(experiment, ()):
+        if key not in params:
+            raise SchemaError(f"{experiment} needs params.{key}")
     model = load_model(config["model"]) if "model" in config else None
     if model is not None and params.get("lambda") is not None:
         model = _with_lambda(model, params["lambda"])
@@ -248,8 +263,6 @@ def run_config(config: dict) -> dict:
     elif experiment == "kp-estimate":
         outputs = run_kp_estimate(model, params, seed)
     elif experiment == "saw-marginal":
-        if "graph" in config:
-            params["graph"] = config["graph"]
         outputs = run_saw_marginal(params)
     elif experiment in ("pressure", "entropy"):
         if "builder_desc" not in params:

@@ -1,15 +1,21 @@
-"""Pruned depth-first enumeration over labeled site graphs.
+"""Exact counting over labeled site graphs.
 
-This is the package's independent counting oracle: exact partition values,
-site marginals, and finite-window distributions are all computed here by
-direct enumeration, so that transfer-matrix and self-avoiding-walk routes can
-be checked against it rather than against themselves.
+Partition values, site marginals and joint distributions of a few sites come
+from min-degree variable elimination over the pairwise factors of the
+Boltzmann weight, rescaled at each step (bucket elimination: Dechter 1999;
+Koller & Friedman 2009, ch. 9).  Pruned depth-first enumeration (`_dfs`)
+visits every admissible configuration; it gives full tables (`all_configs`,
+the derived-space enumeration of finitemodel), the budgeted admissibility
+search, and the tests' independent oracle for the elimination route.  These
+exact routes are what the transfer-matrix and self-avoiding-walk routes are
+checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -150,47 +156,133 @@ def has_admissible_filling(graph, structure, pins, symbols=None, node_budget=Non
     return False if completed else None
 
 
+def _factors(graph, structure, potential, pins, cand):
+    """Log-weight tables of the Boltzmann weight, one per scope.
+
+    A scope is a sorted tuple of unpinned sites; a pinned site is a one-value
+    domain, so its axis is dropped and its terms fold into the tables of its
+    unpinned neighbours (or into the scalar table of scope ()).  Parallel
+    edges share one table.
+    """
+    a = structure.alphabet
+    h = np.zeros(a) if potential is None else potential.h
+    J = np.zeros((structure.n_generators, a, a)) if potential is None else potential.J
+    dom = [np.array([pins[i]]) if i in pins else cand for i in range(graph.n)]
+    logs: dict[tuple, np.ndarray] = {}
+
+    def add(sites, table):
+        free = [k for k, i in enumerate(sites) if i not in pins]
+        scope = tuple(sites[k] for k in free)
+        table = table.reshape([table.shape[k] for k in free])
+        if len(scope) == 2 and scope[0] > scope[1]:
+            scope, table = scope[::-1], table.T
+        logs[scope] = logs[scope] + table if scope in logs else table
+
+    for i in range(graph.n):
+        add((i,), h[dom[i]])
+    for (i, s, j) in graph.edges:
+        if i == j:
+            add((i,), J[s][dom[i], dom[i]])
+        else:
+            ix = np.ix_(dom[i], dom[j])
+            add((i, j), np.where(structure.allowed[s][ix], J[s][ix], -np.inf))
+    return logs
+
+
+def _contract(factors, out):
+    """Sum of the product of (scope, table) factors over every site not in out."""
+    if not factors:
+        return np.ones(())
+    label = {v: k for k, v in enumerate({v for scope, _ in factors for v in scope} | set(out))}
+    args = []
+    for scope, table in factors:
+        args += [table, [label[v] for v in scope]]
+    return np.einsum(*args, [label[v] for v in out])
+
+
+def _candidates(structure, symbols) -> np.ndarray:
+    """The values an unpinned site may take."""
+    return np.array(list(symbols) if symbols is not None else range(structure.alphabet), dtype=np.int64)
+
+
+def _eliminate(graph, structure, potential, pins, cand, keep):
+    """Min-degree variable elimination of every unpinned site outside keep.
+
+    Returns (log_scale, table), where exp(log_scale) * table is the unnormalised
+    weight of the unpinned sites of keep (in keep order, indexed by position in
+    cand), or None when no admissible configuration exists.
+    """
+    log_scale = 0.0
+    factors = {}
+    for scope, table in _factors(graph, structure, potential, pins, cand).items():
+        m = table.max()
+        if m == -np.inf:
+            return None
+        log_scale += float(m)
+        factors[scope] = np.exp(table - m)
+    out = [i for i in keep if i not in pins]
+    nbrs = {i: set() for i in range(graph.n) if i not in pins}
+    for scope in factors:
+        for i in scope:
+            nbrs[i].update(scope)
+            nbrs[i].discard(i)
+    todo = set(nbrs) - set(out)
+    while todo:
+        v = min(todo, key=lambda i: (len(nbrs[i]), i))
+        todo.remove(v)
+        scope = tuple(sorted(nbrs[v]))
+        bucket = [s for s in factors if v in s]
+        msg = _contract([(s, factors.pop(s)) for s in bucket], scope)
+        m = msg.max()
+        if m == 0.0:
+            return None
+        log_scale += math.log(m)
+        msg = msg / m
+        factors[scope] = factors[scope] * msg if scope in factors else msg
+        for i in scope:
+            nbrs[i].update(scope)
+            nbrs[i].discard(i)
+            nbrs[i].discard(v)
+    table = _contract(list(factors.items()), out)
+    if not table.sum() > 0.0:
+        return None
+    return log_scale, table
+
+
 def log_partition(graph, structure, potential, pins=None, symbols=None) -> float:
-    acc = _Stream()
-    _dfs(graph, structure, potential, pins or {}, symbols, lambda v, lw: acc.add(lw))
-    return acc.logsum()
+    res = _eliminate(graph, structure, potential, pins or {}, _candidates(structure, symbols), [])
+    return -math.inf if res is None else res[0] + math.log(float(res[1]))
 
 
 def site_marginal(graph, structure, potential, site: int, pins=None, symbols=None) -> np.ndarray:
     """Exact marginal distribution of one site given the pins."""
-    accs = [_Stream() for _ in range(structure.alphabet)]
-
-    def visit(values, lw):
-        accs[values[site]].add(lw)
-
-    _dfs(graph, structure, potential, pins or {}, symbols, visit)
-    logs = np.array([acc.logsum() for acc in accs])
-    if np.all(np.isneginf(logs)):
+    pins = pins or {}
+    cand = _candidates(structure, symbols)
+    res = _eliminate(graph, structure, potential, pins, cand, [site])
+    if res is None:
         return np.full(structure.alphabet, np.nan)
-    m = np.max(logs)
-    p = np.exp(logs - m)
+    p = np.zeros(structure.alphabet)
+    if site in pins:
+        p[pins[site]] = 1.0
+        return p
+    np.add.at(p, cand, res[1])
     return p / p.sum()
 
 
 def joint_distribution(graph, structure, potential, sites, pins=None, symbols=None) -> dict:
-    """Exact joint distribution of a tuple of sites given the pins."""
+    """Exact joint distribution of a tuple of sites given the pins, keyed by
+    value tuples of positive probability."""
+    pins = pins or {}
     sites = list(sites)
-    table: dict[tuple, _Stream] = {}
-
-    def visit(values, lw):
-        key = tuple(values[i] for i in sites)
-        if key not in table:
-            table[key] = _Stream()
-        table[key].add(lw)
-
-    _dfs(graph, structure, potential, pins or {}, symbols, visit)
-    logs = {k: acc.logsum() for k, acc in table.items()}
-    if not logs:
+    cand = _candidates(structure, symbols)
+    res = _eliminate(graph, structure, potential, pins, cand, sites)
+    if res is None:
         return {}
-    m = max(logs.values())
-    raw = {k: math.exp(v - m) for k, v in logs.items()}
-    z = sum(raw.values())
-    return {k: v / z for k, v in raw.items()}
+    table = res[1] / res[1].sum()
+    # the table's axes are the unpinned sites of `sites`, in order, so C order
+    # walks the product of the site domains with the last site fastest
+    domains = [(pins[i],) if i in pins else cand.tolist() for i in sites]
+    return {key: p for key, p in zip(product(*domains), table.ravel().tolist()) if p > 0.0}
 
 
 def all_configs(graph, structure, potential, pins=None, symbols=None):

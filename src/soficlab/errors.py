@@ -60,6 +60,12 @@ class EmptyFiberError(SoficLabError):
 
 
 class ReducibleTransferError(SoficLabError):
-    """The transfer relation has no positive Perron pair, hence no stationary chain."""
+    """The transfer relation is reducible on its core symbols, hence has no unique stationary chain."""
 
     exit_code = 12
+
+
+class ZeroProbabilityError(SoficLabError):
+    """An oracle conditional is not in (0, 1], so its information -log p is not finite."""
+
+    exit_code = 13

@@ -210,8 +210,12 @@ def ssm_profile(
     beta(r) is the largest change of the center conditional when the boundary
     condition on the shell at distance r+1 is varied over admissible values;
     it lower-bounds the true decay function on the tested family.  The
-    enumeration route is budgeted: shells whose pattern count exceeds
-    max_boundary_patterns raise BudgetExceededError.
+    enumeration route reads every boundary from one joint table of the center
+    and the shell, computed by variable elimination; it is budgeted by that
+    table's size: shells with more than max_boundary_patterns patterns over
+    the whole alphabet raise BudgetExceededError.  (The table holds boundary
+    values outside the core symbols too, so counting core-valued patterns
+    alone would not bound it.)
     """
     from .errors import BudgetExceededError
 
@@ -229,9 +233,9 @@ def ssm_profile(
         raise ValueError(f"unknown method {method!r}")
     for r in range(1, r_max + 1):
         shell = groups.boundary_shell(spec, r)
-        if len(core) ** len(shell) > max_boundary_patterns:
+        if structure.alphabet ** len(shell) > max_boundary_patterns:
             raise BudgetExceededError(
-                f"{len(core)}^{len(shell)} boundary patterns at r={r}; lower r_max"
+                f"{structure.alphabet}^{len(shell)} boundary patterns at r={r}; lower r_max"
             )
         out[r] = _beta_enumeration(structure, potential, spec, r)
     return out[1:]
@@ -250,28 +254,34 @@ def _center_envelope_transfer(tm: TransferMatrix, core, r: int):
 
 
 def _beta_enumeration(structure, potential, spec, r) -> float:
-    from itertools import product
-
+    """beta(r) from one joint table of the center and the shell on B_{r+1}:
+    the center conditional given each core-valued boundary of positive mass."""
     b = groups.ball(spec, r + 1)
-    shell = groups.boundary_shell(spec, r)
-    shell_idx = [b.index[g] for g in shell]
+    shell = [b.index[g] for g in groups.boundary_shell(spec, r)]
     center = b.index[groups.identity(spec)]
-    graph = SiteGraph.from_ball(b)
-    core = core_symbols(structure)
-    lo = np.full(structure.alphabet, np.inf)
-    hi = np.full(structure.alphabet, -np.inf)
-    found = False
-    for values in product(core, repeat=len(shell_idx)):
-        pins = dict(zip(shell_idx, values))
-        probs = enumeration.site_marginal(graph, structure, potential, center, pins=pins)
-        if np.isnan(probs).any():
-            continue
-        found = True
-        lo = np.minimum(lo, probs)
-        hi = np.maximum(hi, probs)
-    if not found:
+    keys, probs = _as_arrays(
+        enumeration.joint_distribution(SiteGraph.from_ball(b), structure, potential, [center, *shell])
+    )
+    is_core = np.zeros(structure.alphabet, dtype=bool)
+    is_core[list(core_symbols(structure))] = True
+    rows = is_core[keys[:, 1:]].all(axis=1)
+    if not rows.any():
         raise EmptyFiberError("no admissible boundary at this radius")
-    return float(np.max(hi - lo))
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for j in range(1, keys.shape[1]):  # column by column: no full-size int64 copy of keys
+        codes = codes * structure.alphabet + keys[:, j]
+    _, boundary = np.unique(codes[rows], return_inverse=True)
+    conditionals = np.zeros((boundary.max() + 1, structure.alphabet))
+    np.add.at(conditionals, (boundary, keys[rows, 0]), probs[rows])
+    conditionals /= conditionals.sum(axis=1, keepdims=True)
+    return float(np.max(conditionals.max(axis=0) - conditionals.min(axis=0)))
+
+
+def _as_arrays(table: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A joint table as (int8 keys, probabilities).  The caller's dict is
+    freed on return, before the read-out allocates its arrays, so that the
+    read-out adds little to the dict's peak memory."""
+    return np.array(list(table), dtype=np.int8), np.fromiter(table.values(), dtype=float, count=len(table))
 
 
 @dataclass

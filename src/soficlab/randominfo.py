@@ -17,7 +17,7 @@ import numpy as np
 
 from . import groups
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
-from .errors import BallMismatchError, NoSafeSymbolError, SchemaError
+from .errors import BallMismatchError, NoSafeSymbolError, SchemaError, ZeroProbabilityError
 from .groups import GroupSpec
 from .pasts import lex_past_mask, sample_percolation_masks
 
@@ -39,13 +39,25 @@ def _truncate_mask(spec: GroupSpec, mask: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _checked(p):
+    """The oracle conditionals p, each of which must lie in (0, 1]."""
+    arr = np.asarray(p)
+    bad = ~((arr > 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise ZeroProbabilityError(
+            f"oracle conditional {arr[bad].flat[0]!r} is not in (0, 1]: the pattern's center "
+            "has probability zero given its conditioning sites"
+        )
+    return p
+
+
 def info_fn_truncated(oracle, spec: GroupSpec, values, mask, r: int) -> float:
     """f_r(x, D) = -log of the oracle conditional of the center symbol given
     the D-sites of x inside B_r."""
     values = np.asarray(values)
     m = _truncate_mask(spec, np.asarray(mask), r)
     p = oracle.conditional(values, m)
-    return -math.log(p)
+    return -math.log(_checked(p))
 
 
 def _batch_info(oracle, values_rows: np.ndarray, masks: np.ndarray, chunk: int = 200_000):
@@ -53,7 +65,7 @@ def _batch_info(oracle, values_rows: np.ndarray, masks: np.ndarray, chunk: int =
     for lo in range(0, len(values_rows), chunk):
         hi = min(lo + chunk, len(values_rows))
         out[lo:hi] = oracle.batch(values_rows[lo:hi], masks[lo:hi])
-    return -np.log(out)
+    return -np.log(_checked(out))
 
 
 def random_info(

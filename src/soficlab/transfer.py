@@ -4,9 +4,10 @@ The weighted transfer matrix is T[a, b] = 1[(a,b) allowed] * exp(h(b) +
 J(a,b)).  Traces of powers give exact cycle partition functions; the Perron
 data gives the infinite-volume stationary Markov chain, whose conditionals
 are computed exactly by screening to the nearest pinned site on each side.
-A reducible relation such as [[1, 1], [0, 1]] has traces but no positive
-Perron pair (left . right = 0); everything built on the pair raises
-ReducibleTransferError there.
+The Perron pair needs an irreducible relation: one whose support graph on
+the core symbols is strongly connected.  A reducible relation, such as
+[[1, 1], [0, 1]] or the identity, has traces but no unique stationary chain;
+everything built on the pair raises ReducibleTransferError there.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintStructure, Potential
+from .constraints import ConstraintStructure, Potential, core_symbols
 from .errors import ReducibleTransferError
 
 
@@ -28,6 +29,7 @@ class TransferMatrix:
     lam: float  # dominant eigenvalue
     right: np.ndarray  # positive Perron vectors
     left: np.ndarray
+    irreducible: bool
 
     @property
     def alphabet(self) -> int:
@@ -39,9 +41,9 @@ class TransferMatrix:
 
     def perron(self) -> tuple[np.ndarray, np.ndarray]:
         """The Perron pair (left, right) with left . right = 1."""
-        if not np.isfinite(self.left).all():
+        if not self.irreducible:
             raise ReducibleTransferError(
-                "transfer relation is reducible: left . right = 0, so there is no stationary chain"
+                "transfer relation is reducible on its core symbols, so there is no unique stationary chain"
             )
         return self.left, self.right
 
@@ -191,9 +193,18 @@ def build_transfer(structure: ConstraintStructure, potential: Potential) -> Tran
     lvals, lvecs = np.linalg.eig(T.T)
     j = int(np.argmax(lvals.real))
     left = np.abs(lvecs[:, j].real)
-    # normalize so that left . right = 1; a reducible relation leaves left
-    # non-finite here, which perron() reports
     right = right / right.sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # left . right may be 0 if reducible
         left = left / (left @ right)
-    return TransferMatrix(structure, potential, T, lam, right, left)
+    return TransferMatrix(structure, potential, T, lam, right, left, _strongly_connected(structure))
+
+
+def _strongly_connected(structure: ConstraintStructure) -> bool:
+    """Whether the relation's support graph on the core symbols is strongly connected."""
+    core = list(core_symbols(structure))
+    if not core:
+        return False
+    reach = structure.allowed[0][np.ix_(core, core)] | np.eye(len(core), dtype=bool)
+    for _ in range(len(core).bit_length()):
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    return bool(reach.all())

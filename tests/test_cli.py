@@ -260,6 +260,28 @@ def test_run_unknown_name_is_schema_error(params, experiment, hc_model, tmp_path
     assert err["error"] == "SchemaError" and "nope" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "experiment, params, missing",
+    [
+        ("saw-marginal", {}, "graph"),
+        ("pressure", {"builder_desc": {"builder": "torus", "d": 1}}, "sizes"),
+        ("entropy", {"builder_desc": {"builder": "torus", "d": 1}}, "sizes"),
+        ("sofic-stats", {"d": 1, "m": 8}, "builder"),
+    ],
+)
+def test_run_missing_param_is_schema_error(experiment, params, missing, hc_model, tmp_path, capsys):
+    config = {"experiment": experiment, "params": params}
+    if experiment in ("pressure", "entropy"):
+        config["model"] = hc_model
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and f"params.{missing}" in err["message"]
+
+
 def test_run_without_model_is_schema_error():
     with pytest.raises(SchemaError, match="needs a model"):
         run_config({"experiment": "ssm-profile", "params": {"rmax": 2}})

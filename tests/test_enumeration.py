@@ -1,0 +1,106 @@
+"""Variable elimination against sums over the DFS enumeration of every
+configuration, on random small site graphs, and the joint-table mixing
+profile against the per-boundary pinned loop it replaced."""
+
+import math
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from soficlab import groups
+from soficlab.constraints import ConstraintStructure, Potential, core_symbols, hardcore
+from soficlab.enumeration import SiteGraph, all_configs, joint_distribution, log_partition, site_marginal
+from soficlab.gibbs import _beta_enumeration
+
+
+@st.composite
+def models(draw):
+    """A site graph with n <= 8, alphabet 2-3, 1-2 generators, random allowed
+    relations (dead rows included), random h and J, self-loops and parallel
+    edges, random pins (inadmissible ones included) and random symbols."""
+    n = draw(st.integers(1, 8))
+    a = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2))
+    allowed = np.array(draw(st.lists(st.booleans(), min_size=k * a * a, max_size=k * a * a))).reshape(k, a, a)
+    allowed[~allowed.any(axis=(1, 2)), 0, 0] = True  # every relation allows some pair
+    weights = st.floats(-2.0, 2.0, allow_nan=False)
+    h = draw(st.lists(weights, min_size=a, max_size=a))
+    J = draw(st.lists(weights, min_size=k * a * a, max_size=k * a * a))
+    site = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(site, st.integers(0, k - 1), site), max_size=3 * n))
+    pins = draw(st.dictionaries(site, st.integers(0, a - 1), max_size=n))
+    symbols = draw(st.none() | st.lists(st.integers(0, a - 1), min_size=1, max_size=a, unique=True))
+    query = draw(st.lists(site, min_size=1, max_size=min(n, 3), unique=True))
+    return (SiteGraph(n, edges), ConstraintStructure(a, allowed),
+            Potential(np.array(h), np.array(J).reshape(k, a, a)), pins, symbols, query)
+
+
+def _brute(graph, structure, potential, pins, symbols, query):
+    """log Z, every site marginal and the joint of query, summed over DFS's configurations."""
+    configs, logw = all_configs(graph, structure, potential, pins=pins, symbols=symbols)
+    if not configs:
+        return -math.inf, None, {}
+    m = logw.max()
+    w = np.exp(logw - m)
+    z = w.sum()
+    marginals = np.zeros((graph.n, structure.alphabet))
+    joint: dict = {}
+    for x, wx in zip(configs, w / z):
+        marginals[np.arange(graph.n), x] += wx
+        key = tuple(x[i] for i in query)
+        joint[key] = joint.get(key, 0.0) + wx
+    return m + math.log(z), marginals, joint
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(models())
+def test_elimination_matches_dfs(model):
+    graph, structure, potential, pins, symbols, query = model
+    log_z, marginals, joint = _brute(graph, structure, potential, pins, symbols, query)
+    ve_log_z = log_partition(graph, structure, potential, pins=pins, symbols=symbols)
+    if marginals is None:
+        assert ve_log_z == -math.inf
+        assert joint_distribution(graph, structure, potential, query, pins=pins, symbols=symbols) == {}
+        for i in range(graph.n):
+            assert np.isnan(site_marginal(graph, structure, potential, i, pins=pins, symbols=symbols)).all()
+        return
+    assert ve_log_z == pytest.approx(log_z, abs=1e-12)
+    for i in range(graph.n):
+        p = site_marginal(graph, structure, potential, i, pins=pins, symbols=symbols)
+        assert np.allclose(p, marginals[i], rtol=0.0, atol=1e-13)
+    ve_joint = joint_distribution(graph, structure, potential, query, pins=pins, symbols=symbols)
+    assert set(ve_joint) == set(joint)
+    for key, p in joint.items():
+        assert ve_joint[key] == pytest.approx(p, abs=1e-13)
+
+
+def _beta_pinned_loop(structure, potential, spec, r) -> float:
+    """beta(r) as one pinned DFS marginal of the center per core-valued boundary."""
+    b = groups.ball(spec, r + 1)
+    shell = [b.index[g] for g in groups.boundary_shell(spec, r)]
+    center = b.index[groups.identity(spec)]
+    graph = SiteGraph.from_ball(b)
+    lo = np.full(structure.alphabet, np.inf)
+    hi = np.full(structure.alphabet, -np.inf)
+    for values in product(core_symbols(structure), repeat=len(shell)):
+        configs, logw = all_configs(graph, structure, potential, pins=dict(zip(shell, values)))
+        if not configs:
+            continue
+        p = np.zeros(structure.alphabet)
+        np.add.at(p, [x[center] for x in configs], np.exp(logw - logw.max()))
+        p /= p.sum()
+        lo = np.minimum(lo, p)
+        hi = np.maximum(hi, p)
+    return float(np.max(hi - lo))
+
+
+@pytest.mark.parametrize(
+    "spec, lam, r",
+    [(groups.zd(2), 1.0, 1), (groups.free(2), 0.3, 1)] + [(groups.zd(1), 1.0, r) for r in range(1, 5)],
+)
+def test_joint_table_beta_matches_pinned_loop(spec, lam, r):
+    structure, potential = hardcore(spec.n_generators, lam)
+    expect = _beta_pinned_loop(structure, potential, spec, r)
+    assert _beta_enumeration(structure, potential, spec, r) == pytest.approx(expect, abs=1e-15)

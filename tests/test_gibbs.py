@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from soficlab import groups, soficmaps
-from soficlab.constraints import Pattern, full_shift, hardcore, zero_potential
-from soficlab.errors import EmptyFiberError
+from soficlab.constraints import ConstraintStructure, Pattern, core_symbols, full_shift, hardcore, zero_potential
+from soficlab.errors import BudgetExceededError, EmptyFiberError
 from soficlab.finitemodel import DerivedSpace, derived_energy
 from soficlab.gibbs import (
     BallDistribution,
@@ -225,6 +225,18 @@ def test_ssm_profile_enumeration_z2():
     st, pot = hardcore(2, 1.0)
     prof = ssm_profile(st, pot, Z2, 1)
     assert prof.shape == (1,) and 0 < prof[0] < 1
+
+
+def test_ssm_profile_budget_counts_the_whole_alphabet():
+    # symbol 2 has no successor along e1, so it is not a core symbol, but the
+    # joint table of the center and the shell still carries it on the shell
+    allowed = np.ones((2, 3, 3), dtype=bool)
+    allowed[0, 2, :] = False
+    st, pot = ConstraintStructure(3, allowed), zero_potential(3, 2)
+    assert core_symbols(st) == (0, 1)
+    assert ssm_profile(st, pot, Z2, 1).shape == (1,)  # 3^8 boundary patterns
+    with pytest.raises(BudgetExceededError):
+        ssm_profile(st, pot, Z2, 2)  # 3^12 patterns, of which only 2^12 are core-valued
 
 
 def test_uniform_bound():

@@ -5,11 +5,12 @@ import pytest
 
 from soficlab import groups
 from soficlab.constraints import full_shift, hardcore, zero_potential
-from soficlab.errors import BallMismatchError
+from soficlab.errors import BallMismatchError, SoficLabError, ZeroProbabilityError
 from soficlab.gibbs import ssm_profile, uniform_bound_c
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.randominfo import (
+    _batch_info,
     info_fn_truncated,
     kp_pressure_at_fixed_point,
     kp_pressure_at_measure,
@@ -45,6 +46,25 @@ def test_info_fn_values():
     mask = empty.copy()
     mask[e1] = True
     assert info_fn_truncated(oracle, Z1, vals, mask, 4) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_zero_conditional_is_typed_error():
+    # an occupied center whose masked neighbour is occupied has conditional 0
+    oracle, st, pot = _transfer_oracle(1.0)
+    b = groups.ball(Z1, 4)
+    vals = np.zeros(len(b.elements), dtype=np.int64)
+    mask = np.zeros(len(b.elements), dtype=bool)
+    vals[0] = vals[b.index[(1,)]] = 1
+    mask[b.index[(1,)]] = True
+    with pytest.raises(ZeroProbabilityError):
+        info_fn_truncated(oracle, Z1, vals, mask, 4)
+    rows = np.broadcast_to(vals, (3, len(vals)))
+    masks = np.broadcast_to(mask, (3, len(mask)))
+    with pytest.raises(ZeroProbabilityError):
+        _batch_info(oracle, rows, masks)
+    assert ZeroProbabilityError.exit_code not in {
+        cls.exit_code for cls in SoficLabError.__subclasses__() if cls is not ZeroProbabilityError
+    }
 
 
 def test_info_fn_full_shift():

@@ -158,31 +158,41 @@ def test_full_shift_partition():
     assert log_partition(g, st, pot) == pytest.approx(10 * math.log(2), abs=1e-9)
 
 
-def _reducible():
-    # 0 -> 1 allowed, 1 -> 0 forbidden: both symbols are core, T is a Jordan block
-    st = ConstraintStructure(2, np.array([[[True, True], [False, True]]]))
-    return st, zero_potential(2, 1)
+# both relations have core symbols {0, 1} and admit only the all-0 and all-1
+# cycles; neither support graph is strongly connected
+REDUCIBLE = [
+    # 0 -> 1 allowed, 1 -> 0 forbidden: T is a Jordan block, left . right = 0
+    [[[True, True], [False, True]]],
+    # two closed classes: the Perron pair exists with left . right = 1
+    [[[True, False], [False, True]]],
+]
+
+
+def _reducible(allowed):
+    return ConstraintStructure(2, np.array(allowed)), zero_potential(2, 1)
 
 
 def test_reducible_relation_raises_where_perron_pair_is_used():
-    tm = build_transfer(*_reducible())
-    for use in (tm.stationary, tm.step_probs, lambda: tm.conditional_center({}),
-                lambda: tm.conditional_center({-2: 1, 2: 1}), lambda: tm.conditional_tables(2),
-                lambda: tm.window_distribution(1)):
-        with pytest.raises(ReducibleTransferError):
-            use()
+    for allowed in REDUCIBLE:
+        tm = build_transfer(*_reducible(allowed))
+        for use in (tm.perron, tm.stationary, tm.step_probs, lambda: tm.conditional_center({}),
+                    lambda: tm.conditional_center({-2: 1, 2: 1}), lambda: tm.conditional_tables(2),
+                    lambda: tm.window_distribution(1)):
+            with pytest.raises(ReducibleTransferError):
+                use()
 
 
 def test_reducible_relation_keeps_trace_routes():
-    st, pot = _reducible()
     builder = {"builder": "torus", "d": 1}
-    # the admissible 8-cycles are all-0 and all-1
-    (row,) = pressure_estimate(st, pot, builder, [8])
-    assert row["method"] == "transfer_cycle"
-    assert row["pressure_estimate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
-    (row,) = entropy_rate_estimate(st, pot, builder, [8])
-    assert row["method"] == "transfer"
-    assert row["entropy_rate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
+    for allowed in REDUCIBLE:
+        st, pot = _reducible(allowed)
+        # the admissible 8-cycles are all-0 and all-1
+        (row,) = pressure_estimate(st, pot, builder, [8])
+        assert row["method"] == "transfer_cycle"
+        assert row["pressure_estimate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
+        (row,) = entropy_rate_estimate(st, pot, builder, [8])
+        assert row["method"] == "transfer"
+        assert row["entropy_rate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
 
 
 def test_checkerboard_stationary_is_uniform():
