@@ -166,11 +166,8 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
     nu = params.get("nu", "fixed0")
     if nu not in ("fixed0", "mu"):
         raise SchemaError(f"unknown nu {nu!r}; expected fixed0 or mu")
-    oracle_kind = params.get("oracle", "auto")
-    if oracle_kind == "auto":
-        oracle_kind = "transfer" if model.spec.rank == 1 else "ball"
     oracle = make_oracle(
-        oracle_kind,
+        params.get("oracle", "auto"),
         model.structure,
         model.potential,
         model.spec,

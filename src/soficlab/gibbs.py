@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 import numpy as np
 
@@ -17,10 +18,11 @@ from .config import exact_table_cap
 from .constraints import ConstraintStructure, Pattern, Potential, core_symbols
 from .constraints import detect_safe_symbol
 from .enumeration import SiteGraph
-from .errors import CapExceededError, EmptyFiberError, NoSafeSymbolError
+from .errors import BudgetExceededError, CapExceededError, EmptyFiberError, NoSafeSymbolError
 from .finitemodel import DerivedSpace, _iter_Xn, choose_method, derived_energy, partition_cycle_decomposition
 from .finitemodel import partition_mcmc, partition_transfer_cycle
 from .groups import GroupSpec
+from .marginals import is_hardcore, make_oracle
 from .sampling import GlauberEngine
 from .transfer import TransferMatrix, build_transfer
 
@@ -217,8 +219,6 @@ def ssm_profile(
     values outside the core symbols too, so counting core-valued patterns
     alone would not bound it.)
     """
-    from .errors import BudgetExceededError
-
     if method == "auto":
         method = "transfer" if spec.rank == 1 else "enumeration"
     core = core_symbols(structure)
@@ -306,80 +306,53 @@ def uniform_bound_c(
     inside B_r, against the closed-form positive lower bound
     |A|^(-|M|^4) e^(-2|phi||M|^4) |A|^(-|M|^6) with |M| = |B_1|.
 
-    Conditionals come from the transfer matrix on rank-1 groups, the SAW
-    unfolding of a padded ball for hardcore models, and safe-boundary ball
-    enumeration otherwise (budgeted by ball size).
+    Every conditional comes from one oracle of `marginals.make_oracle`: the
+    transfer oracle on rank-1 groups, the SAW oracle on a ball padded by 3 for
+    hardcore models on free groups, and the safe-boundary ball oracle with the
+    same pad otherwise (budgeted by ball size).  Conditionings are core-valued
+    pins on subsets of B_r minus the center, in ball order; those whose pins
+    break the relation on an edge between two pinned sites are skipped.
     """
-    from itertools import combinations, product
-
-    to_pins = lambda subset, values: dict(zip(subset, values))  # noqa: E731
     if spec.rank == 1:
-        tm = build_transfer(structure, potential)
-        query = lambda pins: tm.conditional_center(pins)  # noqa: E731
-        b = groups.ball(spec, r)
-        sites = [g[0] for g in b.elements if g != groups.identity(spec)]
+        oracle = make_oracle("transfer", structure, potential, spec, r)
+    elif is_hardcore(structure, potential) and spec.kind == "free":
+        # ball graphs of free groups are trees, where the SAW route is
+        # linear; on lattice balls the walk tree explodes, so those use
+        # the enumeration oracle
+        oracle = make_oracle("saw", structure, potential, spec, r, pad=3)
     else:
-        from .errors import BudgetExceededError
-        from .marginals import SawOracle, is_hardcore
-
-        n_inner = len(groups.ball(spec, r).elements)
-        sites = list(range(1, n_inner))  # ball-order indices, 0 is the center
-        if is_hardcore(structure, potential) and spec.kind == "free":
-            # ball graphs of free groups are trees, where the SAW route is
-            # linear; on lattice balls the walk tree explodes, so those use
-            # the enumeration branch below
-            oracle = SawOracle(structure, potential, spec, r + 3)
-            L = len(oracle.ball.elements)
-
-            def query(pins):
-                values = np.zeros(L, dtype=np.int64)
-                mask = np.zeros(L, dtype=bool)
-                for i, v in pins.items():
-                    values[i] = v
-                    mask[i] = True
-                out = np.empty(structure.alphabet)
-                for a in range(structure.alphabet):
-                    values[0] = a
-                    out[a] = oracle.conditional(values, mask)
-                return out
-
-        else:
-            safe = detect_safe_symbol(structure)
-            if safe is None:
-                raise NoSafeSymbolError("generic-c estimation uses a safe outer boundary")
-            b = groups.ball(spec, r + 3)
-            if len(b.elements) > 45:
-                raise BudgetExceededError("ball too large for enumeration-backed c estimate")
-            graph = SiteGraph.from_ball(b)
-            shell_pins = {b.index[g]: safe for g in groups.boundary_shell(spec, r + 2)}
-
-            def query(pins):
-                return enumeration.site_marginal(
-                    graph, structure, potential, 0, pins={**shell_pins, **pins}
-                )
-
+        oracle = make_oracle("ball", structure, potential, spec, r, pad=3)
+        if len(oracle.ball) > 45:
+            raise BudgetExceededError("ball too large for enumeration-backed c estimate")
+    b = groups.ball(spec, r)
+    a = structure.alphabet
     core = core_symbols(structure)
     c_hat = math.inf
     witness = {}
     n_checked = 0
-    for size in range(0, len(sites) + 1):
-        for subset in combinations(sites, size):
+    for size in range(len(b)):
+        for subset in combinations(range(1, len(b)), size):
             n_checked += 1
             if n_checked > max_subsets:
                 size = None
                 break
-            for values in product(core, repeat=len(subset)):
-                try:
-                    probs = query(to_pins(subset, values))
-                except ValueError:
+            cols = list(subset)
+            edges = [(i, s, j) for (i, s, j) in b.edges if i in cols and j in cols]
+            rows = np.zeros((a, len(b)), dtype=np.int64)
+            rows[:, 0] = np.arange(a)  # one row per center symbol
+            masks = np.zeros((a, len(b)), dtype=bool)
+            masks[:, cols] = True
+            for values in product(core, repeat=size):
+                pins = dict(zip(subset, values))
+                if not all(structure.allowed[s][pins[i], pins[j]] for (i, s, j) in edges):
                     continue
-                if np.isnan(probs).any():
-                    continue
-                for a in core:
-                    p = float(probs[a])
+                rows[:, cols] = values
+                probs = oracle.batch(rows, masks)
+                for c in core:
+                    p = float(probs[c])
                     if p > 0.0 and p < c_hat:
                         c_hat = p
-                        witness = {"subset": subset, "values": values, "symbol": a}
+                        witness = {"subset": subset, "values": values, "symbol": c}
         if size is None:
             break
     m_size = len(groups.ball(spec, 1))
@@ -474,7 +447,7 @@ def transfer_reference_marginal(
     by_offset = tm.window_distribution(r)
     b = groups.ball(spec, r)
     # ball order -> offset positions within [-r..r]
-    positions = [g[0] + r for g in b.elements]
+    positions = [groups.line_offset(spec, g) + r for g in b.elements]
     table = {}
     for word, p in by_offset.items():
         key = tuple(word[pos] for pos in positions)

@@ -96,6 +96,14 @@ def word_length(spec: GroupSpec, g: Element) -> int:
     return len(g)
 
 
+def line_offset(spec: GroupSpec, g: Element) -> int:
+    """Position of a rank-1 element on the line: g[0] on Z^1, the signed word
+    length on F_1 (whose reduced words repeat one letter)."""
+    if spec.kind == "zd":
+        return g[0]
+    return len(g) if not g or g[0] > 0 else -len(g)
+
+
 def letters(spec: GroupSpec, g: Element) -> tuple[int, ...]:
     """Canonical reduced word for g, as signed letters in left-to-right product order.
 

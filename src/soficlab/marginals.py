@@ -21,6 +21,19 @@ from .saw import hardcore_marginal_via_saw
 from .transfer import build_transfer
 
 
+def _memo_batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(N, L) patterns and masks -> (N,) center conditionals, one
+    `self.conditional` call per distinct row."""
+    cache: dict[bytes, float] = {}
+    out = np.empty(len(values))
+    for k, (v, m) in enumerate(zip(values, masks)):
+        key = v.tobytes() + m.tobytes()
+        if key not in cache:
+            cache[key] = self.conditional(v, m)
+        out[k] = cache[key]
+    return out
+
+
 class TransferOracle:
     """Exact conditionals of the infinite-volume measure on a rank-1 group."""
 
@@ -28,15 +41,11 @@ class TransferOracle:
 
     def __init__(self, structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r_max: int):
         if spec.rank != 1:
-            raise ValueError("transfer oracle needs a rank-1 group")
+            raise SchemaError("transfer oracle needs a rank-1 group")
         self.spec = spec
         self.r_max = r_max
         self.tm = build_transfer(structure, potential)
-        b = groups.ball(spec, r_max)
-        off = []
-        for g in b.elements:
-            off.append(g[0] if spec.kind == "zd" else (len(g) if not g or g[0] > 0 else -len(g)))
-        self.offsets = np.array(off)
+        self.offsets = np.array([groups.line_offset(spec, g) for g in groups.ball(spec, r_max).elements])
         self.tables = self.tm.conditional_tables(r_max)
 
     def conditional(self, values, mask) -> float:
@@ -102,15 +111,7 @@ class BallEnumerationOracle:
         )
         return float(probs[int(values[0])])
 
-    def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        cache: dict[bytes, float] = {}
-        out = np.empty(len(values))
-        for k, (v, m) in enumerate(zip(values, masks)):
-            key = v.tobytes() + m.tobytes()
-            if key not in cache:
-                cache[key] = self.conditional(v, m)
-            out[k] = cache[key]
-        return out
+    batch = _memo_batch
 
 
 class SawOracle:
@@ -135,7 +136,7 @@ class SawOracle:
         boundary: str = "free",
     ):
         if not is_hardcore(structure, potential):
-            raise ValueError("SAW oracle supports hardcore models only")
+            raise SchemaError("SAW oracle supports hardcore models only")
         self.spec = spec
         self.r_max = r_max
         self.boundary = boundary
@@ -150,7 +151,7 @@ class SawOracle:
         self.adj = [sorted(s) for s in adj]
         if boundary == "self_consistent":
             if spec.kind != "free" and spec.rank != 1:
-                raise ValueError("self-consistent boundary is exact only on tree groups")
+                raise SchemaError("self-consistent boundary is exact only on tree groups")
             rstar = _tree_fixed_point(self.lam, 2 * spec.rank)
             lam_vec = np.full(n, self.lam)
             shell_start = n - self.ball.shell_sizes[-1]
@@ -166,15 +167,7 @@ class SawOracle:
         p_occ = hardcore_marginal_via_saw(self.adj, 0, self.lam, pins)
         return p_occ if int(values[0]) == 1 else 1.0 - p_occ
 
-    def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        cache: dict[bytes, float] = {}
-        out = np.empty(len(values))
-        for k, (v, m) in enumerate(zip(values, masks)):
-            key = v.tobytes() + m.tobytes()
-            if key not in cache:
-                cache[key] = self.conditional(v, m)
-            out[k] = cache[key]
-        return out
+    batch = _memo_batch
 
 
 def _tree_fixed_point(lam: float, degree: int) -> float:
@@ -206,6 +199,10 @@ def make_oracle(
     pad: int = 4,
     saw_boundary: str = "free",
 ):
+    """The conditional oracle of the given kind; "auto" is the exact transfer
+    oracle on rank-1 groups and the safe-boundary ball oracle elsewhere."""
+    if kind == "auto":
+        kind = "transfer" if spec.rank == 1 else "ball"
     if kind == "transfer":
         return TransferOracle(structure, potential, spec, r_max)
     if kind == "ball":

@@ -174,7 +174,7 @@ def kp_pressure_at_measure(
         tm = build_transfer(structure, potential)
         windows = tm.sample_windows(r, M_outer, rng).astype(np.int64)
         b = groups.ball(spec, r)
-        cols = [g[0] + r if spec.kind == "zd" else _free1_offset(g) + r for g in b.elements]
+        cols = [groups.line_offset(spec, g) + r for g in b.elements]
         patterns = windows[:, cols]
     else:
         raise ValueError("nu='mu' needs rank 1 or an explicit pattern_sampler")
@@ -199,12 +199,6 @@ def kp_pressure_at_measure(
             "phi": float(phis.mean()),
         },
     )
-
-
-def _free1_offset(g) -> int:
-    if not g:
-        return 0
-    return len(g) if g[0] > 0 else -len(g)
 
 
 def percolative_entropy(
@@ -282,8 +276,7 @@ def locality_experiment(
     bound = 0.0
     for tag, spec, oracle in (("a", spec_a, oracle_a), ("b", spec_b, oracle_b)):
         if oracle is None:
-            kind = "transfer" if spec.rank == 1 else "ball"
-            oracle = make_oracle(kind, structure, potential, spec, r)
+            oracle = make_oracle("auto", structure, potential, spec, r)
         est = kp_pressure_at_fixed_point(structure, potential, spec, oracle, r, N, seed)
         prof_r = min(r, profile_radius) if profile_radius is not None else (r if spec.rank == 1 else 1)
         beta = ssm_profile(structure, potential, spec, prof_r)[-1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -111,21 +112,11 @@ class TransferMatrix:
         The stationary chain is Markov, so only the nearest pinned offset on
         each side matters.
         """
-        left, right = self.perron()
         lpins = [(-o, v) for o, v in pins.items() if o < 0]
         rpins = [(o, v) for o, v in pins.items() if o > 0]
         dl, bl = min(lpins) if lpins else (0, -1)
         dr, br = min(rpins) if rpins else (0, -1)
-        k = max(dl, dr, 1)
-        powers = self._scaled_powers(k)
-        if dl and dr:
-            w = powers[dl][bl, :] * powers[dr][:, br]
-        elif dl:
-            w = powers[dl][bl, :] * right
-        elif dr:
-            w = left * powers[dr][:, br]
-        else:
-            w = left * right
+        w = _center_weights(self._scaled_powers(max(dl, dr, 1)), *self.perron(), dl, bl, dr, br)
         tot = w.sum()
         if tot <= 0.0:
             raise ValueError("conditioning pattern has probability zero")
@@ -135,27 +126,18 @@ class TransferMatrix:
         """Lookup tables for batched center conditionals with pins inside [-r_max..r_max].
 
         Returns probs[a, dl, bl, dr, br] with dl/dr the distance to the nearest
-        pinned site on each side (0 = no pin on that side, then b index 0 used).
+        pinned site on each side (0 = no pin on that side, then b index 0 used);
+        a conditioning of probability zero gets an all-zero column.
         """
         a = self.alphabet
         left, right = self.perron()
         powers = self._scaled_powers(max(r_max, 1))
         tab = np.zeros((a, r_max + 1, a, r_max + 1, a))
-        for dl in range(r_max + 1):
-            for dr in range(r_max + 1):
-                for bl in range(a):
-                    for br in range(a):
-                        if dl and dr:
-                            w = powers[dl][bl, :] * powers[dr][:, br]
-                        elif dl:
-                            w = powers[dl][bl, :] * right
-                        elif dr:
-                            w = left * powers[dr][:, br]
-                        else:
-                            w = left * right
-                        tot = w.sum()
-                        if tot > 0.0:
-                            tab[:, dl, bl, dr, br] = w / tot
+        for dl, bl, dr, br in product(range(r_max + 1), range(a), range(r_max + 1), range(a)):
+            w = _center_weights(powers, left, right, dl, bl, dr, br)
+            tot = w.sum()
+            if tot > 0.0:
+                tab[:, dl, bl, dr, br] = w / tot
         return tab
 
     def sample_windows(self, r: int, n_samples: int, rng) -> np.ndarray:
@@ -179,6 +161,15 @@ class TransferMatrix:
         pair = self.cycle_pair_marginal(m)
         site = pair.sum(axis=1)
         return float(site @ self.potential.h + (pair * self.potential.J[0]).sum())
+
+
+def _center_weights(powers, left, right, dl: int, bl: int, dr: int, br: int) -> np.ndarray:
+    """Unnormalised mu(x_0 = .) given symbol bl at distance dl to the left and
+    br at distance dr to the right (distance 0: no pin on that side), from the
+    scaled powers of T and the Perron pair."""
+    lw = powers[dl][bl, :] if dl else left
+    rw = powers[dr][:, br] if dr else right
+    return lw * rw
 
 
 def build_transfer(structure: ConstraintStructure, potential: Potential) -> TransferMatrix:

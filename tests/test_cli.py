@@ -321,3 +321,25 @@ def test_ssm_profile_reducible_relation_exit_code(tmp_path, capsys):
         main_ssm_profile(["--model", str(path), "--rmax", "3"])
     assert exc.value.code == 12
     assert "ReducibleTransferError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, params, message",
+    [
+        (hardcore_model_dict("Zd", 2, 1.0), {"oracle": "transfer"}, "rank-1"),
+        ({**hardcore_model_dict("Zd", 1, 1.0), "relations": {"e1": [[True, True], [True, True]]}},
+         {"oracle": "saw"}, "hardcore"),
+        (hardcore_model_dict("Zd", 2, 1.0), {"oracle": "saw", "saw_boundary": "self_consistent"}, "tree groups"),
+    ],
+)
+def test_run_oracle_the_model_cannot_use_is_schema_error(model, params, message, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    config = tmp_path / "oracle.json"
+    config.write_text(json.dumps({"experiment": "kp-estimate", "model": str(model_path),
+                                  "params": {"r": 2, "N": 10, **params}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(config)])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and message in err["message"]

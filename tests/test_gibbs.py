@@ -250,6 +250,33 @@ def test_uniform_bound():
     assert ub2.satisfies_formula and 0 < ub2.c_hat <= 0.5
 
 
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_uniform_bound_free1_equals_line(lam, r):
+    # F_1 is the line: a word of length n sits at offset +-n, not +-1
+    st, pot = hardcore(1, lam)
+    line = uniform_bound_c(st, pot, Z1, r)
+    f1 = uniform_bound_c(st, pot, groups.free(1), r)
+    assert f1.c_hat == line.c_hat
+    assert f1.witness == line.witness  # ball-order indices on both groups
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_transfer_reference_marginal_free1_equals_line(r):
+    st, pot = hardcore(1, 2.0)
+    assert transfer_reference_marginal(st, pot, groups.free(1), r).table == \
+        transfer_reference_marginal(st, pot, Z1, r).table
+
+
+def test_uniform_bound_skips_inadmissible_conditionings_on_free2():
+    # B_2 of F_2 holds adjacent non-center sites; pinning two of them occupied
+    # is inadmissible and skipped instead of reaching the SAW oracle
+    F2 = groups.free(2)
+    st, pot = hardcore(2, 0.3)
+    c2 = uniform_bound_c(st, pot, F2, 2, max_subsets=64).c_hat
+    assert math.isfinite(c2) and 0.0 < c2 <= uniform_bound_c(st, pot, F2, 1).c_hat
+
+
 def test_ssm_coupling_proxy():
     """Where the profile is tiny, chains from opposite extremes agree in law."""
     st, pot = HC1
