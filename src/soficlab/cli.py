@@ -166,6 +166,11 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
     nu = params.get("nu", "fixed0")
     if nu not in ("fixed0", "mu"):
         raise SchemaError(f"unknown nu {nu!r}; expected fixed0 or mu")
+    if nu == "mu" and model.spec.rank != 1:
+        raise SchemaError("nu mu samples the measure exactly only on rank-1 groups")
+    past = params.get("past", "percolation")
+    if past == "lex" and model.spec.kind != "zd":
+        raise SchemaError("past lex is the lexicographic order of Z^d")
     oracle = make_oracle(
         params.get("oracle", "auto"),
         model.structure,
@@ -190,7 +195,7 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
     else:
         est = kp_pressure_at_fixed_point(
             model.structure, model.potential, model.spec, oracle, r, N, seed,
-            past=params.get("past", "percolation"),
+            past=past,
         )
     budget_r = min(r, int(params.get("budget_profile_radius", 12 if model.spec.rank == 1 else 1)))
     beta = float(ssm_profile(model.structure, model.potential, model.spec, budget_r)[-1])

@@ -311,7 +311,8 @@ def uniform_bound_c(
     hardcore models on free groups, and the safe-boundary ball oracle with the
     same pad otherwise (budgeted by ball size).  Conditionings are core-valued
     pins on subsets of B_r minus the center, in ball order; those whose pins
-    break the relation on an edge between two pinned sites are skipped.
+    break the relation on an edge between two pinned sites are skipped, and
+    the rows of all the others go to the oracle in one batch.
     """
     if spec.rank == 1:
         oracle = make_oracle("transfer", structure, potential, spec, r)
@@ -327,8 +328,7 @@ def uniform_bound_c(
     b = groups.ball(spec, r)
     a = structure.alphabet
     core = core_symbols(structure)
-    c_hat = math.inf
-    witness = {}
+    conditionings = []
     n_checked = 0
     for size in range(len(b)):
         for subset in combinations(range(1, len(b)), size):
@@ -336,25 +336,30 @@ def uniform_bound_c(
             if n_checked > max_subsets:
                 size = None
                 break
-            cols = list(subset)
-            edges = [(i, s, j) for (i, s, j) in b.edges if i in cols and j in cols]
-            rows = np.zeros((a, len(b)), dtype=np.int64)
-            rows[:, 0] = np.arange(a)  # one row per center symbol
-            masks = np.zeros((a, len(b)), dtype=bool)
-            masks[:, cols] = True
+            edges = [(i, s, j) for (i, s, j) in b.edges if i in subset and j in subset]
             for values in product(core, repeat=size):
                 pins = dict(zip(subset, values))
-                if not all(structure.allowed[s][pins[i], pins[j]] for (i, s, j) in edges):
-                    continue
-                rows[:, cols] = values
-                probs = oracle.batch(rows, masks)
-                for c in core:
-                    p = float(probs[c])
-                    if p > 0.0 and p < c_hat:
-                        c_hat = p
-                        witness = {"subset": subset, "values": values, "symbol": c}
+                if all(structure.allowed[s][pins[i], pins[j]] for (i, s, j) in edges):
+                    conditionings.append((subset, values))
         if size is None:
             break
+    # one row per center symbol and conditioning, all asked in one batch
+    rows = np.zeros((len(conditionings), a, len(b)), dtype=np.int64)
+    rows[:, :, 0] = np.arange(a)
+    masks = np.zeros(rows.shape, dtype=bool)
+    for k, (subset, values) in enumerate(conditionings):
+        rows[k][:, list(subset)] = values
+        masks[k][:, list(subset)] = True
+    probs = oracle.batch(rows.reshape(-1, len(b)), masks.reshape(-1, len(b))).reshape(-1, a)[:, list(core)]
+    # the first smallest positive conditional, in conditioning then symbol order
+    positive = np.where(probs > 0.0, probs, math.inf).ravel()
+    c_hat = math.inf
+    witness = {}
+    if (positive < math.inf).any():
+        k = int(np.argmin(positive))
+        subset, values = conditionings[k // len(core)]
+        c_hat = float(positive[k])
+        witness = {"subset": subset, "values": values, "symbol": core[k % len(core)]}
     m_size = len(groups.ball(spec, 1))
     log_c_formula = (
         -(m_size**4 + m_size**6) * math.log(structure.alphabet)

@@ -1,5 +1,7 @@
 """Conditional-marginal oracles: exact transfer matrices on lines, ball
-enumeration with a safe boundary, and SAW trees for hardcore models.
+enumeration with a safe boundary, and exact hardcore marginals of a pinned
+ball graph (a numpy tree recursion over the whole batch on tree groups, the
+memoised SAW unfolding per distinct row elsewhere).
 
 A query hands over a pattern on B_r in canonical ball order together with a
 conditioning mask; the oracle returns the conditional probability of the
@@ -15,10 +17,14 @@ import numpy as np
 from . import enumeration, groups
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
-from .errors import NoSafeSymbolError, SchemaError
+from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
 from .groups import GroupSpec
 from .saw import hardcore_marginal_via_saw
 from .transfer import build_transfer
+
+# the tree recursion works in row chunks whose per-level arrays hold at most
+# this many floats, so its memory does not grow with the batch
+_TREE_CHUNK_FLOATS = 2**16
 
 
 def _memo_batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -101,28 +107,41 @@ class BallEnumerationOracle:
         self.shell_pins = {
             self.ball.index[g]: safe for g in groups.ball(spec, radius).shell(radius)
         }
+        # the center marginal of the last pin set: rows that differ only in
+        # the center symbol, such as those of `uniform_bound_c`, arrive
+        # consecutively and share one elimination
+        self._last = (None, None)
 
     def conditional(self, values, mask) -> float:
         pins = dict(self.shell_pins)
         for i in np.flatnonzero(np.asarray(mask)):
             pins[int(i)] = int(values[i])
-        probs = enumeration.site_marginal(
-            self.graph, self.structure, self.potential, 0, pins=pins
-        )
-        return float(probs[int(values[0])])
+        if self._last[0] != pins:
+            probs = enumeration.site_marginal(
+                self.graph, self.structure, self.potential, 0, pins=pins
+            )
+            self._last = (pins, probs)
+        return float(self._last[1][int(values[0])])
 
     batch = _memo_batch
 
 
 class SawOracle:
-    """Hardcore conditionals through the self-avoiding-walk unfolding of the
-    pin-reduced ball graph.
+    """Exact hardcore conditionals of the pinned ball graph.
+
+    On tree groups (F_k and the line) the ball graph is itself a tree, so
+    `batch` runs the hardcore recursion R_v = lam_v prod_c 1/(1+R_c) level by
+    level in numpy over every row at once, with pins as R = 0 (empty) or
+    R = inf (occupied); children are multiplied in the order of the SAW
+    unfolding, so each conditional is bitwise equal to
+    `saw.hardcore_marginal_via_saw` on the same ball, activities and pins.
+    On other groups each distinct row goes through the self-avoiding-walk
+    unfolding of the pin-reduced ball graph, memoised within a batch.
 
     boundary="free" truncates the graph at the ball; boundary
     "self_consistent" replaces the activity of the outermost shell with the
     occupation ratio R* of an infinite regular branch, which removes the
-    truncation bias entirely on groups whose Cayley graph is a tree (F_k and
-    the line) in the uniqueness regime.
+    truncation bias entirely on tree groups in the uniqueness regime.
     """
 
     name = "saw"
@@ -140,7 +159,8 @@ class SawOracle:
         self.spec = spec
         self.r_max = r_max
         self.boundary = boundary
-        self.lam = float(np.exp(potential.h[1] - potential.h[0]))
+        self.tree = spec.kind == "free" or spec.rank == 1
+        lam = float(np.exp(potential.h[1] - potential.h[0]))
         self.ball = groups.ball(spec, r_max)
         n = len(self.ball.elements)
         adj = [set() for _ in range(n)]
@@ -149,25 +169,88 @@ class SawOracle:
                 adj[i].add(j)
                 adj[j].add(i)
         self.adj = [sorted(s) for s in adj]
+        self.lam = np.full(n, lam)
         if boundary == "self_consistent":
-            if spec.kind != "free" and spec.rank != 1:
+            if not self.tree:
                 raise SchemaError("self-consistent boundary is exact only on tree groups")
-            rstar = _tree_fixed_point(self.lam, 2 * spec.rank)
-            lam_vec = np.full(n, self.lam)
-            shell_start = n - self.ball.shell_sizes[-1]
-            lam_vec[shell_start:] = rstar
-            self.lam = lam_vec
+            self.lam[n - self.ball.shell_sizes[-1]:] = _tree_fixed_point(lam, 2 * spec.rank)
         elif boundary != "free":
             raise SchemaError(f"unknown saw_boundary {boundary!r}; expected free or self_consistent")
+        if self.tree:
+            self._tree_setup()
+
+    def _tree_setup(self):
+        """Levels of the ball by word length; each site's children (its
+        neighbours one level out, in increasing site index, the order of
+        `build_saw_tree`) as positions in the next level; and the ratio of
+        every site with nothing pinned below it."""
+        self.starts = np.cumsum((0,) + self.ball.shell_sizes)
+        top = len(self.ball.shell_sizes) - 1
+        self.kids = []
+        for level in range(top + 1):
+            nxt = self.starts[level + 1]
+            sites = range(self.starts[level], nxt)
+            self.kids.append(np.array([[j - nxt for j in self.adj[i] if j >= nxt] for i in sites], dtype=np.intp))
+        self.free_ratio = [None] * (top + 1)
+        ratio = np.zeros(0)
+        for level in range(top, -1, -1):
+            ratio = self.free_ratio[level] = self._level_ratio(level, ratio)
+        self.edges = np.array([(i, j) for (i, _s, j) in self.ball.edges], dtype=np.intp).reshape(-1, 2)
+
+    def _level_ratio(self, level: int, outer: np.ndarray) -> np.ndarray:
+        """R of every site of one level from the ratios `outer` of the next
+        level out, over any leading row axes of `outer`."""
+        lam = self.lam[self.starts[level]:self.starts[level + 1]]
+        factor = 1.0 / (1.0 + outer)
+        ratio = np.empty(outer.shape[:-1] + lam.shape)
+        ratio[...] = lam
+        for k in range(self.kids[level].shape[1]):
+            ratio *= factor[..., self.kids[level][:, k]]
+        return ratio
 
     def conditional(self, values, mask) -> float:
+        if self.tree:
+            return float(self.batch(np.asarray(values)[None, :], np.asarray(mask)[None, :])[0])
         # pins live inside the query window; the marginal is computed on the
         # full padded ball so the free boundary sits far from the center
         pins = {int(i): int(values[i]) for i in np.flatnonzero(np.asarray(mask))}
         p_occ = hardcore_marginal_via_saw(self.adj, 0, self.lam, pins)
         return p_occ if int(values[0]) == 1 else 1.0 - p_occ
 
-    batch = _memo_batch
+    def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """(N, L) patterns and masks -> (N,) center conditionals."""
+        if not self.tree:
+            return _memo_batch(self, values, masks)
+        n, L = values.shape
+        starts = self.starts
+        deepest = int(np.searchsorted(starts, L - 1, side="right")) - 1
+        widest = int(np.diff(starts[: deepest + 2]).max())
+        chunk = max(1, _TREE_CHUNK_FLOATS // widest)
+        edges = self.edges[self.edges.max(axis=1) < L]
+        out = np.empty(n)
+        for lo in range(0, n, chunk):
+            vals = values[lo : lo + chunk]
+            pinned = masks[lo : lo + chunk].astype(bool, copy=False)
+            occupied = pinned & (vals == 1)
+            clash = occupied[:, edges[:, 0]] & occupied[:, edges[:, 1]]
+            if clash.any():
+                i, j = edges[np.flatnonzero(clash.any(axis=0))[0]]
+                raise InconsistentPinsError(f"adjacent occupied pins {i}, {j}")
+            # sites at or beyond the query width are never pinned, so the
+            # deepest level of the window starts from the unpinned ratios
+            ratio = np.tile(self.free_ratio[deepest], (len(vals), 1))
+            for level in range(deepest, -1, -1):
+                if level < deepest:
+                    ratio = self._level_ratio(level, ratio)
+                if level > 0:  # a pinned center returns its pin below
+                    win = slice(starts[level], min(starts[level + 1], L))
+                    block = ratio[:, : win.stop - win.start]
+                    block[pinned[:, win]] = 0.0
+                    block[occupied[:, win]] = np.inf
+            r0 = ratio[:, 0]
+            p_occ = np.where(pinned[:, 0], vals[:, 0], r0 / (1.0 + r0))
+            out[lo : lo + chunk] = np.where(vals[:, 0] == 1, p_occ, 1.0 - p_occ)
+        return out
 
 
 def _tree_fixed_point(lam: float, degree: int) -> float:

@@ -330,6 +330,8 @@ def test_ssm_profile_reducible_relation_exit_code(tmp_path, capsys):
         ({**hardcore_model_dict("Zd", 1, 1.0), "relations": {"e1": [[True, True], [True, True]]}},
          {"oracle": "saw"}, "hardcore"),
         (hardcore_model_dict("Zd", 2, 1.0), {"oracle": "saw", "saw_boundary": "self_consistent"}, "tree groups"),
+        (hardcore_model_dict("Free", 2, 0.3), {"past": "lex"}, "Z^d"),
+        (hardcore_model_dict("Free", 2, 0.3), {"nu": "mu"}, "rank-1"),
     ],
 )
 def test_run_oracle_the_model_cannot_use_is_schema_error(model, params, message, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from soficlab import groups, soficmaps
+from soficlab import enumeration, groups, soficmaps
 from soficlab.constraints import ConstraintStructure, Pattern, core_symbols, full_shift, hardcore, zero_potential
 from soficlab.errors import BudgetExceededError, EmptyFiberError
 from soficlab.finitemodel import DerivedSpace, derived_energy
@@ -275,6 +276,22 @@ def test_uniform_bound_skips_inadmissible_conditionings_on_free2():
     st, pot = hardcore(2, 0.3)
     c2 = uniform_bound_c(st, pot, F2, 2, max_subsets=64).c_hat
     assert math.isfinite(c2) and 0.0 < c2 <= uniform_bound_c(st, pot, F2, 1).c_hat
+
+
+def test_uniform_bound_ball_branch_eliminates_once_per_conditioning():
+    # the four neighbours of the Z^2 center are pairwise non-adjacent, so all
+    # 3^4 core-valued conditionings are admissible; the two center symbols of
+    # each share one elimination
+    calls = []
+    site_marginal = enumeration.site_marginal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return site_marginal(*args, **kwargs)
+
+    with mock.patch.object(enumeration, "site_marginal", counted):
+        uniform_bound_c(*hardcore(2, 1.0), Z2, 1)
+    assert len(calls) == 81
 
 
 def test_ssm_coupling_proxy():

@@ -1,19 +1,23 @@
 """The conditional oracles against exact routes on random models and pins,
-the memoised batch against row-by-row queries, and the benchmark tracer's
-targets against the classes and functions they patch."""
+the tree-group SAW batch bitwise against the SAW unfolding, the memoised
+batch against row-by-row queries, and the benchmark tracer's targets against
+the classes and functions they patch."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from soficlab import enumeration, groups
+from soficlab import enumeration, groups, marginals
 from soficlab.constraints import ConstraintStructure, Potential, hardcore
 from soficlab.enumeration import SiteGraph
+from soficlab.errors import InconsistentPinsError
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle
+from soficlab.saw import hardcore_marginal_via_saw
 from soficlab.transfer import build_transfer
 
 weights = st.floats(-1.5, 1.5, allow_nan=False)
@@ -53,6 +57,58 @@ def test_saw_oracle_matches_elimination(spec_r, lam, data):
         pins = {int(i): int(values[k, i]) for i in np.flatnonzero(masks[k])}
         expect = enumeration.site_marginal(graph, structure, potential, 0, pins=pins)[values[k, 0]]
         assert got[k] == pytest.approx(expect, abs=1e-12)
+
+
+TREE_BALLS = [(groups.free(1), 4), (groups.zd(1), 4), (groups.free(2), 3), (groups.free(3), 2)]
+
+
+def _saw_reference(oracle, values, masks) -> list[float]:
+    """Row-by-row center conditionals through the SAW unfolding of the
+    oracle's ball with its activity vector."""
+    out = []
+    for v, m in zip(values, masks):
+        pins = {int(i): int(v[i]) for i in np.flatnonzero(m)}
+        p = hardcore_marginal_via_saw(oracle.adj, 0, oracle.lam, pins)
+        out.append(p if v[0] == 1 else 1.0 - p)
+    return out
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(TREE_BALLS),
+    st.sampled_from(["free", "self_consistent"]),
+    st.floats(0.1, 4.0),
+    st.data(),
+)
+def test_tree_batch_is_bitwise_the_saw_unfolding(spec_r, boundary, lam, data):
+    """Pins of both kinds, pinned centers and windows of every radius, over
+    row counts that span several chunks of the tree recursion."""
+    spec, r_max = spec_r
+    oracle = SawOracle(*hardcore(spec.rank, lam), spec, r_max, boundary=boundary)
+    ball = groups.ball(spec, data.draw(st.integers(0, r_max)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_rows = data.draw(st.integers(1, 150))
+    values = (rng.random((n_rows, len(ball))) < data.draw(st.floats(0.0, 1.0))).astype(np.int64)
+    masks = rng.random((n_rows, len(ball))) < data.draw(st.floats(0.0, 1.0))
+    _unpin_occupied_neighbours(ball, values, masks)
+    chunk_floats = data.draw(st.integers(1, 200))
+    with mock.patch.object(marginals, "_TREE_CHUNK_FLOATS", chunk_floats):
+        got = oracle.batch(values, masks)
+    assert list(got) == _saw_reference(oracle, values, masks)
+
+
+@pytest.mark.parametrize("spec, r_max", TREE_BALLS)
+def test_tree_batch_raises_on_adjacent_occupied_pins(spec, r_max):
+    oracle = SawOracle(*hardcore(spec.rank, 1.0), spec, r_max)
+    ball = groups.ball(spec, r_max - 1)
+    for (i, _s, j) in ball.edges:
+        values = np.zeros((2, len(ball)), dtype=np.int64)
+        masks = np.zeros((2, len(ball)), dtype=bool)
+        values[1, [i, j]] = masks[1, [i, j]] = 1
+        with pytest.raises(InconsistentPinsError):
+            oracle.batch(values, masks)
+        with pytest.raises(InconsistentPinsError):
+            _saw_reference(oracle, values, masks)
 
 
 @st.composite
@@ -130,9 +186,10 @@ def test_transfer_oracle_matches_conditional_center(model, spec, r, data):
     [
         lambda: TransferOracle(*hardcore(1, 1.5), groups.zd(1), 3),
         lambda: BallEnumerationOracle(*hardcore(2, 1.0), groups.zd(2), 1, pad=1),
+        lambda: SawOracle(*hardcore(2, 0.7), groups.zd(2), 1),
         lambda: SawOracle(*hardcore(2, 0.7), groups.free(2), 3),
     ],
-    ids=["transfer", "ball", "saw"],
+    ids=["transfer", "ball", "saw", "saw-tree"],
 )
 def test_batch_on_repeated_rows_equals_conditional(make):
     oracle = make()
@@ -144,7 +201,8 @@ def test_batch_on_repeated_rows_equals_conditional(make):
     pick = np.array([0, 1, 0, 2, 3, 3, 1, 0])
     values, masks = distinct_values[pick], distinct_masks[pick]
     expect = [oracle.conditional(v, m) for v, m in zip(values, masks)]
-    if isinstance(oracle, TransferOracle):
+    if isinstance(oracle, TransferOracle) or getattr(oracle, "tree", False):
+        # no memo: every row is computed in one vectorised pass
         assert list(oracle.batch(values, masks)) == expect
         return
     calls = []
