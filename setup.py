@@ -1,22 +1,12 @@
-"""Build the optional Cython sweep kernel; the package works without it.
+"""Legacy setuptools entry point; the package has no compiled extension.
 
 Metadata lives in pyproject.toml; the subset repeated here keeps legacy
 setuptools toolchains (which ignore the [project] table) producing a working
-install with console scripts.
+install with console scripts.  The C sweep kernel ships as source
+(`_glauber.c`) and is compiled at first import, not at install time.
 """
 
-from setuptools import Extension, find_packages, setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("soficlab._glauber", ["src/soficlab/_glauber.pyx"])],
-        compiler_directives={"language_level": "3", "boundscheck": False, "wraparound": False},
-    )
-except Exception as exc:  # pragma: no cover - build-env dependent
-    print(f"cython kernel skipped ({exc}); pure-python fallback will be used")
+from setuptools import find_packages, setup
 
 setup(
     name="soficlab",
@@ -25,6 +15,7 @@ setup(
     install_requires=["numpy>=1.24", "jsonschema>=4.0"],
     package_dir={"": "src"},
     packages=find_packages("src"),
+    package_data={"soficlab": ["_glauber.c"]},
     entry_points={
         "console_scripts": [
             "soficlab = soficlab.cli:main",
@@ -37,5 +28,4 @@ setup(
             "saw-marginal = soficlab.cli:main_saw_marginal",
         ]
     },
-    ext_modules=ext_modules,
 )

@@ -1,7 +1,8 @@
-"""Pure-Python heat-bath sweep kernel; fallback twin of _glauber.pyx.
+"""Pure-Python heat-bath sweep kernel; the fallback twin of _glauber.c.
 
-Arithmetic and uniform consumption are kept identical to the compiled kernel
-so trajectories agree bitwise between backends.
+Arithmetic and uniform consumption are kept identical to the C kernel, so
+trajectories agree bitwise between backends; the tests use this twin as the
+reference for the C kernel.
 """
 
 

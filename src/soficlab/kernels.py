@@ -1,25 +1,149 @@
-"""Sweep-kernel backend selection: compiled extension if built, else pure Python.
+"""Heat-bath sweep kernel: the C kernel `_glauber.c` through ctypes, else its Python twin.
 
-Set SOFICLAB_KERNEL=python to force the fallback (for debugging); both
-backends consume identical uniforms and produce bitwise-equal trajectories.
+On the first import, `_glauber.c` is compiled once into the user cache,
+`$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as a shared library whose
+name is keyed by a CRC-32 of the source, the compiler flags and the platform;
+later imports only load it.  The compiler is the one Python was built with
+(`sysconfig` CC), else `cc`.  If the build or the load fails, a
+RuntimeWarning names the cause and the pure-Python twin
+`_glauber_py.glauber_sweeps` is used; `SOFICLAB_KERNEL=python` forces the
+twin.  Both consume identical uniforms and give bitwise-equal trajectories.
+`BACKEND` is "c" or "python".
 """
 
+import ctypes
+import operator
 import os
+import sysconfig
+import warnings
+import zlib
+from pathlib import Path
 
-_forced = os.environ.get("SOFICLAB_KERNEL", "").lower()
+import numpy as np
 
-if _forced == "python":
-    from ._glauber_py import glauber_sweeps
+from . import _glauber_py
 
-    BACKEND = "python"
-else:  # pragma: no cover - depends on build environment
+_SOURCE = Path(__file__).with_name("_glauber.c")
+# no FMA contraction: a fused multiply-add rounds once, Python rounds twice
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_MAX_ALPHABET = 64  # the C kernel's weights buffer
+# non-zero status codes of the C kernel
+_C_ERRORS = {
+    1: f"alphabet too large for kernel (at most {_MAX_ALPHABET} symbols)",
+    2: "neighbour index outside [0, n)",
+    3: "symbol of x outside [0, alphabet)",
+}
+_I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
+_BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
+
+
+def _compile(compiler: str, lib: Path):
+    """Compile the C source into `lib` through a temporary file and an atomic rename."""
+    import shlex
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=lib.stem, suffix=".tmp", dir=lib.parent)
+    os.close(fd)
     try:
-        from ._glauber import glauber_sweeps
+        proc = subprocess.run(
+            [*shlex.split(compiler), *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            capture_output=True, text=True, timeout=300,
+        )
+        if proc.returncode != 0:
+            raise OSError(f"{compiler} exited with status {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
-        BACKEND = "cython"
-    except ImportError:
-        from ._glauber_py import glauber_sweeps
 
-        BACKEND = "python"
+def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
+    """The C sweep function, compiled into the cache first if needed; None if that fails."""
+    try:
+        if cache_dir is None:
+            cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "soficlab"
+        # CRC-32, not hashlib: zlib is loaded anyway, while hashlib maps
+        # OpenSSL, about 4 MB of resident memory in every process
+        key = zlib.crc32(b"\0".join(
+            [_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(), sysconfig.get_platform().encode()]
+        ))
+        lib = cache_dir / f"_glauber-{key:08x}.so"
+        if not lib.exists():
+            _compile(compiler or sysconfig.get_config_var("CC") or "cc", lib)
+        fn = ctypes.CDLL(str(lib)).glauber_sweeps
+    except Exception as exc:  # any failure means the Python twin, never a failed import
+        warnings.warn(f"C sweep kernel unavailable, using the Python kernel: {exc!r}",
+                      RuntimeWarning, stacklevel=2)
+        return None
+    fn.argtypes = [_BYTE_P] * 7 + [ctypes.c_int64] * 4
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _checked_shape(name: str, arr, dtype: np.dtype, ndim: int) -> tuple:
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == ndim
+            and arr.flags.c_contiguous):
+        raise ValueError(f"{name} must be a C-contiguous {ndim}-d {dtype} array")
+    return arr.shape
+
+
+def _data(arr: np.ndarray):
+    """arr's data as a pointer argument of the C kernel.
+
+    A ctypes byte over the array's buffer, which ctypes passes by address,
+    costs about a fifth of `ndarray.ctypes`; it needs a writeable, non-empty
+    buffer.  partition_mcmc makes one kernel call per sample, so this counts.
+    """
+    if arr.flags.writeable and arr.size:
+        return ctypes.c_ubyte.from_buffer(arr)
+    return arr.ctypes.data_as(_BYTE_P)
+
+
+def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps):
+    """Run `sweeps` heat-bath sweeps over x in place with the C kernel.
+
+    The arguments are those of `_glauber_py.glauber_sweeps`, as GlauberEngine
+    lays them out.  Everything the C code trusts is checked here first:
+    dtypes, C order, a writeable x, agreeing shapes, at least sweeps * n
+    uniforms and an alphabet of at most 64; the C code itself checks every
+    neighbour index and every symbol of x.  Any failure is a ValueError.
+    """
+    (n,) = _checked_shape("x", x, _I8, 1)
+    if not x.flags.writeable:
+        raise ValueError("x must be writeable")
+    (a,) = _checked_shape("wh", wh, _F64, 1)
+    if a > _MAX_ALPHABET:
+        raise ValueError(_C_ERRORS[1])
+    n_gen = _checked_shape("nbr_out", nbr_out, _I64, 2)[0]
+    for name, arr, dtype, want in (
+        ("nbr_out", nbr_out, _I64, (n_gen, n)),
+        ("nbr_in", nbr_in, _I64, (n_gen, n)),
+        ("wj", wj, _F64, (n_gen, a, a)),
+        ("allowed", allowed, _U8, (n_gen, a, a)),
+    ):
+        got = _checked_shape(name, arr, dtype, len(want))
+        if got != want:
+            raise ValueError(f"{name} has shape {got}, expected {want}")
+    (m,) = _checked_shape("uniforms", uniforms, _F64, 1)
+    sweeps = operator.index(sweeps)
+    if m < sweeps * n:
+        raise ValueError(f"{m} uniforms for {sweeps} sweeps of {n} sites")
+    status = _c_sweeps(
+        _data(x), _data(nbr_out), _data(nbr_in), _data(wh), _data(wj), _data(allowed),
+        _data(uniforms), sweeps, n, n_gen, a,
+    )
+    if status:
+        raise ValueError(_C_ERRORS[status])
+
+
+_c_sweeps = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()
+if _c_sweeps is None:
+    glauber_sweeps = _glauber_py.glauber_sweeps
+    BACKEND = "python"
+else:
+    glauber_sweeps = _c_glauber_sweeps
+    BACKEND = "c"
 
 __all__ = ["glauber_sweeps", "BACKEND"]

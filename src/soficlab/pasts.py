@@ -16,6 +16,8 @@ from . import groups
 from .groups import Element, GroupSpec
 from .soficmaps import SoficMap, good_vertices
 
+_MASK_CHUNK_FLOATS = 2**16
+
 
 @dataclass
 class PastSample:
@@ -41,10 +43,18 @@ def _percolation_from_rng(spec: GroupSpec, r: int, rng) -> PastSample:
 
 
 def sample_percolation_masks(spec: GroupSpec, r: int, n_samples: int, rng) -> np.ndarray:
-    """(n_samples, |B_r|) membership masks; column 0 is the identity (always False)."""
+    """(n_samples, |B_r|) membership masks; column 0 is the identity (always False).
+
+    The uniforms are drawn in consecutive row chunks of at most
+    _MASK_CHUNK_FLOATS floats (one row at least), which is the same stream as
+    one draw of all rows, so only the bool masks grow with n_samples.
+    """
     L = len(groups.ball(spec, r).elements)
-    chi = rng.random((n_samples, L))
-    masks = chi < chi[:, :1]
+    masks = np.empty((n_samples, L), dtype=bool)
+    rows = max(1, _MASK_CHUNK_FLOATS // L)
+    for start in range(0, n_samples, rows):
+        chi = rng.random((min(rows, n_samples - start), L))
+        np.less(chi, chi[:, :1], out=masks[start : start + len(chi)])
     masks[:, 0] = False
     return masks
 

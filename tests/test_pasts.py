@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soficlab import groups, soficmaps
+from soficlab import groups, pasts, soficmaps
 from soficlab.pasts import (
     PastSample,
     coupling_check,
@@ -39,6 +39,22 @@ def test_percolation_past_statistics():
     for col in range(1, L):
         freq = masks[:, col].mean()
         assert abs(freq - 0.5) < 3 * 0.5 / np.sqrt(len(masks))
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 7, 2**16])
+@pytest.mark.parametrize("n_samples", [0, 1, 13, 1003])
+def test_percolation_masks_in_row_chunks_are_one_draw(monkeypatch, chunk_floats, n_samples):
+    monkeypatch.setattr(pasts, "_MASK_CHUNK_FLOATS", chunk_floats)
+    F2 = groups.free(2)
+    L = len(groups.ball(F2, 2).elements)
+    rng = np.random.default_rng(4)
+    chi = rng.random((n_samples, L))
+    expected = chi < chi[:, :1]
+    expected[:, 0] = False
+    chunked_rng = np.random.default_rng(4)
+    masks = sample_percolation_masks(F2, 2, n_samples, chunked_rng)
+    assert masks.dtype == bool and np.array_equal(masks, expected)
+    assert chunked_rng.random() == rng.random()  # the stream goes on where one draw leaves it
 
 
 def test_percolation_transitivity_via_uniforms():
