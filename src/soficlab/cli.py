@@ -166,8 +166,20 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
     nu = params.get("nu", "fixed0")
     if nu not in ("fixed0", "mu"):
         raise SchemaError(f"unknown nu {nu!r}; expected fixed0 or mu")
-    if nu == "mu" and model.spec.rank != 1:
-        raise SchemaError("nu mu samples the measure exactly only on rank-1 groups")
+    if nu == "mu":
+        if model.spec.rank != 1:
+            raise SchemaError("nu mu samples the measure exactly only on rank-1 groups")
+        N_inner = int(params.get("N_inner", 100))
+        if N_inner < 1:
+            raise SchemaError(f"params.N_inner must be at least 1, got {N_inner}")
+        M_outer = int(params.get("M_outer", N // N_inner))
+        if M_outer < 2:
+            raise SchemaError(
+                f"nu mu needs M_outer >= 2 patterns for a standard error (M_outer defaults to "
+                f"N // N_inner), got {M_outer}"
+            )
+    elif N < 1:
+        raise SchemaError(f"params.N must be at least 1, got {N}")
     past = params.get("past", "percolation")
     if past == "lex" and model.spec.kind != "zd":
         raise SchemaError("past lex is the lexicographic order of Z^d")
@@ -187,8 +199,8 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
             model.spec,
             oracle,
             r,
-            N_inner=int(params.get("N_inner", 100)),
-            M_outer=int(params.get("M_outer", max(1, N // int(params.get("N_inner", 100))))),
+            N_inner=N_inner,
+            M_outer=M_outer,
             seed=seed,
             nu="mu",
         )

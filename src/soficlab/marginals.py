@@ -29,8 +29,16 @@ _TREE_CHUNK_FLOATS = 2**16
 
 def _memo_batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """(N, L) patterns and masks -> (N,) center conditionals, one
-    `self.conditional` call per distinct row."""
-    cache: dict[bytes, float] = {}
+    `self.conditional` call per distinct row over the oracle's lifetime.
+
+    The memo lives on the oracle (`self._memo`), so a stream of small
+    batches solves each distinct row once, as one large batch would.  Rows
+    are keyed as int64 values and bool masks, 9 bytes per site, so rows of
+    different widths never share a key.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    masks = np.asarray(masks, dtype=bool)
+    cache = self._memo
     out = np.empty(len(values))
     for k, (v, m) in enumerate(zip(values, masks)):
         key = v.tobytes() + m.tobytes()
@@ -58,21 +66,28 @@ class TransferOracle:
         return float(self.batch(np.asarray(values)[None, :], np.asarray(mask)[None, :])[0])
 
     def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """(N, L) patterns and masks -> (N,) conditional probabilities of the center."""
+        """(N, L) patterns and masks -> (N,) conditional probabilities of the center.
+
+        The chain is Markov, so only the nearest pin on each side counts:
+        with each side's columns ordered by distance to the center, it is
+        the first True of the mask there.  Offsets on a rank-1 ball are
+        distinct, so that pin is unique.
+        """
         n, L = values.shape
         off = self.offsets[:L]
-        big = self.r_max + 10**6
-        dist_l = np.where(masks & (off < 0)[None, :], -off[None, :], big)
-        dist_r = np.where(masks & (off > 0)[None, :], off[None, :], big)
-        il = np.argmin(dist_l, axis=1)
-        ir = np.argmin(dist_r, axis=1)
         rows = np.arange(n)
-        dl = dist_l[rows, il]
-        dr = dist_r[rows, ir]
-        bl = np.where(dl < big, values[rows, il], 0)
-        br = np.where(dr < big, values[rows, ir], 0)
-        dl = np.where(dl < big, dl, 0)
-        dr = np.where(dr < big, dr, 0)
+        near = []  # distance to, and symbol of, the nearest pin on the left, then the right
+        for dist in (-off, off):
+            cols = np.flatnonzero(dist > 0)
+            cols = cols[np.argsort(dist[cols])]
+            if len(cols) == 0:
+                near += [0, 0]
+                continue
+            nearest = cols[masks[:, cols].argmax(axis=1)]
+            # a side with no pin reads distance 0 and symbol index 0
+            pinned = masks[rows, nearest]
+            near += [np.where(pinned, dist[nearest], 0), np.where(pinned, values[rows, nearest], 0)]
+        dl, bl, dr, br = near
         return self.tables[values[:, 0], dl, bl, dr, br]
 
 
@@ -111,6 +126,7 @@ class BallEnumerationOracle:
         # the center symbol, such as those of `uniform_bound_c`, arrive
         # consecutively and share one elimination
         self._last = (None, None)
+        self._memo: dict[bytes, float] = {}
 
     def conditional(self, values, mask) -> float:
         pins = dict(self.shell_pins)
@@ -136,7 +152,7 @@ class SawOracle:
     unfolding, so each conditional is bitwise equal to
     `saw.hardcore_marginal_via_saw` on the same ball, activities and pins.
     On other groups each distinct row goes through the self-avoiding-walk
-    unfolding of the pin-reduced ball graph, memoised within a batch.
+    unfolding of the pin-reduced ball graph, memoised on the oracle.
 
     boundary="free" truncates the graph at the ball; boundary
     "self_consistent" replaces the activity of the outermost shell with the
@@ -176,6 +192,7 @@ class SawOracle:
             self.lam[n - self.ball.shell_sizes[-1]:] = _tree_fixed_point(lam, 2 * spec.rank)
         elif boundary != "free":
             raise SchemaError(f"unknown saw_boundary {boundary!r}; expected free or self_consistent")
+        self._memo: dict[bytes, float] = {}
         if self.tree:
             self._tree_setup()
 

@@ -60,12 +60,34 @@ def info_fn_truncated(oracle, spec: GroupSpec, values, mask, r: int) -> float:
     return -math.log(_checked(p))
 
 
-def _batch_info(oracle, values_rows: np.ndarray, masks: np.ndarray, chunk: int = 200_000):
-    out = np.empty(len(values_rows))
-    for lo in range(0, len(values_rows), chunk):
-        hi = min(lo + chunk, len(values_rows))
-        out[lo:hi] = oracle.batch(values_rows[lo:hi], masks[lo:hi])
-    return -np.log(_checked(out))
+# a chunk of the streamed estimators holds at most this many mask entries
+# (one row at least), so their memory does not grow with the sample count
+_MASK_CHUNK_FLOATS = 2**17
+
+
+def _streamed_info(oracle, spec: GroupSpec, r: int, patterns: np.ndarray, n_inner: int, rng) -> np.ndarray:
+    """f = -log of the oracle conditional on len(patterns) * n_inner rows.
+
+    Row k pairs patterns[k // n_inner] with the k-th percolation past on B_r
+    drawn from rng, truncated to the pattern width.  The rows are walked in
+    chunks; each chunk draws its masks from rng in turn, which is the stream
+    of one draw of every mask, so only the flat f grows with the row count.
+    """
+    n = len(patterns) * n_inner
+    L = patterns.shape[1]
+    step = max(1, _MASK_CHUNK_FLOATS // len(groups.ball(spec, r).elements))
+    f = np.empty(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        masks = sample_percolation_masks(spec, r, hi - lo, rng)[:, :L]
+        first, last = lo // n_inner, (hi - 1) // n_inner
+        if first == last:  # a chunk inside one pattern's rows reads it without a copy
+            rows = np.broadcast_to(patterns[first], (hi - lo, L))
+        else:
+            rows = patterns[np.arange(lo, hi) // n_inner]
+        p = oracle.batch(rows, masks)
+        f[lo:hi] = -np.log(_checked(p))
+    return f
 
 
 def random_info(
@@ -77,9 +99,11 @@ def random_info(
     seed: int,
     past: str = "percolation",
 ) -> InfoEstimate:
-    """Monte Carlo mean of f_r(x, P ∩ B_r) over random pasts P.
+    """Monte Carlo mean of f_r(x, P ∩ B_r) over N random pasts P.
 
-    The percolation past draws i.i.d. uniforms on B_r; the lexicographic past
+    The percolation past draws i.i.d. uniforms on B_r; the N rows are
+    streamed through the oracle in chunks of bounded memory (`_streamed_info`),
+    so the cost in memory is the N values of f.  The lexicographic past
     (Z^d only) is deterministic, so a single evaluation suffices.
     """
     values = np.asarray(values, dtype=np.int64)
@@ -92,23 +116,27 @@ def random_info(
     if past != "percolation":
         raise SchemaError(f"unknown past {past!r}; expected percolation or lex")
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x1FF0]))
-    masks = sample_percolation_masks(spec, r, N, rng)
-    rows = np.broadcast_to(vals, (N, L_r))
-    f = _batch_info(oracle, rows, masks)
+    f = _streamed_info(oracle, spec, r, vals[None, :], N, rng)
     return InfoEstimate(
         float(f.mean()), float(f.std(ddof=1) / math.sqrt(N)) if N > 1 else 0.0, r, N, oracle.name
     )
 
 
-def potential_at_center(potential: Potential, spec: GroupSpec, values) -> float:
-    """phi read at the identity of a ball pattern: h(x_0) + sum_s J_s(x_0, x_s)."""
+def _potentials_at_center(potential: Potential, spec: GroupSpec, patterns: np.ndarray) -> np.ndarray:
+    """phi read at the identity of each row of (M, |B_1|+) ball patterns,
+    h(x_0) + J_0(x_0, x_{s_0}) + J_1(x_0, x_{s_1}) + ..., added in that order."""
     b1 = groups.ball(spec, 1)
-    center = int(values[0])
-    out = float(potential.h[center])
+    center = patterns[:, 0]
+    out = potential.h[center]
     for s in range(spec.n_generators):
         idx = b1.index[groups.generator(spec, s)]
-        out += float(potential.J[s, center, int(values[idx])])
+        out = out + potential.J[s, center, patterns[:, idx]]
     return out
+
+
+def potential_at_center(potential: Potential, spec: GroupSpec, values) -> float:
+    """phi read at the identity of a ball pattern: h(x_0) + sum_s J_s(x_0, x_s)."""
+    return float(_potentials_at_center(potential, spec, np.asarray(values)[None, :])[0])
 
 
 def kp_pressure_at_fixed_point(
@@ -155,9 +183,13 @@ def kp_pressure_at_measure(
     (random information + potential at the center).
 
     nu = "fixed0" degenerates to the fixed-point estimator; nu = "mu" samples
-    the infinite-volume measure exactly on rank-1 groups (transfer chain) or
-    through a caller-supplied pattern sampler elsewhere.  The info part alone
-    estimates the entropy of mu when nu = mu.
+    M_outer patterns of the infinite-volume measure exactly on rank-1 groups
+    (transfer chain) or through a caller-supplied pattern sampler elsewhere,
+    and averages f over N_inner random pasts for each.  The M_outer * N_inner
+    (pattern, past) rows are streamed through the oracle pattern-major in
+    chunks of bounded memory (`_streamed_info`); no array of all rows' values
+    or masks is built.  The info part alone estimates the entropy of mu when
+    nu = mu.
     """
     if nu == "fixed0":
         return kp_pressure_at_fixed_point(
@@ -178,12 +210,9 @@ def kp_pressure_at_measure(
         patterns = windows[:, cols]
     else:
         raise ValueError("nu='mu' needs rank 1 or an explicit pattern_sampler")
-    L = patterns.shape[1]
-    masks = sample_percolation_masks(spec, r, M_outer * N_inner, rng)[:, :L]
-    rows = np.repeat(patterns, N_inner, axis=0)
-    f = _batch_info(oracle, rows, masks).reshape(M_outer, N_inner)
+    f = _streamed_info(oracle, spec, r, patterns, N_inner, rng).reshape(M_outer, N_inner)
     info_means = f.mean(axis=1)
-    phis = np.array([potential_at_center(potential, spec, p) for p in patterns])
+    phis = _potentials_at_center(potential, spec, patterns)
     totals = info_means + phis
     value = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(M_outer))

@@ -4,6 +4,8 @@ enumeration, and closed forms, kept free of the package's counting machinery."""
 import itertools
 import math
 
+import numpy as np
+
 
 def bfs_ball_count(neighbors_fn, origin, r):
     """Count elements within distance r by breadth-first search."""
@@ -110,3 +112,24 @@ def hardcore_line_density(lam):
 def hardcore_stationary_p0(lam):
     x = (1 + math.sqrt(1 + 4 * lam)) / 2
     return x * x / (x * x + lam)
+
+
+def transfer_batch_argmin(tables, offsets, r_max, values, masks):
+    """Center conditionals of a rank-1 transfer oracle read from its lookup
+    tables, with the nearest pin on each side found as the argmin of a
+    distance array in which unpinned sites hold a sentinel past r_max."""
+    n, L = values.shape
+    off = offsets[:L]
+    big = r_max + 10**6
+    dist_l = np.where(masks & (off < 0)[None, :], -off[None, :], big)
+    dist_r = np.where(masks & (off > 0)[None, :], off[None, :], big)
+    il = np.argmin(dist_l, axis=1)
+    ir = np.argmin(dist_r, axis=1)
+    rows = np.arange(n)
+    dl = dist_l[rows, il]
+    dr = dist_r[rows, ir]
+    bl = np.where(dl < big, values[rows, il], 0)
+    br = np.where(dr < big, values[rows, ir], 0)
+    dl = np.where(dl < big, dl, 0)
+    dr = np.where(dr < big, dr, 0)
+    return tables[values[:, 0], dl, bl, dr, br]

@@ -282,6 +282,29 @@ def test_run_missing_param_is_schema_error(experiment, params, missing, hc_model
     assert err["error"] == "SchemaError" and f"params.{missing}" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"nu": "mu", "N": 1000, "N_inner": 0}, "params.N_inner"),
+        ({"nu": "mu", "N": 1000, "N_inner": -5}, "params.N_inner"),
+        ({"nu": "mu", "N": 150, "N_inner": 100}, "M_outer"),
+        ({"nu": "mu", "N": 1000, "N_inner": 10, "M_outer": 1}, "M_outer"),
+        ({"nu": "fixed0", "N": 0}, "params.N"),
+    ],
+    ids=["N_inner-zero", "N_inner-negative", "N-below-two-N_inner", "M_outer-one", "fixed0-N-zero"],
+)
+def test_kp_estimate_sample_size_is_schema_error(params, message, hc_model, tmp_path, capsys):
+    """Sample sizes that would divide by zero or leave no standard error."""
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({"experiment": "kp-estimate", "model": hc_model,
+                                "params": {"r": 4, "oracle": "transfer", **params}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(path)])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and message in err["message"]
+
+
 def test_run_without_model_is_schema_error():
     with pytest.raises(SchemaError, match="needs a model"):
         run_config({"experiment": "ssm-profile", "params": {"rmax": 2}})

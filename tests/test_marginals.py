@@ -1,7 +1,8 @@
 """The conditional oracles against exact routes on random models and pins,
-the tree-group SAW batch bitwise against the SAW unfolding, the memoised
-batch against row-by-row queries, and the benchmark tracer's targets against
-the classes and functions they patch."""
+the tree-group SAW batch bitwise against the SAW unfolding, the transfer
+batch bitwise against its argmin formula, the memoised batch against
+row-by-row queries, and the benchmark tracer's targets against the classes
+and functions they patch."""
 
 import importlib
 import importlib.util
@@ -19,6 +20,8 @@ from soficlab.errors import InconsistentPinsError
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle
 from soficlab.saw import hardcore_marginal_via_saw
 from soficlab.transfer import build_transfer
+
+from oracles import transfer_batch_argmin
 
 weights = st.floats(-1.5, 1.5, allow_nan=False)
 
@@ -179,6 +182,23 @@ def test_transfer_oracle_matches_conditional_center(model, spec, r, data):
         except ValueError:  # a conditioning of probability zero
             expect = 0.0
         assert got[k] == pytest.approx(expect, abs=1e-14)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(irreducible_line_models(), st.sampled_from([groups.zd(1), groups.free(1)]), st.integers(0, 5), st.data())
+def test_transfer_batch_is_bitwise_the_argmin_reference(model, spec, r_max, data):
+    """Every window width, center pins included, pin densities from none to
+    all, against the sentinel-and-argmin formula of tests/oracles.py."""
+    structure, potential = model
+    oracle = TransferOracle(structure, potential, spec, r_max)
+    L = data.draw(st.integers(1, len(groups.ball(spec, r_max))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_rows = data.draw(st.integers(1, 60))
+    values = rng.integers(0, structure.alphabet, (n_rows, L))
+    masks = rng.random((n_rows, L)) < data.draw(st.floats(0.0, 1.0))
+    got = oracle.batch(values, masks)
+    expect = transfer_batch_argmin(oracle.tables, oracle.offsets, r_max, values, masks)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from soficlab import groups
+from soficlab import groups, randominfo
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.errors import BallMismatchError, SoficLabError, ZeroProbabilityError
 from soficlab.gibbs import ssm_profile, uniform_bound_c
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.randominfo import (
-    _batch_info,
+    _streamed_info,
     info_fn_truncated,
     kp_pressure_at_fixed_point,
     kp_pressure_at_measure,
@@ -58,13 +59,24 @@ def test_zero_conditional_is_typed_error():
     mask[b.index[(1,)]] = True
     with pytest.raises(ZeroProbabilityError):
         info_fn_truncated(oracle, Z1, vals, mask, 4)
-    rows = np.broadcast_to(vals, (3, len(vals)))
-    masks = np.broadcast_to(mask, (3, len(mask)))
-    with pytest.raises(ZeroProbabilityError):
-        _batch_info(oracle, rows, masks)
     assert ZeroProbabilityError.exit_code not in {
         cls.exit_code for cls in SoficLabError.__subclasses__() if cls is not ZeroProbabilityError
     }
+
+
+def test_zero_conditional_in_a_later_chunk_is_typed_error(monkeypatch):
+    """Three all-empty patterns stream cleanly in 7-row chunks; a fourth,
+    occupied with both neighbours occupied, has conditional 0 on every row
+    that pins a neighbour, and the stream raises when it reaches it."""
+    oracle, st, pot = _transfer_oracle(1.0)
+    b = groups.ball(Z1, 4)
+    patterns = np.zeros((4, len(b)), dtype=np.int64)
+    patterns[3, [0, b.index[(1,)], b.index[(-1,)]]] = 1
+    monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", 7 * len(b))
+    f = _streamed_info(oracle, Z1, 4, patterns[:3], 50, np.random.default_rng(0))
+    assert f.shape == (150,) and np.isfinite(f).all()
+    with pytest.raises(ZeroProbabilityError):
+        _streamed_info(oracle, Z1, 4, patterns, 50, np.random.default_rng(0))
 
 
 def test_info_fn_full_shift():
@@ -227,3 +239,62 @@ def test_locality_ball_mismatch():
     st, pot = hardcore(2, 1.0)
     with pytest.raises(BallMismatchError):
         locality_experiment(st, pot, groups.zd(2), groups.free(2), r=2, N=100, seed=0)
+
+
+def _fields(est):
+    return (est.value, est.stderr, est.r, est.n_samples, est.oracle, est.parts)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 7])
+def test_streamed_estimators_do_not_depend_on_the_chunk(rows_per_chunk, monkeypatch):
+    """random_info (transfer and tree SAW oracles) and kp_pressure_at_measure
+    give bitwise the one-chunk result when the rows stream 1 or 7 at a time,
+    also when a chunk straddles two patterns."""
+    line = hardcore(1, 1.3)
+    f2 = groups.free(2)
+    transfer = TransferOracle(*line, Z1, 6)
+    saw_tree = SawOracle(*hardcore(2, 0.4), f2, 4)
+    cases = [
+        (Z1, 6, lambda: random_info(transfer, Z1, np.zeros(13, dtype=np.int64), 6, N=300, seed=4)),
+        (f2, 3, lambda: random_info(saw_tree, f2, np.zeros(53, dtype=np.int64), 3, N=100, seed=4)),
+        (Z1, 6, lambda: kp_pressure_at_measure(*line, Z1, transfer, 6, N_inner=11, M_outer=30, seed=4)),
+    ]
+    for spec, r, run in cases:
+        monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", 10**9)
+        whole = _fields(run())
+        monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", rows_per_chunk * len(groups.ball(spec, r)))
+        assert _fields(run()) == whole
+
+
+def test_ball_oracle_memo_spans_chunks(monkeypatch):
+    """Over many chunks, the ball oracle solves each distinct (row, mask)
+    pair once: its memo lives on the oracle, not in one batch."""
+    z2 = groups.zd(2)
+    st, pot = hardcore(2, 1.0)
+    oracle = BallEnumerationOracle(st, pot, z2, 1, pad=2)
+    chunks = []
+    batch, conditional = oracle.batch, oracle.conditional
+    oracle.batch = lambda v, m: chunks.append(np.hstack([v, m])) or batch(v, m)
+    calls = []
+    oracle.conditional = lambda v, m: calls.append(1) or conditional(v, m)
+    monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", 2**12)
+    est = kp_pressure_at_fixed_point(st, pot, z2, oracle, r=1, N=20_000, seed=3)
+    assert est.n_samples == 20_000 and len(chunks) > 20
+    distinct = len(np.unique(np.vstack(chunks), axis=0))
+    # a memo per batch would solve at least one row in every chunk
+    assert len(calls) == distinct < len(chunks)
+
+
+def test_kp_measure_memory_is_bounded():
+    """800k (pattern, past) rows on B_16 of Z^1 stream in bounded chunks: the
+    traced peak stays under 32 MB (about 350 MB when every row was built)."""
+    st, pot = hardcore(1, 1.0)
+    oracle = TransferOracle(st, pot, Z1, 16)
+    tracemalloc.start()
+    try:
+        est = kp_pressure_at_measure(st, pot, Z1, oracle, 16, N_inner=100, M_outer=8_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == 800_000 and math.isfinite(est.stderr)
+    assert peak < 32 * 2**20
