@@ -166,9 +166,14 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
     nu = params.get("nu", "fixed0")
     if nu not in ("fixed0", "mu"):
         raise SchemaError(f"unknown nu {nu!r}; expected fixed0 or mu")
+    past = params.get("past", "percolation")
+    if past == "lex" and model.spec.kind != "zd":
+        raise SchemaError("past lex is the lexicographic order of Z^d")
     if nu == "mu":
         if model.spec.rank != 1:
             raise SchemaError("nu mu samples the measure exactly only on rank-1 groups")
+        if past != "percolation":
+            raise SchemaError(f"nu mu averages over percolation pasts only, got past {past!r}")
         N_inner = int(params.get("N_inner", 100))
         if N_inner < 1:
             raise SchemaError(f"params.N_inner must be at least 1, got {N_inner}")
@@ -178,11 +183,10 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
                 f"nu mu needs M_outer >= 2 patterns for a standard error (M_outer defaults to "
                 f"N // N_inner), got {M_outer}"
             )
-    elif N < 1:
-        raise SchemaError(f"params.N must be at least 1, got {N}")
-    past = params.get("past", "percolation")
-    if past == "lex" and model.spec.kind != "zd":
-        raise SchemaError("past lex is the lexicographic order of Z^d")
+    else:
+        least = 2 if past == "percolation" else 1  # random pasts need two for a standard error
+        if N < least:
+            raise SchemaError(f"params.N must be at least {least} under past {past!r}, got {N}")
     oracle = make_oracle(
         params.get("oracle", "auto"),
         model.structure,
@@ -202,7 +206,6 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
             N_inner=N_inner,
             M_outer=M_outer,
             seed=seed,
-            nu="mu",
         )
     else:
         est = kp_pressure_at_fixed_point(

@@ -24,7 +24,7 @@ from .finitemodel import partition_mcmc, partition_transfer_cycle
 from .groups import GroupSpec
 from .marginals import is_hardcore, make_oracle
 from .sampling import GlauberEngine
-from .transfer import TransferMatrix, build_transfer
+from .transfer import build_transfer
 
 
 @dataclass
@@ -217,20 +217,18 @@ def ssm_profile(
     table's size: shells with more than max_boundary_patterns patterns over
     the whole alphabet raise BudgetExceededError.  (The table holds boundary
     values outside the core symbols too, so counting core-valued patterns
-    alone would not bound it.)
+    alone would not bound it.)  The transfer route (rank 1) reads every
+    radius from the scaled powers of the transfer matrix
+    (`TransferMatrix.mixing_profile`); on both routes boundaries of
+    probability zero, such as those of a periodic line, are skipped.
     """
     if method == "auto":
         method = "transfer" if spec.rank == 1 else "enumeration"
-    core = core_symbols(structure)
-    out = np.zeros(r_max + 1)
     if method == "transfer":
-        tm = build_transfer(structure, potential)
-        for r in range(r_max + 1):
-            lo, hi = _center_envelope_transfer(tm, core, r)
-            out[r] = float(np.max(hi - lo))
-        return out[1:]
+        return build_transfer(structure, potential).mixing_profile(r_max, core_symbols(structure))
     if method != "enumeration":
         raise ValueError(f"unknown method {method!r}")
+    out = np.zeros(r_max + 1)
     for r in range(1, r_max + 1):
         shell = groups.boundary_shell(spec, r)
         if structure.alphabet ** len(shell) > max_boundary_patterns:
@@ -239,18 +237,6 @@ def ssm_profile(
             )
         out[r] = _beta_enumeration(structure, potential, spec, r)
     return out[1:]
-
-
-def _center_envelope_transfer(tm: TransferMatrix, core, r: int):
-    a = tm.alphabet
-    lo = np.full(a, np.inf)
-    hi = np.full(a, -np.inf)
-    for bl in core:
-        for br in core:
-            p = tm.conditional_center({-(r + 1): bl, (r + 1): br})
-            lo = np.minimum(lo, p)
-            hi = np.maximum(hi, p)
-    return lo, hi
 
 
 def _beta_enumeration(structure, potential, spec, r) -> float:

@@ -22,10 +22,6 @@ from .groups import GroupSpec
 from .saw import hardcore_marginal_via_saw
 from .transfer import build_transfer
 
-# the tree recursion works in row chunks whose per-level arrays hold at most
-# this many floats, so its memory does not grow with the batch
-_TREE_CHUNK_FLOATS = 2**16
-
 
 def _memo_batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """(N, L) patterns and masks -> (N,) center conditionals, one
@@ -235,39 +231,38 @@ class SawOracle:
         return p_occ if int(values[0]) == 1 else 1.0 - p_occ
 
     def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """(N, L) patterns and masks -> (N,) center conditionals."""
+        """(N, L) patterns and masks -> (N,) center conditionals.
+
+        On tree groups one level recursion runs over all N rows, so its
+        memory is proportional to the batch; callers that stream many rows
+        bound the batch (`randominfo._streamed_info`).
+        """
         if not self.tree:
             return _memo_batch(self, values, masks)
-        n, L = values.shape
+        L = values.shape[1]
         starts = self.starts
         deepest = int(np.searchsorted(starts, L - 1, side="right")) - 1
-        widest = int(np.diff(starts[: deepest + 2]).max())
-        chunk = max(1, _TREE_CHUNK_FLOATS // widest)
         edges = self.edges[self.edges.max(axis=1) < L]
-        out = np.empty(n)
-        for lo in range(0, n, chunk):
-            vals = values[lo : lo + chunk]
-            pinned = masks[lo : lo + chunk].astype(bool, copy=False)
-            occupied = pinned & (vals == 1)
-            clash = occupied[:, edges[:, 0]] & occupied[:, edges[:, 1]]
-            if clash.any():
-                i, j = edges[np.flatnonzero(clash.any(axis=0))[0]]
-                raise InconsistentPinsError(f"adjacent occupied pins {i}, {j}")
-            # sites at or beyond the query width are never pinned, so the
-            # deepest level of the window starts from the unpinned ratios
-            ratio = np.tile(self.free_ratio[deepest], (len(vals), 1))
-            for level in range(deepest, -1, -1):
-                if level < deepest:
-                    ratio = self._level_ratio(level, ratio)
-                if level > 0:  # a pinned center returns its pin below
-                    win = slice(starts[level], min(starts[level + 1], L))
-                    block = ratio[:, : win.stop - win.start]
-                    block[pinned[:, win]] = 0.0
-                    block[occupied[:, win]] = np.inf
-            r0 = ratio[:, 0]
-            p_occ = np.where(pinned[:, 0], vals[:, 0], r0 / (1.0 + r0))
-            out[lo : lo + chunk] = np.where(vals[:, 0] == 1, p_occ, 1.0 - p_occ)
-        return out
+        pinned = masks.astype(bool, copy=False)
+        occupied = pinned & (values == 1)
+        clash = occupied[:, edges[:, 0]] & occupied[:, edges[:, 1]]
+        if clash.any():
+            i, j = edges[np.flatnonzero(clash.any(axis=0))[0]]
+            raise InconsistentPinsError(f"adjacent occupied pins {i}, {j}")
+        # sites at or beyond the query width are never pinned, so the
+        # deepest level of the window starts from the unpinned ratios
+        ratio = np.tile(self.free_ratio[deepest], (len(values), 1))
+        for level in range(deepest, -1, -1):
+            if level < deepest:
+                ratio = self._level_ratio(level, ratio)
+            if level > 0:  # a pinned center returns its pin below
+                win = slice(starts[level], min(starts[level + 1], L))
+                block = ratio[:, : win.stop - win.start]
+                block[pinned[:, win]] = 0.0
+                block[occupied[:, win]] = np.inf
+        r0 = ratio[:, 0]
+        p_occ = np.where(pinned[:, 0], values[:, 0], r0 / (1.0 + r0))
+        return np.where(values[:, 0] == 1, p_occ, 1.0 - p_occ)
 
 
 def _tree_fixed_point(lam: float, degree: int) -> float:

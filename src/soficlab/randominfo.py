@@ -20,6 +20,7 @@ from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .errors import BallMismatchError, NoSafeSymbolError, SchemaError, ZeroProbabilityError
 from .groups import GroupSpec
 from .pasts import lex_past_mask, sample_percolation_masks
+from .transfer import build_transfer
 
 
 @dataclass
@@ -30,13 +31,6 @@ class InfoEstimate:
     n_samples: int
     oracle: str
     parts: dict = field(default_factory=dict)
-
-
-def _truncate_mask(spec: GroupSpec, mask: np.ndarray, r: int) -> np.ndarray:
-    L_r = len(groups.ball(spec, r).elements)
-    out = np.array(mask, dtype=bool)
-    out[L_r:] = False
-    return out
 
 
 def _checked(p):
@@ -53,16 +47,17 @@ def _checked(p):
 
 def info_fn_truncated(oracle, spec: GroupSpec, values, mask, r: int) -> float:
     """f_r(x, D) = -log of the oracle conditional of the center symbol given
-    the D-sites of x inside B_r."""
-    values = np.asarray(values)
-    m = _truncate_mask(spec, np.asarray(mask), r)
-    p = oracle.conditional(values, m)
+    the D-sites of x inside B_r: the query is x and D sliced to the ball
+    order prefix B_r."""
+    L_r = len(groups.ball(spec, r).elements)
+    p = oracle.conditional(np.asarray(values)[:L_r], np.asarray(mask)[:L_r])
     return -math.log(_checked(p))
 
 
-# a chunk of the streamed estimators holds at most this many mask entries
-# (one row at least), so their memory does not grow with the sample count
-_MASK_CHUNK_FLOATS = 2**17
+# the one bound on the random-past rows: a chunk of the streamed estimators
+# holds at most this many mask entries (one row at least), so neither the
+# masks, the value rows nor an oracle batch grows with the sample count
+_MASK_CHUNK_FLOATS = 2**16
 
 
 def _streamed_info(oracle, spec: GroupSpec, r: int, patterns: np.ndarray, n_inner: int, rng) -> np.ndarray:
@@ -70,8 +65,10 @@ def _streamed_info(oracle, spec: GroupSpec, r: int, patterns: np.ndarray, n_inne
 
     Row k pairs patterns[k // n_inner] with the k-th percolation past on B_r
     drawn from rng, truncated to the pattern width.  The rows are walked in
-    chunks; each chunk draws its masks from rng in turn, which is the stream
-    of one draw of every mask, so only the flat f grows with the row count.
+    chunks of at most _MASK_CHUNK_FLOATS mask entries; each chunk draws its
+    masks from rng in turn, which is the stream of one draw of every mask,
+    and goes to the oracle as one batch, so only the flat f grows with the
+    row count.  This is the only place that bounds the rows in memory.
     """
     n = len(patterns) * n_inner
     L = patterns.shape[1]
@@ -103,8 +100,9 @@ def random_info(
 
     The percolation past draws i.i.d. uniforms on B_r; the N rows are
     streamed through the oracle in chunks of bounded memory (`_streamed_info`),
-    so the cost in memory is the N values of f.  The lexicographic past
-    (Z^d only) is deterministic, so a single evaluation suffices.
+    so the cost in memory is the N values of f.  It needs N >= 2 pasts for a
+    standard error.  The lexicographic past (Z^d only) is deterministic, so a
+    single evaluation suffices.
     """
     values = np.asarray(values, dtype=np.int64)
     L_r = len(groups.ball(spec, r).elements)
@@ -115,11 +113,11 @@ def random_info(
         return InfoEstimate(f, 0.0, r, 1, oracle.name)
     if past != "percolation":
         raise SchemaError(f"unknown past {past!r}; expected percolation or lex")
+    if N < 2:
+        raise SchemaError(f"the percolation past needs N >= 2 pasts for a standard error, got {N}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x1FF0]))
     f = _streamed_info(oracle, spec, r, vals[None, :], N, rng)
-    return InfoEstimate(
-        float(f.mean()), float(f.std(ddof=1) / math.sqrt(N)) if N > 1 else 0.0, r, N, oracle.name
-    )
+    return InfoEstimate(float(f.mean()), float(f.std(ddof=1) / math.sqrt(N)), r, N, oracle.name)
 
 
 def _potentials_at_center(potential: Potential, spec: GroupSpec, patterns: np.ndarray) -> np.ndarray:
@@ -176,40 +174,24 @@ def kp_pressure_at_measure(
     N_inner: int,
     M_outer: int,
     seed: int,
-    nu: str = "mu",
-    pattern_sampler=None,
 ) -> InfoEstimate:
-    """Pressure as an integral against nu: outer Monte Carlo over patterns of
-    (random information + potential at the center).
+    """Pressure as an integral against nu = mu: outer Monte Carlo over
+    patterns of (random information + potential at the center).
 
-    nu = "fixed0" degenerates to the fixed-point estimator; nu = "mu" samples
-    M_outer patterns of the infinite-volume measure exactly on rank-1 groups
-    (transfer chain) or through a caller-supplied pattern sampler elsewhere,
-    and averages f over N_inner random pasts for each.  The M_outer * N_inner
-    (pattern, past) rows are streamed through the oracle pattern-major in
-    chunks of bounded memory (`_streamed_info`); no array of all rows' values
-    or masks is built.  The info part alone estimates the entropy of mu when
-    nu = mu.
+    M_outer patterns of the infinite-volume measure are sampled exactly from
+    its transfer chain, so the group must have rank 1, and f is averaged
+    over N_inner random pasts for each.  The M_outer * N_inner (pattern,
+    past) rows are streamed through the oracle pattern-major in chunks of
+    bounded memory (`_streamed_info`); no array of all rows' values or masks
+    is built.  The info part alone estimates the entropy of mu.  The
+    fixed-point estimator is `kp_pressure_at_fixed_point`.
     """
-    if nu == "fixed0":
-        return kp_pressure_at_fixed_point(
-            structure, potential, spec, oracle, r, N=N_inner * M_outer, seed=seed
-        )
-    if nu != "mu":
-        raise ValueError(f"unknown nu {nu!r}")
+    if spec.rank != 1:
+        raise SchemaError("the pressure against mu samples the measure exactly only on rank-1 groups")
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x0AEA]))
-    if pattern_sampler is not None:
-        patterns = np.asarray(pattern_sampler(M_outer, rng), dtype=np.int64)
-    elif spec.rank == 1:
-        from .transfer import build_transfer
-
-        tm = build_transfer(structure, potential)
-        windows = tm.sample_windows(r, M_outer, rng).astype(np.int64)
-        b = groups.ball(spec, r)
-        cols = [groups.line_offset(spec, g) + r for g in b.elements]
-        patterns = windows[:, cols]
-    else:
-        raise ValueError("nu='mu' needs rank 1 or an explicit pattern_sampler")
+    windows = build_transfer(structure, potential).sample_windows(r, M_outer, rng).astype(np.int64)
+    cols = [groups.line_offset(spec, g) + r for g in groups.ball(spec, r).elements]
+    patterns = windows[:, cols]
     f = _streamed_info(oracle, spec, r, patterns, N_inner, rng).reshape(M_outer, N_inner)
     info_means = f.mean(axis=1)
     phis = _potentials_at_center(potential, spec, patterns)
@@ -241,9 +223,7 @@ def percolative_entropy(
     seed: int,
 ) -> InfoEstimate:
     """Entropy of mu as the mu-average of the random information function."""
-    est = kp_pressure_at_measure(
-        structure, potential, spec, oracle, r, N_inner, M_outer, seed, nu="mu"
-    )
+    est = kp_pressure_at_measure(structure, potential, spec, oracle, r, N_inner, M_outer, seed)
     return InfoEstimate(
         est.parts["info"], est.parts["info_stderr"], r, est.n_samples, est.oracle, parts=est.parts
     )

@@ -140,6 +140,26 @@ class TransferMatrix:
                 tab[:, dl, bl, dr, br] = w / tot
         return tab
 
+    def mixing_profile(self, r_max: int, symbols) -> np.ndarray:
+        """beta(r) for r = 1..r_max: the largest change of mu(x_0 = .) over
+        boundaries bl at -(r+1) and br at r+1, both in `symbols`, read from
+        one table of scaled powers; boundaries of probability zero are
+        skipped."""
+        left, right = self.perron()
+        powers = self._scaled_powers(r_max + 1)
+        out = np.zeros(r_max)
+        for r in range(1, r_max + 1):
+            lo = np.full(self.alphabet, np.inf)
+            hi = np.full(self.alphabet, -np.inf)
+            for bl, br in product(symbols, symbols):
+                w = _center_weights(powers, left, right, r + 1, bl, r + 1, br)
+                tot = w.sum()
+                if tot > 0.0:
+                    p = w / tot
+                    lo, hi = np.minimum(lo, p), np.maximum(hi, p)
+            out[r - 1] = float(np.max(hi - lo))
+        return out
+
     def sample_windows(self, r: int, n_samples: int, rng) -> np.ndarray:
         """Exact samples of mu restricted to [-r..r], shape (n_samples, 2r+1)."""
         a = self.alphabet

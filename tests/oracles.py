@@ -133,3 +133,13 @@ def transfer_batch_argmin(tables, offsets, r_max, values, masks):
     dl = np.where(dl < big, dl, 0)
     dr = np.where(dr < big, dr, 0)
     return tables[values[:, 0], dl, bl, dr, br]
+
+
+def info_fn_full_width(oracle, ball_size, values, mask):
+    """-log of the oracle's center conditional asked with the full-width
+    pattern and its mask cleared beyond the first ball_size sites (the ball
+    order prefix B_r); None when the conditional is zero."""
+    cleared = np.array(mask, dtype=bool)
+    cleared[ball_size:] = False
+    p = oracle.conditional(np.asarray(values), cleared)
+    return -math.log(p) if p > 0.0 else None

@@ -111,9 +111,7 @@ def test_criterion_04_nu_independence():
         st, pot = hardcore(1, lam)
         oracle = TransferOracle(st, pot, Z1, 16)
         fixed = kp_pressure_at_fixed_point(st, pot, Z1, oracle, r=16, N=200_000, seed=7)
-        mu = kp_pressure_at_measure(
-            st, pot, Z1, oracle, r=16, N_inner=100, M_outer=8000, seed=11, nu="mu"
-        )
+        mu = kp_pressure_at_measure(st, pot, Z1, oracle, r=16, N_inner=100, M_outer=8000, seed=11)
         joint = math.hypot(fixed.stderr, mu.stderr)
         diff = abs(fixed.value - mu.value)
         assert diff <= 3 * joint

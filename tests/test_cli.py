@@ -111,6 +111,14 @@ def test_ssm_profile_csv(hc_model, capsys):
     assert betas == sorted(betas, reverse=True)
 
 
+def test_ssm_profile_periodic_line(cb_model, capsys):
+    """The checkerboard line: boundaries of zero mass are skipped, and the
+    center is a function of the boundary at every radius."""
+    main_ssm_profile(["--model", cb_model, "--rmax", "4"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [float(l.split(",")[1]) for l in lines[1:]] == [1.0] * 4
+
+
 def test_kp_estimate_json(hc_model, capsys):
     main_kp_estimate(
         ["--model", hc_model, "--lambda", "1.0", "--oracle", "transfer", "--r", "10",
@@ -290,8 +298,10 @@ def test_run_missing_param_is_schema_error(experiment, params, missing, hc_model
         ({"nu": "mu", "N": 150, "N_inner": 100}, "M_outer"),
         ({"nu": "mu", "N": 1000, "N_inner": 10, "M_outer": 1}, "M_outer"),
         ({"nu": "fixed0", "N": 0}, "params.N"),
+        ({"nu": "fixed0", "N": 1}, "params.N"),
     ],
-    ids=["N_inner-zero", "N_inner-negative", "N-below-two-N_inner", "M_outer-one", "fixed0-N-zero"],
+    ids=["N_inner-zero", "N_inner-negative", "N-below-two-N_inner", "M_outer-one", "fixed0-N-zero",
+         "fixed0-N-one"],
 )
 def test_kp_estimate_sample_size_is_schema_error(params, message, hc_model, tmp_path, capsys):
     """Sample sizes that would divide by zero or leave no standard error."""
@@ -355,6 +365,7 @@ def test_ssm_profile_reducible_relation_exit_code(tmp_path, capsys):
         (hardcore_model_dict("Zd", 2, 1.0), {"oracle": "saw", "saw_boundary": "self_consistent"}, "tree groups"),
         (hardcore_model_dict("Free", 2, 0.3), {"past": "lex"}, "Z^d"),
         (hardcore_model_dict("Free", 2, 0.3), {"nu": "mu"}, "rank-1"),
+        (hardcore_model_dict("Zd", 1, 1.0), {"nu": "mu", "past": "lex"}, "percolation"),
     ],
 )
 def test_run_oracle_the_model_cannot_use_is_schema_error(model, params, message, tmp_path, capsys):

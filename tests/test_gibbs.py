@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from soficlab import enumeration, groups, soficmaps
-from soficlab.constraints import ConstraintStructure, Pattern, core_symbols, full_shift, hardcore, zero_potential
+from soficlab.constraints import (
+    ConstraintStructure,
+    Pattern,
+    checkerboard,
+    core_symbols,
+    full_shift,
+    hardcore,
+    zero_potential,
+)
 from soficlab.errors import BudgetExceededError, EmptyFiberError
 from soficlab.finitemodel import DerivedSpace, derived_energy
 from soficlab.gibbs import (
@@ -220,6 +228,14 @@ def test_ssm_profile_decay_and_regression():
 def test_ssm_profile_full_shift_zero():
     prof = ssm_profile(full_shift(2, 1), zero_potential(2, 1), Z1, 4)
     assert np.allclose(prof, 0.0, atol=1e-12)
+
+
+def test_ssm_profile_checkerboard_line():
+    """Half of the boundaries of the period-2 line have mass zero; the
+    transfer route skips them as the enumeration route does."""
+    st, pot = checkerboard(1), zero_potential(2, 1)
+    transfer = ssm_profile(st, pot, Z1, 4)
+    assert list(transfer) == list(ssm_profile(st, pot, Z1, 4, method="enumeration")) == [1.0] * 4
 
 
 def test_ssm_profile_enumeration_z2():

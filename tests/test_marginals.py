@@ -7,13 +7,12 @@ and functions they patch."""
 import importlib
 import importlib.util
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from soficlab import enumeration, groups, marginals
+from soficlab import enumeration, groups
 from soficlab.constraints import ConstraintStructure, Potential, hardcore
 from soficlab.enumeration import SiteGraph
 from soficlab.errors import InconsistentPinsError
@@ -85,7 +84,7 @@ def _saw_reference(oracle, values, masks) -> list[float]:
 )
 def test_tree_batch_is_bitwise_the_saw_unfolding(spec_r, boundary, lam, data):
     """Pins of both kinds, pinned centers and windows of every radius, over
-    row counts that span several chunks of the tree recursion."""
+    batches of 1 to 150 rows."""
     spec, r_max = spec_r
     oracle = SawOracle(*hardcore(spec.rank, lam), spec, r_max, boundary=boundary)
     ball = groups.ball(spec, data.draw(st.integers(0, r_max)))
@@ -94,9 +93,7 @@ def test_tree_batch_is_bitwise_the_saw_unfolding(spec_r, boundary, lam, data):
     values = (rng.random((n_rows, len(ball))) < data.draw(st.floats(0.0, 1.0))).astype(np.int64)
     masks = rng.random((n_rows, len(ball))) < data.draw(st.floats(0.0, 1.0))
     _unpin_occupied_neighbours(ball, values, masks)
-    chunk_floats = data.draw(st.integers(1, 200))
-    with mock.patch.object(marginals, "_TREE_CHUNK_FLOATS", chunk_floats):
-        got = oracle.batch(values, masks)
+    got = oracle.batch(values, masks)
     assert list(got) == _saw_reference(oracle, values, masks)
 
 

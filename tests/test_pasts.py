@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soficlab import groups, pasts, soficmaps
+from soficlab import groups, soficmaps
 from soficlab.pasts import (
     PastSample,
     coupling_check,
@@ -43,8 +43,9 @@ def test_percolation_past_statistics():
 
 @pytest.mark.parametrize("chunk_floats", [1, 7, 2**16])
 @pytest.mark.parametrize("n_samples", [0, 1, 13, 1003])
-def test_percolation_masks_in_row_chunks_are_one_draw(monkeypatch, chunk_floats, n_samples):
-    monkeypatch.setattr(pasts, "_MASK_CHUNK_FLOATS", chunk_floats)
+def test_percolation_masks_in_row_chunks_are_one_draw(chunk_floats, n_samples):
+    """Masks drawn by consecutive calls of at most chunk_floats uniforms (one
+    row at least), as the streamed estimators draw them, are one draw."""
     F2 = groups.free(2)
     L = len(groups.ball(F2, 2).elements)
     rng = np.random.default_rng(4)
@@ -52,7 +53,10 @@ def test_percolation_masks_in_row_chunks_are_one_draw(monkeypatch, chunk_floats,
     expected = chi < chi[:, :1]
     expected[:, 0] = False
     chunked_rng = np.random.default_rng(4)
-    masks = sample_percolation_masks(F2, 2, n_samples, chunked_rng)
+    rows = max(1, chunk_floats // L)
+    masks = [sample_percolation_masks(F2, 2, min(rows, n_samples - lo), chunked_rng)
+             for lo in range(0, n_samples, rows)]
+    masks = np.concatenate(masks) if masks else sample_percolation_masks(F2, 2, 0, chunked_rng)
     assert masks.dtype == bool and np.array_equal(masks, expected)
     assert chunked_rng.random() == rng.random()  # the stream goes on where one draw leaves it
 

@@ -1,14 +1,16 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from soficlab import groups, randominfo
 from soficlab.constraints import full_shift, hardcore, zero_potential
-from soficlab.errors import BallMismatchError, SoficLabError, ZeroProbabilityError
+from soficlab.errors import BallMismatchError, SchemaError, SoficLabError, ZeroProbabilityError
 from soficlab.gibbs import ssm_profile, uniform_bound_c
-from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle
+from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle, make_oracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.randominfo import (
     _streamed_info,
@@ -21,7 +23,7 @@ from soficlab.randominfo import (
     truncation_gap,
 )
 
-from oracles import golden_pressure, hardcore_line_pressure, hardcore_stationary_p0
+from oracles import golden_pressure, hardcore_line_pressure, hardcore_stationary_p0, info_fn_full_width
 
 Z1 = groups.zd(1)
 F1 = groups.free(1)
@@ -47,6 +49,45 @@ def test_info_fn_values():
     mask = empty.copy()
     mask[e1] = True
     assert info_fn_truncated(oracle, Z1, vals, mask, 4) == pytest.approx(0.0, abs=1e-12)
+
+
+@functools.cache
+def _truncation_cases():
+    """(group, oracle, pattern radius): transfer on Z^1 and F_1, tree SAW on
+    F_2 with both boundaries, off-tree SAW on Z^2, and ball on Z^2 and F_2."""
+    z2, f2 = groups.zd(2), groups.free(2)
+    return [
+        (Z1, make_oracle("transfer", *hardcore(1, 1.3), Z1, 4), 4),
+        (F1, make_oracle("transfer", *hardcore(1, 0.7), F1, 4), 4),
+        (f2, make_oracle("saw", *hardcore(2, 0.4), f2, 2, pad=1), 2),
+        (f2, make_oracle("saw", *hardcore(2, 0.4), f2, 2, saw_boundary="self_consistent"), 2),
+        (z2, make_oracle("saw", *hardcore(2, 1.0), z2, 2, pad=1), 2),
+        (z2, make_oracle("ball", *hardcore(2, 1.0), z2, 2, pad=1), 2),
+        (f2, make_oracle("ball", *hardcore(2, 0.4), f2, 2, pad=1), 2),
+    ]
+
+
+@settings(max_examples=140, derandomize=True, deadline=None)
+@given(hs.integers(0, 6), hs.data())
+def test_truncated_query_is_the_cleared_mask(case, data):
+    """Slicing a query to B_r gives bitwise the conditional of the full-width
+    pattern with its mask cleared beyond B_r, zero conditionals included."""
+    spec, oracle, R = _truncation_cases()[case]
+    r = data.draw(hs.integers(0, R))
+    ball = groups.ball(spec, R)
+    rng = np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1)))
+    values = (rng.random(len(ball)) < data.draw(hs.floats(0.0, 1.0))).astype(np.int64)
+    mask = rng.random(len(ball)) < data.draw(hs.floats(0.0, 1.0))
+    mask[0] = False
+    for (i, _s, j) in ball.edges:  # hardcore pins must not clash
+        if mask[i] and mask[j] and values[i] == values[j] == 1:
+            mask[max(i, j)] = False
+    expect = info_fn_full_width(oracle, len(groups.ball(spec, r)), values, mask)
+    if expect is None:
+        with pytest.raises(ZeroProbabilityError):
+            info_fn_truncated(oracle, spec, values, mask, r)
+    else:
+        assert info_fn_truncated(oracle, spec, values, mask, r) == expect
 
 
 def test_zero_conditional_is_typed_error():
@@ -130,11 +171,23 @@ def test_kp_fixed_point_deterministic():
 def test_kp_measure_routes():
     st, pot = hardcore(1, 2.0)
     oracle = TransferOracle(st, pot, Z1, 10)
-    fixed = kp_pressure_at_measure(st, pot, Z1, oracle, 10, N_inner=100, M_outer=200, seed=5, nu="fixed0")
+    fixed = kp_pressure_at_fixed_point(st, pot, Z1, oracle, 10, N=20_000, seed=5)
     assert fixed.oracle == "transfer"
-    mu = kp_pressure_at_measure(st, pot, Z1, oracle, 10, N_inner=60, M_outer=800, seed=5, nu="mu")
+    mu = kp_pressure_at_measure(st, pot, Z1, oracle, 10, N_inner=60, M_outer=800, seed=5)
     assert abs(mu.value - math.log(2)) < 3 * mu.stderr + 2e-3
     assert "info" in mu.parts and mu.parts["info"] < mu.value  # phi part positive at lam=2
+
+
+def test_estimators_refuse_what_they_cannot_estimate():
+    """One percolation past gives no error bar, and patterns of mu are
+    sampled exactly only on rank-1 groups: both are SchemaError."""
+    oracle, st, pot = _transfer_oracle(1.0)
+    with pytest.raises(SchemaError, match="N >= 2"):
+        random_info(oracle, Z1, np.zeros(13, dtype=np.int64), 6, N=1, seed=0)
+    assert random_info(oracle, Z1, np.zeros(13, dtype=np.int64), 6, N=1, seed=0, past="lex").n_samples == 1
+    f2 = groups.free(2)
+    with pytest.raises(SchemaError, match="rank-1"):
+        kp_pressure_at_measure(*hardcore(2, 0.3), f2, oracle, 2, N_inner=10, M_outer=10, seed=0)
 
 
 def test_percolative_entropy_smoke():
