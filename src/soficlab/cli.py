@@ -18,11 +18,11 @@ from . import groups
 from .constraints import check_tssm
 from .errors import SchemaError, SoficLabError
 from .finitemodel import METHODS, pressure_estimate
-from .gibbs import entropy_rate_estimate, ssm_profile, uniform_bound_c
+from .gibbs import entropy_rate_estimate, ssm_profile
 from .marginals import make_oracle
 from .modelbuild import build_sofic
 from .modelfile import Model, load_graph, load_model, parse_model
-from .randominfo import kp_pressure_at_fixed_point, kp_pressure_at_measure
+from .randominfo import kp_pressure_at_fixed_point, kp_pressure_at_measure, truncation_budget
 from .saw import hardcore_marginal_via_saw
 from .soficmaps import good_vertices
 from .version import __version__
@@ -162,6 +162,8 @@ def run_ssm_profile(model: Model, params: dict):
 
 def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
     r = int(params.get("r", 16))
+    if r < 1:
+        raise SchemaError(f"params.r must be at least 1, got {r}")
     N = int(params.get("N", 200_000))
     nu = params.get("nu", "fixed0")
     if nu not in ("fixed0", "mu"):
@@ -212,10 +214,7 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
             model.structure, model.potential, model.spec, oracle, r, N, seed,
             past=past,
         )
-    budget_r = min(r, int(params.get("budget_profile_radius", 12 if model.spec.rank == 1 else 1)))
-    beta = float(ssm_profile(model.structure, model.potential, model.spec, budget_r)[-1])
-    c_radius = min(r, 2) if model.spec.rank == 1 else 1
-    c_hat = uniform_bound_c(model.structure, model.potential, model.spec, c_radius).c_hat
+    beta, c_hat = truncation_budget(model.structure, model.potential, model.spec, r)
     return {
         "value": est.value,
         "stderr": est.stderr,

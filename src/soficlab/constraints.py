@@ -161,10 +161,6 @@ class Verdict(Enum):
     UNKNOWN_AT_PAD = "unknown_at_pad"
 
 
-def _is_tree_group(spec: GroupSpec) -> bool:
-    return spec.kind == "free" or (spec.kind == "zd" and spec.rank == 1)
-
-
 def is_globally_admissible(
     structure: ConstraintStructure,
     spec: GroupSpec,
@@ -204,7 +200,7 @@ def is_globally_admissible(
         raise BudgetExceededError("extension search budget exceeded")
     if not found:
         return Verdict.NO
-    if _is_tree_group(spec):
+    if groups.is_tree(spec):
         return Verdict.YES
     return Verdict.UNKNOWN_AT_PAD
 

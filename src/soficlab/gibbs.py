@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, CapExceededError, EmptyFiberError, NoSa
 from .finitemodel import DerivedSpace, _iter_Xn, choose_method, derived_energy, partition_cycle_decomposition
 from .finitemodel import partition_mcmc, partition_transfer_cycle
 from .groups import GroupSpec
-from .marginals import is_hardcore, make_oracle
+from .marginals import make_oracle
 from .sampling import GlauberEngine
 from .transfer import build_transfer
 
@@ -292,25 +292,15 @@ def uniform_bound_c(
     inside B_r, against the closed-form positive lower bound
     |A|^(-|M|^4) e^(-2|phi||M|^4) |A|^(-|M|^6) with |M| = |B_1|.
 
-    Every conditional comes from one oracle of `marginals.make_oracle`: the
-    transfer oracle on rank-1 groups, the SAW oracle on a ball padded by 3 for
-    hardcore models on free groups, and the safe-boundary ball oracle with the
-    same pad otherwise (budgeted by ball size).  Conditionings are core-valued
-    pins on subsets of B_r minus the center, in ball order; those whose pins
-    break the relation on an edge between two pinned sites are skipped, and
-    the rows of all the others go to the oracle in one batch.
+    Every conditional comes from the `auto` oracle of `marginals.make_oracle`
+    at pad 3; the ball oracle is budgeted by ball size.  Conditionings are
+    core-valued pins on subsets of B_r minus the center, in ball order; those
+    whose pins break the relation on an edge between two pinned sites are
+    skipped, and the rows of all the others go to the oracle in one batch.
     """
-    if spec.rank == 1:
-        oracle = make_oracle("transfer", structure, potential, spec, r)
-    elif is_hardcore(structure, potential) and spec.kind == "free":
-        # ball graphs of free groups are trees, where the SAW route is
-        # linear; on lattice balls the walk tree explodes, so those use
-        # the enumeration oracle
-        oracle = make_oracle("saw", structure, potential, spec, r, pad=3)
-    else:
-        oracle = make_oracle("ball", structure, potential, spec, r, pad=3)
-        if len(oracle.ball) > 45:
-            raise BudgetExceededError("ball too large for enumeration-backed c estimate")
+    oracle = make_oracle("auto", structure, potential, spec, r, pad=3)
+    if oracle.name == "ball" and len(oracle.ball) > 45:
+        raise BudgetExceededError("ball too large for enumeration-backed c estimate")
     b = groups.ball(spec, r)
     a = structure.alphabet
     core = core_symbols(structure)

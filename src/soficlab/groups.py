@@ -53,6 +53,11 @@ def free(k: int) -> GroupSpec:
     return GroupSpec("free", k)
 
 
+def is_tree(spec: GroupSpec) -> bool:
+    """Whether the Cayley graph is a tree: F_k, or Z^1."""
+    return spec.kind == "free" or spec.rank == 1
+
+
 def identity(spec: GroupSpec) -> Element:
     if spec.kind == "zd":
         return (0,) * spec.rank

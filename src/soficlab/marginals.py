@@ -171,7 +171,7 @@ class SawOracle:
         self.spec = spec
         self.r_max = r_max
         self.boundary = boundary
-        self.tree = spec.kind == "free" or spec.rank == 1
+        self.tree = groups.is_tree(spec)
         lam = float(np.exp(potential.h[1] - potential.h[0]))
         self.ball = groups.ball(spec, r_max)
         n = len(self.ball.elements)
@@ -294,10 +294,17 @@ def make_oracle(
     pad: int = 4,
     saw_boundary: str = "free",
 ):
-    """The conditional oracle of the given kind; "auto" is the exact transfer
-    oracle on rank-1 groups and the safe-boundary ball oracle elsewhere."""
+    """The conditional oracle of the given kind, and the only code that picks
+    a kind: "auto" is the exact transfer oracle on rank-1 groups, the SAW
+    oracle (a linear tree recursion) for hardcore models on free groups, and
+    the safe-boundary ball oracle elsewhere."""
     if kind == "auto":
-        kind = "transfer" if spec.rank == 1 else "ball"
+        if spec.rank == 1:
+            kind = "transfer"
+        elif spec.kind == "free" and is_hardcore(structure, potential):
+            kind = "saw"
+        else:
+            kind = "ball"
     if kind == "transfer":
         return TransferOracle(structure, potential, spec, r_max)
     if kind == "ball":

@@ -18,7 +18,9 @@ import numpy as np
 from . import groups
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .errors import BallMismatchError, NoSafeSymbolError, SchemaError, ZeroProbabilityError
+from .gibbs import ssm_profile, uniform_bound_c
 from .groups import GroupSpec
+from .marginals import make_oracle
 from .pasts import lex_past_mask, sample_percolation_masks
 from .transfer import build_transfer
 
@@ -238,8 +240,6 @@ def default_truncation_radius(
 ) -> int:
     """Smallest r with beta(r)/c below a sixth of the target accuracy, so the
     truncation and Monte Carlo error budgets split evenly."""
-    from .gibbs import ssm_profile, uniform_bound_c
-
     c_hat = uniform_bound_c(structure, potential, spec, min(2, r_max)).c_hat
     prof = ssm_profile(structure, potential, spec, r_max)
     for r in range(1, r_max + 1):
@@ -257,6 +257,18 @@ def truncation_gap(oracle, spec: GroupSpec, values, mask, r: int, r_prime: int) 
     return abs(f1 - f2)
 
 
+def truncation_budget(
+    structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r: int
+) -> tuple[float, float]:
+    """(beta, c) of the truncation budget 3 beta / c of a radius-r estimate:
+    beta(min(r, 12)) and c on B_min(r, 2) on rank-1 groups, where the
+    transfer routes make both cheap; beta(1) and c on B_1 elsewhere, where
+    both enumerate.  The only code that picks these radii."""
+    beta_r, c_r = (min(r, 12), min(r, 2)) if spec.rank == 1 else (1, 1)
+    beta = float(ssm_profile(structure, potential, spec, beta_r)[-1])
+    return beta, uniform_bound_c(structure, potential, spec, c_r).c_hat
+
+
 def locality_experiment(
     structure: ConstraintStructure,
     potential: Potential,
@@ -265,33 +277,23 @@ def locality_experiment(
     r: int,
     N: int,
     seed: int,
-    oracle_a=None,
-    oracle_b=None,
-    profile_radius: int | None = None,
 ) -> dict:
     """Fixed-point pressure on two groups sharing a ball, with the mixing bound.
 
     Requires the rooted labeled (r+1)-balls to be isomorphic; reports both
-    estimates and the bound beta_a(r)/c_a + beta_b(r)/c_b computed from the
-    mixing profiles and uniform conditional bounds of the two models.
+    estimates, each from the `auto` oracle, and the bound beta_a/c_a +
+    beta_b/c_b of the two models' truncation budgets (`truncation_budget`).
     """
-    from .gibbs import ssm_profile, uniform_bound_c
-    from .marginals import make_oracle
-
     if not groups.balls_isomorphic(spec_a, spec_b, r + 1):
         raise BallMismatchError("the two groups do not share the (r+1)-ball")
 
     results = {}
     bound = 0.0
-    for tag, spec, oracle in (("a", spec_a, oracle_a), ("b", spec_b, oracle_b)):
-        if oracle is None:
-            oracle = make_oracle("auto", structure, potential, spec, r)
-        est = kp_pressure_at_fixed_point(structure, potential, spec, oracle, r, N, seed)
-        prof_r = min(r, profile_radius) if profile_radius is not None else (r if spec.rank == 1 else 1)
-        beta = ssm_profile(structure, potential, spec, prof_r)[-1]
-        c = uniform_bound_c(structure, potential, spec, min(r, 2)).c_hat
+    for tag, spec in (("a", spec_a), ("b", spec_b)):
+        oracle = make_oracle("auto", structure, potential, spec, r)
+        results[tag] = kp_pressure_at_fixed_point(structure, potential, spec, oracle, r, N, seed)
+        beta, c = truncation_budget(structure, potential, spec, r)
         bound += beta / c
-        results[tag] = est
     return {
         "p_a": results["a"],
         "p_b": results["b"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentPinsError
+from .errors import BudgetExceededError, InconsistentPinsError
 
 FREE, PIN_OCCUPIED, PIN_EMPTY = 0, 1, 2
 
@@ -56,7 +56,7 @@ def build_saw_tree(adj: list, root: int, max_nodes: int = 5_000_000) -> SawTree:
                 continue
             idx = len(graph_vertex)
             if idx > max_nodes:
-                raise MemoryError("SAW tree too large")
+                raise BudgetExceededError(f"SAW tree exceeds its cap of {max_nodes:,} nodes")
             if w in on_walk:
                 # closing edge (w, u) vs the edge (w, on_walk[w]) the walk left by
                 state = PIN_OCCUPIED if u > on_walk[w] else PIN_EMPTY

@@ -70,23 +70,15 @@ class TransferMatrix:
 
     def log_trace_power(self, m: int) -> float:
         """log trace(T^m), the exact cycle partition value; -inf if the trace is 0."""
-        M = self.T / self.lam
-        P = np.eye(self.alphabet)
-        e = m
-        while e:
-            if e & 1:
-                P = P @ M
-            M = M @ M
-            e >>= 1
-        tr = float(np.trace(P))
+        tr = float(np.trace(np.linalg.matrix_power(self.T / self.lam, m)))
         if tr <= 0.0:
             return -math.inf
         return m * math.log(self.lam) + math.log(tr)
 
     def cycle_pair_marginal(self, m: int) -> np.ndarray:
         """P(x_v = a, x_{v+1} = b) on the m-cycle, identical for every v."""
-        powers = self._scaled_powers(m)
-        raw = (self.T / self.lam) * powers[m - 1].T
+        M = self.T / self.lam
+        raw = M * np.linalg.matrix_power(M, m - 1).T
         return raw / raw.sum()
 
     def window_distribution(self, r: int) -> dict:

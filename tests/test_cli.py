@@ -162,6 +162,15 @@ def test_run_config_and_determinism(hc_model):
     assert a == b
 
 
+def test_kp_estimate_auto_on_free_hardcore_is_the_saw_record(tmp_path):
+    model_path = tmp_path / "f2.json"
+    model_path.write_text(json.dumps(hardcore_model_dict("Free", 2, 0.3)))
+    config = {"experiment": "kp-estimate", "model": str(model_path), "params": {"r": 3, "N": 100}}
+    auto = run_config(config)["outputs"]
+    saw = run_config({**config, "params": {**config["params"], "oracle": "saw"}})["outputs"]
+    assert auto["oracle"] == "saw" and auto == saw
+
+
 def test_run_config_schema_error(hc_model):
     with pytest.raises(SchemaError):
         run_config({"experiment": "nope", "model": hc_model})
@@ -299,9 +308,11 @@ def test_run_missing_param_is_schema_error(experiment, params, missing, hc_model
         ({"nu": "mu", "N": 1000, "N_inner": 10, "M_outer": 1}, "M_outer"),
         ({"nu": "fixed0", "N": 0}, "params.N"),
         ({"nu": "fixed0", "N": 1}, "params.N"),
+        ({"r": 0, "N": 100}, "params.r"),
+        ({"r": -1, "N": 100}, "params.r"),
     ],
     ids=["N_inner-zero", "N_inner-negative", "N-below-two-N_inner", "M_outer-one", "fixed0-N-zero",
-         "fixed0-N-one"],
+         "fixed0-N-one", "r-zero", "r-negative"],
 )
 def test_kp_estimate_sample_size_is_schema_error(params, message, hc_model, tmp_path, capsys):
     """Sample sizes that would divide by zero or leave no standard error."""

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from soficlab import enumeration, groups
-from soficlab.constraints import ConstraintStructure, Potential, hardcore
+from soficlab.constraints import ConstraintStructure, Potential, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph
 from soficlab.errors import InconsistentPinsError
-from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle
+from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle, make_oracle
 from soficlab.saw import hardcore_marginal_via_saw
 from soficlab.transfer import build_transfer
 
@@ -227,6 +227,21 @@ def test_batch_on_repeated_rows_equals_conditional(make):
     oracle.conditional = lambda v, m: calls.append(1) or conditional(v, m)
     assert list(oracle.batch(values, masks)) == expect
     assert len(calls) == 4  # memo misses go through conditional, once per distinct row
+
+
+@pytest.mark.parametrize(
+    "model, spec, kind",
+    [
+        (hardcore(1, 1.0), groups.zd(1), "transfer"),
+        (hardcore(1, 1.0), groups.free(1), "transfer"),
+        (hardcore(2, 0.3), groups.free(2), "saw"),
+        (hardcore(2, 1.0), groups.zd(2), "ball"),
+        ((full_shift(2, 2), zero_potential(2, 2)), groups.free(2), "ball"),
+    ],
+    ids=["hardcore-Z1", "hardcore-F1", "hardcore-F2", "hardcore-Z2", "full-shift-F2"],
+)
+def test_auto_oracle_routes(model, spec, kind):
+    assert make_oracle("auto", *model, spec, 1).name == kind
 
 
 def test_trace_targets_resolve():

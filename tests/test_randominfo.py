@@ -20,6 +20,7 @@ from soficlab.randominfo import (
     locality_experiment,
     percolative_entropy,
     random_info,
+    truncation_budget,
     truncation_gap,
 )
 
@@ -286,6 +287,18 @@ def test_locality_same_line():
     assert out["difference"] <= 2 * out["joint_stderr"] + 1e-12
     assert out["bound"] > 0 and math.isfinite(out["bound"])
     assert abs(out["p_a"].value - golden_pressure()) < 3 * out["p_a"].stderr + 1e-3
+
+
+@pytest.mark.parametrize(
+    "spec, r, beta_r, c_r",
+    [(Z1, 16, 12, 2), (groups.free(2), 5, 1, 1)],
+    ids=["Z1", "F2"],
+)
+def test_truncation_budget_radii(spec, r, beta_r, c_r):
+    st, pot = hardcore(spec.rank, 0.3)
+    beta, c = truncation_budget(st, pot, spec, r)
+    assert beta == ssm_profile(st, pot, spec, beta_r)[-1]
+    assert c == uniform_bound_c(st, pot, spec, c_r).c_hat
 
 
 def test_locality_ball_mismatch():

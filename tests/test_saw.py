@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soficlab.errors import InconsistentPinsError
+from soficlab.errors import BudgetExceededError, InconsistentPinsError
 from soficlab.saw import (
     FREE,
     PIN_EMPTY,
@@ -59,6 +59,13 @@ def test_inconsistent_pins():
     adj = [[1], [0]]
     with pytest.raises(InconsistentPinsError):
         hardcore_marginal_via_saw(adj, 0, 1.0, {0: 1, 1: 1})
+
+
+def test_saw_tree_past_its_cap_is_budget_error():
+    k5 = [[w for w in range(5) if w != v] for v in range(5)]
+    assert build_saw_tree(k5, 0).n_nodes == 197  # 65 self-avoiding walks, 132 closing leaves
+    with pytest.raises(BudgetExceededError, match="cap of 20 nodes"):
+        build_saw_tree(k5, 0, max_nodes=20)
 
 
 def _random_connected_graph(rng, n):

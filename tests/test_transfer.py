@@ -132,6 +132,12 @@ def test_cycle_pair_marginal_vs_exact_table():
         assert p == pytest.approx(pair[a, b], abs=1e-12)
 
 
+def test_cycle_pair_marginal_of_a_long_cycle_is_the_stationary_pair():
+    tm = build_transfer(*hardcore(1, 1.0))
+    stationary_pair = tm.stationary()[:, None] * tm.step_probs()
+    np.testing.assert_allclose(tm.cycle_pair_marginal(10**6), stationary_pair, rtol=0, atol=1e-12)
+
+
 def test_sample_windows_statistics():
     st, pot = hardcore(1, 1.0)
     tm = build_transfer(st, pot)
