@@ -8,8 +8,10 @@
  *
  * Array layouts (C order): x[n] int8, nbr_out/nbr_in[n_gen][n] int64,
  * wh[a] double, wj[n_gen][a][a] double, allowed[n_gen][a][a] uint8,
- * uniforms[sweeps * n] double.  The caller checks dtypes, shapes and the
- * uniform count; this file checks every index it reads through.
+ * uniforms[sweeps * n] double, counts[sweeps] int64 or NULL.  The caller
+ * checks dtypes, shapes, the uniform and count lengths and safe in [0, a);
+ * this file checks every index it reads through.  When counts is not NULL,
+ * counts[t] is the number of sites v with x[v] != safe after sweep t.
  */
 
 #include <stdint.h>
@@ -22,10 +24,11 @@
 int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
                    const double *wh, const double *wj, const uint8_t *allowed,
                    const double *uniforms, int64_t sweeps,
-                   int64_t n, int64_t n_gen, int64_t a)
+                   int64_t n, int64_t n_gen, int64_t a,
+                   int64_t *counts, int64_t safe)
 {
     double weights[64];
-    int64_t t, v, s, c, i, o, xo, xi, pick, base = 0;
+    int64_t t, v, s, c, i, o, xo, xi, pick, nonsafe, base = 0;
     double w, total, thr, cum;
 
     if (a > 64)
@@ -78,6 +81,12 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
                 x[v] = (int8_t)pick;
             }
             base++;
+        }
+        if (counts) {
+            nonsafe = 0;
+            for (v = 0; v < n; v++)
+                nonsafe += x[v] != safe;
+            counts[t] = nonsafe;
         }
     }
     return GLAUBER_OK;

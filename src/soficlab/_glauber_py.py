@@ -6,7 +6,9 @@ reference for the C kernel.
 """
 
 
-def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps):
+def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
+    """Run `sweeps` heat-bath sweeps over x in place; if counts is given,
+    counts[t] is the number of sites not equal to `safe` after sweep t."""
     n = x.shape[0]
     n_gen = nbr_out.shape[0]
     a = wh.shape[0]
@@ -26,7 +28,7 @@ def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps):
     weights = [0.0] * a
 
     base = 0
-    for _t in range(sweeps):
+    for t in range(sweeps):
         for v in range(n):
             total = 0.0
             for c in symbols:
@@ -59,5 +61,7 @@ def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps):
                         break
                 xs[v] = pick
             base += 1
+        if counts is not None:
+            counts[t] = n - xs.count(safe)
     x[:] = xs
     return None

@@ -14,7 +14,7 @@ import time
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from . import groups
+from . import groups, kernels
 from .constraints import check_tssm
 from .errors import SchemaError, SoficLabError
 from .finitemodel import METHODS, pressure_estimate
@@ -127,6 +127,32 @@ def run_tssm_check(model: Model, params: dict) -> dict:
     return out
 
 
+# the keys of params.mcmc: (integer only, bound, the bound in words)
+MCMC_PARAMS = {
+    "grid_points": (True, lambda v: v >= 2, "an integer >= 2"),
+    # partition_mcmc's standard error takes batch means over at least 4 batches
+    "samples_per_point": (True, lambda v: v >= 4, "an integer >= 4"),
+    "burn_frac": (False, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "log_u_min": (False, lambda v: v < 0, "a finite negative number"),
+}
+
+
+def _mcmc_kwargs(params: dict) -> dict:
+    """params.mcmc, checked before any sweep runs: known keys only, and values
+    for which partition_mcmc gives a finite estimate and standard error."""
+    block = params.get("mcmc") or {}
+    if not isinstance(block, dict):
+        raise SchemaError(f"params.mcmc must be an object, got {block!r}")
+    for key, value in block.items():
+        if key not in MCMC_PARAMS:
+            raise SchemaError(f"unknown key params.mcmc.{key}; expected one of {', '.join(MCMC_PARAMS)}")
+        integer, bound, what = MCMC_PARAMS[key]
+        if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+                or not math.isfinite(value) or not bound(value)):
+            raise SchemaError(f"params.mcmc.{key} must be {what}, got {value!r}")
+    return block
+
+
 def run_pressure(model: Model, params: dict, seed: int):
     builder = params["builder_desc"]
     sizes = params["sizes"]
@@ -137,7 +163,7 @@ def run_pressure(model: Model, params: dict, seed: int):
         sizes,
         method=params.get("method", "auto"),
         seed=seed,
-        mcmc_kwargs=params.get("mcmc"),
+        mcmc_kwargs=_mcmc_kwargs(params),
     )
 
 
@@ -150,7 +176,7 @@ def run_entropy(model: Model, params: dict, seed: int):
         params["sizes"],
         method=params.get("method", "auto"),
         seed=seed,
-        mcmc_kwargs=params.get("mcmc"),
+        mcmc_kwargs=_mcmc_kwargs(params),
     )
 
 
@@ -299,6 +325,7 @@ def run_config(config: dict) -> dict:
         "outputs": outputs,
         "seed": seed,
         "version": __version__,
+        "kernel_backend": kernels.BACKEND,
         "wall_time_s": round(time.time() - started, 3),
     }
 

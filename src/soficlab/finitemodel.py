@@ -341,17 +341,16 @@ def partition_mcmc(
     engine = GlauberEngine(space.sm, space.structure, space.potential)
     x = engine.initial_state(safe)
     burn = max(1, int(burn_frac * samples_per_point))
+    n_blocks = max(4, min(32, samples_per_point // 8))
     means = np.empty(grid_points)
     ses = np.empty(grid_points)
+    counts = np.empty(samples_per_point, dtype=np.int64)
     for i, t in enumerate(ts):
         engine.set_bias(t * nonsafe)
         engine.sweeps(x, burn, rng)
-        counts = np.empty(samples_per_point)
-        for k in range(samples_per_point):
-            engine.sweeps(x, 1, rng)
-            counts[k] = np.count_nonzero(x != safe)
+        engine.sweeps(x, samples_per_point, rng, counts, safe)
+        # sums of integer counts are exact in float64, in any order
         means[i] = counts.mean()
-        n_blocks = max(4, min(32, samples_per_point // 8))
         blocks = counts[: samples_per_point - samples_per_point % n_blocks]
         bm = blocks.reshape(n_blocks, -1).mean(axis=1)
         ses[i] = bm.std(ddof=1) / math.sqrt(n_blocks)

@@ -77,7 +77,7 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         warnings.warn(f"C sweep kernel unavailable, using the Python kernel: {exc!r}",
                       RuntimeWarning, stacklevel=2)
         return None
-    fn.argtypes = [_BYTE_P] * 7 + [ctypes.c_int64] * 4
+    fn.argtypes = [_BYTE_P] * 7 + [ctypes.c_int64] * 4 + [_BYTE_P, ctypes.c_int64]
     fn.restype = ctypes.c_int
     return fn
 
@@ -94,21 +94,24 @@ def _data(arr: np.ndarray):
 
     A ctypes byte over the array's buffer, which ctypes passes by address,
     costs about a fifth of `ndarray.ctypes`; it needs a writeable, non-empty
-    buffer.  partition_mcmc makes one kernel call per sample, so this counts.
+    buffer.  sample_derived_gibbs makes one kernel call per retained sample,
+    so this counts.
     """
     if arr.flags.writeable and arr.size:
         return ctypes.c_ubyte.from_buffer(arr)
     return arr.ctypes.data_as(_BYTE_P)
 
 
-def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps):
+def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
     """Run `sweeps` heat-bath sweeps over x in place with the C kernel.
 
     The arguments are those of `_glauber_py.glauber_sweeps`, as GlauberEngine
-    lays them out.  Everything the C code trusts is checked here first:
-    dtypes, C order, a writeable x, agreeing shapes, at least sweeps * n
-    uniforms and an alphabet of at most 64; the C code itself checks every
-    neighbour index and every symbol of x.  Any failure is a ValueError.
+    lays them out; if counts is given, counts[t] is the number of sites not
+    equal to `safe` after sweep t.  Everything the C code trusts is checked
+    here first: dtypes, C order, a writeable x and counts, agreeing shapes,
+    at least sweeps * n uniforms and sweeps counts, safe in [0, a) and an
+    alphabet of at most 64; the C code itself checks every neighbour index
+    and every symbol of x.  Any failure is a ValueError.
     """
     (n,) = _checked_shape("x", x, _I8, 1)
     if not x.flags.writeable:
@@ -130,9 +133,18 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps):
     sweeps = operator.index(sweeps)
     if m < sweeps * n:
         raise ValueError(f"{m} uniforms for {sweeps} sweeps of {n} sites")
+    if counts is not None:
+        (m,) = _checked_shape("counts", counts, _I64, 1)
+        if not counts.flags.writeable:
+            raise ValueError("counts must be writeable")
+        if m < sweeps:
+            raise ValueError(f"{m} counts for {sweeps} sweeps")
+    safe = operator.index(safe)
+    if not 0 <= safe < a:
+        raise ValueError(f"safe symbol {safe} outside [0, {a})")
     status = _c_sweeps(
         _data(x), _data(nbr_out), _data(nbr_in), _data(wh), _data(wj), _data(allowed),
-        _data(uniforms), sweeps, n, n_gen, a,
+        _data(uniforms), sweeps, n, n_gen, a, None if counts is None else _data(counts), safe,
     )
     if status:
         raise ValueError(_C_ERRORS[status])

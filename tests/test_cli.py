@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from soficlab import kernels
 from soficlab.cli import (
     compare_configs,
     main,
@@ -19,6 +20,7 @@ from soficlab.cli import (
 from soficlab.gibbs import entropy_rate_estimate
 from soficlab.modelfile import hardcore_model_dict, load_model, parse_model
 from soficlab.errors import SchemaError
+from soficlab.sampling import GlauberEngine
 
 from oracles import golden_pressure
 
@@ -344,6 +346,45 @@ def test_entropy_config_passes_mcmc_block(hc_model):
     direct = entropy_rate_estimate(model.structure, model.potential, builder, [8], method="mcmc",
                                    seed=2, mcmc_kwargs=block)
     assert record["outputs"] == direct
+
+
+@pytest.mark.parametrize("experiment", ["pressure", "entropy"])
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"samples_per_point": 2}, "params.mcmc.samples_per_point"),
+        ({"samples_per_point": 0}, "params.mcmc.samples_per_point"),
+        ({"grid_points": 1}, "params.mcmc.grid_points"),
+        ({"samples": 100}, "params.mcmc.samples"),
+        ({"grid_points": "8"}, "params.mcmc.grid_points"),
+        ({"grid_points": 8.0}, "params.mcmc.grid_points"),
+        ({"burn_frac": 1.0}, "params.mcmc.burn_frac"),
+        ({"burn_frac": -0.1}, "params.mcmc.burn_frac"),
+        ({"log_u_min": 0.0}, "params.mcmc.log_u_min"),
+        ({"log_u_min": float("-inf")}, "params.mcmc.log_u_min"),
+    ],
+    ids=["samples-two", "samples-zero", "grid-one", "unknown-key", "grid-string", "grid-float",
+         "burn-one", "burn-negative", "log_u_min-zero", "log_u_min-infinite"],
+)
+def test_bad_mcmc_block_is_schema_error_before_any_sweep(block, message, experiment, hc_model,
+                                                         monkeypatch):
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(GlauberEngine, "sweeps", no_sweeps)
+    with pytest.raises(SchemaError, match=message) as exc:
+        run_config({"experiment": experiment, "model": hc_model, "params": {
+            "builder_desc": {"builder": "torus", "d": 1}, "sizes": [8], "method": "mcmc",
+            "mcmc": {"grid_points": 5, "samples_per_point": 40, **block}}})
+    assert exc.value.exit_code == 2
+
+
+def test_record_names_the_kernel_backend(hc_model):
+    config = {"experiment": "pressure", "model": hc_model,
+              "params": {"sizes": [8], "builder_desc": {"builder": "torus", "d": 1}}}
+    record = run_config(config)
+    assert record["kernel_backend"] == kernels.BACKEND in ("c", "python")
+    assert list(record["outputs"][0]) == ["n", "log_Z", "pressure_estimate", "stderr", "method", "seed"]
 
 
 def test_lambda_param_rewrites_activity(hc_model):

@@ -218,6 +218,15 @@ def test_partition_mcmc_deterministic():
     assert a.log_Z == b.log_Z
 
 
+def test_partition_mcmc_output_is_pinned():
+    """Values recorded with one kernel call per sample; 1500 samples of 16
+    sites cross the sweep engine's chunk of 1024 sweeps."""
+    res = partition_mcmc(_space(soficmaps.build_torus(2, 4), HC2), seed=7, grid_points=12,
+                         samples_per_point=1500)
+    assert res.log_Z == 6.6921495839108776
+    assert res.stderr == 0.04354084088252523
+
+
 def test_vanishing_activity_limit():
     st, pot = hardcore(1, 1e-6)
     sp = DerivedSpace(soficmaps.build_torus(1, 4), st, pot)

@@ -84,13 +84,18 @@ def test_c_kernel_is_bitwise_the_python_twin():
     fixed_point_cases = []
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(sweep_cases())
-    def check(case):
+    @given(sweep_cases(), st.data())
+    def check(case, data):
         x, nbr_out, *rest = case
+        a, sweeps = len(rest[1]), rest[-1]
+        safe = data.draw(st.integers(0, a - 1))
         xc, xp = x.copy(), x.copy()
-        kernels.glauber_sweeps(xc, nbr_out, *rest)
-        _glauber_py.glauber_sweeps(xp, nbr_out, *rest)
+        cc, cp = np.full(sweeps, -1, np.int64), np.full(sweeps, -1, np.int64)
+        kernels.glauber_sweeps(xc, nbr_out, *rest, cc, safe)
+        _glauber_py.glauber_sweeps(xp, nbr_out, *rest, cp, safe)
         assert np.array_equal(xc, xp)
+        assert np.array_equal(cc, cp)
+        assert cc[-1] == np.count_nonzero(xc != safe)
         fixed_point_cases.append(bool((nbr_out == np.arange(len(x))).any()))
 
     check()
@@ -102,7 +107,7 @@ def _args():
     engine = GlauberEngine(soficmaps.build_torus(2, 4), st, pot)
     u = np.random.default_rng(0).random(3 * engine.sm.n)
     return [engine.initial_state(0), engine.nbr_out, engine.nbr_in, engine.wh, engine.wj,
-            engine.allowed, u, 3]
+            engine.allowed, u, 3, np.zeros(3, np.int64), 0]
 
 
 def _read_only(a):
@@ -135,16 +140,26 @@ def _set(a, index, value):
     (2, lambda nb: _set(nb, (0, 0), -1)),
     (0, lambda x: _set(x, 3, 2)),  # symbol outside [0, a)
     (0, lambda x: _set(x, 0, -1)),
+    (8, lambda c: c.astype(np.int32)),  # counts
+    (8, lambda c: np.zeros(6, np.int64)[::2]),
+    (8, lambda c: c[:-1].copy()),
+    (8, _read_only),
+    (9, lambda safe: 2),  # safe outside [0, a)
+    (9, lambda safe: -1),
 ], ids=["x-dtype", "nbr_out-dtype", "wh-dtype", "allowed-dtype", "x-strided", "wj-fortran",
         "x-read-only", "nbr_in-shape", "wj-shape", "allowed-shape", "uniforms-short",
-        "alphabet-65", "nbr_out-above-n", "nbr_in-negative", "x-symbol-above-a", "x-symbol-negative"])
+        "alphabet-65", "nbr_out-above-n", "nbr_in-negative", "x-symbol-above-a", "x-symbol-negative",
+        "counts-dtype", "counts-strided", "counts-short", "counts-read-only", "safe-above-a",
+        "safe-negative"])
 def test_c_kernel_rejects_what_it_cannot_trust(arg, change):
     args = _args()
     args[arg] = change(args[arg])
     x_before = np.array(args[0], copy=True)
+    counts_before = np.array(args[8], copy=True)
     with pytest.raises(ValueError):
         kernels.glauber_sweeps(*args)
     assert np.array_equal(args[0], x_before)
+    assert np.array_equal(args[8], counts_before)
 
 
 @needs_c
@@ -202,6 +217,25 @@ def test_sweeps_stay_in_derived_space():
     for _ in range(20):
         engine.sweeps(x, 1, rng)
         assert is_in_Xn(space, x)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_chunked_sweeps_are_one_sweep_calls(extra):
+    st, pot = hardcore(2, 1.0)
+    engine = GlauberEngine(soficmaps.build_torus(2, 8), st, pot)
+    k = engine.chunk + extra
+    x = engine.initial_state(0)
+    counts = np.full(k, -1, np.int64)
+    engine.sweeps(x, k, np.random.default_rng(4), counts, 0)
+    rng = np.random.default_rng(4)
+    y = engine.initial_state(0)
+    expected = []
+    for _ in range(k):
+        engine.sweeps(y, 1, rng)
+        expected.append(np.count_nonzero(y != 0))
+    assert engine.chunk == 256
+    assert np.array_equal(x, y)
+    assert counts.tolist() == expected
 
 
 def test_bias_shifts_density():
