@@ -12,7 +12,7 @@ setup(
     name="soficlab",
     version="0.1.0",
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "jsonschema>=4.0"],
+    install_requires=["numpy>=1.24"],
     package_dir={"": "src"},
     packages=find_packages("src"),
     package_data={"soficlab": ["_glauber.c"]},

@@ -12,54 +12,20 @@ import sys
 import time
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import groups, kernels
 from .constraints import check_tssm
 from .errors import SchemaError, SoficLabError
-from .finitemodel import METHODS, pressure_estimate
+from .finitemodel import pressure_estimate
 from .gibbs import entropy_rate_estimate, ssm_profile
 from .marginals import make_oracle
 from .modelbuild import build_sofic
 from .modelfile import Model, load_graph, load_model, parse_model
 from .randominfo import kp_pressure_at_fixed_point, kp_pressure_at_measure, truncation_budget
 from .saw import hardcore_marginal_via_saw
+from .schema import BUILDERS, METHODS, PARAMS, RUNCONFIG, check, read_json
 from .soficmaps import good_vertices
 from .version import __version__
-
-RUNCONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["experiment"],
-    "properties": {
-        "experiment": {
-            "enum": [
-                "pressure",
-                "entropy",
-                "tssm-check",
-                "ssm-profile",
-                "kp-estimate",
-                "saw-marginal",
-                "sofic-stats",
-            ]
-        },
-        "model": {"type": "string"},
-        "graph": {"type": "string"},
-        "params": {"type": "object"},
-        "seed": {"type": "integer"},
-        "output": {"type": "string"},
-    },
-}
-
-
-# params an experiment cannot run without; saw-marginal also takes its graph
-# from the RunConfig's top-level "graph"
-REQUIRED_PARAMS = {
-    "pressure": ("sizes",),
-    "entropy": ("sizes",),
-    "sofic-stats": ("builder",),
-    "saw-marginal": ("graph",),
-}
-
 
 def _emit(record: dict, fmt: str, out_path: str | None, csv_fields=None):
     if fmt == "csv":
@@ -93,24 +59,23 @@ def _jsonable(obj):
 
 
 def run_sofic_stats(params: dict, seed: int) -> dict:
+    if not any(key in params for key in ("m", "n", "size")):
+        raise SchemaError("sofic-stats needs a size: params.m, params.n or params.size")
     desc = {
         "builder": params["builder"],
         **{k: v for k, v in params.items() if k in ("d", "k", "m", "n", "size")},
         "seed": seed,
     }
     sm = build_sofic(desc, seed=seed)
-    report = good_vertices(sm, groups.ball(sm.spec, int(params.get("r", 2))))
+    report = good_vertices(sm, groups.ball(sm.spec, params.get("r", 2)))
     return {"provenance": sm.provenance, **report.to_dict()}
 
 
 def run_tssm_check(model: Model, params: dict) -> dict:
-    verdict = check_tssm(
-        model.structure,
-        model.spec,
-        m=int(params.get("range", 1)),
-        radius=int(params.get("radius", 3)),
-        k_max=int(params.get("kmax", 3)),
-    )
+    m, radius = params.get("range", 1), params.get("radius", 3)
+    if m > radius:
+        raise SchemaError(f"params.range must be at most params.radius = {radius}, got {m}")
+    verdict = check_tssm(model.structure, model.spec, m=m, radius=radius, k_max=params.get("kmax", 3))
     out = {
         "kind": verdict.kind,
         "range_radius": verdict.range_radius,
@@ -127,32 +92,6 @@ def run_tssm_check(model: Model, params: dict) -> dict:
     return out
 
 
-# the keys of params.mcmc: (integer only, bound, the bound in words)
-MCMC_PARAMS = {
-    "grid_points": (True, lambda v: v >= 2, "an integer >= 2"),
-    # partition_mcmc's standard error takes batch means over at least 4 batches
-    "samples_per_point": (True, lambda v: v >= 4, "an integer >= 4"),
-    "burn_frac": (False, lambda v: 0 <= v < 1, "a number in [0, 1)"),
-    "log_u_min": (False, lambda v: v < 0, "a finite negative number"),
-}
-
-
-def _mcmc_kwargs(params: dict) -> dict:
-    """params.mcmc, checked before any sweep runs: known keys only, and values
-    for which partition_mcmc gives a finite estimate and standard error."""
-    block = params.get("mcmc") or {}
-    if not isinstance(block, dict):
-        raise SchemaError(f"params.mcmc must be an object, got {block!r}")
-    for key, value in block.items():
-        if key not in MCMC_PARAMS:
-            raise SchemaError(f"unknown key params.mcmc.{key}; expected one of {', '.join(MCMC_PARAMS)}")
-        integer, bound, what = MCMC_PARAMS[key]
-        if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-                or not math.isfinite(value) or not bound(value)):
-            raise SchemaError(f"params.mcmc.{key} must be {what}, got {value!r}")
-    return block
-
-
 def run_pressure(model: Model, params: dict, seed: int):
     builder = params["builder_desc"]
     sizes = params["sizes"]
@@ -163,7 +102,7 @@ def run_pressure(model: Model, params: dict, seed: int):
         sizes,
         method=params.get("method", "auto"),
         seed=seed,
-        mcmc_kwargs=_mcmc_kwargs(params),
+        mcmc_kwargs=params.get("mcmc"),
     )
 
 
@@ -176,24 +115,19 @@ def run_entropy(model: Model, params: dict, seed: int):
         params["sizes"],
         method=params.get("method", "auto"),
         seed=seed,
-        mcmc_kwargs=_mcmc_kwargs(params),
+        mcmc_kwargs=params.get("mcmc"),
     )
 
 
 def run_ssm_profile(model: Model, params: dict):
-    rmax = int(params.get("rmax", 8))
-    prof = ssm_profile(model.structure, model.potential, model.spec, rmax)
+    prof = ssm_profile(model.structure, model.potential, model.spec, params.get("rmax", 8))
     return [{"r": r + 1, "beta_hat": float(b)} for r, b in enumerate(prof)]
 
 
 def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
-    r = int(params.get("r", 16))
-    if r < 1:
-        raise SchemaError(f"params.r must be at least 1, got {r}")
-    N = int(params.get("N", 200_000))
+    r = params.get("r", 16)
+    N = params.get("N", 200_000)
     nu = params.get("nu", "fixed0")
-    if nu not in ("fixed0", "mu"):
-        raise SchemaError(f"unknown nu {nu!r}; expected fixed0 or mu")
     past = params.get("past", "percolation")
     if past == "lex" and model.spec.kind != "zd":
         raise SchemaError("past lex is the lexicographic order of Z^d")
@@ -202,10 +136,8 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
             raise SchemaError("nu mu samples the measure exactly only on rank-1 groups")
         if past != "percolation":
             raise SchemaError(f"nu mu averages over percolation pasts only, got past {past!r}")
-        N_inner = int(params.get("N_inner", 100))
-        if N_inner < 1:
-            raise SchemaError(f"params.N_inner must be at least 1, got {N_inner}")
-        M_outer = int(params.get("M_outer", N // N_inner))
+        N_inner = params.get("N_inner", 100)
+        M_outer = params.get("M_outer", N // N_inner)
         if M_outer < 2:
             raise SchemaError(
                 f"nu mu needs M_outer >= 2 patterns for a standard error (M_outer defaults to "
@@ -221,7 +153,7 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
         model.potential,
         model.spec,
         r,
-        pad=int(params.get("pad", 4)),
+        pad=params.get("pad", 4),
         saw_boundary=params.get("saw_boundary", "free"),
     )
     if nu == "mu":
@@ -257,9 +189,10 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
 
 def run_saw_marginal(params: dict) -> dict:
     adj, lam, pins = load_graph(params["graph"])
-    if params.get("lambda") is not None:
-        lam = params["lambda"]
-    root = int(params.get("root", 0))
+    lam = params.get("lambda", lam)
+    root = params.get("root", 0)
+    if root >= len(adj):
+        raise SchemaError(f"params.root must be a vertex of the graph, below n = {len(adj)}, got {root}")
     p = hardcore_marginal_via_saw(adj, root, lam, pins)
     return {"root": root, "lambda": lam, "p_occupied": p, "pins": pins}
 
@@ -272,29 +205,23 @@ def _with_lambda(model: Model, lam) -> Model:
     weights = list(model.raw["vertex_log_weights"])
     if len(weights) != 2:
         raise SchemaError("params.lambda needs a binary alphabet")
-    if not isinstance(lam, (int, float)) or not lam > 0:
-        raise SchemaError(f"params.lambda must be a positive number, got {lam!r}")
     weights[1] = math.log(lam)
     return parse_model({**model.raw, "vertex_log_weights": weights})
 
 
 def run_config(config: dict) -> dict:
-    errors = sorted(Draft202012Validator(RUNCONFIG_SCHEMA).iter_errors(config), key=str)
-    if errors:
-        raise SchemaError("; ".join(e.message for e in errors[:3]))
+    check(config, RUNCONFIG, "")
     experiment = config["experiment"]
     params = dict(config.get("params", {}))
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
     started = time.time()
     if "model" not in config and experiment not in ("sofic-stats", "saw-marginal"):
         raise SchemaError(f"{experiment} needs a model")
     if experiment == "saw-marginal" and "graph" in config:
         params["graph"] = config["graph"]
-    for key in REQUIRED_PARAMS.get(experiment, ()):
-        if key not in params:
-            raise SchemaError(f"{experiment} needs params.{key}")
+    check(params, PARAMS[experiment], "params")
     model = load_model(config["model"]) if "model" in config else None
-    if model is not None and params.get("lambda") is not None:
+    if model is not None and "lambda" in params:
         model = _with_lambda(model, params["lambda"])
     if experiment == "sofic-stats":
         outputs = run_sofic_stats(params, seed)
@@ -315,6 +242,11 @@ def run_config(config: dict) -> dict:
                 **model.sofic.get("params", {}),
                 "seed": model.sofic.get("seed", 0),
             }
+        desc = params["builder_desc"]
+        generators = desc.get("k" if desc["builder"] == "random_perm" else "d", 1)
+        if generators != model.spec.rank:
+            raise SchemaError(f"the {desc['builder']} builder makes {generators} generators; "
+                              f"the model's group has {model.spec.rank}")
         runner = run_pressure if experiment == "pressure" else run_entropy
         outputs = runner(model, params, seed)
     else:  # pragma: no cover - schema guards
@@ -371,7 +303,7 @@ def compare_configs(config_a: dict, config_b: dict, tolerance: float) -> dict:
 
 
 def _add_builder_flags(p: argparse.ArgumentParser):
-    p.add_argument("--builder", choices=["torus", "folner", "random_perm"])
+    p.add_argument("--builder", choices=BUILDERS)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
 
@@ -509,17 +441,13 @@ def main(argv=None):
 
     def go():
         if args.command == "run":
-            with open(args.config) as fh:
-                config = json.load(fh)
+            config = read_json(args.config, "RunConfig")
             record = run_config(config)
             out_path = config.get("output")
             _emit(record, "json", out_path)
         else:
-            with open(args.config_a) as fh:
-                ca = json.load(fh)
-            with open(args.config_b) as fh:
-                cb = json.load(fh)
-            result = compare_configs(ca, cb, args.tolerance)
+            result = compare_configs(read_json(args.config_a, "RunConfig"),
+                                     read_json(args.config_b, "RunConfig"), args.tolerance)
             _emit({"experiment": "compare", "outputs": result, "inputs": {}, "seed": None,
                    "version": __version__, "wall_time_s": 0}, "json", args.out)
             if result["verdict"] != "PASS":

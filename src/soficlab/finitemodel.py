@@ -30,6 +30,7 @@ from .errors import (
     SchemaError,
 )
 from .sampling import GlauberEngine
+from .schema import MCMC, METHODS, check
 from .soficmaps import SoficMap, good_vertices, require_builder
 from .transfer import build_transfer
 
@@ -330,8 +331,11 @@ def partition_mcmc(
 
     with the integral estimated by heat-bath sampling on a grid geometric in
     e^t (uniform in t) and Simpson/trapezoid quadrature, and the truncated
-    tail bounded by n * a * e^{t_min} * e^{2 |phi|}.
+    tail bounded by n * a * e^{t_min} * e^{2 |phi|}.  The settings are those of
+    a RunConfig's params.mcmc and are checked against its schema first.
     """
+    check({"grid_points": grid_points, "samples_per_point": samples_per_point, "burn_frac": burn_frac,
+           "log_u_min": log_u_min}, MCMC, "params.mcmc")
     safe = space.safe_symbol
     if safe is None:
         raise NoSafeSymbolError("thermodynamic integration needs a safe symbol")
@@ -396,9 +400,6 @@ def _simpson_irregular(ts: np.ndarray, ys: np.ndarray):
     return float(w @ ys), w
 
 
-METHODS = ("exact", "transfer", "cycles", "mcmc")
-
-
 def choose_method(builder: dict, space: DerivedSpace, method: str, exact_cap: int) -> str:
     """The route for one size: `method` itself, or under "auto" the transfer
     trace on a rank-1 torus, cycle decomposition on any other one-generator
@@ -426,9 +427,11 @@ def pressure_estimate(
     seed: int = 0,
     mcmc_kwargs: dict | None = None,
 ):
-    """Per-size normalized log partition values for a builder family."""
+    """Per-size normalized log partition values for a builder family; mcmc_kwargs
+    are a RunConfig's params.mcmc, checked before any size runs."""
     from .modelbuild import build_sofic
 
+    check(mcmc_kwargs or {}, MCMC, "params.mcmc")
     routes = {
         "transfer": partition_transfer_cycle,
         "cycles": partition_cycle_decomposition,

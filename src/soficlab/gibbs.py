@@ -24,6 +24,7 @@ from .finitemodel import partition_mcmc, partition_transfer_cycle
 from .groups import GroupSpec
 from .marginals import make_oracle
 from .sampling import GlauberEngine
+from .schema import MCMC, check
 from .transfer import build_transfer
 
 
@@ -355,9 +356,11 @@ def entropy_rate_estimate(
     sample_kwargs: dict | None = None,
 ):
     """Per-size H(mu_n)/n via the exact table, the transfer/cycle identities,
-    or log Z (MCMC) minus a sampled energy expectation."""
+    or log Z (MCMC) minus a sampled energy expectation; mcmc_kwargs are a
+    RunConfig's params.mcmc, checked before any size runs."""
     from .modelbuild import build_sofic
 
+    check(mcmc_kwargs or {}, MCMC, "params.mcmc")
     rows = []
     for size in sizes:
         sm = build_sofic({**builder, "size": int(size)}, seed=seed)

@@ -18,57 +18,15 @@ groups); omitted edge_log_weights default to zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .constraints import ConstraintStructure, Potential
 from .errors import SchemaError
 from .groups import GroupSpec, free, zd
-
-MODEL_SCHEMA = {
-    "type": "object",
-    "required": ["group", "alphabet", "relations", "vertex_log_weights"],
-    "properties": {
-        "group": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["Zd", "Free"]},
-                "d": {"type": "integer", "minimum": 1},
-                "k": {"type": "integer", "minimum": 1},
-            },
-        },
-        "alphabet": {"type": "integer", "minimum": 1},
-        "relations": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "boolean"}},
-            },
-        },
-        "vertex_log_weights": {"type": "array", "items": {"type": "number"}},
-        "edge_log_weights": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "sofic": {
-            "type": "object",
-            "required": ["builder"],
-            "properties": {
-                "builder": {"enum": ["torus", "folner", "random_perm"]},
-                "params": {"type": "object"},
-                "seed": {"type": "integer"},
-            },
-        },
-    },
-}
+from .schema import GRAPH, MODEL, check, read_json
 
 
 @dataclass
@@ -81,9 +39,7 @@ class Model:
 
 
 def parse_model(data: dict) -> Model:
-    errors = sorted(Draft202012Validator(MODEL_SCHEMA).iter_errors(data), key=str)
-    if errors:
-        raise SchemaError("; ".join(e.message for e in errors[:3]))
+    check(data, MODEL, "model")
     g = data["group"]
     if g["kind"] == "Zd":
         if "d" not in g:
@@ -94,25 +50,24 @@ def parse_model(data: dict) -> Model:
             raise SchemaError("Free group needs field k")
         spec = free(g["k"])
     a = data["alphabet"]
+
+    def square(rows, what):
+        # shapes are checked before numpy sees the rows: a ragged list is no array
+        if len(rows) != a or any(len(row) != a for row in rows):
+            raise SchemaError(f"{what} must be {a}x{a}")
+        return rows
+
     names = spec.generator_names()
-    allowed = np.empty((spec.n_generators, a, a), dtype=bool)
-    for i, name in enumerate(names):
+    for name in names:
         if name not in data["relations"]:
             raise SchemaError(f"relations missing generator {name!r}")
-        mat = np.asarray(data["relations"][name], dtype=bool)
-        if mat.shape != (a, a):
-            raise SchemaError(f"relation {name!r} must be {a}x{a}")
-        allowed[i] = mat
+    allowed = np.array([square(data["relations"][name], f"relation {name!r}") for name in names], dtype=bool)
     h = np.asarray(data["vertex_log_weights"], dtype=float)
     if h.shape != (a,):
         raise SchemaError("vertex_log_weights length must equal alphabet")
-    J = np.zeros((spec.n_generators, a, a))
-    for i, name in enumerate(names):
-        if name in data.get("edge_log_weights", {}):
-            mat = np.asarray(data["edge_log_weights"][name], dtype=float)
-            if mat.shape != (a, a):
-                raise SchemaError(f"edge_log_weights {name!r} must be {a}x{a}")
-            J[i] = mat
+    edge = data.get("edge_log_weights", {})
+    J = np.array([square(edge[name], f"edge_log_weights {name!r}") if name in edge else np.zeros((a, a))
+                  for name in names], dtype=float)
     try:
         structure = ConstraintStructure(a, allowed)
         potential = Potential(h, J)
@@ -122,12 +77,7 @@ def parse_model(data: dict) -> Model:
 
 
 def load_model(path: str) -> Model:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read model file: {exc}") from exc
-    return parse_model(data)
+    return parse_model(read_json(path, "model"))
 
 
 def hardcore_model_dict(kind: str, rank: int, lam: float) -> dict:
@@ -143,37 +93,10 @@ def hardcore_model_dict(kind: str, rank: int, lam: float) -> dict:
     }
 
 
-GRAPH_SCHEMA = {
-    "type": "object",
-    "required": ["n", "edges"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "edges": {
-            "type": "array",
-            "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "integer"}},
-        },
-        "lambda": {"type": ["number", "array"]},
-        "pins": {
-            "type": "object",
-            "properties": {
-                "occupied": {"type": "array", "items": {"type": "integer"}},
-                "empty": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-    },
-}
-
-
 def load_graph(path: str):
     """Finite graph file for saw-marginal: adjacency, activity, pins."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read graph file: {exc}") from exc
-    errors = sorted(Draft202012Validator(GRAPH_SCHEMA).iter_errors(data), key=str)
-    if errors:
-        raise SchemaError("; ".join(e.message for e in errors[:3]))
+    data = read_json(path, "graph")
+    check(data, GRAPH, "graph")
     n = data["n"]
     adj = [set() for _ in range(n)]
     for u, v in data["edges"]:
@@ -182,9 +105,12 @@ def load_graph(path: str):
         adj[u].add(v)
         adj[v].add(u)
     lam = data.get("lambda", 1.0)
+    if isinstance(lam, list) and len(lam) != n:
+        raise SchemaError(f"graph.lambda must have one entry per vertex, n = {n}, got {len(lam)}")
     pins = {}
-    for v in data.get("pins", {}).get("occupied", []):
-        pins[int(v)] = 1
-    for v in data.get("pins", {}).get("empty", []):
-        pins[int(v)] = 0
+    for value, key in ((1, "occupied"), (0, "empty")):
+        for v in data.get("pins", {}).get(key, []):
+            if v >= n:
+                raise SchemaError(f"graph.pins.{key} holds vertex {v}, outside [0, {n})")
+            pins[v] = value
     return [sorted(s) for s in adj], lam, pins
