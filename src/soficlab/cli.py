@@ -396,14 +396,15 @@ def main_ssm_profile(argv=None):
 
 def main_kp_estimate(argv=None):
     p = argparse.ArgumentParser(prog="kp-estimate", description="Random-past pressure estimate")
+    accepted = PARAMS["kp-estimate"]["properties"]
     p.add_argument("--model", required=True)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--oracle", default="auto", choices=["auto", "transfer", "ball", "saw"])
+    p.add_argument("--oracle", default="auto", choices=accepted["oracle"]["enum"])
     p.add_argument("--r", type=int, default=16)
     p.add_argument("--N", type=int, default=200_000)
-    p.add_argument("--nu", default="fixed0", choices=["fixed0", "mu"])
-    p.add_argument("--past", default="percolation", choices=["percolation", "lex"])
-    p.add_argument("--saw-boundary", default="free", choices=["free", "self_consistent"])
+    p.add_argument("--nu", default="fixed0", choices=accepted["nu"]["enum"])
+    p.add_argument("--past", default="percolation", choices=accepted["past"]["enum"])
+    p.add_argument("--saw-boundary", default="free", choices=accepted["saw_boundary"]["enum"])
     p.add_argument("--N-inner", type=int, default=100)
     p.add_argument("--M-outer", type=int)
     p.add_argument("--pad", type=int, default=4)

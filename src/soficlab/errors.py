@@ -36,7 +36,7 @@ class NoConsistentColorError(SoficLabError):
 
 
 class InconsistentPinsError(SoficLabError):
-    """Two adjacent vertices pinned occupied."""
+    """Pins that admit no configuration, such as two adjacent vertices pinned occupied."""
 
     exit_code = 7
 

@@ -16,13 +16,12 @@ import numpy as np
 from . import enumeration, groups
 from .config import exact_table_cap
 from .constraints import ConstraintStructure, Pattern, Potential, core_symbols
-from .constraints import detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import BudgetExceededError, CapExceededError, EmptyFiberError, NoSafeSymbolError
 from .finitemodel import DerivedSpace, _iter_Xn, choose_method, derived_energy, partition_cycle_decomposition
 from .finitemodel import partition_mcmc, partition_transfer_cycle
 from .groups import GroupSpec
-from .marginals import make_oracle
+from .marginals import BallEnumerationOracle, make_oracle
 from .sampling import GlauberEngine
 from .schema import MCMC, check
 from .transfer import build_transfer
@@ -409,15 +408,11 @@ def safe_boundary_reference_marginal(
 ) -> BallDistribution:
     """Approximate infinite-volume marginal on B_r from enumeration on
     B_{r+pad} with an all-safe boundary shell; the gap to the true marginal
-    is budgeted by the mixing profile at the pad distance."""
-    safe = detect_safe_symbol(structure)
-    if safe is None:
-        raise NoSafeSymbolError("reference marginal needs a safe boundary symbol")
-    big = groups.ball(spec, r + pad)
-    graph = SiteGraph.from_ball(big)
-    pins = {big.index[g]: safe for g in big.shell(r + pad)}
+    is budgeted by the mixing profile at the pad distance.  The ball and its
+    shell are those of the ball oracle at the same pad."""
+    oracle = BallEnumerationOracle(structure, potential, spec, r, pad=pad)
     inner = list(range(len(groups.ball(spec, r).elements)))  # ball-order prefix
-    table = enumeration.joint_distribution(graph, structure, potential, inner, pins=pins)
+    table = enumeration.joint_distribution(oracle.graph, structure, potential, inner, pins=oracle.shell_pins)
     return BallDistribution(spec, r, table)
 
 

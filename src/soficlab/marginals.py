@@ -1,7 +1,9 @@
 """Conditional-marginal oracles: exact transfer matrices on lines, ball
-enumeration with a safe boundary, and exact hardcore marginals of a pinned
-ball graph (a numpy tree recursion over the whole batch on tree groups, the
-memoised SAW unfolding per distinct row elsewhere).
+elimination with a safe boundary shell, memoised per distinct row, and exact
+hardcore marginals of a pinned ball graph on tree groups (a numpy tree
+recursion over the whole batch).  Off tree groups the ball oracle is the one
+pinned-ball engine: for hardcore its empty shell at radius R+1 is a free
+boundary at radius R.
 
 A query hands over a pattern on B_r in canonical ball order together with a
 conditioning mask; the oracle returns the conditional probability of the
@@ -19,29 +21,7 @@ from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
 from .groups import GroupSpec
-from .saw import hardcore_marginal_via_saw
 from .transfer import build_transfer
-
-
-def _memo_batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """(N, L) patterns and masks -> (N,) center conditionals, one
-    `self.conditional` call per distinct row over the oracle's lifetime.
-
-    The memo lives on the oracle (`self._memo`), so a stream of small
-    batches solves each distinct row once, as one large batch would.  Rows
-    are keyed as int64 values and bool masks, 9 bytes per site, so rows of
-    different widths never share a key.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    masks = np.asarray(masks, dtype=bool)
-    cache = self._memo
-    out = np.empty(len(values))
-    for k, (v, m) in enumerate(zip(values, masks)):
-        key = v.tobytes() + m.tobytes()
-        if key not in cache:
-            cache[key] = self.conditional(v, m)
-        out[k] = cache[key]
-    return out
 
 
 class TransferOracle:
@@ -88,10 +68,13 @@ class TransferOracle:
 
 
 class BallEnumerationOracle:
-    """Enumeration on a padded ball with a safe-symbol boundary shell.
+    """Elimination on a padded ball with a safe-symbol boundary shell.
 
     Exact for the finite window; the gap to the infinite-volume conditional
-    is budgeted by the mixing profile at the pad distance.
+    is budgeted by the mixing profile at the pad distance.  For hardcore the
+    empty shell at radius r_max + pad is a free boundary one step in, so at
+    pad p+1 this oracle gives the free-boundary conditionals of B_{r_max+p}.
+    Pins that admit no configuration raise InconsistentPinsError.
     """
 
     name = "ball"
@@ -115,9 +98,7 @@ class BallEnumerationOracle:
         radius = r_max + pad
         self.ball = groups.ball(spec, radius)
         self.graph = SiteGraph.from_ball(self.ball)
-        self.shell_pins = {
-            self.ball.index[g]: safe for g in groups.ball(spec, radius).shell(radius)
-        }
+        self.shell_pins = {self.ball.index[g]: safe for g in self.ball.shell(radius)}
         # the center marginal of the last pin set: rows that differ only in
         # the center symbol, such as those of `uniform_bound_c`, arrive
         # consecutively and share one elimination
@@ -132,14 +113,34 @@ class BallEnumerationOracle:
             probs = enumeration.site_marginal(
                 self.graph, self.structure, self.potential, 0, pins=pins
             )
+            if np.isnan(probs[0]):
+                raise InconsistentPinsError("the pins admit no configuration of the ball and its safe shell")
             self._last = (pins, probs)
         return float(self._last[1][int(values[0])])
 
-    batch = _memo_batch
+    def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """(N, L) patterns and masks -> (N,) center conditionals, one
+        `conditional` call per distinct row over the oracle's lifetime.
+
+        The memo lives on the oracle, so a stream of small batches solves
+        each distinct row once, as one large batch would.  Rows are keyed as
+        int64 values and bool masks, 9 bytes per site, so rows of different
+        widths never share a key.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        masks = np.asarray(masks, dtype=bool)
+        cache = self._memo
+        out = np.empty(len(values))
+        for k, (v, m) in enumerate(zip(values, masks)):
+            key = v.tobytes() + m.tobytes()
+            if key not in cache:
+                cache[key] = self.conditional(v, m)
+            out[k] = cache[key]
+        return out
 
 
 class SawOracle:
-    """Exact hardcore conditionals of the pinned ball graph.
+    """Exact hardcore conditionals of the pinned ball graph of a tree group.
 
     On tree groups (F_k and the line) the ball graph is itself a tree, so
     `batch` runs the hardcore recursion R_v = lam_v prod_c 1/(1+R_c) level by
@@ -147,8 +148,10 @@ class SawOracle:
     R = inf (occupied); children are multiplied in the order of the SAW
     unfolding, so each conditional is bitwise equal to
     `saw.hardcore_marginal_via_saw` on the same ball, activities and pins.
-    On other groups each distinct row goes through the self-avoiding-walk
-    unfolding of the pin-reduced ball graph, memoised on the oracle.
+    Other groups are refused: there the self-avoiding-walk tree of the ball
+    grows exponentially with its radius, and the ball oracle one pad further
+    out gives the same conditionals, since an empty shell at radius R+1 is a
+    free boundary at radius R.
 
     boundary="free" truncates the graph at the ball; boundary
     "self_consistent" replaces the activity of the outermost shell with the
@@ -168,10 +171,14 @@ class SawOracle:
     ):
         if not is_hardcore(structure, potential):
             raise SchemaError("SAW oracle supports hardcore models only")
+        if not groups.is_tree(spec):
+            raise SchemaError(
+                "the SAW oracle runs on tree groups (F_k and Z^1) only; off them oracle: ball at "
+                "pad: p+1 gives the conditionals of oracle: saw at pad: p"
+            )
         self.spec = spec
         self.r_max = r_max
         self.boundary = boundary
-        self.tree = groups.is_tree(spec)
         lam = float(np.exp(potential.h[1] - potential.h[0]))
         self.ball = groups.ball(spec, r_max)
         n = len(self.ball.elements)
@@ -183,14 +190,10 @@ class SawOracle:
         self.adj = [sorted(s) for s in adj]
         self.lam = np.full(n, lam)
         if boundary == "self_consistent":
-            if not self.tree:
-                raise SchemaError("self-consistent boundary is exact only on tree groups")
             self.lam[n - self.ball.shell_sizes[-1]:] = _tree_fixed_point(lam, 2 * spec.rank)
         elif boundary != "free":
             raise SchemaError(f"unknown saw_boundary {boundary!r}; expected free or self_consistent")
-        self._memo: dict[bytes, float] = {}
-        if self.tree:
-            self._tree_setup()
+        self._tree_setup()
 
     def _tree_setup(self):
         """Levels of the ball by word length; each site's children (its
@@ -222,23 +225,15 @@ class SawOracle:
         return ratio
 
     def conditional(self, values, mask) -> float:
-        if self.tree:
-            return float(self.batch(np.asarray(values)[None, :], np.asarray(mask)[None, :])[0])
-        # pins live inside the query window; the marginal is computed on the
-        # full padded ball so the free boundary sits far from the center
-        pins = {int(i): int(values[i]) for i in np.flatnonzero(np.asarray(mask))}
-        p_occ = hardcore_marginal_via_saw(self.adj, 0, self.lam, pins)
-        return p_occ if int(values[0]) == 1 else 1.0 - p_occ
+        return float(self.batch(np.asarray(values)[None, :], np.asarray(mask)[None, :])[0])
 
     def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """(N, L) patterns and masks -> (N,) center conditionals.
 
-        On tree groups one level recursion runs over all N rows, so its
-        memory is proportional to the batch; callers that stream many rows
-        bound the batch (`randominfo._streamed_info`).
+        One level recursion runs over all N rows, so its memory is
+        proportional to the batch; callers that stream many rows bound the
+        batch (`randominfo._streamed_info`).
         """
-        if not self.tree:
-            return _memo_batch(self, values, masks)
         L = values.shape[1]
         starts = self.starts
         deepest = int(np.searchsorted(starts, L - 1, side="right")) - 1

@@ -61,6 +61,11 @@ def parse_model(data: dict) -> Model:
     for name in names:
         if name not in data["relations"]:
             raise SchemaError(f"relations missing generator {name!r}")
+    for field in ("relations", "edge_log_weights"):
+        for key in data.get(field, {}):
+            if key not in names:
+                raise SchemaError(f"model.{field}.{key} names no generator of the group; "
+                                  f"its generators are {', '.join(names)}")
     allowed = np.array([square(data["relations"][name], f"relation {name!r}") for name in names], dtype=bool)
     h = np.asarray(data["vertex_log_weights"], dtype=float)
     if h.shape != (a,):
@@ -112,5 +117,7 @@ def load_graph(path: str):
         for v in data.get("pins", {}).get(key, []):
             if v >= n:
                 raise SchemaError(f"graph.pins.{key} holds vertex {v}, outside [0, {n})")
+            if pins.get(v, value) != value:
+                raise SchemaError(f"graph.pins holds vertex {v} in both occupied and empty")
             pins[v] = value
     return [sorted(s) for s in adj], lam, pins

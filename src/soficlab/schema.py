@@ -119,36 +119,32 @@ METHODS = ("exact", "transfer", "cycles", "mcmc")
 _BUILDER_SIZES = {"d": _integer(1), "k": _integer(1), "m": _integer(2), "n": _integer(2), "size": _integer(2)}
 _BUILDER_DESC = _closed({"builder": {"enum": list(BUILDERS)}, **_BUILDER_SIZES, "seed": _SEED}, "builder")
 
-MODEL = {
-    "type": "object",
-    "required": ["group", "alphabet", "relations", "vertex_log_weights"],
-    "properties": {
-        "group": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"enum": ["Zd", "Free"]}, "d": _integer(1), "k": _integer(1)},
-        },
-        "alphabet": _integer(1),
-        "relations": {
-            "type": "object",
-            "additionalProperties": {"type": "array", "items": {"type": "array", "items": {"type": "boolean"}}},
-        },
-        "vertex_log_weights": {"type": "array", "items": {"type": "number"}},
-        "edge_log_weights": {
-            "type": "object",
-            "additionalProperties": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-        },
-        "sofic": {
-            "type": "object",
-            "required": ["builder"],
-            "properties": {
-                "builder": {"enum": list(BUILDERS)},
-                "params": _closed(_BUILDER_SIZES),
-                "seed": _SEED,
-            },
+MODEL = _closed({
+    "group": {
+        "type": "object",
+        "required": ["kind"],
+        "properties": {"kind": {"enum": ["Zd", "Free"]}, "d": _integer(1), "k": _integer(1)},
+    },
+    "alphabet": _integer(1),
+    "relations": {
+        "type": "object",
+        "additionalProperties": {"type": "array", "items": {"type": "array", "items": {"type": "boolean"}}},
+    },
+    "vertex_log_weights": {"type": "array", "items": {"type": "number"}},
+    "edge_log_weights": {
+        "type": "object",
+        "additionalProperties": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+    },
+    "sofic": {
+        "type": "object",
+        "required": ["builder"],
+        "properties": {
+            "builder": {"enum": list(BUILDERS)},
+            "params": _closed(_BUILDER_SIZES),
+            "seed": _SEED,
         },
     },
-}
+}, "group", "alphabet", "relations", "vertex_log_weights")
 
 GRAPH = {
     "type": "object",
@@ -199,15 +195,11 @@ PARAMS = {
     "sofic-stats": _closed({"builder": {"enum": list(BUILDERS)}, **_BUILDER_SIZES, "r": _integer(0)}, "builder"),
 }
 
-RUNCONFIG = {
-    "type": "object",
-    "required": ["experiment"],
-    "properties": {
-        "experiment": {"enum": list(PARAMS)},
-        "model": _STRING,
-        "graph": _STRING,
-        "params": {"type": "object"},
-        "seed": _SEED,
-        "output": _STRING,
-    },
-}
+RUNCONFIG = _closed({
+    "experiment": {"enum": list(PARAMS)},
+    "model": _STRING,
+    "graph": _STRING,
+    "params": {"type": "object"},
+    "seed": _SEED,
+    "output": _STRING,
+}, "experiment")

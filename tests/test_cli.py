@@ -418,6 +418,8 @@ def test_ssm_profile_reducible_relation_exit_code(tmp_path, capsys):
         (hardcore_model_dict("Free", 2, 0.3), {"past": "lex"}, "Z^d"),
         (hardcore_model_dict("Free", 2, 0.3), {"nu": "mu"}, "rank-1"),
         (hardcore_model_dict("Zd", 1, 1.0), {"nu": "mu", "past": "lex"}, "percolation"),
+        (hardcore_model_dict("Zd", 2, 1.0), {"oracle": "saw", "r": 1, "N": 100},
+         "tree groups (F_k and Z^1) only; off them oracle: ball"),
     ],
 )
 def test_run_oracle_the_model_cannot_use_is_schema_error(model, params, message, tmp_path, capsys):

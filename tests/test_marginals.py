@@ -1,8 +1,9 @@
 """The conditional oracles against exact routes on random models and pins,
-the tree-group SAW batch bitwise against the SAW unfolding, the transfer
-batch bitwise against its argmin formula, the memoised batch against
-row-by-row queries, and the benchmark tracer's targets against the classes
-and functions they patch."""
+the tree-group SAW batch bitwise against the SAW unfolding, the ball oracle
+one pad out against the SAW unfolding off trees, the transfer batch bitwise
+against its argmin formula, the memoised batch against row-by-row queries,
+and the benchmark tracer's targets against the classes and functions they
+patch."""
 
 import importlib
 import importlib.util
@@ -47,9 +48,14 @@ def _unpin_occupied_neighbours(ball, values, masks):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.sampled_from([(groups.zd(2), 2), (groups.free(2), 3)]), st.floats(0.1, 4.0), st.data())
 def test_saw_oracle_matches_elimination(spec_r, lam, data):
+    """Free-boundary conditionals of B_r: the SAW oracle on F_2, and on Z^2
+    the ball oracle whose empty shell sits one step beyond B_r."""
     spec, r = spec_r
     structure, potential = hardcore(spec.rank, lam)
-    oracle = SawOracle(structure, potential, spec, r)
+    if groups.is_tree(spec):
+        oracle = SawOracle(structure, potential, spec, r)
+    else:
+        oracle = BallEnumerationOracle(structure, potential, spec, r, pad=1)
     ball = groups.ball(spec, r)
     graph = SiteGraph.from_ball(ball)
     values, masks = _rows(data.draw, len(ball), 2, 3)
@@ -59,6 +65,33 @@ def test_saw_oracle_matches_elimination(spec_r, lam, data):
         pins = {int(i): int(values[k, i]) for i in np.flatnonzero(masks[k])}
         expect = enumeration.site_marginal(graph, structure, potential, 0, pins=pins)[values[k, 0]]
         assert got[k] == pytest.approx(expect, abs=1e-12)
+
+
+def _adjacency(ball) -> list[list[int]]:
+    adj = [set() for _ in range(len(ball))]
+    for (i, _s, j) in ball.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return [sorted(a) for a in adj]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]), st.floats(0.1, 4.0), st.data())
+def test_ball_oracle_one_pad_out_is_the_saw_unfolding_on_z2(r_p, lam, data):
+    """On Z^2 the ball oracle at pad p+1 gives the free-boundary hardcore
+    conditionals of B_{r+p}, which the SAW unfolding computes exactly."""
+    r, p = r_p
+    spec = groups.zd(2)
+    oracle = BallEnumerationOracle(*hardcore(2, lam), spec, r, pad=p + 1)
+    ball = groups.ball(spec, r)
+    values, masks = _rows(data.draw, len(ball), 2, 3)
+    _unpin_occupied_neighbours(ball, values, masks)
+    got = oracle.batch(values, masks)
+    adj = _adjacency(groups.ball(spec, r + p))
+    for k in range(len(values)):
+        pins = {int(i): int(values[k, i]) for i in np.flatnonzero(masks[k])}
+        p_occ = hardcore_marginal_via_saw(adj, 0, lam, pins)
+        assert got[k] == pytest.approx(p_occ if values[k, 0] == 1 else 1.0 - p_occ, abs=1e-15)
 
 
 TREE_BALLS = [(groups.free(1), 4), (groups.zd(1), 4), (groups.free(2), 3), (groups.free(3), 2)]
@@ -97,9 +130,13 @@ def test_tree_batch_is_bitwise_the_saw_unfolding(spec_r, boundary, lam, data):
     assert list(got) == _saw_reference(oracle, values, masks)
 
 
-@pytest.mark.parametrize("spec, r_max", TREE_BALLS)
+@pytest.mark.parametrize("spec, r_max", TREE_BALLS + [(groups.zd(2), 2)])
 def test_tree_batch_raises_on_adjacent_occupied_pins(spec, r_max):
-    oracle = SawOracle(*hardcore(spec.rank, 1.0), spec, r_max)
+    """The SAW oracle on tree balls, and on Z^2 the ball oracle with the
+    same free-boundary ball B_{r_max}."""
+    model = hardcore(spec.rank, 1.0)
+    tree = groups.is_tree(spec)
+    oracle = SawOracle(*model, spec, r_max) if tree else BallEnumerationOracle(*model, spec, r_max - 1, pad=2)
     ball = groups.ball(spec, r_max - 1)
     for (i, _s, j) in ball.edges:
         values = np.zeros((2, len(ball)), dtype=np.int64)
@@ -107,8 +144,9 @@ def test_tree_batch_raises_on_adjacent_occupied_pins(spec, r_max):
         values[1, [i, j]] = masks[1, [i, j]] = 1
         with pytest.raises(InconsistentPinsError):
             oracle.batch(values, masks)
-        with pytest.raises(InconsistentPinsError):
-            _saw_reference(oracle, values, masks)
+        if tree:
+            with pytest.raises(InconsistentPinsError):
+                _saw_reference(oracle, values, masks)
 
 
 @st.composite
@@ -135,14 +173,14 @@ def test_ball_oracle_matches_elimination_with_safe_shell(model, pad, data):
     graph = SiteGraph.from_ball(big)
     shell = {big.index[g]: 0 for g in groups.boundary_shell(spec, r + pad - 1)}
     values, masks = _rows(data.draw, len(groups.ball(spec, r)), structure.alphabet, 3)
-    got = oracle.batch(values, masks)
     for k in range(len(values)):
         pins = {**shell, **{int(i): int(values[k, i]) for i in np.flatnonzero(masks[k])}}
         expect = enumeration.site_marginal(graph, structure, potential, 0, pins=pins)[values[k, 0]]
         if np.isnan(expect):  # inadmissible pins: an empty fibre
-            assert np.isnan(got[k])
+            with pytest.raises(InconsistentPinsError):
+                oracle.batch(values[k : k + 1], masks[k : k + 1])
         else:
-            assert got[k] == pytest.approx(expect, abs=1e-12)
+            assert oracle.batch(values[k : k + 1], masks[k : k + 1])[0] == pytest.approx(expect, abs=1e-12)
 
 
 @st.composite
@@ -203,10 +241,11 @@ def test_transfer_batch_is_bitwise_the_argmin_reference(model, spec, r_max, data
     [
         lambda: TransferOracle(*hardcore(1, 1.5), groups.zd(1), 3),
         lambda: BallEnumerationOracle(*hardcore(2, 1.0), groups.zd(2), 1, pad=1),
-        lambda: SawOracle(*hardcore(2, 0.7), groups.zd(2), 1),
+        # the free-boundary ball B_1 of Z^2, once asked of the SAW oracle
+        lambda: BallEnumerationOracle(*hardcore(2, 0.7), groups.zd(2), 1, pad=1),
         lambda: SawOracle(*hardcore(2, 0.7), groups.free(2), 3),
     ],
-    ids=["transfer", "ball", "saw", "saw-tree"],
+    ids=["transfer", "ball", "ball-for-saw", "saw-tree"],
 )
 def test_batch_on_repeated_rows_equals_conditional(make):
     oracle = make()
@@ -218,7 +257,7 @@ def test_batch_on_repeated_rows_equals_conditional(make):
     pick = np.array([0, 1, 0, 2, 3, 3, 1, 0])
     values, masks = distinct_values[pick], distinct_masks[pick]
     expect = [oracle.conditional(v, m) for v, m in zip(values, masks)]
-    if isinstance(oracle, TransferOracle) or getattr(oracle, "tree", False):
+    if not isinstance(oracle, BallEnumerationOracle):
         # no memo: every row is computed in one vectorised pass
         assert list(oracle.batch(values, masks)) == expect
         return

@@ -55,14 +55,15 @@ def test_info_fn_values():
 @functools.cache
 def _truncation_cases():
     """(group, oracle, pattern radius): transfer on Z^1 and F_1, tree SAW on
-    F_2 with both boundaries, off-tree SAW on Z^2, and ball on Z^2 and F_2."""
+    F_2 with both boundaries, and ball on Z^2 (at pad 2, the free boundary
+    of the SAW oracle at pad 1, and at pad 1) and F_2."""
     z2, f2 = groups.zd(2), groups.free(2)
     return [
         (Z1, make_oracle("transfer", *hardcore(1, 1.3), Z1, 4), 4),
         (F1, make_oracle("transfer", *hardcore(1, 0.7), F1, 4), 4),
         (f2, make_oracle("saw", *hardcore(2, 0.4), f2, 2, pad=1), 2),
         (f2, make_oracle("saw", *hardcore(2, 0.4), f2, 2, saw_boundary="self_consistent"), 2),
-        (z2, make_oracle("saw", *hardcore(2, 1.0), z2, 2, pad=1), 2),
+        (z2, make_oracle("ball", *hardcore(2, 1.0), z2, 2, pad=2), 2),
         (z2, make_oracle("ball", *hardcore(2, 1.0), z2, 2, pad=1), 2),
         (f2, make_oracle("ball", *hardcore(2, 0.4), f2, 2, pad=1), 2),
     ]

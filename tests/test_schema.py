@@ -178,9 +178,12 @@ C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
         (C4, {"root": 4}, "params.root"),
         (C4, {"root": -1}, "params.root"),
         (C4, {"lambda": -2.0}, "params.lambda"),
+        ({"n": 3, "edges": [[0, 1], [1, 2]], "pins": {"occupied": [1], "empty": [1]}}, {},
+         "graph.pins holds vertex 1 in both occupied and empty"),
     ],
     ids=["lambda-negative", "lambda-zero", "lambda-entry-zero", "lambda-short", "lambda-long",
-         "pin-occupied-past-n", "pin-empty-negative", "root-past-n", "root-negative", "params-lambda-negative"],
+         "pin-occupied-past-n", "pin-empty-negative", "root-past-n", "root-negative", "params-lambda-negative",
+         "pin-both-occupied-and-empty"],
 )
 def test_saw_marginal_bad_graph_is_schema_error(graph, params, message, tmp_path, capsys):
     config = {"experiment": "saw-marginal", "graph": _write(tmp_path, "graph.json", graph), "params": params}
@@ -188,21 +191,35 @@ def test_saw_marginal_bad_graph_is_schema_error(graph, params, message, tmp_path
     assert code == 2 and err["error"] == "SchemaError" and message in err["message"]
 
 
+def _ssm(**model) -> dict:
+    """An ssm-profile RunConfig on the Z^1 hardcore model with the given model keys replaced."""
+    return {"experiment": "ssm-profile", "params": {"rmax": 2}, "model": {**Z1, **model}}
+
+
 @pytest.mark.parametrize(
-    "experiment, params, message",
+    "config, message",
     [
-        ("kp-estimate", {"r": 2, "N": 10, "N_outer": 3}, "params.N_outer"),
-        ("ssm-profile", {"rmax": 2, "radius": 3}, "params.radius"),
-        ("pressure", {"sizes": [8], "builder_desc": {**TORUS, "m": 8, "seed": 0, "dim": 1}}, "params.builder_desc.dim"),
-        ("tssm-check", {"range": 3, "radius": 2}, "params.range"),
-        ("pressure", {"sizes": [8], "builder_desc": {"builder": "torus", "d": 2}}, "generators"),
-        ("ssm-profile", {"rmax": 2, "lambda": None}, "params.lambda"),
+        ({"experiment": "kp-estimate", "params": {"r": 2, "N": 10, "N_outer": 3}}, "params.N_outer"),
+        ({"experiment": "ssm-profile", "params": {"rmax": 2, "radius": 3}}, "params.radius"),
+        ({"experiment": "pressure", "params": {"sizes": [8], "builder_desc": {**TORUS, "m": 8, "seed": 0, "dim": 1}}},
+         "params.builder_desc.dim"),
+        ({"experiment": "tssm-check", "params": {"range": 3, "radius": 2}}, "params.range"),
+        ({"experiment": "pressure", "params": {"sizes": [8], "builder_desc": {"builder": "torus", "d": 2}}},
+         "generators"),
+        ({"experiment": "ssm-profile", "params": {"rmax": 2, "lambda": None}}, "params.lambda"),
+        ({"experiment": "ssm-profile", "params": {"rmax": 2}, "sead": 3}, "unknown key sead"),
+        (_ssm(edge_log_weight={"e1": [[0.0, 0.0], [0.0, 0.5]]}), "unknown key model.edge_log_weight"),
+        (_ssm(relations={**Z1["relations"], "e2": [[True, True], [True, True]]}),
+         "model.relations.e2 names no generator of the group; its generators are e1"),
+        (_ssm(edge_log_weights={"a": [[0.0, 0.0], [0.0, 0.5]]}),
+         "model.edge_log_weights.a names no generator of the group; its generators are e1"),
     ],
     ids=["unknown-kp-key", "unknown-ssm-key", "unknown-builder-key", "range-past-radius",
-         "builder-generators", "lambda-null"],
+         "builder-generators", "lambda-null", "unknown-runconfig-key", "unknown-model-key",
+         "relation-off-the-group", "edge-weights-off-the-group"],
 )
-def test_params_refuse_unknown_keys_and_mismatches(experiment, params, message, tmp_path, capsys):
-    config = {"experiment": experiment, "model": _write(tmp_path, "model.json", Z1), "params": params}
+def test_params_refuse_unknown_keys_and_mismatches(config, message, tmp_path, capsys):
+    config = {**config, "model": _write(tmp_path, "model.json", config.get("model", Z1))}
     code, err = _run_exit(config, tmp_path, capsys)
     assert code == 2 and err["error"] == "SchemaError" and message in err["message"]
 
