@@ -1,9 +1,13 @@
-"""Pure-Python heat-bath sweep kernel; the fallback twin of _glauber.c.
+"""Pure-Python twins of the kernels in _glauber.c: the fallback when the C
+library is unavailable, and the tests' reference for it.
 
-Arithmetic and uniform consumption are kept identical to the C kernel, so
-trajectories agree bitwise between backends; the tests use this twin as the
-reference for the C kernel.
+The sweep keeps the C kernel's arithmetic and uniform consumption, so
+trajectories agree bitwise between backends; the transfer lookup reads the
+same table entry per row as the C lookup, and both raise the same
+ValueError for a symbol outside the alphabet.
 """
+
+import numpy as np
 
 
 def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
@@ -65,3 +69,42 @@ def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts
             counts[t] = n - xs.count(safe)
     x[:] = xs
     return None
+
+
+def symbol_error(symbol: int, a: int) -> ValueError:
+    """The error of both transfer lookups for a center or pin symbol outside [0, a)."""
+    return ValueError(f"symbol {symbol} of a center or nearest pin is outside the alphabet [0, {a})")
+
+
+def transfer_lookup(values, masks, sides, tables):
+    """(n, L) patterns and masks -> (n,) tables[v0, dl, bl, dr, br].
+
+    v0 is the center symbol, column 0.  sides[s, k] is the column of the
+    site at distance k+1 on side s (0 left, 1 right); columns at or past L
+    are not in the rows.  On each side the first pinned column in that
+    order is the nearest pin: dl/dr is its distance and bl/br its symbol,
+    both 0 when the side has no pin.  The first symbol outside the alphabet
+    among v0, bl and br, in row order, raises `symbol_error`.
+    """
+    n, L = values.shape
+    rows = np.arange(n)
+    near = []  # distance to, and symbol of, the nearest pin on the left, then the right
+    for side in sides:
+        dist = np.flatnonzero(side < L)
+        cols = side[dist]
+        if len(cols) == 0:
+            near += [0, 0]
+            continue
+        first = masks[:, cols].argmax(axis=1)
+        nearest = cols[first]
+        # a side with no pin reads distance 0 and symbol index 0
+        pinned = masks[rows, nearest]
+        near += [np.where(pinned, dist[first] + 1, 0), np.where(pinned, values[rows, nearest], 0)]
+    dl, bl, dr, br = near
+    v0 = values[:, 0]
+    a = tables.shape[0]
+    read = np.stack(np.broadcast_arrays(v0, bl, br), axis=1)
+    outside = (read < 0) | (read >= a)
+    if outside.any():
+        raise symbol_error(int(read.flat[outside.argmax()]), a)
+    return tables[v0, dl, bl, dr, br]

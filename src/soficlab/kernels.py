@@ -1,14 +1,17 @@
-"""Heat-bath sweep kernel: the C kernel `_glauber.c` through ctypes, else its Python twin.
+"""The compiled kernels of `_glauber.c` through ctypes, else their Python twins.
 
-On the first import, `_glauber.c` is compiled once into the user cache,
-`$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as a shared library whose
-name is keyed by a CRC-32 of the source, the compiler flags and the platform;
-later imports only load it.  The compiler is the one Python was built with
-(`sysconfig` CC), else `cc`.  If the build or the load fails, a
-RuntimeWarning names the cause and the pure-Python twin
-`_glauber_py.glauber_sweeps` is used; `SOFICLAB_KERNEL=python` forces the
-twin.  Both consume identical uniforms and give bitwise-equal trajectories.
-`BACKEND` is "c" or "python".
+Two kernels: `glauber_sweeps`, the heat-bath sweep, and `transfer_lookup`,
+the transfer oracle's nearest-pin table lookup.  On the first import,
+`_glauber.c` is compiled once into the user cache, `$XDG_CACHE_HOME/soficlab`
+or `~/.cache/soficlab`, as one shared library whose name is keyed by a
+CRC-32 of the source, the compiler flags and the platform; later imports
+only load it.  The compiler is the one Python was built with (`sysconfig`
+CC), else `cc`.  If the build or the load fails, or the library lacks
+either kernel, a RuntimeWarning names the cause and both pure-Python twins
+of `_glauber_py` are used; `SOFICLAB_KERNEL=python` forces both twins.  The
+backends are never mixed.  The sweeps consume identical uniforms and give
+bitwise-equal trajectories; the lookups read the same table entries and
+raise the same errors.  `BACKEND` is "c" or "python".
 """
 
 import ctypes
@@ -32,9 +35,12 @@ _C_ERRORS = {
     1: f"alphabet too large for kernel (at most {_MAX_ALPHABET} symbols)",
     2: "neighbour index outside [0, n)",
     3: "symbol of x outside [0, alphabet)",
+    4: "side column of the transfer lookup is negative",
 }
+_LOOKUP_BAD_SYMBOL = 5
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
+_BOOL = np.dtype(bool)
 
 
 def _compile(compiler: str, lib: Path):
@@ -60,7 +66,8 @@ def _compile(compiler: str, lib: Path):
 
 
 def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
-    """The C sweep function, compiled into the cache first if needed; None if that fails."""
+    """The C (sweep, lookup) functions of one library, compiled into the
+    cache first if needed; None if that fails or either is missing."""
     try:
         if cache_dir is None:
             cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "soficlab"
@@ -72,14 +79,17 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         lib = cache_dir / f"_glauber-{key:08x}.so"
         if not lib.exists():
             _compile(compiler or sysconfig.get_config_var("CC") or "cc", lib)
-        fn = ctypes.CDLL(str(lib)).glauber_sweeps
-    except Exception as exc:  # any failure means the Python twin, never a failed import
-        warnings.warn(f"C sweep kernel unavailable, using the Python kernel: {exc!r}",
+        dll = ctypes.CDLL(str(lib))
+        sweeps, lookup = dll.glauber_sweeps, dll.transfer_lookup
+    except Exception as exc:  # any failure means the Python twins, never a failed import
+        warnings.warn(f"C kernels unavailable, using the Python kernels: {exc!r}",
                       RuntimeWarning, stacklevel=2)
         return None
-    fn.argtypes = [_BYTE_P] * 7 + [ctypes.c_int64] * 4 + [_BYTE_P, ctypes.c_int64]
-    fn.restype = ctypes.c_int
-    return fn
+    sweeps.argtypes = [_BYTE_P] * 7 + [ctypes.c_int64] * 4 + [_BYTE_P, ctypes.c_int64]
+    lookup.argtypes = [_BYTE_P, ctypes.c_int64, _BYTE_P] + [ctypes.c_int64] * 3 + [
+        _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P, _BYTE_P]
+    sweeps.restype = lookup.restype = ctypes.c_int
+    return sweeps, lookup
 
 
 def _checked_shape(name: str, arr, dtype: np.dtype, ndim: int) -> tuple:
@@ -150,12 +160,66 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, cou
         raise ValueError(_C_ERRORS[status])
 
 
-_c_sweeps = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()
-if _c_sweeps is None:
+def _checked_rows(name: str, arr, dtype: np.dtype) -> tuple:
+    """The (n, L) shape of a 2-d array whose columns are contiguous and whose
+    rows are a non-negative whole number of elements apart (strides that
+    are never stepped, as with no rows, one row or one column, are not checked)."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 2):
+        raise ValueError(f"{name} must be a 2-d {dtype} array")
+    (n, L), (row, col) = arr.shape, arr.strides
+    if n and L > 1 and col != arr.itemsize or n > 1 and (row < 0 or row % arr.itemsize):
+        raise ValueError(f"{name} must have contiguous columns and a non-negative row stride, "
+                         f"not strides {arr.strides}")
+    return arr.shape
+
+
+def _c_transfer_lookup(values, masks, sides, tables):
+    """(n, L) values and masks -> (n,) table entries, with the C kernel.
+
+    The arguments are those of `_glauber_py.transfer_lookup`, as
+    TransferOracle lays them out: int64 values and bool masks of one shape,
+    L >= 1, each with contiguous columns and any non-negative row stride, so
+    broadcast rows (stride 0) and column-sliced masks are read without a
+    copy; C-contiguous int64 sides of shape (2, R) and float64 tables of
+    shape (a, R+1, a, R+1, a).  Everything the C code trusts is checked here
+    first; the C code checks every column and symbol it reads.  Any failure
+    is a ValueError, a symbol outside [0, a) the twin's `symbol_error`.
+    """
+    n, L = _checked_rows("values", values, _I64)
+    if _checked_rows("masks", masks, _BOOL) != (n, L):
+        raise ValueError(f"masks has shape {masks.shape}, expected {(n, L)}")
+    if L < 1:
+        raise ValueError("rows need a center column")
+    _, r_max = _checked_shape("sides", sides, _I64, 2)
+    a = _checked_shape("tables", tables, _F64, 5)[0]
+    want = (a, r_max + 1, a, r_max + 1, a)
+    if sides.shape != (2, r_max) or tables.shape != want:
+        raise ValueError(f"sides {sides.shape} and tables {tables.shape} do not fit: "
+                         f"expected (2, R) and {want}")
+    out = np.empty(n)
+    bad = np.zeros(1, np.int64)
+    # values and masks may be strided or read-only views, which `_data` cannot take
+    status = _c_lookup(
+        values.ctypes.data_as(_BYTE_P), values.strides[0] // values.itemsize,
+        masks.ctypes.data_as(_BYTE_P), masks.strides[0], n, L,
+        _data(sides), r_max, _data(tables), a, _data(out), _data(bad),
+    )
+    if status == _LOOKUP_BAD_SYMBOL:
+        raise _glauber_py.symbol_error(int(bad[0]), a)
+    if status:
+        raise ValueError(_C_ERRORS[status])
+    return out
+
+
+_c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()
+if _c is None:
     glauber_sweeps = _glauber_py.glauber_sweeps
+    transfer_lookup = _glauber_py.transfer_lookup
     BACKEND = "python"
 else:
+    _c_sweeps, _c_lookup = _c
     glauber_sweeps = _c_glauber_sweeps
+    transfer_lookup = _c_transfer_lookup
     BACKEND = "c"
 
-__all__ = ["glauber_sweeps", "BACKEND"]
+__all__ = ["glauber_sweeps", "transfer_lookup", "BACKEND"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import enumeration, groups
+from . import enumeration, groups, kernels
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
@@ -36,6 +36,9 @@ class TransferOracle:
         self.r_max = r_max
         self.tm = build_transfer(structure, potential)
         self.offsets = np.array([groups.line_offset(spec, g) for g in groups.ball(spec, r_max).elements])
+        # ball order is by word length, which is the distance to the center,
+        # so sides[s, k] is the column at distance k+1 on the left, then the right
+        self.sides = np.stack([np.flatnonzero(self.offsets < 0), np.flatnonzero(self.offsets > 0)])
         self.tables = self.tm.conditional_tables(r_max)
 
     def conditional(self, values, mask) -> float:
@@ -46,25 +49,22 @@ class TransferOracle:
 
         The chain is Markov, so only the nearest pin on each side counts:
         with each side's columns ordered by distance to the center, it is
-        the first True of the mask there.  Offsets on a rank-1 ball are
-        distinct, so that pin is unique.
+        the first pinned one there.  Offsets on a rank-1 ball are distinct,
+        so that pin is unique.  `kernels.transfer_lookup` finds both pins
+        and reads the table; rows keep their stride, so broadcast pattern
+        rows and sliced masks are not copied.  A center or nearest-pin
+        symbol outside the alphabet is a ValueError.
         """
-        n, L = values.shape
-        off = self.offsets[:L]
-        rows = np.arange(n)
-        near = []  # distance to, and symbol of, the nearest pin on the left, then the right
-        for dist in (-off, off):
-            cols = np.flatnonzero(dist > 0)
-            cols = cols[np.argsort(dist[cols])]
-            if len(cols) == 0:
-                near += [0, 0]
-                continue
-            nearest = cols[masks[:, cols].argmax(axis=1)]
-            # a side with no pin reads distance 0 and symbol index 0
-            pinned = masks[rows, nearest]
-            near += [np.where(pinned, dist[nearest], 0), np.where(pinned, values[rows, nearest], 0)]
-        dl, bl, dr, br = near
-        return self.tables[values[:, 0], dl, bl, dr, br]
+        return kernels.transfer_lookup(_rows(values, np.int64), _rows(masks, bool), self.sides, self.tables)
+
+
+def _rows(arr, dtype) -> np.ndarray:
+    """arr as a `dtype` array whose columns are contiguous, as the transfer
+    lookup reads them; an array that already is one is returned uncopied."""
+    arr = np.asarray(arr, dtype=dtype)
+    if arr.ndim == 2 and (arr.shape[1] > 1 and arr.strides[1] != arr.itemsize or arr.strides[0] < 0):
+        arr = np.ascontiguousarray(arr)
+    return arr
 
 
 class BallEnumerationOracle:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +389,33 @@ def test_record_names_the_kernel_backend(hc_model):
     record = run_config(config)
     assert record["kernel_backend"] == kernels.BACKEND in ("c", "python")
     assert list(record["outputs"][0]) == ["n", "log_Z", "pressure_estimate", "stderr", "method", "seed"]
+
+
+@pytest.mark.parametrize("nu,params", [
+    ("mu", {"N": 4000, "N_inner": 50}),
+    ("fixed0", {"N": 20000}),
+])
+def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
+    """The transfer oracle's lookup is a kernel: the record of the forced
+    Python twin is byte-equal JSON to this process's, apart from the
+    backend's name and the wall time."""
+    config = {"experiment": "kp-estimate", "model": hc_model, "seed": 4,
+              "params": {"r": 6, "oracle": "transfer", "nu": nu, **params}}
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "SOFICLAB_KERNEL": "python",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from soficlab.cli import run_config; "
+         "print(json.dumps(run_config(json.loads(sys.argv[1]))))", json.dumps(config)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    twin = json.loads(out.stdout)
+    assert twin.pop("kernel_backend") == "python"
+    here = run_config(config)
+    assert here.pop("kernel_backend") == kernels.BACKEND
+    for record in (twin, here):
+        record.pop("wall_time_s")
+    assert json.dumps(twin) == json.dumps(here)
 
 
 def test_lambda_param_rewrites_activity(hc_model):

@@ -10,12 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab import _glauber_py, kernels, soficmaps
+from soficlab import _glauber_py, groups, kernels, soficmaps
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.finitemodel import DerivedSpace, is_in_Xn
+from soficlab.marginals import TransferOracle
 from soficlab.sampling import GlauberEngine
 
+from oracles import transfer_batch_argmin
+
 needs_c = pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded")
+LOOKUPS = [_glauber_py.transfer_lookup] + ([kernels._c_transfer_lookup] if kernels.BACKEND == "c" else [])
+
+
+def _compiler():
+    compiler = sysconfig.get_config_var("CC") or "cc"
+    return compiler if shutil.which(shlex.split(compiler)[0]) else None
 
 
 def _run(kernel, engine, sweeps, seed):
@@ -43,9 +52,8 @@ def test_backends_bitwise_equal(model, builder):
 def test_c_kernel_loads_where_its_compiler_is_on_path():
     if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python":
         pytest.skip("SOFICLAB_KERNEL=python forces the Python kernel")
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"{compiler} is not on PATH")
+    if _compiler() is None:
+        pytest.skip("the compiler Python was built with is not on PATH")
     assert kernels.BACKEND == "c"
 
 
@@ -175,23 +183,131 @@ def test_c_kernel_takes_read_only_and_empty_inputs():
     kernels.glauber_sweeps(np.zeros(0, np.int8), no_sites, no_sites, *args[3:6], np.zeros(0), 3)
 
 
+@st.composite
+def lookup_cases(draw):
+    """Transfer-lookup arguments on a Z^1 or F_1 ball of radius 0..5: any
+    width up to the ball's, an alphabet of 1..4 with a table of distinct
+    entries, pin densities from none to every site (the center included),
+    and values and masks as the oracle's callers hand them over: broadcast
+    pattern rows (stride 0) and masks sliced from wider ones."""
+    spec = draw(st.sampled_from([groups.zd(1), groups.free(1)]))
+    r_max = draw(st.integers(0, 5))
+    geometry = TransferOracle(*hardcore(1, 1.0), spec, r_max)
+    a = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = rng.random((a, r_max + 1, a, r_max + 1, a))
+    L = draw(st.integers(1, 2 * r_max + 1))
+    n = draw(st.integers(0, 40))
+    extra = draw(st.integers(0, 3))
+    masks = (rng.random((n, L + extra)) < draw(st.sampled_from([0.0, 1.0, 0.3, 0.7])))[:, :L]
+    if draw(st.booleans()):
+        values = np.broadcast_to(rng.integers(0, a, L), (n, L))
+    else:
+        values = rng.integers(0, a, (n, L))
+    return values, masks, geometry, tables
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lookup_cases())
+def test_transfer_lookup_backends_are_bitwise_the_argmin_reference(case):
+    values, masks, geometry, tables = case
+    expect = transfer_batch_argmin(tables, geometry.offsets, geometry.r_max, values, masks)
+    for lookup in LOOKUPS:
+        got = lookup(values, masks, geometry.sides, tables)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("rows,pinned,symbol", [
+    ([[-1, 0, 0, 0, 0]], [], -1),  # the center of a row with no pins
+    ([[2, 0, 0, 0, 0]], [], 2),
+    ([[0, 3, 0, 0, 0]], [1], 3),  # the nearest left pin
+    ([[1, 0, -2, 0, 0]], [2], -2),  # the nearest right pin
+    ([[0, 0, 0, 0, 0], [0, 5, 7, 0, 0]], [1, 2, 3, 4], 5),  # the first row that reads one; left first
+    ([[9, 0, 0, 0, 0], [-3, 0, 0, 0, 0]], [], 9),
+    ([[0, 0, 0, 4, 6]], [1, 2, 3, 4], None),  # pins behind the nearest ones are not read
+    ([[0, 8, 8, 8, 8]], [], None),  # nor are unpinned sites
+])
+def test_lookup_symbol_outside_the_alphabet_is_one_error_on_both_backends(rows, pinned, symbol):
+    oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)  # columns: center, -1, +1, -2, +2
+    values = np.array(rows, dtype=np.int64)
+    masks = np.zeros(values.shape, dtype=bool)
+    masks[:, pinned] = True
+    lookups = [*LOOKUPS, lambda v, m, *_: oracle.batch(v, m)]
+    if symbol is None:
+        expect = _glauber_py.transfer_lookup(values, masks, oracle.sides, oracle.tables)
+        for lookup in lookups:
+            assert np.array_equal(lookup(values, masks, oracle.sides, oracle.tables), expect)
+        return
+    messages = set()
+    for lookup in lookups:
+        with pytest.raises(ValueError, match=rf"^symbol {symbol} .* \[0, 2\)$") as exc:
+            lookup(values, masks, oracle.sides, oracle.tables)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+def _lookup_args():
+    oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
+    rng = np.random.default_rng(1)
+    return [rng.integers(0, 2, (6, 5)), rng.random((6, 5)) < 0.5, oracle.sides, oracle.tables]
+
+
+@needs_c
+@pytest.mark.parametrize("arg,change", [
+    (0, lambda v: v.astype(np.int32)),  # wrong dtype
+    (1, lambda m: m.astype(np.uint8)),
+    (2, lambda s: s.astype(np.int32)),
+    (3, lambda t: t.astype(np.float32)),
+    (0, lambda v: np.repeat(v, 2, axis=1)[:, ::2]),  # columns not contiguous
+    (1, lambda m: np.asfortranarray(m)),
+    (0, lambda v: v[::-1]),  # negative row stride
+    (1, lambda m: m[::-1]),
+    (0, lambda v: v[0]),  # not 2-d
+    (1, lambda m: m[:-1]),  # shapes that do not fit
+    (3, lambda t: t[:, :-1].copy()),
+    (3, lambda t: t[:1].copy()),
+    (2, lambda s: s[:, :-1].copy()),
+    (2, lambda s: np.asfortranarray(s)),
+    (2, lambda s: _set(s, (1, 0), -1)),  # a negative column
+    (slice(0, 2), lambda vm: [a[:, :0] for a in vm]),  # no center column
+], ids=["values-dtype", "masks-dtype", "sides-dtype", "tables-dtype", "values-strided-columns",
+        "masks-fortran", "values-negative-stride", "masks-negative-stride", "values-1d", "masks-shape",
+        "tables-shape", "tables-alphabet", "sides-shape", "sides-fortran", "sides-negative", "no-center"])
+def test_c_lookup_rejects_what_it_cannot_trust(arg, change):
+    args = _lookup_args()
+    args[arg] = change(args[arg])
+    with pytest.raises(ValueError):
+        kernels._c_transfer_lookup(*args)
+
+
 def test_soficlab_kernel_python_forces_the_twin():
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = {**os.environ, "SOFICLAB_KERNEL": "python",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
-        [sys.executable, "-c", "import soficlab.kernels as k; print(k.BACKEND)"],
+        [sys.executable, "-c", "import soficlab.kernels as k; print(k.BACKEND, "
+         "k.glauber_sweeps is k._glauber_py.glauber_sweeps, k.transfer_lookup is k._glauber_py.transfer_lookup)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "python"
+    assert out.stdout.split() == ["python", "True", "True"]
 
 
-def test_unbuildable_kernel_falls_back(tmp_path):
+def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
     with pytest.warns(RuntimeWarning):
         assert kernels._load_c_kernel(str(tmp_path / "no-such-cc"), tmp_path / "cache") is None
     (tmp_path / "file").write_text("")
     with pytest.warns(RuntimeWarning):  # a cache directory that cannot be made
         assert kernels._load_c_kernel(None, tmp_path / "file" / "soficlab") is None
+    if _compiler() is None:
+        return
+    # a library that builds and loads but lacks the lookup gives both twins, not one C kernel
+    source = kernels._SOURCE.read_text()
+    sweep_only = tmp_path / "_glauber.c"
+    sweep_only.write_text(source[: source.index("/* out[i] = tables")])
+    monkeypatch.setattr(kernels, "_SOURCE", sweep_only)
+    with pytest.warns(RuntimeWarning, match="transfer_lookup"):
+        assert kernels._load_c_kernel(None, tmp_path / "partial") is None
+    assert len(list((tmp_path / "partial").iterdir())) == 1  # it did build
 
 
 @needs_c
