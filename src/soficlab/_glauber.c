@@ -1,5 +1,6 @@
 /* Compiled kernels, loaded by soficlab.kernels through ctypes from one library:
- * the heat-bath sweep and the transfer oracle's nearest-pin lookup.
+ * the heat-bath sweep, the transfer oracle's nearest-pin lookup, and the same
+ * lookup over percolation pasts that it draws itself.
  *
  * glauber_sweeps must stay arithmetic-identical to _glauber_py.glauber_sweeps:
  * same loop structure, same order of multiplications and additions, one
@@ -15,8 +16,11 @@
  * this file checks every index it reads through.  When counts is not NULL,
  * counts[t] is the number of sites v with x[v] != safe after sweep t.
  *
- * transfer_lookup does no arithmetic: it reads one table entry per row, the
- * entry _glauber_py.transfer_lookup reads.
+ * transfer_lookup and percolation_lookup do no arithmetic: each reads one
+ * table entry per row through lookup_row, the entry _glauber_py.transfer_lookup
+ * reads.  percolation_lookup compares uniforms only; it draws them through
+ * numpy's bitgen_t, one next_double per call, in the order of
+ * Generator.random((n, ball_size)).
  */
 
 #include <stdint.h>
@@ -99,20 +103,78 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
     return KERNEL_OK;
 }
 
-/* out[i] = tables[v0][dl][bl][dr][br] for each row i of values and masks.
+/* numpy's bitgen_t (numpy/random/bitgen.h), the C interface of every
+ * numpy BitGenerator: Generator.random fills its output with
+ * next_double(state), one call per entry in C order. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+static int sides_ok(const int64_t *sides, int64_t r_max)
+{
+    int64_t k;
+
+    for (k = 0; k < 2 * r_max; k++)
+        if (sides[k] < 0)
+            return 0;
+    return 1;
+}
+
+/* *out = tables[v0][dl][bl][dr][br] for one row of width columns (row
+ * int64, mask one byte per column), column 0 the center v0.  sides[s][k]
+ * (two sides of r_max, each checked non-negative by the caller) is the
+ * column of the site at distance k+1 on side s, 0 left and 1 right;
+ * columns at or past the width are not in the row.  On each side the first
+ * pinned column in that order is the nearest pin: dl/dr is its distance and
+ * bl/br its symbol, or both 0 when the side has no pin.  tables is
+ * C-ordered [a][r_max+1][a][r_max+1][a] double.  On a symbol outside
+ * [0, a), center first, then the left pin, then the right, *bad is set to
+ * that symbol.
+ */
+static int lookup_row(const int64_t *row, const uint8_t *mask, int64_t width,
+                      const int64_t *sides, int64_t r_max,
+                      const double *tables, int64_t a,
+                      double *out, int64_t *bad)
+{
+    int64_t s, k, col, d[2], b[2], v0;
+
+    for (s = 0; s < 2; s++) {
+        d[s] = 0;
+        b[s] = 0;
+        for (k = 0; k < r_max; k++) {
+            col = sides[s * r_max + k];
+            if (col < width && mask[col]) {
+                d[s] = k + 1;
+                b[s] = row[col];
+                break;
+            }
+        }
+    }
+    v0 = row[0];
+    if (v0 < 0 || v0 >= a) {
+        *bad = v0;
+        return LOOKUP_BAD_SYMBOL;
+    }
+    for (s = 0; s < 2; s++)
+        if (b[s] < 0 || b[s] >= a) {
+            *bad = b[s];
+            return LOOKUP_BAD_SYMBOL;
+        }
+    *out = tables[(((v0 * (r_max + 1) + d[0]) * a + b[0]) * (r_max + 1) + d[1]) * a + b[1]];
+    return KERNEL_OK;
+}
+
+/* out[i] = lookup_row of row i of values and masks, for n rows.
  *
  * Row i of values (int64) starts values_stride elements after row i-1, and
  * row i of masks (bool, one byte) masks_stride bytes after; each row holds
- * width contiguous columns, column 0 the center v0 and width >= 1.
- * sides[s][k] (int64, two sides of r_max) is the column of the site at
- * distance k+1 on side s, 0 left and 1 right; columns at or past the width
- * are not in the row.  On each side the first pinned column in that order
- * is the nearest pin: dl/dr is its distance and bl/br its symbol, or both 0
- * when the side has no pin.  tables is C-ordered
- * [a][r_max+1][a][r_max+1][a] double.  The caller checks dtypes and shapes;
- * this function checks every column and symbol it reads through.  On a
- * symbol outside [0, a), in row order and center, left pin, right pin
- * within a row, *bad is set to that symbol.
+ * width contiguous columns, width >= 1.  The caller checks dtypes and
+ * shapes; this function checks every column and symbol it reads through,
+ * and stops at the first row with a symbol outside [0, a).
  */
 int transfer_lookup(const int64_t *values, int64_t values_stride,
                     const uint8_t *masks, int64_t masks_stride,
@@ -121,39 +183,56 @@ int transfer_lookup(const int64_t *values, int64_t values_stride,
                     const double *tables, int64_t a,
                     double *out, int64_t *bad)
 {
-    int64_t i, s, k, col, d[2], b[2], v0;
-    const int64_t *row;
-    const uint8_t *mask;
+    int64_t i;
+    int status;
 
-    for (k = 0; k < 2 * r_max; k++)
-        if (sides[k] < 0)
-            return LOOKUP_BAD_COLUMN;
+    if (!sides_ok(sides, r_max))
+        return LOOKUP_BAD_COLUMN;
     for (i = 0; i < n; i++) {
-        row = values + i * values_stride;
-        mask = masks + i * masks_stride;
-        for (s = 0; s < 2; s++) {
-            d[s] = 0;
-            b[s] = 0;
-            for (k = 0; k < r_max; k++) {
-                col = sides[s * r_max + k];
-                if (col < width && mask[col]) {
-                    d[s] = k + 1;
-                    b[s] = row[col];
-                    break;
-                }
-            }
-        }
-        v0 = row[0];
-        if (v0 < 0 || v0 >= a) {
-            *bad = v0;
-            return LOOKUP_BAD_SYMBOL;
-        }
-        for (s = 0; s < 2; s++)
-            if (b[s] < 0 || b[s] >= a) {
-                *bad = b[s];
-                return LOOKUP_BAD_SYMBOL;
-            }
-        out[i] = tables[(((v0 * (r_max + 1) + d[0]) * a + b[0]) * (r_max + 1) + d[1]) * a + b[1]];
+        status = lookup_row(values + i * values_stride, masks + i * masks_stride, width,
+                            sides, r_max, tables, a, out + i, bad);
+        if (status)
+            return status;
+    }
+    return KERNEL_OK;
+}
+
+/* out[i] = lookup_row of patterns[(lo + i) / n_inner] under the i-th of n
+ * percolation pasts drawn from bitgen, for n rows.
+ *
+ * A past is ball_size uniforms chi, drawn in column order; column c of the
+ * mask is chi[c] < chi[0] for 1 <= c < width and column 0 is unpinned, so n
+ * pasts consume the n * ball_size doubles of Generator.random((n,
+ * ball_size)) and the masks are those of pasts.sample_percolation_masks cut
+ * to the width.  Row j of patterns (int64) starts patterns_stride elements
+ * after row j-1 and holds width contiguous columns, 1 <= width <= ball_size.
+ * mask is a caller-owned workspace of width bytes.  The caller checks dtypes,
+ * shapes, n_inner >= 1, lo >= 0 and that every row read is a row of
+ * patterns; errors are those of transfer_lookup.
+ */
+int percolation_lookup(const int64_t *patterns, int64_t patterns_stride,
+                       int64_t width, int64_t n_inner, int64_t lo, int64_t n,
+                       int64_t ball_size, const int64_t *sides, int64_t r_max,
+                       const double *tables, int64_t a, bitgen_t *bitgen,
+                       uint8_t *mask, double *out, int64_t *bad)
+{
+    int64_t i, c;
+    double chi0;
+    int status;
+
+    if (!sides_ok(sides, r_max))
+        return LOOKUP_BAD_COLUMN;
+    mask[0] = 0;
+    for (i = 0; i < n; i++) {
+        chi0 = bitgen->next_double(bitgen->state);
+        for (c = 1; c < width; c++)
+            mask[c] = bitgen->next_double(bitgen->state) < chi0;
+        for (; c < ball_size; c++)
+            bitgen->next_double(bitgen->state);
+        status = lookup_row(patterns + (lo + i) / n_inner * patterns_stride, mask, width,
+                            sides, r_max, tables, a, out + i, bad);
+        if (status)
+            return status;
     }
     return KERNEL_OK;
 }

@@ -2,9 +2,11 @@
 library is unavailable, and the tests' reference for it.
 
 The sweep keeps the C kernel's arithmetic and uniform consumption, so
-trajectories agree bitwise between backends; the transfer lookup reads the
-same table entry per row as the C lookup, and both raise the same
-ValueError for a symbol outside the alphabet.
+trajectories agree bitwise between backends; the transfer lookups read the
+same table entry per row as the C lookups, and both raise the same
+ValueError for a symbol outside the alphabet or a negative side column.
+The percolation lookup draws the C kernel's uniforms, so the generator
+ends in the same state.
 """
 
 import numpy as np
@@ -76,6 +78,11 @@ def symbol_error(symbol: int, a: int) -> ValueError:
     return ValueError(f"symbol {symbol} of a center or nearest pin is outside the alphabet [0, {a})")
 
 
+def column_error() -> ValueError:
+    """The error of both transfer lookups for a negative side column."""
+    return ValueError("side column of the transfer lookup is negative")
+
+
 def transfer_lookup(values, masks, sides, tables):
     """(n, L) patterns and masks -> (n,) tables[v0, dl, bl, dr, br].
 
@@ -83,9 +90,12 @@ def transfer_lookup(values, masks, sides, tables):
     site at distance k+1 on side s (0 left, 1 right); columns at or past L
     are not in the rows.  On each side the first pinned column in that
     order is the nearest pin: dl/dr is its distance and bl/br its symbol,
-    both 0 when the side has no pin.  The first symbol outside the alphabet
-    among v0, bl and br, in row order, raises `symbol_error`.
+    both 0 when the side has no pin.  A negative side column raises
+    `column_error`; the first symbol outside the alphabet among v0, bl and
+    br, in row order, raises `symbol_error`.
     """
+    if (sides < 0).any():
+        raise column_error()
     n, L = values.shape
     rows = np.arange(n)
     near = []  # distance to, and symbol of, the nearest pin on the left, then the right
@@ -108,3 +118,34 @@ def transfer_lookup(values, masks, sides, tables):
     if outside.any():
         raise symbol_error(int(read.flat[outside.argmax()]), a)
     return tables[v0, dl, bl, dr, br]
+
+
+# uniforms per draw of the percolation twin: the draws are consecutive row
+# blocks of one stream, so the block size bounds memory and changes no value
+_DRAW_FLOATS = 2**16
+
+
+def percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
+    """out[i] = the transfer lookup of patterns[(lo + i) // n_inner] under
+    the i-th of len(out) percolation pasts drawn from rng.
+
+    A past is a row of `rng.random((., ball_size))`, its mask
+    chi < chi[0] cut to the pattern width L <= ball_size with the center
+    unpinned, as `pasts.sample_percolation_masks` draws it.  Rows are drawn
+    in blocks of at most _DRAW_FLOATS uniforms (one row at least) and read
+    through `transfer_lookup`, so its errors are this function's.
+    """
+    if (sides < 0).any():  # before any draw, as the C kernel checks
+        raise column_error()
+    L = patterns.shape[1]
+    if not 1 <= L <= ball_size:
+        raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
+    n = len(out)
+    step = max(1, _DRAW_FLOATS // ball_size)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        chi = rng.random((stop - start, ball_size))
+        masks = chi[:, :L] < chi[:, :1]
+        masks[:, 0] = False
+        rows = patterns[(lo + np.arange(start, stop)) // n_inner]
+        out[start:stop] = transfer_lookup(rows, masks, sides, tables)

@@ -52,10 +52,33 @@ class TransferOracle:
         the first pinned one there.  Offsets on a rank-1 ball are distinct,
         so that pin is unique.  `kernels.transfer_lookup` finds both pins
         and reads the table; rows keep their stride, so broadcast pattern
-        rows and sliced masks are not copied.  A center or nearest-pin
-        symbol outside the alphabet is a ValueError.
+        rows and sliced masks are not copied.  Rows wider than the oracle's
+        ball, and a center or nearest-pin symbol outside the alphabet, are
+        a ValueError.
         """
-        return kernels.transfer_lookup(_rows(values, np.int64), _rows(masks, bool), self.sides, self.tables)
+        values = _rows(values, np.int64)
+        self._check_width(values.shape[-1])
+        return kernels.transfer_lookup(values, _rows(masks, bool), self.sides, self.tables)
+
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
+        """out[k] = the conditional of the center of patterns[k // n_inner]
+        given the k-th of len(out) percolation pasts on a ball of ball_size
+        sites, drawn from rng.
+
+        The pasts are those of `pasts.sample_percolation_masks(spec, r,
+        len(out), rng)` cut to the pattern width, but `kernels.percolation_lookup`
+        draws each one as it reads it, so no uniforms, masks or value rows
+        are held.  The errors are those of `batch`.
+        """
+        patterns = _rows(patterns, np.int64)
+        self._check_width(patterns.shape[1])
+        kernels.percolation_lookup(patterns, n_inner, 0, ball_size, self.sides, self.tables, rng, out)
+
+    def _check_width(self, width: int):
+        # the side columns cover the oracle's ball only, so a pin past it would go unread
+        if width > len(self.offsets):
+            raise ValueError(f"rows of width {width} are wider than the {len(self.offsets)} sites "
+                             f"of the oracle's ball B_{self.r_max}")
 
 
 def _rows(arr, dtype) -> np.ndarray:

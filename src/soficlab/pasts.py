@@ -46,6 +46,7 @@ def sample_percolation_masks(spec: GroupSpec, r: int, n_samples: int, rng) -> np
     The uniforms are one draw of n_samples rows from rng, so a call holds
     float64 uniforms and the bool mask for its rows; callers that stream
     many pasts bound the rows per call (`randominfo._streamed_info`).
+    `kernels.percolation_lookup` draws the same stream a row at a time.
     """
     L = len(groups.ball(spec, r).elements)
     chi = rng.random((n_samples, L))

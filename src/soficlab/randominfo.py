@@ -20,7 +20,7 @@ from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .errors import BallMismatchError, NoSafeSymbolError, SchemaError, ZeroProbabilityError
 from .gibbs import ssm_profile, uniform_bound_c
 from .groups import GroupSpec
-from .marginals import make_oracle
+from .marginals import TransferOracle, make_oracle
 from .pasts import lex_past_mask, sample_percolation_masks
 from .transfer import build_transfer
 
@@ -56,9 +56,10 @@ def info_fn_truncated(oracle, spec: GroupSpec, values, mask, r: int) -> float:
     return -math.log(_checked(p))
 
 
-# the one bound on the random-past rows: a chunk of the streamed estimators
-# holds at most this many mask entries (one row at least), so neither the
-# masks, the value rows nor an oracle batch grows with the sample count
+# the bound on the random-past rows of the masks route: a chunk holds at
+# most this many mask entries (one row at least), so neither the masks, the
+# value rows nor an oracle batch grows with the sample count; the transfer
+# route checks and logs f in slices of this many entries
 _MASK_CHUNK_FLOATS = 2**16
 
 
@@ -66,16 +67,29 @@ def _streamed_info(oracle, spec: GroupSpec, r: int, patterns: np.ndarray, n_inne
     """f = -log of the oracle conditional on len(patterns) * n_inner rows.
 
     Row k pairs patterns[k // n_inner] with the k-th percolation past on B_r
-    drawn from rng, truncated to the pattern width.  The rows are walked in
-    chunks of at most _MASK_CHUNK_FLOATS mask entries; each chunk draws its
-    masks from rng in turn, which is the stream of one draw of every mask,
-    and goes to the oracle as one batch, so only the flat f grows with the
-    row count.  This is the only place that bounds the rows in memory.
+    drawn from rng, truncated to the pattern width.  The kind of oracle
+    picks the route, and both consume the stream of one draw of every mask:
+
+    - a TransferOracle fills f in one `percolation_batch`, which draws each
+      past as it reads it, so no row is held; f is then checked and logged
+      in place, in slices of at most _MASK_CHUNK_FLOATS entries;
+    - any other oracle gets the rows in chunks of at most _MASK_CHUNK_FLOATS
+      mask entries, each chunk's masks drawn from rng in turn and sent as
+      one batch.  This is the only place that bounds those rows in memory.
+
+    Either way only the flat f grows with the row count.
     """
     n = len(patterns) * n_inner
     L = patterns.shape[1]
-    step = max(1, _MASK_CHUNK_FLOATS // len(groups.ball(spec, r).elements))
+    ball_size = len(groups.ball(spec, r).elements)
     f = np.empty(n)
+    if isinstance(oracle, TransferOracle):
+        oracle.percolation_batch(patterns, n_inner, ball_size, rng, f)
+        for lo in range(0, n, _MASK_CHUNK_FLOATS):
+            part = f[lo:lo + _MASK_CHUNK_FLOATS]
+            np.negative(np.log(_checked(part), out=part), out=part)
+        return f
+    step = max(1, _MASK_CHUNK_FLOATS // ball_size)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         masks = sample_percolation_masks(spec, r, hi - lo, rng)[:, :L]
@@ -100,9 +114,10 @@ def random_info(
 ) -> InfoEstimate:
     """Monte Carlo mean of f_r(x, P ∩ B_r) over N random pasts P.
 
-    The percolation past draws i.i.d. uniforms on B_r; the N rows are
-    streamed through the oracle in chunks of bounded memory (`_streamed_info`),
-    so the cost in memory is the N values of f.  It needs N >= 2 pasts for a
+    The percolation past draws i.i.d. uniforms on B_r; the N rows go
+    through `_streamed_info`, which draws each past inside the lookup on
+    the transfer oracle and streams bounded chunks to the others, so the
+    cost in memory is the N values of f.  It needs N >= 2 pasts for a
     standard error.  The lexicographic past (Z^d only) is deterministic, so a
     single evaluation suffices.
     """
@@ -183,17 +198,19 @@ def kp_pressure_at_measure(
     M_outer patterns of the infinite-volume measure are sampled exactly from
     its transfer chain, so the group must have rank 1, and f is averaged
     over N_inner random pasts for each.  The M_outer * N_inner (pattern,
-    past) rows are streamed through the oracle pattern-major in chunks of
-    bounded memory (`_streamed_info`); no array of all rows' values or masks
-    is built.  The info part alone estimates the entropy of mu.  The
-    fixed-point estimator is `kp_pressure_at_fixed_point`.
+    past) rows go through `_streamed_info` pattern-major: the transfer
+    oracle draws each past inside its lookup, other oracles get bounded
+    chunks, and no array of all rows' values or masks is built.  The info
+    part alone estimates the entropy of mu.  The fixed-point estimator is
+    `kp_pressure_at_fixed_point`.
     """
     if spec.rank != 1:
         raise SchemaError("the pressure against mu samples the measure exactly only on rank-1 groups")
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x0AEA]))
-    windows = build_transfer(structure, potential).sample_windows(r, M_outer, rng).astype(np.int64)
+    windows = build_transfer(structure, potential).sample_windows(r, M_outer, rng)
     cols = [groups.line_offset(spec, g) + r for g in groups.ball(spec, r).elements]
-    patterns = windows[:, cols]
+    # one int64 copy in C order, the rows the transfer route reads uncopied
+    patterns = np.ascontiguousarray(windows[:, cols], dtype=np.int64)
     f = _streamed_info(oracle, spec, r, patterns, N_inner, rng).reshape(M_outer, N_inner)
     info_means = f.mean(axis=1)
     phis = _potentials_at_center(potential, spec, patterns)

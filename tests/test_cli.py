@@ -396,26 +396,28 @@ def test_record_names_the_kernel_backend(hc_model):
     ("fixed0", {"N": 20000}),
 ])
 def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
-    """The transfer oracle's lookup is a kernel: the record of the forced
-    Python twin is byte-equal JSON to this process's, apart from the
-    backend's name and the wall time."""
-    config = {"experiment": "kp-estimate", "model": hc_model, "seed": 4,
-              "params": {"r": 6, "oracle": "transfer", "nu": nu, **params}}
+    """The transfer oracle's lookups are kernels: at two seeds, the records of
+    the forced Python twins are byte-equal JSON to this process's, apart
+    from the backend's name and the wall time."""
+    configs = [{"experiment": "kp-estimate", "model": hc_model, "seed": seed,
+                "params": {"r": 6, "oracle": "transfer", "nu": nu, **params}} for seed in (4, 9)]
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = {**os.environ, "SOFICLAB_KERNEL": "python",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
         [sys.executable, "-c", "import json, sys; from soficlab.cli import run_config; "
-         "print(json.dumps(run_config(json.loads(sys.argv[1]))))", json.dumps(config)],
+         "print(json.dumps([run_config(c) for c in json.loads(sys.argv[1])]))", json.dumps(configs)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    twin = json.loads(out.stdout)
-    assert twin.pop("kernel_backend") == "python"
-    here = run_config(config)
-    assert here.pop("kernel_backend") == kernels.BACKEND
-    for record in (twin, here):
-        record.pop("wall_time_s")
-    assert json.dumps(twin) == json.dumps(here)
+    twins = json.loads(out.stdout)
+    assert len(twins) == len(configs)
+    for twin, config in zip(twins, configs):
+        assert twin.pop("kernel_backend") == "python"
+        here = run_config(config)
+        assert here.pop("kernel_backend") == kernels.BACKEND
+        for record in (twin, here):
+            record.pop("wall_time_s")
+        assert json.dumps(twin) == json.dumps(here)
 
 
 def test_lambda_param_rewrites_activity(hc_model):

@@ -14,12 +14,15 @@ from soficlab import _glauber_py, groups, kernels, soficmaps
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.finitemodel import DerivedSpace, is_in_Xn
 from soficlab.marginals import TransferOracle
+from soficlab.pasts import sample_percolation_masks
 from soficlab.sampling import GlauberEngine
 
 from oracles import transfer_batch_argmin
 
 needs_c = pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded")
 LOOKUPS = [_glauber_py.transfer_lookup] + ([kernels._c_transfer_lookup] if kernels.BACKEND == "c" else [])
+PERCOLATIONS = [_glauber_py.percolation_lookup] + (
+    [kernels._c_percolation_lookup] if kernels.BACKEND == "c" else [])
 
 
 def _compiler():
@@ -280,16 +283,117 @@ def test_c_lookup_rejects_what_it_cannot_trust(arg, change):
         kernels._c_transfer_lookup(*args)
 
 
+@st.composite
+def percolation_cases(draw):
+    """Percolation-lookup arguments on a Z^1 or F_1 ball: a query radius r of
+    1..8 against an oracle of radius r..r+2 at one of several activities,
+    patterns of any width up to |B_r|, a row count that n_inner divides or
+    not, a first row lo inside a pattern, and the twin's draw block cut to
+    1, 7 or 2^16 uniforms."""
+    spec = draw(st.sampled_from([groups.zd(1), groups.free(1)]))
+    r = draw(st.integers(1, 8))
+    oracle = TransferOracle(*hardcore(1, draw(st.sampled_from([0.4, 1.0, 2.5]))), spec,
+                            r + draw(st.integers(0, 2)))
+    L = draw(st.integers(1, 2 * r + 1))
+    n_inner = draw(st.integers(1, 9))
+    lo = draw(st.integers(0, 3 * n_inner))
+    n = n_inner * draw(st.integers(0, 6)) + draw(st.integers(0, n_inner - 1))
+    patterns = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2, ((lo + n) // n_inner + 1, L))
+    block = draw(st.sampled_from([1, 7, 2**16]))
+    return spec, r, oracle, patterns, n_inner, lo, n, draw(st.integers(0, 2**32 - 1)), block
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(percolation_cases())
+def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
+    """Both backends give the lookup of the masks that sample_percolation_masks
+    draws from the same generator, bitwise, and leave the generator in the
+    state that draw leaves it, so later draws stay aligned."""
+    spec, r, oracle, patterns, n_inner, lo, n, seed, block = case
+    ball_size = len(groups.ball(spec, r))
+    reference = np.random.default_rng(seed)
+    masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
+    rows = patterns[(lo + np.arange(n)) // n_inner]
+    expect = _glauber_py.transfer_lookup(rows, masks, oracle.sides, oracle.tables)
+    saved = _glauber_py._DRAW_FLOATS
+    _glauber_py._DRAW_FLOATS = block
+    try:
+        for lookup in PERCOLATIONS:
+            rng = np.random.default_rng(seed)
+            out = np.full(n, np.nan)
+            lookup(patterns, n_inner, lo, ball_size, oracle.sides, oracle.tables, rng, out)
+            assert np.array_equal(out, expect)
+            assert rng.bit_generator.state == reference.bit_generator.state
+    finally:
+        _glauber_py._DRAW_FLOATS = saved
+
+
+@pytest.mark.parametrize("pattern,n,message", [
+    ([2, 0, 0, 0, 0], 1, r"^symbol 2 "),  # the center, whatever the past
+    ([0, 3, 3, 3, 3], 200, r"^symbol 3 "),  # the nearest pin of the first row with one
+    ([0, -1, 5, -1, 5], 200, r"^symbol (-1|5) "),  # left before right within a row
+    ([0, 0, 0, 0, 0], 0, r"^side column .* negative$"),  # checked before any row
+])
+def test_percolation_symbol_or_column_is_one_error_on_both_backends(pattern, n, message):
+    oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)  # columns: center, -1, +1, -2, +2
+    sides = oracle.sides.copy()
+    if n == 0:
+        sides[1, 0] = -1
+    patterns = np.array([pattern], dtype=np.int64)
+    messages = set()
+    for lookup in PERCOLATIONS:
+        with pytest.raises(ValueError, match=message) as exc:
+            lookup(patterns, n + 1, 0, 5, sides, oracle.tables, np.random.default_rng(3), np.empty(n))
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+def _percolation_args():
+    oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
+    return [np.zeros((2, 5), np.int64), 3, 1, 5, oracle.sides, oracle.tables,
+            np.random.default_rng(1), np.empty(5)]
+
+
+@needs_c
+@pytest.mark.parametrize("arg,change", [
+    (0, lambda p: p.astype(np.int32)),  # wrong dtype
+    (0, lambda p: np.asfortranarray(p)),  # columns not contiguous
+    (0, lambda p: p[::-1]),  # negative row stride
+    (0, lambda p: p[:, :0]),  # no center column
+    (3, lambda b: 4),  # patterns wider than the pasts' ball
+    (1, lambda n_inner: 0),
+    (2, lambda lo: -1),
+    (2, lambda lo: 2),  # the last row reads a pattern past the end
+    (4, lambda s: s.astype(np.int32)),
+    (5, lambda t: t[:1].copy()),
+    (6, lambda rng: rng.bit_generator),  # not a Generator
+    (7, lambda out: out.astype(np.float32)),
+    (7, lambda out: np.broadcast_to(out, (5,))),  # read-only
+], ids=["patterns-dtype", "patterns-fortran", "patterns-negative-stride", "no-center", "too-wide",
+        "n-inner", "lo-negative", "rows-past-the-end", "sides-dtype", "tables-alphabet", "rng",
+        "out-dtype", "out-read-only"])
+def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
+    args = _percolation_args()
+    args[arg] = change(args[arg])
+    state = args[6].bit_generator.state if hasattr(args[6], "bit_generator") else None
+    with pytest.raises(ValueError):
+        kernels._c_percolation_lookup(*args)
+    if state is not None:
+        assert args[6].bit_generator.state == state  # refused before any draw
+
+
 def test_soficlab_kernel_python_forces_the_twin():
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = {**os.environ, "SOFICLAB_KERNEL": "python",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
         [sys.executable, "-c", "import soficlab.kernels as k; print(k.BACKEND, "
-         "k.glauber_sweeps is k._glauber_py.glauber_sweeps, k.transfer_lookup is k._glauber_py.transfer_lookup)"],
+         "k.glauber_sweeps is k._glauber_py.glauber_sweeps, k.transfer_lookup is k._glauber_py.transfer_lookup, "
+         "k.percolation_lookup is k._glauber_py.percolation_lookup)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.split() == ["python", "True", "True"]
+    assert out.stdout.split() == ["python", "True", "True", "True"]
 
 
 def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
@@ -300,14 +404,16 @@ def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
         assert kernels._load_c_kernel(None, tmp_path / "file" / "soficlab") is None
     if _compiler() is None:
         return
-    # a library that builds and loads but lacks the lookup gives both twins, not one C kernel
+    # a library that builds and loads but lacks one kernel gives all three twins, not a mix
     source = kernels._SOURCE.read_text()
-    sweep_only = tmp_path / "_glauber.c"
-    sweep_only.write_text(source[: source.index("/* out[i] = tables")])
-    monkeypatch.setattr(kernels, "_SOURCE", sweep_only)
-    with pytest.warns(RuntimeWarning, match="transfer_lookup"):
-        assert kernels._load_c_kernel(None, tmp_path / "partial") is None
-    assert len(list((tmp_path / "partial").iterdir())) == 1  # it did build
+    for name in ("glauber_sweeps", "transfer_lookup", "percolation_lookup"):
+        lacking = tmp_path / name / "_glauber.c"
+        lacking.parent.mkdir()
+        lacking.write_text(source.replace(f"int {name}(", f"int {name}_elsewhere("))
+        monkeypatch.setattr(kernels, "_SOURCE", lacking)
+        with pytest.warns(RuntimeWarning, match=name):
+            assert kernels._load_c_kernel(None, tmp_path / name / "cache") is None
+        assert len(list((tmp_path / name / "cache").iterdir())) == 1  # it did build
 
 
 @needs_c

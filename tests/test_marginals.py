@@ -236,6 +236,24 @@ def test_transfer_batch_is_bitwise_the_argmin_reference(model, spec, r_max, data
     assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
+def test_transfer_oracle_refuses_rows_wider_than_its_ball():
+    """A width-5 Z^1 hardcore query at lambda = 1, occupied center, its only
+    pin an occupied site at offset -2: the radius-2 oracle reads 0.3820, and
+    the radius-1 oracle, whose side columns stop at offset 1, once read the
+    unpinned 0.2764.  It now refuses, naming both widths, on `batch` and on
+    the percolation route."""
+    structure, potential = hardcore(1, 1.0)
+    narrow, wide = (TransferOracle(structure, potential, groups.zd(1), R) for R in (1, 2))
+    values = np.array([[1, 0, 0, 1, 0]])  # columns: center, -1, +1, -2, +2
+    masks = np.array([[False, False, False, True, False]])
+    assert wide.batch(values, masks)[0] == pytest.approx(0.381966, abs=1e-6)
+    with pytest.raises(ValueError, match=r"width 5 .* 3 sites"):
+        narrow.batch(values, masks)
+    with pytest.raises(ValueError, match=r"width 5 .* 3 sites"):
+        narrow.percolation_batch(values, 4, 5, np.random.default_rng(0), np.empty(4))
+    assert narrow.batch(values[:, :3], masks[:, :3])[0] == wide.batch(values[:, :3], masks[:, :3])[0]
+
+
 @pytest.mark.parametrize(
     "make",
     [

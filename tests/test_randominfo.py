@@ -122,6 +122,33 @@ def test_zero_conditional_in_a_later_chunk_is_typed_error(monkeypatch):
         _streamed_info(oracle, Z1, 4, patterns, 50, np.random.default_rng(0))
 
 
+class _MasksRoute:
+    """The transfer oracle seen only through `batch`, which sends
+    `_streamed_info` down the masks route."""
+
+    def __init__(self, oracle):
+        self.batch = oracle.batch
+
+
+@pytest.mark.parametrize("spec,r,L,n_patterns,n_inner", [
+    (Z1, 4, 9, 3, 50),
+    (Z1, 16, 33, 40, 100),  # several mask chunks
+    (F1, 5, 7, 5, 13),  # patterns narrower than B_r
+    (Z1, 3, 7, 1, 20_001),  # one pattern over several chunks
+])
+def test_transfer_route_is_the_masks_route(spec, r, L, n_patterns, n_inner):
+    """The compiled percolation route gives the masks route's f bitwise and
+    leaves the generator where the masks route leaves it."""
+    oracle = TransferOracle(*hardcore(1, 2.5), spec, r)
+    patterns = oracle.tm.sample_windows(r, n_patterns, np.random.default_rng(1)).astype(np.int64)
+    patterns = patterns[:, [r + groups.line_offset(spec, g) for g in groups.ball(spec, r).elements]][:, :L]
+    rngs = [np.random.default_rng(7), np.random.default_rng(7)]
+    f = _streamed_info(oracle, spec, r, patterns, n_inner, rngs[0])
+    g = _streamed_info(_MasksRoute(oracle), spec, r, patterns, n_inner, rngs[1])
+    assert np.array_equal(f, g) and np.isfinite(f).all()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_info_fn_full_shift():
     st = full_shift(3, 1)
     pot = zero_potential(3, 1)
