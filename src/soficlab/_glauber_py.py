@@ -5,11 +5,18 @@ The sweep keeps the C kernel's arithmetic and uniform consumption, so
 trajectories agree bitwise between backends; the transfer lookups read the
 same table entry per row as the C lookups, and both raise the same
 ValueError for a symbol outside the alphabet or a negative side column.
-The percolation lookup draws the C kernel's uniforms, so the generator
-ends in the same state.
+`tree_batch` is the tree oracle's numpy ratio recursion, whose arithmetic
+the C tree kernel repeats.  The percolation twins draw the C kernels'
+uniforms through `pasts.percolation_chunks`, so the generator ends in the
+same state.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+
+from .errors import InconsistentPinsError
+from .pasts import percolation_chunks
 
 
 def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
@@ -74,8 +81,13 @@ def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts
 
 
 def symbol_error(symbol: int, a: int) -> ValueError:
-    """The error of both transfer lookups for a center or pin symbol outside [0, a)."""
-    return ValueError(f"symbol {symbol} of a center or nearest pin is outside the alphabet [0, {a})")
+    """The error of every lookup for a center or pin symbol outside [0, a)."""
+    return ValueError(f"symbol {symbol} of a center or pin is outside the alphabet [0, {a})")
+
+
+def clash_error(i: int, j: int) -> InconsistentPinsError:
+    """The error of both tree kernels for two adjacent sites pinned occupied."""
+    return InconsistentPinsError(f"adjacent occupied pins {i}, {j}")
 
 
 def column_error() -> ValueError:
@@ -120,32 +132,98 @@ def transfer_lookup(values, masks, sides, tables):
     return tables[v0, dl, bl, dr, br]
 
 
-# uniforms per draw of the percolation twin: the draws are consecutive row
-# blocks of one stream, so the block size bounds memory and changes no value
-_DRAW_FLOATS = 2**16
-
-
 def percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
     """out[i] = the transfer lookup of patterns[(lo + i) // n_inner] under
     the i-th of len(out) percolation pasts drawn from rng.
 
-    A past is a row of `rng.random((., ball_size))`, its mask
-    chi < chi[0] cut to the pattern width L <= ball_size with the center
-    unpinned, as `pasts.sample_percolation_masks` draws it.  Rows are drawn
-    in blocks of at most _DRAW_FLOATS uniforms (one row at least) and read
-    through `transfer_lookup`, so its errors are this function's.
+    The pasts are those of `pasts.percolation_chunks`, which also checks
+    the pattern width against ball_size; each chunk is read through
+    `transfer_lookup`, so its errors are this function's.
     """
     if (sides < 0).any():  # before any draw, as the C kernel checks
         raise column_error()
-    L = patterns.shape[1]
-    if not 1 <= L <= ball_size:
-        raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
-    n = len(out)
-    step = max(1, _DRAW_FLOATS // ball_size)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        chi = rng.random((stop - start, ball_size))
-        masks = chi[:, :L] < chi[:, :1]
-        masks[:, 0] = False
-        rows = patterns[(lo + np.arange(start, stop)) // n_inner]
+    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, lo, len(out), ball_size, rng):
         out[start:stop] = transfer_lookup(rows, masks, sides, tables)
+
+
+class Tree(NamedTuple):
+    """A rooted tree in level order, as both tree kernels read it.
+
+    Level l is sites starts[l] .. starts[l+1]-1 and site 0 the root.  The
+    children of site v, all in the next level, are
+    children[child_ptr[v]:child_ptr[v+1]], in the order their factors are
+    multiplied; every site of one level has as many.  lam is the activity
+    of each site, free its ratio with nothing pinned below it, and edges
+    (int64, (m, 2)) the pairs that may not both be pinned occupied.
+    """
+
+    starts: np.ndarray
+    child_ptr: np.ndarray
+    children: np.ndarray
+    lam: np.ndarray
+    free: np.ndarray
+    edges: np.ndarray
+
+
+def level_ratio(tree: Tree, level: int, outer: np.ndarray) -> np.ndarray:
+    """R = lam prod_c 1/(1+R_c) of every site of one level from the ratios
+    `outer` of the next level out, over any leading row axes of `outer`."""
+    lo, hi = tree.starts[level], tree.starts[level + 1]
+    kids = tree.children[tree.child_ptr[lo]:tree.child_ptr[hi]].reshape(hi - lo, -1) - hi
+    factor = 1.0 / (1.0 + outer)
+    ratio = np.empty(outer.shape[:-1] + (hi - lo,))
+    ratio[...] = tree.lam[lo:hi]
+    for k in range(kids.shape[1]):
+        ratio *= factor[..., kids[:, k]]
+    return ratio
+
+
+def tree_batch(values, masks, tree: Tree):
+    """(n, L) int64 patterns and bool masks -> (n,) hardcore conditionals of
+    the center symbol, by the ratio recursion over `tree` with pins as
+    R = 0 (symbol 0) or R = inf (symbol 1), all rows at once.
+
+    Sites at or past L are never pinned, so the deepest level of the window
+    starts from the unpinned ratios; a pinned center returns its pin.  The
+    center and every pinned site must hold 0 or 1, else `symbol_error` of
+    the first such symbol in column order; then two adjacent pinned 1s are
+    `clash_error` of the first such edge.  Either is the error of the first
+    row that has one.
+    """
+    starts = tree.starts
+    L = values.shape[1]
+    deepest = int(np.searchsorted(starts, L - 1, side="right")) - 1
+    edges = tree.edges[tree.edges.max(axis=1) < L]
+    pinned = masks.astype(bool, copy=False)
+    read = pinned.copy()
+    read[:, 0] = True
+    bad = read & ((values < 0) | (values > 1))
+    occupied = pinned & (values == 1)
+    clash = occupied[:, edges[:, 0]] & occupied[:, edges[:, 1]]
+    wrong = bad.any(axis=1) | clash.any(axis=1)
+    if wrong.any():
+        k = int(wrong.argmax())
+        if bad[k].any():
+            raise symbol_error(int(values[k, bad[k].argmax()]), 2)
+        raise clash_error(*(int(i) for i in edges[clash[k].argmax()]))
+    ratio = np.tile(tree.free[starts[deepest]:starts[deepest + 1]], (len(values), 1))
+    for level in range(deepest, -1, -1):
+        if level < deepest:
+            ratio = level_ratio(tree, level, ratio)
+        if level > 0:  # a pinned center returns its pin below
+            win = slice(starts[level], min(starts[level + 1], L))
+            block = ratio[:, : win.stop - win.start]
+            block[pinned[:, win]] = 0.0
+            block[occupied[:, win]] = np.inf
+    r0 = ratio[:, 0]
+    p_occ = np.where(pinned[:, 0], values[:, 0], r0 / (1.0 + r0))
+    return np.where(values[:, 0] == 1, p_occ, 1.0 - p_occ)
+
+
+def tree_percolation(patterns, n_inner, lo, ball_size, tree: Tree, rng, out):
+    """out[i] = the `tree_batch` conditional of patterns[(lo + i) // n_inner]
+    under the i-th of len(out) percolation pasts drawn from rng, as
+    `percolation_lookup` draws them; its errors are those of `tree_batch`
+    and of `pasts.percolation_chunks`."""
+    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, lo, len(out), ball_size, rng):
+        out[start:stop] = tree_batch(rows, masks, tree)

@@ -241,33 +241,29 @@ def ssm_profile(
 
 def _beta_enumeration(structure, potential, spec, r) -> float:
     """beta(r) from one joint table of the center and the shell on B_{r+1}:
-    the center conditional given each core-valued boundary of positive mass."""
+    the center conditional given each core-valued boundary of positive mass.
+
+    The table is the dense elimination table of `enumeration._eliminate`,
+    one axis per site (center first, then the shell) over the whole
+    alphabet, normalised as `joint_distribution` normalises it; its
+    core-valued boundaries are read in place, with no dict of keys."""
     b = groups.ball(spec, r + 1)
     shell = [b.index[g] for g in groups.boundary_shell(spec, r)]
     center = b.index[groups.identity(spec)]
-    keys, probs = _as_arrays(
-        enumeration.joint_distribution(SiteGraph.from_ball(b), structure, potential, [center, *shell])
-    )
-    is_core = np.zeros(structure.alphabet, dtype=bool)
-    is_core[list(core_symbols(structure))] = True
-    rows = is_core[keys[:, 1:]].all(axis=1)
-    if not rows.any():
+    a = structure.alphabet
+    res = enumeration._eliminate(SiteGraph.from_ball(b), structure, potential, {},
+                                 np.arange(a), [center, *shell])
+    if res is None:
         raise EmptyFiberError("no admissible boundary at this radius")
-    codes = np.zeros(len(keys), dtype=np.int64)
-    for j in range(1, keys.shape[1]):  # column by column: no full-size int64 copy of keys
-        codes = codes * structure.alphabet + keys[:, j]
-    _, boundary = np.unique(codes[rows], return_inverse=True)
-    conditionals = np.zeros((boundary.max() + 1, structure.alphabet))
-    np.add.at(conditionals, (boundary, keys[rows, 0]), probs[rows])
+    table = res[1] / res[1].sum()
+    core = list(core_symbols(structure))
+    # one row per core-valued boundary, one column per center symbol
+    conditionals = np.moveaxis(table[np.ix_(range(a), *[core] * len(shell))], 0, -1).reshape(-1, a)
+    conditionals = conditionals[conditionals.any(axis=1)]
+    if not len(conditionals):
+        raise EmptyFiberError("no admissible boundary at this radius")
     conditionals /= conditionals.sum(axis=1, keepdims=True)
     return float(np.max(conditionals.max(axis=0) - conditionals.min(axis=0)))
-
-
-def _as_arrays(table: dict) -> tuple[np.ndarray, np.ndarray]:
-    """A joint table as (int8 keys, probabilities).  The caller's dict is
-    freed on return, before the read-out allocates its arrays, so that the
-    read-out adds little to the dict's peak memory."""
-    return np.array(list(table), dtype=np.int8), np.fromiter(table.values(), dtype=float, count=len(table))
 
 
 @dataclass

@@ -1,21 +1,22 @@
 """The compiled kernels of `_glauber.c` through ctypes, else their Python twins.
 
-Three kernels: `glauber_sweeps`, the heat-bath sweep; `transfer_lookup`,
-the transfer oracle's nearest-pin table lookup; and `percolation_lookup`,
-the same lookup over percolation pasts that it draws itself from a numpy
-Generator through numpy's `bitgen_t`.  On the first import, `_glauber.c`
-is compiled once into the user cache, `$XDG_CACHE_HOME/soficlab` or
-`~/.cache/soficlab`, as one shared library whose name is keyed by a CRC-32
-of the source, the compiler flags and the platform; later imports only load
-it.  The compiler is the one Python was built with (`sysconfig` CC), else
-`cc`.  If the build or the load fails, or the library lacks any kernel, a
-RuntimeWarning names the cause and all three pure-Python twins of
-`_glauber_py` are used; `SOFICLAB_KERNEL=python` forces the twins.  The
-backends are never mixed.  The sweeps consume identical uniforms and give
-bitwise-equal trajectories; the lookups read the same table entries and
-raise the same errors, and the percolation lookups draw the same uniforms,
-so they leave the generator in the same state.  `BACKEND` is "c" or
-"python".
+Four kernels: `glauber_sweeps`, the heat-bath sweep; `transfer_lookup`,
+the transfer oracle's nearest-pin table lookup; `percolation_lookup`, the
+same lookup over percolation pasts that it draws itself from a numpy
+Generator through numpy's `bitgen_t`; and `tree_percolation`, the tree
+oracle's hardcore ratio recursion over pasts drawn the same way.  On the
+first import, `_glauber.c` is compiled once into the user cache,
+`$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as one shared library
+whose name is keyed by a CRC-32 of the source, the compiler flags and the
+platform; later imports only load it.  The compiler is the one Python was
+built with (`sysconfig` CC), else `cc`.  If the build or the load fails, or
+the library lacks any kernel, a RuntimeWarning names the cause and all four
+pure-Python twins of `_glauber_py` are used; `SOFICLAB_KERNEL=python`
+forces the twins.  The backends are never mixed.  The sweeps consume
+identical uniforms and give bitwise-equal trajectories; the lookups and the
+tree recursion give bitwise-equal results and raise the same errors, and
+the percolation kernels draw the same uniforms, so they leave the generator
+in the same state.  `BACKEND` is "c" or "python".
 """
 
 import ctypes
@@ -46,6 +47,8 @@ _C_ERRORS = {
 }
 _LOOKUP_BAD_COLUMN = 4
 _LOOKUP_BAD_SYMBOL = 5
+_TREE_BAD_GEOMETRY = 6
+_TREE_CLASH = 7
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
 _BOOL = np.dtype(bool)
@@ -74,9 +77,9 @@ def _compile(compiler: str, lib: Path):
 
 
 def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
-    """The C (sweep, lookup, percolation lookup) functions of one library,
-    compiled into the cache first if needed; None if that fails or any is
-    missing."""
+    """The C (sweep, lookup, percolation lookup, tree percolation) functions
+    of one library, compiled into the cache first if needed; None if that
+    fails or any is missing."""
     try:
         if cache_dir is None:
             cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "soficlab"
@@ -89,7 +92,8 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         if not lib.exists():
             _compile(compiler or sysconfig.get_config_var("CC") or "cc", lib)
         dll = ctypes.CDLL(str(lib))
-        sweeps, lookup, percolation = dll.glauber_sweeps, dll.transfer_lookup, dll.percolation_lookup
+        sweeps, lookup, percolation, tree = (
+            dll.glauber_sweeps, dll.transfer_lookup, dll.percolation_lookup, dll.tree_percolation)
     except Exception as exc:  # any failure means the Python twins, never a failed import
         warnings.warn(f"C kernels unavailable, using the Python kernels: {exc!r}",
                       RuntimeWarning, stacklevel=2)
@@ -99,8 +103,10 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P, _BYTE_P]
     percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 6 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, ctypes.c_void_p, _BYTE_P, _BYTE_P, _BYTE_P]
-    sweeps.restype = lookup.restype = percolation.restype = ctypes.c_int
-    return sweeps, lookup, percolation
+    tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 6 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
+        _BYTE_P, _BYTE_P, _BYTE_P, ctypes.c_int64, ctypes.c_void_p, _BYTE_P, _BYTE_P, _BYTE_P, _BYTE_P]
+    sweeps.restype = lookup.restype = percolation.restype = tree.restype = ctypes.c_int
+    return sweeps, lookup, percolation, tree
 
 
 def _checked_shape(name: str, arr, dtype: np.dtype, ndim: int) -> tuple:
@@ -197,11 +203,15 @@ def _checked_geometry(sides, tables) -> tuple:
 
 
 def _raise_lookup(status: int, bad: np.ndarray, a: int):
-    """The twin's error for a non-zero status of a C lookup."""
+    """The twin's error for a non-zero status of a C lookup or tree kernel."""
     if status == _LOOKUP_BAD_SYMBOL:
         raise _glauber_py.symbol_error(int(bad[0]), a)
     if status == _LOOKUP_BAD_COLUMN:
         raise _glauber_py.column_error()
+    if status == _TREE_CLASH:
+        raise _glauber_py.clash_error(int(bad[0]), int(bad[1]))
+    if status == _TREE_BAD_GEOMETRY:
+        raise ValueError("tree kernel: a child is not a later site of the window, or an edge leaves it")
 
 
 def _c_transfer_lookup(values, masks, sides, tables):
@@ -234,6 +244,23 @@ def _c_transfer_lookup(values, masks, sides, tables):
     return out
 
 
+def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
+    """(width, n, n_inner, lo, ball_size) of the arguments both C
+    percolation kernels share, checked as `_c_percolation_lookup` says."""
+    n_rows, L = _checked_rows("patterns", patterns, _I64)
+    n_inner, lo, ball_size = (operator.index(v) for v in (n_inner, lo, ball_size))
+    if not 1 <= L <= ball_size:
+        raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
+    (n,) = _checked_shape("out", out, _F64, 1)
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    if n_inner < 1 or lo < 0 or n and (lo + n - 1) // n_inner >= n_rows:
+        raise ValueError(f"rows {lo} to {lo + n} at {n_inner} per pattern do not fit {n_rows} patterns")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, not {type(rng).__name__}")
+    return L, n, n_inner, lo, ball_size
+
+
 def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
     """out[i] = the lookup of patterns[(lo + i) // n_inner] under the i-th of
     len(out) percolation pasts drawn from rng, with the C kernel.
@@ -248,18 +275,8 @@ def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, 
     generator's lock, since ctypes releases the GIL.  Any failure is a
     ValueError, a symbol or side column the twin's.
     """
-    n_rows, L = _checked_rows("patterns", patterns, _I64)
-    n_inner, lo, ball_size = (operator.index(v) for v in (n_inner, lo, ball_size))
-    if not 1 <= L <= ball_size:
-        raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
-    (n,) = _checked_shape("out", out, _F64, 1)
-    if not out.flags.writeable:
-        raise ValueError("out must be writeable")
-    if n_inner < 1 or lo < 0 or n and (lo + n - 1) // n_inner >= n_rows:
-        raise ValueError(f"rows {lo} to {lo + n} at {n_inner} per pattern do not fit {n_rows} patterns")
+    L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     r_max, a = _checked_geometry(sides, tables)
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be a numpy Generator, not {type(rng).__name__}")
     mask = np.empty(L, np.uint8)
     bad = np.zeros(1, np.int64)
     bitgen = rng.bit_generator
@@ -272,17 +289,63 @@ def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, 
     _raise_lookup(status, bad, a)
 
 
+def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
+    """out[i] = the hardcore conditional of the center of
+    patterns[(lo + i) // n_inner] under the i-th of len(out) percolation
+    pasts drawn from rng, by the C tree kernel.
+
+    The arguments are those of `_glauber_py.tree_percolation`: patterns,
+    n_inner, lo, ball_size, rng and out as `_c_percolation_lookup` takes
+    them, and a `_glauber_py.Tree` of C-contiguous arrays (int64 starts,
+    child_ptr of one more entry than lam, children and (m, 2) edges; float64
+    lam and free of one length), no narrower than the patterns.  The pasts
+    and the generator's state are those of `_c_percolation_lookup`; the
+    result is bitwise the twin's, and so are the errors: `symbol_error`,
+    `clash_error`, or a ValueError for anything else the kernel cannot trust.
+    """
+    L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
+    (sites,) = _checked_shape("tree.lam", tree.lam, _F64, 1)
+    for name, arr, dtype, ndim in (("starts", tree.starts, _I64, 1), ("child_ptr", tree.child_ptr, _I64, 1),
+                                   ("children", tree.children, _I64, 1), ("free", tree.free, _F64, 1),
+                                   ("edges", tree.edges, _I64, 2)):
+        _checked_shape(f"tree.{name}", arr, dtype, ndim)
+    if tree.free.shape != (sites,) or tree.child_ptr.shape != (sites + 1,) or tree.edges.shape[1:] != (2,):
+        raise ValueError(f"tree arrays do not fit {sites} sites")
+    starts = tree.starts
+    deepest = int(np.searchsorted(starts, L - 1, side="right")) - 1
+    if not (0 <= deepest < len(starts) - 1 and 0 <= starts[deepest] < L <= starts[deepest + 1] <= sites):
+        raise ValueError(f"pattern width {L} does not fit the tree's levels {starts.tolist()}")
+    deep_start, n_window = int(starts[deepest]), int(starts[deepest + 1])
+    edges = np.ascontiguousarray(tree.edges[tree.edges.max(axis=1) < L])
+    pin = np.zeros(n_window, np.uint8)
+    factor = np.empty(3 * n_window)
+    bad = np.zeros(2, np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        status = _c_tree(
+            patterns.ctypes.data_as(_BYTE_P), patterns.strides[0] // patterns.itemsize, L,
+            n_inner, lo, n, ball_size, tree.child_ptr.ctypes.data_as(_BYTE_P),
+            tree.children.ctypes.data_as(_BYTE_P), len(tree.children), deep_start, n_window,
+            tree.lam.ctypes.data_as(_BYTE_P), tree.free.ctypes.data_as(_BYTE_P),
+            edges.ctypes.data_as(_BYTE_P), len(edges), bitgen.ctypes.bit_generator,
+            _data(pin), _data(factor), _data(out), _data(bad),
+        )
+    _raise_lookup(status, bad, 2)
+
+
 _c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()
 if _c is None:
     glauber_sweeps = _glauber_py.glauber_sweeps
     transfer_lookup = _glauber_py.transfer_lookup
     percolation_lookup = _glauber_py.percolation_lookup
+    tree_percolation = _glauber_py.tree_percolation
     BACKEND = "python"
 else:
-    _c_sweeps, _c_lookup, _c_percolation = _c
+    _c_sweeps, _c_lookup, _c_percolation, _c_tree = _c
     glauber_sweeps = _c_glauber_sweeps
     transfer_lookup = _c_transfer_lookup
     percolation_lookup = _c_percolation_lookup
+    tree_percolation = _c_tree_percolation
     BACKEND = "c"
 
-__all__ = ["glauber_sweeps", "transfer_lookup", "percolation_lookup", "BACKEND"]
+__all__ = ["glauber_sweeps", "transfer_lookup", "percolation_lookup", "tree_percolation", "BACKEND"]

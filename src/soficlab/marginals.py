@@ -9,7 +9,12 @@ A query hands over a pattern on B_r in canonical ball order together with a
 conditioning mask; the oracle returns the conditional probability of the
 pattern's center symbol given the masked sites.  Because B_r is always a
 prefix of B_R in ball order, oracles built at a larger radius serve smaller
-queries unchanged.
+queries unchanged; rows wider than an oracle's ball are a ValueError.
+
+Every oracle answers the same two calls: `batch(values, masks)` for rows
+with their masks, and `percolation_batch(patterns, n_inner, ball_size, rng,
+out)` for rows whose masks are percolation pasts drawn from rng, which the
+transfer and tree oracles draw inside their compiled kernels.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import enumeration, groups, kernels
+from ._glauber_py import Tree, level_ratio, tree_batch
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
 from .groups import GroupSpec
+from .pasts import percolation_chunks
 from .transfer import build_transfer
 
 
@@ -57,7 +64,7 @@ class TransferOracle:
         a ValueError.
         """
         values = _rows(values, np.int64)
-        self._check_width(values.shape[-1])
+        _check_width(values.shape[-1], len(self.offsets), self.r_max)
         return kernels.transfer_lookup(values, _rows(masks, bool), self.sides, self.tables)
 
     def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
@@ -71,14 +78,17 @@ class TransferOracle:
         are held.  The errors are those of `batch`.
         """
         patterns = _rows(patterns, np.int64)
-        self._check_width(patterns.shape[1])
+        _check_width(patterns.shape[1], len(self.offsets), self.r_max)
         kernels.percolation_lookup(patterns, n_inner, 0, ball_size, self.sides, self.tables, rng, out)
 
-    def _check_width(self, width: int):
-        # the side columns cover the oracle's ball only, so a pin past it would go unread
-        if width > len(self.offsets):
-            raise ValueError(f"rows of width {width} are wider than the {len(self.offsets)} sites "
-                             f"of the oracle's ball B_{self.r_max}")
+
+def _check_width(width: int, sites: int, radius: int):
+    """Every oracle's refusal of rows wider than its ball B_radius of `sites`
+    sites: the oracle reads no site past its ball, so a pin there would go
+    unread."""
+    if width > sites:
+        raise ValueError(f"rows of width {width} are wider than the {sites} sites "
+                         f"of the oracle's ball B_{radius}")
 
 
 def _rows(arr, dtype) -> np.ndarray:
@@ -129,6 +139,7 @@ class BallEnumerationOracle:
         self._memo: dict[bytes, float] = {}
 
     def conditional(self, values, mask) -> float:
+        _check_width(len(values), len(self.ball), self.r_max + self.pad)
         pins = dict(self.shell_pins)
         for i in np.flatnonzero(np.asarray(mask)):
             pins[int(i)] = int(values[i])
@@ -148,7 +159,8 @@ class BallEnumerationOracle:
         The memo lives on the oracle, so a stream of small batches solves
         each distinct row once, as one large batch would.  Rows are keyed as
         int64 values and bool masks, 9 bytes per site, so rows of different
-        widths never share a key.
+        widths never share a key, and a row wider than the padded ball is
+        refused by `conditional` before it is keyed.
         """
         values = np.asarray(values, dtype=np.int64)
         masks = np.asarray(masks, dtype=bool)
@@ -161,25 +173,44 @@ class BallEnumerationOracle:
             out[k] = cache[key]
         return out
 
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
+        """out[k] = the conditional of the center of patterns[k // n_inner]
+        given the k-th of len(out) percolation pasts on a ball of ball_size
+        sites, drawn from rng in the chunks of `pasts.percolation_chunks`,
+        each chunk one `batch`, whose memo needs whole rows."""
+        patterns = np.asarray(patterns, dtype=np.int64)
+        _check_width(patterns.shape[1], len(self.ball), self.r_max + self.pad)
+        for start, stop, rows, masks in percolation_chunks(patterns, n_inner, 0, len(out), ball_size, rng):
+            out[start:stop] = self.batch(rows, masks)
+
 
 class SawOracle:
     """Exact hardcore conditionals of the pinned ball graph of a tree group.
 
     On tree groups (F_k and the line) the ball graph is itself a tree, so
-    `batch` runs the hardcore recursion R_v = lam_v prod_c 1/(1+R_c) level by
-    level in numpy over every row at once, with pins as R = 0 (empty) or
+    the oracle runs the hardcore recursion R_v = lam_v prod_c 1/(1+R_c)
+    (Weitz, STOC 2006) level by level, with pins as R = 0 (empty) or
     R = inf (occupied); children are multiplied in the order of the SAW
     unfolding, so each conditional is bitwise equal to
     `saw.hardcore_marginal_via_saw` on the same ball, activities and pins.
-    Other groups are refused: there the self-avoiding-walk tree of the ball
-    grows exponentially with its radius, and the ball oracle one pad further
-    out gives the same conditionals, since an empty shell at radius R+1 is a
-    free boundary at radius R.
+    `batch` is the numpy recursion `_glauber_py.tree_batch` over every row
+    at once; `percolation_batch` is `kernels.tree_percolation`, which draws
+    each past as it runs the recursion on it and gives `batch`'s results
+    bitwise.  Other groups are refused: there the self-avoiding-walk tree
+    of the ball grows exponentially with its radius, and the ball oracle one
+    pad further out gives the same conditionals, since an empty shell at
+    radius R+1 is a free boundary at radius R.
 
     boundary="free" truncates the graph at the ball; boundary
     "self_consistent" replaces the activity of the outermost shell with the
-    occupation ratio R* of an infinite regular branch, which removes the
-    truncation bias entirely on tree groups in the uniqueness regime.
+    occupation ratio R* of an infinite unpinned regular branch.  In the
+    uniqueness regime that makes each conditional exact for the pins it is
+    given, but it does not remove the truncation bias of the estimators: a
+    random past also pins sites beyond B_r, which this shell treats as
+    free.  On F_2 hardcore at lambda = 1 (`nu: fixed0`, N = 200,000) the
+    estimate at r = 4 is 0.39709 +- 0.00040, 10 stderr below the Bethe
+    pressure 0.401225, and at r = 6 still 4.5 stderr below it (ROADMAP
+    item 9).
     """
 
     name = "saw"
@@ -205,82 +236,55 @@ class SawOracle:
         lam = float(np.exp(potential.h[1] - potential.h[0]))
         self.ball = groups.ball(spec, r_max)
         n = len(self.ball.elements)
-        adj = [set() for _ in range(n)]
-        for (i, _s, j) in self.ball.edges:
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
-        self.adj = [sorted(s) for s in adj]
         self.lam = np.full(n, lam)
         if boundary == "self_consistent":
             self.lam[n - self.ball.shell_sizes[-1]:] = _tree_fixed_point(lam, 2 * spec.rank)
         elif boundary != "free":
             raise SchemaError(f"unknown saw_boundary {boundary!r}; expected free or self_consistent")
-        self._tree_setup()
+        self.tree = self._tree()
 
-    def _tree_setup(self):
-        """Levels of the ball by word length; each site's children (its
-        neighbours one level out, in increasing site index, the order of
-        `build_saw_tree`) as positions in the next level; and the ratio of
-        every site with nothing pinned below it."""
-        self.starts = np.cumsum((0,) + self.ball.shell_sizes)
-        top = len(self.ball.shell_sizes) - 1
-        self.kids = []
-        for level in range(top + 1):
-            nxt = self.starts[level + 1]
-            sites = range(self.starts[level], nxt)
-            self.kids.append(np.array([[j - nxt for j in self.adj[i] if j >= nxt] for i in sites], dtype=np.intp))
-        self.free_ratio = [None] * (top + 1)
-        ratio = np.zeros(0)
-        for level in range(top, -1, -1):
-            ratio = self.free_ratio[level] = self._level_ratio(level, ratio)
-        self.edges = np.array([(i, j) for (i, _s, j) in self.ball.edges], dtype=np.intp).reshape(-1, 2)
-
-    def _level_ratio(self, level: int, outer: np.ndarray) -> np.ndarray:
-        """R of every site of one level from the ratios `outer` of the next
-        level out, over any leading row axes of `outer`."""
-        lam = self.lam[self.starts[level]:self.starts[level + 1]]
-        factor = 1.0 / (1.0 + outer)
-        ratio = np.empty(outer.shape[:-1] + lam.shape)
-        ratio[...] = lam
-        for k in range(self.kids[level].shape[1]):
-            ratio *= factor[..., self.kids[level][:, k]]
-        return ratio
+    def _tree(self) -> Tree:
+        """The ball as the tree kernels read it: levels by word length; each
+        site's children its neighbours one level out, in increasing site
+        index (the order of `build_saw_tree`); and the ratio of every site
+        with nothing pinned below it."""
+        starts = np.cumsum((0,) + self.ball.shell_sizes, dtype=np.int64)
+        edges = np.ascontiguousarray(np.array(self.ball.edges, dtype=np.int64).reshape(-1, 3)[:, [0, 2]])
+        # a tree ball's edges join consecutive levels once each, and ball
+        # order is by level, so the larger end of each edge is the child
+        pairs = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        child_ptr = np.concatenate(([0], np.cumsum(np.bincount(pairs[:, 0], minlength=len(self.lam)))))
+        tree = Tree(starts, child_ptr, pairs[:, 1].copy(), self.lam, np.empty(0), edges)
+        free = [np.zeros(0)]
+        for level in range(len(starts) - 2, -1, -1):
+            free.insert(0, level_ratio(tree, level, free[0]))
+        return tree._replace(free=np.concatenate(free))
 
     def conditional(self, values, mask) -> float:
         return float(self.batch(np.asarray(values)[None, :], np.asarray(mask)[None, :])[0])
 
     def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """(N, L) patterns and masks -> (N,) center conditionals.
+        """(N, L) patterns and masks -> (N,) center conditionals by
+        `_glauber_py.tree_batch`, whose memory is proportional to the batch.
 
-        One level recursion runs over all N rows, so its memory is
-        proportional to the batch; callers that stream many rows bound the
-        batch (`randominfo._streamed_info`).
+        Rows wider than the oracle's ball are a ValueError; a center or pin
+        symbol outside {0, 1} is `symbol_error`, and adjacent occupied pins
+        are `InconsistentPinsError`, each of the first row that has one.
         """
-        L = values.shape[1]
-        starts = self.starts
-        deepest = int(np.searchsorted(starts, L - 1, side="right")) - 1
-        edges = self.edges[self.edges.max(axis=1) < L]
-        pinned = masks.astype(bool, copy=False)
-        occupied = pinned & (values == 1)
-        clash = occupied[:, edges[:, 0]] & occupied[:, edges[:, 1]]
-        if clash.any():
-            i, j = edges[np.flatnonzero(clash.any(axis=0))[0]]
-            raise InconsistentPinsError(f"adjacent occupied pins {i}, {j}")
-        # sites at or beyond the query width are never pinned, so the
-        # deepest level of the window starts from the unpinned ratios
-        ratio = np.tile(self.free_ratio[deepest], (len(values), 1))
-        for level in range(deepest, -1, -1):
-            if level < deepest:
-                ratio = self._level_ratio(level, ratio)
-            if level > 0:  # a pinned center returns its pin below
-                win = slice(starts[level], min(starts[level + 1], L))
-                block = ratio[:, : win.stop - win.start]
-                block[pinned[:, win]] = 0.0
-                block[occupied[:, win]] = np.inf
-        r0 = ratio[:, 0]
-        p_occ = np.where(pinned[:, 0], values[:, 0], r0 / (1.0 + r0))
-        return np.where(values[:, 0] == 1, p_occ, 1.0 - p_occ)
+        values = np.asarray(values, dtype=np.int64)
+        _check_width(values.shape[1], len(self.ball), self.r_max)
+        return tree_batch(values, np.asarray(masks, dtype=bool), self.tree)
+
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
+        """out[k] = the conditional of the center of patterns[k // n_inner]
+        given the k-th of len(out) percolation pasts on a ball of ball_size
+        sites, drawn from rng inside `kernels.tree_percolation`; the results,
+        the errors and the generator's state are those of `batch` over the
+        masks of `pasts.percolation_chunks`."""
+        patterns = _rows(patterns, np.int64)
+        _check_width(patterns.shape[1], len(self.ball), self.r_max)
+        kernels.tree_percolation(patterns, n_inner, 0, ball_size, self.tree, rng, out)
 
 
 def _tree_fixed_point(lam: float, degree: int) -> float:

@@ -44,15 +44,50 @@ def sample_percolation_masks(spec: GroupSpec, r: int, n_samples: int, rng) -> np
     """(n_samples, |B_r|) membership masks; column 0 is the identity (always False).
 
     The uniforms are one draw of n_samples rows from rng, so a call holds
-    float64 uniforms and the bool mask for its rows; callers that stream
-    many pasts bound the rows per call (`randominfo._streamed_info`).
-    `kernels.percolation_lookup` draws the same stream a row at a time.
+    float64 uniforms and the bool mask for its rows.  `percolation_chunks`
+    draws the same stream in bounded chunks, and the compiled percolation
+    kernels draw it a row at a time.
     """
     L = len(groups.ball(spec, r).elements)
     chi = rng.random((n_samples, L))
     masks = chi < chi[:, :1]
     masks[:, 0] = False
     return masks
+
+
+# the bound on a chunk of random-past rows: at most this many uniforms (one
+# row at least), so neither the uniforms, the masks, the value rows nor an
+# oracle batch grows with the row count; the chunks are consecutive row
+# blocks of one stream, so the bound changes no value
+CHUNK_FLOATS = 2**16
+
+
+def percolation_chunks(patterns: np.ndarray, n_inner: int, lo: int, n: int, ball_size: int, rng):
+    """Yield (start, stop, rows, masks) over n random-past rows: row i pairs
+    patterns[(lo + i) // n_inner] with the i-th percolation past on a ball of
+    ball_size sites, its mask cut to the pattern width L.
+
+    The masks of rows start..stop-1 are the next stop - start rows of
+    `rng.random((n, ball_size))`, as `sample_percolation_masks` draws them,
+    and each chunk holds at most CHUNK_FLOATS uniforms.  rows is a broadcast
+    view when the chunk lies inside one pattern's rows, else a copy.  A width
+    outside [1, ball_size] is a ValueError before any draw.
+    """
+    L = patterns.shape[1]
+    if not 1 <= L <= ball_size:
+        raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
+    step = max(1, CHUNK_FLOATS // ball_size)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        chi = rng.random((stop - start, ball_size))
+        masks = chi[:, :L] < chi[:, :1]
+        masks[:, 0] = False
+        first, last = (lo + start) // n_inner, (lo + stop - 1) // n_inner
+        if first == last:
+            rows = np.broadcast_to(patterns[first], (stop - start, L))
+        else:
+            rows = patterns[(lo + np.arange(start, stop)) // n_inner]
+        yield start, stop, rows, masks
 
 
 def lex_past(spec: GroupSpec, g: Element) -> bool:

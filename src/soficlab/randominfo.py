@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import groups
+from . import groups, pasts
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .errors import BallMismatchError, NoSafeSymbolError, SchemaError, ZeroProbabilityError
 from .gibbs import ssm_profile, uniform_bound_c
 from .groups import GroupSpec
-from .marginals import TransferOracle, make_oracle
-from .pasts import lex_past_mask, sample_percolation_masks
+from .marginals import make_oracle
+from .pasts import lex_past_mask
 from .transfer import build_transfer
 
 
@@ -36,10 +36,12 @@ class InfoEstimate:
 
 
 def _checked(p):
-    """The oracle conditionals p, each of which must lie in (0, 1]."""
+    """The oracle conditionals p, each of which must lie in (0, 1].  The
+    check is two reductions, so it allocates nothing unless it fails (a nan
+    fails both)."""
     arr = np.asarray(p)
-    bad = ~((arr > 0.0) & (arr <= 1.0))
-    if bad.any():
+    if arr.size and not (arr.min() > 0.0 and arr.max() <= 1.0):
+        bad = ~((arr > 0.0) & (arr <= 1.0))
         raise ZeroProbabilityError(
             f"oracle conditional {arr[bad].flat[0]!r} is not in (0, 1]: the pattern's center "
             "has probability zero given its conditioning sites"
@@ -56,50 +58,24 @@ def info_fn_truncated(oracle, spec: GroupSpec, values, mask, r: int) -> float:
     return -math.log(_checked(p))
 
 
-# the bound on the random-past rows of the masks route: a chunk holds at
-# most this many mask entries (one row at least), so neither the masks, the
-# value rows nor an oracle batch grows with the sample count; the transfer
-# route checks and logs f in slices of this many entries
-_MASK_CHUNK_FLOATS = 2**16
-
-
 def _streamed_info(oracle, spec: GroupSpec, r: int, patterns: np.ndarray, n_inner: int, rng) -> np.ndarray:
     """f = -log of the oracle conditional on len(patterns) * n_inner rows.
 
     Row k pairs patterns[k // n_inner] with the k-th percolation past on B_r
-    drawn from rng, truncated to the pattern width.  The kind of oracle
-    picks the route, and both consume the stream of one draw of every mask:
-
-    - a TransferOracle fills f in one `percolation_batch`, which draws each
-      past as it reads it, so no row is held; f is then checked and logged
-      in place, in slices of at most _MASK_CHUNK_FLOATS entries;
-    - any other oracle gets the rows in chunks of at most _MASK_CHUNK_FLOATS
-      mask entries, each chunk's masks drawn from rng in turn and sent as
-      one batch.  This is the only place that bounds those rows in memory.
-
-    Either way only the flat f grows with the row count.
+    drawn from rng, truncated to the pattern width.  The oracle fills f in
+    one `percolation_batch`, which bounds its own rows in memory (the
+    transfer and tree oracles draw each past inside their kernels, the ball
+    oracle takes bounded chunks); f is then checked and logged in place, in
+    slices of at most `pasts.CHUNK_FLOATS` entries, so only the flat f
+    grows with the row count.
     """
     n = len(patterns) * n_inner
-    L = patterns.shape[1]
-    ball_size = len(groups.ball(spec, r).elements)
     f = np.empty(n)
-    if isinstance(oracle, TransferOracle):
-        oracle.percolation_batch(patterns, n_inner, ball_size, rng, f)
-        for lo in range(0, n, _MASK_CHUNK_FLOATS):
-            part = f[lo:lo + _MASK_CHUNK_FLOATS]
-            np.negative(np.log(_checked(part), out=part), out=part)
-        return f
-    step = max(1, _MASK_CHUNK_FLOATS // ball_size)
+    oracle.percolation_batch(patterns, n_inner, len(groups.ball(spec, r).elements), rng, f)
+    step = pasts.CHUNK_FLOATS
     for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        masks = sample_percolation_masks(spec, r, hi - lo, rng)[:, :L]
-        first, last = lo // n_inner, (hi - 1) // n_inner
-        if first == last:  # a chunk inside one pattern's rows reads it without a copy
-            rows = np.broadcast_to(patterns[first], (hi - lo, L))
-        else:
-            rows = patterns[np.arange(lo, hi) // n_inner]
-        p = oracle.batch(rows, masks)
-        f[lo:hi] = -np.log(_checked(p))
+        part = f[lo:lo + step]
+        np.negative(np.log(_checked(part), out=part), out=part)
     return f
 
 
@@ -115,8 +91,7 @@ def random_info(
     """Monte Carlo mean of f_r(x, P ∩ B_r) over N random pasts P.
 
     The percolation past draws i.i.d. uniforms on B_r; the N rows go
-    through `_streamed_info`, which draws each past inside the lookup on
-    the transfer oracle and streams bounded chunks to the others, so the
+    through `_streamed_info`, one `percolation_batch` of the oracle, so the
     cost in memory is the N values of f.  It needs N >= 2 pasts for a
     standard error.  The lexicographic past (Z^d only) is deterministic, so a
     single evaluation suffices.
@@ -198,9 +173,8 @@ def kp_pressure_at_measure(
     M_outer patterns of the infinite-volume measure are sampled exactly from
     its transfer chain, so the group must have rank 1, and f is averaged
     over N_inner random pasts for each.  The M_outer * N_inner (pattern,
-    past) rows go through `_streamed_info` pattern-major: the transfer
-    oracle draws each past inside its lookup, other oracles get bounded
-    chunks, and no array of all rows' values or masks is built.  The info
+    past) rows go through `_streamed_info` pattern-major, and no array of
+    all rows' values or masks is built.  The info
     part alone estimates the entropy of mu.  The fixed-point estimator is
     `kp_pressure_at_fixed_point`.
     """
@@ -209,7 +183,7 @@ def kp_pressure_at_measure(
     rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x0AEA]))
     windows = build_transfer(structure, potential).sample_windows(r, M_outer, rng)
     cols = [groups.line_offset(spec, g) + r for g in groups.ball(spec, r).elements]
-    # one int64 copy in C order, the rows the transfer route reads uncopied
+    # one int64 copy in C order, the rows the compiled kernels read uncopied
     patterns = np.ascontiguousarray(windows[:, cols], dtype=np.int64)
     f = _streamed_info(oracle, spec, r, patterns, N_inner, rng).reshape(M_outer, N_inner)
     info_means = f.mean(axis=1)

@@ -420,6 +420,60 @@ def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
         assert json.dumps(twin) == json.dumps(here)
 
 
+# (group kind, rank, lambda, params, seed, oracle used, value, stderr); the
+# figures are those recorded before the tree recursion was compiled
+TREE_RECORDS = [
+    ("Free", 2, 1.0, {"oracle": "auto", "saw_boundary": "free", "r": 3, "N": 1001}, 7, "saw",
+     0.38438775657223523, 0.005792237144901572),
+    ("Free", 2, 1.0, {"oracle": "auto", "saw_boundary": "self_consistent", "r": 3, "N": 1001}, 7, "saw",
+     0.40677059022896245, 0.005349065868721495),
+    ("Free", 1, 2.5, {"oracle": "auto", "saw_boundary": "free", "r": 5, "N": 3000}, 1, "transfer",
+     0.7595767541273933, 0.006898172228779492),
+    ("Free", 1, 2.5, {"oracle": "auto", "saw_boundary": "self_consistent", "r": 5, "N": 3000}, 1, "transfer",
+     0.7595767541273933, 0.006898172228779492),
+    ("Free", 1, 2.5, {"oracle": "saw", "saw_boundary": "free", "r": 5, "N": 3000}, 1, "saw",
+     0.7591933011311203, 0.006903062016420166),
+    ("Free", 1, 2.5, {"oracle": "saw", "saw_boundary": "self_consistent", "r": 5, "N": 3000}, 1, "saw",
+     0.7595767541273933, 0.006898172228779492),
+    ("Zd", 1, 1.0, {"oracle": "saw", "nu": "mu", "r": 4, "N": 1000, "N_inner": 20}, 5, "saw",
+     0.4301250778294169, 0.04510832909124372),
+    ("Zd", 1, 2.5, {"oracle": "saw", "saw_boundary": "self_consistent", "nu": "mu", "r": 6, "N": 700,
+                    "N_inner": 7}, 1, "saw", 0.8333643600194958, 0.06490017552922771),
+]
+
+
+def test_kp_tree_record_is_the_same_on_both_backends(tmp_path):
+    """The tree oracle's recursion is a kernel: on F_1 and F_2 hardcore
+    (both shells, `oracle: auto`, and `oracle: saw` on F_1) and on Z^1 with
+    `nu: mu` through the SAW oracle, the records of the forced Python twins
+    are byte-equal JSON to this process's, apart from the backend's name and
+    the wall time, and each value and stderr is the pinned figure."""
+    configs = []
+    for kind, rank, lam, params, seed, *_ in TREE_RECORDS:
+        path = tmp_path / f"{kind}{rank}_{lam}.json"
+        path.write_text(json.dumps(hardcore_model_dict(kind, rank, lam)))
+        configs.append({"experiment": "kp-estimate", "model": str(path), "seed": seed, "params": params})
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "SOFICLAB_KERNEL": "python",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from soficlab.cli import run_config; "
+         "print(json.dumps([run_config(c) for c in json.loads(sys.argv[1])]))", json.dumps(configs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    twins = json.loads(out.stdout)
+    assert len(twins) == len(configs)
+    for twin, config, (*_, oracle, value, stderr) in zip(twins, configs, TREE_RECORDS):
+        assert twin.pop("kernel_backend") == "python"
+        here = run_config(config)
+        assert here.pop("kernel_backend") == kernels.BACKEND
+        for record in (twin, here):
+            record.pop("wall_time_s")
+        assert json.dumps(twin) == json.dumps(here)
+        assert (here["outputs"]["oracle"], here["outputs"]["value"], here["outputs"]["stderr"]) == (
+            oracle, value, stderr)
+
+
 def test_lambda_param_rewrites_activity(hc_model):
     base = {"experiment": "pressure", "model": hc_model,
             "params": {"sizes": [64], "builder_desc": {"builder": "torus", "d": 1}}}

@@ -9,6 +9,7 @@ from soficlab import enumeration, groups, soficmaps
 from soficlab.constraints import (
     ConstraintStructure,
     Pattern,
+    Potential,
     checkerboard,
     core_symbols,
     full_shift,
@@ -254,6 +255,24 @@ def test_ssm_profile_budget_counts_the_whole_alphabet():
     assert ssm_profile(st, pot, Z2, 1).shape == (1,)  # 3^8 boundary patterns
     with pytest.raises(BudgetExceededError):
         ssm_profile(st, pot, Z2, 2)  # 3^12 patterns, of which only 2^12 are core-valued
+
+
+def test_ssm_profile_enumeration_is_pinned():
+    """beta(r) read in place from the dense elimination table: bitwise the
+    figures recorded when it was read through a dict of value tuples, on
+    hardcore (F_2, Z^2) and on a three-symbol model whose symbol 2 is
+    outside the core."""
+    allowed = np.ones((2, 3, 3), dtype=bool)
+    allowed[:, 1, 1] = False
+    allowed[0, 2, :] = False
+    st = ConstraintStructure(3, allowed)
+    J = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, -0.5], [0.1, -0.5, 0.3]])
+    pot = Potential(np.array([0.0, 0.4, -0.3]), np.array([J, J]))
+    assert ssm_profile(*hardcore(2, 0.3), groups.free(2), 1).tolist() == [0.13571520839985096]
+    assert ssm_profile(*hardcore(2, 1.0), Z2, 2).tolist() == [15 / 34, 0.31272944591479546]
+    assert ssm_profile(st, pot, Z2, 2, max_boundary_patterns=3**12).tolist() == [
+        0.7590830572601426, 0.7244907294914447]
+    assert ssm_profile(st, pot, groups.free(2), 1, max_boundary_patterns=3**12).tolist() == [0.7590830572601427]
 
 
 def test_uniform_bound():

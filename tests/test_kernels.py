@@ -4,16 +4,18 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab import _glauber_py, groups, kernels, soficmaps
+from soficlab import _glauber_py, groups, kernels, pasts, soficmaps
 from soficlab.constraints import full_shift, hardcore, zero_potential
+from soficlab.errors import InconsistentPinsError
 from soficlab.finitemodel import DerivedSpace, is_in_Xn
-from soficlab.marginals import TransferOracle
+from soficlab.marginals import SawOracle, TransferOracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.sampling import GlauberEngine
 
@@ -23,6 +25,7 @@ needs_c = pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded
 LOOKUPS = [_glauber_py.transfer_lookup] + ([kernels._c_transfer_lookup] if kernels.BACKEND == "c" else [])
 PERCOLATIONS = [_glauber_py.percolation_lookup] + (
     [kernels._c_percolation_lookup] if kernels.BACKEND == "c" else [])
+TREES = [_glauber_py.tree_percolation] + ([kernels._c_tree_percolation] if kernels.BACKEND == "c" else [])
 
 
 def _compiler():
@@ -316,8 +319,8 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
     masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
     rows = patterns[(lo + np.arange(n)) // n_inner]
     expect = _glauber_py.transfer_lookup(rows, masks, oracle.sides, oracle.tables)
-    saved = _glauber_py._DRAW_FLOATS
-    _glauber_py._DRAW_FLOATS = block
+    saved = pasts.CHUNK_FLOATS
+    pasts.CHUNK_FLOATS = block
     try:
         for lookup in PERCOLATIONS:
             rng = np.random.default_rng(seed)
@@ -326,7 +329,7 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
             assert np.array_equal(out, expect)
             assert rng.bit_generator.state == reference.bit_generator.state
     finally:
-        _glauber_py._DRAW_FLOATS = saved
+        pasts.CHUNK_FLOATS = saved
 
 
 @pytest.mark.parametrize("pattern,n,message", [
@@ -383,6 +386,162 @@ def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
         assert args[6].bit_generator.state == state  # refused before any draw
 
 
+@st.composite
+def tree_cases(draw):
+    """Tree-percolation arguments: a query radius r on F_1, Z^1, F_2 or F_3
+    against a SAW oracle of radius r..r+2 with either shell, patterns of any
+    width up to |B_r| that are admissible or not (adjacent 1s, or a symbol
+    outside {0, 1} in some column), a row count that n_inner divides or
+    not, a first row lo inside a pattern, and the twin's chunk cut to 1, 7
+    or 2^16 uniforms."""
+    spec, top = draw(st.sampled_from([(groups.free(1), 6), (groups.zd(1), 6), (groups.free(2), 4),
+                                      (groups.free(3), 3)]))
+    r = draw(st.integers(1, top))
+    oracle = SawOracle(*hardcore(spec.rank, draw(st.sampled_from([0.3, 1.0, 2.5]))), spec,
+                       r + draw(st.integers(0, 2)),
+                       boundary=draw(st.sampled_from(["free", "self_consistent"])))
+    ball = groups.ball(spec, r)
+    L = draw(st.integers(1, len(ball)))
+    n_inner = draw(st.integers(1, 9))
+    lo = draw(st.integers(0, 3 * n_inner))
+    n = n_inner * draw(st.integers(0, 6)) + draw(st.integers(0, n_inner - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = (rng.random(((lo + n) // n_inner + 1, L)) < draw(st.sampled_from([0.0, 0.3, 0.6]))).astype(np.int64)
+    if draw(st.booleans()):  # admissible: drop the later end of every occupied edge
+        for (i, _s, j) in ball.edges:
+            if max(i, j) < L:
+                patterns[:, max(i, j)] &= ~patterns[:, min(i, j)]
+    if draw(st.integers(0, 4)) == 0:
+        patterns[rng.integers(len(patterns)), rng.integers(L)] = draw(st.sampled_from([-1, 2, 5]))
+    block = draw(st.sampled_from([1, 7, 2**16]))
+    return spec, r, oracle, patterns, n_inner, lo, n, draw(st.integers(0, 2**32 - 1)), block
+
+
+def _outcome(run):
+    """run()'s result, or the type and message of the error it raised."""
+    try:
+        return run()
+    except (ValueError, InconsistentPinsError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tree_cases())
+def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
+    """Both backends give `tree_batch` over the masks that
+    sample_percolation_masks draws from the same generator, bitwise, and
+    leave the generator in that draw's state; where the masks route raises
+    (adjacent occupied pins, a symbol outside {0, 1}), both raise its error."""
+    spec, r, oracle, patterns, n_inner, lo, n, seed, block = case
+    ball_size = len(groups.ball(spec, r))
+    reference = np.random.default_rng(seed)
+    masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
+    rows = patterns[(lo + np.arange(n)) // n_inner]
+    expect = _outcome(lambda: _glauber_py.tree_batch(rows, masks, oracle.tree))
+    saved = pasts.CHUNK_FLOATS
+    pasts.CHUNK_FLOATS = block
+    try:
+        for tree_percolation in TREES:
+            rng = np.random.default_rng(seed)
+            out = np.full(n, np.nan)
+            got = _outcome(lambda: tree_percolation(patterns, n_inner, lo, ball_size, oracle.tree, rng, out)
+                           or out)
+            if isinstance(expect, tuple):
+                assert got == expect
+                continue
+            assert np.array_equal(got, expect)
+            assert rng.bit_generator.state == reference.bit_generator.state
+    finally:
+        pasts.CHUNK_FLOATS = saved
+
+
+@pytest.mark.parametrize("rows,error", [
+    # F_2's B_2 lists the edges (0, 3), (0, 4), (1, 11), (1, 0), ..., (3, 12), ..., (4, 16), (5, 1), ...
+    ([({4: 1, 16: 1}, [4, 16]), ({1: 1, 11: 1}, [1, 11])], r"^adjacent occupied pins 4, 16$"),
+    ([({}, []), ({3: 1, 12: 1, 1: 1, 11: 1}, [3, 12, 1, 11])], r"^adjacent occupied pins 1, 11$"),
+    ([({9: 8}, []), ({0: 7}, [])], r"^symbol 7 "),  # an unpinned site is not read, the center is
+    ([({3: 3}, [3]), ({1: 1, 11: 1}, [1, 11])], r"^symbol 3 "),
+    ([({1: 1, 11: 1, 4: 4}, [1, 11, 4])], r"^symbol 4 "),  # a row's symbol before its clash
+])
+def test_tree_batch_names_the_first_row_with_an_error(rows, error):
+    """SawOracle.batch reports the first row with a clash or a symbol outside
+    {0, 1}: within it a symbol (column order, center first) before the first
+    clashing edge (edge order).  Each row is its nonzero symbols and its pins."""
+    oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
+    values = np.zeros((len(rows), 17), dtype=np.int64)
+    masks = np.zeros(values.shape, dtype=bool)
+    for k, (symbols, pinned) in enumerate(rows):
+        values[k, list(symbols)] = list(symbols.values())
+        masks[k, pinned] = True
+    with pytest.raises((ValueError, InconsistentPinsError), match=error):
+        oracle.batch(values, masks)
+
+
+@pytest.mark.parametrize("pattern,message", [
+    ({1: 1, 5: 1}, r"^adjacent occupied pins 5, 1$"),  # the first row whose past pins both
+    ({0: 2}, r"^symbol 2 "),  # the center, whatever the past
+    ({6: -3}, r"^symbol -3 "),  # once a past pins it
+    ({6: 9, 1: 1, 5: 1}, r"^(symbol 9 |adjacent occupied pins 5, 1$)"),  # whichever row comes first
+])
+def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message):
+    """The same error, naming the same edge or symbol, from both backends and
+    every chunk size of the twin: that of the first row that has one."""
+    oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
+    patterns = np.zeros((1, 17), dtype=np.int64)
+    for c, v in pattern.items():
+        patterns[0, c] = v
+    messages = set()
+    saved = pasts.CHUNK_FLOATS
+    try:
+        for block in (17, 7 * 17, 2**16):
+            pasts.CHUNK_FLOATS = block
+            for tree_percolation in TREES:
+                with pytest.raises((ValueError, InconsistentPinsError), match=message) as exc:
+                    tree_percolation(patterns, 500, 0, 17, oracle.tree, np.random.default_rng(5), np.empty(500))
+                messages.add((exc.type, str(exc.value)))
+    finally:
+        pasts.CHUNK_FLOATS = saved
+    assert len(messages) == 1
+
+
+def _tree_args():
+    oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
+    return [np.zeros((2, 17), np.int64), 3, 1, 17, oracle.tree, np.random.default_rng(1), np.empty(5)]
+
+
+def _bad_children(tree):
+    children = tree.children.copy()
+    children[0] = 0  # the root its own child
+    return tree._replace(children=children)
+
+
+@needs_c
+@pytest.mark.parametrize("arg,change", [
+    (0, lambda p: p.astype(np.int32)),  # wrong dtype
+    (0, lambda p: np.asfortranarray(p)),  # columns not contiguous
+    (0, lambda p: p[:, :0]),  # no center column
+    (3, lambda b: 16),  # patterns wider than the pasts' ball
+    (2, lambda lo: 2),  # the last row reads a pattern past the end
+    (4, lambda t: t._replace(lam=t.lam.astype(np.float32))),
+    (4, lambda t: t._replace(free=t.free[:-1].copy())),
+    (4, lambda t: t._replace(child_ptr=t.child_ptr[:-1].copy())),
+    (4, lambda t: t._replace(edges=t.edges.ravel().copy())),
+    (4, lambda t: t._replace(starts=t.starts[:2].copy())),  # levels narrower than the patterns
+    (4, _bad_children),
+    (5, lambda rng: rng.bit_generator),  # not a Generator
+    (6, lambda out: np.broadcast_to(out, (5,))),  # read-only
+], ids=["patterns-dtype", "patterns-fortran", "no-center", "too-wide", "rows-past-the-end", "lam-dtype",
+        "free-short", "child-ptr-short", "edges-1d", "starts-narrow", "child-not-later", "rng", "out-read-only"])
+def test_c_tree_rejects_what_it_cannot_trust(arg, change):
+    args = _tree_args()
+    args[arg] = change(args[arg])
+    state = args[5].bit_generator.state if hasattr(args[5], "bit_generator") else None
+    with pytest.raises(ValueError):
+        kernels._c_tree_percolation(*args)
+    if state is not None:
+        assert args[5].bit_generator.state == state  # refused before any draw
+
+
 def test_soficlab_kernel_python_forces_the_twin():
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = {**os.environ, "SOFICLAB_KERNEL": "python",
@@ -390,10 +549,11 @@ def test_soficlab_kernel_python_forces_the_twin():
     out = subprocess.run(
         [sys.executable, "-c", "import soficlab.kernels as k; print(k.BACKEND, "
          "k.glauber_sweeps is k._glauber_py.glauber_sweeps, k.transfer_lookup is k._glauber_py.transfer_lookup, "
-         "k.percolation_lookup is k._glauber_py.percolation_lookup)"],
+         "k.percolation_lookup is k._glauber_py.percolation_lookup, "
+         "k.tree_percolation is k._glauber_py.tree_percolation)"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.split() == ["python", "True", "True", "True"]
+    assert out.stdout.split() == ["python", "True", "True", "True", "True"]
 
 
 def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
@@ -404,9 +564,9 @@ def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
         assert kernels._load_c_kernel(None, tmp_path / "file" / "soficlab") is None
     if _compiler() is None:
         return
-    # a library that builds and loads but lacks one kernel gives all three twins, not a mix
+    # a library that builds and loads but lacks one kernel gives all four twins, not a mix
     source = kernels._SOURCE.read_text()
-    for name in ("glauber_sweeps", "transfer_lookup", "percolation_lookup"):
+    for name in ("glauber_sweeps", "transfer_lookup", "percolation_lookup", "tree_percolation"):
         lacking = tmp_path / name / "_glauber.c"
         lacking.parent.mkdir()
         lacking.write_text(source.replace(f"int {name}(", f"int {name}_elsewhere("))
@@ -414,6 +574,26 @@ def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
         with pytest.warns(RuntimeWarning, match=name):
             assert kernels._load_c_kernel(None, tmp_path / name / "cache") is None
         assert len(list((tmp_path / name / "cache").iterdir())) == 1  # it did build
+
+
+def test_failed_build_stays_a_warning_under_the_suite_filters(tmp_path):
+    """The warning filters of pyproject.toml, applied as pytest applies them
+    (the last entry wins), turn numpy's RuntimeWarnings into errors but
+    leave the kernel build's fallback warning a warning, so a host without
+    a compiler still collects the suite."""
+    tomllib = pytest.importorskip("tomllib")
+    from _pytest.config import parse_warning_filter
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    filters = tomllib.loads(pyproject.read_text())["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        for entry in filters:
+            warnings.filterwarnings(*parse_warning_filter(entry, escape=False))
+        assert kernels._load_c_kernel(str(tmp_path / "no-such-cc"), tmp_path / "cache") is None
+        with pytest.raises(RuntimeWarning):
+            np.log(np.zeros(1))
+    assert [str(w.message).split(",")[0] for w in caught] == ["C kernels unavailable"]
 
 
 @needs_c

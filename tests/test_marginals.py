@@ -18,6 +18,7 @@ from soficlab.constraints import ConstraintStructure, Potential, full_shift, har
 from soficlab.enumeration import SiteGraph
 from soficlab.errors import InconsistentPinsError
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle, make_oracle
+from soficlab.pasts import sample_percolation_masks
 from soficlab.saw import hardcore_marginal_via_saw
 from soficlab.transfer import build_transfer
 
@@ -103,7 +104,7 @@ def _saw_reference(oracle, values, masks) -> list[float]:
     out = []
     for v, m in zip(values, masks):
         pins = {int(i): int(v[i]) for i in np.flatnonzero(m)}
-        p = hardcore_marginal_via_saw(oracle.adj, 0, oracle.lam, pins)
+        p = hardcore_marginal_via_saw(_adjacency(oracle.ball), 0, oracle.lam, pins)
         out.append(p if v[0] == 1 else 1.0 - p)
     return out
 
@@ -252,6 +253,78 @@ def test_transfer_oracle_refuses_rows_wider_than_its_ball():
     with pytest.raises(ValueError, match=r"width 5 .* 3 sites"):
         narrow.percolation_batch(values, 4, 5, np.random.default_rng(0), np.empty(4))
     assert narrow.batch(values[:, :3], masks[:, :3])[0] == wide.batch(values[:, :3], masks[:, :3])[0]
+
+
+@pytest.mark.parametrize("make,width,pin", [
+    (lambda: SawOracle(*hardcore(2, 1.0), groups.free(2), 1), 6, 5),  # B_1 of F_2: 5 sites
+    (lambda: BallEnumerationOracle(*hardcore(2, 1.0), groups.free(2), 1, pad=1), 20, 19),  # B_2: 17
+    (lambda: BallEnumerationOracle(*hardcore(2, 1.0), groups.zd(2), 1, pad=1), 14, 13),  # B_2 of Z^2: 13
+], ids=["saw", "ball-f2", "ball-z2"])
+def test_every_oracle_refuses_rows_wider_than_its_ball(make, width, pin):
+    """The transfer oracle's width check, on the tree and ball oracles: the
+    SAW oracle's batch raised a bare IndexError, and the ball oracle dropped
+    the pin past its ball (on F_2, r = 1, pad = 1, it answered 0.941 for
+    the row pinned at site 19, the unpinned conditional)."""
+    oracle = make()
+    values = np.zeros((1, width), dtype=np.int64)
+    masks = np.zeros((1, width), dtype=bool)
+    values[0, pin] = masks[0, pin] = 1
+    sites = width - 1 if oracle.name == "saw" else len(oracle.ball)
+    words = rf"width {width} .* {sites} sites"
+    with pytest.raises(ValueError, match=words):
+        oracle.batch(values, masks)
+    with pytest.raises(ValueError, match=words):
+        oracle.conditional(values[0], masks[0])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=words):
+        oracle.percolation_batch(values, 4, width, rng, np.empty(4))
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+def _old_masks_route(oracle, spec, r, patterns, n_inner, rng):
+    """The conditionals of the masks route the estimators took before every
+    oracle answered `percolation_batch`: chunks of at most 2^16 mask entries
+    from `sample_percolation_masks`, each sent to `batch`."""
+    n, L = len(patterns) * n_inner, patterns.shape[1]
+    step = max(1, 2**16 // len(groups.ball(spec, r)))
+    out = np.empty(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        masks = sample_percolation_masks(spec, r, hi - lo, rng)[:, :L]
+        out[lo:hi] = oracle.batch(patterns[np.arange(lo, hi) // n_inner], masks)
+    return out
+
+
+@pytest.mark.parametrize("spec,r,pad,n_patterns,n_inner", [
+    (groups.zd(2), 1, 2, 1, 20_000),  # the fixed point over several chunks
+    (groups.zd(2), 1, 1, 7, 1_500),
+    (groups.free(2), 1, 1, 3, 9_000),
+])
+def test_ball_oracle_percolation_batch_is_the_old_masks_route(spec, r, pad, n_patterns, n_inner):
+    """The ball oracle's percolation_batch gives the old masks route's
+    conditionals bitwise, leaves the generator in the same state, and makes
+    as many memo misses (calls of `conditional`)."""
+    model = hardcore(spec.rank, 1.0)
+    L = len(groups.ball(spec, r))
+    patterns = np.zeros((n_patterns, L), dtype=np.int64)
+    patterns[1:, 0] = 1  # occupied centers after the first pattern
+    results = []
+    for route in ("new", "old"):
+        oracle = BallEnumerationOracle(*model, spec, r, pad=pad)
+        calls = []
+        conditional = oracle.conditional
+        oracle.conditional = lambda v, m: calls.append(1) or conditional(v, m)
+        rng = np.random.default_rng(11)
+        if route == "new":
+            out = np.empty(n_patterns * n_inner)
+            oracle.percolation_batch(patterns, n_inner, L, rng, out)
+        else:
+            out = _old_masks_route(oracle, spec, r, patterns, n_inner, rng)
+        results.append((out, len(calls), rng.bit_generator.state))
+    (new, new_calls, new_state), (old, old_calls, old_state) = results
+    assert np.array_equal(new, old) and new_state == old_state
+    assert new_calls == old_calls and 0 < new_calls < len(new)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from soficlab import groups, randominfo
+from soficlab import groups, pasts, randominfo
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.errors import BallMismatchError, SchemaError, SoficLabError, ZeroProbabilityError
 from soficlab.gibbs import ssm_profile, uniform_bound_c
@@ -107,6 +107,27 @@ def test_zero_conditional_is_typed_error():
     }
 
 
+@pytest.mark.parametrize("p,first", [
+    ([0.5, 0.0, 2.0], "0.0"),
+    ([1.0, np.nan], "nan"),
+    ([np.inf, 0.3], "inf"),
+    ([0.2, -1e-300], "-1e-300"),
+    ([1.0 + 2**-52], "1.0000000000000002"),
+    (0.0, "0.0"),
+    ([], None),
+    ([1.0, 5e-324], None),
+])
+def test_check_refuses_every_conditional_outside_the_unit_interval(p, first):
+    """The in-place check of `_streamed_info` names the first conditional
+    outside (0, 1], a nan or an infinity included, and passes the rest."""
+    arr = np.array(p, dtype=float)
+    if first is None:
+        assert randominfo._checked(arr) is arr
+        return
+    with pytest.raises(ZeroProbabilityError, match=rf"^oracle conditional (np.float64\()?{first}\)? is not in"):
+        randominfo._checked(arr)
+
+
 def test_zero_conditional_in_a_later_chunk_is_typed_error(monkeypatch):
     """Three all-empty patterns stream cleanly in 7-row chunks; a fourth,
     occupied with both neighbours occupied, has conditional 0 on every row
@@ -115,7 +136,7 @@ def test_zero_conditional_in_a_later_chunk_is_typed_error(monkeypatch):
     b = groups.ball(Z1, 4)
     patterns = np.zeros((4, len(b)), dtype=np.int64)
     patterns[3, [0, b.index[(1,)], b.index[(-1,)]]] = 1
-    monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", 7 * len(b))
+    monkeypatch.setattr(pasts, "CHUNK_FLOATS", 7 * len(b))
     f = _streamed_info(oracle, Z1, 4, patterns[:3], 50, np.random.default_rng(0))
     assert f.shape == (150,) and np.isfinite(f).all()
     with pytest.raises(ZeroProbabilityError):
@@ -123,11 +144,15 @@ def test_zero_conditional_in_a_later_chunk_is_typed_error(monkeypatch):
 
 
 class _MasksRoute:
-    """The transfer oracle seen only through `batch`, which sends
-    `_streamed_info` down the masks route."""
+    """The transfer oracle seen only through `batch`, fed the chunked masks
+    of `pasts.percolation_chunks` as the ball oracle feeds its own."""
 
     def __init__(self, oracle):
         self.batch = oracle.batch
+
+    def percolation_batch(self, patterns, n_inner, ball_size, rng, out):
+        for start, stop, rows, masks in pasts.percolation_chunks(patterns, n_inner, 0, len(out), ball_size, rng):
+            out[start:stop] = self.batch(rows, masks)
 
 
 @pytest.mark.parametrize("spec,r,L,n_patterns,n_inner", [
@@ -354,9 +379,9 @@ def test_streamed_estimators_do_not_depend_on_the_chunk(rows_per_chunk, monkeypa
         (Z1, 6, lambda: kp_pressure_at_measure(*line, Z1, transfer, 6, N_inner=11, M_outer=30, seed=4)),
     ]
     for spec, r, run in cases:
-        monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", 10**9)
+        monkeypatch.setattr(pasts, "CHUNK_FLOATS", 10**9)
         whole = _fields(run())
-        monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", rows_per_chunk * len(groups.ball(spec, r)))
+        monkeypatch.setattr(pasts, "CHUNK_FLOATS", rows_per_chunk * len(groups.ball(spec, r)))
         assert _fields(run()) == whole
 
 
@@ -371,7 +396,7 @@ def test_ball_oracle_memo_spans_chunks(monkeypatch):
     oracle.batch = lambda v, m: chunks.append(np.hstack([v, m])) or batch(v, m)
     calls = []
     oracle.conditional = lambda v, m: calls.append(1) or conditional(v, m)
-    monkeypatch.setattr(randominfo, "_MASK_CHUNK_FLOATS", 2**12)
+    monkeypatch.setattr(pasts, "CHUNK_FLOATS", 2**12)
     est = kp_pressure_at_fixed_point(st, pot, z2, oracle, r=1, N=20_000, seed=3)
     assert est.n_samples == 20_000 and len(chunks) > 20
     distinct = len(np.unique(np.vstack(chunks), axis=0))
