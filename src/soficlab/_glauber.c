@@ -18,14 +18,21 @@
  * counts[t] is the number of sites v with x[v] != safe after sweep t.
  *
  * transfer_lookup and percolation_lookup do no arithmetic: each reads one
- * table entry per row through lookup_row, the entry _glauber_py.transfer_lookup
- * reads.  percolation_lookup compares uniforms only; it draws them through
- * numpy's bitgen_t, one next_double per call, in the order of
- * Generator.random((n, ball_size)).
+ * table entry per row through table_entry, the entry
+ * _glauber_py.transfer_lookup reads.  percolation_lookup compares uniforms
+ * only.  It steps numpy's PCG64 itself, from the state and increment that
+ * kernels.py reads from Generator.bit_generator.state and writes back: of
+ * each row's ball_size uniforms, in the order of
+ * Generator.random((n, ball_size)), it draws only the columns the row
+ * reads and skips the rest by an exact jump, so the generator ends where
+ * those draws leave it.  Other bit generators are refused by the caller.
+ * The 128-bit arithmetic needs unsigned __int128 (gcc, clang); without it
+ * the build fails and the Python twins are used.
  *
- * tree_percolation draws its pasts the same way and runs the arithmetic of
- * _glauber_py.tree_batch: the same divisions and the same order of
- * multiplications per site, so its conditionals are bitwise the twin's.
+ * tree_percolation draws its pasts the same way, each row's columns below
+ * the pattern width, and runs the arithmetic of _glauber_py.tree_batch:
+ * the same divisions and the same order of multiplications per site, so
+ * its conditionals are bitwise the twin's.
  */
 
 #include <stdint.h>
@@ -110,17 +117,6 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
     return KERNEL_OK;
 }
 
-/* numpy's bitgen_t (numpy/random/bitgen.h), the C interface of every
- * numpy BitGenerator: Generator.random fills its output with
- * next_double(state), one call per entry in C order. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-
 static int sides_ok(const int64_t *sides, int64_t r_max)
 {
     int64_t k;
@@ -131,23 +127,42 @@ static int sides_ok(const int64_t *sides, int64_t r_max)
     return 1;
 }
 
-/* *out = tables[v0][dl][bl][dr][br] for one row of width columns (row
- * int64, mask one byte per column), column 0 the center v0.  sides[s][k]
- * (two sides of r_max, each checked non-negative by the caller) is the
- * column of the site at distance k+1 on side s, 0 left and 1 right;
- * columns at or past the width are not in the row.  On each side the first
- * pinned column in that order is the nearest pin: dl/dr is its distance and
- * bl/br its symbol, or both 0 when the side has no pin.  tables is
- * C-ordered [a][r_max+1][a][r_max+1][a] double.  On a symbol outside
- * [0, a), center first, then the left pin, then the right, *bad is set to
- * that symbol.
+/* *out = tables[v0][d[0]][b[0]][d[1]][b[1]] for the center symbol v0 and
+ * the distance d[s] and symbol b[s] of the nearest pin on side s, 0 left
+ * and 1 right (both 0 when the side has no pin).  tables is C-ordered
+ * [a][r_max+1][a][r_max+1][a] double.  On a symbol outside [0, a), center
+ * first, then the left pin, then the right, *bad is set to that symbol.
+ */
+static int table_entry(int64_t v0, const int64_t *d, const int64_t *b, int64_t r_max,
+                       const double *tables, int64_t a, double *out, int64_t *bad)
+{
+    int64_t s;
+
+    if (v0 < 0 || v0 >= a) {
+        *bad = v0;
+        return LOOKUP_BAD_SYMBOL;
+    }
+    for (s = 0; s < 2; s++)
+        if (b[s] < 0 || b[s] >= a) {
+            *bad = b[s];
+            return LOOKUP_BAD_SYMBOL;
+        }
+    *out = tables[(((v0 * (r_max + 1) + d[0]) * a + b[0]) * (r_max + 1) + d[1]) * a + b[1]];
+    return KERNEL_OK;
+}
+
+/* table_entry of one row of width columns (row int64, mask one byte per
+ * column), column 0 the center.  sides[s][k] (two sides of r_max, each
+ * checked non-negative by the caller) is the column of the site at
+ * distance k+1 on side s; columns at or past the width are not in the row.
+ * On each side the first pinned column in that order is the nearest pin.
  */
 static int lookup_row(const int64_t *row, const uint8_t *mask, int64_t width,
                       const int64_t *sides, int64_t r_max,
                       const double *tables, int64_t a,
                       double *out, int64_t *bad)
 {
-    int64_t s, k, col, d[2], b[2], v0;
+    int64_t s, k, col, d[2], b[2];
 
     for (s = 0; s < 2; s++) {
         d[s] = 0;
@@ -161,18 +176,7 @@ static int lookup_row(const int64_t *row, const uint8_t *mask, int64_t width,
             }
         }
     }
-    v0 = row[0];
-    if (v0 < 0 || v0 >= a) {
-        *bad = v0;
-        return LOOKUP_BAD_SYMBOL;
-    }
-    for (s = 0; s < 2; s++)
-        if (b[s] < 0 || b[s] >= a) {
-            *bad = b[s];
-            return LOOKUP_BAD_SYMBOL;
-        }
-    *out = tables[(((v0 * (r_max + 1) + d[0]) * a + b[0]) * (r_max + 1) + d[1]) * a + b[1]];
-    return KERNEL_OK;
+    return table_entry(row[0], d, b, r_max, tables, a, out, bad);
 }
 
 /* out[i] = lookup_row of row i of values and masks, for n rows.
@@ -204,44 +208,135 @@ int transfer_lookup(const int64_t *values, int64_t values_stride,
     return KERNEL_OK;
 }
 
-/* out[i] = lookup_row of patterns[(lo + i) / n_inner] under the i-th of n
- * percolation pasts drawn from bitgen, for n rows.
+#ifndef __SIZEOF_INT128__
+#error "the percolation kernels need unsigned __int128"
+#endif
+
+/* numpy's PCG64: a 128-bit LCG s' = A s + inc whose draw is the XSL-RR
+ * output of the new state.  Taking k steps at once is s' = A^k s + C_k
+ * with C_k = (A^(k-1) + ... + A + 1) inc (Brown 1994), so a row skips the
+ * uniforms it does not read in one multiply-add and the stream stays that
+ * of Generator.random. */
+typedef unsigned __int128 u128;
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+/* a 128-bit number as two words, low word first */
+static inline u128 load128(const uint64_t *w)
+{
+    return (u128)w[1] << 64 | w[0];
+}
+
+static inline void store128(uint64_t *w, u128 x)
+{
+    w[0] = (uint64_t)x;
+    w[1] = (uint64_t)(x >> 64);
+}
+
+/* jump[4k..4k+1] = A^k and jump[4k+2..4k+3] = C_k, for 0 <= k <= steps */
+static void fill_jumps(uint64_t *jump, int64_t steps, u128 inc)
+{
+    u128 mult = 1, plus = 0;
+    int64_t k;
+
+    for (k = 0; k <= steps; k++) {
+        store128(jump + 4 * k, mult);
+        store128(jump + 4 * k + 2, plus);
+        mult = mult * PCG_MULT;
+        plus = plus * PCG_MULT + inc;
+    }
+}
+
+/* *state = mult * *state + plus, then numpy's next_double of it: the
+ * XSL-RR output v and (v >> 11) * 2^-53 */
+static inline double pcg_double(u128 *state, u128 mult, u128 plus)
+{
+    u128 s = mult * *state + plus;
+    uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+
+    *state = s;
+    v = v >> rot | v << (-rot & 63);
+    return (double)(v >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The first draw of a row after the skip uniforms the last row left
+ * unread: skip + 1 steps at once. */
+static inline double row_start(u128 *state, const uint64_t *jump, int64_t skip)
+{
+    const uint64_t *j = jump + 4 * (skip + 1);
+
+    return pcg_double(state, load128(j), load128(j + 2));
+}
+
+/* Take the skip unread steps of the last row and store the state in pcg. */
+static void pcg_store(uint64_t *pcg, u128 state, const uint64_t *jump, int64_t skip)
+{
+    const uint64_t *j = jump + 4 * skip;
+
+    store128(pcg, load128(j) * state + load128(j + 2));
+}
+
+/* out[i] = the lookup of patterns[(lo + i) / n_inner] under the i-th of n
+ * percolation pasts drawn from the PCG64 state pcg, for n rows.
  *
  * A past is ball_size uniforms chi, drawn in column order; column c of the
  * mask is chi[c] < chi[0] for 1 <= c < width and column 0 is unpinned, so n
- * pasts consume the n * ball_size doubles of Generator.random((n,
- * ball_size)) and the masks are those of pasts.sample_percolation_masks cut
- * to the width.  Row j of patterns (int64) starts patterns_stride elements
- * after row j-1 and holds width contiguous columns, 1 <= width <= ball_size.
- * mask is a caller-owned workspace of width bytes.  The caller checks dtypes,
- * shapes, n_inner >= 1, lo >= 0 and that every row read is a row of
- * patterns; errors are those of transfer_lookup.
+ * pasts are the n * ball_size doubles of Generator.random((n, ball_size))
+ * and the masks are those of pasts.sample_percolation_masks cut to the
+ * width.  A row draws chi[0], then, as it scans each side in distance
+ * order, every column up to the furthest it reads, and skips the rest of
+ * its ball_size by a jump, so pcg ends where those n * ball_size draws
+ * leave it, also after an error.  Row j of patterns (int64) starts
+ * patterns_stride elements after row j-1 and holds width contiguous
+ * columns, 1 <= width <= ball_size.  pcg is numpy's PCG64 state, then its
+ * increment (see load128), and the state is advanced in place; mask (width
+ * bytes) and jump (4 * (ball_size + 1) words) are caller-owned
+ * workspaces.  The caller checks dtypes, shapes, n_inner >= 1, lo >= 0 and
+ * that every row read is a row of patterns; errors are those of
+ * transfer_lookup.
  */
 int percolation_lookup(const int64_t *patterns, int64_t patterns_stride,
                        int64_t width, int64_t n_inner, int64_t lo, int64_t n,
                        int64_t ball_size, const int64_t *sides, int64_t r_max,
-                       const double *tables, int64_t a, bitgen_t *bitgen,
-                       uint8_t *mask, double *out, int64_t *bad)
+                       const double *tables, int64_t a, double *out, int64_t *bad,
+                       uint8_t *mask, uint64_t *pcg, uint64_t *jump)
 {
-    int64_t i, c;
+    u128 state = load128(pcg), inc = load128(pcg + 2);
+    const int64_t *row;
+    int64_t i, s, k, col, drawn, skip = 0, d[2], b[2];
     double chi0;
-    int status;
+    int status = KERNEL_OK;
 
     if (!sides_ok(sides, r_max))
         return LOOKUP_BAD_COLUMN;
+    fill_jumps(jump, ball_size, inc);
     mask[0] = 0;
-    for (i = 0; i < n; i++) {
-        chi0 = bitgen->next_double(bitgen->state);
-        for (c = 1; c < width; c++)
-            mask[c] = bitgen->next_double(bitgen->state) < chi0;
-        for (; c < ball_size; c++)
-            bitgen->next_double(bitgen->state);
-        status = lookup_row(patterns + (lo + i) / n_inner * patterns_stride, mask, width,
-                            sides, r_max, tables, a, out + i, bad);
-        if (status)
-            return status;
+    for (i = 0; i < n && !status; i++) {
+        chi0 = row_start(&state, jump, skip);
+        drawn = 1;
+        row = patterns + (lo + i) / n_inner * patterns_stride;
+        for (s = 0; s < 2; s++) {
+            d[s] = 0;
+            b[s] = 0;
+            for (k = 0; k < r_max; k++) {
+                col = sides[s * r_max + k];
+                if (col >= width)
+                    continue;
+                for (; drawn <= col; drawn++)
+                    mask[drawn] = pcg_double(&state, PCG_MULT, inc) < chi0;
+                if (mask[col]) {
+                    d[s] = k + 1;
+                    b[s] = row[col];
+                    break;
+                }
+            }
+        }
+        skip = ball_size - drawn;
+        status = table_entry(row[0], d, b, r_max, tables, a, out + i, bad);
     }
-    return KERNEL_OK;
+    pcg_store(pcg, state, jump, skip);
+    return status;
 }
 
 /* 1 if children[child_ptr[v]] .. children[child_ptr[v+1]-1], the children
@@ -307,15 +402,16 @@ static int row_errors(const int64_t *row, const uint8_t *pin, int64_t width,
 
 /* out[i] = the hardcore conditional of the center symbol of
  * patterns[(lo + i) / n_inner] under the i-th of n percolation pasts drawn
- * from bitgen, for n rows, by the ratio recursion
+ * from the PCG64 state pcg, for n rows, by the ratio recursion
  * R_v = lam[v] prod_c 1/(1+R_c) over a tree in level order.
  *
  * Site 0 is the root, the center.  The children of site v are
  * children[child_ptr[v]] .. children[child_ptr[v+1]-1], in multiplication
  * order, each of a larger index than v.  Sites deep_start .. n_window-1 are
  * the deepest level of the window; an unpinned site there has the ratio
- * free_ratio[v] of its unpinned subtree.  Pasts are drawn as
- * percolation_lookup draws them, and a pin at column c < width sets R_c to
+ * free_ratio[v] of its unpinned subtree.  Pasts are those of
+ * percolation_lookup: a row draws its columns below width and skips the
+ * rest of its ball_size by a jump.  A pin at column c < width sets R_c to
  * 0 (symbol 0) or infinity (symbol 1).  Ratios are carried as factors
  * F = 1/(1+R), so F is 1 or 0 at a pin, and the root gives
  * p = R_0/(1+R_0), or 1 - p when the center is 0.  A pinned site's factor
@@ -326,8 +422,10 @@ static int row_errors(const int64_t *row, const uint8_t *pin, int64_t width,
  * first such symbol in column order and the status LOOKUP_BAD_SYMBOL; then
  * two pinned 1s joined by an edge (edges[2e], edges[2e+1], in [0, width))
  * give TREE_CLASH with bad[0], bad[1] the first such edge.  Either stops
- * the call at the first row that has it.  pin (n_window bytes, zero) and
- * factor (3 * n_window doubles) are caller-owned workspaces.  The caller
+ * the call at the first row that has it, with pcg after that row's draw.
+ * pcg is advanced in place as percolation_lookup advances it; pin
+ * (n_window bytes, zero), factor (3 * n_window doubles) and jump
+ * (4 * (ball_size + 1) words) are caller-owned workspaces.  The caller
  * checks dtypes, shapes, 0 <= deep_start < width <= n_window <= the length
  * of lam and free_ratio, width <= ball_size, n_inner >= 1, lo >= 0 and that
  * every row read is a row of patterns; this function checks the tree and
@@ -338,15 +436,16 @@ int tree_percolation(const int64_t *patterns, int64_t patterns_stride,
                      int64_t ball_size, const int64_t *child_ptr, const int64_t *children,
                      int64_t n_children, int64_t deep_start, int64_t n_window,
                      const double *lam, const double *free_ratio,
-                     const int64_t *edges, int64_t n_edges, bitgen_t *bitgen,
-                     uint8_t *pin, double *factor, double *out, int64_t *bad)
+                     const int64_t *edges, int64_t n_edges, double *out, int64_t *bad,
+                     uint8_t *pin, double *factor, uint64_t *pcg, uint64_t *jump)
 {
     /* choice[2v] is site v's factor unpinned, choice[2v + 1] pinned */
     double *choice = factor + n_window, pair[2];
     const int64_t *row = patterns;
-    int64_t i, c, v, k, j, checked = -1;
+    u128 state = load128(pcg), inc = load128(pcg + 2);
+    int64_t i, c, v, k, j, checked = -1, skip = 0;
     double chi0, r, p;
-    int ok = 0, status;
+    int ok = 0, status = KERNEL_OK;
 
     if (!tree_ok(child_ptr, children, n_children, deep_start, n_window, edges, n_edges, width))
         return TREE_BAD_GEOMETRY;
@@ -354,12 +453,12 @@ int tree_percolation(const int64_t *patterns, int64_t patterns_stride,
         choice[2 * v] = v >= deep_start ? 1.0 / (1.0 + free_ratio[v]) : 0.0;
         choice[2 * v + 1] = 1.0;
     }
+    fill_jumps(jump, ball_size, inc);
     for (i = 0; i < n; i++) {
-        chi0 = bitgen->next_double(bitgen->state);
+        chi0 = row_start(&state, jump, skip);
         for (c = 1; c < width; c++)
-            pin[c] = bitgen->next_double(bitgen->state) < chi0;
-        for (; c < ball_size; c++)
-            bitgen->next_double(bitgen->state);
+            pin[c] = pcg_double(&state, PCG_MULT, inc) < chi0;
+        skip = ball_size - width;
         j = (lo + i) / n_inner;
         if (j != checked) {
             row = patterns + j * patterns_stride;
@@ -371,7 +470,7 @@ int tree_percolation(const int64_t *patterns, int64_t patterns_stride,
         if (!ok) {
             status = row_errors(row, pin, width, edges, n_edges, bad);
             if (status)
-                return status;
+                break;
         }
         for (v = deep_start; v < n_window; v++)
             factor[v] = choice[2 * v + pin[v]];
@@ -394,5 +493,6 @@ int tree_percolation(const int64_t *patterns, int64_t patterns_stride,
         p = r / (1.0 + r);
         out[i] = row[0] == 1 ? p : 1.0 - p;
     }
-    return KERNEL_OK;
+    pcg_store(pcg, state, jump, skip);
+    return status;
 }

@@ -13,7 +13,6 @@ F_{r+1} = B_r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .config import ball_cap
 from .errors import CapExceededError
@@ -129,7 +128,8 @@ def apply_letter(spec: GroupSpec, letter: int, g: Element) -> Element:
         i = abs(letter) - 1
         step = 1 if letter > 0 else -1
         return g[:i] + (g[i] + step,) + g[i + 1 :]
-    return _reduce_word((letter,) + g)
+    # g is reduced, so only its first letter can cancel
+    return g[1:] if g and g[0] == -letter else (letter,) + g
 
 
 @dataclass(frozen=True)
@@ -152,44 +152,72 @@ class CayleyBall:
         return self.elements[lo : lo + self.shell_sizes[r]]
 
 
-@lru_cache(maxsize=None)
+# every ball asked for, kept for the process by (group, radius)
+_BALLS: dict[tuple[GroupSpec, int], CayleyBall] = {}
+
+
 def ball(spec: GroupSpec, r: int) -> CayleyBall:
-    """Ball B_r sorted length-lexicographically; B_r is a prefix of B_{r+1}."""
+    """Ball B_r sorted length-lexicographically; B_r is a prefix of B_{r+1}.
+
+    B_r is grown a shell at a time from the largest smaller ball of the
+    group asked for so far (B_0 if none), and kept for the process;
+    `ball.cache_clear()` drops every kept ball.  A ball of more than
+    `ball_cap()` elements is a CapExceededError.
+    """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    cap = ball_cap()
-    shells: list[list[Element]] = [[identity(spec)]]
-    seen = {identity(spec)}
+    b = _BALLS.get((spec, r))
+    if b is None:
+        below = [k for g, k in list(_BALLS) if g == spec and k < r]
+        if below:
+            b = _BALLS[spec, max(below)]
+        else:
+            e = identity(spec)
+            b = CayleyBall(spec=spec, radius=0, elements=(e,), index={e: 0}, edges=(), shell_sizes=(1,))
+        cap = ball_cap()
+        while b.radius < r:
+            b = _next_ball(b, cap)
+        _BALLS[spec, r] = b
+    return b
+
+
+ball.cache_clear = _BALLS.clear  # the name functools.lru_cache gives it
+
+
+def _next_ball(prev: CayleyBall, cap: int) -> CayleyBall:
+    """B_{r+1} from B_r = prev: one new sorted shell, prev's elements and
+    index extended, and prev's edges from sites of length at most r-1 kept,
+    since all their neighbours lie in B_r; only the edges of shells r and
+    r+1 are computed."""
+    spec, r = prev.spec, prev.radius
     signed = [s for i in range(spec.rank) for s in (i + 1, -(i + 1))]
-    total = 1
-    for _ in range(r):
-        nxt = set()
-        for g in shells[-1]:
-            for letter in signed:
-                h = apply_letter(spec, letter, g)
-                if h not in seen:
-                    nxt.add(h)
-        total += len(nxt)
-        if total > cap:
-            raise CapExceededError(f"ball size exceeds cap {cap}")
-        seen.update(nxt)
-        shells.append(sorted(nxt))
-    elements = tuple(g for shell in shells for g in shell)
-    index = {g: i for i, g in enumerate(elements)}
-    edges = []
-    for i, g in enumerate(elements):
+    index = prev.index
+    shell = sorted({h for g in prev.shell(r) for letter in signed
+                    if (h := apply_letter(spec, letter, g)) not in index})
+    total = len(prev) + len(shell)
+    if total > cap:
+        raise CapExceededError(f"ball size exceeds cap {cap}")
+    elements = prev.elements + tuple(shell)
+    index = dict(index)
+    index.update((g, i) for i, g in enumerate(shell, len(prev)))
+    lo = len(prev) - prev.shell_sizes[r]  # the first site of shell r
+    keep = len(prev.edges)  # edges are in source order: drop those from shell r
+    while keep and prev.edges[keep - 1][0] >= lo:
+        keep -= 1
+    edges = list(prev.edges[:keep])
+    for i in range(lo, total):
+        g = elements[i]
         for s in range(spec.rank):
-            h = apply_letter(spec, s + 1, g)
-            j = index.get(h)
+            j = index.get(apply_letter(spec, s + 1, g))
             if j is not None:
                 edges.append((i, s, j))
     return CayleyBall(
         spec=spec,
-        radius=r,
+        radius=r + 1,
         elements=elements,
         index=index,
         edges=tuple(edges),
-        shell_sizes=tuple(len(s) for s in shells),
+        shell_sizes=prev.shell_sizes + (len(shell),),
     )
 
 

@@ -3,8 +3,12 @@
 Four kernels: `glauber_sweeps`, the heat-bath sweep; `transfer_lookup`,
 the transfer oracle's nearest-pin table lookup; `percolation_lookup`, the
 same lookup over percolation pasts that it draws itself from a numpy
-Generator through numpy's `bitgen_t`; and `tree_percolation`, the tree
-oracle's hardcore ratio recursion over pasts drawn the same way.  On the
+Generator; and `tree_percolation`, the tree oracle's hardcore ratio
+recursion over pasts drawn the same way.  The compiled percolation kernels
+step the Generator's PCG64 themselves, from `bit_generator.state`: each
+row draws only the columns it reads and skips the rest of its uniforms by
+an exact jump, and the advanced state is written back.  They refuse any
+other bit generator with a ValueError before drawing.  On the
 first import, `_glauber.c` is compiled once into the user cache,
 `$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as one shared library
 whose name is keyed by a CRC-32 of the source, the compiler flags and the
@@ -15,8 +19,8 @@ pure-Python twins of `_glauber_py` are used; `SOFICLAB_KERNEL=python`
 forces the twins.  The backends are never mixed.  The sweeps consume
 identical uniforms and give bitwise-equal trajectories; the lookups and the
 tree recursion give bitwise-equal results and raise the same errors, and
-the percolation kernels draw the same uniforms, so they leave the generator
-in the same state.  `BACKEND` is "c" or "python".
+the percolation kernels read the same uniforms and leave the generator in
+the same state.  `BACKEND` is "c" or "python".
 """
 
 import ctypes
@@ -52,6 +56,7 @@ _TREE_CLASH = 7
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
 _BOOL = np.dtype(bool)
+_WORD = 2**64 - 1
 
 
 def _compile(compiler: str, lib: Path):
@@ -102,9 +107,9 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
     lookup.argtypes = [_BYTE_P, ctypes.c_int64, _BYTE_P] + [ctypes.c_int64] * 3 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P, _BYTE_P]
     percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 6 + [
-        _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, ctypes.c_void_p, _BYTE_P, _BYTE_P, _BYTE_P]
+        _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 5
     tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 6 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
-        _BYTE_P, _BYTE_P, _BYTE_P, ctypes.c_int64, ctypes.c_void_p, _BYTE_P, _BYTE_P, _BYTE_P, _BYTE_P]
+        _BYTE_P, _BYTE_P, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 6
     sweeps.restype = lookup.restype = percolation.restype = tree.restype = ctypes.c_int
     return sweeps, lookup, percolation, tree
 
@@ -258,7 +263,33 @@ def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
         raise ValueError(f"rows {lo} to {lo + n} at {n_inner} per pattern do not fit {n_rows} patterns")
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy Generator, not {type(rng).__name__}")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ValueError(f"the compiled percolation kernels step PCG64 (numpy's default_rng), "
+                         f"not {type(rng.bit_generator).__name__}")
     return L, n, n_inner, lo, ball_size
+
+
+def _run_on_pcg64(kernel, args, ball_size: int, rng) -> int:
+    """kernel(*args, pcg, jump)'s status, run on rng's PCG64 state.
+
+    pcg is the state and increment of `rng.bit_generator.state` as four
+    uint64 words, low word first, which the kernel advances; jump is its
+    workspace of ball_size + 1 jumps.  The advanced state is written back
+    with the buffered uint32 (`has_uint32`, `uinteger`) as it was, which
+    `PCG64.advance` would reset.  The generator's lock is held throughout,
+    since ctypes releases the GIL.
+    """
+    pcg = np.empty(4, np.uint64)
+    jump = np.empty(4 * (ball_size + 1), np.uint64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        state = bitgen.state
+        words = state["state"]
+        pcg[:] = [words["state"] & _WORD, words["state"] >> 64, words["inc"] & _WORD, words["inc"] >> 64]
+        status = kernel(*args, _data(pcg), _data(jump))
+        words["state"] = int(pcg[1]) << 64 | int(pcg[0])
+        bitgen.state = state
+    return status
 
 
 def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
@@ -269,23 +300,23 @@ def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, 
     patterns with contiguous columns and any non-negative row stride, of
     width 1 to ball_size; n_inner >= 1 and lo >= 0 such that every row read
     is a row of patterns; sides and tables as `_c_transfer_lookup` takes
-    them; a numpy Generator; and a writeable C-contiguous float64 out.  The
-    kernel draws len(out) * ball_size uniforms through the generator's
-    `bitgen_t`, as `rng.random((len(out), ball_size))` does, holding the
-    generator's lock, since ctypes releases the GIL.  Any failure is a
-    ValueError, a symbol or side column the twin's.
+    them; a numpy Generator over PCG64; and a writeable C-contiguous float64
+    out.  The pasts are the rows of `rng.random((len(out), ball_size))`:
+    the kernel steps the generator's PCG64 itself (`_run_on_pcg64`),
+    draws of each row only the columns it scans for the nearest pins,
+    skips the rest by an exact jump, and leaves the generator where that
+    call would, also when it raises.  Any failure is a ValueError, a symbol
+    or side column the twin's.
     """
     L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     r_max, a = _checked_geometry(sides, tables)
     mask = np.empty(L, np.uint8)
     bad = np.zeros(1, np.int64)
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        status = _c_percolation(
-            patterns.ctypes.data_as(_BYTE_P), patterns.strides[0] // patterns.itemsize, L,
-            n_inner, lo, n, ball_size, _data(sides), r_max, _data(tables), a,
-            bitgen.ctypes.bit_generator, _data(mask), _data(out), _data(bad),
-        )
+    status = _run_on_pcg64(_c_percolation, (
+        patterns.ctypes.data_as(_BYTE_P), patterns.strides[0] // patterns.itemsize, L,
+        n_inner, lo, n, ball_size, _data(sides), r_max, _data(tables), a,
+        _data(out), _data(bad), _data(mask),
+    ), ball_size, rng)
     _raise_lookup(status, bad, a)
 
 
@@ -300,8 +331,10 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     child_ptr of one more entry than lam, children and (m, 2) edges; float64
     lam and free of one length), no narrower than the patterns.  The pasts
     and the generator's state are those of `_c_percolation_lookup`; the
-    result is bitwise the twin's, and so are the errors: `symbol_error`,
-    `clash_error`, or a ValueError for anything else the kernel cannot trust.
+    kernel draws each row's columns below the pattern width and skips the
+    rest by a jump.  The result is bitwise the twin's, and so are the
+    errors: `symbol_error`, `clash_error`, or a ValueError for anything else
+    the kernel cannot trust.
     """
     L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     (sites,) = _checked_shape("tree.lam", tree.lam, _F64, 1)
@@ -320,16 +353,13 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     pin = np.zeros(n_window, np.uint8)
     factor = np.empty(3 * n_window)
     bad = np.zeros(2, np.int64)
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        status = _c_tree(
-            patterns.ctypes.data_as(_BYTE_P), patterns.strides[0] // patterns.itemsize, L,
-            n_inner, lo, n, ball_size, tree.child_ptr.ctypes.data_as(_BYTE_P),
-            tree.children.ctypes.data_as(_BYTE_P), len(tree.children), deep_start, n_window,
-            tree.lam.ctypes.data_as(_BYTE_P), tree.free.ctypes.data_as(_BYTE_P),
-            edges.ctypes.data_as(_BYTE_P), len(edges), bitgen.ctypes.bit_generator,
-            _data(pin), _data(factor), _data(out), _data(bad),
-        )
+    status = _run_on_pcg64(_c_tree, (
+        patterns.ctypes.data_as(_BYTE_P), patterns.strides[0] // patterns.itemsize, L,
+        n_inner, lo, n, ball_size, tree.child_ptr.ctypes.data_as(_BYTE_P),
+        tree.children.ctypes.data_as(_BYTE_P), len(tree.children), deep_start, n_window,
+        tree.lam.ctypes.data_as(_BYTE_P), tree.free.ctypes.data_as(_BYTE_P),
+        edges.ctypes.data_as(_BYTE_P), len(edges), _data(out), _data(bad), _data(pin), _data(factor),
+    ), ball_size, rng)
     _raise_lookup(status, bad, 2)
 
 

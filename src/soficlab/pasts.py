@@ -46,7 +46,8 @@ def sample_percolation_masks(spec: GroupSpec, r: int, n_samples: int, rng) -> np
     The uniforms are one draw of n_samples rows from rng, so a call holds
     float64 uniforms and the bool mask for its rows.  `percolation_chunks`
     draws the same stream in bounded chunks, and the compiled percolation
-    kernels draw it a row at a time.
+    kernels step it a row at a time, skipping the uniforms a row does not
+    read.
     """
     L = len(groups.ball(spec, r).elements)
     chi = rng.random((n_samples, L))

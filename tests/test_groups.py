@@ -118,6 +118,40 @@ def test_ball_certificates():
     assert not groups.balls_isomorphic(Z1, Z2, 1)
 
 
+def _ball_from_scratch(spec, r):
+    """(elements, index, edges, shell sizes) of B_r by a breadth-first search
+    through `groups.mul`, each shell sorted, and every edge (i, s, j) with
+    s.g_i = g_j in (i, s) order."""
+    letters = [groups.generator(spec, s) for s in range(spec.rank)]
+    letters += [groups.inv(spec, x) for x in letters]
+    shells = [[groups.identity(spec)]]
+    seen = set(shells[0])
+    for _ in range(r):
+        shell = {groups.mul(spec, x, g) for g in shells[-1] for x in letters} - seen
+        seen |= shell
+        shells.append(sorted(shell))
+    elements = tuple(g for shell in shells for g in shell)
+    index = {g: i for i, g in enumerate(elements)}
+    edges = tuple((i, s, index[h]) for i, g in enumerate(elements) for s in range(spec.rank)
+                  if (h := groups.mul(spec, letters[s], g)) in index)
+    return elements, index, edges, tuple(len(shell) for shell in shells)
+
+
+@pytest.mark.parametrize("spec,rmax", [(Z1, 6), (Z2, 6), (groups.free(1), 6), (F2, 5), (F3, 4)])
+def test_ball_grown_by_shells_is_the_ball_built_from_scratch(spec, rmax):
+    """Each ball, whether grown one shell at a time or asked for cold, has
+    the elements, index, edges and shell sizes of a from-scratch build."""
+    groups.ball.cache_clear()
+    grown = [groups.ball(spec, r) for r in range(rmax + 1)]
+    groups.ball.cache_clear()
+    cold = groups.ball(spec, rmax)
+    for r, b in enumerate(grown):
+        assert (b.elements, b.index, b.edges, b.shell_sizes) == _ball_from_scratch(spec, r)
+        assert b.radius == r
+    assert (cold.elements, cold.edges, cold.shell_sizes) == (grown[-1].elements, grown[-1].edges,
+                                                              grown[-1].shell_sizes)
+
+
 def test_ball_cap(monkeypatch):
     monkeypatch.setenv("SOFICLAB_BALL_CAP", "10")
     groups.ball.cache_clear()

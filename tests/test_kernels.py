@@ -352,6 +352,13 @@ def test_percolation_symbol_or_column_is_one_error_on_both_backends(pattern, n, 
     assert len(messages) == 1
 
 
+def _same_state(a, b) -> bool:
+    """Equality of two bit-generator states, whose values may be arrays (MT19937's key)."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 def _percolation_args():
     oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
     return [np.zeros((2, 5), np.int64), 3, 1, 5, oracle.sides, oracle.tables,
@@ -371,11 +378,13 @@ def _percolation_args():
     (4, lambda s: s.astype(np.int32)),
     (5, lambda t: t[:1].copy()),
     (6, lambda rng: rng.bit_generator),  # not a Generator
+    (6, lambda rng: np.random.Generator(np.random.MT19937(1))),  # not PCG64
+    (6, lambda rng: np.random.Generator(np.random.Philox(1))),
     (7, lambda out: out.astype(np.float32)),
     (7, lambda out: np.broadcast_to(out, (5,))),  # read-only
 ], ids=["patterns-dtype", "patterns-fortran", "patterns-negative-stride", "no-center", "too-wide",
         "n-inner", "lo-negative", "rows-past-the-end", "sides-dtype", "tables-alphabet", "rng",
-        "out-dtype", "out-read-only"])
+        "rng-mt19937", "rng-philox", "out-dtype", "out-read-only"])
 def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
     args = _percolation_args()
     args[arg] = change(args[arg])
@@ -383,7 +392,7 @@ def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
     with pytest.raises(ValueError):
         kernels._c_percolation_lookup(*args)
     if state is not None:
-        assert args[6].bit_generator.state == state  # refused before any draw
+        assert _same_state(args[6].bit_generator.state, state)  # refused before any draw
 
 
 @st.composite
@@ -529,9 +538,12 @@ def _bad_children(tree):
     (4, lambda t: t._replace(starts=t.starts[:2].copy())),  # levels narrower than the patterns
     (4, _bad_children),
     (5, lambda rng: rng.bit_generator),  # not a Generator
+    (5, lambda rng: np.random.Generator(np.random.MT19937(1))),  # not PCG64
+    (5, lambda rng: np.random.Generator(np.random.Philox(1))),
     (6, lambda out: np.broadcast_to(out, (5,))),  # read-only
 ], ids=["patterns-dtype", "patterns-fortran", "no-center", "too-wide", "rows-past-the-end", "lam-dtype",
-        "free-short", "child-ptr-short", "edges-1d", "starts-narrow", "child-not-later", "rng", "out-read-only"])
+        "free-short", "child-ptr-short", "edges-1d", "starts-narrow", "child-not-later", "rng",
+        "rng-mt19937", "rng-philox", "out-read-only"])
 def test_c_tree_rejects_what_it_cannot_trust(arg, change):
     args = _tree_args()
     args[arg] = change(args[arg])
@@ -539,7 +551,58 @@ def test_c_tree_rejects_what_it_cannot_trust(arg, change):
     with pytest.raises(ValueError):
         kernels._c_tree_percolation(*args)
     if state is not None:
-        assert args[5].bit_generator.state == state  # refused before any draw
+        assert _same_state(args[5].bit_generator.state, state)  # refused before any draw
+
+
+@pytest.mark.parametrize("ball_size", [53, 2000])
+def test_percolation_kernels_jump_long_strides_bitwise(ball_size):
+    """Patterns far narrower than the pasts' ball, so that each row skips
+    most of its uniforms: both kernels on both backends still give the
+    masks of `rng.random((n, ball_size))` bitwise and leave the generator
+    in that draw's state."""
+    line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 1)  # columns: center, -1, +1
+    tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)  # 53 sites
+    n_inner, n = 7, 300
+    source = np.random.default_rng(4)
+    for runs, geometry, batch, edges, widths in (
+        (PERCOLATIONS, (line.sides, line.tables), _glauber_py.transfer_lookup, [], [3]),
+        (TREES, (tree.tree,), _glauber_py.tree_batch, groups.ball(groups.free(2), 3).edges, [1, 5, 17, 30]),
+    ):
+        for L in widths:
+            patterns = (source.random((n // n_inner + 1, L)) < 0.3).astype(np.int64)
+            for (i, _s, j) in edges:  # admissible: drop the later end of every occupied edge
+                if max(i, j) < L:
+                    patterns[:, max(i, j)] &= ~patterns[:, min(i, j)]
+            reference = np.random.default_rng(9)
+            chi = reference.random((n, ball_size))
+            masks = chi[:, :L] < chi[:, :1]
+            masks[:, 0] = False
+            expect = batch(patterns[np.arange(n) // n_inner], masks, *geometry)
+            for run in runs:
+                rng = np.random.default_rng(9)
+                out = np.full(n, np.nan)
+                run(patterns, n_inner, 0, ball_size, *geometry, rng, out)
+                assert np.array_equal(out, expect)
+                assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@needs_c
+def test_c_percolation_kernels_keep_a_buffered_uint32():
+    """The C kernels write the advanced PCG64 state back with the buffered
+    uint32 as it was (`PCG64.advance` would drop it), so the generator's
+    whole state is that of the `rng.random` route."""
+    line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
+    tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
+    patterns = np.zeros((4, 5), np.int64)
+    for run, geometry, ball_size in ((kernels._c_percolation_lookup, (line.sides, line.tables), 9),
+                                     (kernels._c_tree_percolation, (tree.tree,), 53)):
+        rng, reference = np.random.default_rng(6), np.random.default_rng(6)
+        for g in (rng, reference):
+            g.integers(0, 10, dtype=np.uint32)
+        reference.random((40, ball_size))
+        run(patterns, 10, 0, ball_size, *geometry, rng, np.empty(40))
+        assert reference.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_soficlab_kernel_python_forces_the_twin():
