@@ -1,6 +1,6 @@
-/* Compiled kernels, loaded by soficlab.kernels through ctypes from one library:
- * the heat-bath sweep, the transfer oracle's nearest-pin lookup, the same
- * lookup over percolation pasts that it draws itself, and the tree oracle's
+/* The three compiled kernels, loaded by soficlab.kernels through ctypes from
+ * one library: the heat-bath sweep, the transfer oracle's nearest-pin lookup
+ * over percolation pasts that it draws itself, and the tree oracle's
  * hardcore ratio recursion over pasts that it draws the same way.
  *
  * glauber_sweeps must stay arithmetic-identical to _glauber_py.glauber_sweeps:
@@ -17,12 +17,11 @@
  * this file checks every index it reads through.  When counts is not NULL,
  * counts[t] is the number of sites v with x[v] != safe after sweep t.
  *
- * transfer_lookup and percolation_lookup do no arithmetic: each reads one
- * table entry per row through table_entry, the entry
- * _glauber_py.transfer_lookup reads.  percolation_lookup compares uniforms
- * only.  It steps numpy's PCG64 itself, from the state and increment that
- * kernels.py reads from Generator.bit_generator.state and writes back: of
- * each row's ball_size uniforms, in the order of
+ * percolation_lookup does no arithmetic: it reads one table entry per row
+ * through table_entry, the entry _glauber_py.transfer_lookup reads, and
+ * compares uniforms only.  It steps numpy's PCG64 itself, from the state
+ * and increment that kernels.py reads from Generator.bit_generator.state
+ * and writes back: of each row's ball_size uniforms, in the order of
  * Generator.random((n, ball_size)), it draws only the columns the row
  * reads and skips the rest by an exact jump, so the generator ends where
  * those draws leave it.  Other bit generators are refused by the caller.
@@ -151,63 +150,6 @@ static int table_entry(int64_t v0, const int64_t *d, const int64_t *b, int64_t r
     return KERNEL_OK;
 }
 
-/* table_entry of one row of width columns (row int64, mask one byte per
- * column), column 0 the center.  sides[s][k] (two sides of r_max, each
- * checked non-negative by the caller) is the column of the site at
- * distance k+1 on side s; columns at or past the width are not in the row.
- * On each side the first pinned column in that order is the nearest pin.
- */
-static int lookup_row(const int64_t *row, const uint8_t *mask, int64_t width,
-                      const int64_t *sides, int64_t r_max,
-                      const double *tables, int64_t a,
-                      double *out, int64_t *bad)
-{
-    int64_t s, k, col, d[2], b[2];
-
-    for (s = 0; s < 2; s++) {
-        d[s] = 0;
-        b[s] = 0;
-        for (k = 0; k < r_max; k++) {
-            col = sides[s * r_max + k];
-            if (col < width && mask[col]) {
-                d[s] = k + 1;
-                b[s] = row[col];
-                break;
-            }
-        }
-    }
-    return table_entry(row[0], d, b, r_max, tables, a, out, bad);
-}
-
-/* out[i] = lookup_row of row i of values and masks, for n rows.
- *
- * Row i of values (int64) starts values_stride elements after row i-1, and
- * row i of masks (bool, one byte) masks_stride bytes after; each row holds
- * width contiguous columns, width >= 1.  The caller checks dtypes and
- * shapes; this function checks every column and symbol it reads through,
- * and stops at the first row with a symbol outside [0, a).
- */
-int transfer_lookup(const int64_t *values, int64_t values_stride,
-                    const uint8_t *masks, int64_t masks_stride,
-                    int64_t n, int64_t width,
-                    const int64_t *sides, int64_t r_max,
-                    const double *tables, int64_t a,
-                    double *out, int64_t *bad)
-{
-    int64_t i;
-    int status;
-
-    if (!sides_ok(sides, r_max))
-        return LOOKUP_BAD_COLUMN;
-    for (i = 0; i < n; i++) {
-        status = lookup_row(values + i * values_stride, masks + i * masks_stride, width,
-                            sides, r_max, tables, a, out + i, bad);
-        if (status)
-            return status;
-    }
-    return KERNEL_OK;
-}
-
 #ifndef __SIZEOF_INT128__
 #error "the percolation kernels need unsigned __int128"
 #endif
@@ -277,28 +219,32 @@ static void pcg_store(uint64_t *pcg, u128 state, const uint64_t *jump, int64_t s
     store128(pcg, load128(j) * state + load128(j + 2));
 }
 
-/* out[i] = the lookup of patterns[(lo + i) / n_inner] under the i-th of n
- * percolation pasts drawn from the PCG64 state pcg, for n rows.
+/* out[i] = the table_entry of patterns[(lo + i) / n_inner] under the i-th
+ * of n percolation pasts drawn from the PCG64 state pcg, for n rows.
  *
- * A past is ball_size uniforms chi, drawn in column order; column c of the
+ * Column 0 is the center.  sides[s][k] (two sides of r_max, each
+ * non-negative, else LOOKUP_BAD_COLUMN before any draw) is the column of
+ * the site at distance k+1 on side s; columns at or past the width are
+ * not in the row.  On each side the first pinned column in that order is
+ * the nearest pin.  A past is ball_size uniforms chi, drawn in column order; column c of the
  * mask is chi[c] < chi[0] for 1 <= c < width and column 0 is unpinned, so n
  * pasts are the n * ball_size doubles of Generator.random((n, ball_size))
  * and the masks are those of pasts.sample_percolation_masks cut to the
  * width.  A row draws chi[0], then, as it scans each side in distance
  * order, every column up to the furthest it reads, and skips the rest of
  * its ball_size by a jump, so pcg ends where those n * ball_size draws
- * leave it, also after an error.  Row j of patterns (int64) starts
- * patterns_stride elements after row j-1 and holds width contiguous
- * columns, 1 <= width <= ball_size.  pcg is numpy's PCG64 state, then its
+ * leave it, also after an error.  patterns is C-ordered [rows][width]
+ * int64, 1 <= width <= ball_size.  pcg is numpy's PCG64 state, then its
  * increment (see load128), and the state is advanced in place; mask (width
  * bytes) and jump (4 * (ball_size + 1) words) are caller-owned
  * workspaces.  The caller checks dtypes, shapes, n_inner >= 1, lo >= 0 and
- * that every row read is a row of patterns; errors are those of
- * transfer_lookup.
+ * that every row read is a row of patterns; this function checks every
+ * side column and symbol it reads through, and stops at the first row with
+ * a symbol outside [0, a).
  */
-int percolation_lookup(const int64_t *patterns, int64_t patterns_stride,
-                       int64_t width, int64_t n_inner, int64_t lo, int64_t n,
-                       int64_t ball_size, const int64_t *sides, int64_t r_max,
+int percolation_lookup(const int64_t *patterns, int64_t width,
+                       int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
+                       const int64_t *sides, int64_t r_max,
                        const double *tables, int64_t a, double *out, int64_t *bad,
                        uint8_t *mask, uint64_t *pcg, uint64_t *jump)
 {
@@ -315,7 +261,7 @@ int percolation_lookup(const int64_t *patterns, int64_t patterns_stride,
     for (i = 0; i < n && !status; i++) {
         chi0 = row_start(&state, jump, skip);
         drawn = 1;
-        row = patterns + (lo + i) / n_inner * patterns_stride;
+        row = patterns + (lo + i) / n_inner * width;
         for (s = 0; s < 2; s++) {
             d[s] = 0;
             b[s] = 0;
@@ -431,9 +377,9 @@ static int row_errors(const int64_t *row, const uint8_t *pin, int64_t width,
  * every row read is a row of patterns; this function checks the tree and
  * the edges (TREE_BAD_GEOMETRY).
  */
-int tree_percolation(const int64_t *patterns, int64_t patterns_stride,
-                     int64_t width, int64_t n_inner, int64_t lo, int64_t n,
-                     int64_t ball_size, const int64_t *child_ptr, const int64_t *children,
+int tree_percolation(const int64_t *patterns, int64_t width,
+                     int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
+                     const int64_t *child_ptr, const int64_t *children,
                      int64_t n_children, int64_t deep_start, int64_t n_window,
                      const double *lam, const double *free_ratio,
                      const int64_t *edges, int64_t n_edges, double *out, int64_t *bad,
@@ -461,7 +407,7 @@ int tree_percolation(const int64_t *patterns, int64_t patterns_stride,
         skip = ball_size - width;
         j = (lo + i) / n_inner;
         if (j != checked) {
-            row = patterns + j * patterns_stride;
+            row = patterns + j * width;
             ok = pattern_ok(row, width, edges, n_edges);
             for (c = 1; c < width; c++)
                 choice[2 * c + 1] = row[c] == 1 ? 0.0 : 1.0;

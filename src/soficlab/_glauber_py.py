@@ -1,14 +1,14 @@
-"""Pure-Python twins of the kernels in _glauber.c: the fallback when the C
-library is unavailable, and the tests' reference for it.
+"""Pure-Python twins of the three kernels in _glauber.c: the fallback when
+the C library is unavailable, and the tests' reference for it.
 
 The sweep keeps the C kernel's arithmetic and uniform consumption, so
-trajectories agree bitwise between backends; the transfer lookups read the
-same table entry per row as the C lookups, and both raise the same
-ValueError for a symbol outside the alphabet or a negative side column.
-`tree_batch` is the tree oracle's numpy ratio recursion, whose arithmetic
-the C tree kernel repeats.  The percolation twins draw the C kernels'
-uniforms through `pasts.percolation_chunks`, so the generator ends in the
-same state.
+trajectories agree bitwise between backends.  `transfer_lookup` and
+`tree_batch` are the transfer and tree oracles' numpy batches on both
+backends: the C percolation lookup reads the table entry per row that
+`transfer_lookup` reads, and the C tree kernel repeats the arithmetic of
+`tree_batch`; each C kernel raises its twin's errors.  The percolation
+twins draw the C kernels' uniforms through `pasts.percolation_chunks`, so
+the generator ends in the same state.
 """
 
 from typing import NamedTuple
@@ -91,7 +91,7 @@ def clash_error(i: int, j: int) -> InconsistentPinsError:
 
 
 def column_error() -> ValueError:
-    """The error of both transfer lookups for a negative side column."""
+    """The error of every transfer lookup for a negative side column."""
     return ValueError("side column of the transfer lookup is negative")
 
 

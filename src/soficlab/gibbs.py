@@ -41,8 +41,7 @@ class BallDistribution:
             raise ValueError(f"distribution sums to {total}")
 
     def tv(self, other: "BallDistribution") -> float:
-        keys = set(self.table) | set(other.table)
-        return 0.5 * sum(abs(self.table.get(k, 0.0) - other.table.get(k, 0.0)) for k in keys)
+        return tv_tables(self.table, other.table)
 
 
 def tv_tables(a: dict, b: dict) -> float:

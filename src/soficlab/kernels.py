@@ -1,28 +1,30 @@
 """The compiled kernels of `_glauber.c` through ctypes, else their Python twins.
 
-Four kernels: `glauber_sweeps`, the heat-bath sweep; `transfer_lookup`,
-the transfer oracle's nearest-pin table lookup; `percolation_lookup`, the
-same lookup over percolation pasts that it draws itself from a numpy
-Generator; and `tree_percolation`, the tree oracle's hardcore ratio
-recursion over pasts drawn the same way.  The compiled percolation kernels
-step the Generator's PCG64 themselves, from `bit_generator.state`: each
-row draws only the columns it reads and skips the rest of its uniforms by
-an exact jump, and the advanced state is written back.  They refuse any
-other bit generator with a ValueError before drawing.  On the
-first import, `_glauber.c` is compiled once into the user cache,
+Three kernels: `glauber_sweeps`, the heat-bath sweep; `percolation_lookup`,
+the transfer oracle's nearest-pin table lookup over percolation pasts that
+it draws itself from a numpy Generator; and `tree_percolation`, the tree
+oracle's hardcore ratio recursion over pasts drawn the same way.  The
+compiled percolation kernels step the Generator's PCG64 themselves, from
+`bit_generator.state`: each row draws only the columns it reads and skips
+the rest of its uniforms by an exact jump, and the advanced state is
+written back.  They refuse any other bit generator with a ValueError
+before drawing, and take C-contiguous patterns only.  On the first import,
+`_glauber.c` is compiled once into the user cache,
 `$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as one shared library
 whose name is keyed by a CRC-32 of the source, the compiler flags and the
-platform; later imports only load it.  The compiler is the one Python was
-built with (`sysconfig` CC), else `cc`.  If the build or the load fails, or
-the library lacks any kernel, a RuntimeWarning names the cause and all four
+platform; a build removes the libraries of other versions there, and later
+imports only load it.  The compiler is the one Python was built with
+(`sysconfig` CC), else `cc`.  If the build or the load fails, or the
+library lacks any kernel, a RuntimeWarning names the cause and all three
 pure-Python twins of `_glauber_py` are used; `SOFICLAB_KERNEL=python`
 forces the twins.  The backends are never mixed.  The sweeps consume
-identical uniforms and give bitwise-equal trajectories; the lookups and the
-tree recursion give bitwise-equal results and raise the same errors, and
-the percolation kernels read the same uniforms and leave the generator in
-the same state.  `BACKEND` is "c" or "python".
+identical uniforms and give bitwise-equal trajectories; the percolation
+kernels give bitwise-equal results, raise the same errors, read the same
+uniforms and leave the generator in the same state.  `BACKEND` is "c" or
+"python".
 """
 
+import contextlib
 import ctypes
 import operator
 import os
@@ -43,7 +45,7 @@ _SOURCE = Path(__file__).with_name("_glauber.c")
 # workload, gcc -O2 on a 2-core x86_64 host)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-shared", "-fPIC")
 _MAX_ALPHABET = 64  # the C kernel's weights buffer
-# non-zero status codes of the C sweep kernel, then of the C lookups
+# non-zero status codes of the C sweep kernel, then of the C percolation kernels
 _C_ERRORS = {
     1: f"alphabet too large for kernel (at most {_MAX_ALPHABET} symbols)",
     2: "neighbour index outside [0, n)",
@@ -55,7 +57,6 @@ _TREE_BAD_GEOMETRY = 6
 _TREE_CLASH = 7
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
-_BOOL = np.dtype(bool)
 _WORD = 2**64 - 1
 
 
@@ -82,9 +83,10 @@ def _compile(compiler: str, lib: Path):
 
 
 def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
-    """The C (sweep, lookup, percolation lookup, tree percolation) functions
-    of one library, compiled into the cache first if needed; None if that
-    fails or any is missing."""
+    """The C (sweep, percolation lookup, tree percolation) functions of one
+    library, compiled into the cache first if needed, which then removes the
+    libraries of other source versions there; None if that fails or any is
+    missing."""
     try:
         if cache_dir is None:
             cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "soficlab"
@@ -96,22 +98,23 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         lib = cache_dir / f"_glauber-{key:08x}.so"
         if not lib.exists():
             _compile(compiler or sysconfig.get_config_var("CC") or "cc", lib)
+            for old in cache_dir.glob("_glauber-*.so"):  # in-flight builds are *.tmp
+                if old != lib:
+                    with contextlib.suppress(OSError):  # a stale library is no reason to fall back
+                        old.unlink()
         dll = ctypes.CDLL(str(lib))
-        sweeps, lookup, percolation, tree = (
-            dll.glauber_sweeps, dll.transfer_lookup, dll.percolation_lookup, dll.tree_percolation)
+        sweeps, percolation, tree = dll.glauber_sweeps, dll.percolation_lookup, dll.tree_percolation
     except Exception as exc:  # any failure means the Python twins, never a failed import
         warnings.warn(f"C kernels unavailable, using the Python kernels: {exc!r}",
                       RuntimeWarning, stacklevel=2)
         return None
     sweeps.argtypes = [_BYTE_P] * 7 + [ctypes.c_int64] * 4 + [_BYTE_P, ctypes.c_int64]
-    lookup.argtypes = [_BYTE_P, ctypes.c_int64, _BYTE_P] + [ctypes.c_int64] * 3 + [
-        _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P, _BYTE_P]
-    percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 6 + [
+    percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 5
-    tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 6 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
+    tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
         _BYTE_P, _BYTE_P, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 6
-    sweeps.restype = lookup.restype = percolation.restype = tree.restype = ctypes.c_int
-    return sweeps, lookup, percolation, tree
+    sweeps.restype = percolation.restype = tree.restype = ctypes.c_int
+    return sweeps, percolation, tree
 
 
 def _checked_shape(name: str, arr, dtype: np.dtype, ndim: int) -> tuple:
@@ -182,19 +185,6 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, cou
         raise ValueError(_C_ERRORS[status])
 
 
-def _checked_rows(name: str, arr, dtype: np.dtype) -> tuple:
-    """The (n, L) shape of a 2-d array whose columns are contiguous and whose
-    rows are a non-negative whole number of elements apart (strides that
-    are never stepped, as with no rows, one row or one column, are not checked)."""
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 2):
-        raise ValueError(f"{name} must be a 2-d {dtype} array")
-    (n, L), (row, col) = arr.shape, arr.strides
-    if n and L > 1 and col != arr.itemsize or n > 1 and (row < 0 or row % arr.itemsize):
-        raise ValueError(f"{name} must have contiguous columns and a non-negative row stride, "
-                         f"not strides {arr.strides}")
-    return arr.shape
-
-
 def _checked_geometry(sides, tables) -> tuple:
     """(R, a) of C-contiguous int64 sides of shape (2, R) and float64 tables
     of shape (a, R+1, a, R+1, a)."""
@@ -208,7 +198,7 @@ def _checked_geometry(sides, tables) -> tuple:
 
 
 def _raise_lookup(status: int, bad: np.ndarray, a: int):
-    """The twin's error for a non-zero status of a C lookup or tree kernel."""
+    """The twin's error for a non-zero status of a C percolation kernel."""
     if status == _LOOKUP_BAD_SYMBOL:
         raise _glauber_py.symbol_error(int(bad[0]), a)
     if status == _LOOKUP_BAD_COLUMN:
@@ -219,40 +209,10 @@ def _raise_lookup(status: int, bad: np.ndarray, a: int):
         raise ValueError("tree kernel: a child is not a later site of the window, or an edge leaves it")
 
 
-def _c_transfer_lookup(values, masks, sides, tables):
-    """(n, L) values and masks -> (n,) table entries, with the C kernel.
-
-    The arguments are those of `_glauber_py.transfer_lookup`, as
-    TransferOracle lays them out: int64 values and bool masks of one shape,
-    L >= 1, each with contiguous columns and any non-negative row stride, so
-    broadcast rows (stride 0) and column-sliced masks are read without a
-    copy; C-contiguous int64 sides of shape (2, R) and float64 tables of
-    shape (a, R+1, a, R+1, a).  Everything the C code trusts is checked here
-    first; the C code checks every column and symbol it reads.  Any failure
-    is a ValueError, a symbol outside [0, a) the twin's `symbol_error`.
-    """
-    n, L = _checked_rows("values", values, _I64)
-    if _checked_rows("masks", masks, _BOOL) != (n, L):
-        raise ValueError(f"masks has shape {masks.shape}, expected {(n, L)}")
-    if L < 1:
-        raise ValueError("rows need a center column")
-    r_max, a = _checked_geometry(sides, tables)
-    out = np.empty(n)
-    bad = np.zeros(1, np.int64)
-    # values and masks may be strided or read-only views, which `_data` cannot take
-    status = _c_lookup(
-        values.ctypes.data_as(_BYTE_P), values.strides[0] // values.itemsize,
-        masks.ctypes.data_as(_BYTE_P), masks.strides[0], n, L,
-        _data(sides), r_max, _data(tables), a, _data(out), _data(bad),
-    )
-    _raise_lookup(status, bad, a)
-    return out
-
-
 def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
     """(width, n, n_inner, lo, ball_size) of the arguments both C
     percolation kernels share, checked as `_c_percolation_lookup` says."""
-    n_rows, L = _checked_rows("patterns", patterns, _I64)
+    n_rows, L = _checked_shape("patterns", patterns, _I64, 2)
     n_inner, lo, ball_size = (operator.index(v) for v in (n_inner, lo, ball_size))
     if not 1 <= L <= ball_size:
         raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
@@ -296,25 +256,25 @@ def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, 
     """out[i] = the lookup of patterns[(lo + i) // n_inner] under the i-th of
     len(out) percolation pasts drawn from rng, with the C kernel.
 
-    The arguments are those of `_glauber_py.percolation_lookup`: int64
-    patterns with contiguous columns and any non-negative row stride, of
-    width 1 to ball_size; n_inner >= 1 and lo >= 0 such that every row read
-    is a row of patterns; sides and tables as `_c_transfer_lookup` takes
-    them; a numpy Generator over PCG64; and a writeable C-contiguous float64
-    out.  The pasts are the rows of `rng.random((len(out), ball_size))`:
-    the kernel steps the generator's PCG64 itself (`_run_on_pcg64`),
-    draws of each row only the columns it scans for the nearest pins,
-    skips the rest by an exact jump, and leaves the generator where that
-    call would, also when it raises.  Any failure is a ValueError, a symbol
-    or side column the twin's.
+    The arguments are those of `_glauber_py.percolation_lookup`:
+    C-contiguous int64 patterns of width 1 to ball_size; n_inner >= 1 and
+    lo >= 0 such that every row read is a row of patterns; C-contiguous
+    int64 sides of shape (2, R) and float64 tables of shape
+    (a, R+1, a, R+1, a); a numpy Generator over PCG64; and a writeable
+    C-contiguous float64 out.  The pasts are the rows of
+    `rng.random((len(out), ball_size))`: the kernel steps the generator's
+    PCG64 itself (`_run_on_pcg64`), draws of each row only the columns it
+    scans for the nearest pins, skips the rest by an exact jump, and leaves
+    the generator where that call would, also when it raises.  Everything the C code trusts is
+    checked here first; the C code checks every side column and symbol it
+    reads.  Any failure is a ValueError, a symbol or side column the twin's.
     """
     L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     r_max, a = _checked_geometry(sides, tables)
     mask = np.empty(L, np.uint8)
     bad = np.zeros(1, np.int64)
     status = _run_on_pcg64(_c_percolation, (
-        patterns.ctypes.data_as(_BYTE_P), patterns.strides[0] // patterns.itemsize, L,
-        n_inner, lo, n, ball_size, _data(sides), r_max, _data(tables), a,
+        _data(patterns), L, n_inner, lo, n, ball_size, _data(sides), r_max, _data(tables), a,
         _data(out), _data(bad), _data(mask),
     ), ball_size, rng)
     _raise_lookup(status, bad, a)
@@ -354,8 +314,7 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     factor = np.empty(3 * n_window)
     bad = np.zeros(2, np.int64)
     status = _run_on_pcg64(_c_tree, (
-        patterns.ctypes.data_as(_BYTE_P), patterns.strides[0] // patterns.itemsize, L,
-        n_inner, lo, n, ball_size, tree.child_ptr.ctypes.data_as(_BYTE_P),
+        _data(patterns), L, n_inner, lo, n, ball_size, tree.child_ptr.ctypes.data_as(_BYTE_P),
         tree.children.ctypes.data_as(_BYTE_P), len(tree.children), deep_start, n_window,
         tree.lam.ctypes.data_as(_BYTE_P), tree.free.ctypes.data_as(_BYTE_P),
         edges.ctypes.data_as(_BYTE_P), len(edges), _data(out), _data(bad), _data(pin), _data(factor),
@@ -366,16 +325,14 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
 _c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()
 if _c is None:
     glauber_sweeps = _glauber_py.glauber_sweeps
-    transfer_lookup = _glauber_py.transfer_lookup
     percolation_lookup = _glauber_py.percolation_lookup
     tree_percolation = _glauber_py.tree_percolation
     BACKEND = "python"
 else:
-    _c_sweeps, _c_lookup, _c_percolation, _c_tree = _c
+    _c_sweeps, _c_percolation, _c_tree = _c
     glauber_sweeps = _c_glauber_sweeps
-    transfer_lookup = _c_transfer_lookup
     percolation_lookup = _c_percolation_lookup
     tree_percolation = _c_tree_percolation
     BACKEND = "c"
 
-__all__ = ["glauber_sweeps", "transfer_lookup", "percolation_lookup", "tree_percolation", "BACKEND"]
+__all__ = ["glauber_sweeps", "percolation_lookup", "tree_percolation", "BACKEND"]

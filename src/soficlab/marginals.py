@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import enumeration, groups, kernels
-from ._glauber_py import Tree, level_ratio, tree_batch
+from ._glauber_py import Tree, level_ratio, transfer_lookup, tree_batch
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
@@ -57,15 +57,14 @@ class TransferOracle:
         The chain is Markov, so only the nearest pin on each side counts:
         with each side's columns ordered by distance to the center, it is
         the first pinned one there.  Offsets on a rank-1 ball are distinct,
-        so that pin is unique.  `kernels.transfer_lookup` finds both pins
-        and reads the table; rows keep their stride, so broadcast pattern
-        rows and sliced masks are not copied.  Rows wider than the oracle's
-        ball, and a center or nearest-pin symbol outside the alphabet, are
-        a ValueError.
+        so that pin is unique.  `_glauber_py.transfer_lookup` finds both
+        pins of every row at once and reads the table, on either kernel
+        backend.  Rows wider than the oracle's ball, and a center or
+        nearest-pin symbol outside the alphabet, are a ValueError.
         """
-        values = _rows(values, np.int64)
+        values = np.asarray(values, dtype=np.int64)
         _check_width(values.shape[-1], len(self.offsets), self.r_max)
-        return kernels.transfer_lookup(values, _rows(masks, bool), self.sides, self.tables)
+        return transfer_lookup(values, np.asarray(masks, dtype=bool), self.sides, self.tables)
 
     def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
         """out[k] = the conditional of the center of patterns[k // n_inner]
@@ -77,27 +76,20 @@ class TransferOracle:
         draws each one as it reads it, so no uniforms, masks or value rows
         are held.  The errors are those of `batch`.
         """
-        patterns = _rows(patterns, np.int64)
+        patterns = np.ascontiguousarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.offsets), self.r_max)
         kernels.percolation_lookup(patterns, n_inner, 0, ball_size, self.sides, self.tables, rng, out)
 
 
 def _check_width(width: int, sites: int, radius: int):
     """Every oracle's refusal of rows wider than its ball B_radius of `sites`
-    sites: the oracle reads no site past its ball, so a pin there would go
-    unread."""
+    sites, since the oracle reads no site past its ball and a pin there
+    would go unread, and of rows without the center column."""
+    if width < 1:
+        raise ValueError("rows need a center column")
     if width > sites:
         raise ValueError(f"rows of width {width} are wider than the {sites} sites "
                          f"of the oracle's ball B_{radius}")
-
-
-def _rows(arr, dtype) -> np.ndarray:
-    """arr as a `dtype` array whose columns are contiguous, as the transfer
-    lookup reads them; an array that already is one is returned uncopied."""
-    arr = np.asarray(arr, dtype=dtype)
-    if arr.ndim == 2 and (arr.shape[1] > 1 and arr.strides[1] != arr.itemsize or arr.strides[0] < 0):
-        arr = np.ascontiguousarray(arr)
-    return arr
 
 
 class BallEnumerationOracle:
@@ -282,7 +274,7 @@ class SawOracle:
         sites, drawn from rng inside `kernels.tree_percolation`; the results,
         the errors and the generator's state are those of `batch` over the
         masks of `pasts.percolation_chunks`."""
-        patterns = _rows(patterns, np.int64)
+        patterns = np.ascontiguousarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.ball), self.r_max)
         kernels.tree_percolation(patterns, n_inner, 0, ball_size, self.tree, rng, out)
 

@@ -22,7 +22,6 @@ from soficlab.sampling import GlauberEngine
 from oracles import transfer_batch_argmin
 
 needs_c = pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded")
-LOOKUPS = [_glauber_py.transfer_lookup] + ([kernels._c_transfer_lookup] if kernels.BACKEND == "c" else [])
 PERCOLATIONS = [_glauber_py.percolation_lookup] + (
     [kernels._c_percolation_lookup] if kernels.BACKEND == "c" else [])
 TREES = [_glauber_py.tree_percolation] + ([kernels._c_tree_percolation] if kernels.BACKEND == "c" else [])
@@ -193,15 +192,16 @@ def test_c_kernel_takes_read_only_and_empty_inputs():
 def lookup_cases(draw):
     """Transfer-lookup arguments on a Z^1 or F_1 ball of radius 0..5: any
     width up to the ball's, an alphabet of 1..4 with a table of distinct
-    entries, pin densities from none to every site (the center included),
-    and values and masks as the oracle's callers hand them over: broadcast
-    pattern rows (stride 0) and masks sliced from wider ones."""
+    entries, which replaces the tables of the oracle that gives the
+    geometry, pin densities from none to every site (the center included),
+    and values and masks as the oracle's callers may hand them over:
+    broadcast pattern rows (stride 0) and masks sliced from wider ones."""
     spec = draw(st.sampled_from([groups.zd(1), groups.free(1)]))
     r_max = draw(st.integers(0, 5))
     geometry = TransferOracle(*hardcore(1, 1.0), spec, r_max)
     a = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tables = rng.random((a, r_max + 1, a, r_max + 1, a))
+    tables = geometry.tables = rng.random((a, r_max + 1, a, r_max + 1, a))
     L = draw(st.integers(1, 2 * r_max + 1))
     n = draw(st.integers(0, 40))
     extra = draw(st.integers(0, 3))
@@ -218,8 +218,8 @@ def lookup_cases(draw):
 def test_transfer_lookup_backends_are_bitwise_the_argmin_reference(case):
     values, masks, geometry, tables = case
     expect = transfer_batch_argmin(tables, geometry.offsets, geometry.r_max, values, masks)
-    for lookup in LOOKUPS:
-        got = lookup(values, masks, geometry.sides, tables)
+    for got in (_glauber_py.transfer_lookup(values, masks, geometry.sides, tables),
+                geometry.batch(values, masks)):
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
@@ -238,7 +238,7 @@ def test_lookup_symbol_outside_the_alphabet_is_one_error_on_both_backends(rows, 
     values = np.array(rows, dtype=np.int64)
     masks = np.zeros(values.shape, dtype=bool)
     masks[:, pinned] = True
-    lookups = [*LOOKUPS, lambda v, m, *_: oracle.batch(v, m)]
+    lookups = [_glauber_py.transfer_lookup, lambda v, m, *_: oracle.batch(v, m)]
     if symbol is None:
         expect = _glauber_py.transfer_lookup(values, masks, oracle.sides, oracle.tables)
         for lookup in lookups:
@@ -250,40 +250,6 @@ def test_lookup_symbol_outside_the_alphabet_is_one_error_on_both_backends(rows, 
             lookup(values, masks, oracle.sides, oracle.tables)
         messages.add(str(exc.value))
     assert len(messages) == 1
-
-
-def _lookup_args():
-    oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
-    rng = np.random.default_rng(1)
-    return [rng.integers(0, 2, (6, 5)), rng.random((6, 5)) < 0.5, oracle.sides, oracle.tables]
-
-
-@needs_c
-@pytest.mark.parametrize("arg,change", [
-    (0, lambda v: v.astype(np.int32)),  # wrong dtype
-    (1, lambda m: m.astype(np.uint8)),
-    (2, lambda s: s.astype(np.int32)),
-    (3, lambda t: t.astype(np.float32)),
-    (0, lambda v: np.repeat(v, 2, axis=1)[:, ::2]),  # columns not contiguous
-    (1, lambda m: np.asfortranarray(m)),
-    (0, lambda v: v[::-1]),  # negative row stride
-    (1, lambda m: m[::-1]),
-    (0, lambda v: v[0]),  # not 2-d
-    (1, lambda m: m[:-1]),  # shapes that do not fit
-    (3, lambda t: t[:, :-1].copy()),
-    (3, lambda t: t[:1].copy()),
-    (2, lambda s: s[:, :-1].copy()),
-    (2, lambda s: np.asfortranarray(s)),
-    (2, lambda s: _set(s, (1, 0), -1)),  # a negative column
-    (slice(0, 2), lambda vm: [a[:, :0] for a in vm]),  # no center column
-], ids=["values-dtype", "masks-dtype", "sides-dtype", "tables-dtype", "values-strided-columns",
-        "masks-fortran", "values-negative-stride", "masks-negative-stride", "values-1d", "masks-shape",
-        "tables-shape", "tables-alphabet", "sides-shape", "sides-fortran", "sides-negative", "no-center"])
-def test_c_lookup_rejects_what_it_cannot_trust(arg, change):
-    args = _lookup_args()
-    args[arg] = change(args[arg])
-    with pytest.raises(ValueError):
-        kernels._c_transfer_lookup(*args)
 
 
 @st.composite
@@ -371,20 +337,26 @@ def _percolation_args():
     (0, lambda p: np.asfortranarray(p)),  # columns not contiguous
     (0, lambda p: p[::-1]),  # negative row stride
     (0, lambda p: p[:, :0]),  # no center column
+    (0, lambda p: p[0]),  # not 2-d
     (3, lambda b: 4),  # patterns wider than the pasts' ball
     (1, lambda n_inner: 0),
     (2, lambda lo: -1),
     (2, lambda lo: 2),  # the last row reads a pattern past the end
     (4, lambda s: s.astype(np.int32)),
+    (4, lambda s: s[:, :-1].copy()),  # sides and tables that do not fit
+    (4, lambda s: np.asfortranarray(s)),
+    (5, lambda t: t.astype(np.float32)),
+    (5, lambda t: t[:, :-1].copy()),
     (5, lambda t: t[:1].copy()),
     (6, lambda rng: rng.bit_generator),  # not a Generator
     (6, lambda rng: np.random.Generator(np.random.MT19937(1))),  # not PCG64
     (6, lambda rng: np.random.Generator(np.random.Philox(1))),
     (7, lambda out: out.astype(np.float32)),
     (7, lambda out: np.broadcast_to(out, (5,))),  # read-only
-], ids=["patterns-dtype", "patterns-fortran", "patterns-negative-stride", "no-center", "too-wide",
-        "n-inner", "lo-negative", "rows-past-the-end", "sides-dtype", "tables-alphabet", "rng",
-        "rng-mt19937", "rng-philox", "out-dtype", "out-read-only"])
+], ids=["patterns-dtype", "patterns-fortran", "patterns-negative-stride", "no-center", "patterns-1d",
+        "too-wide", "n-inner", "lo-negative", "rows-past-the-end", "sides-dtype", "sides-shape",
+        "sides-fortran", "tables-dtype", "tables-shape", "tables-alphabet", "rng", "rng-mt19937",
+        "rng-philox", "out-dtype", "out-read-only"])
 def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
     args = _percolation_args()
     args[arg] = change(args[arg])
@@ -605,18 +577,19 @@ def test_c_percolation_kernels_keep_a_buffered_uint32():
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
+KERNELS = [name for name in kernels.__all__ if name != "BACKEND"]
+
+
 def test_soficlab_kernel_python_forces_the_twin():
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = {**os.environ, "SOFICLAB_KERNEL": "python",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    twins = ", ".join(f"k.{name} is k._glauber_py.{name}" for name in KERNELS)
     out = subprocess.run(
-        [sys.executable, "-c", "import soficlab.kernels as k; print(k.BACKEND, "
-         "k.glauber_sweeps is k._glauber_py.glauber_sweeps, k.transfer_lookup is k._glauber_py.transfer_lookup, "
-         "k.percolation_lookup is k._glauber_py.percolation_lookup, "
-         "k.tree_percolation is k._glauber_py.tree_percolation)"],
+        [sys.executable, "-c", f"import soficlab.kernels as k; print(k.BACKEND, {twins})"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.split() == ["python", "True", "True", "True", "True"]
+    assert out.stdout.split() == ["python"] + ["True"] * len(KERNELS)
 
 
 def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
@@ -627,9 +600,9 @@ def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
         assert kernels._load_c_kernel(None, tmp_path / "file" / "soficlab") is None
     if _compiler() is None:
         return
-    # a library that builds and loads but lacks one kernel gives all four twins, not a mix
+    # a library that builds and loads but lacks one kernel gives all the twins, not a mix
     source = kernels._SOURCE.read_text()
-    for name in ("glauber_sweeps", "transfer_lookup", "percolation_lookup", "tree_percolation"):
+    for name in KERNELS:
         lacking = tmp_path / name / "_glauber.c"
         lacking.parent.mkdir()
         lacking.write_text(source.replace(f"int {name}(", f"int {name}_elsewhere("))
@@ -661,9 +634,13 @@ def test_failed_build_stays_a_warning_under_the_suite_filters(tmp_path):
 
 @needs_c
 def test_build_leaves_one_library_in_the_cache(tmp_path, monkeypatch):
+    (tmp_path / "_glauber-deadbeef.so").write_bytes(b"a library of another source version")
+    (tmp_path / "_glauber-deadbeefx1y2.tmp").write_bytes(b"a build in flight")
     assert kernels._load_c_kernel(None, tmp_path) is not None
-    (lib,) = tmp_path.iterdir()  # no temporary file is left behind
-    assert lib.name.startswith("_glauber-") and lib.suffix == ".so"
+    # the stale library is gone, no temporary file of this build is left behind
+    lib, in_flight = sorted(tmp_path.iterdir(), key=lambda p: p.suffix)
+    assert lib.name.startswith("_glauber-") and lib.suffix == ".so" and lib.name != "_glauber-deadbeef.so"
+    assert in_flight.name == "_glauber-deadbeefx1y2.tmp"
 
     def no_build(*args):
         raise AssertionError("a cached kernel was rebuilt")

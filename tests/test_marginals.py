@@ -282,6 +282,50 @@ def test_every_oracle_refuses_rows_wider_than_its_ball(make, width, pin):
     assert rng.bit_generator.state == state  # refused before any draw
 
 
+@pytest.mark.parametrize("make,spec,r", [
+    (lambda: TransferOracle(*hardcore(1, 1.3), groups.zd(1), 5), groups.zd(1), 4),
+    (lambda: SawOracle(*hardcore(2, 1.3), groups.free(2), 3), groups.free(2), 2),
+], ids=["transfer", "saw"])
+def test_percolation_batch_takes_any_pattern_layout(make, spec, r):
+    """The compiled percolation kernels read C-contiguous patterns only, so
+    the oracles copy a column-sliced, Fortran-ordered or reversed pattern
+    array first: its conditionals and the generator's state are bitwise
+    those of its C-contiguous copy."""
+    oracle = make()
+    ball = groups.ball(spec, r)
+    wide = (np.random.default_rng(3).random((6, len(ball) + 4)) < 0.3).astype(np.int64)
+    for (i, _s, j) in ball.edges:  # admissible: drop the later end of every occupied edge
+        wide[:, max(i, j)] &= ~wide[:, min(i, j)]
+    for patterns in (wide[:, :len(ball)], np.asfortranarray(wide[:, :len(ball)]), wide[::-1, :len(ball)]):
+        runs = []
+        for layout in (patterns, np.ascontiguousarray(patterns)):
+            rng = np.random.default_rng(8)
+            out = np.full(60, np.nan)
+            oracle.percolation_batch(layout, 10, len(ball), rng, out)
+            runs.append((out, rng.bit_generator.state))
+        (out, state), (expect, expect_state) = runs
+        assert np.array_equal(out, expect) and state == expect_state
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2),
+    lambda: SawOracle(*hardcore(2, 1.0), groups.free(2), 1),
+    lambda: BallEnumerationOracle(*hardcore(2, 1.0), groups.zd(2), 1, pad=1),
+], ids=["transfer", "saw", "ball"])
+def test_every_oracle_refuses_rows_without_a_center(make):
+    """Rows of width 0 are one ValueError on every route, before any draw;
+    the transfer and tree batches once raised a bare IndexError."""
+    oracle = make()
+    values, masks = np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=bool)
+    with pytest.raises(ValueError, match="^rows need a center column$"):
+        oracle.batch(values, masks)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^rows need a center column$"):
+        oracle.percolation_batch(values, 4, 5, rng, np.empty(4))
+    assert rng.bit_generator.state == state
+
+
 def _old_masks_route(oracle, spec, r, patterns, n_inner, rng):
     """The conditionals of the masks route the estimators took before every
     oracle answered `percolation_batch`: chunks of at most 2^16 mask entries
