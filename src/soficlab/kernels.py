@@ -8,7 +8,12 @@ compiled percolation kernels step the Generator's PCG64 themselves, from
 `bit_generator.state`: each row draws only the columns it reads and skips
 the rest of its uniforms by an exact jump, and the advanced state is
 written back.  They refuse any other bit generator with a ValueError
-before drawing, and take C-contiguous patterns only.  On the first import,
+before drawing, and take C-contiguous patterns only.  A call's rows run in
+contiguous ranges, one per usable core and at least ROWS_PER_WORKER rows
+each, on threads; a row takes exactly ball_size steps of the PCG64, so each
+range starts from the state advanced past the rows before it by an exact
+jump, and the results, the error and the end state are the single call's
+(`_run_on_pcg64`).  On the first import,
 `_glauber.c` is compiled once into the user cache,
 `$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as one shared library
 whose name is keyed by a CRC-32 of the source, the compiler flags and the
@@ -29,6 +34,7 @@ import ctypes
 import operator
 import os
 import sysconfig
+import threading
 import warnings
 import zlib
 from pathlib import Path
@@ -58,6 +64,14 @@ _TREE_CLASH = 7
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
 _WORD = 2**64 - 1
+# the fewest rows per range of a percolation call.  A split costs about
+# 0.2 ms (a thread started and joined, a jump computed and filled; 2-vCPU
+# x86_64 host), while 2^14 rows are about 1.6 ms of lookups on Z^1 at r = 16
+# and 16 ms of F_2 tree recursions at r = 5: a split then saves nearly half a
+# call where a second core is free and costs at most about 6% where none is,
+# and a call of 1,000 tree rows (the F_2 benchmark, 1.3 ms in one range and
+# 1.6 ms in two on that host) stays one range
+ROWS_PER_WORKER = 2**14
 
 
 def _compile(compiler: str, lib: Path):
@@ -229,27 +243,89 @@ def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
     return L, n, n_inner, lo, ball_size
 
 
-def _run_on_pcg64(kernel, args, ball_size: int, rng) -> int:
-    """kernel(*args, pcg, jump)'s status, run on rng's PCG64 state.
+def _workspace(size: int, dtype) -> np.ndarray:
+    """A zeroed workspace of size entries for one range of a percolation
+    call, followed by a spare 64-byte cache line.  The kernels write their
+    workspaces on every row, and a line shared by two ranges' workspaces
+    moves between cores on each write: two 200,000-row lookups side by side
+    took 28 ms with their masks in one line against 23 ms apart (2-vCPU
+    x86_64 host)."""
+    return np.zeros(size + 64 // np.dtype(dtype).itemsize, dtype)
 
-    pcg is the state and increment of `rng.bit_generator.state` as four
-    uint64 words, low word first, which the kernel advances; jump is its
-    workspace of ball_size + 1 jumps.  The advanced state is written back
-    with the buffered uint32 (`has_uint32`, `uinteger`) as it was, which
-    `PCG64.advance` would reset.  The generator's lock is held throughout,
-    since ctypes releases the GIL.
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_bounds(n: int) -> list:
+    """The bounds of W contiguous ranges of n rows, W = min(usable cores,
+    n // ROWS_PER_WORKER) and at least 1."""
+    w = max(1, min(_usable_cores(), n // ROWS_PER_WORKER))
+    return [n * k // w for k in range(w + 1)]
+
+
+def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng) -> tuple:
+    """(status, bad) of the C percolation kernel over n rows, run on rng's
+    PCG64 state in the ranges of `_row_bounds`.
+
+    range_args(start, stop) gives the kernel's arguments for rows start to
+    stop, up to pcg and jump, and the bad array they report into; each range
+    has its own.  pcg is a PCG64 state and increment as four uint64 words,
+    low word first, which the kernel advances; jump is its workspace of
+    ball_size + 1 jumps.  A row takes exactly ball_size steps, so range w
+    starts from rng's state advanced by start_w * ball_size steps
+    (`PCG64.advance` on a scratch generator) and draws what the serial call
+    draws for those rows.  The calling thread runs the first range and one
+    thread each the others; ctypes releases the GIL, and every thread is
+    joined before this returns or raises.  The status, bad and end state are
+    those of the first range that fails, else of the last range: in both
+    cases the serial call's.  The end state is written back with the
+    buffered uint32 (`has_uint32`, `uinteger`) as it was, which
+    `PCG64.advance` would reset.  The generator's lock is held throughout.
     """
-    pcg = np.empty(4, np.uint64)
-    jump = np.empty(4 * (ball_size + 1), np.uint64)
+    bounds = _row_bounds(n)
+    w = len(bounds) - 1
+    pcg = np.empty((w, 4), np.uint64)
+    jump = np.empty((w, 4 * (ball_size + 1)), np.uint64)
+    runs = [range_args(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    calls = [(*args, _data(pcg[k]), _data(jump[k])) for k, (args, _) in enumerate(runs)]
+    status = [None] * w
+
+    def run(k):
+        status[k] = kernel(*calls[k])
+
     bitgen = rng.bit_generator
     with bitgen.lock:
         state = bitgen.state
         words = state["state"]
         pcg[:] = [words["state"] & _WORD, words["state"] >> 64, words["inc"] & _WORD, words["inc"] >> 64]
-        status = kernel(*args, _data(pcg), _data(jump))
-        words["state"] = int(pcg[1]) << 64 | int(pcg[0])
+        if w > 1:
+            scratch = np.random.PCG64(0)
+            scratch.state = {"bit_generator": "PCG64", "state": dict(words), "has_uint32": 0, "uinteger": 0}
+            for k in range(1, w):
+                scratch.advance((bounds[k] - bounds[k - 1]) * ball_size)
+                start = scratch.state["state"]["state"]
+                pcg[k, :2] = [start & _WORD, start >> 64]
+        threads = []
+        try:
+            for k in range(1, w):
+                thread = threading.Thread(target=run, args=(k,))
+                thread.start()
+                threads.append(thread)
+            run(0)
+        finally:
+            for thread in threads:
+                thread.join()
+        if None in status:
+            raise RuntimeError("a percolation kernel thread did not return")
+        k = next((k for k in range(w) if status[k]), w - 1)
+        words["state"] = int(pcg[k, 1]) << 64 | int(pcg[k, 0])
         bitgen.state = state
-    return status
+    return status[k], runs[k][1]
 
 
 def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
@@ -265,19 +341,23 @@ def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, 
     `rng.random((len(out), ball_size))`: the kernel steps the generator's
     PCG64 itself (`_run_on_pcg64`), draws of each row only the columns it
     scans for the nearest pins, skips the rest by an exact jump, and leaves
-    the generator where that call would, also when it raises.  Everything the C code trusts is
-    checked here first; the C code checks every side column and symbol it
-    reads.  Any failure is a ValueError, a symbol or side column the twin's.
+    the generator where that call would, also when it raises.  The rows run
+    in the ranges of `_run_on_pcg64`, each on its own workspaces, and give
+    bitwise the single call's out, error and end state; after an error the
+    entries of out past the failing row are unspecified.  Everything the C
+    code trusts is checked here first, before any range starts; the C code
+    checks every side column and symbol it reads.  Any failure is a
+    ValueError, a symbol or side column the twin's.
     """
     L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     r_max, a = _checked_geometry(sides, tables)
-    mask = np.empty(L, np.uint8)
-    bad = np.zeros(1, np.int64)
-    status = _run_on_pcg64(_c_percolation, (
-        _data(patterns), L, n_inner, lo, n, ball_size, _data(sides), r_max, _data(tables), a,
-        _data(out), _data(bad), _data(mask),
-    ), ball_size, rng)
-    _raise_lookup(status, bad, a)
+
+    def range_args(start, stop):
+        bad = np.zeros(1, np.int64)
+        return (_data(patterns), L, n_inner, lo + start, stop - start, ball_size, _data(sides), r_max,
+                _data(tables), a, _data(out[start:stop]), _data(bad), _data(_workspace(L, np.uint8))), bad
+
+    _raise_lookup(*_run_on_pcg64(_c_percolation, range_args, n, ball_size, rng), a)
 
 
 def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
@@ -292,9 +372,11 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     lam and free of one length), no narrower than the patterns.  The pasts
     and the generator's state are those of `_c_percolation_lookup`; the
     kernel draws each row's columns below the pattern width and skips the
-    rest by a jump.  The result is bitwise the twin's, and so are the
-    errors: `symbol_error`, `clash_error`, or a ValueError for anything else
-    the kernel cannot trust.
+    rest by a jump.  The rows run in ranges as `_c_percolation_lookup`'s
+    do, with the same unspecified out past a failing row.  The result is
+    bitwise the twin's, and so are the errors: `symbol_error`,
+    `clash_error`, or a ValueError for anything else the kernel cannot
+    trust.
     """
     L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     (sites,) = _checked_shape("tree.lam", tree.lam, _F64, 1)
@@ -310,16 +392,17 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
         raise ValueError(f"pattern width {L} does not fit the tree's levels {starts.tolist()}")
     deep_start, n_window = int(starts[deepest]), int(starts[deepest + 1])
     edges = np.ascontiguousarray(tree.edges[tree.edges.max(axis=1) < L])
-    pin = np.zeros(n_window, np.uint8)
-    factor = np.empty(3 * n_window)
-    bad = np.zeros(2, np.int64)
-    status = _run_on_pcg64(_c_tree, (
-        _data(patterns), L, n_inner, lo, n, ball_size, tree.child_ptr.ctypes.data_as(_BYTE_P),
-        tree.children.ctypes.data_as(_BYTE_P), len(tree.children), deep_start, n_window,
-        tree.lam.ctypes.data_as(_BYTE_P), tree.free.ctypes.data_as(_BYTE_P),
-        edges.ctypes.data_as(_BYTE_P), len(edges), _data(out), _data(bad), _data(pin), _data(factor),
-    ), ball_size, rng)
-    _raise_lookup(status, bad, 2)
+    geometry = (tree.child_ptr.ctypes.data_as(_BYTE_P), tree.children.ctypes.data_as(_BYTE_P),
+                len(tree.children), deep_start, n_window, tree.lam.ctypes.data_as(_BYTE_P),
+                tree.free.ctypes.data_as(_BYTE_P), edges.ctypes.data_as(_BYTE_P), len(edges))
+
+    def range_args(start, stop):
+        bad = np.zeros(2, np.int64)
+        return (_data(patterns), L, n_inner, lo + start, stop - start, ball_size, *geometry,
+                _data(out[start:stop]), _data(bad), _data(_workspace(n_window, np.uint8)),
+                _data(_workspace(3 * n_window, np.float64))), bad
+
+    _raise_lookup(*_run_on_pcg64(_c_tree, range_args, n, ball_size, rng), 2)
 
 
 _c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()

@@ -123,14 +123,14 @@ class TransferMatrix:
         """
         a = self.alphabet
         left, right = self.perron()
-        powers = self._scaled_powers(max(r_max, 1))
-        tab = np.zeros((a, r_max + 1, a, r_max + 1, a))
-        for dl, bl, dr, br in product(range(r_max + 1), range(a), range(r_max + 1), range(a)):
-            w = _center_weights(powers, left, right, dl, bl, dr, br)
-            tot = w.sum()
-            if tot > 0.0:
-                tab[:, dl, bl, dr, br] = w / tot
-        return tab
+        powers = self._scaled_powers(r_max)[1:]
+        # the weight factors of _center_weights: lw[dl, bl, v] and rw[dr, br, v]
+        lw = np.concatenate([np.broadcast_to(left, (1, a, a)), powers])
+        rw = np.concatenate([np.broadcast_to(right, (1, a, a)), powers.transpose(0, 2, 1)])
+        w = lw[:, :, None, None, :] * rw[None, None]
+        tot = w.sum(axis=-1, keepdims=True)  # the center axis last, summed as w.sum() sums one column
+        probs = np.divide(w, tot, out=np.zeros_like(w), where=tot > 0.0)
+        return np.ascontiguousarray(np.moveaxis(probs, -1, 0))
 
     def mixing_profile(self, r_max: int, symbols) -> np.ndarray:
         """beta(r) for r = 1..r_max: the largest change of mu(x_0 = .) over
@@ -163,9 +163,15 @@ class TransferMatrix:
         u = rng.random((n_samples, length))
         out = np.empty((n_samples, length), dtype=np.int8)
         out[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(0, a - 1)
+        cum_by_symbol = np.ascontiguousarray(cum_P.T)
+        count = np.empty(n_samples, dtype=np.int8)
         for j in range(1, length):
-            rows = cum_P[out[:, j - 1]]
-            out[:, j] = (u[:, j, None] >= rows).sum(axis=1).clip(0, a - 1)
+            # the symbols c with u >= cum_P[prev, c], counted one c at a time
+            prev, uj = out[:, j - 1], u[:, j]
+            count[:] = 0
+            for c in range(a):
+                count += uj >= cum_by_symbol[c][prev]
+            np.minimum(count, a - 1, out=out[:, j])
         return out
 
     def mean_energy_per_site_cycle(self, m: int) -> float:

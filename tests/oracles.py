@@ -143,3 +143,37 @@ def info_fn_full_width(oracle, ball_size, values, mask):
     cleared[ball_size:] = False
     p = oracle.conditional(np.asarray(values), cleared)
     return -math.log(p) if p > 0.0 else None
+
+
+def conditional_tables_loop(tm, r_max):
+    """`TransferMatrix.conditional_tables` entry by entry: for each nearest
+    left pin (dl, bl) and right pin (dr, br), the center weights
+    left-factor * right-factor over their sum, an all-zero column where the
+    sum is 0."""
+    a = tm.alphabet
+    left, right = tm.perron()
+    powers = [np.eye(a)]
+    for _ in range(r_max):
+        powers.append(powers[-1] @ (tm.T / tm.lam))
+    tab = np.zeros((a, r_max + 1, a, r_max + 1, a))
+    for dl, bl, dr, br in itertools.product(range(r_max + 1), range(a), range(r_max + 1), range(a)):
+        w = (powers[dl][bl, :] if dl else left) * (powers[dr][:, br] if dr else right)
+        tot = w.sum()
+        if tot > 0.0:
+            tab[:, dl, bl, dr, br] = w / tot
+    return tab
+
+
+def sample_windows_loop(tm, r, n_samples, rng):
+    """`TransferMatrix.sample_windows` with each step's symbol read as the
+    number of cumulative step probabilities at or below its uniform."""
+    a = tm.alphabet
+    length = 2 * r + 1
+    cum_pi = np.cumsum(tm.stationary())
+    cum_P = np.cumsum(tm.step_probs(), axis=1)
+    u = rng.random((n_samples, length))
+    out = np.empty((n_samples, length), dtype=np.int8)
+    out[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(0, a - 1)
+    for j in range(1, length):
+        out[:, j] = (u[:, j, None] >= cum_P[out[:, j - 1]]).sum(axis=1).clip(0, a - 1)
+    return out

@@ -420,6 +420,31 @@ def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
         assert json.dumps(twin) == json.dumps(here)
 
 
+
+@pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded")
+def test_kp_record_is_the_same_with_rows_split_over_cores(hc_model, tmp_path, monkeypatch):
+    """Records of the transfer route (nu mu and fixed0) and of the SAW route
+    on F_2, minus the wall time, are byte-equal JSON whether the compiled
+    percolation kernels run their rows in one call or in two ranges."""
+    f2_model = tmp_path / "f2.json"
+    f2_model.write_text(json.dumps(hardcore_model_dict("Free", 2, 0.3)))
+    configs = [
+        {"experiment": "kp-estimate", "model": hc_model, "seed": 4,
+         "params": {"r": 6, "oracle": "transfer", "nu": "mu", "N": 4000, "N_inner": 50}},
+        {"experiment": "kp-estimate", "model": hc_model, "seed": 9,
+         "params": {"r": 6, "oracle": "transfer", "nu": "fixed0", "N": 20000}},
+        {"experiment": "kp-estimate", "model": str(f2_model), "seed": 2,
+         "params": {"r": 3, "N": 400, "oracle": "saw", "saw_boundary": "self_consistent"}},
+    ]
+    records = []
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(kernels, "ROWS_PER_WORKER", 1)
+        records.append([run_config(config) for config in configs])
+        for record in records[-1]:
+            record.pop("wall_time_s")
+    assert json.dumps(records[0]) == json.dumps(records[1])
+
 # (group kind, rank, lambda, params, seed, oracle used, value, stderr); the
 # figures are those recorded before the tree recursion was compiled
 TREE_RECORDS = [

@@ -1,9 +1,11 @@
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 import warnings
 from pathlib import Path
 
@@ -575,6 +577,105 @@ def test_c_percolation_kernels_keep_a_buffered_uint32():
         run(patterns, 10, 0, ball_size, *geometry, rng, np.empty(40))
         assert reference.bit_generator.state["has_uint32"] == 1
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _split(monkeypatch, workers):
+    """Let the compiled percolation kernels split their rows over `workers`
+    cores, one range per row at the least."""
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(kernels, "ROWS_PER_WORKER", 1)
+
+
+def _split_cases():
+    """(kernel, geometry, ball_size, patterns) for each compiled percolation
+    kernel: a Z^1 transfer lookup of width 9 on a ball of 13 sites, and an
+    F_2 tree of width 17 on a ball of 53, each with 40 patterns."""
+    line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 6)
+    tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
+    source = np.random.default_rng(11)
+    admissible = np.zeros((40, 17), np.int64)
+    admissible[:, [1, 2, 3, 4]] = source.integers(0, 2, (40, 4))  # the leaves of the center
+    return [(kernels._c_percolation_lookup, (line.sides, line.tables), 13, source.integers(0, 2, (40, 9))),
+            (kernels._c_tree_percolation, (tree.tree,), 53, admissible)]
+
+
+def _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, buffered=False):
+    """(out or the error's type and message, end generator state) of one call."""
+    rng = np.random.default_rng(21)
+    if buffered:
+        rng.integers(0, 10, dtype=np.uint32)
+    out = np.full(n, np.nan)
+    threads = threading.active_count()
+    got = _outcome(lambda: kernel(patterns, n_inner, lo, ball_size, *geometry, rng, out) or out)
+    assert threading.active_count() == threads  # every range's thread joined, also after a raise
+    return got, rng.bit_generator.state
+
+
+@needs_c
+@pytest.mark.parametrize("case", range(2), ids=["lookup", "tree"])
+@pytest.mark.parametrize("n_inner,lo,n,buffered", [
+    (7, 0, 200, False),  # ranges start inside a pattern's block of rows
+    (7, 12, 200, False),  # lo > 0
+    (1, 5, 3, False),  # fewer rows than cores
+    (3, 0, 0, False),
+    (9, 4, 250, True),  # a buffered uint32 is kept
+], ids=["blocks", "lo", "few-rows", "no-rows", "buffered-uint32"])
+def test_split_percolation_is_bitwise_the_single_call(monkeypatch, case, n_inner, lo, n, buffered):
+    """Rows split over 2, 3 or 5 ranges, each started by an exact jump of
+    PCG64, give bitwise the out and the end state of the generator that one
+    call over every row gives."""
+    kernel, geometry, ball_size, patterns = _split_cases()[case]
+    _split(monkeypatch, 1)
+    expect_out, expect_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, buffered)
+    assert not np.isnan(expect_out).any()
+    for workers in (2, 3, 5):
+        _split(monkeypatch, workers)
+        assert len(kernels._row_bounds(n)) - 1 == max(1, min(workers, n))
+        got_out, got_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, buffered)
+        assert np.array_equal(got_out, expect_out)
+        assert got_state == expect_state
+
+
+@needs_c
+@pytest.mark.parametrize("case,bad,message", [
+    (0, {30: {0: 5}}, r"^symbol 5 "),  # a center symbol, in the last range only
+    (0, {12: {0: 7}, 30: {0: 5}}, r"^symbol 7 "),  # errors in two ranges: the earlier row's
+    (1, {30: {0: 4}}, r"^symbol 4 "),
+    (1, {30: {1: 1, 5: 1}, 31: {1: 1, 5: 1}}, r"^adjacent occupied pins 5, 1$"),  # once a past pins both
+    (1, {12: {0: 3}, 30: {0: 4}}, r"^symbol 3 "),
+    (1, {12: {1: 1, 5: 1}, 30: {0: 4}}, r"^(adjacent occupied pins 5, 1|symbol 4 )"),
+], ids=["lookup-late-symbol", "lookup-two-ranges", "tree-late-symbol", "tree-late-clash",
+        "tree-two-ranges", "tree-clash-then-symbol"])
+def test_split_percolation_error_is_the_single_calls(monkeypatch, case, bad, message):
+    """An error only in a later range, or in two ranges, is the error of the
+    single call, with its end state of the generator: those of the earliest
+    failing row.  bad maps a pattern to the symbols it gets; 6 rows per
+    pattern, 240 rows, so pattern 12 falls in the first range of 2 or 3 and
+    the second of 5, pattern 30 in the last range of 2 or 3 and the fourth
+    of 5."""
+    kernel, geometry, ball_size, patterns = _split_cases()[case]
+    patterns = patterns.copy()
+    for row, symbols in bad.items():
+        patterns[row, list(symbols)] = list(symbols.values())
+    _split(monkeypatch, 1)
+    expect = _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240)
+    assert isinstance(expect[0], tuple) and re.match(message, expect[0][1])
+    for workers in (2, 3, 5):
+        _split(monkeypatch, workers)
+        assert _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240) == expect
+
+
+def test_row_bounds_split_by_usable_cores(monkeypatch):
+    """W = min(usable cores, n // ROWS_PER_WORKER) ranges, at least one, of
+    sizes that differ by at most one row."""
+    assert kernels._usable_cores() >= 1
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 2)
+    rows = kernels.ROWS_PER_WORKER
+    assert kernels._row_bounds(0) == [0, 0]
+    assert kernels._row_bounds(2 * rows - 1) == [0, 2 * rows - 1]
+    assert kernels._row_bounds(2 * rows + 1) == [0, rows, 2 * rows + 1]
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 3)
+    assert kernels._row_bounds(100 * rows) == [0, 100 * rows // 3, 200 * rows // 3, 100 * rows]
 
 
 KERNELS = [name for name in kernels.__all__ if name != "BACKEND"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soficlab import groups
-from soficlab.constraints import ConstraintStructure, checkerboard, full_shift, hardcore, zero_potential
+from soficlab.constraints import ConstraintStructure, Potential, checkerboard, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph, joint_distribution, log_partition, site_marginal
 from soficlab.errors import ReducibleTransferError
 from soficlab.finitemodel import pressure_estimate
@@ -13,11 +13,13 @@ from soficlab.transfer import build_transfer
 
 from oracles import (
     brute_cycle_partition,
+    conditional_tables_loop,
     golden_pressure,
     hardcore_line_density,
     hardcore_line_pressure,
     hardcore_stationary_p0,
     lucas,
+    sample_windows_loop,
 )
 
 Z1 = groups.zd(1)
@@ -109,6 +111,52 @@ def test_conditional_tables_match_single_queries():
         expect = tm.conditional_center(pins)
         got = tab[:, dl, bl, dr, br]
         assert np.allclose(got, expect, atol=1e-12)
+
+
+
+def _random_rank1(a, seed):
+    """An irreducible rank-1 model on a symbols: random forbidden pairs,
+    vertex and edge log-weights."""
+    rng = np.random.default_rng(seed)
+    while True:
+        allowed = rng.random((1, a, a)) < 0.7
+        if allowed.any():
+            tm = build_transfer(ConstraintStructure(a, allowed),
+                                Potential(rng.normal(size=a), rng.normal(size=(1, a, a))))
+            if tm.irreducible:
+                return tm
+
+
+RANK1_MODELS = [(a, seed) for a in (2, 3, 4) for seed in range(3)] + [("checkerboard", 0)]
+
+
+def _rank1(a, seed):
+    if a == "checkerboard":  # 0 _ 1 at distance 1 has probability zero
+        return build_transfer(checkerboard(1), zero_potential(2, 1))
+    return _random_rank1(a, seed)
+
+
+@pytest.mark.parametrize("a,seed", RANK1_MODELS)
+def test_conditional_tables_are_bitwise_the_entry_loop(a, seed):
+    """The broadcast tables are bitwise those of one center-weight vector
+    per (dl, bl, dr, br), C-contiguous, with all-zero columns, not nan,
+    where the conditioning has probability zero."""
+    tm = _rank1(a, seed)
+    for r_max in (0, 1, 4, 16):
+        tab = tm.conditional_tables(r_max)
+        assert tab.flags.c_contiguous and not np.isnan(tab).any()
+        assert tab.dtype == np.float64 and np.array_equal(tab, conditional_tables_loop(tm, r_max))
+    if a == "checkerboard":
+        assert not tab[:, 1, 0, 1, 1].any()
+
+
+@pytest.mark.parametrize("a,seed", RANK1_MODELS)
+def test_sample_windows_are_bitwise_the_counting_loop(a, seed):
+    tm = _rank1(a, seed)
+    for r, n in ((0, 7), (3, 500), (16, 300), (2, 0)):
+        got = tm.sample_windows(r, n, np.random.default_rng(seed + 40))
+        expect = sample_windows_loop(tm, r, n, np.random.default_rng(seed + 40))
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 def test_window_distribution_normalizes_and_matches_pairs():
