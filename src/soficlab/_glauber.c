@@ -4,18 +4,25 @@
  * hardcore ratio recursion over pasts that it draws the same way.
  *
  * glauber_sweeps must stay arithmetic-identical to _glauber_py.glauber_sweeps:
- * same loop structure, same order of multiplications and additions, one
- * uniform consumed per site update, so both kernels give bitwise-equal
- * trajectories from the same inputs.  Build without FMA contraction
+ * the same order of multiplications and additions per candidate weight, the
+ * same first-candidate pick, one uniform consumed per site update, so both
+ * kernels give bitwise-equal trajectories from the same inputs.  All weight
+ * arithmetic is in site_weights; a call either tabulates it once for every
+ * neighbourhood key or runs it at every site update, and the two routes
+ * give bitwise the same trajectory.  Build without FMA contraction
  * (-ffp-contract=off) and without -ffast-math, or the rounding differs from
  * Python's.
  *
  * Sweep array layouts (C order): x[n] int8, nbr_out/nbr_in[n_gen][n] int64,
  * wh[a] double, wj[n_gen][a][a] double, allowed[n_gen][a][a] uint8,
- * uniforms[sweeps * n] double, counts[sweeps] int64 or NULL.  The caller
- * checks dtypes, shapes, the uniform and count lengths and safe in [0, a);
- * this file checks every index it reads through.  When counts is not NULL,
- * counts[t] is the number of sites v with x[v] != safe after sweep t.
+ * uniforms[sweeps * n] double or NULL, counts[sweeps] int64 or NULL, and
+ * the workspaces table[table_size] double and pair[2 * n_gen] int64.  When
+ * uniforms is NULL the kernel steps the PCG64 state pcg itself, one
+ * Generator.random double per site update, as the percolation kernels do.
+ * The caller checks dtypes, shapes, the uniform and count lengths and safe
+ * in [0, a); this file checks every index it reads through.  When counts is
+ * not NULL, counts[t] is the number of sites v with x[v] != safe after
+ * sweep t.
  *
  * percolation_lookup does no arithmetic: it reads one table entry per row
  * through table_entry, the entry _glauber_py.transfer_lookup reads, and
@@ -45,15 +52,154 @@
 #define TREE_BAD_GEOMETRY 6
 #define TREE_CLASH 7
 
+#ifndef __SIZEOF_INT128__
+#error "the PCG64 stepping of the kernels needs unsigned __int128"
+#endif
+
+/* numpy's PCG64: a 128-bit LCG s' = A s + inc whose draw is the XSL-RR
+ * output of the new state.  Taking k steps at once is s' = A^k s + C_k
+ * with C_k = (A^(k-1) + ... + A + 1) inc (Brown 1994), so a row skips the
+ * uniforms it does not read in one multiply-add and the stream stays that
+ * of Generator.random. */
+typedef unsigned __int128 u128;
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+/* a 128-bit number as two words, low word first */
+static inline u128 load128(const uint64_t *w)
+{
+    return (u128)w[1] << 64 | w[0];
+}
+
+static inline void store128(uint64_t *w, u128 x)
+{
+    w[0] = (uint64_t)x;
+    w[1] = (uint64_t)(x >> 64);
+}
+
+/* *state = mult * *state + plus, then numpy's next_double of it: the
+ * XSL-RR output v and (v >> 11) * 2^-53 */
+static inline double pcg_double(u128 *state, u128 mult, u128 plus)
+{
+    u128 s = mult * *state + plus;
+    uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+
+    *state = s;
+    v = v >> rot | v << (-rot & 63);
+    return (double)(v >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* cum[c] = the sum of the weights of candidates 0..c at one site, for c
+ * in [0, a), added in symbol order, so cum[a-1] is the total.  The weight
+ * of c is wh[c] times, for each generator s in order, wj[s][c][c] when
+ * pair[2s] < 0 (a self-loop), else wj[s][c][xo] and then wj[s][xi][c] for
+ * the pair (xo, xi) = (pair[2s], pair[2s+1]) of the symbols at the site's
+ * out- and in-neighbour; a pair that allowed forbids ends the product at
+ * weight 0.  Every weight of a sweep comes from here, so the table and
+ * direct routes of glauber_sweeps round alike. */
+static void site_weights(const int64_t *pair, const double *wh, const double *wj,
+                         const uint8_t *allowed, int64_t n_gen, int64_t a, double *cum)
+{
+    int64_t c, s, xo, xi;
+    double w, total = 0.0;
+
+    for (c = 0; c < a; c++) {
+        w = wh[c];
+        for (s = 0; s < n_gen; s++) {
+            xo = pair[2 * s];
+            if (xo < 0) {
+                w = w * wj[(s * a + c) * a + c];
+                continue;
+            }
+            if (!allowed[(s * a + c) * a + xo]) {
+                w = 0.0;
+                break;
+            }
+            w = w * wj[(s * a + c) * a + xo];
+            xi = pair[2 * s + 1];
+            if (!allowed[(s * a + xi) * a + c]) {
+                w = 0.0;
+                break;
+            }
+            w = w * wj[(s * a + xi) * a + c];
+        }
+        total = total + w;
+        cum[c] = total;
+    }
+}
+
+/* The number of neighbourhood keys, (a*a + 1)^n_gen, if their table fits
+ * table_size doubles, else 0. */
+static int64_t table_keys(int64_t n_gen, int64_t a, int64_t table_size)
+{
+    int64_t s, keys = 1, base = a * a + 1;
+
+    if (a < 1)
+        return 0;
+    for (s = 0; s < n_gen; s++) {
+        if (keys > table_size / a / base)
+            return 0;
+        keys *= base;
+    }
+    return keys * a <= table_size ? keys : 0;
+}
+
+/* table[key][c] = the site_weights of every neighbourhood key.  A key has
+ * one base-(a*a + 1) digit per generator, generator 0 the most
+ * significant: xo * a + xi for the pair (xo, xi), or a * a for a self-loop.
+ * pair is a workspace of 2 * n_gen words. */
+static void fill_table(double *table, int64_t keys, int64_t *pair, const double *wh,
+                       const double *wj, const uint8_t *allowed, int64_t n_gen, int64_t a)
+{
+    int64_t key, rest, digit, s;
+
+    for (key = 0; key < keys; key++) {
+        rest = key;
+        for (s = n_gen - 1; s >= 0; s--) {
+            digit = rest % (a * a + 1);
+            rest /= a * a + 1;
+            pair[2 * s] = digit == a * a ? -1 : digit / a;
+            pair[2 * s + 1] = digit % a;
+        }
+        site_weights(pair, wh, wj, allowed, n_gen, a, table + key * a);
+    }
+}
+
+/* The heat-bath pick from cumulative weights: the first c with
+ * u * total < cum[c], else a - 1; keep when the total is not positive. */
+static inline int8_t pick(const double *cum, int64_t a, double u, int8_t keep)
+{
+    double total = cum[a - 1], thr;
+    int64_t c;
+
+    if (!(total > 0.0))
+        return keep;
+    thr = u * total;
+    for (c = 0; c < a - 1; c++)
+        if (thr < cum[c])
+            return (int8_t)c;
+    return (int8_t)(a - 1);
+}
+
+/* sweeps heat-bath sweeps over x in place, sites in index order, each
+ * update drawing the next uniform: uniforms[t * n + v], or when uniforms
+ * is NULL the next double of the PCG64 state pcg (state, then increment,
+ * see load128), advanced in place.  When table_size doubles hold every
+ * neighbourhood key (table_keys), table is filled once and each update
+ * reads its key's row; else each update runs site_weights itself.  pair
+ * is a workspace of 2 * n_gen words. */
 int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
                    const double *wh, const double *wj, const uint8_t *allowed,
-                   const double *uniforms, int64_t sweeps,
+                   const double *uniforms, uint64_t *pcg, int64_t sweeps,
                    int64_t n, int64_t n_gen, int64_t a,
-                   int64_t *counts, int64_t safe)
+                   int64_t *counts, int64_t safe,
+                   double *table, int64_t table_size, int64_t *pair)
 {
-    double weights[64];
-    int64_t t, v, s, c, i, o, xo, xi, pick, nonsafe, base = 0;
-    double w, total, thr, cum;
+    double row[64], u;
+    const double *cum;
+    u128 state = 0, inc = 0;
+    int64_t t, v, s, i, o, key, keys, nonsafe, base = 0;
 
     if (a > 64)
         return GLAUBER_BAD_ALPHABET;
@@ -63,48 +209,34 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
     for (v = 0; v < n; v++)
         if (x[v] < 0 || x[v] >= a)
             return GLAUBER_BAD_SYMBOL;
+    keys = table_keys(n_gen, a, table_size);
+    if (keys)
+        fill_table(table, keys, pair, wh, wj, allowed, n_gen, a);
+    if (!uniforms) {
+        state = load128(pcg);
+        inc = load128(pcg + 2);
+    }
 
     for (t = 0; t < sweeps; t++) {
         for (v = 0; v < n; v++) {
-            total = 0.0;
-            for (c = 0; c < a; c++) {
-                w = wh[c];
+            u = uniforms ? uniforms[base++] : pcg_double(&state, PCG_MULT, inc);
+            if (keys) {
+                key = 0;
                 for (s = 0; s < n_gen; s++) {
                     o = nbr_out[s * n + v];
-                    if (o == v) {
-                        w = w * wj[(s * a + c) * a + c];
-                    } else {
-                        xo = x[o];
-                        if (!allowed[(s * a + c) * a + xo]) {
-                            w = 0.0;
-                            break;
-                        }
-                        w = w * wj[(s * a + c) * a + xo];
-                        xi = x[nbr_in[s * n + v]];
-                        if (!allowed[(s * a + xi) * a + c]) {
-                            w = 0.0;
-                            break;
-                        }
-                        w = w * wj[(s * a + xi) * a + c];
-                    }
+                    key = key * (a * a + 1) + (o == v ? a * a : x[o] * a + x[nbr_in[s * n + v]]);
                 }
-                weights[c] = w;
-                total = total + w;
-            }
-            if (total > 0.0) {
-                thr = uniforms[base] * total;
-                pick = a - 1;
-                cum = 0.0;
-                for (c = 0; c < a; c++) {
-                    cum = cum + weights[c];
-                    if (thr < cum) {
-                        pick = c;
-                        break;
-                    }
+                cum = table + key * a;
+            } else {
+                for (s = 0; s < n_gen; s++) {
+                    o = nbr_out[s * n + v];
+                    pair[2 * s] = o == v ? -1 : x[o];
+                    pair[2 * s + 1] = x[nbr_in[s * n + v]];
                 }
-                x[v] = (int8_t)pick;
+                site_weights(pair, wh, wj, allowed, n_gen, a, row);
+                cum = row;
             }
-            base++;
+            x[v] = pick(cum, a, u, x[v]);
         }
         if (counts) {
             nonsafe = 0;
@@ -113,6 +245,8 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
             counts[t] = nonsafe;
         }
     }
+    if (!uniforms)
+        store128(pcg, state);
     return KERNEL_OK;
 }
 
@@ -150,31 +284,6 @@ static int table_entry(int64_t v0, const int64_t *d, const int64_t *b, int64_t r
     return KERNEL_OK;
 }
 
-#ifndef __SIZEOF_INT128__
-#error "the percolation kernels need unsigned __int128"
-#endif
-
-/* numpy's PCG64: a 128-bit LCG s' = A s + inc whose draw is the XSL-RR
- * output of the new state.  Taking k steps at once is s' = A^k s + C_k
- * with C_k = (A^(k-1) + ... + A + 1) inc (Brown 1994), so a row skips the
- * uniforms it does not read in one multiply-add and the stream stays that
- * of Generator.random. */
-typedef unsigned __int128 u128;
-
-#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
-
-/* a 128-bit number as two words, low word first */
-static inline u128 load128(const uint64_t *w)
-{
-    return (u128)w[1] << 64 | w[0];
-}
-
-static inline void store128(uint64_t *w, u128 x)
-{
-    w[0] = (uint64_t)x;
-    w[1] = (uint64_t)(x >> 64);
-}
-
 /* jump[4k..4k+1] = A^k and jump[4k+2..4k+3] = C_k, for 0 <= k <= steps */
 static void fill_jumps(uint64_t *jump, int64_t steps, u128 inc)
 {
@@ -187,19 +296,6 @@ static void fill_jumps(uint64_t *jump, int64_t steps, u128 inc)
         mult = mult * PCG_MULT;
         plus = plus * PCG_MULT + inc;
     }
-}
-
-/* *state = mult * *state + plus, then numpy's next_double of it: the
- * XSL-RR output v and (v >> 11) * 2^-53 */
-static inline double pcg_double(u128 *state, u128 mult, u128 plus)
-{
-    u128 s = mult * *state + plus;
-    uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
-    unsigned rot = (unsigned)(s >> 122);
-
-    *state = s;
-    v = v >> rot | v << (-rot & 63);
-    return (double)(v >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* The first draw of a row after the skip uniforms the last row left

@@ -1,8 +1,9 @@
 """Pure-Python twins of the three kernels in _glauber.c: the fallback when
 the C library is unavailable, and the tests' reference for it.
 
-The sweep keeps the C kernel's arithmetic and uniform consumption, so
-trajectories agree bitwise between backends.  `transfer_lookup` and
+The sweep keeps the C kernel's arithmetic and uniform consumption, and
+draws the doubles the C kernel draws from a Generator, so trajectories and
+generator states agree bitwise between backends.  `transfer_lookup` and
 `tree_batch` are the transfer and tree oracles' numpy batches on both
 backends: the C percolation lookup reads the table entry per row that
 `transfer_lookup` reads, and the C tree kernel repeats the arithmetic of
@@ -18,15 +19,39 @@ import numpy as np
 from .errors import InconsistentPinsError
 from .pasts import percolation_chunks
 
+# the most uniforms the sweep draws from a Generator at once, 128 KB of
+# float64: enough sweeps per draw to amortise it on small graphs, without a
+# buffer that grows with the number of sweeps
+UNIFORM_BUFFER = 2**14
+
 
 def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
     """Run `sweeps` heat-bath sweeps over x in place; if counts is given,
-    counts[t] is the number of sites not equal to `safe` after sweep t."""
+    counts[t] is the number of sites not equal to `safe` after sweep t.
+
+    uniforms is an array of at least sweeps * n uniforms, one per site
+    update, or a numpy Generator.  A Generator fills one reused buffer of
+    at most UNIFORM_BUFFER doubles, max(1, UNIFORM_BUFFER // n) sweeps at a
+    time; m draws of k doubles are the values of one draw of m * k, so the
+    updates read, and the generator ends in, what
+    `uniforms.random(sweeps * n)` gives.
+    """
     n = x.shape[0]
     n_gen = nbr_out.shape[0]
     a = wh.shape[0]
     if a > 64:
         raise ValueError("alphabet too large for kernel")
+    if isinstance(uniforms, np.random.Generator):
+        chunk = max(1, UNIFORM_BUFFER // max(1, n))
+        buffer = np.empty(chunk * n)
+
+        def draw(t):
+            return uniforms.random(out=buffer[: min(chunk, sweeps - t) * n]).tolist()
+    else:
+        chunk = max(1, sweeps)
+
+        def draw(t):
+            return uniforms.tolist()
 
     # plain python containers beat numpy scalar indexing in the inner loop
     xs = x.tolist()
@@ -35,13 +60,14 @@ def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts
     whl = wh.tolist()
     wjl = [wj[s].tolist() for s in range(n_gen)]
     alw = [allowed[s].tolist() for s in range(n_gen)]
-    u = uniforms.tolist()
     gens = list(range(n_gen))
     symbols = list(range(a))
     weights = [0.0] * a
 
-    base = 0
     for t in range(sweeps):
+        if t % chunk == 0:
+            u = draw(t)
+            base = 0
         for v in range(n):
             total = 0.0
             for c in symbols:

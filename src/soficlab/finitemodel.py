@@ -14,6 +14,7 @@ trace and is what the rest of the package assumes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,6 +34,9 @@ from .sampling import GlauberEngine
 from .schema import MCMC, METHODS, check
 from .soficmaps import SoficMap, good_vertices, require_builder
 from .transfer import build_transfer
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -339,6 +343,7 @@ def partition_mcmc(
     safe = space.safe_symbol
     if safe is None:
         raise NoSafeSymbolError("thermodynamic integration needs a safe symbol")
+    tail = _tail_bound(space.n * space.structure.alphabet, log_u_min, 2.0 * space.potential.norm())
     rng = np.random.default_rng(np.random.SeedSequence([seed, space.n, 0xD1CE]))
     ts = np.linspace(log_u_min, 0.0, grid_points)
     nonsafe = np.array([0.0 if a == safe else 1.0 for a in range(space.structure.alphabet)])
@@ -360,9 +365,6 @@ def partition_mcmc(
         ses[i] = bm.std(ddof=1) / math.sqrt(n_blocks)
     integral, quad_w = _simpson_irregular(ts, means)
     stat_var = float(np.sum((quad_w * ses) ** 2))
-    tail = space.n * space.structure.alphabet * math.exp(log_u_min) * math.exp(
-        2.0 * space.potential.norm()
-    )
     x0 = engine.initial_state(safe)
     log_z = derived_energy(space, x0) + integral
     return PartitionResult(
@@ -377,6 +379,26 @@ def partition_mcmc(
             "seed": seed,
         },
     )
+
+
+def _tail_bound(na: int, log_u_min: float, two_norm: float) -> float:
+    """The TI tail bound n * a * e^{log_u_min} * e^{2 |phi|}, na = n * a.
+
+    It is that product wherever e^{2 |phi|} is a float, else the exponential
+    of its logarithm.  A bound past the largest float (2 |phi| above about
+    709 at the default log_u_min) is a SchemaError naming
+    params.mcmc.log_u_min, the setting that can bring it back.
+    """
+    log_tail = math.log(na) + log_u_min + two_norm
+    if not log_tail < _LOG_FLOAT_MAX:
+        raise SchemaError(
+            f"params.mcmc.log_u_min = {log_u_min!r} gives the TI tail bound n a e^log_u_min e^(2|phi|) "
+            f"= e^{log_tail:.6g}, past the largest float; take params.mcmc.log_u_min below "
+            f"{_LOG_FLOAT_MAX - math.log(na) - two_norm:.6g}"
+        )
+    if two_norm < _LOG_FLOAT_MAX:
+        return na * math.exp(log_u_min) * math.exp(two_norm)
+    return math.exp(log_tail)
 
 
 def _simpson_irregular(ts: np.ndarray, ys: np.ndarray):

@@ -1,14 +1,20 @@
 """The compiled kernels of `_glauber.c` through ctypes, else their Python twins.
 
-Three kernels: `glauber_sweeps`, the heat-bath sweep; `percolation_lookup`,
-the transfer oracle's nearest-pin table lookup over percolation pasts that
-it draws itself from a numpy Generator; and `tree_percolation`, the tree
+Three kernels: `glauber_sweeps`, the heat-bath sweep, over a uniforms
+array or uniforms it draws itself from a numpy Generator;
+`percolation_lookup`, the transfer oracle's nearest-pin table lookup over
+percolation pasts that it draws itself; and `tree_percolation`, the tree
 oracle's hardcore ratio recursion over pasts drawn the same way.  The
-compiled percolation kernels step the Generator's PCG64 themselves, from
-`bit_generator.state`: each row draws only the columns it reads and skips
-the rest of its uniforms by an exact jump, and the advanced state is
-written back.  They refuse any other bit generator with a ValueError
-before drawing, and take C-contiguous patterns only.  A call's rows run in
+compiled kernels step the Generator's PCG64 themselves, from
+`bit_generator.state` under its lock, and write the advanced state back
+(`_locked_pcg64`): the sweep draws one double per site update, and each
+percolation row draws only the columns it reads and skips the rest of its
+uniforms by an exact jump.  They refuse any other bit generator with a
+ValueError before drawing.  The compiled sweep tabulates the cumulative
+candidate weights of every neighbourhood key once per call and reads one
+row per site update, unless the table would pass SWEEP_TABLE_CAP doubles
+or outnumber the call's updates (`_sweep_table_keys`).  The percolation
+kernels take C-contiguous patterns only.  A call's rows run in
 contiguous ranges, one per usable core and at least ROWS_PER_WORKER rows
 each, on threads; a row takes exactly ball_size steps of the PCG64, so each
 range starts from the state advanced past the rows before it by an exact
@@ -23,7 +29,8 @@ imports only load it.  The compiler is the one Python was built with
 library lacks any kernel, a RuntimeWarning names the cause and all three
 pure-Python twins of `_glauber_py` are used; `SOFICLAB_KERNEL=python`
 forces the twins.  The backends are never mixed.  The sweeps consume
-identical uniforms and give bitwise-equal trajectories; the percolation
+identical uniforms, give bitwise-equal trajectories and leave a Generator
+in the same state; the percolation
 kernels give bitwise-equal results, raise the same errors, read the same
 uniforms and leave the generator in the same state.  `BACKEND` is "c" or
 "python".
@@ -51,6 +58,11 @@ _SOURCE = Path(__file__).with_name("_glauber.c")
 # workload, gcc -O2 on a 2-core x86_64 host)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-shared", "-fPIC")
 _MAX_ALPHABET = 64  # the C kernel's weights buffer
+# the most doubles of the sweep's weight table, 128 KB: the keys of up to 5
+# generators over 2 symbols (5^5 keys), 3 over 3 (10^3) or 2 over 4 (17^2).
+# Larger alphabets and ranks take the direct route, whose updates compute
+# their weights themselves.
+SWEEP_TABLE_CAP = 2**14
 # non-zero status codes of the C sweep kernel, then of the C percolation kernels
 _C_ERRORS = {
     1: f"alphabet too large for kernel (at most {_MAX_ALPHABET} symbols)",
@@ -122,7 +134,8 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         warnings.warn(f"C kernels unavailable, using the Python kernels: {exc!r}",
                       RuntimeWarning, stacklevel=2)
         return None
-    sweeps.argtypes = [_BYTE_P] * 7 + [ctypes.c_int64] * 4 + [_BYTE_P, ctypes.c_int64]
+    sweeps.argtypes = [_BYTE_P] * 8 + [ctypes.c_int64] * 4 + [
+        _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P]
     percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 5
     tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
@@ -143,12 +156,25 @@ def _data(arr: np.ndarray):
 
     A ctypes byte over the array's buffer, which ctypes passes by address,
     costs about a fifth of `ndarray.ctypes`; it needs a writeable, non-empty
-    buffer.  sample_derived_gibbs makes one kernel call per retained sample,
-    so this counts.
+    buffer.  A sweep call passes eight to ten arrays, and sample_derived_gibbs
+    makes one such call per retained sample, so this counts.
     """
     if arr.flags.writeable and arr.size:
         return ctypes.c_ubyte.from_buffer(arr)
     return arr.ctypes.data_as(_BYTE_P)
+
+
+def _sweep_table_keys(a: int, n_gen: int, updates: int) -> int:
+    """The number of neighbourhood keys, (a*a + 1)^n_gen, of the sweep's
+    weight table, or 0 for the direct route: when the table would hold more
+    than SWEEP_TABLE_CAP doubles, or have more keys than the call has site
+    updates, so that filling it would cost more than it saves."""
+    keys = 1
+    for _ in range(n_gen):
+        keys *= a * a + 1
+        if keys * a > SWEEP_TABLE_CAP:
+            return 0
+    return keys if keys <= updates else 0
 
 
 def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
@@ -156,11 +182,19 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, cou
 
     The arguments are those of `_glauber_py.glauber_sweeps`, as GlauberEngine
     lays them out; if counts is given, counts[t] is the number of sites not
-    equal to `safe` after sweep t.  Everything the C code trusts is checked
-    here first: dtypes, C order, a writeable x and counts, agreeing shapes,
-    at least sweeps * n uniforms and sweeps counts, safe in [0, a) and an
-    alphabet of at most 64; the C code itself checks every neighbour index
-    and every symbol of x.  Any failure is a ValueError.
+    equal to `safe` after sweep t.  uniforms is either a float64 array of
+    at least sweeps * n entries or a numpy Generator over PCG64, which the
+    kernel steps itself: it draws what `uniforms.random(sweeps * n)` would
+    and leaves the generator in that call's state, the buffered uint32
+    kept (`_locked_pcg64`).  The kernel fills a weight table of every
+    neighbourhood key once per call when `_sweep_table_keys` allows, else
+    computes each update's weights directly; both routes give bitwise the
+    twin's trajectory.  Everything the C code trusts is checked here first,
+    before any draw: dtypes, C order, a writeable x and counts, agreeing
+    shapes, enough uniforms or a PCG64 Generator, at least sweeps counts,
+    safe in [0, a) and an alphabet of at most 64; the C code itself checks
+    every neighbour index and every symbol of x.  Any failure is a
+    ValueError.
     """
     (n,) = _checked_shape("x", x, _I8, 1)
     if not x.flags.writeable:
@@ -178,10 +212,14 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, cou
         got = _checked_shape(name, arr, dtype, len(want))
         if got != want:
             raise ValueError(f"{name} has shape {got}, expected {want}")
-    (m,) = _checked_shape("uniforms", uniforms, _F64, 1)
     sweeps = operator.index(sweeps)
-    if m < sweeps * n:
-        raise ValueError(f"{m} uniforms for {sweeps} sweeps of {n} sites")
+    drawn = isinstance(uniforms, np.random.Generator)
+    if drawn:
+        _checked_pcg64(uniforms)
+    else:
+        (m,) = _checked_shape("uniforms", uniforms, _F64, 1)
+        if m < sweeps * n:
+            raise ValueError(f"{m} uniforms for {sweeps} sweeps of {n} sites")
     if counts is not None:
         (m,) = _checked_shape("counts", counts, _I64, 1)
         if not counts.flags.writeable:
@@ -191,10 +229,14 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, cou
     safe = operator.index(safe)
     if not 0 <= safe < a:
         raise ValueError(f"safe symbol {safe} outside [0, {a})")
-    status = _c_sweeps(
-        _data(x), _data(nbr_out), _data(nbr_in), _data(wh), _data(wj), _data(allowed),
-        _data(uniforms), sweeps, n, n_gen, a, None if counts is None else _data(counts), safe,
-    )
+    table = np.empty(_sweep_table_keys(a, n_gen, sweeps * n) * a)
+    pair = np.empty(2 * n_gen, np.int64)
+    with _locked_pcg64(uniforms) if drawn else contextlib.nullcontext() as pcg:
+        status = _c_sweeps(
+            _data(x), _data(nbr_out), _data(nbr_in), _data(wh), _data(wj), _data(allowed),
+            None if drawn else _data(uniforms), _data(pcg) if drawn else None, sweeps, n, n_gen, a,
+            None if counts is None else _data(counts), safe, _data(table), len(table), _data(pair),
+        )
     if status:
         raise ValueError(_C_ERRORS[status])
 
@@ -235,12 +277,36 @@ def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
         raise ValueError("out must be writeable")
     if n_inner < 1 or lo < 0 or n and (lo + n - 1) // n_inner >= n_rows:
         raise ValueError(f"rows {lo} to {lo + n} at {n_inner} per pattern do not fit {n_rows} patterns")
+    _checked_pcg64(rng)
+    return L, n, n_inner, lo, ball_size
+
+
+def _checked_pcg64(rng):
+    """A ValueError unless rng is a numpy Generator over PCG64, the bit
+    generator the C kernels step."""
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy Generator, not {type(rng).__name__}")
     if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise ValueError(f"the compiled percolation kernels step PCG64 (numpy's default_rng), "
+        raise ValueError(f"the compiled kernels step PCG64 (numpy's default_rng), "
                          f"not {type(rng.bit_generator).__name__}")
-    return L, n, n_inner, lo, ball_size
+
+
+@contextlib.contextmanager
+def _locked_pcg64(rng):
+    """rng's PCG64 state and increment as four uint64 words, low word first,
+    under the generator's lock for the whole block.  A kernel advances the
+    state words in place; on leaving the block they are written back as the
+    generator's state, with the buffered uint32 (`has_uint32`, `uinteger`)
+    as it was.  A block that raises writes nothing back."""
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        state = bitgen.state
+        words = state["state"]
+        pcg = np.array([words["state"] & _WORD, words["state"] >> 64, words["inc"] & _WORD, words["inc"] >> 64],
+                       np.uint64)
+        yield pcg
+        words["state"] = int(pcg[1]) << 64 | int(pcg[0])
+        bitgen.state = state
 
 
 def _workspace(size: int, dtype) -> np.ndarray:
@@ -283,9 +349,9 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng) -> tuple:
     thread each the others; ctypes releases the GIL, and every thread is
     joined before this returns or raises.  The status, bad and end state are
     those of the first range that fails, else of the last range: in both
-    cases the serial call's.  The end state is written back with the
-    buffered uint32 (`has_uint32`, `uinteger`) as it was, which
-    `PCG64.advance` would reset.  The generator's lock is held throughout.
+    cases the serial call's.  The state is read and written back by
+    `_locked_pcg64`, which keeps the buffered uint32 that `PCG64.advance`
+    would reset, and whose lock is held throughout.
     """
     bounds = _row_bounds(n)
     w = len(bounds) - 1
@@ -298,14 +364,13 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng) -> tuple:
     def run(k):
         status[k] = kernel(*calls[k])
 
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        state = bitgen.state
-        words = state["state"]
-        pcg[:] = [words["state"] & _WORD, words["state"] >> 64, words["inc"] & _WORD, words["inc"] >> 64]
+    with _locked_pcg64(rng) as words:
+        pcg[:] = words
         if w > 1:
             scratch = np.random.PCG64(0)
-            scratch.state = {"bit_generator": "PCG64", "state": dict(words), "has_uint32": 0, "uinteger": 0}
+            scratch.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                             "state": {"state": int(words[1]) << 64 | int(words[0]),
+                                       "inc": int(words[3]) << 64 | int(words[2])}}
             for k in range(1, w):
                 scratch.advance((bounds[k] - bounds[k - 1]) * ball_size)
                 start = scratch.state["state"]["state"]
@@ -323,8 +388,7 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng) -> tuple:
         if None in status:
             raise RuntimeError("a percolation kernel thread did not return")
         k = next((k for k in range(w) if status[k]), w - 1)
-        words["state"] = int(pcg[k, 1]) << 64 | int(pcg[k, 0])
-        bitgen.state = state
+        words[:2] = pcg[k, :2]
     return status[k], runs[k][1]
 
 

@@ -8,10 +8,6 @@ from .constraints import ConstraintStructure, Potential
 from .kernels import glauber_sweeps
 from .soficmaps import SoficMap
 
-# uniforms drawn per kernel call, 128 KB of float64: enough sweeps per call
-# to amortise the call on small graphs, without a buffer that grows with k
-UNIFORM_BUFFER = 2**14
-
 
 class GlauberEngine:
     """Sequential-sweep heat-bath sampler for the derived Gibbs weights.
@@ -38,8 +34,6 @@ class GlauberEngine:
         self.nbr_in = np.ascontiguousarray(sm.perms_inv, dtype=np.int64)
         self.allowed = np.ascontiguousarray(structure.allowed, dtype=np.uint8)
         self.wj = np.ascontiguousarray(np.exp(potential.J))
-        self.chunk = max(1, UNIFORM_BUFFER // max(1, sm.n))  # sweeps per kernel call
-        self._uniforms = np.empty(self.chunk * sm.n)
         self.set_bias(bias)
 
     def set_bias(self, bias: np.ndarray | None):
@@ -54,16 +48,11 @@ class GlauberEngine:
     ) -> np.ndarray:
         """Run k full sweeps in place; one uniform per site update.
 
-        The uniforms go through one reused buffer, `chunk` sweeps per kernel
-        call.  Drawing m * n uniforms at once gives the values of m draws of
-        n, so the trajectory does not depend on the chunking.  If counts (an
-        int64 array of at least k entries) is given, counts[t] is the number
-        of sites not equal to `safe` after sweep t.
+        One kernel call, which draws its k * n uniforms from rng as
+        `rng.random(k * n)` would (the compiled kernel steps rng's PCG64
+        itself).  If counts (an int64 array of at least k entries) is
+        given, counts[t] is the number of sites not equal to `safe` after
+        sweep t.
         """
-        n = self.sm.n
-        for start in range(0, k, self.chunk):
-            m = min(self.chunk, k - start)
-            u = rng.random(out=self._uniforms[: m * n])
-            glauber_sweeps(x, self.nbr_out, self.nbr_in, self.wh, self.wj, self.allowed, u, m,
-                           None if counts is None else counts[start : start + m], safe)
+        glauber_sweeps(x, self.nbr_out, self.nbr_in, self.wh, self.wj, self.allowed, rng, k, counts, safe)
         return x

@@ -383,6 +383,24 @@ def test_bad_mcmc_block_is_schema_error_before_any_sweep(block, message, experim
     assert exc.value.exit_code == 2
 
 
+@pytest.mark.parametrize("experiment", ["pressure", "entropy"])
+def test_overflowing_tail_bound_is_schema_error_before_any_sweep(experiment, tmp_path, monkeypatch):
+    """At 2|phi| = 800 the TI tail bound n a e^log_u_min e^(2|phi|) is past
+    the largest float at the default log_u_min: a typed error naming that
+    setting, raised before any sweep runs, not a bare OverflowError after
+    all of them."""
+    def no_sweeps(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({**hardcore_model_dict("Zd", 2, 1.0), "vertex_log_weights": [0.0, 400.0]}))
+    monkeypatch.setattr(GlauberEngine, "sweeps", no_sweeps)
+    with pytest.raises(SchemaError, match=r"params\.mcmc\.log_u_min") as exc:
+        run_config({"experiment": experiment, "model": str(path), "params": {
+            "builder_desc": {"builder": "torus", "d": 2}, "sizes": [4], "method": "mcmc"}})
+    assert exc.value.exit_code == 2
+
+
 def test_record_names_the_kernel_backend(hc_model):
     config = {"experiment": "pressure", "model": hc_model,
               "params": {"sizes": [8], "builder_desc": {"builder": "torus", "d": 1}}}

@@ -117,6 +117,85 @@ def test_c_kernel_is_bitwise_the_python_twin():
     assert any(fixed_point_cases), "no drawn case exercised the self-loop branch"
 
 
+def _generator_outcome(kernel, case, safe, seed, buffered):
+    """(x, counts, end state) of one sweep call of `case` that draws its
+    uniforms from a PCG64 Generator, after a buffered uint32 if asked."""
+    x, nbr_out, nbr_in, wh, wj, allowed, _, sweeps = case
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 10, dtype=np.uint32)
+    x = x.copy()
+    counts = np.full(sweeps, -1, np.int64)
+    kernel(x, nbr_out, nbr_in, wh, wj, allowed, rng, sweeps, counts, safe)
+    return x, counts, rng.bit_generator.state
+
+
+@needs_c
+def test_c_sweep_routes_and_generator_are_bitwise_the_twin(monkeypatch):
+    """Both routes of the compiled sweep, the weight table and the direct
+    weights, give the twin's trajectory and counts on every drawn case: the
+    route the call takes, and the direct route forced.  Drawing from a PCG64
+    Generator, the compiled kernel gives the twin's x, counts and end state,
+    also with a buffered uint32, and these are the array form's over
+    `rng.random(sweeps * n)`."""
+    routes = []
+    natural = kernels._sweep_table_keys
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sweep_cases(), st.data())
+    def check(case, data):
+        x, nbr_out, *rest = case
+        a, sweeps = len(rest[1]), rest[-1]
+        safe = data.draw(st.integers(0, a - 1))
+        xp, cp = x.copy(), np.full(sweeps, -1, np.int64)
+        _glauber_py.glauber_sweeps(xp, nbr_out, *rest, cp, safe)
+        routes.append(natural(a, len(nbr_out), sweeps * len(x)) > 0)
+        for keys in (natural, lambda *args: 0):
+            monkeypatch.setattr(kernels, "_sweep_table_keys", keys)
+            xc, cc = x.copy(), np.full(sweeps, -1, np.int64)
+            kernels.glauber_sweeps(xc, nbr_out, *rest, cc, safe)
+            assert np.array_equal(xc, xp)
+            assert np.array_equal(cc, cp)
+        monkeypatch.setattr(kernels, "_sweep_table_keys", natural)
+
+        seed, buffered = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans())
+        xc, cc, state = _generator_outcome(kernels.glauber_sweeps, case, safe, seed, buffered)
+        xp, cp, twin_state = _generator_outcome(_glauber_py.glauber_sweeps, case, safe, seed, buffered)
+        assert np.array_equal(xc, xp) and np.array_equal(cc, cp) and state == twin_state
+        reference = np.random.default_rng(seed)
+        if buffered:
+            reference.integers(0, 10, dtype=np.uint32)
+        xa = x.copy()
+        _glauber_py.glauber_sweeps(xa, nbr_out, *rest[:4], reference.random(sweeps * len(x)), sweeps)
+        assert np.array_equal(xa, xc)
+        assert reference.bit_generator.state == state
+
+    check()
+    assert any(routes) and not all(routes), "the drawn cases did not take both routes"
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_twin_sweep_draws_in_bounded_chunks(monkeypatch, buffered):
+    """The twin draws a Generator's uniforms into a buffer of at most
+    UNIFORM_BUFFER doubles; drawn across several such chunks they are still
+    those of `rng.random(sweeps * n)`, and the generator ends in that
+    call's state."""
+    monkeypatch.setattr(_glauber_py, "UNIFORM_BUFFER", 20)  # 2 sweeps of 8 sites per draw
+    st_, pot = hardcore(1, 1.5)
+    engine = GlauberEngine(soficmaps.build_torus(1, 8), st_, pot)
+    args = (engine.nbr_out, engine.nbr_in, engine.wh, engine.wj, engine.allowed)
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    if buffered:
+        for g in (rng, reference):
+            g.integers(0, 10, dtype=np.uint32)
+    x, y = engine.initial_state(0), engine.initial_state(0)
+    counts, expected = np.full(7, -1, np.int64), np.full(7, -1, np.int64)
+    _glauber_py.glauber_sweeps(x, *args, rng, 7, counts, 0)
+    _glauber_py.glauber_sweeps(y, *args, reference.random(7 * 8), 7, expected, 0)
+    assert np.array_equal(x, y) and np.array_equal(counts, expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def _args():
     st, pot = hardcore(2, 1.0)
     engine = GlauberEngine(soficmaps.build_torus(2, 4), st, pot)
@@ -161,20 +240,25 @@ def _set(a, index, value):
     (8, _read_only),
     (9, lambda safe: 2),  # safe outside [0, a)
     (9, lambda safe: -1),
+    (6, lambda u: np.random.Generator(np.random.MT19937(0))),  # a bit generator the kernel cannot step
+    (6, lambda u: np.random.Generator(np.random.Philox(0))),
 ], ids=["x-dtype", "nbr_out-dtype", "wh-dtype", "allowed-dtype", "x-strided", "wj-fortran",
         "x-read-only", "nbr_in-shape", "wj-shape", "allowed-shape", "uniforms-short",
         "alphabet-65", "nbr_out-above-n", "nbr_in-negative", "x-symbol-above-a", "x-symbol-negative",
         "counts-dtype", "counts-strided", "counts-short", "counts-read-only", "safe-above-a",
-        "safe-negative"])
+        "safe-negative", "uniforms-mt19937", "uniforms-philox"])
 def test_c_kernel_rejects_what_it_cannot_trust(arg, change):
     args = _args()
     args[arg] = change(args[arg])
     x_before = np.array(args[0], copy=True)
     counts_before = np.array(args[8], copy=True)
+    state = args[6].bit_generator.state if isinstance(args[6], np.random.Generator) else None
     with pytest.raises(ValueError):
         kernels.glauber_sweeps(*args)
     assert np.array_equal(args[0], x_before)
     assert np.array_equal(args[8], counts_before)
+    if state is not None:
+        assert _same_state(args[6].bit_generator.state, state)  # refused before any draw
 
 
 @needs_c
@@ -750,6 +834,19 @@ def test_build_leaves_one_library_in_the_cache(tmp_path, monkeypatch):
     assert kernels._load_c_kernel(None, tmp_path) is not None
 
 
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    """_glauber.c builds with the package's flags plus -Wall -Wextra -Werror."""
+    compiler = _compiler()
+    if compiler is None:
+        pytest.skip("the compiler Python was built with is not on PATH")
+    proc = subprocess.run(
+        [*shlex.split(compiler), *kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), str(kernels._SOURCE)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sweeps_stay_in_derived_space():
     st, pot = hardcore(2, 2.0)
     sm = soficmaps.build_torus(2, 6)
@@ -766,7 +863,7 @@ def test_sweeps_stay_in_derived_space():
 def test_chunked_sweeps_are_one_sweep_calls(extra):
     st, pot = hardcore(2, 1.0)
     engine = GlauberEngine(soficmaps.build_torus(2, 8), st, pot)
-    k = engine.chunk + extra
+    k = 256 + extra
     x = engine.initial_state(0)
     counts = np.full(k, -1, np.int64)
     engine.sweeps(x, k, np.random.default_rng(4), counts, 0)
@@ -776,7 +873,6 @@ def test_chunked_sweeps_are_one_sweep_calls(extra):
     for _ in range(k):
         engine.sweeps(y, 1, rng)
         expected.append(np.count_nonzero(y != 0))
-    assert engine.chunk == 256
     assert np.array_equal(x, y)
     assert counts.tolist() == expected
 
