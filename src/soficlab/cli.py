@@ -19,7 +19,7 @@ from .errors import SchemaError, SoficLabError
 from .finitemodel import pressure_estimate
 from .gibbs import entropy_rate_estimate, ssm_profile
 from .marginals import make_oracle
-from .modelbuild import build_sofic
+from .modelbuild import build_sofic, builder_generators
 from .modelfile import Model, load_graph, load_model, parse_model
 from .randominfo import kp_pressure_at_fixed_point, kp_pressure_at_measure, truncation_budget
 from .saw import hardcore_marginal_via_saw
@@ -243,7 +243,7 @@ def run_config(config: dict) -> dict:
                 "seed": model.sofic.get("seed", 0),
             }
         desc = params["builder_desc"]
-        generators = desc.get("k" if desc["builder"] == "random_perm" else "d", 1)
+        generators = builder_generators(desc)
         if generators != model.spec.rank:
             raise SchemaError(f"the {desc['builder']} builder makes {generators} generators; "
                               f"the model's group has {model.spec.rank}")

@@ -41,18 +41,6 @@ class InconsistentPinsError(SoficLabError):
     exit_code = 7
 
 
-class WrongBuilderError(SoficLabError):
-    """Operation restricted to a specific sofic-map builder."""
-
-    exit_code = 8
-
-
-class BallMismatchError(SoficLabError):
-    """Two groups do not share the required ball structure."""
-
-    exit_code = 9
-
-
 class EmptyFiberError(SoficLabError):
     """No interior completion of an admissible boundary; internal error."""
 

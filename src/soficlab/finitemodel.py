@@ -30,9 +30,10 @@ from .errors import (
     NoSafeSymbolError,
     SchemaError,
 )
+from .modelbuild import build_sofic, builder_generators
 from .sampling import GlauberEngine
 from .schema import MCMC, METHODS, check
-from .soficmaps import SoficMap, good_vertices, require_builder
+from .soficmaps import SoficMap, good_vertices
 from .transfer import build_transfer
 
 
@@ -276,15 +277,6 @@ def partition_exact(space: DerivedSpace, cap: int | None = None) -> PartitionRes
     return PartitionResult(acc.logsum(), "exact", 0.0, {"n_configs": count[0]})
 
 
-def partition_transfer_cycle(space: DerivedSpace) -> PartitionResult:
-    """log trace(T^m) for a rank-1 torus; exact."""
-    require_builder(space.sm, "torus")
-    if space.spec.rank != 1:
-        raise ValueError("transfer route needs d = 1")
-    tm = build_transfer(space.structure, space.potential)
-    return PartitionResult(tm.log_trace_power(space.n), "transfer_cycle", 0.0, {})
-
-
 def partition_cycle_decomposition(space: DerivedSpace) -> PartitionResult:
     """Exact log Z for any single-generator map: the labeled graph is a
     disjoint union of directed cycles, so Z factorizes into transfer traces.
@@ -422,22 +414,24 @@ def _simpson_irregular(ts: np.ndarray, ys: np.ndarray):
     return float(w @ ys), w
 
 
-def choose_method(builder: dict, space: DerivedSpace, method: str, exact_cap: int) -> str:
-    """The route for one size: `method` itself, or under "auto" the transfer
-    trace on a rank-1 torus, cycle decomposition on any other one-generator
-    map, exact enumeration up to exact_cap sites, thermodynamic integration
-    beyond."""
-    if method != "auto":
-        if method not in METHODS:
-            raise SchemaError(f"unknown method {method!r}; expected auto or one of {', '.join(METHODS)}")
-        return method
-    if builder.get("builder") == "torus" and builder.get("d", 0) == 1:
-        return "transfer"
-    if space.sm.n_generators == 1:
-        return "cycles"
-    if space.n <= exact_cap:
-        return "exact"
-    return "mcmc"
+def choose_method(builder: dict, method: str, exact_cap: int):
+    """The route of each size of a builder family, as a function of the
+    size's vertex count n: `method` itself, or under "auto" cycle
+    decomposition on a one-generator builder, exact enumeration up to
+    exact_cap vertices and thermodynamic integration beyond.  An unknown
+    method, or cycles on a builder of more than one generator, is a
+    SchemaError here, before any size runs."""
+    if method != "auto" and method not in METHODS:
+        raise SchemaError(f"unknown method {method!r}; expected auto or one of {', '.join(METHODS)}")
+    generators = builder_generators(builder)
+    if method == "cycles" and generators != 1:
+        raise SchemaError(f"method cycles needs a one-generator map; the {builder.get('builder')} builder "
+                          f"makes {generators} generators")
+    if method == "auto" and generators == 1:
+        method = "cycles"
+    if method == "auto":
+        return lambda n: "exact" if n <= exact_cap else "mcmc"
+    return lambda n: method
 
 
 def pressure_estimate(
@@ -450,12 +444,10 @@ def pressure_estimate(
     mcmc_kwargs: dict | None = None,
 ):
     """Per-size normalized log partition values for a builder family; mcmc_kwargs
-    are a RunConfig's params.mcmc, checked before any size runs."""
-    from .modelbuild import build_sofic
-
+    are a RunConfig's params.mcmc, checked with the method before any size runs."""
     check(mcmc_kwargs or {}, MCMC, "params.mcmc")
+    route = choose_method(builder, method, exact_partition_cap())
     routes = {
-        "transfer": partition_transfer_cycle,
         "cycles": partition_cycle_decomposition,
         "exact": partition_exact,
         "mcmc": lambda space: partition_mcmc(space, seed=seed, **(mcmc_kwargs or {})),
@@ -464,7 +456,7 @@ def pressure_estimate(
     for size in sizes:
         sm = build_sofic({**builder, "size": int(size)}, seed=seed)
         space = DerivedSpace(sm, structure, potential)
-        res = routes[choose_method(builder, space, method, exact_partition_cap())](space)
+        res = routes[route(space.n)](space)
         rows.append(
             {
                 "n": space.n,

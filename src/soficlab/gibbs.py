@@ -19,9 +19,10 @@ from .constraints import ConstraintStructure, Pattern, Potential, core_symbols
 from .enumeration import SiteGraph
 from .errors import BudgetExceededError, CapExceededError, EmptyFiberError, NoSafeSymbolError
 from .finitemodel import DerivedSpace, _iter_Xn, choose_method, derived_energy, partition_cycle_decomposition
-from .finitemodel import partition_mcmc, partition_transfer_cycle
+from .finitemodel import partition_mcmc
 from .groups import GroupSpec
-from .marginals import BallEnumerationOracle, make_oracle
+from .marginals import make_oracle
+from .modelbuild import build_sofic
 from .sampling import GlauberEngine
 from .schema import MCMC, check
 from .transfer import build_transfer
@@ -39,9 +40,6 @@ class BallDistribution:
         total = sum(self.table.values())
         if abs(total - 1.0) > tol:
             raise ValueError(f"distribution sums to {total}")
-
-    def tv(self, other: "BallDistribution") -> float:
-        return tv_tables(self.table, other.table)
 
 
 def tv_tables(a: dict, b: dict) -> float:
@@ -136,19 +134,6 @@ def sample_derived_gibbs(
         engine.sweeps(x, thin, rng)
         out[i] = x
     return out
-
-
-def empirical_distribution(x: np.ndarray, sm, r: int) -> BallDistribution:
-    """Average over vertices of point masses at the B_r pullback windows."""
-    b = groups.ball(sm.spec, r)
-    W = np.stack([sm.sigma_array(g) for g in b.elements])  # (L, n)
-    vals = np.asarray(x)[W]  # (L, n)
-    table: dict[tuple, float] = {}
-    inc = 1.0 / sm.n
-    for v in range(sm.n):
-        key = tuple(int(a) for a in vals[:, v])
-        table[key] = table.get(key, 0.0) + inc
-    return BallDistribution(sm.spec, r, table)
 
 
 def pushforward_tables(space: DerivedSpace, r: int, probe) -> list[dict]:
@@ -349,23 +334,19 @@ def entropy_rate_estimate(
     mcmc_kwargs: dict | None = None,
     sample_kwargs: dict | None = None,
 ):
-    """Per-size H(mu_n)/n via the exact table, the transfer/cycle identities,
-    or log Z (MCMC) minus a sampled energy expectation; mcmc_kwargs are a
-    RunConfig's params.mcmc, checked before any size runs."""
-    from .modelbuild import build_sofic
-
+    """Per-size H(mu_n)/n via the exact table, the cycle identities, or log Z
+    (MCMC) minus a sampled energy expectation; mcmc_kwargs are a RunConfig's
+    params.mcmc, checked with the method before any size runs."""
     check(mcmc_kwargs or {}, MCMC, "params.mcmc")
+    route = choose_method(builder, method, exact_table_cap())
     rows = []
     for size in sizes:
         sm = build_sofic({**builder, "size": int(size)}, seed=seed)
         space = DerivedSpace(sm, structure, potential)
-        chosen = choose_method(builder, space, method, exact_table_cap())
+        chosen = route(space.n)
         stderr = 0.0
         if chosen == "exact":
             rate = shannon_entropy_exact(space) / space.n
-        elif chosen == "transfer":
-            mean_e = build_transfer(structure, potential).mean_energy_per_site_cycle(space.n)
-            rate = partition_transfer_cycle(space).log_Z / space.n - mean_e
         elif chosen == "cycles":
             tm = build_transfer(structure, potential)
             res = partition_cycle_decomposition(space)
@@ -392,23 +373,6 @@ def entropy_rate_estimate(
             stderr = (res.stderr + se_e) / space.n
         rows.append({"n": space.n, "entropy_rate": rate, "stderr": stderr, "method": chosen})
     return rows
-
-
-def safe_boundary_reference_marginal(
-    structure: ConstraintStructure,
-    potential: Potential,
-    spec: GroupSpec,
-    r: int,
-    pad: int = 3,
-) -> BallDistribution:
-    """Approximate infinite-volume marginal on B_r from enumeration on
-    B_{r+pad} with an all-safe boundary shell; the gap to the true marginal
-    is budgeted by the mixing profile at the pad distance.  The ball and its
-    shell are those of the ball oracle at the same pad."""
-    oracle = BallEnumerationOracle(structure, potential, spec, r, pad=pad)
-    inner = list(range(len(groups.ball(spec, r).elements)))  # ball-order prefix
-    table = enumeration.joint_distribution(oracle.graph, structure, potential, inner, pins=oracle.shell_pins)
-    return BallDistribution(spec, r, table)
 
 
 def transfer_reference_marginal(

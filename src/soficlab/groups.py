@@ -224,31 +224,3 @@ def _next_ball(prev: CayleyBall, cap: int) -> CayleyBall:
 def boundary_shell(spec: GroupSpec, r: int) -> tuple[Element, ...]:
     """The M-boundary of B_r for M = B_1: elements at word length exactly r+1."""
     return ball(spec, r + 1).shell(r + 1)
-
-
-def ball_certificate(spec: GroupSpec, r: int):
-    """Canonical certificate of the rooted, edge-labeled ball B_r.
-
-    Two groups' balls are isomorphic as rooted labeled digraphs iff the
-    certificates are equal.  The BFS discovery order is canonical because
-    every vertex has at most one outgoing and one incoming edge per label.
-    """
-    b = ball(spec, r)
-    signed = [s for i in range(spec.rank) for s in (i + 1, -(i + 1))]
-    order = {identity(spec): 0}
-    queue = [identity(spec)]
-    while queue:
-        g = queue.pop(0)
-        for letter in signed:
-            h = apply_letter(spec, letter, g)
-            if h in b.index and h not in order:
-                order[h] = len(order)
-                queue.append(h)
-    edges = sorted(
-        (order[b.elements[i]], s, order[b.elements[j]]) for (i, s, j) in b.edges
-    )
-    return (spec.rank, len(b.elements), tuple(edges))
-
-
-def balls_isomorphic(spec_a: GroupSpec, spec_b: GroupSpec, r: int) -> bool:
-    return ball_certificate(spec_a, r) == ball_certificate(spec_b, r)

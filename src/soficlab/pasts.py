@@ -1,43 +1,19 @@
-"""Invariant random pasts, induced vertex orders, and coupling diagnostics.
+"""Random pasts of the identity on a ball B_r.
 
-The percolation past attaches i.i.d. uniforms to sites and declares u earlier
-than v when chi_u < chi_v; the lexicographic past on Z^d is the deterministic
-algebraic order.  Ties between finite-precision uniforms are broken by site
-index (a probability-zero event, resolved for reproducibility).
+The percolation past attaches i.i.d. uniforms to the sites of B_r and puts a
+site in the past of the identity when its uniform is below the identity's (a
+tie, a probability-zero event, leaves the site out);
+`sample_percolation_masks` draws these masks in one call and
+`percolation_chunks` in bounded chunks of the same stream.  The
+lexicographic past on Z^d is the deterministic algebraic order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import groups
 from .groups import Element, GroupSpec
-from .soficmaps import SoficMap, good_vertices
-
-
-@dataclass
-class PastSample:
-    """Membership of the past of the identity, restricted to B_r (ball order)."""
-
-    spec: GroupSpec
-    radius: int
-    membership: np.ndarray  # bool per ball element; identity entry False
-    uniforms: np.ndarray | None = None
-
-
-def sample_percolation_past(spec: GroupSpec, r: int, seed: int) -> PastSample:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0xFA57]))
-    return _percolation_from_rng(spec, r, rng)
-
-
-def _percolation_from_rng(spec: GroupSpec, r: int, rng) -> PastSample:
-    b = groups.ball(spec, r)
-    chi = rng.random(len(b.elements))
-    membership = chi < chi[0]  # identity is the first ball element
-    membership[0] = False
-    return PastSample(spec, r, membership, chi)
 
 
 def sample_percolation_masks(spec: GroupSpec, r: int, n_samples: int, rng) -> np.ndarray:
@@ -106,42 +82,3 @@ def lex_past(spec: GroupSpec, g: Element) -> bool:
 def lex_past_mask(spec: GroupSpec, r: int) -> np.ndarray:
     b = groups.ball(spec, r)
     return np.array([lex_past(spec, g) for g in b.elements])
-
-
-@dataclass
-class VertexOrder:
-    n: int
-    rank: np.ndarray  # rank[v] = position of v in the order
-    uniforms: np.ndarray
-
-
-def sample_vertex_order(sm: SoficMap, seed: int) -> VertexOrder:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, sm.n, 0x0BD]))
-    chi = rng.random(sm.n)
-    order = np.lexsort((np.arange(sm.n), chi))
-    rank = np.empty(sm.n, dtype=np.int64)
-    rank[order] = np.arange(sm.n)
-    return VertexOrder(sm.n, rank, chi)
-
-
-def pulled_back_past(sm: SoficMap, order: VertexOrder, v: int, r: int) -> np.ndarray:
-    """Mask over B_r ball order: g in the pulled-back past iff sigma^g(v) precedes v."""
-    b = groups.ball(sm.spec, r)
-    images = np.array([sm.sigma_array(g)[v] for g in b.elements])
-    mask = order.rank[images] < order.rank[v]
-    mask[0] = False
-    return mask
-
-
-def coupling_check(sm: SoficMap, r: int) -> float:
-    """Fraction of vertices where the diagonal coupling with the percolation
-    past is exact: B_r-good vertices with an injective window."""
-    report = good_vertices(sm, groups.ball(sm.spec, r))
-    good = report.good_vertices
-    if good.size == 0:
-        return 0.0
-    b = groups.ball(sm.spec, r)
-    images = np.stack([sm.sigma_array(g)[good] for g in b.elements])
-    srt = np.sort(images, axis=0)
-    injective = np.all(srt[1:] != srt[:-1], axis=0) if len(b.elements) > 1 else np.ones(good.size, bool)
-    return float(np.count_nonzero(injective)) / sm.n

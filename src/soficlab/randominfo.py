@@ -17,10 +17,9 @@ import numpy as np
 
 from . import groups, pasts
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
-from .errors import BallMismatchError, NoSafeSymbolError, SchemaError, ZeroProbabilityError
+from .errors import NoSafeSymbolError, SchemaError, ZeroProbabilityError
 from .gibbs import ssm_profile, uniform_bound_c
 from .groups import GroupSpec
-from .marginals import make_oracle
 from .pasts import lex_past_mask
 from .transfer import build_transfer
 
@@ -222,32 +221,6 @@ def percolative_entropy(
     )
 
 
-def default_truncation_radius(
-    structure: ConstraintStructure,
-    potential: Potential,
-    spec: GroupSpec,
-    target_accuracy: float,
-    r_max: int = 20,
-) -> int:
-    """Smallest r with beta(r)/c below a sixth of the target accuracy, so the
-    truncation and Monte Carlo error budgets split evenly."""
-    c_hat = uniform_bound_c(structure, potential, spec, min(2, r_max)).c_hat
-    prof = ssm_profile(structure, potential, spec, r_max)
-    for r in range(1, r_max + 1):
-        if prof[r - 1] / c_hat < target_accuracy / 6.0:
-            return r
-    return r_max
-
-
-def truncation_gap(oracle, spec: GroupSpec, values, mask, r: int, r_prime: int) -> float:
-    """|f_r - f_{r'}| for the same pattern and site set."""
-    if r > r_prime:
-        raise ValueError("need r <= r'")
-    f1 = info_fn_truncated(oracle, spec, values, mask, r)
-    f2 = info_fn_truncated(oracle, spec, values, mask, r_prime)
-    return abs(f1 - f2)
-
-
 def truncation_budget(
     structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r: int
 ) -> tuple[float, float]:
@@ -258,37 +231,3 @@ def truncation_budget(
     beta_r, c_r = (min(r, 12), min(r, 2)) if spec.rank == 1 else (1, 1)
     beta = float(ssm_profile(structure, potential, spec, beta_r)[-1])
     return beta, uniform_bound_c(structure, potential, spec, c_r).c_hat
-
-
-def locality_experiment(
-    structure: ConstraintStructure,
-    potential: Potential,
-    spec_a: GroupSpec,
-    spec_b: GroupSpec,
-    r: int,
-    N: int,
-    seed: int,
-) -> dict:
-    """Fixed-point pressure on two groups sharing a ball, with the mixing bound.
-
-    Requires the rooted labeled (r+1)-balls to be isomorphic; reports both
-    estimates, each from the `auto` oracle, and the bound beta_a/c_a +
-    beta_b/c_b of the two models' truncation budgets (`truncation_budget`).
-    """
-    if not groups.balls_isomorphic(spec_a, spec_b, r + 1):
-        raise BallMismatchError("the two groups do not share the (r+1)-ball")
-
-    results = {}
-    bound = 0.0
-    for tag, spec in (("a", spec_a), ("b", spec_b)):
-        oracle = make_oracle("auto", structure, potential, spec, r)
-        results[tag] = kp_pressure_at_fixed_point(structure, potential, spec, oracle, r, N, seed)
-        beta, c = truncation_budget(structure, potential, spec, r)
-        bound += beta / c
-    return {
-        "p_a": results["a"],
-        "p_b": results["b"],
-        "difference": abs(results["a"].value - results["b"].value),
-        "bound": bound,
-        "joint_stderr": math.hypot(results["a"].stderr, results["b"].stderr),
-    }

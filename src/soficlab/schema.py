@@ -113,7 +113,7 @@ _STRING = {"type": "string"}
 _VERTICES = {"type": "array", "items": _integer(0)}
 
 BUILDERS = ("torus", "folner", "random_perm")
-METHODS = ("exact", "transfer", "cycles", "mcmc")
+METHODS = ("exact", "cycles", "mcmc")
 # d for torus/folner, k for random_perm; m, n and size are the side length
 # (torus/folner) or vertex count (random_perm), and every builder needs two
 _BUILDER_SIZES = {"d": _integer(1), "k": _integer(1), "m": _integer(2), "n": _integer(2), "size": _integer(2)}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import groups
-from .errors import CapExceededError, WrongBuilderError
+from .errors import CapExceededError
 from .groups import CayleyBall, Element, GroupSpec
 
 
@@ -194,19 +194,3 @@ def good_vertices(sm: SoficMap, F: CayleyBall) -> GoodnessReport:
         multiplicative_defect=worst_mult,
         trace_defect=worst_trace,
     )
-
-
-def check_sofic(sm: SoficMap, F: CayleyBall, delta: float):
-    """(F, delta)-multiplicativity and trace-preservation, both as counting bounds."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0,1)")
-    report = good_vertices(sm, F)
-    ok = report.multiplicative_defect <= delta and report.trace_defect <= delta
-    return ok, report
-
-
-def require_builder(sm: SoficMap, builder: str):
-    if sm.provenance.get("builder") != builder:
-        raise WrongBuilderError(
-            f"operation requires builder {builder!r}, got {sm.provenance.get('builder')!r}"
-        )

@@ -21,7 +21,6 @@ from soficlab.finitemodel import (
     partition_cycle_decomposition,
     partition_exact,
     partition_mcmc,
-    partition_transfer_cycle,
 )
 from soficlab.gibbs import (
     derived_gibbs_exact,
@@ -59,7 +58,7 @@ def test_criterion_01_golden_mean_pressure():
     st, pot = hardcore(1, 1.0)
     t0 = time.time()
     sp64 = DerivedSpace(soficmaps.build_torus(1, 64), st, pot)
-    value = partition_transfer_cycle(sp64).log_Z / 64
+    value = partition_cycle_decomposition(sp64).log_Z / 64
     elapsed = time.time() - t0
     target = golden_pressure()
     assert abs(value - target) < 1e-6
@@ -67,7 +66,7 @@ def test_criterion_01_golden_mean_pressure():
     for m in range(3, 21):
         sp = DerivedSpace(soficmaps.build_torus(1, m), st, pot)
         brute = partition_exact(sp).log_Z
-        trace = partition_transfer_cycle(sp).log_Z
+        trace = partition_cycle_decomposition(sp).log_Z
         assert abs(brute - trace) < 1e-9
         assert abs(brute - math.log(lucas(m))) < 1e-9  # enumeration oracle
     _report(1, f"log Z_64/64 = {value:.7f} vs log golden = {target:.7f} "
@@ -78,7 +77,7 @@ def test_criterion_02_lambda2_pressure():
     st, pot = hardcore(1, 2.0)
     t0 = time.time()
     sp = DerivedSpace(soficmaps.build_torus(1, 64), st, pot)
-    value = partition_transfer_cycle(sp).log_Z / 64
+    value = partition_cycle_decomposition(sp).log_Z / 64
     elapsed = time.time() - t0
     assert abs(value - math.log(2)) < 1e-6
     assert elapsed < 1.0
@@ -291,7 +290,7 @@ def test_criterion_12_local_weakstar_convergence():
 def test_criterion_13_sigma_independence_proxy():
     st, pot = hardcore(1, 1.0)
     t0 = time.time()
-    p_torus = partition_transfer_cycle(
+    p_torus = partition_cycle_decomposition(
         DerivedSpace(soficmaps.build_torus(1, 64), st, pot)
     ).log_Z / 64
     p_folner = partition_cycle_decomposition(

@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from soficlab import kernels
+from soficlab import finitemodel, gibbs, kernels
 from soficlab.cli import (
     compare_configs,
     main,
@@ -23,7 +24,7 @@ from soficlab.cli import (
 )
 from soficlab.gibbs import entropy_rate_estimate
 from soficlab.modelfile import hardcore_model_dict, load_model, parse_model
-from soficlab.errors import SchemaError
+from soficlab.errors import SchemaError, SoficLabError
 from soficlab.sampling import GlauberEngine
 
 from oracles import golden_pressure
@@ -78,6 +79,19 @@ def test_malformed_model_exit_code(tmp_path, capsys):
     assert "SchemaError" in capsys.readouterr().err
 
 
+def test_readme_exit_codes_are_the_error_classes():
+    """The README's exit-code table lists exactly the SoficLabError classes,
+    each with its exit_code."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("| exit | error | meaning |"):].split("\n\n")[0]
+    listed = {name: int(code) for code, name in re.findall(r"^\| (\d+) \| `(\w+)` \|", table, re.M)}
+
+    def classes(cls):
+        return [cls, *(c for sub in cls.__subclasses__() for c in classes(sub))]
+
+    assert listed == {cls.__name__: cls.exit_code for cls in classes(SoficLabError)}
+
+
 def test_pressure_csv(hc_model, tmp_path):
     out = tmp_path / "pressure.csv"
     main_pressure(
@@ -86,7 +100,7 @@ def test_pressure_csv(hc_model, tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert [r["n"] for r in rows] == ["8", "16", "64"]
     assert abs(float(rows[-1]["pressure_estimate"]) - golden_pressure()) < 1e-6
-    assert rows[0]["method"] == "transfer_cycle"
+    assert rows[0]["method"] == "cycle_decomposition"
 
 
 def test_pressure_uses_model_sofic_block(tmp_path, capsys):
@@ -189,7 +203,7 @@ def test_compare_torus_vs_folner(hc_model):
         "params": {"sizes": [64], "method": "exact"},
         "seed": 0,
     }
-    ca = {**base, "params": {**base["params"], "builder_desc": {"builder": "torus", "d": 1}, "method": "transfer"}}
+    ca = {**base, "params": {**base["params"], "builder_desc": {"builder": "torus", "d": 1}, "method": "cycles"}}
     cb = {**base, "params": {**base["params"], "builder_desc": {"builder": "folner", "d": 1}, "method": "exact"}}
     cb["params"]["sizes"] = [18]
     cb["params"]["method"] = "exact"
@@ -271,16 +285,33 @@ def test_console_record_replays_through_run_config(experiment, hc_model, c4_grap
         ({"r": 4, "N": 100, "oracle": "saw", "saw_boundary": "nope"}, "kp-estimate"),
         ({"r": 4, "N": 100, "oracle": "transfer", "past": "nope"}, "kp-estimate"),
         ({"r": 4, "N": 100, "oracle": "transfer", "nu": "nope"}, "kp-estimate"),
+        ({"sizes": [8], "builder_desc": {"builder": "torus", "d": 1}, "method": "transfer"}, "pressure"),
+        ({"sizes": [8], "builder_desc": {"builder": "torus", "d": 1}, "method": "transfer"}, "entropy"),
+        ({"sizes": [4], "builder_desc": {"builder": "torus", "d": 2}, "method": "cycles"}, "pressure"),
+        ({"sizes": [4], "builder_desc": {"builder": "torus", "d": 2}, "method": "cycles"}, "entropy"),
     ],
 )
-def test_run_unknown_name_is_schema_error(params, experiment, hc_model, tmp_path, capsys):
+def test_run_unknown_name_is_schema_error(params, experiment, tmp_path, capsys, monkeypatch):
+    """A refused input is a SchemaError (exit 2) before any size runs, and its
+    message names what was refused: the name "nope", the method transfer, or
+    the generator count of a builder that method cycles cannot take."""
+    for module in (finitemodel, gibbs):
+        monkeypatch.setattr(module, "build_sofic", _no_build)
+    d = params.get("builder_desc", {}).get("d", 1)
+    model = tmp_path / "hardcore.json"
+    model.write_text(json.dumps(hardcore_model_dict("Zd", d, 1.0)))
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"experiment": experiment, "model": hc_model, "params": params}))
+    path.write_text(json.dumps({"experiment": experiment, "model": str(model), "params": params}))
     with pytest.raises(SystemExit) as exc:
         main(["run", str(path)])
     assert exc.value.code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "SchemaError" and "nope" in err["message"]
+    named = {"transfer": "'transfer'", "cycles": f"makes {d} generators"}.get(params.get("method"), "nope")
+    assert err["error"] == "SchemaError" and named in err["message"]
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("a refused input built a sofic map")
 
 
 @pytest.mark.parametrize(

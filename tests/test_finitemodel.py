@@ -6,7 +6,7 @@ import pytest
 from soficlab import groups, soficmaps
 from soficlab.constraints import Pattern, checkerboard, full_shift, hardcore, zero_potential
 from soficlab.config import exact_partition_cap
-from soficlab.errors import CapExceededError, NoSafeSymbolError, SchemaError, WrongBuilderError
+from soficlab.errors import CapExceededError, NoSafeSymbolError, SchemaError
 from soficlab.finitemodel import (
     DerivedSpace,
     correct_errors,
@@ -14,12 +14,13 @@ from soficlab.finitemodel import (
     error_set,
     extend_locally_consistent,
     is_in_Xn,
+    partition_cycle_decomposition,
     partition_exact,
     partition_mcmc,
-    partition_transfer_cycle,
     pressure_estimate,
     pullback,
 )
+from soficlab.transfer import build_transfer
 
 from oracles import golden_pressure, lucas
 
@@ -176,15 +177,9 @@ def test_exact_vs_transfer_all_small_cycles():
     for m in range(2, 15):
         sp = _space(soficmaps.build_torus(1, m), HC1)
         assert partition_exact(sp).log_Z == pytest.approx(
-            partition_transfer_cycle(sp).log_Z, abs=1e-9
+            partition_cycle_decomposition(sp).log_Z, abs=1e-9
         )
         assert partition_exact(sp).log_Z == pytest.approx(math.log(lucas(m)), abs=1e-9)
-
-
-def test_transfer_wrong_builder():
-    sp = _space(soficmaps.build_folner_box(2, 4), HC2)
-    with pytest.raises(WrongBuilderError):
-        partition_transfer_cycle(sp)
 
 
 def test_partition_lower_bound_corollary():
@@ -192,7 +187,7 @@ def test_partition_lower_bound_corollary():
     for m, model in [(8, HC1), (12, HC1)]:
         sp = _space(soficmaps.build_torus(1, m), model)
         bound = math.log(2) / len(groups.ball(Z1, 2)) - model[1].norm()
-        assert partition_transfer_cycle(sp).log_Z / sp.n >= bound
+        assert partition_cycle_decomposition(sp).log_Z / sp.n >= bound
     sp2 = _space(soficmaps.build_torus(2, 4), HC2)
     bound2 = math.log(2) / len(groups.ball(Z2, 2)) - HC2[1].norm()
     assert partition_exact(sp2).log_Z / sp2.n >= bound2
@@ -248,8 +243,6 @@ def test_mcmc_self_consistency_free_group():
 def test_cycle_decomposition_matches_exact():
     st, pot = HC1
     sp = DerivedSpace(soficmaps.build_random_perm(1, 16, seed=7), st, pot)
-    from soficlab.finitemodel import partition_cycle_decomposition
-
     assert partition_cycle_decomposition(sp).log_Z == pytest.approx(
         partition_exact(sp).log_Z, abs=1e-9
     )
@@ -263,7 +256,10 @@ def test_cycle_decomposition_matches_exact():
 def test_pressure_estimate_sequences():
     st, pot = HC1
     rows = pressure_estimate(st, pot, {"builder": "torus", "d": 1}, [8, 16, 32, 64])
-    assert [r["method"] for r in rows] == ["transfer_cycle"] * 4
+    assert [r["method"] for r in rows] == ["cycle_decomposition"] * 4
+    # auto's cycle route on the rank-1 torus is bitwise the transfer trace
+    tm = build_transfer(st, pot)
+    assert [r["log_Z"] for r in rows] == [tm.log_trace_power(n) for n in (8, 16, 32, 64)]
     errs = [abs(r["pressure_estimate"] - golden_pressure()) for r in rows]
     assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-6
     fs_rows = pressure_estimate(

@@ -21,7 +21,6 @@ from soficlab.finitemodel import DerivedSpace, derived_energy
 from soficlab.gibbs import (
     BallDistribution,
     derived_gibbs_exact,
-    empirical_distribution,
     entropy_rate_estimate,
     local_weakstar_gap,
     mean_energy_exact,
@@ -175,18 +174,6 @@ def test_lambda_small_concentrates_on_empty():
     sp = DerivedSpace(soficmaps.build_torus(1, 8), st, pot)
     samples = sample_derived_gibbs(sp, sweeps=30, seed=2, n_samples=300, thin=1, burn=30)
     assert samples.mean() < 0.01
-
-
-def test_empirical_distribution():
-    sm = soficmaps.build_torus(1, 8)
-    x = np.array([0, 1] * 4, dtype=np.int8)
-    d = empirical_distribution(x, sm, 1)
-    # ball order (0, -1, 1): two windows each with mass 1/2
-    assert d.table == {(0, 1, 1): 0.5, (1, 0, 0): 0.5}
-    d0 = empirical_distribution(x, sm, 0)
-    assert d0.table == {(0,): 0.5, (1,): 0.5}
-    all0 = empirical_distribution(np.zeros(8, np.int8), sm, 2)
-    assert list(all0.table.values()) == [1.0]
 
 
 def test_local_weakstar_exact_and_sampled():
@@ -392,30 +379,6 @@ def test_entropy_rate_estimate_mcmc_route():
     )
     row = rows[0]
     assert abs(row["entropy_rate"] - (2 / 3) * math.log(2)) < 3 * row["stderr"] + 0.01
-
-
-def test_safe_boundary_reference_marginal():
-    from soficlab.gibbs import safe_boundary_reference_marginal
-
-    st, pot = HC1
-    ref_t = transfer_reference_marginal(st, pot, Z1, 1)
-    ref_s = safe_boundary_reference_marginal(st, pot, Z1, 1, pad=6)
-    prof = ssm_profile(st, pot, Z1, 6)
-    assert ref_t.tv(ref_s) <= 3 * prof[-1]
-    ref2 = safe_boundary_reference_marginal(*hardcore(2, 1.0), Z2, 1, pad=2)
-    assert sum(ref2.table.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_default_truncation_radius():
-    from soficlab.randominfo import default_truncation_radius
-
-    st, pot = HC1
-    r = default_truncation_radius(st, pot, Z1, 1e-2)
-    prof = ssm_profile(st, pot, Z1, r)
-    c = uniform_bound_c(st, pot, Z1, 2).c_hat
-    assert prof[-1] / c < 1e-2 / 6
-    if r > 1:
-        assert prof[-2] / c >= 1e-2 / 6
 
 
 def test_lem_ssm1_numeric_form():

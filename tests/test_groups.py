@@ -111,13 +111,6 @@ def test_triangle_inequality(a, b):
         assert groups.word_length(spec, ab) <= groups.word_length(spec, ga) + groups.word_length(spec, gb)
 
 
-def test_ball_certificates():
-    assert groups.balls_isomorphic(Z1, groups.free(1), 5)
-    assert groups.balls_isomorphic(Z2, F2, 1)
-    assert not groups.balls_isomorphic(Z2, F2, 2)
-    assert not groups.balls_isomorphic(Z1, Z2, 1)
-
-
 def _ball_from_scratch(spec, r):
     """(elements, index, edges, shell sizes) of B_r by a breadth-first search
     through `groups.mul`, each shell sorted, and every edge (i, s, j) with

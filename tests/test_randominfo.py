@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as hs
 
 from soficlab import groups, pasts, randominfo
 from soficlab.constraints import full_shift, hardcore, zero_potential
-from soficlab.errors import BallMismatchError, SchemaError, SoficLabError, ZeroProbabilityError
+from soficlab.errors import SchemaError, SoficLabError, ZeroProbabilityError
 from soficlab.gibbs import ssm_profile, uniform_bound_c
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle, make_oracle
 from soficlab.pasts import sample_percolation_masks
@@ -17,14 +17,12 @@ from soficlab.randominfo import (
     info_fn_truncated,
     kp_pressure_at_fixed_point,
     kp_pressure_at_measure,
-    locality_experiment,
     percolative_entropy,
     random_info,
     truncation_budget,
-    truncation_gap,
 )
 
-from oracles import golden_pressure, hardcore_line_pressure, hardcore_stationary_p0, info_fn_full_width
+from oracles import hardcore_line_pressure, hardcore_stationary_p0, info_fn_full_width
 
 Z1 = groups.zd(1)
 F1 = groups.free(1)
@@ -251,25 +249,6 @@ def test_percolative_entropy_smoke():
     assert abs(est.value - (2 / 3) * math.log(2)) < 3 * est.stderr + 2e-3
 
 
-def test_truncation_gap_budget():
-    st, pot = hardcore(1, 1.0)
-    oracle = TransferOracle(st, pot, Z1, 8)
-    prof = ssm_profile(st, pot, Z1, 8)
-    c_hat = uniform_bound_c(st, pot, Z1, 2).c_hat
-    rng = np.random.default_rng(6)
-    L = len(groups.ball(Z1, 8).elements)
-    windows = oracle.tm.sample_windows(8, 40, rng).astype(np.int64)
-    cols = [g[0] + 8 for g in groups.ball(Z1, 8).elements]
-    for k in range(40):
-        vals = windows[k][cols]
-        mask = sample_percolation_masks(Z1, 8, 1, rng)[0]
-        gap = truncation_gap(oracle, Z1, vals, mask, 4, 8)
-        assert gap <= 3 * prof[3] / c_hat + 1e-9
-    # empty conditioning: no truncation effect at all
-    zeros = np.zeros(L, dtype=np.int64)
-    assert truncation_gap(oracle, Z1, zeros, np.zeros(L, bool), 4, 8) == 0.0
-
-
 def test_oracle_cross_agreement():
     """Transfer vs safe-boundary ball enumeration within the screening budget."""
     st, pot = hardcore(1, 1.0)
@@ -334,14 +313,6 @@ def test_f2_exploratory_cross_validation():
     assert abs(kp.value - mc.log_Z / sp.n) < 0.005
 
 
-def test_locality_same_line():
-    st, pot = hardcore(1, 1.0)
-    out = locality_experiment(st, pot, Z1, F1, r=8, N=20_000, seed=4)
-    assert out["difference"] <= 2 * out["joint_stderr"] + 1e-12
-    assert out["bound"] > 0 and math.isfinite(out["bound"])
-    assert abs(out["p_a"].value - golden_pressure()) < 3 * out["p_a"].stderr + 1e-3
-
-
 @pytest.mark.parametrize(
     "spec, r, beta_r, c_r",
     [(Z1, 16, 12, 2), (groups.free(2), 5, 1, 1)],
@@ -352,12 +323,6 @@ def test_truncation_budget_radii(spec, r, beta_r, c_r):
     beta, c = truncation_budget(st, pot, spec, r)
     assert beta == ssm_profile(st, pot, spec, beta_r)[-1]
     assert c == uniform_bound_c(st, pot, spec, c_r).c_hat
-
-
-def test_locality_ball_mismatch():
-    st, pot = hardcore(2, 1.0)
-    with pytest.raises(BallMismatchError):
-        locality_experiment(st, pot, groups.zd(2), groups.free(2), r=2, N=100, seed=0)
 
 
 def _fields(est):

@@ -134,7 +134,7 @@ def test_partition_mcmc_checks_its_settings_before_any_sweep(monkeypatch):
 def test_estimators_check_mcmc_kwargs_whatever_the_route(estimate):
     model = parse_model(Z1)
     with pytest.raises(SchemaError, match="params.mcmc.grid_points"):
-        estimate(model.structure, model.potential, TORUS, [8], method="transfer",
+        estimate(model.structure, model.potential, TORUS, [8], method="cycles",
                  mcmc_kwargs={"grid_points": 1})
 
 

@@ -123,13 +123,13 @@ def test_random_perm_determinism():
     assert np.array_equal(a.perms, b.perms)
 
 
-def test_check_sofic():
-    ok, _ = soficmaps.check_sofic(soficmaps.build_torus(2, 8), groups.ball(Z2, 2), 0.01)
-    assert ok
-    bad, rep = soficmaps.check_sofic(soficmaps.build_torus(1, 3), groups.ball(Z1, 3), 0.01)
-    assert not bad and rep.trace_defect == 1.0  # e1^3 fixes everything
-    ok, _ = soficmaps.check_sofic(soficmaps.build_torus(1, 4), groups.ball(Z1, 0), 0.01)
-    assert ok  # F = {identity}: trace condition excludes the identity
+def test_good_vertices_defects():
+    rep = soficmaps.good_vertices(soficmaps.build_torus(2, 8), groups.ball(Z2, 2))
+    assert rep.multiplicative_defect == 0.0 and rep.trace_defect == 0.0
+    rep = soficmaps.good_vertices(soficmaps.build_torus(1, 3), groups.ball(Z1, 3))
+    assert rep.trace_defect == 1.0  # e1^3 fixes everything
+    rep = soficmaps.good_vertices(soficmaps.build_torus(1, 4), groups.ball(Z1, 0))
+    assert rep.trace_defect == 0.0  # F = {identity}: the trace condition excludes the identity
 
 
 def test_degenerate_small_map():

@@ -242,10 +242,10 @@ def test_reducible_relation_keeps_trace_routes():
         st, pot = _reducible(allowed)
         # the admissible 8-cycles are all-0 and all-1
         (row,) = pressure_estimate(st, pot, builder, [8])
-        assert row["method"] == "transfer_cycle"
+        assert row["method"] == "cycle_decomposition"
         assert row["pressure_estimate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
         (row,) = entropy_rate_estimate(st, pot, builder, [8])
-        assert row["method"] == "transfer"
+        assert row["method"] == "cycles"
         assert row["entropy_rate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
 
 
