@@ -35,10 +35,12 @@
  * The 128-bit arithmetic needs unsigned __int128 (gcc, clang); without it
  * the build fails and the Python twins are used.
  *
- * tree_percolation draws its pasts the same way, each row's columns below
- * the pattern width, and runs the arithmetic of _glauber_py.tree_batch:
- * the same divisions and the same order of multiplications per site, so
- * its conditionals are bitwise the twin's.
+ * tree_percolation draws the same pasts, each column it reads by its own
+ * jump from the row's start state, and runs the arithmetic of
+ * _glauber_py.tree_batch: the same divisions and the same order of
+ * multiplications per site, so its conditionals are bitwise the twin's.
+ * A pinned site cuts the tree, so on a row whose pattern no past can make
+ * an error it reads only the sites whose ancestors are all unpinned.
  */
 
 #include <stdint.h>
@@ -442,6 +444,58 @@ static int row_errors(const int64_t *row, const uint8_t *pin, int64_t width,
     return KERNEL_OK;
 }
 
+/* The uniform of column c of a row whose stream starts at state s: step
+ * c + 1 from s, taken at once by the jump A^(c+1) s + C_(c+1). */
+static inline double column_draw(u128 s, const uint64_t *jump, int64_t c)
+{
+    const uint64_t *j = jump + 4 * (c + 1);
+
+    return pcg_double(&s, load128(j), load128(j + 2));
+}
+
+/* The root's ratio R_0, for deep_start > 0, over the sites whose
+ * ancestors are all unpinned, the only ones it depends on, drawing the pin
+ * of each such site below width by its own jump from the row's start state
+ * s; pins of the others are neither drawn nor read.  Top down, act lists
+ * the unpinned sites in level order, compacted without a branch, and each
+ * child of an unpinned inner site takes choice[2c + pin[c]]: its final
+ * factor when it is pinned or in the deepest level.  Bottom up, each
+ * unpinned inner site then takes the product of its children's factors in
+ * children order, as _glauber_py.level_ratio multiplies them. */
+static double pruned_ratio(const int64_t *child_ptr, const int64_t *children,
+                           int64_t deep_start, int64_t width, const double *lam,
+                           const double *choice, uint8_t *pin, double *factor, int64_t *act,
+                           u128 s, const uint64_t *jump, double chi0)
+{
+    double r;
+    int64_t q, u, c, k, na = 1;
+
+    act[0] = 0;
+    for (q = 0; q < na && act[q] < deep_start; q++) {
+        u = act[q];
+        for (k = child_ptr[u]; k < child_ptr[u + 1]; k++) {
+            c = children[k];
+            if (c < width) /* columns past the row are never pinned */
+                pin[c] = column_draw(s, jump, c) < chi0;
+            factor[c] = choice[2 * c + pin[c]];
+            act[na] = c;
+            na += !pin[c];
+        }
+    }
+    /* act[1..q) are the unpinned inner sites below the root, parents first */
+    while (--q > 0) {
+        u = act[q];
+        r = lam[u];
+        for (k = child_ptr[u]; k < child_ptr[u + 1]; k++)
+            r = r * factor[children[k]];
+        factor[u] = 1.0 / (1.0 + r);
+    }
+    r = lam[0];
+    for (k = child_ptr[0]; k < child_ptr[1]; k++)
+        r = r * factor[children[k]];
+    return r;
+}
+
 /* out[i] = the hardcore conditional of the center symbol of
  * patterns[(lo + i) / n_inner] under the i-th of n percolation pasts drawn
  * from the PCG64 state pcg, for n rows, by the ratio recursion
@@ -452,26 +506,34 @@ static int row_errors(const int64_t *row, const uint8_t *pin, int64_t width,
  * order, each of a larger index than v.  Sites deep_start .. n_window-1 are
  * the deepest level of the window; an unpinned site there has the ratio
  * free_ratio[v] of its unpinned subtree.  Pasts are those of
- * percolation_lookup: a row draws its columns below width and skips the
- * rest of its ball_size by a jump.  A pin at column c < width sets R_c to
- * 0 (symbol 0) or infinity (symbol 1).  Ratios are carried as factors
+ * percolation_lookup: column c of a row is the uniform c + 1 steps past
+ * the row's start state, read by its own jump (column_draw), and every row
+ * takes exactly ball_size steps.  A pin at column c < width sets R_c to 0
+ * (symbol 0) or infinity (symbol 1).  Ratios are carried as factors
  * F = 1/(1+R), so F is 1 or 0 at a pin, and the root gives
  * p = R_0/(1+R_0), or 1 - p when the center is 0.  A pinned site's factor
  * is picked by indexing, not by a branch: pins fall at random, and a
  * mispredicted branch per site costs more than the division it would save.
  *
+ * A pinned site cuts the tree, so each row draws and visits only the sites
+ * whose ancestors are all unpinned (pruned_ratio), about a quarter of B_5
+ * of F_2 on average.  A row whose pattern some past could make an error
+ * (not pattern_ok) first draws every column below width and checks it
+ * (row_errors).
+ *
  * The center and every pinned column must hold 0 or 1, else bad[0] is the
  * first such symbol in column order and the status LOOKUP_BAD_SYMBOL; then
  * two pinned 1s joined by an edge (edges[2e], edges[2e+1], in [0, width))
  * give TREE_CLASH with bad[0], bad[1] the first such edge.  Either stops
- * the call at the first row that has it, with pcg after that row's draw.
- * pcg is advanced in place as percolation_lookup advances it; pin
- * (n_window bytes, zero), factor (3 * n_window doubles) and jump
- * (4 * (ball_size + 1) words) are caller-owned workspaces.  The caller
- * checks dtypes, shapes, 0 <= deep_start < width <= n_window <= the length
- * of lam and free_ratio, width <= ball_size, n_inner >= 1, lo >= 0 and that
- * every row read is a row of patterns; this function checks the tree and
- * the edges (TREE_BAD_GEOMETRY).
+ * the call at the first row that has it, with pcg after that row's
+ * ball_size steps.  pcg is advanced in place as percolation_lookup
+ * advances it; pin (n_window bytes, zero), factor (3 * n_window doubles),
+ * act (n_window words) and jump (4 * (ball_size + 1) words) are
+ * caller-owned workspaces.  The caller checks dtypes, shapes,
+ * 0 <= deep_start < width <= n_window <= the length of lam and free_ratio,
+ * width <= ball_size, n_inner >= 1, lo >= 0 and that every row read is a
+ * row of patterns; this function checks the tree and the edges
+ * (TREE_BAD_GEOMETRY).
  */
 int tree_percolation(const int64_t *patterns, int64_t width,
                      int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
@@ -479,13 +541,14 @@ int tree_percolation(const int64_t *patterns, int64_t width,
                      int64_t n_children, int64_t deep_start, int64_t n_window,
                      const double *lam, const double *free_ratio,
                      const int64_t *edges, int64_t n_edges, double *out, int64_t *bad,
-                     uint8_t *pin, double *factor, uint64_t *pcg, uint64_t *jump)
+                     uint8_t *pin, double *factor, int64_t *act, uint64_t *pcg, uint64_t *jump)
 {
     /* choice[2v] is site v's factor unpinned, choice[2v + 1] pinned */
-    double *choice = factor + n_window, pair[2];
+    double *choice = factor + n_window;
     const int64_t *row = patterns;
-    u128 state = load128(pcg), inc = load128(pcg + 2);
-    int64_t i, c, v, k, j, checked = -1, skip = 0;
+    const uint64_t *whole = jump + 4 * ball_size;
+    u128 state = load128(pcg), start;
+    int64_t i, c, v, j, checked = -1;
     double chi0, r, p;
     int ok = 0, status = KERNEL_OK;
 
@@ -495,12 +558,8 @@ int tree_percolation(const int64_t *patterns, int64_t width,
         choice[2 * v] = v >= deep_start ? 1.0 / (1.0 + free_ratio[v]) : 0.0;
         choice[2 * v + 1] = 1.0;
     }
-    fill_jumps(jump, ball_size, inc);
+    fill_jumps(jump, ball_size, load128(pcg + 2));
     for (i = 0; i < n; i++) {
-        chi0 = row_start(&state, jump, skip);
-        for (c = 1; c < width; c++)
-            pin[c] = pcg_double(&state, PCG_MULT, inc) < chi0;
-        skip = ball_size - width;
         j = (lo + i) / n_inner;
         if (j != checked) {
             row = patterns + j * width;
@@ -509,32 +568,24 @@ int tree_percolation(const int64_t *patterns, int64_t width,
                 choice[2 * c + 1] = row[c] == 1 ? 0.0 : 1.0;
             checked = j;
         }
+        start = state;
+        state = load128(whole) * start + load128(whole + 2); /* the row's ball_size steps */
+        chi0 = column_draw(start, jump, 0);
         if (!ok) {
+            for (c = 1; c < width; c++)
+                pin[c] = column_draw(start, jump, c) < chi0;
             status = row_errors(row, pin, width, edges, n_edges, bad);
             if (status)
                 break;
         }
-        for (v = deep_start; v < n_window; v++)
-            factor[v] = choice[2 * v + pin[v]];
-        /* children have larger indices, so they are done before their parent */
-        for (v = deep_start - 1; v > 0; v--) {
-            r = lam[v];
-            for (k = child_ptr[v]; k < child_ptr[v + 1]; k++)
-                r = r * factor[children[k]];
-            pair[0] = 1.0 / (1.0 + r);
-            pair[1] = choice[2 * v + 1];
-            factor[v] = pair[pin[v]];
-        }
-        if (deep_start == 0) {
+        if (deep_start == 0)
             r = free_ratio[0];
-        } else {
-            r = lam[0];
-            for (k = child_ptr[0]; k < child_ptr[1]; k++)
-                r = r * factor[children[k]];
-        }
+        else
+            r = pruned_ratio(child_ptr, children, deep_start, width, lam, choice, pin, factor, act,
+                             start, jump, chi0);
         p = r / (1.0 + r);
         out[i] = row[0] == 1 ? p : 1.0 - p;
     }
-    pcg_store(pcg, state, jump, skip);
+    store128(pcg, state);
     return status;
 }

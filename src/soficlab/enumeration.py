@@ -20,6 +20,14 @@ from itertools import product
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential
+from .errors import CapExceededError
+
+# the most entries of one elimination table, a message or the final table:
+# 2^26 float64, 512 MiB.  Elimination learns a table's scope only as it
+# reaches it, so each table is checked just before it is allocated.  The
+# hardcore lex query on Z^2 with the ball oracle at pad 2 needs scopes of 26
+# sites at r = 20, which fit, and of 31 at r = 22, a 16 GiB table
+ELIMINATION_TABLE_CAP = 2**26
 
 
 @dataclass
@@ -205,12 +213,22 @@ def _candidates(structure, symbols) -> np.ndarray:
     return np.array(list(symbols) if symbols is not None else range(structure.alphabet), dtype=np.int64)
 
 
+def _check_table(symbols: int, sites: int):
+    """CapExceededError if a table over `sites` unpinned sites of `symbols`
+    candidates each would pass ELIMINATION_TABLE_CAP entries."""
+    if symbols**sites > ELIMINATION_TABLE_CAP:
+        raise CapExceededError(f"an elimination table over {sites} sites of {symbols} symbols has "
+                               f"{symbols}^{sites} entries, past the cap of {ELIMINATION_TABLE_CAP}")
+
+
 def _eliminate(graph, structure, potential, pins, cand, keep):
     """Min-degree variable elimination of every unpinned site outside keep.
 
     Returns (log_scale, table), where exp(log_scale) * table is the unnormalised
     weight of the unpinned sites of keep (in keep order, indexed by position in
-    cand), or None when no admissible configuration exists.
+    cand), or None when no admissible configuration exists.  A message or
+    final table past ELIMINATION_TABLE_CAP entries is a CapExceededError,
+    raised before it is allocated.
     """
     log_scale = 0.0
     factors = {}
@@ -231,6 +249,7 @@ def _eliminate(graph, structure, potential, pins, cand, keep):
         v = min(todo, key=lambda i: (len(nbrs[i]), i))
         todo.remove(v)
         scope = tuple(sorted(nbrs[v]))
+        _check_table(len(cand), len(scope))
         bucket = [s for s in factors if v in s]
         msg = _contract([(s, factors.pop(s)) for s in bucket], scope)
         m = msg.max()
@@ -243,6 +262,7 @@ def _eliminate(graph, structure, potential, pins, cand, keep):
             nbrs[i].update(scope)
             nbrs[i].discard(i)
             nbrs[i].discard(v)
+    _check_table(len(cand), len(out))
     table = _contract(list(factors.items()), out)
     if not table.sum() > 0.0:
         return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .modelbuild import build_sofic, builder_generators
 from .sampling import GlauberEngine
 from .schema import MCMC, METHODS, check
 from .soficmaps import SoficMap, good_vertices
-from .transfer import build_transfer
+from .transfer import TransferMatrix, build_transfer
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -277,16 +277,19 @@ def partition_exact(space: DerivedSpace, cap: int | None = None) -> PartitionRes
     return PartitionResult(acc.logsum(), "exact", 0.0, {"n_configs": count[0]})
 
 
-def partition_cycle_decomposition(space: DerivedSpace) -> PartitionResult:
+def partition_cycle_decomposition(space: DerivedSpace, tm: TransferMatrix | None = None) -> PartitionResult:
     """Exact log Z for any single-generator map: the labeled graph is a
     disjoint union of directed cycles, so Z factorizes into transfer traces.
 
     Length-1 cycles are self-loops, which carry energy but no constraint.
+    tm is the model's transfer matrix, built here when not given; a sweep
+    over sizes passes one, since it depends only on the model.
     """
     if space.sm.n_generators != 1:
         raise ValueError("cycle decomposition needs a single generator")
     perm = space.sm.perms[0]
-    tm = build_transfer(space.structure, space.potential)
+    if tm is None:
+        tm = build_transfer(space.structure, space.potential)
     seen = np.zeros(space.n, dtype=bool)
     log_z = 0.0
     lengths = []
@@ -447,8 +450,9 @@ def pressure_estimate(
     are a RunConfig's params.mcmc, checked with the method before any size runs."""
     check(mcmc_kwargs or {}, MCMC, "params.mcmc")
     route = choose_method(builder, method, exact_partition_cap())
+    transfer = cache(lambda: build_transfer(structure, potential))  # once per sweep
     routes = {
-        "cycles": partition_cycle_decomposition,
+        "cycles": lambda space: partition_cycle_decomposition(space, transfer()),
         "exact": partition_exact,
         "mcmc": lambda space: partition_mcmc(space, seed=seed, **(mcmc_kwargs or {})),
     }

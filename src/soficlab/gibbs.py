@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -339,6 +340,7 @@ def entropy_rate_estimate(
     params.mcmc, checked with the method before any size runs."""
     check(mcmc_kwargs or {}, MCMC, "params.mcmc")
     route = choose_method(builder, method, exact_table_cap())
+    transfer = cache(lambda: build_transfer(structure, potential))  # once per sweep
     rows = []
     for size in sizes:
         sm = build_sofic({**builder, "size": int(size)}, seed=seed)
@@ -348,8 +350,8 @@ def entropy_rate_estimate(
         if chosen == "exact":
             rate = shannon_entropy_exact(space) / space.n
         elif chosen == "cycles":
-            tm = build_transfer(structure, potential)
-            res = partition_cycle_decomposition(space)
+            tm = transfer()
+            res = partition_cycle_decomposition(space, tm)
             mean_e = sum(
                 length * tm.mean_energy_per_site_cycle(length)
                 for length in res.diagnostics["cycle_lengths"]

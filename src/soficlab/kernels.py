@@ -9,11 +9,15 @@ compiled kernels step the Generator's PCG64 themselves, from
 `bit_generator.state` under its lock, and write the advanced state back
 (`_locked_pcg64`): the sweep draws one double per site update, and each
 percolation row draws only the columns it reads and skips the rest of its
-uniforms by an exact jump.  They refuse any other bit generator with a
-ValueError before drawing.  The compiled sweep tabulates the cumulative
-candidate weights of every neighbourhood key once per call and reads one
-row per site update, unless the table would pass SWEEP_TABLE_CAP doubles
-or outnumber the call's updates (`_sweep_table_keys`).  The percolation
+uniforms by an exact jump.  The tree kernel reads each column by its own
+jump from the row's start state, and on a row whose pattern no past can
+make an error it reads only the sites whose ancestors are all unpinned,
+since a pinned site cuts the tree.  The compiled kernels refuse any other
+bit generator with a ValueError before drawing.  The compiled sweep
+tabulates the cumulative candidate weights of every neighbourhood key once
+per call and reads one row per site update, unless the table would pass
+SWEEP_TABLE_CAP doubles or outnumber the call's updates
+(`_sweep_table_keys`).  The percolation
 kernels take C-contiguous patterns only.  A call's rows run in
 contiguous ranges, one per usable core and at least ROWS_PER_WORKER rows
 each, on threads; a row takes exactly ball_size steps of the PCG64, so each
@@ -139,7 +143,7 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
     percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 5
     tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
-        _BYTE_P, _BYTE_P, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 6
+        _BYTE_P, _BYTE_P, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 7
     sweeps.restype = percolation.restype = tree.restype = ctypes.c_int
     return sweeps, percolation, tree
 
@@ -435,9 +439,12 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     child_ptr of one more entry than lam, children and (m, 2) edges; float64
     lam and free of one length), no narrower than the patterns.  The pasts
     and the generator's state are those of `_c_percolation_lookup`; the
-    kernel draws each row's columns below the pattern width and skips the
-    rest by a jump.  The rows run in ranges as `_c_percolation_lookup`'s
-    do, with the same unspecified out past a failing row.  The result is
+    kernel draws each column it reads by its own jump from the row's start
+    state, and takes each row's ball_size steps in one jump.  A row whose
+    pattern no past can make an error reads only the sites whose ancestors
+    are all unpinned; any other row reads every column below the pattern
+    width.  The rows run in ranges as `_c_percolation_lookup`'s do, with
+    the same unspecified out past a failing row.  The result is
     bitwise the twin's, and so are the errors: `symbol_error`,
     `clash_error`, or a ValueError for anything else the kernel cannot
     trust.
@@ -464,7 +471,7 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
         bad = np.zeros(2, np.int64)
         return (_data(patterns), L, n_inner, lo + start, stop - start, ball_size, *geometry,
                 _data(out[start:stop]), _data(bad), _data(_workspace(n_window, np.uint8)),
-                _data(_workspace(3 * n_window, np.float64))), bad
+                _data(_workspace(3 * n_window, np.float64)), _data(_workspace(n_window, np.int64))), bad
 
     _raise_lookup(*_run_on_pcg64(_c_tree, range_args, n, ball_size, rng), 2)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import enumeration, groups, kernels
-from ._glauber_py import Tree, level_ratio, transfer_lookup, tree_batch
+from ._glauber_py import Tree, transfer_lookup, tree_batch
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
@@ -193,16 +193,27 @@ class SawOracle:
     pad further out gives the same conditionals, since an empty shell at
     radius R+1 is a free boundary at radius R.
 
-    boundary="free" truncates the graph at the ball; boundary
-    "self_consistent" replaces the activity of the outermost shell with the
-    occupation ratio R* of an infinite unpinned regular branch.  In the
-    uniqueness regime that makes each conditional exact for the pins it is
-    given, but it does not remove the truncation bias of the estimators: a
-    random past also pins sites beyond B_r, which this shell treats as
-    free.  On F_2 hardcore at lambda = 1 (`nu: fixed0`, N = 200,000) the
-    estimate at r = 4 is 0.39709 +- 0.00040, 10 stderr below the Bethe
-    pressure 0.401225, and at r = 6 still 4.5 stderr below it (ROADMAP
-    item 9).
+    The oracle conditions on B_{r_max} and continues the tree unpinned for
+    `pad` more levels, the conditionals of the ball B_{r_max + pad} with
+    nothing pinned past B_{r_max}.  Every site of one level of F_k or the
+    line has the same unpinned continuation, so only B_{r_max} is built:
+    the ratio of level r_max is a scalar recursion inward from level
+    r_max + pad, over 2k children at the root and 2k - 1 elsewhere, in the
+    order of `_glauber_py.level_ratio`, and equals bitwise the ratio that
+    the whole ball B_{r_max + pad} gives there.  Its cost is |B_{r_max}|
+    sites and (r_max + pad) 2k scalar multiplications; rows wider than
+    B_{r_max} are refused.
+
+    boundary="free" starts the outermost level r_max + pad at activity
+    lam, which truncates the graph there; boundary "self_consistent"
+    starts it at the occupation ratio R* of an infinite unpinned regular
+    branch.  In the uniqueness regime that makes each conditional exact
+    for the pins it is given, but it does not remove the truncation bias of
+    the estimators: a random past also pins sites beyond B_r, which this
+    shell treats as free.  On F_2 hardcore at lambda = 1 (`nu: fixed0`,
+    N = 200,000) the estimate at r = 4 is 0.39709 +- 0.00040, 10 stderr
+    below the Bethe pressure 0.401225, and at r = 6 still 4.5 stderr below
+    it (ROADMAP item 9).
     """
 
     name = "saw"
@@ -213,6 +224,7 @@ class SawOracle:
         potential: Potential,
         spec: GroupSpec,
         r_max: int,
+        pad: int = 0,
         boundary: str = "free",
     ):
         if not is_hardcore(structure, potential):
@@ -224,22 +236,43 @@ class SawOracle:
             )
         self.spec = spec
         self.r_max = r_max
+        self.pad = pad
         self.boundary = boundary
         lam = float(np.exp(potential.h[1] - potential.h[0]))
-        self.ball = groups.ball(spec, r_max)
-        n = len(self.ball.elements)
-        self.lam = np.full(n, lam)
         if boundary == "self_consistent":
-            self.lam[n - self.ball.shell_sizes[-1]:] = _tree_fixed_point(lam, 2 * spec.rank)
-        elif boundary != "free":
+            outer = _tree_fixed_point(lam, 2 * spec.rank)
+        elif boundary == "free":
+            outer = lam
+        else:
             raise SchemaError(f"unknown saw_boundary {boundary!r}; expected free or self_consistent")
-        self.tree = self._tree()
+        self.ball = groups.ball(spec, r_max)
+        # the activity of every site: lam, and `outer` on level r_max + pad
+        self.lam = np.full(len(self.ball), lam)
+        if pad == 0:
+            self.lam[len(self.ball) - self.ball.shell_sizes[-1]:] = outer
+        self.tree = self._tree(self._level_free(lam, outer))
 
-    def _tree(self) -> Tree:
+    def _level_free(self, lam: float, outer: float) -> list:
+        """The ratio of a site of each level 0..r_max with nothing pinned
+        below it, by R_l = lam prod 1/(1+R_{l+1}) from R_{r_max+pad} = outer
+        inward, each child's factor multiplied in turn as `level_ratio`
+        multiplies them."""
+        ratio = outer
+        free = [outer] * (self.r_max + 1)
+        for level in range(self.r_max + self.pad - 1, -1, -1):
+            factor = 1.0 / (1.0 + ratio)
+            ratio = lam
+            for _ in range(2 * self.spec.rank - (level > 0)):
+                ratio *= factor
+            if level <= self.r_max:
+                free[level] = ratio
+        return free
+
+    def _tree(self, level_free: list) -> Tree:
         """The ball as the tree kernels read it: levels by word length; each
         site's children its neighbours one level out, in increasing site
         index (the order of `build_saw_tree`); and the ratio of every site
-        with nothing pinned below it."""
+        with nothing pinned below it, that of its level."""
         starts = np.cumsum((0,) + self.ball.shell_sizes, dtype=np.int64)
         edges = np.ascontiguousarray(np.array(self.ball.edges, dtype=np.int64).reshape(-1, 3)[:, [0, 2]])
         # a tree ball's edges join consecutive levels once each, and ball
@@ -247,11 +280,8 @@ class SawOracle:
         pairs = np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1)
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         child_ptr = np.concatenate(([0], np.cumsum(np.bincount(pairs[:, 0], minlength=len(self.lam)))))
-        tree = Tree(starts, child_ptr, pairs[:, 1].copy(), self.lam, np.empty(0), edges)
-        free = [np.zeros(0)]
-        for level in range(len(starts) - 2, -1, -1):
-            free.insert(0, level_ratio(tree, level, free[0]))
-        return tree._replace(free=np.concatenate(free))
+        free = np.repeat(level_free, self.ball.shell_sizes)
+        return Tree(starts, child_ptr, pairs[:, 1].copy(), self.lam, free, edges)
 
     def conditional(self, values, mask) -> float:
         return float(self.batch(np.asarray(values)[None, :], np.asarray(mask)[None, :])[0])
@@ -311,7 +341,13 @@ def make_oracle(
     """The conditional oracle of the given kind, and the only code that picks
     a kind: "auto" is the exact transfer oracle on rank-1 groups, the SAW
     oracle (a linear tree recursion) for hardcore models on free groups, and
-    the safe-boundary ball oracle elsewhere."""
+    the safe-boundary ball oracle elsewhere.
+
+    Every oracle serves rows up to B_{r_max}.  The ball oracle builds the
+    padded ball B_{r_max + pad} and serves rows up to it; the SAW oracle
+    builds B_{r_max} alone, continues it unpinned for pad levels (one under
+    the self-consistent shell) by a per-level recursion, and refuses rows
+    wider than B_{r_max}."""
     if kind == "auto":
         if spec.rank == 1:
             kind = "transfer"
@@ -327,5 +363,5 @@ def make_oracle(
         # the self-consistent shell is already the infinite continuation, so
         # one layer beyond the conditioning radius suffices
         extra = 1 if saw_boundary == "self_consistent" else pad
-        return SawOracle(structure, potential, spec, r_max + extra, boundary=saw_boundary)
+        return SawOracle(structure, potential, spec, r_max, pad=extra, boundary=saw_boundary)
     raise SchemaError(f"unknown oracle {kind!r}; expected auto, transfer, ball or saw")

@@ -56,11 +56,6 @@ class SoficMap:
         return arr
 
 
-def sigma_word(sm: SoficMap, g: Element, v: int) -> int:
-    """Image of vertex v under sigma^g."""
-    return int(sm.sigma_array(g)[v])
-
-
 def build_torus(d: int, m: int, cap: int = 100_000_000) -> SoficMap:
     """Exact quotient (Z/mZ)^d: sigma^{e_i} adds e_i mod m."""
     if m < 2:

@@ -177,3 +177,22 @@ def sample_windows_loop(tm, r, n_samples, rng):
     for j in range(1, length):
         out[:, j] = (u[:, j, None] >= cum_P[out[:, j - 1]]).sum(axis=1).clip(0, a - 1)
     return out
+
+
+def sigma_word(perms, g, v, free=False):
+    """Image of vertex v under sigma^g, one generator step at a time.
+
+    perms[s] is the permutation of positive generator s.  g is a Z^d
+    vector, whose word is the e1 block, then the e2 block and so on, or
+    with free=True an F_k reduced word of signed letters +-(s+1).  The
+    rightmost letter acts first, and a negative letter by the inverse
+    permutation, found by search.
+    """
+    if free:
+        word = list(g)
+    else:
+        word = [(i + 1) * (1 if a > 0 else -1) for i, a in enumerate(g) for _ in range(abs(a))]
+    for letter in reversed(word):
+        perm = [int(u) for u in perms[abs(letter) - 1]]
+        v = perm[v] if letter > 0 else perm.index(v)
+    return v

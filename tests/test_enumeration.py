@@ -104,3 +104,40 @@ def test_joint_table_beta_matches_pinned_loop(spec, lam, r):
     structure, potential = hardcore(spec.n_generators, lam)
     expect = _beta_pinned_loop(structure, potential, spec, r)
     assert _beta_enumeration(structure, potential, spec, r) == pytest.approx(expect, abs=1e-15)
+
+
+def test_elimination_refuses_a_table_past_the_cap_before_allocating(monkeypatch):
+    """With ELIMINATION_TABLE_CAP lowered below the widest table of a site
+    marginal on B_2 of Z^2, elimination raises CapExceededError (exit 3)
+    before it allocates any table past the cap; at the widest table's size
+    it answers as before.  A joint table of more sites than the cap allows
+    is refused the same way."""
+    from soficlab import enumeration
+    from soficlab.errors import CapExceededError
+
+    structure, potential = hardcore(2, 1.0)
+    graph = SiteGraph.from_ball(groups.ball(groups.zd(2), 2))
+    expect = site_marginal(graph, structure, potential, 0, pins={5: 1})
+    sizes = []
+    contract = enumeration._contract
+
+    def recorded(factors, out):
+        table = contract(factors, out)
+        sizes.append(table.size)
+        return table
+
+    monkeypatch.setattr(enumeration, "_contract", recorded)
+    site_marginal(graph, structure, potential, 0, pins={5: 1})
+    widest = max(sizes)
+    assert widest >= 8
+    sizes.clear()
+    monkeypatch.setattr(enumeration, "ELIMINATION_TABLE_CAP", widest - 1)
+    with pytest.raises(CapExceededError, match="past the cap") as exc:
+        site_marginal(graph, structure, potential, 0, pins={5: 1})
+    assert exc.value.exit_code == 3
+    assert max(sizes, default=0) <= widest - 1
+    monkeypatch.setattr(enumeration, "ELIMINATION_TABLE_CAP", widest)
+    assert np.array_equal(site_marginal(graph, structure, potential, 0, pins={5: 1}), expect)
+    monkeypatch.setattr(enumeration, "ELIMINATION_TABLE_CAP", 2**3)
+    with pytest.raises(CapExceededError):
+        joint_distribution(graph, structure, potential, [0, 1, 2, 3])

@@ -22,7 +22,7 @@ from soficlab.finitemodel import (
 )
 from soficlab.transfer import build_transfer
 
-from oracles import golden_pressure, lucas
+from oracles import golden_pressure, lucas, sigma_word
 
 Z1, Z2 = groups.zd(1), groups.zd(2)
 HC1 = hardcore(1, 1.0)
@@ -60,7 +60,7 @@ def test_pullback_shift_compatibility():
         for s in range(2):
             g = groups.generator(Z2, s)
             for v in (0, 17, 55):
-                u = soficmaps.sigma_word(sm, g, v)
+                u = sigma_word(sm.perms, g, v)
                 big = pullback(sp, x, v, r).as_dict()
                 small = pullback(sp, x, u, r - 1).as_dict()
                 for h in inner.elements:

@@ -32,7 +32,7 @@ from soficlab.gibbs import (
     uniform_bound_c,
 )
 
-from oracles import golden_pressure, hardcore_line_density
+from oracles import golden_pressure, hardcore_line_density, sigma_word
 
 Z1, Z2 = groups.zd(1), groups.zd(2)
 HC1 = hardcore(1, 1.0)
@@ -115,9 +115,9 @@ def test_specification_pullback_matches_exact_conditional():
     v = 3
     r = 1
     b = groups.ball(Z1, r)
-    window = [soficmaps.sigma_word(sp.sm, g, v) for g in b.elements]
+    window = [sigma_word(sp.sm.perms, g, v) for g in b.elements]
     shell = groups.boundary_shell(Z1, r)
-    shell_verts = [soficmaps.sigma_word(sp.sm, g, v) for g in shell]
+    shell_verts = [sigma_word(sp.sm.perms, g, v) for g in shell]
     rng = np.random.default_rng(4)
     for _ in range(5):
         # pick an admissible boundary condition from a configuration in X^n
@@ -364,6 +364,31 @@ def test_entropy_rate_estimate_cycles_route():
     assert folner[0]["method"] == "cycles"
     assert folner[0]["entropy_rate"] == pytest.approx((2 / 3) * math.log(2), abs=1e-9)
 
+
+
+def test_cycle_sweeps_build_the_transfer_matrix_once(monkeypatch):
+    """The transfer matrix depends only on the model, so a sweep of the
+    cycles route over Z^1 tori of 8, 16 and 32 sites builds it once, for
+    the entropy (which used to build it twice per size) and the pressure
+    (once per size), and the rows are those of a matrix built per size."""
+    from soficlab import finitemodel, gibbs, transfer
+
+    st, pot = HC1
+    builder, sizes = {"builder": "torus", "d": 1}, [8, 16, 32]
+    expect = [entropy_rate_estimate(st, pot, builder, sizes), finitemodel.pressure_estimate(st, pot, builder, sizes)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transfer.build_transfer(*args)
+
+    monkeypatch.setattr(finitemodel, "build_transfer", counted)
+    monkeypatch.setattr(gibbs, "build_transfer", counted)
+    assert entropy_rate_estimate(st, pot, builder, sizes) == expect[0]
+    assert len(calls) == 1
+    assert finitemodel.pressure_estimate(st, pot, builder, sizes) == expect[1]
+    assert len(calls) == 2
+    assert [row["method"] for row in expect[0]] == ["cycles"] * 3
 
 def test_entropy_rate_estimate_mcmc_route():
     st, pot = hardcore(1, 2.0)

@@ -456,7 +456,8 @@ def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
 @st.composite
 def tree_cases(draw):
     """Tree-percolation arguments: a query radius r on F_1, Z^1, F_2 or F_3
-    against a SAW oracle of radius r..r+2 with either shell, patterns of any
+    against a SAW oracle of radius r..r+2 and pad 0..2 with either shell,
+    patterns of any
     width up to |B_r| that are admissible or not (adjacent 1s, or a symbol
     outside {0, 1} in some column), a row count that n_inner divides or
     not, a first row lo inside a pattern, and the twin's chunk cut to 1, 7
@@ -465,7 +466,7 @@ def tree_cases(draw):
                                       (groups.free(3), 3)]))
     r = draw(st.integers(1, top))
     oracle = SawOracle(*hardcore(spec.rank, draw(st.sampled_from([0.3, 1.0, 2.5]))), spec,
-                       r + draw(st.integers(0, 2)),
+                       r + draw(st.integers(0, 2)), pad=draw(st.integers(0, 2)),
                        boundary=draw(st.sampled_from(["free", "self_consistent"])))
     ball = groups.ball(spec, r)
     L = draw(st.integers(1, len(ball)))
@@ -520,6 +521,77 @@ def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
             assert rng.bit_generator.state == reference.bit_generator.state
     finally:
         pasts.CHUNK_FLOATS = saved
+
+
+def _pruning_cases():
+    """(oracle, patterns, description) on B_4 of F_2 (161 sites)
+    from a pad-2 SAW oracle of either shell: admissible patterns with
+    occupied sites, whose rows the C kernel prunes, at the full width, at a
+    width inside the deepest level and at the center alone; and the same
+    patterns with an error after the first good ones, an occupied edge or a
+    symbol outside {0, 1}, whose rows take the full draw."""
+    spec = groups.free(2)
+    ball = groups.ball(spec, 4)
+    source = np.random.default_rng(17)
+    cases = []
+    for boundary in ("free", "self_consistent"):
+        oracle = SawOracle(*hardcore(2, 1.3), spec, 4, pad=2, boundary=boundary)
+        for L in (len(ball), len(groups.ball(spec, 3)) + 30, 1):
+            good = (source.random((12, L)) < 0.4).astype(np.int64)
+            for (i, _s, j) in ball.edges:  # admissible: drop the later end of every occupied edge
+                if max(i, j) < L:
+                    good[:, max(i, j)] &= ~good[:, min(i, j)]
+            cases.append((oracle, good, f"{boundary}-width{L}"))
+            if L > 5:
+                clash = good.copy()
+                clash[7:, [1, 5]] = 1  # 5 is a child of 1
+                cases.append((oracle, clash, f"{boundary}-width{L}-clash"))
+            symbol = good.copy()
+            symbol[9, 0] = 2
+            cases.append((oracle, symbol, f"{boundary}-width{L}-symbol"))
+    return cases
+
+
+@needs_c
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
+    """The C tree kernel visits only the sites whose ancestors are all
+    unpinned on rows that cannot fail, each drawn by its own jump, in 1, 2
+    or 3 ranges; the Python twin draws and evaluates every column.  Both
+    give bitwise `tree_batch` over the masks of the same draw, or raise its
+    error; the C kernel leaves the generator after the ball_size steps of
+    every row, or of the rows up to the first failing one.  The pasts include
+    centers whose uniform is near 0 (almost nothing pinned) and near 1
+    (almost everything), and error rows come after good ones."""
+    n_inner, n, ball_size = 50, 600, 161
+    chi = np.random.default_rng(23).random((n, ball_size))
+    assert chi[:, 0].min() < 0.01 and chi[:, 0].max() > 0.99
+    _split(monkeypatch, workers)
+    for oracle, patterns, what in _pruning_cases():
+        L = patterns.shape[1]
+        masks = chi[:, :L] < chi[:, :1]
+        masks[:, 0] = False
+        rows = patterns[np.arange(n) // n_inner]
+        expect = _outcome(lambda: _glauber_py.tree_batch(rows, masks, oracle.tree))
+        assert isinstance(expect, tuple) == what.endswith(("clash", "symbol")), what
+        steps = n
+        if isinstance(expect, tuple):
+            steps = next(k for k in range(n) if isinstance(
+                _outcome(lambda: _glauber_py.tree_batch(rows[k:k + 1], masks[k:k + 1], oracle.tree)), tuple)) + 1
+        reference = np.random.default_rng(23)
+        reference.random((steps, ball_size))
+        for tree_percolation in TREES:
+            rng = np.random.default_rng(23)
+            out = np.full(n, np.nan)
+            got = _outcome(lambda: tree_percolation(patterns, n_inner, 0, ball_size, oracle.tree, rng, out)
+                           or out)
+            if isinstance(expect, tuple):
+                assert got == expect, what
+                if tree_percolation is _glauber_py.tree_percolation:
+                    continue  # the twin draws whole chunks
+            else:
+                assert np.array_equal(got, expect), what
+            assert rng.bit_generator.state == reference.bit_generator.state, what
 
 
 @pytest.mark.parametrize("rows,error", [

@@ -17,6 +17,7 @@ from soficlab import enumeration, groups
 from soficlab.constraints import ConstraintStructure, Potential, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph
 from soficlab.errors import InconsistentPinsError
+from soficlab._glauber_py import level_ratio, tree_batch
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle, make_oracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.saw import hardcore_marginal_via_saw
@@ -130,6 +131,52 @@ def test_tree_batch_is_bitwise_the_saw_unfolding(spec_r, boundary, lam, data):
     got = oracle.batch(values, masks)
     assert list(got) == _saw_reference(oracle, values, masks)
 
+
+
+@pytest.mark.parametrize("spec, r", [(groups.free(1), 3), (groups.zd(1), 3), (groups.free(2), 2),
+                                     (groups.free(3), 1)], ids=["F1", "Z1", "F2", "F3"])
+@pytest.mark.parametrize("boundary", ["free", "self_consistent"])
+@pytest.mark.parametrize("pad", [0, 1, 2, 4])
+def test_saw_continuation_is_bitwise_the_padded_ball(spec, r, boundary, pad):
+    """SawOracle(r, pad=p) builds B_r alone and continues it by the
+    per-level scalar recursion.  Its free ratios on B_r, and its batch on
+    rows of every width up to |B_r| with pins of both kinds, are bitwise
+    those of the whole padded ball B_{r+p}, whose free ratios are taken
+    here level by level over every site by `level_ratio`."""
+    model = hardcore(spec.rank, 0.7)
+    short = SawOracle(*model, spec, r, pad=pad, boundary=boundary)
+    tree = SawOracle(*model, spec, r + pad, boundary=boundary).tree
+    free = [np.zeros(0)]
+    for level in range(len(tree.starts) - 2, -1, -1):
+        free.insert(0, level_ratio(tree, level, free[0]))
+    whole = tree._replace(free=np.concatenate(free))
+    ball = groups.ball(spec, r)
+    assert len(short.tree.free) == len(ball)
+    assert short.tree.free.tobytes() == whole.free[:len(ball)].tobytes()
+    rng = np.random.default_rng(pad)
+    values = (rng.random((200, len(ball))) < 0.4).astype(np.int64)
+    masks = rng.random((200, len(ball))) < rng.random((200, 1))
+    _unpin_occupied_neighbours(ball, values, masks)
+    for width in sorted({1, 2, len(ball) // 2, len(ball)}):
+        rows = values[:, :width], masks[:, :width]
+        assert short.batch(*rows).tobytes() == tree_batch(*rows, whole).tobytes()
+    too_wide = np.zeros((1, len(groups.ball(spec, r + 1))), np.int64)
+    with pytest.raises(ValueError, match="wider than"):
+        short.batch(too_wide, too_wide.astype(bool))
+
+
+def test_auto_saw_oracle_builds_no_ball_past_its_radius():
+    """The F_2 hardcore `auto` oracle at r = 6 and the default pad 4 builds
+    and keeps B_6 (1,457 sites) and no larger ball; the padded ball B_10
+    would have been 118,097 sites."""
+    spec = groups.free(2)
+    groups.ball.cache_clear()
+    try:
+        oracle = make_oracle("auto", *hardcore(2, 1.0), spec, 6)
+        assert oracle.name == "saw" and len(oracle.tree.free) == 1457
+        assert max(k for g, k in groups._BALLS if g == spec) == 6
+    finally:
+        groups.ball.cache_clear()
 
 @pytest.mark.parametrize("spec, r_max", TREE_BALLS + [(groups.zd(2), 2)])
 def test_tree_batch_raises_on_adjacent_occupied_pins(spec, r_max):

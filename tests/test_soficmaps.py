@@ -3,13 +3,15 @@ import pytest
 
 from soficlab import groups, soficmaps
 
+from oracles import sigma_word
+
 Z1, Z2 = groups.zd(1), groups.zd(2)
 
 
 def test_torus_cycle():
     sm = soficmaps.build_torus(1, 4)
     assert sm.perms[0].tolist() == [1, 2, 3, 0]
-    assert soficmaps.sigma_word(sm, (3,), 2) == 1  # 2 + 3 mod 4
+    assert sigma_word(sm.perms, (3,), 2) == 1  # 2 + 3 mod 4
 
 
 def test_torus_commutes_exactly():
@@ -23,9 +25,20 @@ def test_torus_commutes_exactly():
 
 def test_sigma_word_identity_and_shift():
     sm = soficmaps.build_torus(1, 8)
-    assert soficmaps.sigma_word(sm, (0,), 5) == 5
-    assert soficmaps.sigma_word(sm, (3,), 2) == 5
+    assert sigma_word(sm.perms, (0,), 5) == 5
+    assert sigma_word(sm.perms, (3,), 2) == 5
 
+
+
+@pytest.mark.parametrize("sm,free", [
+    (soficmaps.build_folner_box(2, 4), False),  # its generators do not commute
+    (soficmaps.build_random_perm(2, 12, seed=3), True),
+], ids=["folner-z2", "random-f2"])
+def test_sigma_array_is_the_per_vertex_word_action(sm, free):
+    """sigma_array(g) against the tests' one-step-at-a-time action of g's
+    word on each vertex, over B_2."""
+    for g in groups.ball(sm.spec, 2).elements:
+        assert sm.sigma_array(g).tolist() == [sigma_word(sm.perms, g, v, free=free) for v in range(sm.n)]
 
 def test_torus_word_multiplicativity():
     sm = soficmaps.build_torus(2, 8)
