@@ -24,23 +24,29 @@
  * not NULL, counts[t] is the number of sites v with x[v] != safe after
  * sweep t.
  *
- * percolation_lookup does no arithmetic: it reads one table entry per row
- * through table_entry, the entry _glauber_py.transfer_lookup reads, and
- * compares uniforms only.  It steps numpy's PCG64 itself, from the state
+ * percolation_lookup does no arithmetic: it reads one table entry per row,
+ * the entry _glauber_py.transfer_lookup reads, and compares uniforms only.
+ * Both percolation kernels step numpy's PCG64 themselves, from the state
  * and increment that kernels.py reads from Generator.bit_generator.state
- * and writes back: of each row's ball_size uniforms, in the order of
- * Generator.random((n, ball_size)), it draws only the columns the row
- * reads and skips the rest by an exact jump, so the generator ends where
- * those draws leave it.  Other bit generators are refused by the caller.
- * The 128-bit arithmetic needs unsigned __int128 (gcc, clang); without it
- * the build fails and the Python twins are used.
+ * and writes back.  The past of a row is ball_size uniforms in the order of
+ * Generator.random((n, ball_size)): a kernel draws column c of it, only if
+ * it reads that column, by its own jump of c + 1 steps from the row's start
+ * state (column_draw), and takes the row's ball_size steps as one jump
+ * (next_row), so the generator ends where those n * ball_size draws leave
+ * it.  Other bit generators are refused by the caller.  The 128-bit
+ * arithmetic needs unsigned __int128 (gcc, clang); without it the build
+ * fails and the Python twins are used.
  *
- * tree_percolation draws the same pasts, each column it reads by its own
- * jump from the row's start state, and runs the arithmetic of
- * _glauber_py.tree_batch: the same divisions and the same order of
- * multiplications per site, so its conditionals are bitwise the twin's.
- * A pinned site cuts the tree, so on a row whose pattern no past can make
- * an error it reads only the sites whose ancestors are all unpinned.
+ * tree_percolation runs the arithmetic of _glauber_py.tree_batch on the
+ * same pasts: the same divisions and the same order of multiplications per
+ * site, so its conditionals are bitwise the twin's.  A pinned site cuts the
+ * tree, so it reads only the sites whose ancestors are all unpinned.
+ *
+ * The caller refuses, before the first draw, a pattern with a symbol
+ * outside the alphabet or, for the tree, two adjacent 1s
+ * (_glauber_py.check_patterns), so neither percolation kernel checks a
+ * symbol: each sets a status only before its first draw, for a negative
+ * side column or a tree whose children are not later sites of the window.
  */
 
 #include <stdint.h>
@@ -50,9 +56,7 @@
 #define GLAUBER_BAD_NEIGHBOUR 2
 #define GLAUBER_BAD_SYMBOL 3
 #define LOOKUP_BAD_COLUMN 4
-#define LOOKUP_BAD_SYMBOL 5
-#define TREE_BAD_GEOMETRY 6
-#define TREE_CLASH 7
+#define TREE_BAD_GEOMETRY 5
 
 #ifndef __SIZEOF_INT128__
 #error "the PCG64 stepping of the kernels needs unsigned __int128"
@@ -60,9 +64,9 @@
 
 /* numpy's PCG64: a 128-bit LCG s' = A s + inc whose draw is the XSL-RR
  * output of the new state.  Taking k steps at once is s' = A^k s + C_k
- * with C_k = (A^(k-1) + ... + A + 1) inc (Brown 1994), so a row skips the
- * uniforms it does not read in one multiply-add and the stream stays that
- * of Generator.random. */
+ * with C_k = (A^(k-1) + ... + A + 1) inc (Brown 1994), so a kernel draws
+ * any column of a row, or steps past the whole row, in one multiply-add and
+ * the stream stays that of Generator.random. */
 typedef unsigned __int128 u128;
 
 #define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
@@ -252,40 +256,6 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
     return KERNEL_OK;
 }
 
-static int sides_ok(const int64_t *sides, int64_t r_max)
-{
-    int64_t k;
-
-    for (k = 0; k < 2 * r_max; k++)
-        if (sides[k] < 0)
-            return 0;
-    return 1;
-}
-
-/* *out = tables[v0][d[0]][b[0]][d[1]][b[1]] for the center symbol v0 and
- * the distance d[s] and symbol b[s] of the nearest pin on side s, 0 left
- * and 1 right (both 0 when the side has no pin).  tables is C-ordered
- * [a][r_max+1][a][r_max+1][a] double.  On a symbol outside [0, a), center
- * first, then the left pin, then the right, *bad is set to that symbol.
- */
-static int table_entry(int64_t v0, const int64_t *d, const int64_t *b, int64_t r_max,
-                       const double *tables, int64_t a, double *out, int64_t *bad)
-{
-    int64_t s;
-
-    if (v0 < 0 || v0 >= a) {
-        *bad = v0;
-        return LOOKUP_BAD_SYMBOL;
-    }
-    for (s = 0; s < 2; s++)
-        if (b[s] < 0 || b[s] >= a) {
-            *bad = b[s];
-            return LOOKUP_BAD_SYMBOL;
-        }
-    *out = tables[(((v0 * (r_max + 1) + d[0]) * a + b[0]) * (r_max + 1) + d[1]) * a + b[1]];
-    return KERNEL_OK;
-}
-
 /* jump[4k..4k+1] = A^k and jump[4k+2..4k+3] = C_k, for 0 <= k <= steps */
 static void fill_jumps(uint64_t *jump, int64_t steps, u128 inc)
 {
@@ -300,148 +270,14 @@ static void fill_jumps(uint64_t *jump, int64_t steps, u128 inc)
     }
 }
 
-/* The first draw of a row after the skip uniforms the last row left
- * unread: skip + 1 steps at once. */
-static inline double row_start(u128 *state, const uint64_t *jump, int64_t skip)
+/* The start state of the next row, *state, which moves past the row's
+ * ball_size steps at once by whole, the jump of ball_size steps. */
+static inline u128 next_row(u128 *state, const uint64_t *whole)
 {
-    const uint64_t *j = jump + 4 * (skip + 1);
+    u128 start = *state;
 
-    return pcg_double(state, load128(j), load128(j + 2));
-}
-
-/* Take the skip unread steps of the last row and store the state in pcg. */
-static void pcg_store(uint64_t *pcg, u128 state, const uint64_t *jump, int64_t skip)
-{
-    const uint64_t *j = jump + 4 * skip;
-
-    store128(pcg, load128(j) * state + load128(j + 2));
-}
-
-/* out[i] = the table_entry of patterns[(lo + i) / n_inner] under the i-th
- * of n percolation pasts drawn from the PCG64 state pcg, for n rows.
- *
- * Column 0 is the center.  sides[s][k] (two sides of r_max, each
- * non-negative, else LOOKUP_BAD_COLUMN before any draw) is the column of
- * the site at distance k+1 on side s; columns at or past the width are
- * not in the row.  On each side the first pinned column in that order is
- * the nearest pin.  A past is ball_size uniforms chi, drawn in column order; column c of the
- * mask is chi[c] < chi[0] for 1 <= c < width and column 0 is unpinned, so n
- * pasts are the n * ball_size doubles of Generator.random((n, ball_size))
- * and the masks are those of pasts.sample_percolation_masks cut to the
- * width.  A row draws chi[0], then, as it scans each side in distance
- * order, every column up to the furthest it reads, and skips the rest of
- * its ball_size by a jump, so pcg ends where those n * ball_size draws
- * leave it, also after an error.  patterns is C-ordered [rows][width]
- * int64, 1 <= width <= ball_size.  pcg is numpy's PCG64 state, then its
- * increment (see load128), and the state is advanced in place; mask (width
- * bytes) and jump (4 * (ball_size + 1) words) are caller-owned
- * workspaces.  The caller checks dtypes, shapes, n_inner >= 1, lo >= 0 and
- * that every row read is a row of patterns; this function checks every
- * side column and symbol it reads through, and stops at the first row with
- * a symbol outside [0, a).
- */
-int percolation_lookup(const int64_t *patterns, int64_t width,
-                       int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
-                       const int64_t *sides, int64_t r_max,
-                       const double *tables, int64_t a, double *out, int64_t *bad,
-                       uint8_t *mask, uint64_t *pcg, uint64_t *jump)
-{
-    u128 state = load128(pcg), inc = load128(pcg + 2);
-    const int64_t *row;
-    int64_t i, s, k, col, drawn, skip = 0, d[2], b[2];
-    double chi0;
-    int status = KERNEL_OK;
-
-    if (!sides_ok(sides, r_max))
-        return LOOKUP_BAD_COLUMN;
-    fill_jumps(jump, ball_size, inc);
-    mask[0] = 0;
-    for (i = 0; i < n && !status; i++) {
-        chi0 = row_start(&state, jump, skip);
-        drawn = 1;
-        row = patterns + (lo + i) / n_inner * width;
-        for (s = 0; s < 2; s++) {
-            d[s] = 0;
-            b[s] = 0;
-            for (k = 0; k < r_max; k++) {
-                col = sides[s * r_max + k];
-                if (col >= width)
-                    continue;
-                for (; drawn <= col; drawn++)
-                    mask[drawn] = pcg_double(&state, PCG_MULT, inc) < chi0;
-                if (mask[col]) {
-                    d[s] = k + 1;
-                    b[s] = row[col];
-                    break;
-                }
-            }
-        }
-        skip = ball_size - drawn;
-        status = table_entry(row[0], d, b, r_max, tables, a, out + i, bad);
-    }
-    pcg_store(pcg, state, jump, skip);
-    return status;
-}
-
-/* 1 if children[child_ptr[v]] .. children[child_ptr[v+1]-1], the children
- * of each site v < deep_start, lie in (v, n_window), with child_ptr
- * non-decreasing inside [0, n_children], and every edge end lies in
- * [0, width); else 0. */
-static int tree_ok(const int64_t *child_ptr, const int64_t *children, int64_t n_children,
-                   int64_t deep_start, int64_t n_window,
-                   const int64_t *edges, int64_t n_edges, int64_t width)
-{
-    int64_t v, k;
-
-    for (v = 0; v < deep_start; v++) {
-        if (child_ptr[v] < 0 || child_ptr[v] > child_ptr[v + 1] || child_ptr[v + 1] > n_children)
-            return 0;
-        for (k = child_ptr[v]; k < child_ptr[v + 1]; k++)
-            if (children[k] <= v || children[k] >= n_window)
-                return 0;
-    }
-    for (k = 0; k < 2 * n_edges; k++)
-        if (edges[k] < 0 || edges[k] >= width)
-            return 0;
-    return 1;
-}
-
-/* 1 if no past can make a row of this pattern an error: every column
- * holds 0 or 1 and no edge joins two 1s; else 0. */
-static int pattern_ok(const int64_t *row, int64_t width, const int64_t *edges, int64_t n_edges)
-{
-    int64_t c, e;
-
-    for (c = 0; c < width; c++)
-        if ((uint64_t)row[c] > 1)
-            return 0;
-    for (e = 0; e < n_edges; e++)
-        if (row[edges[2 * e]] == 1 && row[edges[2 * e + 1]] == 1)
-            return 0;
-    return 1;
-}
-
-/* The error of one row under its pins, as tree_percolation reports it. */
-static int row_errors(const int64_t *row, const uint8_t *pin, int64_t width,
-                      const int64_t *edges, int64_t n_edges, int64_t *bad)
-{
-    int64_t c, e, i, j;
-
-    for (c = 0; c < width; c++)
-        if ((c == 0 || pin[c]) && (uint64_t)row[c] > 1) {
-            bad[0] = row[c];
-            return LOOKUP_BAD_SYMBOL;
-        }
-    for (e = 0; e < n_edges; e++) {
-        i = edges[2 * e];
-        j = edges[2 * e + 1];
-        if (pin[i] && pin[j] && row[i] == 1 && row[j] == 1) {
-            bad[0] = i;
-            bad[1] = j;
-            return TREE_CLASH;
-        }
-    }
-    return KERNEL_OK;
+    *state = load128(whole) * start + load128(whole + 2);
+    return start;
 }
 
 /* The uniform of column c of a row whose stream starts at state s: step
@@ -453,10 +289,87 @@ static inline double column_draw(u128 s, const uint64_t *jump, int64_t c)
     return pcg_double(&s, load128(j), load128(j + 2));
 }
 
+/* out[i] = tables[v0][d[0]][b[0]][d[1]][b[1]] for the center symbol v0 of
+ * patterns[(lo + i) / n_inner] and the distance d[s] and symbol b[s] of its
+ * nearest pin on side s, 0 left and 1 right (both 0 when the side has no
+ * pin), under the i-th of n percolation pasts drawn from the PCG64 state
+ * pcg, for n rows.  tables is C-ordered [a][r_max+1][a][r_max+1][a] double.
+ *
+ * Column 0 is the center.  sides[s][k] (two sides of r_max, each
+ * non-negative, else LOOKUP_BAD_COLUMN before any draw) is the column of
+ * the site at distance k+1 on side s; columns at or past the width are
+ * not in the row.  On each side the first pinned column in that order is
+ * the nearest pin.  Column c of the mask is chi[c] < chi[0] for
+ * 1 <= c < width and column 0 is unpinned, so the masks are those of
+ * pasts.sample_percolation_masks cut to the width; a row draws chi[0] and
+ * the columns it scans.  patterns is C-ordered [rows][width] int64,
+ * 1 <= width <= ball_size.  pcg is numpy's PCG64 state, then its increment
+ * (see load128), and the state is advanced in place; jump (4 * (ball_size
+ * + 1) words) is a caller-owned workspace.  The caller checks dtypes,
+ * shapes, n_inner >= 1, lo >= 0, that every row read is a row of patterns
+ * and that every symbol of patterns lies in [0, a); this function checks
+ * every side column it reads through.
+ */
+int percolation_lookup(const int64_t *patterns, int64_t width,
+                       int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
+                       const int64_t *sides, int64_t r_max,
+                       const double *tables, int64_t a, double *out,
+                       uint64_t *pcg, uint64_t *jump)
+{
+    const uint64_t *whole = jump + 4 * ball_size;
+    const int64_t *row;
+    u128 state = load128(pcg), start;
+    int64_t i, s, k, col, d[2], b[2];
+    double chi0;
+
+    for (k = 0; k < 2 * r_max; k++)
+        if (sides[k] < 0)
+            return LOOKUP_BAD_COLUMN;
+    fill_jumps(jump, ball_size, load128(pcg + 2));
+    for (i = 0; i < n; i++) {
+        start = next_row(&state, whole);
+        chi0 = column_draw(start, jump, 0);
+        row = patterns + (lo + i) / n_inner * width;
+        for (s = 0; s < 2; s++) {
+            d[s] = 0;
+            b[s] = 0;
+            for (k = 0; k < r_max; k++) {
+                col = sides[s * r_max + k];
+                if (col < width && column_draw(start, jump, col) < chi0) {
+                    d[s] = k + 1;
+                    b[s] = row[col];
+                    break;
+                }
+            }
+        }
+        out[i] = tables[(((row[0] * (r_max + 1) + d[0]) * a + b[0]) * (r_max + 1) + d[1]) * a + b[1]];
+    }
+    store128(pcg, state);
+    return KERNEL_OK;
+}
+
+/* 1 if children[child_ptr[v]] .. children[child_ptr[v+1]-1], the children
+ * of each site v < deep_start, lie in (v, n_window), with child_ptr
+ * non-decreasing inside [0, n_children]; else 0. */
+static int tree_ok(const int64_t *child_ptr, const int64_t *children, int64_t n_children,
+                   int64_t deep_start, int64_t n_window)
+{
+    int64_t v, k;
+
+    for (v = 0; v < deep_start; v++) {
+        if (child_ptr[v] < 0 || child_ptr[v] > child_ptr[v + 1] || child_ptr[v + 1] > n_children)
+            return 0;
+        for (k = child_ptr[v]; k < child_ptr[v + 1]; k++)
+            if (children[k] <= v || children[k] >= n_window)
+                return 0;
+    }
+    return 1;
+}
+
 /* The root's ratio R_0, for deep_start > 0, over the sites whose
  * ancestors are all unpinned, the only ones it depends on, drawing the pin
  * of each such site below width by its own jump from the row's start state
- * s; pins of the others are neither drawn nor read.  Top down, act lists
+ * s, as chi[c] < chi[0]; pins of the others are neither drawn nor read.  Top down, act lists
  * the unpinned sites in level order, compacted without a branch, and each
  * child of an unpinned inner site takes choice[2c + pin[c]]: its final
  * factor when it is pinned or in the deepest level.  Bottom up, each
@@ -465,9 +378,9 @@ static inline double column_draw(u128 s, const uint64_t *jump, int64_t c)
 static double pruned_ratio(const int64_t *child_ptr, const int64_t *children,
                            int64_t deep_start, int64_t width, const double *lam,
                            const double *choice, uint8_t *pin, double *factor, int64_t *act,
-                           u128 s, const uint64_t *jump, double chi0)
+                           u128 s, const uint64_t *jump)
 {
-    double r;
+    double r, chi0 = column_draw(s, jump, 0);
     int64_t q, u, c, k, na = 1;
 
     act[0] = 0;
@@ -505,10 +418,8 @@ static double pruned_ratio(const int64_t *child_ptr, const int64_t *children,
  * children[child_ptr[v]] .. children[child_ptr[v+1]-1], in multiplication
  * order, each of a larger index than v.  Sites deep_start .. n_window-1 are
  * the deepest level of the window; an unpinned site there has the ratio
- * free_ratio[v] of its unpinned subtree.  Pasts are those of
- * percolation_lookup: column c of a row is the uniform c + 1 steps past
- * the row's start state, read by its own jump (column_draw), and every row
- * takes exactly ball_size steps.  A pin at column c < width sets R_c to 0
+ * free_ratio[v] of its unpinned subtree.  The pasts are drawn as
+ * percolation_lookup draws them.  A pin at column c < width sets R_c to 0
  * (symbol 0) or infinity (symbol 1).  Ratios are carried as factors
  * F = 1/(1+R), so F is 1 or 0 at a pin, and the root gives
  * p = R_0/(1+R_0), or 1 - p when the center is 0.  A pinned site's factor
@@ -517,30 +428,22 @@ static double pruned_ratio(const int64_t *child_ptr, const int64_t *children,
  *
  * A pinned site cuts the tree, so each row draws and visits only the sites
  * whose ancestors are all unpinned (pruned_ratio), about a quarter of B_5
- * of F_2 on average.  A row whose pattern some past could make an error
- * (not pattern_ok) first draws every column below width and checks it
- * (row_errors).
+ * of F_2 on average.
  *
- * The center and every pinned column must hold 0 or 1, else bad[0] is the
- * first such symbol in column order and the status LOOKUP_BAD_SYMBOL; then
- * two pinned 1s joined by an edge (edges[2e], edges[2e+1], in [0, width))
- * give TREE_CLASH with bad[0], bad[1] the first such edge.  Either stops
- * the call at the first row that has it, with pcg after that row's
- * ball_size steps.  pcg is advanced in place as percolation_lookup
- * advances it; pin (n_window bytes, zero), factor (3 * n_window doubles),
- * act (n_window words) and jump (4 * (ball_size + 1) words) are
- * caller-owned workspaces.  The caller checks dtypes, shapes,
- * 0 <= deep_start < width <= n_window <= the length of lam and free_ratio,
- * width <= ball_size, n_inner >= 1, lo >= 0 and that every row read is a
- * row of patterns; this function checks the tree and the edges
- * (TREE_BAD_GEOMETRY).
+ * pcg is advanced in place as percolation_lookup advances it; pin
+ * (n_window bytes, zero), factor (3 * n_window doubles), act (n_window
+ * words) and jump (4 * (ball_size + 1) words) are caller-owned workspaces.
+ * The caller checks dtypes, shapes, 0 <= deep_start < width <= n_window <=
+ * the length of lam and free_ratio, width <= ball_size, n_inner >= 1,
+ * lo >= 0, that every row read is a row of patterns, and that the patterns
+ * hold only 0 and 1 with no two 1s joined by an edge of the tree; this
+ * function checks the tree (TREE_BAD_GEOMETRY).
  */
 int tree_percolation(const int64_t *patterns, int64_t width,
                      int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
                      const int64_t *child_ptr, const int64_t *children,
                      int64_t n_children, int64_t deep_start, int64_t n_window,
-                     const double *lam, const double *free_ratio,
-                     const int64_t *edges, int64_t n_edges, double *out, int64_t *bad,
+                     const double *lam, const double *free_ratio, double *out,
                      uint8_t *pin, double *factor, int64_t *act, uint64_t *pcg, uint64_t *jump)
 {
     /* choice[2v] is site v's factor unpinned, choice[2v + 1] pinned */
@@ -548,11 +451,10 @@ int tree_percolation(const int64_t *patterns, int64_t width,
     const int64_t *row = patterns;
     const uint64_t *whole = jump + 4 * ball_size;
     u128 state = load128(pcg), start;
-    int64_t i, c, v, j, checked = -1;
-    double chi0, r, p;
-    int ok = 0, status = KERNEL_OK;
+    int64_t i, c, v, j, current = -1;
+    double r, p;
 
-    if (!tree_ok(child_ptr, children, n_children, deep_start, n_window, edges, n_edges, width))
+    if (!tree_ok(child_ptr, children, n_children, deep_start, n_window))
         return TREE_BAD_GEOMETRY;
     for (v = 0; v < n_window; v++) {
         choice[2 * v] = v >= deep_start ? 1.0 / (1.0 + free_ratio[v]) : 0.0;
@@ -561,31 +463,21 @@ int tree_percolation(const int64_t *patterns, int64_t width,
     fill_jumps(jump, ball_size, load128(pcg + 2));
     for (i = 0; i < n; i++) {
         j = (lo + i) / n_inner;
-        if (j != checked) {
+        if (j != current) {
             row = patterns + j * width;
-            ok = pattern_ok(row, width, edges, n_edges);
             for (c = 1; c < width; c++)
                 choice[2 * c + 1] = row[c] == 1 ? 0.0 : 1.0;
-            checked = j;
+            current = j;
         }
-        start = state;
-        state = load128(whole) * start + load128(whole + 2); /* the row's ball_size steps */
-        chi0 = column_draw(start, jump, 0);
-        if (!ok) {
-            for (c = 1; c < width; c++)
-                pin[c] = column_draw(start, jump, c) < chi0;
-            status = row_errors(row, pin, width, edges, n_edges, bad);
-            if (status)
-                break;
-        }
+        start = next_row(&state, whole);
         if (deep_start == 0)
             r = free_ratio[0];
         else
             r = pruned_ratio(child_ptr, children, deep_start, width, lam, choice, pin, factor, act,
-                             start, jump, chi0);
+                             start, jump);
         p = r / (1.0 + r);
         out[i] = row[0] == 1 ? p : 1.0 - p;
     }
     store128(pcg, state);
-    return status;
+    return KERNEL_OK;
 }

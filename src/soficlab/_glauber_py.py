@@ -7,9 +7,12 @@ generator states agree bitwise between backends.  `transfer_lookup` and
 `tree_batch` are the transfer and tree oracles' numpy batches on both
 backends: the C percolation lookup reads the table entry per row that
 `transfer_lookup` reads, and the C tree kernel repeats the arithmetic of
-`tree_batch`; each C kernel raises its twin's errors.  The percolation
-twins draw the C kernels' uniforms through `pasts.percolation_chunks`, so
-the generator ends in the same state.
+`tree_batch`.  The percolation twins draw the C kernels' uniforms through
+`pasts.percolation_chunks`, so the generator ends in the same state.  Both
+backends' percolation kernels first refuse, through `check_patterns`, a
+pattern that some past could make an error, before any draw and whatever
+their rows, chunks and seed; past that check they raise nothing and leave
+the generator where their draws do.
 """
 
 from typing import NamedTuple
@@ -128,9 +131,10 @@ def transfer_lookup(values, masks, sides, tables):
     site at distance k+1 on side s (0 left, 1 right); columns at or past L
     are not in the rows.  On each side the first pinned column in that
     order is the nearest pin: dl/dr is its distance and bl/br its symbol,
-    both 0 when the side has no pin.  A negative side column raises
-    `column_error`; the first symbol outside the alphabet among v0, bl and
-    br, in row order, raises `symbol_error`.
+    both 0 when the side has no pin.  A row whose center is pinned reads 1,
+    the probability of the pinned symbol given itself.  A negative side
+    column raises `column_error`; the first symbol outside the alphabet
+    among v0, bl and br, in row order, raises `symbol_error`.
     """
     if (sides < 0).any():
         raise column_error()
@@ -155,18 +159,46 @@ def transfer_lookup(values, masks, sides, tables):
     outside = (read < 0) | (read >= a)
     if outside.any():
         raise symbol_error(int(read.flat[outside.argmax()]), a)
-    return tables[v0, dl, bl, dr, br]
+    out = tables[v0, dl, bl, dr, br]
+    out[masks[:, 0]] = 1.0
+    return out
+
+
+def check_patterns(patterns, a: int, edges=None):
+    """Refuse a random-past kernel's patterns before any past is drawn.
+
+    The first symbol outside [0, a), in C order, is `symbol_error`; then,
+    when a tree's edges ((m, 2) int64) are given, the first row with 1 at
+    both ends of an edge inside the pattern width is `clash_error` of its
+    first such edge.  The symbol check is two reductions, so it allocates
+    nothing unless it fails, and the edge check reads only patterns that
+    hold a 1.
+    """
+    if not patterns.size:
+        return
+    high = patterns.max()
+    if patterns.min() < 0 or high >= a:
+        raise symbol_error(int(patterns.flat[((patterns < 0) | (patterns >= a)).argmax()]), a)
+    if edges is None or high != 1:
+        return
+    edges = edges[edges.max(axis=1) < patterns.shape[1]]
+    occupied = patterns == 1
+    clash = occupied[:, edges[:, 0]] & occupied[:, edges[:, 1]]
+    if clash.any():
+        raise clash_error(*(int(i) for i in edges[clash[clash.any(axis=1).argmax()].argmax()]))
 
 
 def percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
     """out[i] = the transfer lookup of patterns[(lo + i) // n_inner] under
     the i-th of len(out) percolation pasts drawn from rng.
 
-    The pasts are those of `pasts.percolation_chunks`, which also checks
-    the pattern width against ball_size; each chunk is read through
-    `transfer_lookup`, so its errors are this function's.
+    Before any draw, `check_patterns` refuses a symbol outside the alphabet
+    of tables and a negative side column is `column_error`; the pasts are
+    those of `pasts.percolation_chunks`, which checks the pattern width
+    against ball_size, and each chunk is read through `transfer_lookup`.
     """
-    if (sides < 0).any():  # before any draw, as the C kernel checks
+    check_patterns(patterns, tables.shape[0])
+    if (sides < 0).any():
         raise column_error()
     for start, stop, rows, masks in percolation_chunks(patterns, n_inner, lo, len(out), ball_size, rng):
         out[start:stop] = transfer_lookup(rows, masks, sides, tables)
@@ -249,7 +281,9 @@ def tree_batch(values, masks, tree: Tree):
 def tree_percolation(patterns, n_inner, lo, ball_size, tree: Tree, rng, out):
     """out[i] = the `tree_batch` conditional of patterns[(lo + i) // n_inner]
     under the i-th of len(out) percolation pasts drawn from rng, as
-    `percolation_lookup` draws them; its errors are those of `tree_batch`
-    and of `pasts.percolation_chunks`."""
+    `percolation_lookup` draws them.  A symbol outside {0, 1} or two
+    adjacent 1s anywhere in the patterns is refused by `check_patterns`
+    before any draw."""
+    check_patterns(patterns, 2, tree.edges)
     for start, stop, rows, masks in percolation_chunks(patterns, n_inner, lo, len(out), ball_size, rng):
         out[start:stop] = tree_batch(rows, masks, tree)

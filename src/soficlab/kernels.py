@@ -7,23 +7,24 @@ percolation pasts that it draws itself; and `tree_percolation`, the tree
 oracle's hardcore ratio recursion over pasts drawn the same way.  The
 compiled kernels step the Generator's PCG64 themselves, from
 `bit_generator.state` under its lock, and write the advanced state back
-(`_locked_pcg64`): the sweep draws one double per site update, and each
-percolation row draws only the columns it reads and skips the rest of its
-uniforms by an exact jump.  The tree kernel reads each column by its own
-jump from the row's start state, and on a row whose pattern no past can
-make an error it reads only the sites whose ancestors are all unpinned,
-since a pinned site cuts the tree.  The compiled kernels refuse any other
-bit generator with a ValueError before drawing.  The compiled sweep
+(`_locked_pcg64`): the sweep draws one double per site update, and a
+percolation row draws each column it reads by its own exact jump from the
+row's start state and takes all its uniforms' steps in one jump.  The tree
+kernel reads only the sites whose ancestors are all unpinned, since a
+pinned site cuts the tree.  The compiled kernels refuse any other bit
+generator with a ValueError before drawing.  The compiled sweep
 tabulates the cumulative candidate weights of every neighbourhood key once
 per call and reads one row per site update, unless the table would pass
 SWEEP_TABLE_CAP doubles or outnumber the call's updates
 (`_sweep_table_keys`).  The percolation
-kernels take C-contiguous patterns only.  A call's rows run in
-contiguous ranges, one per usable core and at least ROWS_PER_WORKER rows
-each, on threads; a row takes exactly ball_size steps of the PCG64, so each
-range starts from the state advanced past the rows before it by an exact
-jump, and the results, the error and the end state are the single call's
-(`_run_on_pcg64`).  On the first import,
+kernels take C-contiguous patterns only, and both backends refuse a
+pattern that some past could make an error before any draw
+(`_glauber_py.check_patterns`), so past their checks they cannot fail.  A
+call's rows run in contiguous ranges, one per usable core and at least
+ROWS_PER_WORKER rows each, on threads; a row takes exactly ball_size steps
+of the PCG64, so each range starts from the state advanced past the rows
+before it by an exact jump, and the results and the end state are the
+single call's (`_run_on_pcg64`).  On the first import,
 `_glauber.c` is compiled once into the user cache,
 `$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as one shared library
 whose name is keyed by a CRC-32 of the source, the compiler flags and the
@@ -34,10 +35,9 @@ library lacks any kernel, a RuntimeWarning names the cause and all three
 pure-Python twins of `_glauber_py` are used; `SOFICLAB_KERNEL=python`
 forces the twins.  The backends are never mixed.  The sweeps consume
 identical uniforms, give bitwise-equal trajectories and leave a Generator
-in the same state; the percolation
-kernels give bitwise-equal results, raise the same errors, read the same
-uniforms and leave the generator in the same state.  `BACKEND` is "c" or
-"python".
+in the same state; the percolation kernels give bitwise-equal results,
+raise the same errors before any draw, read the same uniforms and leave
+the generator in the same state.  `BACKEND` is "c" or "python".
 """
 
 import contextlib
@@ -67,16 +67,15 @@ _MAX_ALPHABET = 64  # the C kernel's weights buffer
 # Larger alphabets and ranks take the direct route, whose updates compute
 # their weights themselves.
 SWEEP_TABLE_CAP = 2**14
-# non-zero status codes of the C sweep kernel, then of the C percolation kernels
+# non-zero status codes of the C sweep kernel, then of the C percolation
+# kernels; each kernel sets one only before its first draw
 _C_ERRORS = {
     1: f"alphabet too large for kernel (at most {_MAX_ALPHABET} symbols)",
     2: "neighbour index outside [0, n)",
     3: "symbol of x outside [0, alphabet)",
+    4: str(_glauber_py.column_error()),
+    5: "tree kernel: a child is not a later site of the window",
 }
-_LOOKUP_BAD_COLUMN = 4
-_LOOKUP_BAD_SYMBOL = 5
-_TREE_BAD_GEOMETRY = 6
-_TREE_CLASH = 7
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
 _WORD = 2**64 - 1
@@ -141,9 +140,9 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
     sweeps.argtypes = [_BYTE_P] * 8 + [ctypes.c_int64] * 4 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P]
     percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [
-        _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 5
+        _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 3
     tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
-        _BYTE_P, _BYTE_P, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 7
+        _BYTE_P] * 8
     sweeps.restype = percolation.restype = tree.restype = ctypes.c_int
     return sweeps, percolation, tree
 
@@ -257,18 +256,6 @@ def _checked_geometry(sides, tables) -> tuple:
     return r_max, a
 
 
-def _raise_lookup(status: int, bad: np.ndarray, a: int):
-    """The twin's error for a non-zero status of a C percolation kernel."""
-    if status == _LOOKUP_BAD_SYMBOL:
-        raise _glauber_py.symbol_error(int(bad[0]), a)
-    if status == _LOOKUP_BAD_COLUMN:
-        raise _glauber_py.column_error()
-    if status == _TREE_CLASH:
-        raise _glauber_py.clash_error(int(bad[0]), int(bad[1]))
-    if status == _TREE_BAD_GEOMETRY:
-        raise ValueError("tree kernel: a child is not a later site of the window, or an edge leaves it")
-
-
 def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
     """(width, n, n_inner, lo, ball_size) of the arguments both C
     percolation kernels share, checked as `_c_percolation_lookup` says."""
@@ -315,11 +302,11 @@ def _locked_pcg64(rng):
 
 def _workspace(size: int, dtype) -> np.ndarray:
     """A zeroed workspace of size entries for one range of a percolation
-    call, followed by a spare 64-byte cache line.  The kernels write their
-    workspaces on every row, and a line shared by two ranges' workspaces
-    moves between cores on each write: two 200,000-row lookups side by side
-    took 28 ms with their masks in one line against 23 ms apart (2-vCPU
-    x86_64 host)."""
+    call, followed by a spare 64-byte cache line.  The tree kernel writes
+    its workspaces on every row, and a line shared by two ranges' workspaces
+    moves between cores on each write: two 200,000-row transfer lookups side
+    by side, each writing a per-row mask, took 28 ms with their masks in one
+    line against 23 ms apart (2-vCPU x86_64 host)."""
     return np.zeros(size + 64 // np.dtype(dtype).itemsize, dtype)
 
 
@@ -338,31 +325,32 @@ def _row_bounds(n: int) -> list:
     return [n * k // w for k in range(w + 1)]
 
 
-def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng) -> tuple:
-    """(status, bad) of the C percolation kernel over n rows, run on rng's
-    PCG64 state in the ranges of `_row_bounds`.
+def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
+    """Run the C percolation kernel over n rows on rng's PCG64 state, in
+    the ranges of `_row_bounds`.
 
     range_args(start, stop) gives the kernel's arguments for rows start to
-    stop, up to pcg and jump, and the bad array they report into; each range
-    has its own.  pcg is a PCG64 state and increment as four uint64 words,
-    low word first, which the kernel advances; jump is its workspace of
-    ball_size + 1 jumps.  A row takes exactly ball_size steps, so range w
-    starts from rng's state advanced by start_w * ball_size steps
-    (`PCG64.advance` on a scratch generator) and draws what the serial call
-    draws for those rows.  The calling thread runs the first range and one
-    thread each the others; ctypes releases the GIL, and every thread is
-    joined before this returns or raises.  The status, bad and end state are
-    those of the first range that fails, else of the last range: in both
-    cases the serial call's.  The state is read and written back by
-    `_locked_pcg64`, which keeps the buffered uint32 that `PCG64.advance`
-    would reset, and whose lock is held throughout.
+    stop, up to pcg and jump; each range has its own workspaces.  pcg is a
+    PCG64 state and increment as four uint64 words, low word first, which
+    the kernel advances; jump is its workspace of ball_size + 1 jumps.  A
+    row takes exactly ball_size steps, so range w starts from rng's state
+    advanced by start_w * ball_size steps (`PCG64.advance` on a scratch
+    generator) and draws what the serial call draws for those rows.  The
+    calling thread runs the first range and one thread each the others;
+    ctypes releases the GIL, and every thread is joined before this returns
+    or raises.  A kernel sets a non-zero status only before its first draw,
+    from arguments every range shares: then this raises its ValueError and
+    leaves rng as it was; else rng ends in the last range's end state, the
+    serial call's.  The state is read and written back by `_locked_pcg64`,
+    which keeps the buffered uint32 that `PCG64.advance` would reset, and
+    whose lock is held throughout.
     """
     bounds = _row_bounds(n)
     w = len(bounds) - 1
     pcg = np.empty((w, 4), np.uint64)
     jump = np.empty((w, 4 * (ball_size + 1)), np.uint64)
-    runs = [range_args(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    calls = [(*args, _data(pcg[k]), _data(jump[k])) for k, (args, _) in enumerate(runs)]
+    calls = [(*range_args(start, stop), _data(pcg[k]), _data(jump[k]))
+             for k, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
     status = [None] * w
 
     def run(k):
@@ -391,9 +379,9 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng) -> tuple:
                 thread.join()
         if None in status:
             raise RuntimeError("a percolation kernel thread did not return")
-        k = next((k for k in range(w) if status[k]), w - 1)
-        words[:2] = pcg[k, :2]
-    return status[k], runs[k][1]
+        if any(status):
+            raise ValueError(_C_ERRORS[max(status)])
+        words[:2] = pcg[-1, :2]
 
 
 def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
@@ -407,25 +395,22 @@ def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, 
     (a, R+1, a, R+1, a); a numpy Generator over PCG64; and a writeable
     C-contiguous float64 out.  The pasts are the rows of
     `rng.random((len(out), ball_size))`: the kernel steps the generator's
-    PCG64 itself (`_run_on_pcg64`), draws of each row only the columns it
-    scans for the nearest pins, skips the rest by an exact jump, and leaves
-    the generator where that call would, also when it raises.  The rows run
-    in the ranges of `_run_on_pcg64`, each on its own workspaces, and give
-    bitwise the single call's out, error and end state; after an error the
-    entries of out past the failing row are unspecified.  Everything the C
-    code trusts is checked here first, before any range starts; the C code
-    checks every side column and symbol it reads.  Any failure is a
-    ValueError, a symbol or side column the twin's.
+    PCG64 itself, draws of each row only the columns it scans for the
+    nearest pins, each by its own exact jump, and leaves the generator
+    where that call would.  The rows run in the ranges of `_run_on_pcg64`
+    and give bitwise the single call's out and end state.  Everything the C
+    code trusts is checked here first, before any draw, and the symbols by
+    `_glauber_py.check_patterns`, so nothing fails after the first draw;
+    the C code checks every side column it reads.  Any failure is a
+    ValueError, a symbol or side column the twin's, and leaves rng as it
+    was.
     """
     L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     r_max, a = _checked_geometry(sides, tables)
-
-    def range_args(start, stop):
-        bad = np.zeros(1, np.int64)
-        return (_data(patterns), L, n_inner, lo + start, stop - start, ball_size, _data(sides), r_max,
-                _data(tables), a, _data(out[start:stop]), _data(bad), _data(_workspace(L, np.uint8))), bad
-
-    _raise_lookup(*_run_on_pcg64(_c_percolation, range_args, n, ball_size, rng), a)
+    _glauber_py.check_patterns(patterns, a)
+    _run_on_pcg64(_c_percolation, lambda start, stop: (
+        _data(patterns), L, n_inner, lo + start, stop - start, ball_size, _data(sides), r_max,
+        _data(tables), a, _data(out[start:stop])), n, ball_size, rng)
 
 
 def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
@@ -437,17 +422,14 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     n_inner, lo, ball_size, rng and out as `_c_percolation_lookup` takes
     them, and a `_glauber_py.Tree` of C-contiguous arrays (int64 starts,
     child_ptr of one more entry than lam, children and (m, 2) edges; float64
-    lam and free of one length), no narrower than the patterns.  The pasts
-    and the generator's state are those of `_c_percolation_lookup`; the
-    kernel draws each column it reads by its own jump from the row's start
-    state, and takes each row's ball_size steps in one jump.  A row whose
-    pattern no past can make an error reads only the sites whose ancestors
-    are all unpinned; any other row reads every column below the pattern
-    width.  The rows run in ranges as `_c_percolation_lookup`'s do, with
-    the same unspecified out past a failing row.  The result is
-    bitwise the twin's, and so are the errors: `symbol_error`,
-    `clash_error`, or a ValueError for anything else the kernel cannot
-    trust.
+    lam and free of one length), no narrower than the patterns.  The pasts,
+    their draw and the generator's state are those of
+    `_c_percolation_lookup`; a row reads only the sites whose ancestors are
+    all unpinned.  The rows run in ranges as `_c_percolation_lookup`'s do.
+    The result is bitwise the twin's, and so are the errors, each raised
+    before any draw with rng left as it was: `symbol_error` and
+    `clash_error` from `_glauber_py.check_patterns`, or a ValueError for
+    anything else the kernel cannot trust.
     """
     L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
     (sites,) = _checked_shape("tree.lam", tree.lam, _F64, 1)
@@ -462,18 +444,15 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     if not (0 <= deepest < len(starts) - 1 and 0 <= starts[deepest] < L <= starts[deepest + 1] <= sites):
         raise ValueError(f"pattern width {L} does not fit the tree's levels {starts.tolist()}")
     deep_start, n_window = int(starts[deepest]), int(starts[deepest + 1])
-    edges = np.ascontiguousarray(tree.edges[tree.edges.max(axis=1) < L])
+    _glauber_py.check_patterns(patterns, 2, tree.edges)
     geometry = (tree.child_ptr.ctypes.data_as(_BYTE_P), tree.children.ctypes.data_as(_BYTE_P),
                 len(tree.children), deep_start, n_window, tree.lam.ctypes.data_as(_BYTE_P),
-                tree.free.ctypes.data_as(_BYTE_P), edges.ctypes.data_as(_BYTE_P), len(edges))
-
-    def range_args(start, stop):
-        bad = np.zeros(2, np.int64)
-        return (_data(patterns), L, n_inner, lo + start, stop - start, ball_size, *geometry,
-                _data(out[start:stop]), _data(bad), _data(_workspace(n_window, np.uint8)),
-                _data(_workspace(3 * n_window, np.float64)), _data(_workspace(n_window, np.int64))), bad
-
-    _raise_lookup(*_run_on_pcg64(_c_tree, range_args, n, ball_size, rng), 2)
+                tree.free.ctypes.data_as(_BYTE_P))
+    _run_on_pcg64(_c_tree, lambda start, stop: (
+        _data(patterns), L, n_inner, lo + start, stop - start, ball_size, *geometry,
+        _data(out[start:stop]), _data(_workspace(n_window, np.uint8)),
+        _data(_workspace(3 * n_window, np.float64)), _data(_workspace(n_window, np.int64))),
+        n, ball_size, rng)
 
 
 _c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()

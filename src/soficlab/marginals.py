@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import enumeration, groups, kernels
-from ._glauber_py import Tree, transfer_lookup, tree_batch
+from ._glauber_py import Tree, check_patterns, symbol_error, transfer_lookup, tree_batch
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
@@ -59,8 +59,9 @@ class TransferOracle:
         the first pinned one there.  Offsets on a rank-1 ball are distinct,
         so that pin is unique.  `_glauber_py.transfer_lookup` finds both
         pins of every row at once and reads the table, on either kernel
-        backend.  Rows wider than the oracle's ball, and a center or
-        nearest-pin symbol outside the alphabet, are a ValueError.
+        backend; a pinned center gives 1.  Rows wider than the oracle's
+        ball, and a center or nearest-pin symbol outside the alphabet, are
+        a ValueError.
         """
         values = np.asarray(values, dtype=np.int64)
         _check_width(values.shape[-1], len(self.offsets), self.r_max)
@@ -74,7 +75,8 @@ class TransferOracle:
         The pasts are those of `pasts.sample_percolation_masks(spec, r,
         len(out), rng)` cut to the pattern width, but `kernels.percolation_lookup`
         draws each one as it reads it, so no uniforms, masks or value rows
-        are held.  The errors are those of `batch`.
+        are held.  A symbol outside the alphabet anywhere in the patterns is
+        `symbol_error` before any draw, whatever the pasts would read.
         """
         patterns = np.ascontiguousarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.offsets), self.r_max)
@@ -131,9 +133,16 @@ class BallEnumerationOracle:
         self._memo: dict[bytes, float] = {}
 
     def conditional(self, values, mask) -> float:
+        """The center conditional of one row: a center or pinned symbol
+        outside the alphabet, center first, is `symbol_error`."""
         _check_width(len(values), len(self.ball), self.r_max + self.pad)
+        a = self.structure.alphabet
+        pinned = np.flatnonzero(np.asarray(mask))
+        for i in (0, *pinned):
+            if not 0 <= values[i] < a:
+                raise symbol_error(int(values[i]), a)
         pins = dict(self.shell_pins)
-        for i in np.flatnonzero(np.asarray(mask)):
+        for i in pinned:
             pins[int(i)] = int(values[i])
         if self._last[0] != pins:
             probs = enumeration.site_marginal(
@@ -169,9 +178,13 @@ class BallEnumerationOracle:
         """out[k] = the conditional of the center of patterns[k // n_inner]
         given the k-th of len(out) percolation pasts on a ball of ball_size
         sites, drawn from rng in the chunks of `pasts.percolation_chunks`,
-        each chunk one `batch`, whose memo needs whole rows."""
+        each chunk one `batch`, whose memo needs whole rows.  A symbol
+        outside the alphabet anywhere in the patterns is `symbol_error`
+        before any draw; pins that admit no configuration are the error of
+        the first row that has them."""
         patterns = np.asarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.ball), self.r_max + self.pad)
+        check_patterns(patterns, self.structure.alphabet)
         for start, stop, rows, masks in percolation_chunks(patterns, n_inner, 0, len(out), ball_size, rng):
             out[start:stop] = self.batch(rows, masks)
 
@@ -301,9 +314,11 @@ class SawOracle:
     def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
         """out[k] = the conditional of the center of patterns[k // n_inner]
         given the k-th of len(out) percolation pasts on a ball of ball_size
-        sites, drawn from rng inside `kernels.tree_percolation`; the results,
-        the errors and the generator's state are those of `batch` over the
-        masks of `pasts.percolation_chunks`."""
+        sites, drawn from rng inside `kernels.tree_percolation`; the results
+        and the generator's state are those of `batch` over the masks of
+        `pasts.percolation_chunks`.  A symbol outside {0, 1} or two adjacent
+        1s anywhere in the patterns is refused before any draw, whatever
+        the pasts would pin."""
         patterns = np.ascontiguousarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.ball), self.r_max)
         kernels.tree_percolation(patterns, n_inner, 0, ball_size, self.tree, rng, out)

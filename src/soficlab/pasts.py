@@ -22,8 +22,7 @@ def sample_percolation_masks(spec: GroupSpec, r: int, n_samples: int, rng) -> np
     The uniforms are one draw of n_samples rows from rng, so a call holds
     float64 uniforms and the bool mask for its rows.  `percolation_chunks`
     draws the same stream in bounded chunks, and the compiled percolation
-    kernels step it a row at a time, skipping the uniforms a row does not
-    read.
+    kernels draw of it only the uniforms a row reads, each by an exact jump.
     """
     L = len(groups.ball(spec, r).elements)
     chi = rng.random((n_samples, L))

@@ -117,7 +117,8 @@ def hardcore_stationary_p0(lam):
 def transfer_batch_argmin(tables, offsets, r_max, values, masks):
     """Center conditionals of a rank-1 transfer oracle read from its lookup
     tables, with the nearest pin on each side found as the argmin of a
-    distance array in which unpinned sites hold a sentinel past r_max."""
+    distance array in which unpinned sites hold a sentinel past r_max; a
+    pinned center reads 1."""
     n, L = values.shape
     off = offsets[:L]
     big = r_max + 10**6
@@ -132,7 +133,7 @@ def transfer_batch_argmin(tables, offsets, r_max, values, masks):
     br = np.where(dr < big, values[rows, ir], 0)
     dl = np.where(dl < big, dl, 0)
     dr = np.where(dr < big, dr, 0)
-    return tables[values[:, 0], dl, bl, dr, br]
+    return np.where(masks[:, 0], 1.0, tables[values[:, 0], dl, bl, dr, br])
 
 
 def info_fn_full_width(oracle, ball_size, values, mask):

@@ -385,12 +385,13 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
 
 
 @pytest.mark.parametrize("pattern,n,message", [
-    ([2, 0, 0, 0, 0], 1, r"^symbol 2 "),  # the center, whatever the past
-    ([0, 3, 3, 3, 3], 200, r"^symbol 3 "),  # the nearest pin of the first row with one
-    ([0, -1, 5, -1, 5], 200, r"^symbol (-1|5) "),  # left before right within a row
+    ([2, 0, 0, 0, 0], 1, r"^symbol 2 "),  # the center
+    ([0, 3, 3, 3, 3], 200, r"^symbol 3 "),  # a pin, whatever the pasts
+    ([0, -1, 5, -1, 5], 200, r"^symbol (-1|5) "),  # one of them: the first in C order
     ([0, 0, 0, 0, 0], 0, r"^side column .* negative$"),  # checked before any row
 ])
 def test_percolation_symbol_or_column_is_one_error_on_both_backends(pattern, n, message):
+    """One error from both backends, raised before any draw."""
     oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)  # columns: center, -1, +1, -2, +2
     sides = oracle.sides.copy()
     if n == 0:
@@ -398,8 +399,11 @@ def test_percolation_symbol_or_column_is_one_error_on_both_backends(pattern, n, 
     patterns = np.array([pattern], dtype=np.int64)
     messages = set()
     for lookup in PERCOLATIONS:
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message) as exc:
-            lookup(patterns, n + 1, 0, 5, sides, oracle.tables, np.random.default_rng(3), np.empty(n))
+            lookup(patterns, n + 1, 0, 5, sides, oracle.tables, rng, np.empty(n))
+        assert rng.bit_generator.state == state
         messages.add(str(exc.value))
     assert len(messages) == 1
 
@@ -493,19 +497,34 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+def _tree_refusal(patterns, tree):
+    """The (type, message) of the error with which both tree kernels refuse
+    patterns before any draw, else None: the first symbol outside {0, 1}
+    in C order, else the first clash that `tree_batch` finds with every
+    site of every pattern pinned."""
+    outside = np.flatnonzero((patterns < 0) | (patterns > 1))
+    if len(outside):
+        return ValueError, str(_glauber_py.symbol_error(int(patterns.flat[outside[0]]), 2))
+    clash = _outcome(lambda: _glauber_py.tree_batch(patterns, np.ones(patterns.shape, bool), tree))
+    return clash if isinstance(clash, tuple) else None
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(tree_cases())
 def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
     """Both backends give `tree_batch` over the masks that
     sample_percolation_masks draws from the same generator, bitwise, and
-    leave the generator in that draw's state; where the masks route raises
-    (adjacent occupied pins, a symbol outside {0, 1}), both raise its error."""
+    leave the generator in that draw's state.  Patterns with a symbol
+    outside {0, 1} or adjacent 1s anywhere, in a row read or not, are
+    refused with one error before any draw, whatever the pasts would pin."""
     spec, r, oracle, patterns, n_inner, lo, n, seed, block = case
     ball_size = len(groups.ball(spec, r))
     reference = np.random.default_rng(seed)
-    masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
-    rows = patterns[(lo + np.arange(n)) // n_inner]
-    expect = _outcome(lambda: _glauber_py.tree_batch(rows, masks, oracle.tree))
+    expect = _tree_refusal(patterns, oracle.tree)
+    if expect is None:
+        masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
+        rows = patterns[(lo + np.arange(n)) // n_inner]
+        expect = _glauber_py.tree_batch(rows, masks, oracle.tree)
     saved = pasts.CHUNK_FLOATS
     pasts.CHUNK_FLOATS = block
     try:
@@ -516,8 +535,8 @@ def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
                            or out)
             if isinstance(expect, tuple):
                 assert got == expect
-                continue
-            assert np.array_equal(got, expect)
+            else:
+                assert np.array_equal(got, expect)
             assert rng.bit_generator.state == reference.bit_generator.state
     finally:
         pasts.CHUNK_FLOATS = saved
@@ -529,7 +548,7 @@ def _pruning_cases():
     occupied sites, whose rows the C kernel prunes, at the full width, at a
     width inside the deepest level and at the center alone; and the same
     patterns with an error after the first good ones, an occupied edge or a
-    symbol outside {0, 1}, whose rows take the full draw."""
+    symbol outside {0, 1}, which both kernels refuse before any draw."""
     spec = groups.free(2)
     ball = groups.ball(spec, 4)
     source = np.random.default_rng(17)
@@ -556,30 +575,27 @@ def _pruning_cases():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
     """The C tree kernel visits only the sites whose ancestors are all
-    unpinned on rows that cannot fail, each drawn by its own jump, in 1, 2
-    or 3 ranges; the Python twin draws and evaluates every column.  Both
-    give bitwise `tree_batch` over the masks of the same draw, or raise its
-    error; the C kernel leaves the generator after the ball_size steps of
-    every row, or of the rows up to the first failing one.  The pasts include
-    centers whose uniform is near 0 (almost nothing pinned) and near 1
-    (almost everything), and error rows come after good ones."""
+    unpinned, each drawn by its own jump, in 1, 2 or 3 ranges; the Python
+    twin draws and evaluates every column.  Both give bitwise `tree_batch`
+    over the masks of the same draw and leave the generator after the
+    ball_size steps of every row, or refuse a pattern that some past could
+    make an error with one error and the generator as it was.  The pasts
+    include centers whose uniform is near 0 (almost nothing pinned) and
+    near 1 (almost everything), and error rows come after good ones."""
     n_inner, n, ball_size = 50, 600, 161
     chi = np.random.default_rng(23).random((n, ball_size))
     assert chi[:, 0].min() < 0.01 and chi[:, 0].max() > 0.99
     _split(monkeypatch, workers)
     for oracle, patterns, what in _pruning_cases():
         L = patterns.shape[1]
-        masks = chi[:, :L] < chi[:, :1]
-        masks[:, 0] = False
-        rows = patterns[np.arange(n) // n_inner]
-        expect = _outcome(lambda: _glauber_py.tree_batch(rows, masks, oracle.tree))
-        assert isinstance(expect, tuple) == what.endswith(("clash", "symbol")), what
-        steps = n
-        if isinstance(expect, tuple):
-            steps = next(k for k in range(n) if isinstance(
-                _outcome(lambda: _glauber_py.tree_batch(rows[k:k + 1], masks[k:k + 1], oracle.tree)), tuple)) + 1
         reference = np.random.default_rng(23)
-        reference.random((steps, ball_size))
+        expect = _tree_refusal(patterns, oracle.tree)
+        assert (expect is not None) == what.endswith(("clash", "symbol")), what
+        if expect is None:
+            masks = chi[:, :L] < chi[:, :1]
+            masks[:, 0] = False
+            expect = _glauber_py.tree_batch(patterns[np.arange(n) // n_inner], masks, oracle.tree)
+            reference.random((n, ball_size))
         for tree_percolation in TREES:
             rng = np.random.default_rng(23)
             out = np.full(n, np.nan)
@@ -587,8 +603,6 @@ def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
                            or out)
             if isinstance(expect, tuple):
                 assert got == expect, what
-                if tree_percolation is _glauber_py.tree_percolation:
-                    continue  # the twin draws whole chunks
             else:
                 assert np.array_equal(got, expect), what
             assert rng.bit_generator.state == reference.bit_generator.state, what
@@ -617,14 +631,15 @@ def test_tree_batch_names_the_first_row_with_an_error(rows, error):
 
 
 @pytest.mark.parametrize("pattern,message", [
-    ({1: 1, 5: 1}, r"^adjacent occupied pins 5, 1$"),  # the first row whose past pins both
-    ({0: 2}, r"^symbol 2 "),  # the center, whatever the past
-    ({6: -3}, r"^symbol -3 "),  # once a past pins it
-    ({6: 9, 1: 1, 5: 1}, r"^(symbol 9 |adjacent occupied pins 5, 1$)"),  # whichever row comes first
+    ({1: 1, 5: 1}, r"^adjacent occupied pins 5, 1$"),  # whatever the past pins
+    ({0: 2}, r"^symbol 2 "),  # the center
+    ({6: -3}, r"^symbol -3 "),  # a site that only some pasts pin
+    ({6: 9, 1: 1, 5: 1}, r"^(symbol 9 |adjacent occupied pins 5, 1$)"),  # the symbol, before any clash
 ])
 def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message):
     """The same error, naming the same edge or symbol, from both backends and
-    every chunk size of the twin: that of the first row that has one."""
+    every chunk size of the twin, raised before any draw: a symbol outside
+    {0, 1} before a clash."""
     oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
     patterns = np.zeros((1, 17), dtype=np.int64)
     for c, v in pattern.items():
@@ -635,12 +650,15 @@ def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message
         for block in (17, 7 * 17, 2**16):
             pasts.CHUNK_FLOATS = block
             for tree_percolation in TREES:
+                rng = np.random.default_rng(5)
+                state = rng.bit_generator.state
                 with pytest.raises((ValueError, InconsistentPinsError), match=message) as exc:
-                    tree_percolation(patterns, 500, 0, 17, oracle.tree, np.random.default_rng(5), np.empty(500))
+                    tree_percolation(patterns, 500, 0, 17, oracle.tree, rng, np.empty(500))
+                assert rng.bit_generator.state == state
                 messages.add((exc.type, str(exc.value)))
     finally:
         pasts.CHUNK_FLOATS = saved
-    assert len(messages) == 1
+    assert messages == {_tree_refusal(patterns, oracle.tree)}
 
 
 def _tree_args():
@@ -795,20 +813,20 @@ def test_split_percolation_is_bitwise_the_single_call(monkeypatch, case, n_inner
 @needs_c
 @pytest.mark.parametrize("case,bad,message", [
     (0, {30: {0: 5}}, r"^symbol 5 "),  # a center symbol, in the last range only
-    (0, {12: {0: 7}, 30: {0: 5}}, r"^symbol 7 "),  # errors in two ranges: the earlier row's
+    (0, {12: {0: 7}, 30: {0: 5}}, r"^symbol 7 "),  # errors in two ranges: the earlier pattern's
     (1, {30: {0: 4}}, r"^symbol 4 "),
-    (1, {30: {1: 1, 5: 1}, 31: {1: 1, 5: 1}}, r"^adjacent occupied pins 5, 1$"),  # once a past pins both
+    (1, {30: {1: 1, 5: 1}, 31: {1: 1, 5: 1}}, r"^adjacent occupied pins 5, 1$"),  # whatever the pasts pin
     (1, {12: {0: 3}, 30: {0: 4}}, r"^symbol 3 "),
-    (1, {12: {1: 1, 5: 1}, 30: {0: 4}}, r"^(adjacent occupied pins 5, 1|symbol 4 )"),
+    (1, {12: {1: 1, 5: 1}, 30: {0: 4}}, r"^symbol 4 "),  # a symbol before any clash
 ], ids=["lookup-late-symbol", "lookup-two-ranges", "tree-late-symbol", "tree-late-clash",
         "tree-two-ranges", "tree-clash-then-symbol"])
 def test_split_percolation_error_is_the_single_calls(monkeypatch, case, bad, message):
     """An error only in a later range, or in two ranges, is the error of the
-    single call, with its end state of the generator: those of the earliest
-    failing row.  bad maps a pattern to the symbols it gets; 6 rows per
-    pattern, 240 rows, so pattern 12 falls in the first range of 2 or 3 and
-    the second of 5, pattern 30 in the last range of 2 or 3 and the fourth
-    of 5."""
+    single call, raised before any range starts and with the generator as
+    it was.  bad maps a pattern to the symbols it gets; 6 rows per pattern,
+    240 rows, so pattern 12 falls in the first range of 2 or 3 and the
+    second of 5, pattern 30 in the last range of 2 or 3 and the fourth of
+    5."""
     kernel, geometry, ball_size, patterns = _split_cases()[case]
     patterns = patterns.copy()
     for row, symbols in bad.items():
@@ -816,9 +834,67 @@ def test_split_percolation_error_is_the_single_calls(monkeypatch, case, bad, mes
     _split(monkeypatch, 1)
     expect = _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240)
     assert isinstance(expect[0], tuple) and re.match(message, expect[0][1])
+    assert expect[1] == np.random.default_rng(21).bit_generator.state
     for workers in (2, 3, 5):
         _split(monkeypatch, workers)
         assert _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240) == expect
+
+
+def _refused_cases():
+    """{id: (runs, geometry, ball_size, patterns, error, message)} of
+    patterns that both backends' percolation kernels refuse before any
+    draw: 40 admissible patterns of which pattern 30 is not.  The line
+    lookup of radius 1 reads side columns 1 and 2 of a width-5 row, so no
+    past may pin column 3; its radius-2 twin reads every column.  The tree
+    is B_3 of F_2 with rows of width 17."""
+    narrow, line = (TransferOracle(*hardcore(1, 1.0), groups.zd(1), r) for r in (1, 2))
+    tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
+    admissible = np.zeros((40, 17), np.int64)
+    admissible[:, [1, 2, 3, 4]] = np.random.default_rng(11).integers(0, 2, (40, 4))  # the center's leaves
+    cases = {}
+    for what, runs, geometry, ball_size, width, bad, error, message in [
+        ("lookup-unread-column", PERCOLATIONS, (narrow.sides, narrow.tables), 5, 5, {3: 2}, ValueError,
+         "symbol 2 of a center or pin is outside the alphabet [0, 2)"),
+        ("lookup-read-column", PERCOLATIONS, (line.sides, line.tables), 5, 5, {4: -1}, ValueError,
+         "symbol -1 of a center or pin is outside the alphabet [0, 2)"),
+        ("tree-symbol", TREES, (tree.tree,), 53, 17, {6: -3}, ValueError,
+         "symbol -3 of a center or pin is outside the alphabet [0, 2)"),
+        ("tree-clash", TREES, (tree.tree,), 53, 17, {1: 1, 5: 1}, InconsistentPinsError,
+         "adjacent occupied pins 5, 1"),
+    ]:
+        patterns = admissible[:, :width].copy()
+        patterns[30, list(bad)] = list(bad.values())
+        cases[what] = (runs, geometry, ball_size, patterns, error, message)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_refused_cases()))
+def test_inadmissible_pattern_is_refused_before_any_draw(monkeypatch, case):
+    """A symbol outside the alphabet, in a column that no past may pin or
+    one that some pasts pin, and two adjacent 1s for the tree, are refused
+    with one error type and message by each percolation kernel on both
+    backends: the twin with its chunks cut to 17, 7 * 17 and 2^16
+    uniforms, the C kernel with its rows in 1, 2 and 3 ranges, for 240 rows
+    and for none, at seeds 0-19.  No call draws: the generator's state is
+    unchanged."""
+    runs, geometry, ball_size, patterns, error, message = _refused_cases()[case]
+    errors = set()
+    for run in runs:
+        compiled = run not in (_glauber_py.percolation_lookup, _glauber_py.tree_percolation)
+        for setting in (1, 2, 3) if compiled else (17, 7 * 17, 2**16):
+            if compiled:
+                _split(monkeypatch, setting)
+            else:
+                monkeypatch.setattr(pasts, "CHUNK_FLOATS", setting)
+            for n in (0, 240):
+                for seed in range(20):
+                    rng = np.random.default_rng(seed)
+                    state = rng.bit_generator.state
+                    with pytest.raises(error) as exc:
+                        run(patterns, 6, 0, ball_size, *geometry, rng, np.empty(n))
+                    assert rng.bit_generator.state == state
+                    errors.add((exc.type, str(exc.value)))
+    assert errors == {(error, message)}
 
 
 def test_row_bounds_split_by_usable_cores(monkeypatch):

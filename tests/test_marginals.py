@@ -373,6 +373,50 @@ def test_every_oracle_refuses_rows_without_a_center(make):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2),
+    lambda: SawOracle(*hardcore(2, 1.0), groups.free(2), 1),
+    lambda: BallEnumerationOracle(*hardcore(2, 1.0), groups.zd(2), 1, pad=1),
+], ids=["transfer", "saw", "ball"])
+@pytest.mark.parametrize("symbol", [-1, 2])
+@pytest.mark.parametrize("column", [0, 1], ids=["center", "pin"])
+def test_every_oracle_refuses_a_symbol_outside_the_alphabet(make, symbol, column):
+    """A center or pinned symbol outside [0, 2) is one ValueError on every
+    oracle, and on the percolation route before any draw.  The ball oracle
+    once read a symbol -1 as 1 through negative indexing (on Z^2 hardcore,
+    r = 1, pad 1, a center of -1 gave 0.0588, the conditional of center 1)
+    and a symbol 2 as a bare IndexError."""
+    oracle = make()
+    values = np.zeros((1, 5), dtype=np.int64)
+    masks = np.zeros((1, 5), dtype=bool)
+    values[0, column] = symbol
+    masks[0, column] = column > 0
+    words = rf"^symbol {symbol} of a center or pin is outside the alphabet \[0, 2\)$"
+    with pytest.raises(ValueError, match=words):
+        oracle.batch(values, masks)
+    with pytest.raises(ValueError, match=words):
+        oracle.conditional(values[0], masks[0])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=words):
+        oracle.percolation_batch(values, 40, 5, rng, np.empty(40))
+    assert rng.bit_generator.state == state
+
+
+def test_every_oracle_gives_a_pinned_center_probability_one():
+    """With the center pinned, every oracle returns 1, the probability of
+    the pinned symbol given itself, on the Z^1 hardcore line at lambda = 1,
+    r = 2.  The transfer oracle once ignored the pin and returned the
+    unconditioned center marginal, 0.7236 for 0 and 0.2764 for 1."""
+    model = hardcore(1, 1.0)
+    values = np.array([[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [1, 0, 0, 1, 1]])  # center, -1, +1, -2, +2
+    masks = np.array([[1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, 0, 1], [1, 1, 1, 1, 1]], dtype=bool)
+    for oracle in (TransferOracle(*model, groups.zd(1), 2), SawOracle(*model, groups.zd(1), 2),
+                   BallEnumerationOracle(*model, groups.zd(1), 2, pad=1)):
+        assert np.array_equal(oracle.batch(values, masks), np.ones(4)), oracle.name
+        assert oracle.conditional(values[1], masks[1]) == 1.0
+
+
 def _old_masks_route(oracle, spec, r, patterns, n_inner, rng):
     """The conditionals of the masks route the estimators took before every
     oracle answered `percolation_batch`: chunks of at most 2^16 mask entries
