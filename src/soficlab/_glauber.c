@@ -1,7 +1,8 @@
 /* The three compiled kernels, loaded by soficlab.kernels through ctypes from
  * one library: the heat-bath sweep, the transfer oracle's nearest-pin lookup
  * over percolation pasts that it draws itself, and the tree oracle's
- * hardcore ratio recursion over pasts that it draws the same way.
+ * hardcore ratio recursion over pasts that it draws the same way; and
+ * pcg64_fill, the uniform draw of soficlab.kernels.Pcg64.
  *
  * glauber_sweeps must stay arithmetic-identical to _glauber_py.glauber_sweeps:
  * the same order of multiplications and additions per candidate weight, the
@@ -26,14 +27,14 @@
  *
  * percolation_lookup does no arithmetic: it reads one table entry per row,
  * the entry _glauber_py.transfer_lookup reads, and compares uniforms only.
- * Both percolation kernels step numpy's PCG64 themselves, from the state
- * and increment that kernels.py reads from Generator.bit_generator.state
- * and writes back.  The past of a row is ball_size uniforms in the order of
+ * Every kernel steps numpy's PCG64 itself, on the state and increment
+ * words of a soficlab.kernels.Pcg64, which it advances in place.  The past
+ * of a row is ball_size uniforms in the order of
  * Generator.random((n, ball_size)): a kernel draws column c of it, only if
  * it reads that column, by its own jump of c + 1 steps from the row's start
  * state (column_draw), and takes the row's ball_size steps as one jump
  * (next_row), so the generator ends where those n * ball_size draws leave
- * it.  Other bit generators are refused by the caller.  The 128-bit
+ * it.  Any other stream is refused by the caller.  The 128-bit
  * arithmetic needs unsigned __int128 (gcc, clang); without it the build
  * fails and the Python twins are used.
  *
@@ -94,6 +95,20 @@ static inline double pcg_double(u128 *state, u128 mult, u128 plus)
     *state = s;
     v = v >> rot | v << (-rot & 63);
     return (double)(v >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* out[0..n) = the next n doubles of the PCG64 state pcg (state, then
+ * increment, see load128), in the order Generator.random fills them; the
+ * state is advanced in place. */
+int pcg64_fill(uint64_t *pcg, double *out, int64_t n)
+{
+    u128 state = load128(pcg), inc = load128(pcg + 2);
+    int64_t i;
+
+    for (i = 0; i < n; i++)
+        out[i] = pcg_double(&state, PCG_MULT, inc);
+    store128(pcg, state);
+    return KERNEL_OK;
 }
 
 /* cum[c] = the sum of the weights of candidates 0..c at one site, for c

@@ -1,18 +1,24 @@
 """Pure-Python twins of the three kernels in _glauber.c: the fallback when
 the C library is unavailable, and the tests' reference for it.
 
-The sweep keeps the C kernel's arithmetic and uniform consumption, and
-draws the doubles the C kernel draws from a Generator, so trajectories and
-generator states agree bitwise between backends.  `transfer_lookup` and
+Every kernel of either backend draws from one stream type,
+`kernels.Pcg64`, soficlab's PCG64, bitwise numpy's
+`default_rng(SeedSequence(entropy))`, and refuses anything else, a numpy
+Generator included, before any draw (`checked_stream`).  On this backend
+the stream's `random` draws through numpy's Generator, so `numpy.random`
+is loaded here, and not on the compiled backend.  The sweep keeps the C
+kernel's arithmetic and uniform consumption, and draws the doubles the C
+kernel draws from the stream, so trajectories and stream states agree
+bitwise between backends.  `transfer_lookup` and
 `tree_batch` are the transfer and tree oracles' numpy batches on both
 backends: the C percolation lookup reads the table entry per row that
 `transfer_lookup` reads, and the C tree kernel repeats the arithmetic of
 `tree_batch`.  The percolation twins draw the C kernels' uniforms through
-`pasts.percolation_chunks`, so the generator ends in the same state.  Both
+`pasts.percolation_chunks`, so the stream ends in the same state.  Both
 backends' percolation kernels first refuse, through `check_patterns`, a
 pattern that some past could make an error, before any draw and whatever
 their rows, chunks and seed; past that check they raise nothing and leave
-the generator where their draws do.
+the stream where their draws do.
 """
 
 from typing import NamedTuple
@@ -22,29 +28,31 @@ import numpy as np
 from .errors import InconsistentPinsError
 from .pasts import percolation_chunks
 
-# the most uniforms the sweep draws from a Generator at once, 128 KB of
+# the most uniforms the sweep draws from a stream at once, 128 KB of
 # float64: enough sweeps per draw to amortise it on small graphs, without a
 # buffer that grows with the number of sweeps
 UNIFORM_BUFFER = 2**14
 
 
-def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
+def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0, work=None):
     """Run `sweeps` heat-bath sweeps over x in place; if counts is given,
     counts[t] is the number of sites not equal to `safe` after sweep t.
+    work, the compiled kernel's `kernels.SweepWorkspace`, is ignored.
 
     uniforms is an array of at least sweeps * n uniforms, one per site
-    update, or a numpy Generator.  A Generator fills one reused buffer of
-    at most UNIFORM_BUFFER doubles, max(1, UNIFORM_BUFFER // n) sweeps at a
+    update, or a `kernels.Pcg64`.  A stream fills one reused buffer of at
+    most UNIFORM_BUFFER doubles, max(1, UNIFORM_BUFFER // n) sweeps at a
     time; m draws of k doubles are the values of one draw of m * k, so the
-    updates read, and the generator ends in, what
-    `uniforms.random(sweeps * n)` gives.
+    updates read, and the stream ends in, what `uniforms.random(sweeps *
+    n)` gives.
     """
     n = x.shape[0]
     n_gen = nbr_out.shape[0]
     a = wh.shape[0]
     if a > 64:
         raise ValueError("alphabet too large for kernel")
-    if isinstance(uniforms, np.random.Generator):
+    if not isinstance(uniforms, np.ndarray):
+        checked_stream(uniforms, "uniforms, unless a float64 array,")
         chunk = max(1, UNIFORM_BUFFER // max(1, n))
         buffer = np.empty(chunk * n)
 
@@ -107,6 +115,16 @@ def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts
             counts[t] = n - xs.count(safe)
     x[:] = xs
     return None
+
+
+def checked_stream(rng, name: str = "rng"):
+    """Refuse, before any draw, an rng that is not a `kernels.Pcg64`, the one
+    stream that every kernel of both backends draws from, with a ValueError
+    that names that type."""
+    from .kernels import Pcg64  # kernels imports this module first, so this only looks it up
+
+    if not isinstance(rng, Pcg64):
+        raise ValueError(f"{name} must be a soficlab.kernels.Pcg64, not {type(rng).__name__}")
 
 
 def symbol_error(symbol: int, a: int) -> ValueError:
@@ -192,11 +210,13 @@ def percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out
     """out[i] = the transfer lookup of patterns[(lo + i) // n_inner] under
     the i-th of len(out) percolation pasts drawn from rng.
 
-    Before any draw, `check_patterns` refuses a symbol outside the alphabet
-    of tables and a negative side column is `column_error`; the pasts are
+    Before any draw, `checked_stream` refuses an rng that is not a
+    `kernels.Pcg64`, `check_patterns` a symbol outside the alphabet of
+    tables, and a negative side column is `column_error`; the pasts are
     those of `pasts.percolation_chunks`, which checks the pattern width
     against ball_size, and each chunk is read through `transfer_lookup`.
     """
+    checked_stream(rng)
     check_patterns(patterns, tables.shape[0])
     if (sides < 0).any():
         raise column_error()
@@ -281,9 +301,11 @@ def tree_batch(values, masks, tree: Tree):
 def tree_percolation(patterns, n_inner, lo, ball_size, tree: Tree, rng, out):
     """out[i] = the `tree_batch` conditional of patterns[(lo + i) // n_inner]
     under the i-th of len(out) percolation pasts drawn from rng, as
-    `percolation_lookup` draws them.  A symbol outside {0, 1} or two
-    adjacent 1s anywhere in the patterns is refused by `check_patterns`
-    before any draw."""
+    `percolation_lookup` draws them.  An rng that is not a `kernels.Pcg64`,
+    and a symbol outside {0, 1} or two adjacent 1s anywhere in the
+    patterns, are refused by `checked_stream` and `check_patterns` before
+    any draw."""
+    checked_stream(rng)
     check_patterns(patterns, 2, tree.edges)
     for start, stop, rows, masks in percolation_chunks(patterns, n_inner, lo, len(out), ball_size, rng):
         out[start:stop] = tree_batch(rows, masks, tree)

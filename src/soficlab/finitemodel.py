@@ -30,6 +30,7 @@ from .errors import (
     NoSafeSymbolError,
     SchemaError,
 )
+from .kernels import Pcg64
 from .modelbuild import build_sofic, builder_generators
 from .sampling import GlauberEngine
 from .schema import MCMC, METHODS, check
@@ -339,7 +340,7 @@ def partition_mcmc(
     if safe is None:
         raise NoSafeSymbolError("thermodynamic integration needs a safe symbol")
     tail = _tail_bound(space.n * space.structure.alphabet, log_u_min, 2.0 * space.potential.norm())
-    rng = np.random.default_rng(np.random.SeedSequence([seed, space.n, 0xD1CE]))
+    rng = Pcg64([seed, space.n, 0xD1CE])
     ts = np.linspace(log_u_min, 0.0, grid_points)
     nonsafe = np.array([0.0 if a == safe else 1.0 for a in range(space.structure.alphabet)])
     engine = GlauberEngine(space.sm, space.structure, space.potential)

@@ -22,6 +22,7 @@ from .errors import BudgetExceededError, CapExceededError, EmptyFiberError, NoSa
 from .finitemodel import DerivedSpace, _iter_Xn, choose_method, derived_energy, partition_cycle_decomposition
 from .finitemodel import partition_mcmc
 from .groups import GroupSpec
+from .kernels import Pcg64
 from .marginals import make_oracle
 from .modelbuild import build_sofic
 from .sampling import GlauberEngine
@@ -125,7 +126,7 @@ def sample_derived_gibbs(
     """
     if space.safe_symbol is None:
         raise NoSafeSymbolError("heat-bath sampling needs a safe symbol")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, space.n, 0x6B5]))
+    rng = Pcg64([seed, space.n, 0x6B5])
     engine = GlauberEngine(space.sm, space.structure, space.potential)
     x = engine.initial_state(space.safe_symbol)
     engine.sweeps(x, sweeps if burn is None else burn, rng)

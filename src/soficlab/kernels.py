@@ -1,43 +1,50 @@
-"""The compiled kernels of `_glauber.c` through ctypes, else their Python twins.
+"""The compiled kernels of `_glauber.c` through ctypes, else their Python
+twins, and `Pcg64`, the one random stream that every kernel draws from.
 
 Three kernels: `glauber_sweeps`, the heat-bath sweep, over a uniforms
-array or uniforms it draws itself from a numpy Generator;
-`percolation_lookup`, the transfer oracle's nearest-pin table lookup over
-percolation pasts that it draws itself; and `tree_percolation`, the tree
-oracle's hardcore ratio recursion over pasts drawn the same way.  The
-compiled kernels step the Generator's PCG64 themselves, from
-`bit_generator.state` under its lock, and write the advanced state back
-(`_locked_pcg64`): the sweep draws one double per site update, and a
-percolation row draws each column it reads by its own exact jump from the
-row's start state and takes all its uniforms' steps in one jump.  The tree
-kernel reads only the sites whose ancestors are all unpinned, since a
-pinned site cuts the tree.  The compiled kernels refuse any other bit
-generator with a ValueError before drawing.  The compiled sweep
-tabulates the cumulative candidate weights of every neighbourhood key once
-per call and reads one row per site update, unless the table would pass
-SWEEP_TABLE_CAP doubles or outnumber the call's updates
-(`_sweep_table_keys`).  The percolation
-kernels take C-contiguous patterns only, and both backends refuse a
-pattern that some past could make an error before any draw
-(`_glauber_py.check_patterns`), so past their checks they cannot fail.  A
-call's rows run in contiguous ranges, one per usable core and at least
-ROWS_PER_WORKER rows each, on threads; a row takes exactly ball_size steps
-of the PCG64, so each range starts from the state advanced past the rows
-before it by an exact jump, and the results and the end state are the
-single call's (`_run_on_pcg64`).  On the first import,
-`_glauber.c` is compiled once into the user cache,
+array or uniforms it draws itself from a Pcg64; `percolation_lookup`, the
+transfer oracle's nearest-pin table lookup over percolation pasts that it
+draws itself; and `tree_percolation`, the tree oracle's hardcore ratio
+recursion over pasts drawn the same way.  `Pcg64(entropy)` is soficlab's
+own PCG64 (O'Neill 2014): four uint64 words and a lock, seeded, drawn and
+jumped bitwise as numpy's `default_rng(SeedSequence(entropy))`, but seeded
+in plain ints, so that a run on the compiled backend never imports
+`numpy.random` (on numpy >= 2 that import, with `secrets`, `hashlib` and
+OpenSSL, cost more than the F_2 random-past workload itself; numpy 1.x
+loads it with numpy anyway).  `numpy.random` is loaded only by the Python
+backend's `Pcg64.random` and by `soficmaps.build_random_perm`.  The
+compiled kernels step the stream's words themselves under its lock: the
+sweep draws one double per site update, and a percolation row draws each
+column it reads by its own exact jump from the row's start state and takes
+all its uniforms' steps in one jump.  The tree kernel reads only the sites
+whose ancestors are all unpinned, since a pinned site cuts the tree.  Both
+backends' kernels refuse any other stream, a numpy Generator included,
+with a ValueError before drawing (`_glauber_py.checked_stream`).  The
+compiled sweep tabulates the cumulative candidate weights of every
+neighbourhood key once per call and reads one row per site update, unless
+the table would pass SWEEP_TABLE_CAP doubles or outnumber the call's
+updates (`_sweep_table_keys`).  The percolation kernels take C-contiguous
+patterns only, and both backends refuse a pattern that some past could
+make an error before any draw (`_glauber_py.check_patterns`), so past
+their checks they cannot fail.  A call's rows run in contiguous ranges,
+one per usable core and at least ROWS_PER_WORKER rows each, on threads; a
+row takes exactly ball_size steps of the PCG64, so each range starts from
+the state advanced past the rows before it by an exact jump, and the
+results and the end state are the single call's (`_run_on_pcg64`).  On the
+first import, `_glauber.c` is compiled once into the user cache,
 `$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as one shared library
 whose name is keyed by a CRC-32 of the source, the compiler flags and the
 platform; a build removes the libraries of other versions there, and later
 imports only load it.  The compiler is the one Python was built with
 (`sysconfig` CC), else `cc`.  If the build or the load fails, or the
-library lacks any kernel, a RuntimeWarning names the cause and all three
-pure-Python twins of `_glauber_py` are used; `SOFICLAB_KERNEL=python`
-forces the twins.  The backends are never mixed.  The sweeps consume
-identical uniforms, give bitwise-equal trajectories and leave a Generator
-in the same state; the percolation kernels give bitwise-equal results,
-raise the same errors before any draw, read the same uniforms and leave
-the generator in the same state.  `BACKEND` is "c" or "python".
+library lacks any of `_C_FUNCTIONS`, a RuntimeWarning names the cause and
+all three pure-Python twins of `_glauber_py` are used, and `Pcg64.random`
+draws through numpy's Generator; `SOFICLAB_KERNEL=python` forces the
+twins.  The backends are never mixed.  The sweeps consume identical
+uniforms, give bitwise-equal trajectories and leave a stream in the same
+state; the percolation kernels give bitwise-equal results, raise the same
+errors before any draw, read the same uniforms and leave the stream in the
+same state.  `BACKEND` is "c" or "python".
 """
 
 import contextlib
@@ -78,7 +85,19 @@ _C_ERRORS = {
 }
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
+# the functions the library must export, in the order _load_c_kernel returns them
+_C_FUNCTIONS = ("glauber_sweeps", "percolation_lookup", "tree_percolation", "pcg64_fill")
 _WORD = 2**64 - 1
+_U32 = 2**32 - 1
+_U128 = 2**128 - 1
+# numpy's PCG64 multiplier, PCG_MULT of _glauber.c
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+# the constants of numpy's SeedSequence (numpy/random/bit_generator.pyx):
+# the two hashes' initial values and multipliers, the mix multipliers, and
+# the pool of four uint32 words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 # the fewest rows per range of a percolation call.  A split costs about
 # 0.2 ms (a thread started and joined, a jump computed and filled; 2-vCPU
 # x86_64 host), while 2^14 rows are about 1.6 ms of lookups on Z^1 at r = 16
@@ -112,10 +131,10 @@ def _compile(compiler: str, lib: Path):
 
 
 def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
-    """The C (sweep, percolation lookup, tree percolation) functions of one
-    library, compiled into the cache first if needed, which then removes the
-    libraries of other source versions there; None if that fails or any is
-    missing."""
+    """The C functions `_C_FUNCTIONS` (sweep, percolation lookup, tree
+    percolation, uniform fill) of one library, compiled into the cache first
+    if needed, which then removes the libraries of other source versions
+    there; None if that fails or any is missing."""
     try:
         if cache_dir is None:
             cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "soficlab"
@@ -132,7 +151,7 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
                     with contextlib.suppress(OSError):  # a stale library is no reason to fall back
                         old.unlink()
         dll = ctypes.CDLL(str(lib))
-        sweeps, percolation, tree = dll.glauber_sweeps, dll.percolation_lookup, dll.tree_percolation
+        sweeps, percolation, tree, fill = (getattr(dll, name) for name in _C_FUNCTIONS)
     except Exception as exc:  # any failure means the Python twins, never a failed import
         warnings.warn(f"C kernels unavailable, using the Python kernels: {exc!r}",
                       RuntimeWarning, stacklevel=2)
@@ -143,8 +162,9 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 3
     tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
         _BYTE_P] * 8
-    sweeps.restype = percolation.restype = tree.restype = ctypes.c_int
-    return sweeps, percolation, tree
+    fill.argtypes = [_BYTE_P, _BYTE_P, ctypes.c_int64]
+    sweeps.restype = percolation.restype = tree.restype = fill.restype = ctypes.c_int
+    return sweeps, percolation, tree, fill
 
 
 def _checked_shape(name: str, arr, dtype: np.dtype, ndim: int) -> tuple:
@@ -159,12 +179,168 @@ def _data(arr: np.ndarray):
 
     A ctypes byte over the array's buffer, which ctypes passes by address,
     costs about a fifth of `ndarray.ctypes`; it needs a writeable, non-empty
-    buffer.  A sweep call passes eight to ten arrays, and sample_derived_gibbs
-    makes one such call per retained sample, so this counts.
+    buffer; an empty one takes `ndarray.ctypes`, about 5 µs, so a kernel
+    passes NULL for a workspace it does not read.  A sweep call passes
+    eight to ten arrays, and sample_derived_gibbs makes one such call per
+    retained sample, so this counts.
     """
     if arr.flags.writeable and arr.size:
         return ctypes.c_ubyte.from_buffer(arr)
     return arr.ctypes.data_as(_BYTE_P)
+
+
+def _entropy_words(entropy) -> list:
+    """The uint32 words that numpy's SeedSequence reads from entropy: a
+    non-negative int's words, low word first and 0 as one word, or a
+    sequence's elements' words in turn."""
+    try:
+        n = operator.index(entropy)
+    except TypeError:
+        if isinstance(entropy, (str, bytes)):
+            raise TypeError(f"entropy must be an int or a sequence of ints, not {type(entropy).__name__}")
+        return [word for part in entropy for word in _entropy_words(part)]
+    if n < 0:
+        raise ValueError(f"entropy must be non-negative, not {n}")
+    words = [n & _U32]
+    while n > _U32:
+        n >>= 32
+        words.append(n & _U32)
+    return words
+
+
+def _seeded(entropy) -> tuple:
+    """(state, inc) of numpy's `PCG64(SeedSequence(entropy))` as 128-bit
+    ints: SeedSequence's pool hashed and mixed from entropy's words, its
+    `generate_state(4, uint64)`, then PCG64's `set_seed`, in plain ints."""
+    words = _entropy_words(entropy)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _U32
+        value = value * const & _U32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _U32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    half = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _U32
+        value = value * const & _U32
+        half.append(value ^ value >> 16)
+    # the state's uint64 words, low uint32 first: seed is words 0 (high) and
+    # 1, inc words 2 (high) and 3
+    seed, inc = (half[k] << 64 | half[k + 1] << 96 | half[k + 2] | half[k + 3] << 32 for k in (0, 4))
+    # set_seed: state 0 stepped once under inc, plus the seed, stepped again
+    inc = (inc << 1 | 1) & _U128
+    return ((inc + seed) * _PCG_MULT + inc) & _U128, inc
+
+
+def _jumped(state: int, inc: int, steps: int) -> int:
+    """state advanced by steps draws (mod 2^128) under increment inc: A^k s +
+    C_k by Brown's (1994) squarings, as numpy's `PCG64.advance` jumps."""
+    mult, plus, a, c = 1, 0, _PCG_MULT, inc
+    steps &= _U128
+    while steps:
+        if steps & 1:
+            mult, plus = mult * a & _U128, (plus * a + c) & _U128
+        a, c = a * a & _U128, (a + 1) * c & _U128
+        steps >>= 1
+    return (mult * state + plus) & _U128
+
+
+class Pcg64:
+    """soficlab's PCG64 stream, bitwise numpy's `default_rng(SeedSequence(entropy))`.
+
+    entropy is a non-negative int or a (nested) sequence of them, as
+    SeedSequence takes it.  `words` is the state and the increment as four
+    uint64 words, low word first: the array that the compiled kernels
+    advance in place, under `lock`.  `random` draws what Generator.random
+    draws, and `advance` jumps as PCG64.advance does; no draw buffers a
+    uint32, so the words are the whole state.  The seeding is plain ints and
+    the compiled backend draws through `pcg64_fill`, so neither imports
+    `numpy.random`; the Python backend's draws go through a numpy Generator
+    that the words are copied into and back out of.
+    """
+
+    __slots__ = ("words", "lock", "_generator")
+
+    def __init__(self, entropy):
+        state, inc = _seeded(entropy)
+        self.words = np.array([state & _WORD, state >> 64, inc & _WORD, inc >> 64], np.uint64)
+        self.lock = threading.Lock()
+        self._generator = None
+
+    def _ints(self) -> dict:
+        w = self.words.tolist()
+        return {"state": w[1] << 64 | w[0], "inc": w[3] << 64 | w[2]}
+
+    @property
+    def state(self) -> dict:
+        """{"state": s, "inc": inc} as 128-bit ints, as numpy's
+        `PCG64.state["state"]` gives them."""
+        with self.lock:
+            return self._ints()
+
+    def advance(self, steps: int) -> "Pcg64":
+        """Jump the stream ahead by steps draws (mod 2^128), in O(log steps)."""
+        with self.lock:
+            ints = self._ints()
+            state = _jumped(ints["state"], ints["inc"], operator.index(steps))
+            self.words[:2] = [state & _WORD, state >> 64]
+        return self
+
+    def random(self, size=None, *, out=None):
+        """Uniform doubles in [0, 1), bitwise `Generator.random(size,
+        out=out)` from this state: a float when both are None, else out or
+        a new array of shape size, filled in memory order.  out must be a
+        writeable, aligned, C- or F-contiguous float64 array whose shape is
+        size when both are given; it is keyword-only, since the second
+        argument of Generator.random is its dtype."""
+        if _c is None:
+            return self._numpy_random(size, out)
+        if out is None:
+            draws = np.empty(() if size is None else size)
+        else:
+            if not isinstance(out, np.ndarray) or out.dtype != _F64:
+                raise TypeError(f"out must be a float64 array, not {getattr(out, 'dtype', type(out).__name__)}")
+            if not ((out.flags.c_contiguous or out.flags.f_contiguous) and out.flags.writeable
+                    and out.flags.aligned):
+                raise ValueError("out must be a contiguous, writeable and aligned array")
+            if size is not None and (tuple(size) if np.iterable(size) else (size,)) != out.shape:
+                raise ValueError(f"size {size} is not the shape {out.shape} of out")
+            draws = out
+        with self.lock:
+            _c_fill(_data(self.words), _data(draws.ravel(order="K")), draws.size)
+        return float(draws) if size is None and out is None else draws
+
+    def _numpy_random(self, size, out):
+        """`random` through numpy's own Generator on the Python backend: the
+        words copied into its PCG64 and its advanced state back out."""
+        with self.lock:
+            if self._generator is None:
+                from numpy.random import PCG64, Generator
+
+                self._generator = Generator(PCG64(0))
+            bitgen = self._generator.bit_generator
+            bitgen.state = {"bit_generator": "PCG64", "state": self._ints(), "has_uint32": 0, "uinteger": 0}
+            draws = self._generator.random(size, out=out)
+            state = bitgen.state["state"]["state"]
+            self.words[:2] = [state & _WORD, state >> 64]
+        return draws
 
 
 def _sweep_table_keys(a: int, n_gen: int, updates: int) -> int:
@@ -180,66 +356,114 @@ def _sweep_table_keys(a: int, n_gen: int, updates: int) -> int:
     return keys if keys <= updates else 0
 
 
-def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0):
+class SweepWorkspace:
+    """What the compiled sweep keeps across the calls of one caller, such as
+    a GlauberEngine: the graph and pair-weight arrays of its last call,
+    checked, with their pointers; the pair workspace; and the weight table,
+    made by the first call that uses it.  A call that passes those four
+    array objects again skips their checks and pointers, so a one-sweep
+    call on a small graph pays little more than the kernel; the caller must
+    not reshape them in place between calls.  Calls sharing a workspace take
+    its lock.  The Python twin keeps nothing and ignores it.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.arrays = ()
+        self.table, self.table_data = np.empty(0), None
+
+    def bind(self, nbr_out, nbr_in, wj, allowed):
+        """Check nbr_out, nbr_in, wj and allowed as `_c_glauber_sweeps` says
+        and keep their sizes, pointers and a pair workspace, unless they are
+        the arrays of the last call."""
+        arrays = (nbr_out, nbr_in, wj, allowed)
+        if len(self.arrays) == 4 and all(a is b for a, b in zip(arrays, self.arrays)):
+            return
+        n_gen, n = _checked_shape("nbr_out", nbr_out, _I64, 2)
+        a = _checked_shape("wj", wj, _F64, 3)[-1]
+        if a > _MAX_ALPHABET:
+            raise ValueError(_C_ERRORS[1])
+        for name, arr, dtype, want in (
+            ("nbr_in", nbr_in, _I64, (n_gen, n)),
+            ("wj", wj, _F64, (n_gen, a, a)),
+            ("allowed", allowed, _U8, (n_gen, a, a)),
+        ):
+            got = _checked_shape(name, arr, dtype, len(want))
+            if got != want:
+                raise ValueError(f"{name} has shape {got}, expected {want}")
+        self.n_gen, self.n, self.a = n_gen, n, a
+        self.pointers = tuple(_data(arr) for arr in arrays)
+        self.pair = np.empty(2 * n_gen, np.int64)
+        self.pair_data = _data(self.pair)
+        self.arrays = arrays
+
+    def table_for(self, size: int):
+        """The pointer of a weight table of at least size doubles, or NULL
+        (None) for size 0, the direct route."""
+        if size > len(self.table):
+            self.table = np.empty(size)
+            self.table_data = _data(self.table)
+        return self.table_data if size else None
+
+
+_UNLOCKED = contextlib.nullcontext()
+
+
+def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0, work=None):
     """Run `sweeps` heat-bath sweeps over x in place with the C kernel.
 
     The arguments are those of `_glauber_py.glauber_sweeps`, as GlauberEngine
     lays them out; if counts is given, counts[t] is the number of sites not
     equal to `safe` after sweep t.  uniforms is either a float64 array of
-    at least sweeps * n entries or a numpy Generator over PCG64, which the
-    kernel steps itself: it draws what `uniforms.random(sweeps * n)` would
-    and leaves the generator in that call's state, the buffered uint32
-    kept (`_locked_pcg64`).  The kernel fills a weight table of every
-    neighbourhood key once per call when `_sweep_table_keys` allows, else
-    computes each update's weights directly; both routes give bitwise the
-    twin's trajectory.  Everything the C code trusts is checked here first,
-    before any draw: dtypes, C order, a writeable x and counts, agreeing
-    shapes, enough uniforms or a PCG64 Generator, at least sweeps counts,
-    safe in [0, a) and an alphabet of at most 64; the C code itself checks
-    every neighbour index and every symbol of x.  Any failure is a
-    ValueError.
+    at least sweeps * n entries or a `Pcg64`, whose words the kernel steps
+    itself under the stream's lock: it draws what `uniforms.random(sweeps *
+    n)` would and leaves the stream in that call's state.  work is the
+    caller's `SweepWorkspace`, else the call makes its own.  The kernel
+    fills a weight table of every neighbourhood key once per call when
+    `_sweep_table_keys` allows, else computes each update's weights
+    directly; both routes give bitwise the twin's trajectory.  Everything
+    the C code trusts is checked here first, before any draw: dtypes, C
+    order, a writeable x and counts, agreeing shapes, enough uniforms or a
+    Pcg64, at least sweeps counts, safe in [0, a) and an alphabet of at
+    most 64; the C code itself checks every neighbour index and every
+    symbol of x.  Any failure is a ValueError.
     """
-    (n,) = _checked_shape("x", x, _I8, 1)
-    if not x.flags.writeable:
-        raise ValueError("x must be writeable")
-    (a,) = _checked_shape("wh", wh, _F64, 1)
-    if a > _MAX_ALPHABET:
-        raise ValueError(_C_ERRORS[1])
-    n_gen = _checked_shape("nbr_out", nbr_out, _I64, 2)[0]
-    for name, arr, dtype, want in (
-        ("nbr_out", nbr_out, _I64, (n_gen, n)),
-        ("nbr_in", nbr_in, _I64, (n_gen, n)),
-        ("wj", wj, _F64, (n_gen, a, a)),
-        ("allowed", allowed, _U8, (n_gen, a, a)),
-    ):
-        got = _checked_shape(name, arr, dtype, len(want))
-        if got != want:
-            raise ValueError(f"{name} has shape {got}, expected {want}")
-    sweeps = operator.index(sweeps)
-    drawn = isinstance(uniforms, np.random.Generator)
-    if drawn:
-        _checked_pcg64(uniforms)
-    else:
-        (m,) = _checked_shape("uniforms", uniforms, _F64, 1)
-        if m < sweeps * n:
-            raise ValueError(f"{m} uniforms for {sweeps} sweeps of {n} sites")
-    if counts is not None:
-        (m,) = _checked_shape("counts", counts, _I64, 1)
-        if not counts.flags.writeable:
-            raise ValueError("counts must be writeable")
-        if m < sweeps:
-            raise ValueError(f"{m} counts for {sweeps} sweeps")
-    safe = operator.index(safe)
-    if not 0 <= safe < a:
-        raise ValueError(f"safe symbol {safe} outside [0, {a})")
-    table = np.empty(_sweep_table_keys(a, n_gen, sweeps * n) * a)
-    pair = np.empty(2 * n_gen, np.int64)
-    with _locked_pcg64(uniforms) if drawn else contextlib.nullcontext() as pcg:
-        status = _c_sweeps(
-            _data(x), _data(nbr_out), _data(nbr_in), _data(wh), _data(wj), _data(allowed),
-            None if drawn else _data(uniforms), _data(pcg) if drawn else None, sweeps, n, n_gen, a,
-            None if counts is None else _data(counts), safe, _data(table), len(table), _data(pair),
-        )
+    work = SweepWorkspace() if work is None else work
+    with work.lock:
+        work.bind(nbr_out, nbr_in, wj, allowed)
+        n, n_gen, a = work.n, work.n_gen, work.a
+        if _checked_shape("x", x, _I8, 1) != (n,):
+            raise ValueError(f"x has shape {x.shape}, expected {(n,)}")
+        if not x.flags.writeable:
+            raise ValueError("x must be writeable")
+        if _checked_shape("wh", wh, _F64, 1) != (a,):
+            raise ValueError(f"wh has shape {wh.shape}, expected {(a,)}")
+        sweeps = operator.index(sweeps)
+        drawn = isinstance(uniforms, Pcg64)
+        if not drawn:
+            if not isinstance(uniforms, np.ndarray):
+                _glauber_py.checked_stream(uniforms, "uniforms, unless a float64 array,")
+            (m,) = _checked_shape("uniforms", uniforms, _F64, 1)
+            if m < sweeps * n:
+                raise ValueError(f"{m} uniforms for {sweeps} sweeps of {n} sites")
+        if counts is not None:
+            (m,) = _checked_shape("counts", counts, _I64, 1)
+            if not counts.flags.writeable:
+                raise ValueError("counts must be writeable")
+            if m < sweeps:
+                raise ValueError(f"{m} counts for {sweeps} sweeps")
+        safe = operator.index(safe)
+        if not 0 <= safe < a:
+            raise ValueError(f"safe symbol {safe} outside [0, {a})")
+        size = _sweep_table_keys(a, n_gen, sweeps * n) * a
+        out, inn, wj_data, allowed_data = work.pointers
+        with uniforms.lock if drawn else _UNLOCKED:
+            status = _c_sweeps(
+                _data(x), out, inn, _data(wh), wj_data, allowed_data,
+                None if drawn else _data(uniforms), _data(uniforms.words) if drawn else None,
+                sweeps, n, n_gen, a, None if counts is None else _data(counts), safe,
+                work.table_for(size), size, work.pair_data,
+            )
     if status:
         raise ValueError(_C_ERRORS[status])
 
@@ -268,36 +492,8 @@ def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
         raise ValueError("out must be writeable")
     if n_inner < 1 or lo < 0 or n and (lo + n - 1) // n_inner >= n_rows:
         raise ValueError(f"rows {lo} to {lo + n} at {n_inner} per pattern do not fit {n_rows} patterns")
-    _checked_pcg64(rng)
+    _glauber_py.checked_stream(rng)
     return L, n, n_inner, lo, ball_size
-
-
-def _checked_pcg64(rng):
-    """A ValueError unless rng is a numpy Generator over PCG64, the bit
-    generator the C kernels step."""
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be a numpy Generator, not {type(rng).__name__}")
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise ValueError(f"the compiled kernels step PCG64 (numpy's default_rng), "
-                         f"not {type(rng.bit_generator).__name__}")
-
-
-@contextlib.contextmanager
-def _locked_pcg64(rng):
-    """rng's PCG64 state and increment as four uint64 words, low word first,
-    under the generator's lock for the whole block.  A kernel advances the
-    state words in place; on leaving the block they are written back as the
-    generator's state, with the buffered uint32 (`has_uint32`, `uinteger`)
-    as it was.  A block that raises writes nothing back."""
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        state = bitgen.state
-        words = state["state"]
-        pcg = np.array([words["state"] & _WORD, words["state"] >> 64, words["inc"] & _WORD, words["inc"] >> 64],
-                       np.uint64)
-        yield pcg
-        words["state"] = int(pcg[1]) << 64 | int(pcg[0])
-        bitgen.state = state
 
 
 def _workspace(size: int, dtype) -> np.ndarray:
@@ -326,24 +522,22 @@ def _row_bounds(n: int) -> list:
 
 
 def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
-    """Run the C percolation kernel over n rows on rng's PCG64 state, in
-    the ranges of `_row_bounds`.
+    """Run the C percolation kernel over n rows on the Pcg64 rng, in the
+    ranges of `_row_bounds`.
 
     range_args(start, stop) gives the kernel's arguments for rows start to
     stop, up to pcg and jump; each range has its own workspaces.  pcg is a
     PCG64 state and increment as four uint64 words, low word first, which
     the kernel advances; jump is its workspace of ball_size + 1 jumps.  A
     row takes exactly ball_size steps, so range w starts from rng's state
-    advanced by start_w * ball_size steps (`PCG64.advance` on a scratch
-    generator) and draws what the serial call draws for those rows.  The
-    calling thread runs the first range and one thread each the others;
-    ctypes releases the GIL, and every thread is joined before this returns
-    or raises.  A kernel sets a non-zero status only before its first draw,
-    from arguments every range shares: then this raises its ValueError and
-    leaves rng as it was; else rng ends in the last range's end state, the
-    serial call's.  The state is read and written back by `_locked_pcg64`,
-    which keeps the buffered uint32 that `PCG64.advance` would reset, and
-    whose lock is held throughout.
+    advanced by start_w * ball_size steps (`_jumped`) and draws what the
+    serial call draws for those rows.  The calling thread runs the first
+    range and one thread each the others; ctypes releases the GIL, and
+    every thread is joined before this returns or raises.  A kernel sets a
+    non-zero status only before its first draw, from arguments every range
+    shares: then this raises its ValueError and leaves rng as it was; else
+    rng ends in the last range's end state, the serial call's.  rng's lock
+    is held throughout.
     """
     bounds = _row_bounds(n)
     w = len(bounds) - 1
@@ -356,16 +550,13 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
     def run(k):
         status[k] = kernel(*calls[k])
 
-    with _locked_pcg64(rng) as words:
-        pcg[:] = words
+    with rng.lock:
+        pcg[:] = rng.words
         if w > 1:
-            scratch = np.random.PCG64(0)
-            scratch.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                             "state": {"state": int(words[1]) << 64 | int(words[0]),
-                                       "inc": int(words[3]) << 64 | int(words[2])}}
+            ints = rng._ints()
+            start = ints["state"]
             for k in range(1, w):
-                scratch.advance((bounds[k] - bounds[k - 1]) * ball_size)
-                start = scratch.state["state"]["state"]
+                start = _jumped(start, ints["inc"], (bounds[k] - bounds[k - 1]) * ball_size)
                 pcg[k, :2] = [start & _WORD, start >> 64]
         threads = []
         try:
@@ -381,7 +572,7 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
             raise RuntimeError("a percolation kernel thread did not return")
         if any(status):
             raise ValueError(_C_ERRORS[max(status)])
-        words[:2] = pcg[-1, :2]
+        rng.words[:2] = pcg[-1, :2]
 
 
 def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
@@ -392,12 +583,11 @@ def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, 
     C-contiguous int64 patterns of width 1 to ball_size; n_inner >= 1 and
     lo >= 0 such that every row read is a row of patterns; C-contiguous
     int64 sides of shape (2, R) and float64 tables of shape
-    (a, R+1, a, R+1, a); a numpy Generator over PCG64; and a writeable
-    C-contiguous float64 out.  The pasts are the rows of
-    `rng.random((len(out), ball_size))`: the kernel steps the generator's
-    PCG64 itself, draws of each row only the columns it scans for the
-    nearest pins, each by its own exact jump, and leaves the generator
-    where that call would.  The rows run in the ranges of `_run_on_pcg64`
+    (a, R+1, a, R+1, a); a `Pcg64` rng; and a writeable C-contiguous
+    float64 out.  The pasts are the rows of `rng.random((len(out),
+    ball_size))`: the kernel steps rng's words itself, draws of each row
+    only the columns it scans for the nearest pins, each by its own exact
+    jump, and leaves rng where that call would.  The rows run in the ranges of `_run_on_pcg64`
     and give bitwise the single call's out and end state.  Everything the C
     code trusts is checked here first, before any draw, and the symbols by
     `_glauber_py.check_patterns`, so nothing fails after the first draw;
@@ -423,7 +613,7 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     them, and a `_glauber_py.Tree` of C-contiguous arrays (int64 starts,
     child_ptr of one more entry than lam, children and (m, 2) edges; float64
     lam and free of one length), no narrower than the patterns.  The pasts,
-    their draw and the generator's state are those of
+    their draw and the stream's end state are those of
     `_c_percolation_lookup`; a row reads only the sites whose ancestors are
     all unpinned.  The rows run in ranges as `_c_percolation_lookup`'s do.
     The result is bitwise the twin's, and so are the errors, each raised
@@ -462,10 +652,10 @@ if _c is None:
     tree_percolation = _glauber_py.tree_percolation
     BACKEND = "python"
 else:
-    _c_sweeps, _c_percolation, _c_tree = _c
+    _c_sweeps, _c_percolation, _c_tree, _c_fill = _c
     glauber_sweeps = _c_glauber_sweeps
     percolation_lookup = _c_percolation_lookup
     tree_percolation = _c_tree_percolation
     BACKEND = "c"
 
-__all__ = ["glauber_sweeps", "percolation_lookup", "tree_percolation", "BACKEND"]
+__all__ = ["Pcg64", "SweepWorkspace", "glauber_sweeps", "percolation_lookup", "tree_percolation", "BACKEND"]

@@ -126,6 +126,9 @@ class BallEnumerationOracle:
         self.ball = groups.ball(spec, radius)
         self.graph = SiteGraph.from_ball(self.ball)
         self.shell_pins = {self.ball.index[g]: safe for g in self.ball.shell(radius)}
+        # the (i, s, j) edges of the ball between non-center sites, which two
+        # pins of one past can hold
+        self._pin_edges = np.array([e for e in self.ball.edges if e[0] and e[2]], np.int64).reshape(-1, 3)
         # the center marginal of the last pin set: rows that differ only in
         # the center symbol, such as those of `uniform_bound_c`, arrive
         # consecutively and share one elimination
@@ -178,15 +181,43 @@ class BallEnumerationOracle:
         """out[k] = the conditional of the center of patterns[k // n_inner]
         given the k-th of len(out) percolation pasts on a ball of ball_size
         sites, drawn from rng in the chunks of `pasts.percolation_chunks`,
-        each chunk one `batch`, whose memo needs whole rows.  A symbol
-        outside the alphabet anywhere in the patterns is `symbol_error`
-        before any draw; pins that admit no configuration are the error of
-        the first row that has them."""
+        each chunk one `batch`, whose memo needs whole rows.  Before any
+        draw, whatever the pasts would pin, a symbol outside the alphabet
+        anywhere in the patterns is `symbol_error`, and two sites that some
+        past could pin together into no configuration are
+        `_check_pin_pairs`'s InconsistentPinsError."""
         patterns = np.asarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.ball), self.r_max + self.pad)
         check_patterns(patterns, self.structure.alphabet)
+        self._check_pin_pairs(patterns)
         for start, stop, rows, masks in percolation_chunks(patterns, n_inner, 0, len(out), ball_size, rng):
             out[start:stop] = self.batch(rows, masks)
+
+    def _check_pin_pairs(self, patterns: np.ndarray):
+        """Refuse patterns, symbols checked, in which two non-center sites
+        on one edge (i, s, j) of the ball hold symbols that
+        `structure.allowed[s]` forbids: a percolation past pins both with
+        positive probability, and those pins admit no configuration.  The
+        error names the first such row's first such edge in ball order.
+
+        A pairwise check is exact here: with the safe symbol on every
+        unpinned site, the center and the shell included, pins that clash
+        on no edge always extend to a configuration, and the potential is
+        finite.  What a pairwise check cannot see is a site that three or
+        more pins leave with no admissible symbol; that needs a model
+        without a safe symbol, which this oracle does not take.
+        """
+        edges = self._pin_edges[self._pin_edges[:, [0, 2]].max(axis=1) < patterns.shape[1]]
+        if not (len(edges) and len(patterns)):
+            return
+        i, s, j = edges.T
+        clash = ~self.structure.allowed[s, patterns[:, i], patterns[:, j]]
+        if clash.any():
+            row = int(clash.any(axis=1).argmax())
+            k = int(clash[row].argmax())
+            raise InconsistentPinsError(
+                f"pins {i[k]} and {j[k]} of pattern {row} hold the forbidden pair "
+                f"({patterns[row, i[k]]}, {patterns[row, j[k]]}) on an edge of the ball")
 
 
 class SawOracle:

@@ -20,6 +20,7 @@ from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .errors import NoSafeSymbolError, SchemaError, ZeroProbabilityError
 from .gibbs import ssm_profile, uniform_bound_c
 from .groups import GroupSpec
+from .kernels import Pcg64
 from .pasts import lex_past_mask
 from .transfer import build_transfer
 
@@ -106,7 +107,7 @@ def random_info(
         raise SchemaError(f"unknown past {past!r}; expected percolation or lex")
     if N < 2:
         raise SchemaError(f"the percolation past needs N >= 2 pasts for a standard error, got {N}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x1FF0]))
+    rng = Pcg64([seed, r, 0x1FF0])
     f = _streamed_info(oracle, spec, r, vals[None, :], N, rng)
     return InfoEstimate(float(f.mean()), float(f.std(ddof=1) / math.sqrt(N)), r, N, oracle.name)
 
@@ -179,7 +180,7 @@ def kp_pressure_at_measure(
     """
     if spec.rank != 1:
         raise SchemaError("the pressure against mu samples the measure exactly only on rank-1 groups")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0x0AEA]))
+    rng = Pcg64([seed, r, 0x0AEA])
     windows = build_transfer(structure, potential).sample_windows(r, M_outer, rng)
     cols = [groups.line_offset(spec, g) + r for g in groups.ball(spec, r).elements]
     # one int64 copy in C order, the rows the compiled kernels read uncopied

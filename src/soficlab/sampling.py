@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential
-from .kernels import glauber_sweeps
+from .kernels import SweepWorkspace, glauber_sweeps
 from .soficmaps import SoficMap
 
 
@@ -15,7 +15,8 @@ class GlauberEngine:
     The single-site conditional at v multiplies exp(h), outgoing and incoming
     edge weights, and zeroes candidates that violate an incident non-self
     edge.  An optional per-symbol bias (used by thermodynamic integration)
-    adds to h.
+    adds to h.  The engine's `kernels.SweepWorkspace` keeps the compiled
+    sweep's checks, pointers and workspaces across its calls.
     """
 
     def __init__(
@@ -34,6 +35,7 @@ class GlauberEngine:
         self.nbr_in = np.ascontiguousarray(sm.perms_inv, dtype=np.int64)
         self.allowed = np.ascontiguousarray(structure.allowed, dtype=np.uint8)
         self.wj = np.ascontiguousarray(np.exp(potential.J))
+        self._work = SweepWorkspace()
         self.set_bias(bias)
 
     def set_bias(self, bias: np.ndarray | None):
@@ -48,11 +50,12 @@ class GlauberEngine:
     ) -> np.ndarray:
         """Run k full sweeps in place; one uniform per site update.
 
-        One kernel call, which draws its k * n uniforms from rng as
-        `rng.random(k * n)` would (the compiled kernel steps rng's PCG64
-        itself).  If counts (an int64 array of at least k entries) is
-        given, counts[t] is the number of sites not equal to `safe` after
-        sweep t.
+        One kernel call, which draws its k * n uniforms from the
+        `kernels.Pcg64` rng as `rng.random(k * n)` would (the compiled
+        kernel steps rng's words itself).  If counts (an int64 array of at
+        least k entries) is given, counts[t] is the number of sites not
+        equal to `safe` after sweep t.
         """
-        glauber_sweeps(x, self.nbr_out, self.nbr_in, self.wh, self.wj, self.allowed, rng, k, counts, safe)
+        glauber_sweeps(x, self.nbr_out, self.nbr_in, self.wh, self.wj, self.allowed, rng, k, counts, safe,
+                       self._work)
         return x

@@ -31,6 +31,7 @@ from soficlab.gibbs import (
     transfer_reference_marginal,
     uniform_bound_c,
 )
+from soficlab.kernels import Pcg64
 
 from oracles import golden_pressure, hardcore_line_density, sigma_word
 
@@ -325,8 +326,8 @@ def test_ssm_coupling_proxy():
     from soficlab.sampling import GlauberEngine
 
     engine = GlauberEngine(sp.sm, st, pot)
-    rng1 = np.random.default_rng(1)
-    rng2 = np.random.default_rng(2)
+    rng1 = Pcg64(1)
+    rng2 = Pcg64(2)
     x_lo = engine.initial_state(0)
     x_hi = np.array([1, 0] * 8, dtype=np.int8)  # maximal admissible
     occ_lo = occ_hi = 0.0

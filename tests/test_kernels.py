@@ -17,6 +17,7 @@ from soficlab import _glauber_py, groups, kernels, pasts, soficmaps
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.errors import InconsistentPinsError
 from soficlab.finitemodel import DerivedSpace, is_in_Xn
+from soficlab.kernels import Pcg64
 from soficlab.marginals import SawOracle, TransferOracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.sampling import GlauberEngine
@@ -117,27 +118,24 @@ def test_c_kernel_is_bitwise_the_python_twin():
     assert any(fixed_point_cases), "no drawn case exercised the self-loop branch"
 
 
-def _generator_outcome(kernel, case, safe, seed, buffered):
+def _stream_outcome(kernel, case, safe, seed):
     """(x, counts, end state) of one sweep call of `case` that draws its
-    uniforms from a PCG64 Generator, after a buffered uint32 if asked."""
+    uniforms from a Pcg64 stream."""
     x, nbr_out, nbr_in, wh, wj, allowed, _, sweeps = case
-    rng = np.random.default_rng(seed)
-    if buffered:
-        rng.integers(0, 10, dtype=np.uint32)
+    rng = Pcg64(seed)
     x = x.copy()
     counts = np.full(sweeps, -1, np.int64)
     kernel(x, nbr_out, nbr_in, wh, wj, allowed, rng, sweeps, counts, safe)
-    return x, counts, rng.bit_generator.state
+    return x, counts, rng.state
 
 
 @needs_c
 def test_c_sweep_routes_and_generator_are_bitwise_the_twin(monkeypatch):
     """Both routes of the compiled sweep, the weight table and the direct
     weights, give the twin's trajectory and counts on every drawn case: the
-    route the call takes, and the direct route forced.  Drawing from a PCG64
-    Generator, the compiled kernel gives the twin's x, counts and end state,
-    also with a buffered uint32, and these are the array form's over
-    `rng.random(sweeps * n)`."""
+    route the call takes, and the direct route forced.  Drawing from a
+    Pcg64 stream, the compiled kernel gives the twin's x, counts and end
+    state, and these are the array form's over `rng.random(sweeps * n)`."""
     routes = []
     natural = kernels._sweep_table_keys
 
@@ -158,42 +156,40 @@ def test_c_sweep_routes_and_generator_are_bitwise_the_twin(monkeypatch):
             assert np.array_equal(cc, cp)
         monkeypatch.setattr(kernels, "_sweep_table_keys", natural)
 
-        seed, buffered = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans())
-        xc, cc, state = _generator_outcome(kernels.glauber_sweeps, case, safe, seed, buffered)
-        xp, cp, twin_state = _generator_outcome(_glauber_py.glauber_sweeps, case, safe, seed, buffered)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        xc, cc, state = _stream_outcome(kernels.glauber_sweeps, case, safe, seed)
+        xp, cp, twin_state = _stream_outcome(_glauber_py.glauber_sweeps, case, safe, seed)
         assert np.array_equal(xc, xp) and np.array_equal(cc, cp) and state == twin_state
-        reference = np.random.default_rng(seed)
-        if buffered:
-            reference.integers(0, 10, dtype=np.uint32)
+        reference = Pcg64(seed)
         xa = x.copy()
         _glauber_py.glauber_sweeps(xa, nbr_out, *rest[:4], reference.random(sweeps * len(x)), sweeps)
         assert np.array_equal(xa, xc)
-        assert reference.bit_generator.state == state
+        assert reference.state == state
 
     check()
     assert any(routes) and not all(routes), "the drawn cases did not take both routes"
 
 
-@pytest.mark.parametrize("buffered", [False, True])
-def test_twin_sweep_draws_in_bounded_chunks(monkeypatch, buffered):
-    """The twin draws a Generator's uniforms into a buffer of at most
-    UNIFORM_BUFFER doubles; drawn across several such chunks they are still
-    those of `rng.random(sweeps * n)`, and the generator ends in that
-    call's state."""
+@pytest.mark.parametrize("used", [False, True])
+def test_twin_sweep_draws_in_bounded_chunks(monkeypatch, used):
+    """The twin draws a stream's uniforms into a buffer of at most
+    UNIFORM_BUFFER doubles; drawn across several such chunks, from a fresh
+    stream or one already drawn from, they are still those of
+    `rng.random(sweeps * n)`, and the stream ends in that call's state."""
     monkeypatch.setattr(_glauber_py, "UNIFORM_BUFFER", 20)  # 2 sweeps of 8 sites per draw
     st_, pot = hardcore(1, 1.5)
     engine = GlauberEngine(soficmaps.build_torus(1, 8), st_, pot)
     args = (engine.nbr_out, engine.nbr_in, engine.wh, engine.wj, engine.allowed)
-    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-    if buffered:
+    rng, reference = Pcg64(3), Pcg64(3)
+    if used:
         for g in (rng, reference):
-            g.integers(0, 10, dtype=np.uint32)
+            g.random(3)
     x, y = engine.initial_state(0), engine.initial_state(0)
     counts, expected = np.full(7, -1, np.int64), np.full(7, -1, np.int64)
     _glauber_py.glauber_sweeps(x, *args, rng, 7, counts, 0)
     _glauber_py.glauber_sweeps(y, *args, reference.random(7 * 8), 7, expected, 0)
     assert np.array_equal(x, y) and np.array_equal(counts, expected)
-    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.state == reference.state
 
 
 def _args():
@@ -240,25 +236,28 @@ def _set(a, index, value):
     (8, _read_only),
     (9, lambda safe: 2),  # safe outside [0, a)
     (9, lambda safe: -1),
-    (6, lambda u: np.random.Generator(np.random.MT19937(0))),  # a bit generator the kernel cannot step
+    (6, lambda u: np.random.Generator(np.random.MT19937(0))),  # numpy Generators: a Pcg64 only
     (6, lambda u: np.random.Generator(np.random.Philox(0))),
+    (6, lambda u: np.random.default_rng(0)),  # also over numpy's own PCG64
+    (6, lambda u: u.tolist()),  # neither an array nor a stream
 ], ids=["x-dtype", "nbr_out-dtype", "wh-dtype", "allowed-dtype", "x-strided", "wj-fortran",
         "x-read-only", "nbr_in-shape", "wj-shape", "allowed-shape", "uniforms-short",
         "alphabet-65", "nbr_out-above-n", "nbr_in-negative", "x-symbol-above-a", "x-symbol-negative",
         "counts-dtype", "counts-strided", "counts-short", "counts-read-only", "safe-above-a",
-        "safe-negative", "uniforms-mt19937", "uniforms-philox"])
+        "safe-negative", "uniforms-mt19937", "uniforms-philox", "uniforms-pcg64-generator",
+        "uniforms-list"])
 def test_c_kernel_rejects_what_it_cannot_trust(arg, change):
     args = _args()
     args[arg] = change(args[arg])
     x_before = np.array(args[0], copy=True)
     counts_before = np.array(args[8], copy=True)
-    state = args[6].bit_generator.state if isinstance(args[6], np.random.Generator) else None
+    state = _stream_state(args[6])
     with pytest.raises(ValueError):
         kernels.glauber_sweeps(*args)
     assert np.array_equal(args[0], x_before)
     assert np.array_equal(args[8], counts_before)
     if state is not None:
-        assert _same_state(args[6].bit_generator.state, state)  # refused before any draw
+        assert _same_state(_stream_state(args[6]), state)  # refused before any draw
 
 
 @needs_c
@@ -363,11 +362,11 @@ def percolation_cases(draw):
 @given(percolation_cases())
 def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
     """Both backends give the lookup of the masks that sample_percolation_masks
-    draws from the same generator, bitwise, and leave the generator in the
+    draws from the same stream, bitwise, and leave the stream in the
     state that draw leaves it, so later draws stay aligned."""
     spec, r, oracle, patterns, n_inner, lo, n, seed, block = case
     ball_size = len(groups.ball(spec, r))
-    reference = np.random.default_rng(seed)
+    reference = Pcg64(seed)
     masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
     rows = patterns[(lo + np.arange(n)) // n_inner]
     expect = _glauber_py.transfer_lookup(rows, masks, oracle.sides, oracle.tables)
@@ -375,11 +374,11 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
     pasts.CHUNK_FLOATS = block
     try:
         for lookup in PERCOLATIONS:
-            rng = np.random.default_rng(seed)
+            rng = Pcg64(seed)
             out = np.full(n, np.nan)
             lookup(patterns, n_inner, lo, ball_size, oracle.sides, oracle.tables, rng, out)
             assert np.array_equal(out, expect)
-            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.state == reference.state
     finally:
         pasts.CHUNK_FLOATS = saved
 
@@ -399,26 +398,33 @@ def test_percolation_symbol_or_column_is_one_error_on_both_backends(pattern, n, 
     patterns = np.array([pattern], dtype=np.int64)
     messages = set()
     for lookup in PERCOLATIONS:
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
+        rng = Pcg64(3)
+        state = rng.state
         with pytest.raises(ValueError, match=message) as exc:
             lookup(patterns, n + 1, 0, 5, sides, oracle.tables, rng, np.empty(n))
-        assert rng.bit_generator.state == state
+        assert rng.state == state
         messages.add(str(exc.value))
     assert len(messages) == 1
 
 
 def _same_state(a, b) -> bool:
-    """Equality of two bit-generator states, whose values may be arrays (MT19937's key)."""
+    """Equality of two stream states, whose values may be arrays (MT19937's key)."""
     if isinstance(a, dict):
         return isinstance(b, dict) and a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
     return np.array_equal(a, b)
 
 
+def _stream_state(rng):
+    """The state of a Pcg64, a numpy Generator or a numpy bit generator, else
+    None: what a refusal must leave as it was."""
+    if hasattr(rng, "bit_generator"):
+        return rng.bit_generator.state
+    return getattr(rng, "state", None)
+
+
 def _percolation_args():
     oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
-    return [np.zeros((2, 5), np.int64), 3, 1, 5, oracle.sides, oracle.tables,
-            np.random.default_rng(1), np.empty(5)]
+    return [np.zeros((2, 5), np.int64), 3, 1, 5, oracle.sides, oracle.tables, Pcg64(1), np.empty(5)]
 
 
 @needs_c
@@ -438,23 +444,23 @@ def _percolation_args():
     (5, lambda t: t.astype(np.float32)),
     (5, lambda t: t[:, :-1].copy()),
     (5, lambda t: t[:1].copy()),
-    (6, lambda rng: rng.bit_generator),  # not a Generator
-    (6, lambda rng: np.random.Generator(np.random.MT19937(1))),  # not PCG64
+    (6, lambda rng: np.random.PCG64(1)),  # numpy's bit generator, not a Pcg64
+    (6, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
     (6, lambda rng: np.random.Generator(np.random.Philox(1))),
+    (6, lambda rng: np.random.default_rng(1)),
     (7, lambda out: out.astype(np.float32)),
     (7, lambda out: np.broadcast_to(out, (5,))),  # read-only
 ], ids=["patterns-dtype", "patterns-fortran", "patterns-negative-stride", "no-center", "patterns-1d",
         "too-wide", "n-inner", "lo-negative", "rows-past-the-end", "sides-dtype", "sides-shape",
         "sides-fortran", "tables-dtype", "tables-shape", "tables-alphabet", "rng", "rng-mt19937",
-        "rng-philox", "out-dtype", "out-read-only"])
+        "rng-philox", "rng-pcg64-generator", "out-dtype", "out-read-only"])
 def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
     args = _percolation_args()
     args[arg] = change(args[arg])
-    state = args[6].bit_generator.state if hasattr(args[6], "bit_generator") else None
+    state = _stream_state(args[6])
     with pytest.raises(ValueError):
         kernels._c_percolation_lookup(*args)
-    if state is not None:
-        assert _same_state(args[6].bit_generator.state, state)  # refused before any draw
+    assert _same_state(_stream_state(args[6]), state)  # refused before any draw
 
 
 @st.composite
@@ -513,13 +519,13 @@ def _tree_refusal(patterns, tree):
 @given(tree_cases())
 def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
     """Both backends give `tree_batch` over the masks that
-    sample_percolation_masks draws from the same generator, bitwise, and
-    leave the generator in that draw's state.  Patterns with a symbol
+    sample_percolation_masks draws from the same stream, bitwise, and
+    leave the stream in that draw's state.  Patterns with a symbol
     outside {0, 1} or adjacent 1s anywhere, in a row read or not, are
     refused with one error before any draw, whatever the pasts would pin."""
     spec, r, oracle, patterns, n_inner, lo, n, seed, block = case
     ball_size = len(groups.ball(spec, r))
-    reference = np.random.default_rng(seed)
+    reference = Pcg64(seed)
     expect = _tree_refusal(patterns, oracle.tree)
     if expect is None:
         masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
@@ -529,7 +535,7 @@ def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
     pasts.CHUNK_FLOATS = block
     try:
         for tree_percolation in TREES:
-            rng = np.random.default_rng(seed)
+            rng = Pcg64(seed)
             out = np.full(n, np.nan)
             got = _outcome(lambda: tree_percolation(patterns, n_inner, lo, ball_size, oracle.tree, rng, out)
                            or out)
@@ -537,7 +543,7 @@ def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
                 assert got == expect
             else:
                 assert np.array_equal(got, expect)
-            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.state == reference.state
     finally:
         pasts.CHUNK_FLOATS = saved
 
@@ -577,9 +583,9 @@ def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
     """The C tree kernel visits only the sites whose ancestors are all
     unpinned, each drawn by its own jump, in 1, 2 or 3 ranges; the Python
     twin draws and evaluates every column.  Both give bitwise `tree_batch`
-    over the masks of the same draw and leave the generator after the
+    over the masks of the same draw and leave the stream after the
     ball_size steps of every row, or refuse a pattern that some past could
-    make an error with one error and the generator as it was.  The pasts
+    make an error with one error and the stream as it was.  The pasts
     include centers whose uniform is near 0 (almost nothing pinned) and
     near 1 (almost everything), and error rows come after good ones."""
     n_inner, n, ball_size = 50, 600, 161
@@ -588,7 +594,7 @@ def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
     _split(monkeypatch, workers)
     for oracle, patterns, what in _pruning_cases():
         L = patterns.shape[1]
-        reference = np.random.default_rng(23)
+        reference = Pcg64(23)
         expect = _tree_refusal(patterns, oracle.tree)
         assert (expect is not None) == what.endswith(("clash", "symbol")), what
         if expect is None:
@@ -597,7 +603,7 @@ def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
             expect = _glauber_py.tree_batch(patterns[np.arange(n) // n_inner], masks, oracle.tree)
             reference.random((n, ball_size))
         for tree_percolation in TREES:
-            rng = np.random.default_rng(23)
+            rng = Pcg64(23)
             out = np.full(n, np.nan)
             got = _outcome(lambda: tree_percolation(patterns, n_inner, 0, ball_size, oracle.tree, rng, out)
                            or out)
@@ -605,7 +611,7 @@ def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
                 assert got == expect, what
             else:
                 assert np.array_equal(got, expect), what
-            assert rng.bit_generator.state == reference.bit_generator.state, what
+            assert rng.state == reference.state, what
 
 
 @pytest.mark.parametrize("rows,error", [
@@ -650,11 +656,11 @@ def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message
         for block in (17, 7 * 17, 2**16):
             pasts.CHUNK_FLOATS = block
             for tree_percolation in TREES:
-                rng = np.random.default_rng(5)
-                state = rng.bit_generator.state
+                rng = Pcg64(5)
+                state = rng.state
                 with pytest.raises((ValueError, InconsistentPinsError), match=message) as exc:
                     tree_percolation(patterns, 500, 0, 17, oracle.tree, rng, np.empty(500))
-                assert rng.bit_generator.state == state
+                assert rng.state == state
                 messages.add((exc.type, str(exc.value)))
     finally:
         pasts.CHUNK_FLOATS = saved
@@ -663,7 +669,7 @@ def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message
 
 def _tree_args():
     oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
-    return [np.zeros((2, 17), np.int64), 3, 1, 17, oracle.tree, np.random.default_rng(1), np.empty(5)]
+    return [np.zeros((2, 17), np.int64), 3, 1, 17, oracle.tree, Pcg64(1), np.empty(5)]
 
 
 def _bad_children(tree):
@@ -685,28 +691,28 @@ def _bad_children(tree):
     (4, lambda t: t._replace(edges=t.edges.ravel().copy())),
     (4, lambda t: t._replace(starts=t.starts[:2].copy())),  # levels narrower than the patterns
     (4, _bad_children),
-    (5, lambda rng: rng.bit_generator),  # not a Generator
-    (5, lambda rng: np.random.Generator(np.random.MT19937(1))),  # not PCG64
+    (5, lambda rng: np.random.PCG64(1)),  # numpy's bit generator, not a Pcg64
+    (5, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
     (5, lambda rng: np.random.Generator(np.random.Philox(1))),
+    (5, lambda rng: np.random.default_rng(1)),
     (6, lambda out: np.broadcast_to(out, (5,))),  # read-only
 ], ids=["patterns-dtype", "patterns-fortran", "no-center", "too-wide", "rows-past-the-end", "lam-dtype",
         "free-short", "child-ptr-short", "edges-1d", "starts-narrow", "child-not-later", "rng",
-        "rng-mt19937", "rng-philox", "out-read-only"])
+        "rng-mt19937", "rng-philox", "rng-pcg64-generator", "out-read-only"])
 def test_c_tree_rejects_what_it_cannot_trust(arg, change):
     args = _tree_args()
     args[arg] = change(args[arg])
-    state = args[5].bit_generator.state if hasattr(args[5], "bit_generator") else None
+    state = _stream_state(args[5])
     with pytest.raises(ValueError):
         kernels._c_tree_percolation(*args)
-    if state is not None:
-        assert _same_state(args[5].bit_generator.state, state)  # refused before any draw
+    assert _same_state(_stream_state(args[5]), state)  # refused before any draw
 
 
 @pytest.mark.parametrize("ball_size", [53, 2000])
 def test_percolation_kernels_jump_long_strides_bitwise(ball_size):
     """Patterns far narrower than the pasts' ball, so that each row skips
     most of its uniforms: both kernels on both backends still give the
-    masks of `rng.random((n, ball_size))` bitwise and leave the generator
+    masks of `rng.random((n, ball_size))` bitwise and leave the stream
     in that draw's state."""
     line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 1)  # columns: center, -1, +1
     tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)  # 53 sites
@@ -721,36 +727,17 @@ def test_percolation_kernels_jump_long_strides_bitwise(ball_size):
             for (i, _s, j) in edges:  # admissible: drop the later end of every occupied edge
                 if max(i, j) < L:
                     patterns[:, max(i, j)] &= ~patterns[:, min(i, j)]
-            reference = np.random.default_rng(9)
+            reference = Pcg64(9)
             chi = reference.random((n, ball_size))
             masks = chi[:, :L] < chi[:, :1]
             masks[:, 0] = False
             expect = batch(patterns[np.arange(n) // n_inner], masks, *geometry)
             for run in runs:
-                rng = np.random.default_rng(9)
+                rng = Pcg64(9)
                 out = np.full(n, np.nan)
                 run(patterns, n_inner, 0, ball_size, *geometry, rng, out)
                 assert np.array_equal(out, expect)
-                assert rng.bit_generator.state == reference.bit_generator.state
-
-
-@needs_c
-def test_c_percolation_kernels_keep_a_buffered_uint32():
-    """The C kernels write the advanced PCG64 state back with the buffered
-    uint32 as it was (`PCG64.advance` would drop it), so the generator's
-    whole state is that of the `rng.random` route."""
-    line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
-    tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
-    patterns = np.zeros((4, 5), np.int64)
-    for run, geometry, ball_size in ((kernels._c_percolation_lookup, (line.sides, line.tables), 9),
-                                     (kernels._c_tree_percolation, (tree.tree,), 53)):
-        rng, reference = np.random.default_rng(6), np.random.default_rng(6)
-        for g in (rng, reference):
-            g.integers(0, 10, dtype=np.uint32)
-        reference.random((40, ball_size))
-        run(patterns, 10, 0, ball_size, *geometry, rng, np.empty(40))
-        assert reference.bit_generator.state["has_uint32"] == 1
-        assert rng.bit_generator.state == reference.bit_generator.state
+                assert rng.state == reference.state
 
 
 def _split(monkeypatch, workers):
@@ -773,39 +760,38 @@ def _split_cases():
             (kernels._c_tree_percolation, (tree.tree,), 53, admissible)]
 
 
-def _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, buffered=False):
-    """(out or the error's type and message, end generator state) of one call."""
-    rng = np.random.default_rng(21)
-    if buffered:
-        rng.integers(0, 10, dtype=np.uint32)
+def _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, advanced=0):
+    """(out or the error's type and message, end stream state) of one call
+    on Pcg64(21), advanced first by `advanced` steps."""
+    rng = Pcg64(21).advance(advanced)
     out = np.full(n, np.nan)
     threads = threading.active_count()
     got = _outcome(lambda: kernel(patterns, n_inner, lo, ball_size, *geometry, rng, out) or out)
     assert threading.active_count() == threads  # every range's thread joined, also after a raise
-    return got, rng.bit_generator.state
+    return got, rng.state
 
 
 @needs_c
 @pytest.mark.parametrize("case", range(2), ids=["lookup", "tree"])
-@pytest.mark.parametrize("n_inner,lo,n,buffered", [
-    (7, 0, 200, False),  # ranges start inside a pattern's block of rows
-    (7, 12, 200, False),  # lo > 0
-    (1, 5, 3, False),  # fewer rows than cores
-    (3, 0, 0, False),
-    (9, 4, 250, True),  # a buffered uint32 is kept
-], ids=["blocks", "lo", "few-rows", "no-rows", "buffered-uint32"])
-def test_split_percolation_is_bitwise_the_single_call(monkeypatch, case, n_inner, lo, n, buffered):
+@pytest.mark.parametrize("n_inner,lo,n,advanced", [
+    (7, 0, 200, 0),  # ranges start inside a pattern's block of rows
+    (7, 12, 200, 0),  # lo > 0
+    (1, 5, 3, 0),  # fewer rows than cores
+    (3, 0, 0, 0),
+    (9, 4, 250, 2**127 + 12345),  # range starts jumped past the 2^128 wrap
+], ids=["blocks", "lo", "few-rows", "no-rows", "advanced"])
+def test_split_percolation_is_bitwise_the_single_call(monkeypatch, case, n_inner, lo, n, advanced):
     """Rows split over 2, 3 or 5 ranges, each started by an exact jump of
-    PCG64, give bitwise the out and the end state of the generator that one
+    PCG64, give bitwise the out and the end state of the stream that one
     call over every row gives."""
     kernel, geometry, ball_size, patterns = _split_cases()[case]
     _split(monkeypatch, 1)
-    expect_out, expect_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, buffered)
+    expect_out, expect_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, advanced)
     assert not np.isnan(expect_out).any()
     for workers in (2, 3, 5):
         _split(monkeypatch, workers)
         assert len(kernels._row_bounds(n)) - 1 == max(1, min(workers, n))
-        got_out, got_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, buffered)
+        got_out, got_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, advanced)
         assert np.array_equal(got_out, expect_out)
         assert got_state == expect_state
 
@@ -822,7 +808,7 @@ def test_split_percolation_is_bitwise_the_single_call(monkeypatch, case, n_inner
         "tree-two-ranges", "tree-clash-then-symbol"])
 def test_split_percolation_error_is_the_single_calls(monkeypatch, case, bad, message):
     """An error only in a later range, or in two ranges, is the error of the
-    single call, raised before any range starts and with the generator as
+    single call, raised before any range starts and with the stream as
     it was.  bad maps a pattern to the symbols it gets; 6 rows per pattern,
     240 rows, so pattern 12 falls in the first range of 2 or 3 and the
     second of 5, pattern 30 in the last range of 2 or 3 and the fourth of
@@ -834,7 +820,7 @@ def test_split_percolation_error_is_the_single_calls(monkeypatch, case, bad, mes
     _split(monkeypatch, 1)
     expect = _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240)
     assert isinstance(expect[0], tuple) and re.match(message, expect[0][1])
-    assert expect[1] == np.random.default_rng(21).bit_generator.state
+    assert expect[1] == Pcg64(21).state
     for workers in (2, 3, 5):
         _split(monkeypatch, workers)
         assert _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240) == expect
@@ -875,7 +861,7 @@ def test_inadmissible_pattern_is_refused_before_any_draw(monkeypatch, case):
     with one error type and message by each percolation kernel on both
     backends: the twin with its chunks cut to 17, 7 * 17 and 2^16
     uniforms, the C kernel with its rows in 1, 2 and 3 ranges, for 240 rows
-    and for none, at seeds 0-19.  No call draws: the generator's state is
+    and for none, at seeds 0-19.  No call draws: the stream's state is
     unchanged."""
     runs, geometry, ball_size, patterns, error, message = _refused_cases()[case]
     errors = set()
@@ -888,11 +874,11 @@ def test_inadmissible_pattern_is_refused_before_any_draw(monkeypatch, case):
                 monkeypatch.setattr(pasts, "CHUNK_FLOATS", setting)
             for n in (0, 240):
                 for seed in range(20):
-                    rng = np.random.default_rng(seed)
-                    state = rng.bit_generator.state
+                    rng = Pcg64(seed)
+                    state = rng.state
                     with pytest.raises(error) as exc:
                         run(patterns, 6, 0, ball_size, *geometry, rng, np.empty(n))
-                    assert rng.bit_generator.state == state
+                    assert rng.state == state
                     errors.add((exc.type, str(exc.value)))
     assert errors == {(error, message)}
 
@@ -910,7 +896,7 @@ def test_row_bounds_split_by_usable_cores(monkeypatch):
     assert kernels._row_bounds(100 * rows) == [0, 100 * rows // 3, 200 * rows // 3, 100 * rows]
 
 
-KERNELS = [name for name in kernels.__all__ if name != "BACKEND"]
+KERNELS = [name for name in kernels.__all__ if name not in ("BACKEND", "Pcg64", "SweepWorkspace")]
 
 
 def test_soficlab_kernel_python_forces_the_twin():
@@ -935,7 +921,7 @@ def test_unbuildable_kernel_falls_back(tmp_path, monkeypatch):
         return
     # a library that builds and loads but lacks one kernel gives all the twins, not a mix
     source = kernels._SOURCE.read_text()
-    for name in KERNELS:
+    for name in kernels._C_FUNCTIONS:
         lacking = tmp_path / name / "_glauber.c"
         lacking.parent.mkdir()
         lacking.write_text(source.replace(f"int {name}(", f"int {name}_elsewhere("))
@@ -1000,11 +986,39 @@ def test_sweeps_stay_in_derived_space():
     sm = soficmaps.build_torus(2, 6)
     space = DerivedSpace(sm, st, pot)
     engine = GlauberEngine(sm, st, pot)
-    rng = np.random.default_rng(0)
+    rng = Pcg64(0)
     x = engine.initial_state(0)
     for _ in range(20):
         engine.sweeps(x, 1, rng)
         assert is_in_Xn(space, x)
+
+
+@needs_c
+def test_one_workspace_serves_calls_on_changing_arrays():
+    """A SweepWorkspace shared by calls on two models, their arrays passed
+    in turn and once as copies, on the table route (many sweeps) and the
+    direct one (one sweep), gives bitwise the trajectories and counts of
+    calls that make their own; a call on arrays it cannot trust still
+    fails with a ValueError."""
+    engines = [GlauberEngine(soficmaps.build_torus(2, 4), *hardcore(2, 1.3)),
+               GlauberEngine(soficmaps.build_torus(3, 3), full_shift(3, 3), zero_potential(3, 3))]
+    work = kernels.SweepWorkspace()
+    for k, sweeps in enumerate([1, 40, 1, 40, 3]):
+        engine = engines[k % 2]
+        arrays = [engine.nbr_out, engine.nbr_in, engine.wh, engine.wj, engine.allowed]
+        if k == 4:
+            arrays = [a.copy() for a in arrays]
+        runs = []
+        for shared in (work, None):
+            x = engine.initial_state(0)
+            counts = np.full(sweeps, -1, np.int64)
+            kernels.glauber_sweeps(x, *arrays, Pcg64(k), sweeps, counts, 0, shared)
+            runs.append((x, counts))
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+    engine = engines[0]
+    with pytest.raises(ValueError):
+        kernels.glauber_sweeps(engine.initial_state(0), engine.nbr_out, engine.nbr_in, engine.wh,
+                               engine.wj.astype(np.float32), engine.allowed, Pcg64(0), 1, None, 0, work)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -1014,8 +1028,8 @@ def test_chunked_sweeps_are_one_sweep_calls(extra):
     k = 256 + extra
     x = engine.initial_state(0)
     counts = np.full(k, -1, np.int64)
-    engine.sweeps(x, k, np.random.default_rng(4), counts, 0)
-    rng = np.random.default_rng(4)
+    engine.sweeps(x, k, Pcg64(4), counts, 0)
+    rng = Pcg64(4)
     y = engine.initial_state(0)
     expected = []
     for _ in range(k):
@@ -1029,7 +1043,7 @@ def test_bias_shifts_density():
     st, pot = hardcore(1, 1.0)
     sm = soficmaps.build_torus(1, 32)
     engine = GlauberEngine(sm, st, pot)
-    rng = np.random.default_rng(1)
+    rng = Pcg64(1)
     x = engine.initial_state(0)
     engine.set_bias(np.array([0.0, -3.0]))
     engine.sweeps(x, 200, rng)
@@ -1045,7 +1059,7 @@ def test_self_loop_handling():
     st, pot = hardcore(1, 1.0)
     sm = soficmaps.build_torus(1, 2)
     engine = GlauberEngine(sm, st, pot)
-    rng = np.random.default_rng(2)
+    rng = Pcg64(2)
     x = engine.initial_state(0)
     engine.sweeps(x, 50, rng)
     assert not (x == 1).all()  # adjacent pair (0,1) can never be both occupied

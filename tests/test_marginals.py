@@ -17,6 +17,7 @@ from soficlab import enumeration, groups
 from soficlab.constraints import ConstraintStructure, Potential, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph
 from soficlab.errors import InconsistentPinsError
+from soficlab.kernels import Pcg64
 from soficlab._glauber_py import level_ratio, tree_batch
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle, make_oracle
 from soficlab.pasts import sample_percolation_masks
@@ -298,7 +299,7 @@ def test_transfer_oracle_refuses_rows_wider_than_its_ball():
     with pytest.raises(ValueError, match=r"width 5 .* 3 sites"):
         narrow.batch(values, masks)
     with pytest.raises(ValueError, match=r"width 5 .* 3 sites"):
-        narrow.percolation_batch(values, 4, 5, np.random.default_rng(0), np.empty(4))
+        narrow.percolation_batch(values, 4, 5, Pcg64(0), np.empty(4))
     assert narrow.batch(values[:, :3], masks[:, :3])[0] == wide.batch(values[:, :3], masks[:, :3])[0]
 
 
@@ -322,11 +323,11 @@ def test_every_oracle_refuses_rows_wider_than_its_ball(make, width, pin):
         oracle.batch(values, masks)
     with pytest.raises(ValueError, match=words):
         oracle.conditional(values[0], masks[0])
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    rng = Pcg64(0)
+    state = rng.state
     with pytest.raises(ValueError, match=words):
         oracle.percolation_batch(values, 4, width, rng, np.empty(4))
-    assert rng.bit_generator.state == state  # refused before any draw
+    assert rng.state == state  # refused before any draw
 
 
 @pytest.mark.parametrize("make,spec,r", [
@@ -336,7 +337,7 @@ def test_every_oracle_refuses_rows_wider_than_its_ball(make, width, pin):
 def test_percolation_batch_takes_any_pattern_layout(make, spec, r):
     """The compiled percolation kernels read C-contiguous patterns only, so
     the oracles copy a column-sliced, Fortran-ordered or reversed pattern
-    array first: its conditionals and the generator's state are bitwise
+    array first: its conditionals and the stream's state are bitwise
     those of its C-contiguous copy."""
     oracle = make()
     ball = groups.ball(spec, r)
@@ -346,10 +347,10 @@ def test_percolation_batch_takes_any_pattern_layout(make, spec, r):
     for patterns in (wide[:, :len(ball)], np.asfortranarray(wide[:, :len(ball)]), wide[::-1, :len(ball)]):
         runs = []
         for layout in (patterns, np.ascontiguousarray(patterns)):
-            rng = np.random.default_rng(8)
+            rng = Pcg64(8)
             out = np.full(60, np.nan)
             oracle.percolation_batch(layout, 10, len(ball), rng, out)
-            runs.append((out, rng.bit_generator.state))
+            runs.append((out, rng.state))
         (out, state), (expect, expect_state) = runs
         assert np.array_equal(out, expect) and state == expect_state
 
@@ -366,11 +367,11 @@ def test_every_oracle_refuses_rows_without_a_center(make):
     values, masks = np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=bool)
     with pytest.raises(ValueError, match="^rows need a center column$"):
         oracle.batch(values, masks)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    rng = Pcg64(0)
+    state = rng.state
     with pytest.raises(ValueError, match="^rows need a center column$"):
         oracle.percolation_batch(values, 4, 5, rng, np.empty(4))
-    assert rng.bit_generator.state == state
+    assert rng.state == state
 
 
 @pytest.mark.parametrize("make", [
@@ -396,11 +397,11 @@ def test_every_oracle_refuses_a_symbol_outside_the_alphabet(make, symbol, column
         oracle.batch(values, masks)
     with pytest.raises(ValueError, match=words):
         oracle.conditional(values[0], masks[0])
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    rng = Pcg64(0)
+    state = rng.state
     with pytest.raises(ValueError, match=words):
         oracle.percolation_batch(values, 40, 5, rng, np.empty(40))
-    assert rng.bit_generator.state == state
+    assert rng.state == state
 
 
 def test_every_oracle_gives_a_pinned_center_probability_one():
@@ -438,7 +439,7 @@ def _old_masks_route(oracle, spec, r, patterns, n_inner, rng):
 ])
 def test_ball_oracle_percolation_batch_is_the_old_masks_route(spec, r, pad, n_patterns, n_inner):
     """The ball oracle's percolation_batch gives the old masks route's
-    conditionals bitwise, leaves the generator in the same state, and makes
+    conditionals bitwise, leaves the stream in the same state, and makes
     as many memo misses (calls of `conditional`)."""
     model = hardcore(spec.rank, 1.0)
     L = len(groups.ball(spec, r))
@@ -450,13 +451,13 @@ def test_ball_oracle_percolation_batch_is_the_old_masks_route(spec, r, pad, n_pa
         calls = []
         conditional = oracle.conditional
         oracle.conditional = lambda v, m: calls.append(1) or conditional(v, m)
-        rng = np.random.default_rng(11)
+        rng = Pcg64(11)
         if route == "new":
             out = np.empty(n_patterns * n_inner)
             oracle.percolation_batch(patterns, n_inner, L, rng, out)
         else:
             out = _old_masks_route(oracle, spec, r, patterns, n_inner, rng)
-        results.append((out, len(calls), rng.bit_generator.state))
+        results.append((out, len(calls), rng.state))
     (new, new_calls, new_state), (old, old_calls, old_state) = results
     assert np.array_equal(new, old) and new_state == old_state
     assert new_calls == old_calls and 0 < new_calls < len(new)
@@ -524,3 +525,46 @@ def test_trace_targets_resolve():
             assert meth in vars(getattr(module, cls_name)), f"{name}: {attr} not in its class's __dict__"
         else:
             assert callable(getattr(module, attr, None)), f"{name}: {modname}.{attr} missing"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ball_oracle_refuses_clashing_pins_before_any_draw(seed):
+    """Z^1 hardcore at lambda = 1, r = 2, pad 1: the pattern [0, 1, 0, 1, 0]
+    occupies sites -1 and -2, which a past pins together with positive
+    probability.  Over 3 pasts it once raised InconsistentPinsError at seeds
+    0, 2, 4, 6, 7 and 9 and returned numbers at 1, 3, 5 and 8; every seed now
+    refuses it before any draw, naming the edge."""
+    oracle = BallEnumerationOracle(*hardcore(1, 1.0), groups.zd(1), 2, pad=1)
+    rng = Pcg64(seed)
+    state = rng.state
+    with pytest.raises(InconsistentPinsError, match=r"^pins 3 and 1 of pattern 0 hold the forbidden pair \(1, 1\)"):
+        oracle.percolation_batch(np.array([[0, 1, 0, 1, 0]]), 3, 5, rng, np.empty(3))
+    assert rng.state == state
+
+
+def test_ball_oracle_pin_check_reads_each_edge_in_its_direction():
+    """On Z^1 over {0, 1, 2} with safe symbol 0 and only 1 -> 2 forbidden,
+    a pattern is refused exactly when two non-center sites s -> s+1 inside
+    its width hold 1 then 2; a clash at the center only zeroes a
+    conditional, and a reversed pair, or a pair past the width, is no
+    clash.  Columns: center, -1, +1, -2, +2, -3, +3."""
+    allowed = np.ones((1, 3, 3), dtype=bool)
+    allowed[0, 1, 2] = False
+    structure = ConstraintStructure(3, allowed)
+    oracle = BallEnumerationOracle(structure, zero_potential(3, 1), groups.zd(1), 2, pad=1)
+    for pattern, refused in [
+        ([0, 2, 0, 1, 0, 0, 0], True),  # -2 -> -1 holds 1 -> 2
+        ([0, 0, 1, 0, 2, 0, 0], True),  # +1 -> +2
+        ([0, 1, 0, 2, 0, 0, 0], False),  # -2 -> -1 holds 2 -> 1
+        ([1, 0, 2, 0, 0, 0, 0], False),  # the center -> +1
+        ([0, 0, 0, 2, 0, 1, 0], True),  # -3 -> -2, inside the width
+        ([0, 0, 0, 2, 0], False),  # the same pattern cut before -3
+    ]:
+        rng = Pcg64(1)
+        run = lambda: oracle.percolation_batch(np.array([pattern]), 40, 7, rng, np.empty(40))
+        if refused:
+            with pytest.raises(InconsistentPinsError):
+                run()
+            assert rng.state == Pcg64(1).state
+        else:
+            run()

@@ -10,6 +10,7 @@ from soficlab import groups, pasts, randominfo
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.errors import SchemaError, SoficLabError, ZeroProbabilityError
 from soficlab.gibbs import ssm_profile, uniform_bound_c
+from soficlab.kernels import Pcg64
 from soficlab.marginals import BallEnumerationOracle, SawOracle, TransferOracle, make_oracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.randominfo import (
@@ -135,10 +136,10 @@ def test_zero_conditional_in_a_later_chunk_is_typed_error(monkeypatch):
     patterns = np.zeros((4, len(b)), dtype=np.int64)
     patterns[3, [0, b.index[(1,)], b.index[(-1,)]]] = 1
     monkeypatch.setattr(pasts, "CHUNK_FLOATS", 7 * len(b))
-    f = _streamed_info(oracle, Z1, 4, patterns[:3], 50, np.random.default_rng(0))
+    f = _streamed_info(oracle, Z1, 4, patterns[:3], 50, Pcg64(0))
     assert f.shape == (150,) and np.isfinite(f).all()
     with pytest.raises(ZeroProbabilityError):
-        _streamed_info(oracle, Z1, 4, patterns, 50, np.random.default_rng(0))
+        _streamed_info(oracle, Z1, 4, patterns, 50, Pcg64(0))
 
 
 class _MasksRoute:
@@ -161,15 +162,15 @@ class _MasksRoute:
 ])
 def test_transfer_route_is_the_masks_route(spec, r, L, n_patterns, n_inner):
     """The compiled percolation route gives the masks route's f bitwise and
-    leaves the generator where the masks route leaves it."""
+    leaves the stream where the masks route leaves it."""
     oracle = TransferOracle(*hardcore(1, 2.5), spec, r)
     patterns = oracle.tm.sample_windows(r, n_patterns, np.random.default_rng(1)).astype(np.int64)
     patterns = patterns[:, [r + groups.line_offset(spec, g) for g in groups.ball(spec, r).elements]][:, :L]
-    rngs = [np.random.default_rng(7), np.random.default_rng(7)]
+    rngs = [Pcg64(7), Pcg64(7)]
     f = _streamed_info(oracle, spec, r, patterns, n_inner, rngs[0])
     g = _streamed_info(_MasksRoute(oracle), spec, r, patterns, n_inner, rngs[1])
     assert np.array_equal(f, g) and np.isfinite(f).all()
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].state == rngs[1].state
 
 
 def test_info_fn_full_shift():
