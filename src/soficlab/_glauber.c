@@ -17,26 +17,30 @@
  * Sweep array layouts (C order): x[n] int8, nbr_out/nbr_in[n_gen][n] int64,
  * wh[a] double, wj[n_gen][a][a] double, allowed[n_gen][a][a] uint8,
  * uniforms[sweeps * n] double or NULL, counts[sweeps] int64 or NULL, and
- * the workspaces table[table_size] double and pair[2 * n_gen] int64.  When
+ * the workspaces table[keys * a] double and pair[2 * n_gen] int64.  keys is
+ * the caller's choice of route: the number of neighbourhood keys,
+ * (a*a + 1)^n_gen, for the table route, or 0 for the direct route.  When
  * uniforms is NULL the kernel steps the PCG64 state pcg itself, one
  * Generator.random double per site update, as the percolation kernels do.
- * The caller checks dtypes, shapes, the uniform and count lengths and safe
- * in [0, a); this file checks every index it reads through.  When counts is
- * not NULL, counts[t] is the number of sites v with x[v] != safe after
- * sweep t.
+ * The caller checks dtypes, shapes, the uniform and count lengths, keys and
+ * safe in [0, a); this file checks every index it reads through.  When
+ * counts is not NULL, counts[t] is the number of sites v with x[v] != safe
+ * after sweep t.
  *
  * percolation_lookup does no arithmetic: it reads one table entry per row,
  * the entry _glauber_py.transfer_lookup reads, and compares uniforms only.
  * Every kernel steps numpy's PCG64 itself, on the state and increment
  * words of a soficlab.kernels.Pcg64, which it advances in place.  The past
- * of a row is ball_size uniforms in the order of
- * Generator.random((n, ball_size)): a kernel draws column c of it, only if
- * it reads that column, by its own jump of c + 1 steps from the row's start
- * state (column_draw), and takes the row's ball_size steps as one jump
- * (next_row), so the generator ends where those n * ball_size draws leave
- * it.  Any other stream is refused by the caller.  The 128-bit
- * arithmetic needs unsigned __int128 (gcc, clang); without it the build
- * fails and the Python twins are used.
+ * of a row is one uniform per column of the pattern, width uniforms in the
+ * order of Generator.random((n, width)): a kernel draws column c of it,
+ * only if it reads that column, by its own jump of c + 1 steps from the
+ * row's start state (column_draw), and takes the row's width steps as one
+ * jump (next_row), so the generator ends where those n * width draws leave
+ * it.  A call runs the n rows lo .. lo + n - 1 of the caller's rows, row j
+ * reading pattern j / n_inner, so that the caller can split its rows into
+ * ranges, one per core.  Any other stream is refused by the caller.  The
+ * 128-bit arithmetic needs unsigned __int128 (gcc, clang); without it the
+ * build fails and the Python twins are used.
  *
  * tree_percolation runs the arithmetic of _glauber_py.tree_batch on the
  * same pasts: the same divisions and the same order of multiplications per
@@ -150,22 +154,6 @@ static void site_weights(const int64_t *pair, const double *wh, const double *wj
     }
 }
 
-/* The number of neighbourhood keys, (a*a + 1)^n_gen, if their table fits
- * table_size doubles, else 0. */
-static int64_t table_keys(int64_t n_gen, int64_t a, int64_t table_size)
-{
-    int64_t s, keys = 1, base = a * a + 1;
-
-    if (a < 1)
-        return 0;
-    for (s = 0; s < n_gen; s++) {
-        if (keys > table_size / a / base)
-            return 0;
-        keys *= base;
-    }
-    return keys * a <= table_size ? keys : 0;
-}
-
 /* table[key][c] = the site_weights of every neighbourhood key.  A key has
  * one base-(a*a + 1) digit per generator, generator 0 the most
  * significant: xo * a + xi for the pair (xo, xi), or a * a for a self-loop.
@@ -206,8 +194,8 @@ static inline int8_t pick(const double *cum, int64_t a, double u, int8_t keep)
 /* sweeps heat-bath sweeps over x in place, sites in index order, each
  * update drawing the next uniform: uniforms[t * n + v], or when uniforms
  * is NULL the next double of the PCG64 state pcg (state, then increment,
- * see load128), advanced in place.  When table_size doubles hold every
- * neighbourhood key (table_keys), table is filled once and each update
+ * see load128), advanced in place.  When keys is not 0, table (keys * a
+ * doubles) is filled once for every neighbourhood key and each update
  * reads its key's row; else each update runs site_weights itself.  pair
  * is a workspace of 2 * n_gen words. */
 int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
@@ -215,12 +203,12 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
                    const double *uniforms, uint64_t *pcg, int64_t sweeps,
                    int64_t n, int64_t n_gen, int64_t a,
                    int64_t *counts, int64_t safe,
-                   double *table, int64_t table_size, int64_t *pair)
+                   double *table, int64_t keys, int64_t *pair)
 {
     double row[64], u;
     const double *cum;
     u128 state = 0, inc = 0;
-    int64_t t, v, s, i, o, key, keys, nonsafe, base = 0;
+    int64_t t, v, s, i, o, key, nonsafe, base = 0;
 
     if (a > 64)
         return GLAUBER_BAD_ALPHABET;
@@ -230,7 +218,6 @@ int glauber_sweeps(int8_t *x, const int64_t *nbr_out, const int64_t *nbr_in,
     for (v = 0; v < n; v++)
         if (x[v] < 0 || x[v] >= a)
             return GLAUBER_BAD_SYMBOL;
-    keys = table_keys(n_gen, a, table_size);
     if (keys)
         fill_table(table, keys, pair, wh, wj, allowed, n_gen, a);
     if (!uniforms) {
@@ -286,7 +273,7 @@ static void fill_jumps(uint64_t *jump, int64_t steps, u128 inc)
 }
 
 /* The start state of the next row, *state, which moves past the row's
- * ball_size steps at once by whole, the jump of ball_size steps. */
+ * width steps at once by whole, the jump of width steps. */
 static inline u128 next_row(u128 *state, const uint64_t *whole)
 {
     u128 start = *state;
@@ -316,22 +303,22 @@ static inline double column_draw(u128 s, const uint64_t *jump, int64_t c)
  * not in the row.  On each side the first pinned column in that order is
  * the nearest pin.  Column c of the mask is chi[c] < chi[0] for
  * 1 <= c < width and column 0 is unpinned, so the masks are those of
- * pasts.sample_percolation_masks cut to the width; a row draws chi[0] and
- * the columns it scans.  patterns is C-ordered [rows][width] int64,
- * 1 <= width <= ball_size.  pcg is numpy's PCG64 state, then its increment
- * (see load128), and the state is advanced in place; jump (4 * (ball_size
- * + 1) words) is a caller-owned workspace.  The caller checks dtypes,
- * shapes, n_inner >= 1, lo >= 0, that every row read is a row of patterns
- * and that every symbol of patterns lies in [0, a); this function checks
- * every side column it reads through.
+ * pasts.sample_percolation_masks; a row draws chi[0] and the columns it
+ * scans.  patterns is C-ordered [rows][width] int64, width >= 1.  pcg is
+ * numpy's PCG64 state, then its increment (see load128), and the state is
+ * advanced in place; jump (4 * (width + 1) words) is a caller-owned
+ * workspace.  The caller checks dtypes, shapes, n_inner >= 1, lo >= 0,
+ * that every row read is a row of patterns and that every symbol of
+ * patterns lies in [0, a); this function checks every side column it reads
+ * through.
  */
 int percolation_lookup(const int64_t *patterns, int64_t width,
-                       int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
+                       int64_t n_inner, int64_t lo, int64_t n,
                        const int64_t *sides, int64_t r_max,
                        const double *tables, int64_t a, double *out,
                        uint64_t *pcg, uint64_t *jump)
 {
-    const uint64_t *whole = jump + 4 * ball_size;
+    const uint64_t *whole = jump + 4 * width;
     const int64_t *row;
     u128 state = load128(pcg), start;
     int64_t i, s, k, col, d[2], b[2];
@@ -340,7 +327,7 @@ int percolation_lookup(const int64_t *patterns, int64_t width,
     for (k = 0; k < 2 * r_max; k++)
         if (sides[k] < 0)
             return LOOKUP_BAD_COLUMN;
-    fill_jumps(jump, ball_size, load128(pcg + 2));
+    fill_jumps(jump, width, load128(pcg + 2));
     for (i = 0; i < n; i++) {
         start = next_row(&state, whole);
         chi0 = column_draw(start, jump, 0);
@@ -447,15 +434,15 @@ static double pruned_ratio(const int64_t *child_ptr, const int64_t *children,
  *
  * pcg is advanced in place as percolation_lookup advances it; pin
  * (n_window bytes, zero), factor (3 * n_window doubles), act (n_window
- * words) and jump (4 * (ball_size + 1) words) are caller-owned workspaces.
+ * words) and jump (4 * (width + 1) words) are caller-owned workspaces.
  * The caller checks dtypes, shapes, 0 <= deep_start < width <= n_window <=
- * the length of lam and free_ratio, width <= ball_size, n_inner >= 1,
- * lo >= 0, that every row read is a row of patterns, and that the patterns
+ * the length of lam and free_ratio, n_inner >= 1, lo >= 0, that every row
+ * read is a row of patterns, and that the patterns
  * hold only 0 and 1 with no two 1s joined by an edge of the tree; this
  * function checks the tree (TREE_BAD_GEOMETRY).
  */
 int tree_percolation(const int64_t *patterns, int64_t width,
-                     int64_t n_inner, int64_t lo, int64_t n, int64_t ball_size,
+                     int64_t n_inner, int64_t lo, int64_t n,
                      const int64_t *child_ptr, const int64_t *children,
                      int64_t n_children, int64_t deep_start, int64_t n_window,
                      const double *lam, const double *free_ratio, double *out,
@@ -464,7 +451,7 @@ int tree_percolation(const int64_t *patterns, int64_t width,
     /* choice[2v] is site v's factor unpinned, choice[2v + 1] pinned */
     double *choice = factor + n_window;
     const int64_t *row = patterns;
-    const uint64_t *whole = jump + 4 * ball_size;
+    const uint64_t *whole = jump + 4 * width;
     u128 state = load128(pcg), start;
     int64_t i, c, v, j, current = -1;
     double r, p;
@@ -475,7 +462,7 @@ int tree_percolation(const int64_t *patterns, int64_t width,
         choice[2 * v] = v >= deep_start ? 1.0 / (1.0 + free_ratio[v]) : 0.0;
         choice[2 * v + 1] = 1.0;
     }
-    fill_jumps(jump, ball_size, load128(pcg + 2));
+    fill_jumps(jump, width, load128(pcg + 2));
     for (i = 0; i < n; i++) {
         j = (lo + i) / n_inner;
         if (j != current) {

@@ -15,10 +15,10 @@ backends: the C percolation lookup reads the table entry per row that
 `transfer_lookup` reads, and the C tree kernel repeats the arithmetic of
 `tree_batch`.  The percolation twins draw the C kernels' uniforms through
 `pasts.percolation_chunks`, so the stream ends in the same state.  Both
-backends' percolation kernels first refuse, through `check_patterns`, a
-pattern that some past could make an error, before any draw and whatever
-their rows, chunks and seed; past that check they raise nothing and leave
-the stream where their draws do.
+backends' percolation kernels first refuse, through `check_rows` and
+`check_patterns`, rows that do not fit and a pattern that some past could
+make an error, before any draw and whatever their chunks and seed; past
+those checks they raise nothing and leave the stream where their draws do.
 """
 
 from typing import NamedTuple
@@ -206,21 +206,31 @@ def check_patterns(patterns, a: int, edges=None):
         raise clash_error(*(int(i) for i in edges[clash[clash.any(axis=1).argmax()].argmax()]))
 
 
-def percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
-    """out[i] = the transfer lookup of patterns[(lo + i) // n_inner] under
-    the i-th of len(out) percolation pasts drawn from rng.
+def check_rows(patterns, n_inner: int, out):
+    """Refuse, before any draw, patterns without a center column, or an
+    out that does not hold exactly n_inner >= 1 rows per pattern."""
+    if patterns.shape[1] < 1 or n_inner < 1 or len(out) != len(patterns) * n_inner:
+        raise ValueError(f"{len(out)} rows do not fit {len(patterns)} patterns of width {patterns.shape[1]} "
+                         f"at {n_inner} per pattern")
+
+
+def percolation_lookup(patterns, n_inner, sides, tables, rng, out):
+    """out[i] = the transfer lookup of patterns[i // n_inner] under the
+    i-th of len(out) = len(patterns) * n_inner percolation pasts drawn from
+    rng, each past on the pattern's own columns.
 
     Before any draw, `checked_stream` refuses an rng that is not a
-    `kernels.Pcg64`, `check_patterns` a symbol outside the alphabet of
-    tables, and a negative side column is `column_error`; the pasts are
-    those of `pasts.percolation_chunks`, which checks the pattern width
-    against ball_size, and each chunk is read through `transfer_lookup`.
+    `kernels.Pcg64`, `check_rows` rows that do not fit, `check_patterns` a
+    symbol outside the alphabet of tables, and a negative side column is
+    `column_error`; the pasts are those of `pasts.percolation_chunks`, and
+    each chunk is read through `transfer_lookup`.
     """
     checked_stream(rng)
+    check_rows(patterns, n_inner, out)
     check_patterns(patterns, tables.shape[0])
     if (sides < 0).any():
         raise column_error()
-    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, lo, len(out), ball_size, rng):
+    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, rng):
         out[start:stop] = transfer_lookup(rows, masks, sides, tables)
 
 
@@ -298,14 +308,15 @@ def tree_batch(values, masks, tree: Tree):
     return np.where(values[:, 0] == 1, p_occ, 1.0 - p_occ)
 
 
-def tree_percolation(patterns, n_inner, lo, ball_size, tree: Tree, rng, out):
-    """out[i] = the `tree_batch` conditional of patterns[(lo + i) // n_inner]
+def tree_percolation(patterns, n_inner, tree: Tree, rng, out):
+    """out[i] = the `tree_batch` conditional of patterns[i // n_inner]
     under the i-th of len(out) percolation pasts drawn from rng, as
     `percolation_lookup` draws them.  An rng that is not a `kernels.Pcg64`,
-    and a symbol outside {0, 1} or two adjacent 1s anywhere in the
-    patterns, are refused by `checked_stream` and `check_patterns` before
-    any draw."""
+    rows that do not fit, and a symbol outside {0, 1} or two adjacent 1s
+    anywhere in the patterns, are refused by `checked_stream`, `check_rows`
+    and `check_patterns` before any draw."""
     checked_stream(rng)
+    check_rows(patterns, n_inner, out)
     check_patterns(patterns, 2, tree.edges)
-    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, lo, len(out), ball_size, rng):
+    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, rng):
         out[start:stop] = tree_batch(rows, masks, tree)

@@ -18,6 +18,9 @@ from . import groups
 from .errors import BudgetExceededError
 from .groups import Element, GroupSpec
 
+ADMISSIBILITY_NODE_BUDGET = 2_000_000  # search nodes of one `is_globally_admissible`
+TSSM_PAD, TSSM_MAX_ASSIGNMENTS = 3, 200_000  # the search pad and value assignments of `check_tssm`
+
 
 class ConstraintStructure:
     """Alphabet size plus an a-by-a boolean allowed-pair matrix per generator."""
@@ -166,7 +169,6 @@ def is_globally_admissible(
     spec: GroupSpec,
     pattern: Pattern,
     pad: int = 2,
-    node_budget: int = 2_000_000,
 ) -> Verdict:
     """Search for an extension of the pattern to a padded ball.
 
@@ -195,7 +197,7 @@ def is_globally_admissible(
     b = groups.ball(spec, radius + pad)
     graph = SiteGraph(len(b.elements), list(b.edges))
     pins = {b.index[g]: v for g, v in zip(pattern.sites, pattern.values)}
-    found = has_admissible_filling(graph, structure, pins, symbols=core, node_budget=node_budget)
+    found = has_admissible_filling(graph, structure, pins, symbols=core, node_budget=ADMISSIBILITY_NODE_BUDGET)
     if found is None:
         raise BudgetExceededError("extension search budget exceeded")
     if not found:
@@ -226,8 +228,6 @@ def check_tssm(
     m: int = 1,
     radius: int = 3,
     k_max: int = 3,
-    pad: int = 3,
-    max_assignments: int = 200_000,
 ) -> TssmVerdict:
     """Bounded check of topological strong spatial mixing with range B_m.
 
@@ -263,7 +263,7 @@ def check_tssm(
                 windows.append(win)
             for values in product(core, repeat=size):
                 checked += 1
-                if checked > max_assignments:
+                if checked > TSSM_MAX_ASSIGNMENTS:
                     return TssmVerdict(
                         kind="holds_up_to",
                         tested_radius=radius,
@@ -274,13 +274,13 @@ def check_tssm(
                 ok_windows = True
                 for win in windows:
                     wpat = Pattern(win, tuple(lookup[h] for h in win))
-                    if is_globally_admissible(structure, spec, wpat, pad=pad) != Verdict.YES:
+                    if is_globally_admissible(structure, spec, wpat, pad=TSSM_PAD) != Verdict.YES:
                         ok_windows = False
                         break
                 if not ok_windows:
                     continue
                 full = Pattern(support, values)
-                if is_globally_admissible(structure, spec, full, pad=pad) == Verdict.NO:
+                if is_globally_admissible(structure, spec, full, pad=TSSM_PAD) == Verdict.NO:
                     return TssmVerdict(
                         kind="violated",
                         tested_radius=radius,

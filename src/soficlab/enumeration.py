@@ -164,18 +164,19 @@ def has_admissible_filling(graph, structure, pins, symbols=None, node_budget=Non
     return False if completed else None
 
 
-def _factors(graph, structure, potential, pins, cand):
+def _factors(graph, structure, potential, pins):
     """Log-weight tables of the Boltzmann weight, one per scope.
 
-    A scope is a sorted tuple of unpinned sites; a pinned site is a one-value
-    domain, so its axis is dropped and its terms fold into the tables of its
-    unpinned neighbours (or into the scalar table of scope ()).  Parallel
-    edges share one table.
+    A scope is a sorted tuple of unpinned sites, each over the whole
+    alphabet; a pinned site is a one-value domain, so its axis is dropped
+    and its terms fold into the tables of its unpinned neighbours (or into
+    the scalar table of scope ()).  Parallel edges share one table.
     """
     a = structure.alphabet
     h = np.zeros(a) if potential is None else potential.h
     J = np.zeros((structure.n_generators, a, a)) if potential is None else potential.J
-    dom = [np.array([pins[i]]) if i in pins else cand for i in range(graph.n)]
+    symbols = np.arange(a)
+    dom = [np.array([pins[i]]) if i in pins else symbols for i in range(graph.n)]
     logs: dict[tuple, np.ndarray] = {}
 
     def add(sites, table):
@@ -208,11 +209,6 @@ def _contract(factors, out):
     return np.einsum(*args, [label[v] for v in out])
 
 
-def _candidates(structure, symbols) -> np.ndarray:
-    """The values an unpinned site may take."""
-    return np.array(list(symbols) if symbols is not None else range(structure.alphabet), dtype=np.int64)
-
-
 def _check_table(symbols: int, sites: int):
     """CapExceededError if a table over `sites` unpinned sites of `symbols`
     candidates each would pass ELIMINATION_TABLE_CAP entries."""
@@ -221,18 +217,19 @@ def _check_table(symbols: int, sites: int):
                                f"{symbols}^{sites} entries, past the cap of {ELIMINATION_TABLE_CAP}")
 
 
-def _eliminate(graph, structure, potential, pins, cand, keep):
+def _eliminate(graph, structure, potential, pins, keep):
     """Min-degree variable elimination of every unpinned site outside keep.
 
     Returns (log_scale, table), where exp(log_scale) * table is the unnormalised
-    weight of the unpinned sites of keep (in keep order, indexed by position in
-    cand), or None when no admissible configuration exists.  A message or
-    final table past ELIMINATION_TABLE_CAP entries is a CapExceededError,
-    raised before it is allocated.
+    weight of the unpinned sites of keep (in keep order, indexed by symbol),
+    or None when no admissible configuration exists.  A message or final
+    table past ELIMINATION_TABLE_CAP entries is a CapExceededError, raised
+    before it is allocated.
     """
+    a = structure.alphabet
     log_scale = 0.0
     factors = {}
-    for scope, table in _factors(graph, structure, potential, pins, cand).items():
+    for scope, table in _factors(graph, structure, potential, pins).items():
         m = table.max()
         if m == -np.inf:
             return None
@@ -249,7 +246,7 @@ def _eliminate(graph, structure, potential, pins, cand, keep):
         v = min(todo, key=lambda i: (len(nbrs[i]), i))
         todo.remove(v)
         scope = tuple(sorted(nbrs[v]))
-        _check_table(len(cand), len(scope))
+        _check_table(a, len(scope))
         bucket = [s for s in factors if v in s]
         msg = _contract([(s, factors.pop(s)) for s in bucket], scope)
         m = msg.max()
@@ -262,50 +259,47 @@ def _eliminate(graph, structure, potential, pins, cand, keep):
             nbrs[i].update(scope)
             nbrs[i].discard(i)
             nbrs[i].discard(v)
-    _check_table(len(cand), len(out))
+    _check_table(a, len(out))
     table = _contract(list(factors.items()), out)
     if not table.sum() > 0.0:
         return None
     return log_scale, table
 
 
-def log_partition(graph, structure, potential, pins=None, symbols=None) -> float:
-    res = _eliminate(graph, structure, potential, pins or {}, _candidates(structure, symbols), [])
+def log_partition(graph, structure, potential, pins=None) -> float:
+    res = _eliminate(graph, structure, potential, pins or {}, [])
     return -math.inf if res is None else res[0] + math.log(float(res[1]))
 
 
-def site_marginal(graph, structure, potential, site: int, pins=None, symbols=None) -> np.ndarray:
+def site_marginal(graph, structure, potential, site: int, pins=None) -> np.ndarray:
     """Exact marginal distribution of one site given the pins."""
     pins = pins or {}
-    cand = _candidates(structure, symbols)
-    res = _eliminate(graph, structure, potential, pins, cand, [site])
+    res = _eliminate(graph, structure, potential, pins, [site])
     if res is None:
         return np.full(structure.alphabet, np.nan)
-    p = np.zeros(structure.alphabet)
     if site in pins:
+        p = np.zeros(structure.alphabet)
         p[pins[site]] = 1.0
         return p
-    np.add.at(p, cand, res[1])
-    return p / p.sum()
+    return res[1] / res[1].sum()
 
 
-def joint_distribution(graph, structure, potential, sites, pins=None, symbols=None) -> dict:
+def joint_distribution(graph, structure, potential, sites, pins=None) -> dict:
     """Exact joint distribution of a tuple of sites given the pins, keyed by
     value tuples of positive probability."""
     pins = pins or {}
     sites = list(sites)
-    cand = _candidates(structure, symbols)
-    res = _eliminate(graph, structure, potential, pins, cand, sites)
+    res = _eliminate(graph, structure, potential, pins, sites)
     if res is None:
         return {}
     table = res[1] / res[1].sum()
     # the table's axes are the unpinned sites of `sites`, in order, so C order
     # walks the product of the site domains with the last site fastest
-    domains = [(pins[i],) if i in pins else cand.tolist() for i in sites]
+    domains = [(pins[i],) if i in pins else range(structure.alphabet) for i in sites]
     return {key: p for key, p in zip(product(*domains), table.ravel().tolist()) if p > 0.0}
 
 
-def all_configs(graph, structure, potential, pins=None, symbols=None):
+def all_configs(graph, structure, potential, pins=None):
     """Every admissible configuration with its log-weight."""
     configs, logws = [], []
 
@@ -313,5 +307,5 @@ def all_configs(graph, structure, potential, pins=None, symbols=None):
         configs.append(tuple(values))
         logws.append(lw)
 
-    _dfs(graph, structure, potential, pins or {}, symbols, visit)
+    _dfs(graph, structure, potential, pins or {}, None, visit)
     return configs, np.array(logws)

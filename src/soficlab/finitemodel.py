@@ -14,7 +14,6 @@ trace and is what the rest of the package assumes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -35,10 +34,7 @@ from .modelbuild import build_sofic, builder_generators
 from .sampling import GlauberEngine
 from .schema import MCMC, METHODS, check
 from .soficmaps import SoficMap, good_vertices
-from .transfer import TransferMatrix, build_transfer
-
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+from .transfer import LOG_FLOAT_MAX, TransferMatrix, build_transfer
 
 
 @dataclass
@@ -262,9 +258,9 @@ def _iter_Xn(space: DerivedSpace, visit):
         enumeration._dfs(graph, space.structure, space.potential, {}, None, visit)
 
 
-def partition_exact(space: DerivedSpace, cap: int | None = None) -> PartitionResult:
+def partition_exact(space: DerivedSpace) -> PartitionResult:
     """Exact log Z by constraint-pruned enumeration of the derived space."""
-    cap = exact_partition_cap() if cap is None else cap
+    cap = exact_partition_cap()
     if space.n > cap:
         raise CapExceededError(f"n={space.n} exceeds exact enumeration cap {cap}")
     acc = enumeration._Stream()
@@ -386,13 +382,13 @@ def _tail_bound(na: int, log_u_min: float, two_norm: float) -> float:
     params.mcmc.log_u_min, the setting that can bring it back.
     """
     log_tail = math.log(na) + log_u_min + two_norm
-    if not log_tail < _LOG_FLOAT_MAX:
+    if not log_tail < LOG_FLOAT_MAX:
         raise SchemaError(
             f"params.mcmc.log_u_min = {log_u_min!r} gives the TI tail bound n a e^log_u_min e^(2|phi|) "
             f"= e^{log_tail:.6g}, past the largest float; take params.mcmc.log_u_min below "
-            f"{_LOG_FLOAT_MAX - math.log(na) - two_norm:.6g}"
+            f"{LOG_FLOAT_MAX - math.log(na) - two_norm:.6g}"
         )
-    if two_norm < _LOG_FLOAT_MAX:
+    if two_norm < LOG_FLOAT_MAX:
         return na * math.exp(log_u_min) * math.exp(two_norm)
     return math.exp(log_tail)
 

@@ -29,6 +29,9 @@ from .sampling import GlauberEngine
 from .schema import MCMC, check
 from .transfer import build_transfer
 
+SSM_BOUNDARY_PATTERNS = 8192  # of one shell in `ssm_profile`: on Z^2 over 2 symbols, r <= 2
+UNIFORM_BOUND_SUBSETS = 4096  # the pinned subsets of B_r that `uniform_bound_c` tries
+
 
 @dataclass
 class BallDistribution:
@@ -84,8 +87,8 @@ class ExactGibbs:
     probs: np.ndarray
 
 
-def derived_gibbs_exact(space: DerivedSpace, cap: int | None = None) -> ExactGibbs:
-    cap = exact_table_cap() if cap is None else cap
+def derived_gibbs_exact(space: DerivedSpace) -> ExactGibbs:
+    cap = exact_table_cap()
     if space.n > cap:
         raise CapExceededError(f"n={space.n} exceeds exact table cap {cap}")
     configs, logws = [], []
@@ -115,21 +118,18 @@ def mean_energy_exact(table: ExactGibbs) -> float:
     )
 
 
-def sample_derived_gibbs(
-    space: DerivedSpace, sweeps: int, seed: int, n_samples: int = 1, thin: int = 1, burn: int | None = None
-) -> np.ndarray:
+def sample_derived_gibbs(space: DerivedSpace, sweeps: int, seed: int, n_samples: int = 1, thin: int = 1) -> np.ndarray:
     """Heat-bath samples of the derived Gibbs measure, shape (n_samples, n).
 
-    Runs `sweeps` burn-in sweeps from the all-safe configuration (default
-    burn-in is the full `sweeps` budget when sampling once), then `thin`
-    sweeps between retained samples.
+    Runs `sweeps` burn-in sweeps from the all-safe configuration, then
+    `thin` sweeps between retained samples.
     """
     if space.safe_symbol is None:
         raise NoSafeSymbolError("heat-bath sampling needs a safe symbol")
     rng = Pcg64([seed, space.n, 0x6B5])
     engine = GlauberEngine(space.sm, space.structure, space.potential)
     x = engine.initial_state(space.safe_symbol)
-    engine.sweeps(x, sweeps if burn is None else burn, rng)
+    engine.sweeps(x, sweeps, rng)
     out = np.empty((n_samples, space.n), dtype=np.int8)
     out[0] = x
     for i in range(1, n_samples):
@@ -158,9 +158,7 @@ def pushforward_tables(space: DerivedSpace, r: int, probe) -> list[dict]:
         samples = table.configs
     elif probe[0] == "sampled":
         _, n_samples, thin, burn, seed = probe
-        samples = sample_derived_gibbs(
-            space, sweeps=burn, seed=seed, n_samples=n_samples, thin=thin, burn=burn
-        )
+        samples = sample_derived_gibbs(space, sweeps=burn, seed=seed, n_samples=n_samples, thin=thin)
         weights = np.full(len(samples), 1.0 / len(samples))
     else:
         raise ValueError(f"unknown probe {probe[0]!r}")
@@ -191,7 +189,6 @@ def ssm_profile(
     spec: GroupSpec,
     r_max: int,
     method: str = "auto",
-    max_boundary_patterns: int = 8192,
 ) -> np.ndarray:
     """Empirical strong-spatial-mixing profile beta(r), r = 1..r_max.
 
@@ -200,7 +197,7 @@ def ssm_profile(
     it lower-bounds the true decay function on the tested family.  The
     enumeration route reads every boundary from one joint table of the center
     and the shell, computed by variable elimination; it is budgeted by that
-    table's size: shells with more than max_boundary_patterns patterns over
+    table's size: shells with more than SSM_BOUNDARY_PATTERNS patterns over
     the whole alphabet raise BudgetExceededError.  (The table holds boundary
     values outside the core symbols too, so counting core-valued patterns
     alone would not bound it.)  The transfer route (rank 1) reads every
@@ -217,7 +214,7 @@ def ssm_profile(
     out = np.zeros(r_max + 1)
     for r in range(1, r_max + 1):
         shell = groups.boundary_shell(spec, r)
-        if structure.alphabet ** len(shell) > max_boundary_patterns:
+        if structure.alphabet ** len(shell) > SSM_BOUNDARY_PATTERNS:
             raise BudgetExceededError(
                 f"{structure.alphabet}^{len(shell)} boundary patterns at r={r}; lower r_max"
             )
@@ -237,8 +234,7 @@ def _beta_enumeration(structure, potential, spec, r) -> float:
     shell = [b.index[g] for g in groups.boundary_shell(spec, r)]
     center = b.index[groups.identity(spec)]
     a = structure.alphabet
-    res = enumeration._eliminate(SiteGraph.from_ball(b), structure, potential, {},
-                                 np.arange(a), [center, *shell])
+    res = enumeration._eliminate(SiteGraph.from_ball(b), structure, potential, {}, [center, *shell])
     if res is None:
         raise EmptyFiberError("no admissible boundary at this radius")
     table = res[1] / res[1].sum()
@@ -268,7 +264,6 @@ def uniform_bound_c(
     potential: Potential,
     spec: GroupSpec,
     r: int,
-    max_subsets: int = 4096,
 ) -> UniformBound:
     """Empirical minimum single-site conditional probability over conditionings
     inside B_r, against the closed-form positive lower bound
@@ -291,7 +286,7 @@ def uniform_bound_c(
     for size in range(len(b)):
         for subset in combinations(range(1, len(b)), size):
             n_checked += 1
-            if n_checked > max_subsets:
+            if n_checked > UNIFORM_BOUND_SUBSETS:
                 size = None
                 break
             edges = [(i, s, j) for (i, s, j) in b.edges if i in subset and j in subset]
@@ -368,7 +363,7 @@ def entropy_rate_estimate(
             res = partition_mcmc(space, seed=seed, **(mcmc_kwargs or {}))
             sk = {"sweeps": 200, "n_samples": 200, "thin": 2, **(sample_kwargs or {})}
             samples = sample_derived_gibbs(
-                space, sweeps=sk["sweeps"], seed=seed + 1, n_samples=sk["n_samples"], thin=sk["thin"], burn=sk["sweeps"]
+                space, sweeps=sk["sweeps"], seed=seed + 1, n_samples=sk["n_samples"], thin=sk["thin"]
             )
             energies = np.array([derived_energy(space, s) for s in samples])
             se_e = energies.std(ddof=1) / math.sqrt(len(energies))

@@ -23,12 +23,14 @@ with a ValueError before drawing (`_glauber_py.checked_stream`).  The
 compiled sweep tabulates the cumulative candidate weights of every
 neighbourhood key once per call and reads one row per site update, unless
 the table would pass SWEEP_TABLE_CAP doubles or outnumber the call's
-updates (`_sweep_table_keys`).  The percolation kernels take C-contiguous
-patterns only, and both backends refuse a pattern that some past could
-make an error before any draw (`_glauber_py.check_patterns`), so past
-their checks they cannot fail.  A call's rows run in contiguous ranges,
-one per usable core and at least ROWS_PER_WORKER rows each, on threads; a
-row takes exactly ball_size steps of the PCG64, so each range starts from
+updates; `_sweep_table_keys` decides, and the C kernel takes its key
+count.  The percolation kernels take C-contiguous patterns only, n_inner
+rows per pattern, each row's past drawn on the pattern's own sites, and
+both backends refuse a pattern that some past could make an error before
+any draw (`_glauber_py.check_patterns`), so past their checks they cannot
+fail.  A call's rows run in contiguous ranges, one per usable core and at
+least ROWS_PER_WORKER rows each, on threads; a row takes exactly as many
+steps of the PCG64 as its pattern has columns, so each range starts from
 the state advanced past the rows before it by an exact jump, and the
 results and the end state are the single call's (`_run_on_pcg64`).  On the
 first import, `_glauber.c` is compiled once into the user cache,
@@ -158,9 +160,9 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         return None
     sweeps.argtypes = [_BYTE_P] * 8 + [ctypes.c_int64] * 4 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P]
-    percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [
+    percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 4 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 3
-    tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 5 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
+    tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 4 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
         _BYTE_P] * 8
     fill.argtypes = [_BYTE_P, _BYTE_P, ctypes.c_int64]
     sweeps.restype = percolation.restype = tree.restype = fill.restype = ctypes.c_int
@@ -419,9 +421,9 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, cou
     itself under the stream's lock: it draws what `uniforms.random(sweeps *
     n)` would and leaves the stream in that call's state.  work is the
     caller's `SweepWorkspace`, else the call makes its own.  The kernel
-    fills a weight table of every neighbourhood key once per call when
-    `_sweep_table_keys` allows, else computes each update's weights
-    directly; both routes give bitwise the twin's trajectory.  Everything
+    fills a weight table of the neighbourhood keys that `_sweep_table_keys`
+    counts once per call, else, at a count of 0, computes each update's
+    weights directly; both routes give bitwise the twin's trajectory.  Everything
     the C code trusts is checked here first, before any draw: dtypes, C
     order, a writeable x and counts, agreeing shapes, enough uniforms or a
     Pcg64, at least sweeps counts, safe in [0, a) and an alphabet of at
@@ -455,14 +457,14 @@ def _c_glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, cou
         safe = operator.index(safe)
         if not 0 <= safe < a:
             raise ValueError(f"safe symbol {safe} outside [0, {a})")
-        size = _sweep_table_keys(a, n_gen, sweeps * n) * a
+        keys = _sweep_table_keys(a, n_gen, sweeps * n)
         out, inn, wj_data, allowed_data = work.pointers
         with uniforms.lock if drawn else _UNLOCKED:
             status = _c_sweeps(
                 _data(x), out, inn, _data(wh), wj_data, allowed_data,
                 None if drawn else _data(uniforms), _data(uniforms.words) if drawn else None,
                 sweeps, n, n_gen, a, None if counts is None else _data(counts), safe,
-                work.table_for(size), size, work.pair_data,
+                work.table_for(keys * a), keys, work.pair_data,
             )
     if status:
         raise ValueError(_C_ERRORS[status])
@@ -480,20 +482,17 @@ def _checked_geometry(sides, tables) -> tuple:
     return r_max, a
 
 
-def _checked_percolation(patterns, n_inner, lo, ball_size, rng, out) -> tuple:
-    """(width, n, n_inner, lo, ball_size) of the arguments both C
-    percolation kernels share, checked as `_c_percolation_lookup` says."""
-    n_rows, L = _checked_shape("patterns", patterns, _I64, 2)
-    n_inner, lo, ball_size = (operator.index(v) for v in (n_inner, lo, ball_size))
-    if not 1 <= L <= ball_size:
-        raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
+def _checked_percolation(patterns, n_inner, rng, out) -> tuple:
+    """(width, n, n_inner) of the arguments both C percolation kernels
+    share, checked as `_c_percolation_lookup` says."""
+    _, L = _checked_shape("patterns", patterns, _I64, 2)
     (n,) = _checked_shape("out", out, _F64, 1)
     if not out.flags.writeable:
         raise ValueError("out must be writeable")
-    if n_inner < 1 or lo < 0 or n and (lo + n - 1) // n_inner >= n_rows:
-        raise ValueError(f"rows {lo} to {lo + n} at {n_inner} per pattern do not fit {n_rows} patterns")
+    n_inner = operator.index(n_inner)
+    _glauber_py.check_rows(patterns, n_inner, out)
     _glauber_py.checked_stream(rng)
-    return L, n, n_inner, lo, ball_size
+    return L, n, n_inner
 
 
 def _workspace(size: int, dtype) -> np.ndarray:
@@ -521,17 +520,17 @@ def _row_bounds(n: int) -> list:
     return [n * k // w for k in range(w + 1)]
 
 
-def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
-    """Run the C percolation kernel over n rows on the Pcg64 rng, in the
-    ranges of `_row_bounds`.
+def _run_on_pcg64(kernel, range_args, n: int, width: int, rng):
+    """Run the C percolation kernel over n rows of patterns of the given
+    width on the Pcg64 rng, in the ranges of `_row_bounds`.
 
     range_args(start, stop) gives the kernel's arguments for rows start to
     stop, up to pcg and jump; each range has its own workspaces.  pcg is a
     PCG64 state and increment as four uint64 words, low word first, which
-    the kernel advances; jump is its workspace of ball_size + 1 jumps.  A
-    row takes exactly ball_size steps, so range w starts from rng's state
-    advanced by start_w * ball_size steps (`_jumped`) and draws what the
-    serial call draws for those rows.  The calling thread runs the first
+    the kernel advances; jump is its workspace of width + 1 jumps.  A row
+    takes exactly width steps, so range w starts from rng's state advanced
+    by start_w * width steps (`_jumped`) and draws what the serial call
+    draws for those rows.  The calling thread runs the first
     range and one thread each the others; ctypes releases the GIL, and
     every thread is joined before this returns or raises.  A kernel sets a
     non-zero status only before its first draw, from arguments every range
@@ -542,7 +541,7 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
     bounds = _row_bounds(n)
     w = len(bounds) - 1
     pcg = np.empty((w, 4), np.uint64)
-    jump = np.empty((w, 4 * (ball_size + 1)), np.uint64)
+    jump = np.empty((w, 4 * (width + 1)), np.uint64)
     calls = [(*range_args(start, stop), _data(pcg[k]), _data(jump[k]))
              for k, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
     status = [None] * w
@@ -556,7 +555,7 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
             ints = rng._ints()
             start = ints["state"]
             for k in range(1, w):
-                start = _jumped(start, ints["inc"], (bounds[k] - bounds[k - 1]) * ball_size)
+                start = _jumped(start, ints["inc"], (bounds[k] - bounds[k - 1]) * width)
                 pcg[k, :2] = [start & _WORD, start >> 64]
         threads = []
         try:
@@ -575,42 +574,42 @@ def _run_on_pcg64(kernel, range_args, n: int, ball_size: int, rng):
         rng.words[:2] = pcg[-1, :2]
 
 
-def _c_percolation_lookup(patterns, n_inner, lo, ball_size, sides, tables, rng, out):
-    """out[i] = the lookup of patterns[(lo + i) // n_inner] under the i-th of
+def _c_percolation_lookup(patterns, n_inner, sides, tables, rng, out):
+    """out[i] = the lookup of patterns[i // n_inner] under the i-th of
     len(out) percolation pasts drawn from rng, with the C kernel.
 
     The arguments are those of `_glauber_py.percolation_lookup`:
-    C-contiguous int64 patterns of width 1 to ball_size; n_inner >= 1 and
-    lo >= 0 such that every row read is a row of patterns; C-contiguous
-    int64 sides of shape (2, R) and float64 tables of shape
+    C-contiguous int64 patterns of width L >= 1; n_inner >= 1;
+    C-contiguous int64 sides of shape (2, R) and float64 tables of shape
     (a, R+1, a, R+1, a); a `Pcg64` rng; and a writeable C-contiguous
-    float64 out.  The pasts are the rows of `rng.random((len(out),
-    ball_size))`: the kernel steps rng's words itself, draws of each row
-    only the columns it scans for the nearest pins, each by its own exact
-    jump, and leaves rng where that call would.  The rows run in the ranges of `_run_on_pcg64`
-    and give bitwise the single call's out and end state.  Everything the C
+    float64 out of exactly len(patterns) * n_inner rows.  The pasts are the
+    rows of `rng.random((len(out), L))`: the kernel steps rng's words
+    itself, draws of each row only the columns it scans for the nearest
+    pins, each by its own exact jump, and leaves rng where that call would.
+    The rows run in the ranges of `_run_on_pcg64` and give bitwise the
+    single call's out and end state.  Everything the C
     code trusts is checked here first, before any draw, and the symbols by
     `_glauber_py.check_patterns`, so nothing fails after the first draw;
     the C code checks every side column it reads.  Any failure is a
     ValueError, a symbol or side column the twin's, and leaves rng as it
     was.
     """
-    L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
+    L, n, n_inner = _checked_percolation(patterns, n_inner, rng, out)
     r_max, a = _checked_geometry(sides, tables)
     _glauber_py.check_patterns(patterns, a)
     _run_on_pcg64(_c_percolation, lambda start, stop: (
-        _data(patterns), L, n_inner, lo + start, stop - start, ball_size, _data(sides), r_max,
-        _data(tables), a, _data(out[start:stop])), n, ball_size, rng)
+        _data(patterns), L, n_inner, start, stop - start, _data(sides), r_max,
+        _data(tables), a, _data(out[start:stop])), n, L, rng)
 
 
-def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
+def _c_tree_percolation(patterns, n_inner, tree, rng, out):
     """out[i] = the hardcore conditional of the center of
-    patterns[(lo + i) // n_inner] under the i-th of len(out) percolation
-    pasts drawn from rng, by the C tree kernel.
+    patterns[i // n_inner] under the i-th of len(out) percolation pasts
+    drawn from rng, by the C tree kernel.
 
     The arguments are those of `_glauber_py.tree_percolation`: patterns,
-    n_inner, lo, ball_size, rng and out as `_c_percolation_lookup` takes
-    them, and a `_glauber_py.Tree` of C-contiguous arrays (int64 starts,
+    n_inner, rng and out as `_c_percolation_lookup` takes them, and a
+    `_glauber_py.Tree` of C-contiguous arrays (int64 starts,
     child_ptr of one more entry than lam, children and (m, 2) edges; float64
     lam and free of one length), no narrower than the patterns.  The pasts,
     their draw and the stream's end state are those of
@@ -621,7 +620,7 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
     `clash_error` from `_glauber_py.check_patterns`, or a ValueError for
     anything else the kernel cannot trust.
     """
-    L, n, n_inner, lo, ball_size = _checked_percolation(patterns, n_inner, lo, ball_size, rng, out)
+    L, n, n_inner = _checked_percolation(patterns, n_inner, rng, out)
     (sites,) = _checked_shape("tree.lam", tree.lam, _F64, 1)
     for name, arr, dtype, ndim in (("starts", tree.starts, _I64, 1), ("child_ptr", tree.child_ptr, _I64, 1),
                                    ("children", tree.children, _I64, 1), ("free", tree.free, _F64, 1),
@@ -639,10 +638,10 @@ def _c_tree_percolation(patterns, n_inner, lo, ball_size, tree, rng, out):
                 len(tree.children), deep_start, n_window, tree.lam.ctypes.data_as(_BYTE_P),
                 tree.free.ctypes.data_as(_BYTE_P))
     _run_on_pcg64(_c_tree, lambda start, stop: (
-        _data(patterns), L, n_inner, lo + start, stop - start, ball_size, *geometry,
+        _data(patterns), L, n_inner, start, stop - start, *geometry,
         _data(out[start:stop]), _data(_workspace(n_window, np.uint8)),
         _data(_workspace(3 * n_window, np.float64)), _data(_workspace(n_window, np.int64))),
-        n, ball_size, rng)
+        n, L, rng)
 
 
 _c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()

@@ -12,9 +12,10 @@ prefix of B_R in ball order, oracles built at a larger radius serve smaller
 queries unchanged; rows wider than an oracle's ball are a ValueError.
 
 Every oracle answers the same two calls: `batch(values, masks)` for rows
-with their masks, and `percolation_batch(patterns, n_inner, ball_size, rng,
-out)` for rows whose masks are percolation pasts drawn from rng, which the
-transfer and tree oracles draw inside their compiled kernels.
+with their masks, and `percolation_batch(patterns, n_inner, rng, out)` for
+n_inner rows per pattern whose masks are percolation pasts on the pattern's
+sites drawn from rng, which the transfer and tree oracles draw inside their
+compiled kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import enumeration, groups, kernels
-from ._glauber_py import Tree, check_patterns, symbol_error, transfer_lookup, tree_batch
+from ._glauber_py import Tree, check_patterns, check_rows, symbol_error, transfer_lookup, tree_batch
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
@@ -67,20 +68,19 @@ class TransferOracle:
         _check_width(values.shape[-1], len(self.offsets), self.r_max)
         return transfer_lookup(values, np.asarray(masks, dtype=bool), self.sides, self.tables)
 
-    def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, out: np.ndarray):
         """out[k] = the conditional of the center of patterns[k // n_inner]
-        given the k-th of len(out) percolation pasts on a ball of ball_size
-        sites, drawn from rng.
+        given the k-th of len(out) percolation pasts, drawn from rng.
 
-        The pasts are those of `pasts.sample_percolation_masks(spec, r,
-        len(out), rng)` cut to the pattern width, but `kernels.percolation_lookup`
-        draws each one as it reads it, so no uniforms, masks or value rows
-        are held.  A symbol outside the alphabet anywhere in the patterns is
-        `symbol_error` before any draw, whatever the pasts would read.
+        For patterns on B_r the pasts are `pasts.sample_percolation_masks(spec,
+        r, len(out), rng)`, but `kernels.percolation_lookup` draws each one as
+        it reads it, so no uniforms, masks or value rows are held.  A symbol
+        outside the alphabet anywhere in the patterns is `symbol_error`
+        before any draw, whatever the pasts would read.
         """
         patterns = np.ascontiguousarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.offsets), self.r_max)
-        kernels.percolation_lookup(patterns, n_inner, 0, ball_size, self.sides, self.tables, rng, out)
+        kernels.percolation_lookup(patterns, n_inner, self.sides, self.tables, rng, out)
 
 
 def _check_width(width: int, sites: int, radius: int):
@@ -177,20 +177,21 @@ class BallEnumerationOracle:
             out[k] = cache[key]
         return out
 
-    def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, out: np.ndarray):
         """out[k] = the conditional of the center of patterns[k // n_inner]
-        given the k-th of len(out) percolation pasts on a ball of ball_size
-        sites, drawn from rng in the chunks of `pasts.percolation_chunks`,
-        each chunk one `batch`, whose memo needs whole rows.  Before any
-        draw, whatever the pasts would pin, a symbol outside the alphabet
-        anywhere in the patterns is `symbol_error`, and two sites that some
-        past could pin together into no configuration are
-        `_check_pin_pairs`'s InconsistentPinsError."""
+        given the k-th of len(out) percolation pasts, drawn from rng in the
+        chunks of `pasts.percolation_chunks`, each chunk one `batch`, whose
+        memo needs whole rows.  Before any draw, whatever the pasts would
+        pin, rows that do not fit are `check_rows`'s ValueError, a symbol
+        outside the alphabet anywhere in the patterns is `symbol_error`, and
+        two sites that some past could pin together into no configuration
+        are `_check_pin_pairs`'s InconsistentPinsError."""
         patterns = np.asarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.ball), self.r_max + self.pad)
+        check_rows(patterns, n_inner, out)
         check_patterns(patterns, self.structure.alphabet)
         self._check_pin_pairs(patterns)
-        for start, stop, rows, masks in percolation_chunks(patterns, n_inner, 0, len(out), ball_size, rng):
+        for start, stop, rows, masks in percolation_chunks(patterns, n_inner, rng):
             out[start:stop] = self.batch(rows, masks)
 
     def _check_pin_pairs(self, patterns: np.ndarray):
@@ -342,17 +343,16 @@ class SawOracle:
         _check_width(values.shape[1], len(self.ball), self.r_max)
         return tree_batch(values, np.asarray(masks, dtype=bool), self.tree)
 
-    def percolation_batch(self, patterns: np.ndarray, n_inner: int, ball_size: int, rng, out: np.ndarray):
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, out: np.ndarray):
         """out[k] = the conditional of the center of patterns[k // n_inner]
-        given the k-th of len(out) percolation pasts on a ball of ball_size
-        sites, drawn from rng inside `kernels.tree_percolation`; the results
-        and the generator's state are those of `batch` over the masks of
-        `pasts.percolation_chunks`.  A symbol outside {0, 1} or two adjacent
-        1s anywhere in the patterns is refused before any draw, whatever
-        the pasts would pin."""
+        given the k-th of len(out) percolation pasts, drawn from rng inside
+        `kernels.tree_percolation`; the results and the generator's state
+        are those of `batch` over the masks of `pasts.percolation_chunks`.
+        A symbol outside {0, 1} or two adjacent 1s anywhere in the patterns
+        is refused before any draw, whatever the pasts would pin."""
         patterns = np.ascontiguousarray(patterns, dtype=np.int64)
         _check_width(patterns.shape[1], len(self.ball), self.r_max)
-        kernels.tree_percolation(patterns, n_inner, 0, ball_size, self.tree, rng, out)
+        kernels.tree_percolation(patterns, n_inner, self.tree, rng, out)
 
 
 def _tree_fixed_point(lam: float, degree: int) -> float:

@@ -4,8 +4,9 @@ The percolation past attaches i.i.d. uniforms to the sites of B_r and puts a
 site in the past of the identity when its uniform is below the identity's (a
 tie, a probability-zero event, leaves the site out);
 `sample_percolation_masks` draws these masks in one call and
-`percolation_chunks` in bounded chunks of the same stream.  The
-lexicographic past on Z^d is the deterministic algebraic order.
+`percolation_chunks(patterns, n_inner, rng)` on the sites of each pattern in
+bounded chunks of the same stream.  The lexicographic past on Z^d is the
+deterministic algebraic order.
 """
 
 from __future__ import annotations
@@ -38,31 +39,29 @@ def sample_percolation_masks(spec: GroupSpec, r: int, n_samples: int, rng) -> np
 CHUNK_FLOATS = 2**16
 
 
-def percolation_chunks(patterns: np.ndarray, n_inner: int, lo: int, n: int, ball_size: int, rng):
-    """Yield (start, stop, rows, masks) over n random-past rows: row i pairs
-    patterns[(lo + i) // n_inner] with the i-th percolation past on a ball of
-    ball_size sites, its mask cut to the pattern width L.
+def percolation_chunks(patterns: np.ndarray, n_inner: int, rng):
+    """Yield (start, stop, rows, masks) over the n = len(patterns) * n_inner
+    random-past rows: row i pairs patterns[i // n_inner] with the i-th
+    percolation past on the pattern's L sites, B_r for a pattern on B_r.
 
     The masks of rows start..stop-1 are the next stop - start rows of
-    `rng.random((n, ball_size))`, as `sample_percolation_masks` draws them,
+    `rng.random((n, L))`, as `sample_percolation_masks` draws them on B_r,
     and each chunk holds at most CHUNK_FLOATS uniforms.  rows is a broadcast
-    view when the chunk lies inside one pattern's rows, else a copy.  A width
-    outside [1, ball_size] is a ValueError before any draw.
+    view when the chunk lies inside one pattern's rows, else a copy.
     """
-    L = patterns.shape[1]
-    if not 1 <= L <= ball_size:
-        raise ValueError(f"pattern width {L} is not in [1, {ball_size}], the ball size of the pasts")
-    step = max(1, CHUNK_FLOATS // ball_size)
+    n_patterns, L = patterns.shape
+    n = n_patterns * n_inner
+    step = max(1, CHUNK_FLOATS // L)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        chi = rng.random((stop - start, ball_size))
-        masks = chi[:, :L] < chi[:, :1]
+        chi = rng.random((stop - start, L))
+        masks = chi < chi[:, :1]
         masks[:, 0] = False
-        first, last = (lo + start) // n_inner, (lo + stop - 1) // n_inner
+        first, last = start // n_inner, (stop - 1) // n_inner
         if first == last:
             rows = np.broadcast_to(patterns[first], (stop - start, L))
         else:
-            rows = patterns[(lo + np.arange(start, stop)) // n_inner]
+            rows = patterns[np.arange(start, stop) // n_inner]
         yield start, stop, rows, masks
 
 

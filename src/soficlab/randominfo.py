@@ -58,11 +58,11 @@ def info_fn_truncated(oracle, spec: GroupSpec, values, mask, r: int) -> float:
     return -math.log(_checked(p))
 
 
-def _streamed_info(oracle, spec: GroupSpec, r: int, patterns: np.ndarray, n_inner: int, rng) -> np.ndarray:
+def _streamed_info(oracle, patterns: np.ndarray, n_inner: int, rng) -> np.ndarray:
     """f = -log of the oracle conditional on len(patterns) * n_inner rows.
 
-    Row k pairs patterns[k // n_inner] with the k-th percolation past on B_r
-    drawn from rng, truncated to the pattern width.  The oracle fills f in
+    Row k pairs patterns[k // n_inner], a pattern on B_r, with the k-th
+    percolation past on B_r drawn from rng.  The oracle fills f in
     one `percolation_batch`, which bounds its own rows in memory (the
     transfer and tree oracles draw each past inside their kernels, the ball
     oracle takes bounded chunks); f is then checked and logged in place, in
@@ -71,7 +71,7 @@ def _streamed_info(oracle, spec: GroupSpec, r: int, patterns: np.ndarray, n_inne
     """
     n = len(patterns) * n_inner
     f = np.empty(n)
-    oracle.percolation_batch(patterns, n_inner, len(groups.ball(spec, r).elements), rng, f)
+    oracle.percolation_batch(patterns, n_inner, rng, f)
     step = pasts.CHUNK_FLOATS
     for lo in range(0, n, step):
         part = f[lo:lo + step]
@@ -108,7 +108,7 @@ def random_info(
     if N < 2:
         raise SchemaError(f"the percolation past needs N >= 2 pasts for a standard error, got {N}")
     rng = Pcg64([seed, r, 0x1FF0])
-    f = _streamed_info(oracle, spec, r, vals[None, :], N, rng)
+    f = _streamed_info(oracle, vals[None, :], N, rng)
     return InfoEstimate(float(f.mean()), float(f.std(ddof=1) / math.sqrt(N)), r, N, oracle.name)
 
 
@@ -185,7 +185,7 @@ def kp_pressure_at_measure(
     cols = [groups.line_offset(spec, g) + r for g in groups.ball(spec, r).elements]
     # one int64 copy in C order, the rows the compiled kernels read uncopied
     patterns = np.ascontiguousarray(windows[:, cols], dtype=np.int64)
-    f = _streamed_info(oracle, spec, r, patterns, N_inner, rng).reshape(M_outer, N_inner)
+    f = _streamed_info(oracle, patterns, N_inner, rng).reshape(M_outer, N_inner)
     info_means = f.mean(axis=1)
     phis = _potentials_at_center(potential, spec, patterns)
     totals = info_means + phis

@@ -14,18 +14,12 @@ class GlauberEngine:
 
     The single-site conditional at v multiplies exp(h), outgoing and incoming
     edge weights, and zeroes candidates that violate an incident non-self
-    edge.  An optional per-symbol bias (used by thermodynamic integration)
+    edge.  A per-symbol bias set by `set_bias` (thermodynamic integration)
     adds to h.  The engine's `kernels.SweepWorkspace` keeps the compiled
     sweep's checks, pointers and workspaces across its calls.
     """
 
-    def __init__(
-        self,
-        sm: SoficMap,
-        structure: ConstraintStructure,
-        potential: Potential,
-        bias: np.ndarray | None = None,
-    ):
+    def __init__(self, sm: SoficMap, structure: ConstraintStructure, potential: Potential):
         if structure.n_generators != sm.n_generators:
             raise ValueError("structure and sofic map disagree on generator count")
         self.sm = sm
@@ -36,7 +30,7 @@ class GlauberEngine:
         self.allowed = np.ascontiguousarray(structure.allowed, dtype=np.uint8)
         self.wj = np.ascontiguousarray(np.exp(potential.J))
         self._work = SweepWorkspace()
-        self.set_bias(bias)
+        self.set_bias(None)
 
     def set_bias(self, bias: np.ndarray | None):
         h = self.potential.h if bias is None else self.potential.h + bias

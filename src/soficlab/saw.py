@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BudgetExceededError, InconsistentPinsError
 
 FREE, PIN_OCCUPIED, PIN_EMPTY = 0, 1, 2
+SAW_TREE_MAX_NODES = 5_000_000
 
 
 @dataclass
@@ -32,7 +33,7 @@ class SawTree:
         self.n_nodes = len(self.parent)
 
 
-def build_saw_tree(adj: list, root: int, max_nodes: int = 5_000_000) -> SawTree:
+def build_saw_tree(adj: list, root: int) -> SawTree:
     """Unfold a simple undirected graph (sorted adjacency lists) at the root.
 
     Walks never backtrack along the edge they just used; stepping onto any
@@ -55,8 +56,8 @@ def build_saw_tree(adj: list, root: int, max_nodes: int = 5_000_000) -> SawTree:
             if w == prev_vertex:
                 continue
             idx = len(graph_vertex)
-            if idx > max_nodes:
-                raise BudgetExceededError(f"SAW tree exceeds its cap of {max_nodes:,} nodes")
+            if idx > SAW_TREE_MAX_NODES:
+                raise BudgetExceededError(f"SAW tree exceeds its cap of {SAW_TREE_MAX_NODES:,} nodes")
             if w in on_walk:
                 # closing edge (w, u) vs the edge (w, on_walk[w]) the walk left by
                 state = PIN_OCCUPIED if u > on_walk[w] else PIN_EMPTY

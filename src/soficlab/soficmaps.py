@@ -18,6 +18,7 @@ from . import groups
 from .errors import CapExceededError
 from .groups import CayleyBall, Element, GroupSpec
 
+MAP_CAP = 100_000_000  # the most vertices of a torus or Folner box, 800 MB per permutation
 
 @dataclass
 class SoficMap:
@@ -56,12 +57,12 @@ class SoficMap:
         return arr
 
 
-def build_torus(d: int, m: int, cap: int = 100_000_000) -> SoficMap:
+def build_torus(d: int, m: int) -> SoficMap:
     """Exact quotient (Z/mZ)^d: sigma^{e_i} adds e_i mod m."""
     if m < 2:
         raise ValueError("m must be >= 2")
     n = m**d
-    if n > cap:
+    if n > MAP_CAP:
         raise CapExceededError(f"torus size {n} exceeds cap")
     idx = np.arange(n, dtype=np.int64)
     perms = np.empty((d, n), dtype=np.int64)
@@ -72,7 +73,7 @@ def build_torus(d: int, m: int, cap: int = 100_000_000) -> SoficMap:
     return SoficMap(groups.zd(d), n, perms, {"builder": "torus", "d": d, "m": m})
 
 
-def build_folner_box(d: int, m: int, cap: int = 100_000_000) -> SoficMap:
+def build_folner_box(d: int, m: int) -> SoficMap:
     """Folner box {0..m-1}^d: shift inside; overflow wraps to the opposite face
     with all complementary coordinates reversed.
 
@@ -84,7 +85,7 @@ def build_folner_box(d: int, m: int, cap: int = 100_000_000) -> SoficMap:
     if m < 2:
         raise ValueError("m must be >= 2")
     n = m**d
-    if n > cap:
+    if n > MAP_CAP:
         raise CapExceededError(f"box size {n} exceeds cap")
     perms = np.empty((d, n), dtype=np.int64)
     coords = np.stack(np.unravel_index(np.arange(n), (m,) * d), axis=1)

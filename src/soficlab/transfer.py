@@ -7,19 +7,23 @@ are computed exactly by screening to the nearest pinned site on each side.
 The Perron pair needs an irreducible relation: one whose support graph on
 the core symbols is strongly connected.  A reducible relation, such as
 [[1, 1], [0, 1]] or the identity, has traces but no unique stationary chain;
-everything built on the pair raises ReducibleTransferError there.
+everything built on the pair raises ReducibleTransferError there.  A
+weight h(b) + J(a, b) on an allowed pair past LOG_FLOAT_MAX is a SchemaError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential, core_symbols
-from .errors import ReducibleTransferError
+from .errors import ReducibleTransferError, SchemaError
+
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest x whose exponential is a float
 
 
 @dataclass
@@ -193,8 +197,13 @@ def _center_weights(powers, left, right, dl: int, bl: int, dr: int, br: int) -> 
 def build_transfer(structure: ConstraintStructure, potential: Potential) -> TransferMatrix:
     if structure.n_generators != 1:
         raise ValueError("transfer matrices need a rank-1 generating set")
-    a = structure.alphabet
-    T = structure.allowed[0] * np.exp(potential.h[None, :] + potential.J[0])
+    weights = np.where(structure.allowed[0], potential.h[None, :] + potential.J[0], -np.inf)
+    if weights.max() > LOG_FLOAT_MAX:  # refused before any exp, which would overflow to inf
+        a, b = np.unravel_index(weights.argmax(), weights.shape)
+        raise SchemaError(f"the weight h({b}) + J({a}, {b}) = {float(weights[a, b])!r} (vertex_log_weights "
+                          f"plus edge_log_weights) of the allowed pair ({a}, {b}) is above log(float max) "
+                          f"= {LOG_FLOAT_MAX:.6g}, so its transfer matrix entry is no float")
+    T = np.exp(weights)
     vals, vecs = np.linalg.eig(T)
     i = int(np.argmax(vals.real))
     lam = float(vals[i].real)

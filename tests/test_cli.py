@@ -414,6 +414,44 @@ def test_bad_mcmc_block_is_schema_error_before_any_sweep(block, message, experim
     assert exc.value.exit_code == 2
 
 
+@pytest.mark.parametrize("main_fn,args", [
+    (main_pressure, ["--builder", "torus", "--sizes", "16"]),
+    (main_ssm_profile, []),
+    (main_kp_estimate, []),
+], ids=["pressure", "ssm-profile", "kp-estimate"])
+def test_overflowing_rank1_weight_is_schema_error(main_fn, args, tmp_path, capsys):
+    """A Z^1 hardcore model with vertex_log_weights [0, 1000] passes the
+    schema, but its transfer matrix entry e^1000 is no float: pressure,
+    ssm-profile and kp-estimate once each ended in numpy's LinAlgError
+    "Array must not contain infs or NaNs".  Each now exits 2 with a
+    SchemaError that names the weight, raised before any exponential."""
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({**hardcore_model_dict("Zd", 1, 1.0), "vertex_log_weights": [0.0, 1000.0]}))
+    with pytest.raises(SystemExit) as exc:
+        main_fn(["--model", str(path), *args])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"].startswith("the weight h(1) + J(0, 1) = 1000.0 ")
+
+
+def test_largest_rank1_weight_records_are_pinned(tmp_path):
+    """At vertex_log_weights [0, 709], the largest whole weight below
+    log(float max), the three rank-1 routes answer, with the figures
+    recorded before weights past log(float max) were refused."""
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({**hardcore_model_dict("Zd", 1, 1.0), "vertex_log_weights": [0.0, 709.0]}))
+
+    def outputs(experiment, params, seed=0):
+        return run_config({"experiment": experiment, "model": str(path), "seed": seed, "params": params})["outputs"]
+
+    pressure = outputs("pressure", {"builder_desc": {"builder": "torus", "d": 1}, "sizes": [8], "method": "cycles"})
+    assert pressure[0]["log_Z"] == 2836.69314718056
+    assert outputs("ssm-profile", {"rmax": 3}) == [{"r": r, "beta_hat": 1.0} for r in (1, 2, 3)]
+    kp = outputs("kp-estimate", {"oracle": "transfer", "r": 4, "N": 500}, seed=1)
+    assert (kp["value"], kp["stderr"]) == (333.3823381198522, 14.944114973402883)
+
+
 @pytest.mark.parametrize("experiment", ["pressure", "entropy"])
 def test_overflowing_tail_bound_is_schema_error_before_any_sweep(experiment, tmp_path, monkeypatch):
     """At 2|phi| = 800 the TI tail bound n a e^log_u_min e^(2|phi|) is past
@@ -440,16 +478,10 @@ def test_record_names_the_kernel_backend(hc_model):
     assert list(record["outputs"][0]) == ["n", "log_Z", "pressure_estimate", "stderr", "method", "seed"]
 
 
-@pytest.mark.parametrize("nu,params", [
-    ("mu", {"N": 4000, "N_inner": 50}),
-    ("fixed0", {"N": 20000}),
-])
-def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
-    """The transfer oracle's lookups are kernels: at two seeds, the records of
-    the forced Python twins are byte-equal JSON to this process's, apart
-    from the backend's name and the wall time."""
-    configs = [{"experiment": "kp-estimate", "model": hc_model, "seed": seed,
-                "params": {"r": 6, "oracle": "transfer", "nu": nu, **params}} for seed in (4, 9)]
+def _records_on_both_backends(configs) -> list:
+    """[(twin, here)] for each RunConfig: the record of the forced Python
+    twins, run in a subprocess, and this process's record, each without
+    its backend's name, which is checked, and its wall time."""
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = {**os.environ, "SOFICLAB_KERNEL": "python",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -460,12 +492,28 @@ def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
     )
     twins = json.loads(out.stdout)
     assert len(twins) == len(configs)
+    pairs = []
     for twin, config in zip(twins, configs):
         assert twin.pop("kernel_backend") == "python"
         here = run_config(config)
         assert here.pop("kernel_backend") == kernels.BACKEND
         for record in (twin, here):
             record.pop("wall_time_s")
+        pairs.append((twin, here))
+    return pairs
+
+
+@pytest.mark.parametrize("nu,params", [
+    ("mu", {"N": 4000, "N_inner": 50}),
+    ("fixed0", {"N": 20000}),
+])
+def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
+    """The transfer oracle's lookups are kernels: at two seeds, the records of
+    the forced Python twins are byte-equal JSON to this process's, apart
+    from the backend's name and the wall time."""
+    configs = [{"experiment": "kp-estimate", "model": hc_model, "seed": seed,
+                "params": {"r": 6, "oracle": "transfer", "nu": nu, **params}} for seed in (4, 9)]
+    for twin, here in _records_on_both_backends(configs):
         assert json.dumps(twin) == json.dumps(here)
 
 
@@ -516,36 +564,51 @@ TREE_RECORDS = [
 ]
 
 
+# (group kind, rank, lambda, params, seed, oracle used, value, stderr) of the
+# transfer oracle under both nu and the ball oracle on Z^2 under both pasts;
+# the figures are those recorded before the random-past kernels lost their
+# row offset and past-ball size
+ROUTE_RECORDS = [
+    ("Zd", 1, 1.0, {"oracle": "transfer", "r": 6, "N": 2000}, 3, "transfer",
+     0.4849600826927065, 0.003682674218164559),
+    ("Zd", 1, 1.0, {"oracle": "transfer", "nu": "mu", "r": 6, "N": 2000, "N_inner": 20}, 3, "transfer",
+     0.4308541478725754, 0.03410704343153505),
+    ("Zd", 2, 1.0, {"oracle": "ball", "pad": 1, "r": 1, "N": 300}, 2, "ball",
+     0.2848491310836703, 0.012533497932285892),
+    ("Zd", 2, 1.0, {"oracle": "ball", "pad": 1, "r": 2, "past": "lex", "N": 1}, 2, "ball",
+     0.5280674302004967, 0.0),
+]
+
+
+def _check_pinned_records(records, tmp_path):
+    """Each kp-estimate record of `records`, run on both backends, is the
+    same JSON apart from the backend's name and the wall time, and gives the
+    pinned oracle, value and stderr."""
+    configs = []
+    for kind, rank, lam, params, seed, *_ in records:
+        path = tmp_path / f"{kind}{rank}_{lam}.json"
+        path.write_text(json.dumps(hardcore_model_dict(kind, rank, lam)))
+        configs.append({"experiment": "kp-estimate", "model": str(path), "seed": seed, "params": params})
+    for (twin, here), (*_, oracle, value, stderr) in zip(_records_on_both_backends(configs), records):
+        assert json.dumps(twin) == json.dumps(here)
+        assert (here["outputs"]["oracle"], here["outputs"]["value"], here["outputs"]["stderr"]) == (
+            oracle, value, stderr)
+
+
 def test_kp_tree_record_is_the_same_on_both_backends(tmp_path):
     """The tree oracle's recursion is a kernel: on F_1 and F_2 hardcore
     (both shells, `oracle: auto`, and `oracle: saw` on F_1) and on Z^1 with
     `nu: mu` through the SAW oracle, the records of the forced Python twins
     are byte-equal JSON to this process's, apart from the backend's name and
     the wall time, and each value and stderr is the pinned figure."""
-    configs = []
-    for kind, rank, lam, params, seed, *_ in TREE_RECORDS:
-        path = tmp_path / f"{kind}{rank}_{lam}.json"
-        path.write_text(json.dumps(hardcore_model_dict(kind, rank, lam)))
-        configs.append({"experiment": "kp-estimate", "model": str(path), "seed": seed, "params": params})
-    src = str(Path(kernels.__file__).resolve().parents[1])
-    env = {**os.environ, "SOFICLAB_KERNEL": "python",
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run(
-        [sys.executable, "-c", "import json, sys; from soficlab.cli import run_config; "
-         "print(json.dumps([run_config(c) for c in json.loads(sys.argv[1])]))", json.dumps(configs)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    twins = json.loads(out.stdout)
-    assert len(twins) == len(configs)
-    for twin, config, (*_, oracle, value, stderr) in zip(twins, configs, TREE_RECORDS):
-        assert twin.pop("kernel_backend") == "python"
-        here = run_config(config)
-        assert here.pop("kernel_backend") == kernels.BACKEND
-        for record in (twin, here):
-            record.pop("wall_time_s")
-        assert json.dumps(twin) == json.dumps(here)
-        assert (here["outputs"]["oracle"], here["outputs"]["value"], here["outputs"]["stderr"]) == (
-            oracle, value, stderr)
+    _check_pinned_records(TREE_RECORDS, tmp_path)
+
+
+def test_kp_transfer_and_ball_records_are_pinned(tmp_path):
+    """The transfer oracle under `nu: fixed0` and `nu: mu`, and the ball
+    oracle on Z^2 at pad 1 under the percolation and the lexicographic
+    past, give the pinned value and stderr on both backends."""
+    _check_pinned_records(ROUTE_RECORDS, tmp_path)
 
 
 def test_lambda_param_rewrites_activity(hc_model):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soficlab import groups
+from soficlab import constraints, groups
 from soficlab.constraints import (
     ConstraintStructure,
     Pattern,
@@ -73,8 +73,9 @@ def test_tssm_verdicts():
         assert is_globally_admissible(CB, Z1, Pattern((g,), (val,)), pad=3) == Verdict.YES
 
 
-def test_tssm_budget_partial():
-    v = check_tssm(CB, Z1, m=1, radius=2, k_max=2, max_assignments=1)
+def test_tssm_budget_partial(monkeypatch):
+    monkeypatch.setattr(constraints, "TSSM_MAX_ASSIGNMENTS", 1)
+    v = check_tssm(CB, Z1, m=1, radius=2, k_max=2)
     assert v.kind == "holds_up_to" and not v.complete
 
 

@@ -19,7 +19,7 @@ from soficlab.gibbs import _beta_enumeration
 def models(draw):
     """A site graph with n <= 8, alphabet 2-3, 1-2 generators, random allowed
     relations (dead rows included), random h and J, self-loops and parallel
-    edges, random pins (inadmissible ones included) and random symbols."""
+    edges, and random pins (inadmissible ones included)."""
     n = draw(st.integers(1, 8))
     a = draw(st.integers(2, 3))
     k = draw(st.integers(1, 2))
@@ -31,15 +31,14 @@ def models(draw):
     site = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(site, st.integers(0, k - 1), site), max_size=3 * n))
     pins = draw(st.dictionaries(site, st.integers(0, a - 1), max_size=n))
-    symbols = draw(st.none() | st.lists(st.integers(0, a - 1), min_size=1, max_size=a, unique=True))
     query = draw(st.lists(site, min_size=1, max_size=min(n, 3), unique=True))
     return (SiteGraph(n, edges), ConstraintStructure(a, allowed),
-            Potential(np.array(h), np.array(J).reshape(k, a, a)), pins, symbols, query)
+            Potential(np.array(h), np.array(J).reshape(k, a, a)), pins, query)
 
 
-def _brute(graph, structure, potential, pins, symbols, query):
+def _brute(graph, structure, potential, pins, query):
     """log Z, every site marginal and the joint of query, summed over DFS's configurations."""
-    configs, logw = all_configs(graph, structure, potential, pins=pins, symbols=symbols)
+    configs, logw = all_configs(graph, structure, potential, pins=pins)
     if not configs:
         return -math.inf, None, {}
     m = logw.max()
@@ -57,20 +56,20 @@ def _brute(graph, structure, potential, pins, symbols, query):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(models())
 def test_elimination_matches_dfs(model):
-    graph, structure, potential, pins, symbols, query = model
-    log_z, marginals, joint = _brute(graph, structure, potential, pins, symbols, query)
-    ve_log_z = log_partition(graph, structure, potential, pins=pins, symbols=symbols)
+    graph, structure, potential, pins, query = model
+    log_z, marginals, joint = _brute(graph, structure, potential, pins, query)
+    ve_log_z = log_partition(graph, structure, potential, pins=pins)
     if marginals is None:
         assert ve_log_z == -math.inf
-        assert joint_distribution(graph, structure, potential, query, pins=pins, symbols=symbols) == {}
+        assert joint_distribution(graph, structure, potential, query, pins=pins) == {}
         for i in range(graph.n):
-            assert np.isnan(site_marginal(graph, structure, potential, i, pins=pins, symbols=symbols)).all()
+            assert np.isnan(site_marginal(graph, structure, potential, i, pins=pins)).all()
         return
     assert ve_log_z == pytest.approx(log_z, abs=1e-12)
     for i in range(graph.n):
-        p = site_marginal(graph, structure, potential, i, pins=pins, symbols=symbols)
+        p = site_marginal(graph, structure, potential, i, pins=pins)
         assert np.allclose(p, marginals[i], rtol=0.0, atol=1e-13)
-    ve_joint = joint_distribution(graph, structure, potential, query, pins=pins, symbols=symbols)
+    ve_joint = joint_distribution(graph, structure, potential, query, pins=pins)
     assert set(ve_joint) == set(joint)
     for key, p in joint.items():
         assert ve_joint[key] == pytest.approx(p, abs=1e-13)

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from soficlab import enumeration, groups, soficmaps
+from soficlab import enumeration, gibbs, groups, soficmaps
 from soficlab.constraints import (
     ConstraintStructure,
     Pattern,
@@ -154,7 +154,7 @@ def test_gibbs_maximality():
 def test_sampler_hits_exact_frequencies():
     sp = DerivedSpace(soficmaps.build_torus(1, 4), *HC1)
     t = derived_gibbs_exact(sp)
-    samples = sample_derived_gibbs(sp, sweeps=50, seed=5, n_samples=4000, thin=2, burn=50)
+    samples = sample_derived_gibbs(sp, sweeps=50, seed=5, n_samples=4000, thin=2)
     codes = samples @ (2 ** np.arange(4))
     table_codes = t.configs @ (2 ** np.arange(4))
     for code, p in zip(table_codes, t.probs):
@@ -165,7 +165,7 @@ def test_sampler_hits_exact_frequencies():
 
 def test_sampler_full_shift_single_sweep_exact():
     fs = DerivedSpace(soficmaps.build_torus(1, 6), full_shift(2, 1), zero_potential(2, 1))
-    samples = sample_derived_gibbs(fs, sweeps=1, seed=1, n_samples=3000, thin=1, burn=1)
+    samples = sample_derived_gibbs(fs, sweeps=1, seed=1, n_samples=3000, thin=1)
     freq = samples.mean()
     assert abs(freq - 0.5) < 0.02
 
@@ -173,7 +173,7 @@ def test_sampler_full_shift_single_sweep_exact():
 def test_lambda_small_concentrates_on_empty():
     st, pot = hardcore(1, 1e-4)
     sp = DerivedSpace(soficmaps.build_torus(1, 8), st, pot)
-    samples = sample_derived_gibbs(sp, sweeps=30, seed=2, n_samples=300, thin=1, burn=30)
+    samples = sample_derived_gibbs(sp, sweeps=30, seed=2, n_samples=300, thin=1)
     assert samples.mean() < 0.01
 
 
@@ -245,7 +245,7 @@ def test_ssm_profile_budget_counts_the_whole_alphabet():
         ssm_profile(st, pot, Z2, 2)  # 3^12 patterns, of which only 2^12 are core-valued
 
 
-def test_ssm_profile_enumeration_is_pinned():
+def test_ssm_profile_enumeration_is_pinned(monkeypatch):
     """beta(r) read in place from the dense elimination table: bitwise the
     figures recorded when it was read through a dict of value tuples, on
     hardcore (F_2, Z^2) and on a three-symbol model whose symbol 2 is
@@ -258,9 +258,9 @@ def test_ssm_profile_enumeration_is_pinned():
     pot = Potential(np.array([0.0, 0.4, -0.3]), np.array([J, J]))
     assert ssm_profile(*hardcore(2, 0.3), groups.free(2), 1).tolist() == [0.13571520839985096]
     assert ssm_profile(*hardcore(2, 1.0), Z2, 2).tolist() == [15 / 34, 0.31272944591479546]
-    assert ssm_profile(st, pot, Z2, 2, max_boundary_patterns=3**12).tolist() == [
-        0.7590830572601426, 0.7244907294914447]
-    assert ssm_profile(st, pot, groups.free(2), 1, max_boundary_patterns=3**12).tolist() == [0.7590830572601427]
+    monkeypatch.setattr(gibbs, "SSM_BOUNDARY_PATTERNS", 3**12)
+    assert ssm_profile(st, pot, Z2, 2).tolist() == [0.7590830572601426, 0.7244907294914447]
+    assert ssm_profile(st, pot, groups.free(2), 1).tolist() == [0.7590830572601427]
 
 
 def test_uniform_bound():
@@ -292,12 +292,13 @@ def test_transfer_reference_marginal_free1_equals_line(r):
         transfer_reference_marginal(st, pot, Z1, r).table
 
 
-def test_uniform_bound_skips_inadmissible_conditionings_on_free2():
+def test_uniform_bound_skips_inadmissible_conditionings_on_free2(monkeypatch):
     # B_2 of F_2 holds adjacent non-center sites; pinning two of them occupied
     # is inadmissible and skipped instead of reaching the SAW oracle
     F2 = groups.free(2)
     st, pot = hardcore(2, 0.3)
-    c2 = uniform_bound_c(st, pot, F2, 2, max_subsets=64).c_hat
+    monkeypatch.setattr(gibbs, "UNIFORM_BOUND_SUBSETS", 64)
+    c2 = uniform_bound_c(st, pot, F2, 2).c_hat
     assert math.isfinite(c2) and 0.0 < c2 <= uniform_bound_c(st, pot, F2, 1).c_hat
 
 

@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import shlex
@@ -337,38 +338,54 @@ def test_lookup_symbol_outside_the_alphabet_is_one_error_on_both_backends(rows, 
     assert len(messages) == 1
 
 
+def _masks(rng, n: int, L: int) -> np.ndarray:
+    """The masks of n percolation pasts on L sites drawn from rng, as
+    `sample_percolation_masks` draws them on a ball of L sites."""
+    chi = rng.random((n, L))
+    masks = chi < chi[:, :1]
+    masks[:, 0] = False
+    return masks
+
+
+def test_masks_are_those_of_sample_percolation_masks():
+    """The tests' reference masks on the L sites of a ball are
+    `sample_percolation_masks`' on it, and leave the stream alike."""
+    for spec, r in ((groups.zd(1), 3), (groups.free(2), 2)):
+        rng, reference = Pcg64(6), Pcg64(6)
+        expect = sample_percolation_masks(spec, r, 50, reference)
+        assert np.array_equal(_masks(rng, 50, len(groups.ball(spec, r))), expect)
+        assert rng.state == reference.state
+
+
 @st.composite
 def percolation_cases(draw):
-    """Percolation-lookup arguments on a Z^1 or F_1 ball: a query radius r of
-    1..8 against an oracle of radius r..r+2 at one of several activities,
-    patterns of any width up to |B_r|, a row count that n_inner divides or
-    not, a first row lo inside a pattern, and the twin's draw block cut to
-    1, 7 or 2^16 uniforms."""
+    """Percolation-lookup arguments on a Z^1 or F_1 ball: patterns of any
+    width up to |B_r| for a query radius r of 1..8, against an oracle of
+    radius r..r+2 at one of several activities, n_inner rows per pattern,
+    and the twin's draw block cut to 1, 7 or 2^16 uniforms."""
     spec = draw(st.sampled_from([groups.zd(1), groups.free(1)]))
     r = draw(st.integers(1, 8))
     oracle = TransferOracle(*hardcore(1, draw(st.sampled_from([0.4, 1.0, 2.5]))), spec,
                             r + draw(st.integers(0, 2)))
     L = draw(st.integers(1, 2 * r + 1))
     n_inner = draw(st.integers(1, 9))
-    lo = draw(st.integers(0, 3 * n_inner))
-    n = n_inner * draw(st.integers(0, 6)) + draw(st.integers(0, n_inner - 1))
     patterns = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
-        0, 2, ((lo + n) // n_inner + 1, L))
+        0, 2, (draw(st.integers(0, 6)), L))
     block = draw(st.sampled_from([1, 7, 2**16]))
-    return spec, r, oracle, patterns, n_inner, lo, n, draw(st.integers(0, 2**32 - 1)), block
+    return oracle, patterns, n_inner, draw(st.integers(0, 2**32 - 1)), block
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(percolation_cases())
 def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
-    """Both backends give the lookup of the masks that sample_percolation_masks
-    draws from the same stream, bitwise, and leave the stream in the
-    state that draw leaves it, so later draws stay aligned."""
-    spec, r, oracle, patterns, n_inner, lo, n, seed, block = case
-    ball_size = len(groups.ball(spec, r))
+    """Both backends give the lookup of the masks of percolation pasts on
+    the pattern's sites, drawn from the same stream, bitwise, and leave the
+    stream in the state that draw leaves it, so later draws stay aligned."""
+    oracle, patterns, n_inner, seed, block = case
+    n = len(patterns) * n_inner
     reference = Pcg64(seed)
-    masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
-    rows = patterns[(lo + np.arange(n)) // n_inner]
+    masks = _masks(reference, n, patterns.shape[1])
+    rows = patterns[np.arange(n) // n_inner]
     expect = _glauber_py.transfer_lookup(rows, masks, oracle.sides, oracle.tables)
     saved = pasts.CHUNK_FLOATS
     pasts.CHUNK_FLOATS = block
@@ -376,7 +393,7 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
         for lookup in PERCOLATIONS:
             rng = Pcg64(seed)
             out = np.full(n, np.nan)
-            lookup(patterns, n_inner, lo, ball_size, oracle.sides, oracle.tables, rng, out)
+            lookup(patterns, n_inner, oracle.sides, oracle.tables, rng, out)
             assert np.array_equal(out, expect)
             assert rng.state == reference.state
     finally:
@@ -390,18 +407,19 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
     ([0, 0, 0, 0, 0], 0, r"^side column .* negative$"),  # checked before any row
 ])
 def test_percolation_symbol_or_column_is_one_error_on_both_backends(pattern, n, message):
-    """One error from both backends, raised before any draw."""
+    """One error from both backends, raised before any draw; a negative side
+    column also with no rows."""
     oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)  # columns: center, -1, +1, -2, +2
     sides = oracle.sides.copy()
     if n == 0:
         sides[1, 0] = -1
-    patterns = np.array([pattern], dtype=np.int64)
+    patterns = np.array([pattern] * min(n, 1), dtype=np.int64).reshape(-1, 5)
     messages = set()
     for lookup in PERCOLATIONS:
         rng = Pcg64(3)
         state = rng.state
         with pytest.raises(ValueError, match=message) as exc:
-            lookup(patterns, n + 1, 0, 5, sides, oracle.tables, rng, np.empty(n))
+            lookup(patterns, max(n, 1), sides, oracle.tables, rng, np.empty(n))
         assert rng.state == state
         messages.add(str(exc.value))
     assert len(messages) == 1
@@ -424,7 +442,7 @@ def _stream_state(rng):
 
 def _percolation_args():
     oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
-    return [np.zeros((2, 5), np.int64), 3, 1, 5, oracle.sides, oracle.tables, Pcg64(1), np.empty(5)]
+    return [np.zeros((2, 5), np.int64), 3, oracle.sides, oracle.tables, Pcg64(1), np.empty(6)]
 
 
 @needs_c
@@ -434,44 +452,41 @@ def _percolation_args():
     (0, lambda p: p[::-1]),  # negative row stride
     (0, lambda p: p[:, :0]),  # no center column
     (0, lambda p: p[0]),  # not 2-d
-    (3, lambda b: 4),  # patterns wider than the pasts' ball
     (1, lambda n_inner: 0),
-    (2, lambda lo: -1),
-    (2, lambda lo: 2),  # the last row reads a pattern past the end
-    (4, lambda s: s.astype(np.int32)),
-    (4, lambda s: s[:, :-1].copy()),  # sides and tables that do not fit
-    (4, lambda s: np.asfortranarray(s)),
-    (5, lambda t: t.astype(np.float32)),
-    (5, lambda t: t[:, :-1].copy()),
-    (5, lambda t: t[:1].copy()),
-    (6, lambda rng: np.random.PCG64(1)),  # numpy's bit generator, not a Pcg64
-    (6, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
-    (6, lambda rng: np.random.Generator(np.random.Philox(1))),
-    (6, lambda rng: np.random.default_rng(1)),
-    (7, lambda out: out.astype(np.float32)),
-    (7, lambda out: np.broadcast_to(out, (5,))),  # read-only
+    (5, lambda out: np.empty(7)),  # the last row reads a pattern past the end
+    (5, lambda out: np.empty(5)),  # the last pattern's rows cut short
+    (2, lambda s: s.astype(np.int32)),
+    (2, lambda s: s[:, :-1].copy()),  # sides and tables that do not fit
+    (2, lambda s: np.asfortranarray(s)),
+    (3, lambda t: t.astype(np.float32)),
+    (3, lambda t: t[:, :-1].copy()),
+    (3, lambda t: t[:1].copy()),
+    (4, lambda rng: np.random.PCG64(1)),  # numpy's bit generator, not a Pcg64
+    (4, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
+    (4, lambda rng: np.random.Generator(np.random.Philox(1))),
+    (4, lambda rng: np.random.default_rng(1)),
+    (5, lambda out: out.astype(np.float32)),
+    (5, _read_only),
 ], ids=["patterns-dtype", "patterns-fortran", "patterns-negative-stride", "no-center", "patterns-1d",
-        "too-wide", "n-inner", "lo-negative", "rows-past-the-end", "sides-dtype", "sides-shape",
-        "sides-fortran", "tables-dtype", "tables-shape", "tables-alphabet", "rng", "rng-mt19937",
-        "rng-philox", "rng-pcg64-generator", "out-dtype", "out-read-only"])
+        "n-inner", "rows-past-the-end", "rows-short", "sides-dtype", "sides-shape", "sides-fortran",
+        "tables-dtype", "tables-shape", "tables-alphabet", "rng", "rng-mt19937", "rng-philox",
+        "rng-pcg64-generator", "out-dtype", "out-read-only"])
 def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
     args = _percolation_args()
     args[arg] = change(args[arg])
-    state = _stream_state(args[6])
+    state = _stream_state(args[4])
     with pytest.raises(ValueError):
         kernels._c_percolation_lookup(*args)
-    assert _same_state(_stream_state(args[6]), state)  # refused before any draw
+    assert _same_state(_stream_state(args[4]), state)  # refused before any draw
 
 
 @st.composite
 def tree_cases(draw):
     """Tree-percolation arguments: a query radius r on F_1, Z^1, F_2 or F_3
     against a SAW oracle of radius r..r+2 and pad 0..2 with either shell,
-    patterns of any
-    width up to |B_r| that are admissible or not (adjacent 1s, or a symbol
-    outside {0, 1} in some column), a row count that n_inner divides or
-    not, a first row lo inside a pattern, and the twin's chunk cut to 1, 7
-    or 2^16 uniforms."""
+    patterns of any width up to |B_r| that are admissible or not (adjacent
+    1s, or a symbol outside {0, 1} in some column), n_inner rows per
+    pattern, and the twin's chunk cut to 1, 7 or 2^16 uniforms."""
     spec, top = draw(st.sampled_from([(groups.free(1), 6), (groups.zd(1), 6), (groups.free(2), 4),
                                       (groups.free(3), 3)]))
     r = draw(st.integers(1, top))
@@ -481,18 +496,16 @@ def tree_cases(draw):
     ball = groups.ball(spec, r)
     L = draw(st.integers(1, len(ball)))
     n_inner = draw(st.integers(1, 9))
-    lo = draw(st.integers(0, 3 * n_inner))
-    n = n_inner * draw(st.integers(0, 6)) + draw(st.integers(0, n_inner - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    patterns = (rng.random(((lo + n) // n_inner + 1, L)) < draw(st.sampled_from([0.0, 0.3, 0.6]))).astype(np.int64)
+    patterns = (rng.random((draw(st.integers(0, 6)), L)) < draw(st.sampled_from([0.0, 0.3, 0.6]))).astype(np.int64)
     if draw(st.booleans()):  # admissible: drop the later end of every occupied edge
         for (i, _s, j) in ball.edges:
             if max(i, j) < L:
                 patterns[:, max(i, j)] &= ~patterns[:, min(i, j)]
-    if draw(st.integers(0, 4)) == 0:
+    if draw(st.integers(0, 4)) == 0 and len(patterns):
         patterns[rng.integers(len(patterns)), rng.integers(L)] = draw(st.sampled_from([-1, 2, 5]))
     block = draw(st.sampled_from([1, 7, 2**16]))
-    return spec, r, oracle, patterns, n_inner, lo, n, draw(st.integers(0, 2**32 - 1)), block
+    return oracle, patterns, n_inner, draw(st.integers(0, 2**32 - 1)), block
 
 
 def _outcome(run):
@@ -518,18 +531,18 @@ def _tree_refusal(patterns, tree):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(tree_cases())
 def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
-    """Both backends give `tree_batch` over the masks that
-    sample_percolation_masks draws from the same stream, bitwise, and
-    leave the stream in that draw's state.  Patterns with a symbol
-    outside {0, 1} or adjacent 1s anywhere, in a row read or not, are
-    refused with one error before any draw, whatever the pasts would pin."""
-    spec, r, oracle, patterns, n_inner, lo, n, seed, block = case
-    ball_size = len(groups.ball(spec, r))
+    """Both backends give `tree_batch` over the masks of percolation pasts
+    on the pattern's sites, drawn from the same stream, bitwise, and leave
+    the stream in that draw's state.  Patterns with a symbol outside
+    {0, 1} or adjacent 1s anywhere are refused with one error before any
+    draw, whatever the pasts would pin."""
+    oracle, patterns, n_inner, seed, block = case
+    n = len(patterns) * n_inner
     reference = Pcg64(seed)
     expect = _tree_refusal(patterns, oracle.tree)
     if expect is None:
-        masks = sample_percolation_masks(spec, r, n, reference)[:, :patterns.shape[1]]
-        rows = patterns[(lo + np.arange(n)) // n_inner]
+        masks = _masks(reference, n, patterns.shape[1])
+        rows = patterns[np.arange(n) // n_inner]
         expect = _glauber_py.tree_batch(rows, masks, oracle.tree)
     saved = pasts.CHUNK_FLOATS
     pasts.CHUNK_FLOATS = block
@@ -537,8 +550,7 @@ def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
         for tree_percolation in TREES:
             rng = Pcg64(seed)
             out = np.full(n, np.nan)
-            got = _outcome(lambda: tree_percolation(patterns, n_inner, lo, ball_size, oracle.tree, rng, out)
-                           or out)
+            got = _outcome(lambda: tree_percolation(patterns, n_inner, oracle.tree, rng, out) or out)
             if isinstance(expect, tuple):
                 assert got == expect
             else:
@@ -583,30 +595,27 @@ def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
     """The C tree kernel visits only the sites whose ancestors are all
     unpinned, each drawn by its own jump, in 1, 2 or 3 ranges; the Python
     twin draws and evaluates every column.  Both give bitwise `tree_batch`
-    over the masks of the same draw and leave the stream after the
-    ball_size steps of every row, or refuse a pattern that some past could
-    make an error with one error and the stream as it was.  The pasts
-    include centers whose uniform is near 0 (almost nothing pinned) and
-    near 1 (almost everything), and error rows come after good ones."""
-    n_inner, n, ball_size = 50, 600, 161
-    chi = np.random.default_rng(23).random((n, ball_size))
-    assert chi[:, 0].min() < 0.01 and chi[:, 0].max() > 0.99
+    over the masks of the same draw and leave the stream after the width
+    steps of every row, or refuse a pattern that some past could make an
+    error with one error and the stream as it was.  The pasts include
+    centers whose uniform is near 0 (almost nothing pinned) and near 1
+    (almost everything), and error rows come after good ones."""
+    n_inner = 50
     _split(monkeypatch, workers)
     for oracle, patterns, what in _pruning_cases():
-        L = patterns.shape[1]
+        n, L = len(patterns) * n_inner, patterns.shape[1]
         reference = Pcg64(23)
         expect = _tree_refusal(patterns, oracle.tree)
         assert (expect is not None) == what.endswith(("clash", "symbol")), what
         if expect is None:
-            masks = chi[:, :L] < chi[:, :1]
-            masks[:, 0] = False
+            chi = Pcg64(23).random((n, L))
+            assert chi[:, 0].min() < 0.01 and chi[:, 0].max() > 0.99, what
+            masks = _masks(reference, n, L)
             expect = _glauber_py.tree_batch(patterns[np.arange(n) // n_inner], masks, oracle.tree)
-            reference.random((n, ball_size))
         for tree_percolation in TREES:
             rng = Pcg64(23)
             out = np.full(n, np.nan)
-            got = _outcome(lambda: tree_percolation(patterns, n_inner, 0, ball_size, oracle.tree, rng, out)
-                           or out)
+            got = _outcome(lambda: tree_percolation(patterns, n_inner, oracle.tree, rng, out) or out)
             if isinstance(expect, tuple):
                 assert got == expect, what
             else:
@@ -659,7 +668,7 @@ def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message
                 rng = Pcg64(5)
                 state = rng.state
                 with pytest.raises((ValueError, InconsistentPinsError), match=message) as exc:
-                    tree_percolation(patterns, 500, 0, 17, oracle.tree, rng, np.empty(500))
+                    tree_percolation(patterns, 500, oracle.tree, rng, np.empty(500))
                 assert rng.state == state
                 messages.add((exc.type, str(exc.value)))
     finally:
@@ -668,8 +677,8 @@ def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message
 
 
 def _tree_args():
-    oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
-    return [np.zeros((2, 17), np.int64), 3, 1, 17, oracle.tree, Pcg64(1), np.empty(5)]
+    oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)  # 53 sites
+    return [np.zeros((2, 17), np.int64), 3, oracle.tree, Pcg64(1), np.empty(6)]
 
 
 def _bad_children(tree):
@@ -683,61 +692,60 @@ def _bad_children(tree):
     (0, lambda p: p.astype(np.int32)),  # wrong dtype
     (0, lambda p: np.asfortranarray(p)),  # columns not contiguous
     (0, lambda p: p[:, :0]),  # no center column
-    (3, lambda b: 16),  # patterns wider than the pasts' ball
-    (2, lambda lo: 2),  # the last row reads a pattern past the end
-    (4, lambda t: t._replace(lam=t.lam.astype(np.float32))),
-    (4, lambda t: t._replace(free=t.free[:-1].copy())),
-    (4, lambda t: t._replace(child_ptr=t.child_ptr[:-1].copy())),
-    (4, lambda t: t._replace(edges=t.edges.ravel().copy())),
-    (4, lambda t: t._replace(starts=t.starts[:2].copy())),  # levels narrower than the patterns
-    (4, _bad_children),
-    (5, lambda rng: np.random.PCG64(1)),  # numpy's bit generator, not a Pcg64
-    (5, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
-    (5, lambda rng: np.random.Generator(np.random.Philox(1))),
-    (5, lambda rng: np.random.default_rng(1)),
-    (6, lambda out: np.broadcast_to(out, (5,))),  # read-only
+    (0, lambda p: np.zeros((2, 54), np.int64)),  # patterns wider than the tree
+    (4, lambda out: np.empty(7)),  # the last row reads a pattern past the end
+    (2, lambda t: t._replace(lam=t.lam.astype(np.float32))),
+    (2, lambda t: t._replace(free=t.free[:-1].copy())),
+    (2, lambda t: t._replace(child_ptr=t.child_ptr[:-1].copy())),
+    (2, lambda t: t._replace(edges=t.edges.ravel().copy())),
+    (2, lambda t: t._replace(starts=t.starts[:2].copy())),  # levels narrower than the patterns
+    (2, _bad_children),
+    (3, lambda rng: np.random.PCG64(1)),  # numpy's bit generator, not a Pcg64
+    (3, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
+    (3, lambda rng: np.random.Generator(np.random.Philox(1))),
+    (3, lambda rng: np.random.default_rng(1)),
+    (4, _read_only),
 ], ids=["patterns-dtype", "patterns-fortran", "no-center", "too-wide", "rows-past-the-end", "lam-dtype",
         "free-short", "child-ptr-short", "edges-1d", "starts-narrow", "child-not-later", "rng",
         "rng-mt19937", "rng-philox", "rng-pcg64-generator", "out-read-only"])
 def test_c_tree_rejects_what_it_cannot_trust(arg, change):
     args = _tree_args()
     args[arg] = change(args[arg])
-    state = _stream_state(args[5])
+    state = _stream_state(args[3])
     with pytest.raises(ValueError):
         kernels._c_tree_percolation(*args)
-    assert _same_state(_stream_state(args[5]), state)  # refused before any draw
+    assert _same_state(_stream_state(args[3]), state)  # refused before any draw
 
 
-@pytest.mark.parametrize("ball_size", [53, 2000])
-def test_percolation_kernels_jump_long_strides_bitwise(ball_size):
-    """Patterns far narrower than the pasts' ball, so that each row skips
-    most of its uniforms: both kernels on both backends still give the
-    masks of `rng.random((n, ball_size))` bitwise and leave the stream
-    in that draw's state."""
-    line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 1)  # columns: center, -1, +1
-    tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)  # 53 sites
-    n_inner, n = 7, 300
+@pytest.mark.parametrize("width", [53, 2000])
+def test_percolation_kernels_jump_long_strides_bitwise(width):
+    """Patterns of 53 and 2,000 columns, of which the line lookup reads at
+    most 3 and the tree recursion only the sites whose ancestors are all
+    unpinned, so that each row skips most of its uniforms: both kernels on
+    both backends still give the masks of `rng.random((n, width))` bitwise
+    and leave the stream in that draw's state."""
+    line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 1)  # side columns 1 and 2
+    radius = 3 if width == 53 else 7  # B_3 of F_2 has 53 sites, B_7 4,373
+    tree = SawOracle(*hardcore(2, 1.0), groups.free(2), radius)
+    n_inner, n_patterns = 7, 43
+    n = n_inner * n_patterns
     source = np.random.default_rng(4)
-    for runs, geometry, batch, edges, widths in (
-        (PERCOLATIONS, (line.sides, line.tables), _glauber_py.transfer_lookup, [], [3]),
-        (TREES, (tree.tree,), _glauber_py.tree_batch, groups.ball(groups.free(2), 3).edges, [1, 5, 17, 30]),
+    for runs, geometry, batch, edges in (
+        (PERCOLATIONS, (line.sides, line.tables), _glauber_py.transfer_lookup, []),
+        (TREES, (tree.tree,), _glauber_py.tree_batch, groups.ball(groups.free(2), radius).edges),
     ):
-        for L in widths:
-            patterns = (source.random((n // n_inner + 1, L)) < 0.3).astype(np.int64)
-            for (i, _s, j) in edges:  # admissible: drop the later end of every occupied edge
-                if max(i, j) < L:
-                    patterns[:, max(i, j)] &= ~patterns[:, min(i, j)]
-            reference = Pcg64(9)
-            chi = reference.random((n, ball_size))
-            masks = chi[:, :L] < chi[:, :1]
-            masks[:, 0] = False
-            expect = batch(patterns[np.arange(n) // n_inner], masks, *geometry)
-            for run in runs:
-                rng = Pcg64(9)
-                out = np.full(n, np.nan)
-                run(patterns, n_inner, 0, ball_size, *geometry, rng, out)
-                assert np.array_equal(out, expect)
-                assert rng.state == reference.state
+        patterns = (source.random((n_patterns, width)) < 0.3).astype(np.int64)
+        for (i, _s, j) in edges:  # admissible: drop the later end of every occupied edge
+            if max(i, j) < width:
+                patterns[:, max(i, j)] &= ~patterns[:, min(i, j)]
+        reference = Pcg64(9)
+        expect = batch(patterns[np.arange(n) // n_inner], _masks(reference, n, width), *geometry)
+        for run in runs:
+            rng = Pcg64(9)
+            out = np.full(n, np.nan)
+            run(patterns, n_inner, *geometry, rng, out)
+            assert np.array_equal(out, expect)
+            assert rng.state == reference.state
 
 
 def _split(monkeypatch, workers):
@@ -748,50 +756,50 @@ def _split(monkeypatch, workers):
 
 
 def _split_cases():
-    """(kernel, geometry, ball_size, patterns) for each compiled percolation
-    kernel: a Z^1 transfer lookup of width 9 on a ball of 13 sites, and an
-    F_2 tree of width 17 on a ball of 53, each with 40 patterns."""
+    """(kernel, geometry, patterns) for each compiled percolation kernel: a
+    Z^1 transfer lookup of width 9, and an F_2 tree of width 17, each with
+    40 patterns."""
     line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 6)
     tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
     source = np.random.default_rng(11)
     admissible = np.zeros((40, 17), np.int64)
     admissible[:, [1, 2, 3, 4]] = source.integers(0, 2, (40, 4))  # the leaves of the center
-    return [(kernels._c_percolation_lookup, (line.sides, line.tables), 13, source.integers(0, 2, (40, 9))),
-            (kernels._c_tree_percolation, (tree.tree,), 53, admissible)]
+    return [(kernels._c_percolation_lookup, (line.sides, line.tables), source.integers(0, 2, (40, 9))),
+            (kernels._c_tree_percolation, (tree.tree,), admissible)]
 
 
-def _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, advanced=0):
+def _split_outcome(kernel, geometry, patterns, n_inner, advanced=0):
     """(out or the error's type and message, end stream state) of one call
     on Pcg64(21), advanced first by `advanced` steps."""
     rng = Pcg64(21).advance(advanced)
-    out = np.full(n, np.nan)
+    out = np.full(len(patterns) * n_inner, np.nan)
     threads = threading.active_count()
-    got = _outcome(lambda: kernel(patterns, n_inner, lo, ball_size, *geometry, rng, out) or out)
+    got = _outcome(lambda: kernel(patterns, n_inner, *geometry, rng, out) or out)
     assert threading.active_count() == threads  # every range's thread joined, also after a raise
     return got, rng.state
 
 
 @needs_c
 @pytest.mark.parametrize("case", range(2), ids=["lookup", "tree"])
-@pytest.mark.parametrize("n_inner,lo,n,advanced", [
-    (7, 0, 200, 0),  # ranges start inside a pattern's block of rows
-    (7, 12, 200, 0),  # lo > 0
-    (1, 5, 3, 0),  # fewer rows than cores
-    (3, 0, 0, 0),
-    (9, 4, 250, 2**127 + 12345),  # range starts jumped past the 2^128 wrap
-], ids=["blocks", "lo", "few-rows", "no-rows", "advanced"])
-def test_split_percolation_is_bitwise_the_single_call(monkeypatch, case, n_inner, lo, n, advanced):
+@pytest.mark.parametrize("n_patterns,n_inner,advanced", [
+    (29, 7, 0),  # ranges start inside a pattern's block of rows
+    (3, 1, 0),  # fewer rows than cores
+    (0, 3, 0),
+    (28, 9, 2**127 + 12345),  # range starts jumped past the 2^128 wrap
+], ids=["blocks", "few-rows", "no-rows", "advanced"])
+def test_split_percolation_is_bitwise_the_single_call(monkeypatch, case, n_patterns, n_inner, advanced):
     """Rows split over 2, 3 or 5 ranges, each started by an exact jump of
     PCG64, give bitwise the out and the end state of the stream that one
     call over every row gives."""
-    kernel, geometry, ball_size, patterns = _split_cases()[case]
+    kernel, geometry, patterns = _split_cases()[case]
+    patterns, n = patterns[:n_patterns], n_patterns * n_inner
     _split(monkeypatch, 1)
-    expect_out, expect_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, advanced)
+    expect_out, expect_state = _split_outcome(kernel, geometry, patterns, n_inner, advanced)
     assert not np.isnan(expect_out).any()
     for workers in (2, 3, 5):
         _split(monkeypatch, workers)
         assert len(kernels._row_bounds(n)) - 1 == max(1, min(workers, n))
-        got_out, got_state = _split_outcome(kernel, geometry, ball_size, patterns, n_inner, lo, n, advanced)
+        got_out, got_state = _split_outcome(kernel, geometry, patterns, n_inner, advanced)
         assert np.array_equal(got_out, expect_out)
         assert got_state == expect_state
 
@@ -813,21 +821,21 @@ def test_split_percolation_error_is_the_single_calls(monkeypatch, case, bad, mes
     240 rows, so pattern 12 falls in the first range of 2 or 3 and the
     second of 5, pattern 30 in the last range of 2 or 3 and the fourth of
     5."""
-    kernel, geometry, ball_size, patterns = _split_cases()[case]
+    kernel, geometry, patterns = _split_cases()[case]
     patterns = patterns.copy()
     for row, symbols in bad.items():
         patterns[row, list(symbols)] = list(symbols.values())
     _split(monkeypatch, 1)
-    expect = _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240)
+    expect = _split_outcome(kernel, geometry, patterns, 6)
     assert isinstance(expect[0], tuple) and re.match(message, expect[0][1])
     assert expect[1] == Pcg64(21).state
     for workers in (2, 3, 5):
         _split(monkeypatch, workers)
-        assert _split_outcome(kernel, geometry, ball_size, patterns, 6, 0, 240) == expect
+        assert _split_outcome(kernel, geometry, patterns, 6) == expect
 
 
 def _refused_cases():
-    """{id: (runs, geometry, ball_size, patterns, error, message)} of
+    """{id: (runs, geometry, patterns, error, message)} of
     patterns that both backends' percolation kernels refuse before any
     draw: 40 admissible patterns of which pattern 30 is not.  The line
     lookup of radius 1 reads side columns 1 and 2 of a width-5 row, so no
@@ -838,19 +846,19 @@ def _refused_cases():
     admissible = np.zeros((40, 17), np.int64)
     admissible[:, [1, 2, 3, 4]] = np.random.default_rng(11).integers(0, 2, (40, 4))  # the center's leaves
     cases = {}
-    for what, runs, geometry, ball_size, width, bad, error, message in [
-        ("lookup-unread-column", PERCOLATIONS, (narrow.sides, narrow.tables), 5, 5, {3: 2}, ValueError,
+    for what, runs, geometry, width, bad, error, message in [
+        ("lookup-unread-column", PERCOLATIONS, (narrow.sides, narrow.tables), 5, {3: 2}, ValueError,
          "symbol 2 of a center or pin is outside the alphabet [0, 2)"),
-        ("lookup-read-column", PERCOLATIONS, (line.sides, line.tables), 5, 5, {4: -1}, ValueError,
+        ("lookup-read-column", PERCOLATIONS, (line.sides, line.tables), 5, {4: -1}, ValueError,
          "symbol -1 of a center or pin is outside the alphabet [0, 2)"),
-        ("tree-symbol", TREES, (tree.tree,), 53, 17, {6: -3}, ValueError,
+        ("tree-symbol", TREES, (tree.tree,), 17, {6: -3}, ValueError,
          "symbol -3 of a center or pin is outside the alphabet [0, 2)"),
-        ("tree-clash", TREES, (tree.tree,), 53, 17, {1: 1, 5: 1}, InconsistentPinsError,
+        ("tree-clash", TREES, (tree.tree,), 17, {1: 1, 5: 1}, InconsistentPinsError,
          "adjacent occupied pins 5, 1"),
     ]:
         patterns = admissible[:, :width].copy()
         patterns[30, list(bad)] = list(bad.values())
-        cases[what] = (runs, geometry, ball_size, patterns, error, message)
+        cases[what] = (runs, geometry, patterns, error, message)
     return cases
 
 
@@ -860,10 +868,10 @@ def test_inadmissible_pattern_is_refused_before_any_draw(monkeypatch, case):
     one that some pasts pin, and two adjacent 1s for the tree, are refused
     with one error type and message by each percolation kernel on both
     backends: the twin with its chunks cut to 17, 7 * 17 and 2^16
-    uniforms, the C kernel with its rows in 1, 2 and 3 ranges, for 240 rows
-    and for none, at seeds 0-19.  No call draws: the stream's state is
+    uniforms, the C kernel with its rows in 1, 2 and 3 ranges, for 1 and 6
+    rows per pattern, at seeds 0-19.  No call draws: the stream's state is
     unchanged."""
-    runs, geometry, ball_size, patterns, error, message = _refused_cases()[case]
+    runs, geometry, patterns, error, message = _refused_cases()[case]
     errors = set()
     for run in runs:
         compiled = run not in (_glauber_py.percolation_lookup, _glauber_py.tree_percolation)
@@ -872,12 +880,12 @@ def test_inadmissible_pattern_is_refused_before_any_draw(monkeypatch, case):
                 _split(monkeypatch, setting)
             else:
                 monkeypatch.setattr(pasts, "CHUNK_FLOATS", setting)
-            for n in (0, 240):
+            for n_inner in (1, 6):
                 for seed in range(20):
                     rng = Pcg64(seed)
                     state = rng.state
                     with pytest.raises(error) as exc:
-                        run(patterns, 6, 0, ball_size, *geometry, rng, np.empty(n))
+                        run(patterns, n_inner, *geometry, rng, np.empty(len(patterns) * n_inner))
                     assert rng.state == state
                     errors.add((exc.type, str(exc.value)))
     assert errors == {(error, message)}
@@ -897,6 +905,16 @@ def test_row_bounds_split_by_usable_cores(monkeypatch):
 
 
 KERNELS = [name for name in kernels.__all__ if name not in ("BACKEND", "Pcg64", "SweepWorkspace")]
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_compiled_wrapper_takes_the_twins_parameters(name):
+    """Each compiled kernel's wrapper takes the parameter names, kinds and
+    defaults of its Python twin, so that neither can be narrowed alone."""
+    def parameters(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    assert parameters(getattr(kernels, f"_c_{name}")) == parameters(getattr(_glauber_py, name))
 
 
 def test_soficlab_kernel_python_forces_the_twin():

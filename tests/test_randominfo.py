@@ -136,10 +136,10 @@ def test_zero_conditional_in_a_later_chunk_is_typed_error(monkeypatch):
     patterns = np.zeros((4, len(b)), dtype=np.int64)
     patterns[3, [0, b.index[(1,)], b.index[(-1,)]]] = 1
     monkeypatch.setattr(pasts, "CHUNK_FLOATS", 7 * len(b))
-    f = _streamed_info(oracle, Z1, 4, patterns[:3], 50, Pcg64(0))
+    f = _streamed_info(oracle, patterns[:3], 50, Pcg64(0))
     assert f.shape == (150,) and np.isfinite(f).all()
     with pytest.raises(ZeroProbabilityError):
-        _streamed_info(oracle, Z1, 4, patterns, 50, Pcg64(0))
+        _streamed_info(oracle, patterns, 50, Pcg64(0))
 
 
 class _MasksRoute:
@@ -149,15 +149,15 @@ class _MasksRoute:
     def __init__(self, oracle):
         self.batch = oracle.batch
 
-    def percolation_batch(self, patterns, n_inner, ball_size, rng, out):
-        for start, stop, rows, masks in pasts.percolation_chunks(patterns, n_inner, 0, len(out), ball_size, rng):
+    def percolation_batch(self, patterns, n_inner, rng, out):
+        for start, stop, rows, masks in pasts.percolation_chunks(patterns, n_inner, rng):
             out[start:stop] = self.batch(rows, masks)
 
 
 @pytest.mark.parametrize("spec,r,L,n_patterns,n_inner", [
     (Z1, 4, 9, 3, 50),
     (Z1, 16, 33, 40, 100),  # several mask chunks
-    (F1, 5, 7, 5, 13),  # patterns narrower than B_r
+    (F1, 5, 7, 5, 13),  # patterns narrower than the oracle's ball
     (Z1, 3, 7, 1, 20_001),  # one pattern over several chunks
 ])
 def test_transfer_route_is_the_masks_route(spec, r, L, n_patterns, n_inner):
@@ -167,8 +167,8 @@ def test_transfer_route_is_the_masks_route(spec, r, L, n_patterns, n_inner):
     patterns = oracle.tm.sample_windows(r, n_patterns, np.random.default_rng(1)).astype(np.int64)
     patterns = patterns[:, [r + groups.line_offset(spec, g) for g in groups.ball(spec, r).elements]][:, :L]
     rngs = [Pcg64(7), Pcg64(7)]
-    f = _streamed_info(oracle, spec, r, patterns, n_inner, rngs[0])
-    g = _streamed_info(_MasksRoute(oracle), spec, r, patterns, n_inner, rngs[1])
+    f = _streamed_info(oracle, patterns, n_inner, rngs[0])
+    g = _streamed_info(_MasksRoute(oracle), patterns, n_inner, rngs[1])
     assert np.array_equal(f, g) and np.isfinite(f).all()
     assert rngs[0].state == rngs[1].state
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from soficlab import saw
 from soficlab.errors import BudgetExceededError, InconsistentPinsError
 from soficlab.saw import (
     FREE,
@@ -61,11 +62,12 @@ def test_inconsistent_pins():
         hardcore_marginal_via_saw(adj, 0, 1.0, {0: 1, 1: 1})
 
 
-def test_saw_tree_past_its_cap_is_budget_error():
+def test_saw_tree_past_its_cap_is_budget_error(monkeypatch):
     k5 = [[w for w in range(5) if w != v] for v in range(5)]
     assert build_saw_tree(k5, 0).n_nodes == 197  # 65 self-avoiding walks, 132 closing leaves
+    monkeypatch.setattr(saw, "SAW_TREE_MAX_NODES", 20)
     with pytest.raises(BudgetExceededError, match="cap of 20 nodes"):
-        build_saw_tree(k5, 0, max_nodes=20)
+        build_saw_tree(k5, 0)
 
 
 def _random_connected_graph(rng, n):
