@@ -16,8 +16,8 @@ import numpy as np
 from . import groups, kernels
 from .constraints import check_tssm
 from .errors import SchemaError, SoficLabError
-from .finitemodel import pressure_estimate
-from .gibbs import entropy_rate_estimate, ssm_profile
+from .finitemodel import SWEEP_FIELDS, size_sweep
+from .gibbs import ssm_profile
 from .marginals import make_oracle
 from .modelbuild import build_sofic, builder_generators
 from .modelfile import Model, load_graph, load_model, parse_model
@@ -92,31 +92,21 @@ def run_tssm_check(model: Model, params: dict) -> dict:
     return out
 
 
-def run_pressure(model: Model, params: dict, seed: int):
-    builder = params["builder_desc"]
-    sizes = params["sizes"]
-    return pressure_estimate(
-        model.structure,
-        model.potential,
-        builder,
-        sizes,
-        method=params.get("method", "auto"),
-        seed=seed,
-        mcmc_kwargs=params.get("mcmc"),
-    )
-
-
-def run_entropy(model: Model, params: dict, seed: int):
-    builder = params["builder_desc"]
-    return entropy_rate_estimate(
-        model.structure,
-        model.potential,
-        builder,
-        params["sizes"],
-        method=params.get("method", "auto"),
-        seed=seed,
-        mcmc_kwargs=params.get("mcmc"),
-    )
+def run_size_sweep(experiment: str, model: Model, params: dict, seed: int):
+    """A pressure or entropy sweep over the builder of params.builder_desc,
+    else of the model's sofic block, which must make as many generators as
+    the model's group has."""
+    desc = params.get("builder_desc")
+    if desc is None:
+        if model.sofic is None:
+            raise SchemaError("pressure/entropy need a builder: --builder, params.builder_desc or a model 'sofic' block")
+        desc = {"builder": model.sofic["builder"], **model.sofic.get("params", {}), "seed": model.sofic.get("seed", 0)}
+    generators = builder_generators(desc)
+    if generators != model.spec.rank:
+        raise SchemaError(f"the {desc['builder']} builder makes {generators} generators; "
+                          f"the model's group has {model.spec.rank}")
+    return size_sweep(experiment, model.structure, model.potential, desc, params["sizes"],
+                      method=params.get("method", "auto"), seed=seed, mcmc_kwargs=params.get("mcmc"))
 
 
 def run_ssm_profile(model: Model, params: dict):
@@ -234,21 +224,7 @@ def run_config(config: dict) -> dict:
     elif experiment == "saw-marginal":
         outputs = run_saw_marginal(params)
     elif experiment in ("pressure", "entropy"):
-        if "builder_desc" not in params:
-            if model.sofic is None:
-                raise SchemaError("pressure/entropy need a builder: --builder, params.builder_desc or a model 'sofic' block")
-            params["builder_desc"] = {
-                "builder": model.sofic["builder"],
-                **model.sofic.get("params", {}),
-                "seed": model.sofic.get("seed", 0),
-            }
-        desc = params["builder_desc"]
-        generators = builder_generators(desc)
-        if generators != model.spec.rank:
-            raise SchemaError(f"the {desc['builder']} builder makes {generators} generators; "
-                              f"the model's group has {model.spec.rank}")
-        runner = run_pressure if experiment == "pressure" else run_entropy
-        outputs = runner(model, params, seed)
+        outputs = run_size_sweep(experiment, model, params, seed)
     else:  # pragma: no cover - schema guards
         raise SchemaError(f"unknown experiment {experiment!r}")
     return {
@@ -354,8 +330,9 @@ def main_tssm_check(argv=None):
     _console(args, {"experiment": "tssm-check", "model": args.model, "params": params})
 
 
-def _size_sweep(experiment: str, description: str, csv_fields: list, argv):
-    """The shared front end of `pressure` and `entropy`."""
+def _size_sweep(experiment: str, description: str, argv):
+    """The shared front end of `pressure` and `entropy`, which write the
+    fields of finitemodel.SWEEP_FIELDS as CSV unless --json is given."""
     p = argparse.ArgumentParser(prog=experiment, description=description)
     p.add_argument("--model", required=True)
     _add_builder_flags(p)
@@ -370,16 +347,16 @@ def _size_sweep(experiment: str, description: str, csv_fields: list, argv):
     if args.builder:
         size_key = "d" if args.builder in ("torus", "folner") else "k"
         params["builder_desc"] = {"builder": args.builder, size_key: getattr(args, size_key), "seed": args.seed}
-    _console(args, {"experiment": experiment, "model": args.model, "params": params, "seed": args.seed}, csv_fields)
+    _console(args, {"experiment": experiment, "model": args.model, "params": params, "seed": args.seed},
+             SWEEP_FIELDS[experiment])
 
 
 def main_pressure(argv=None):
-    _size_sweep("pressure", "Normalized log partition values per size",
-                ["n", "log_Z", "pressure_estimate", "stderr", "method", "seed"], argv)
+    _size_sweep("pressure", "Normalized log partition values per size", argv)
 
 
 def main_entropy(argv=None):
-    _size_sweep("entropy", "Entropy-rate estimates per size", ["n", "entropy_rate", "stderr", "method"], argv)
+    _size_sweep("entropy", "Entropy-rate estimates per size", argv)
 
 
 def main_ssm_profile(argv=None):

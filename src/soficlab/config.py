@@ -21,7 +21,3 @@ def ball_cap() -> int:
 
 def exact_partition_cap() -> int:
     return _env_int("SOFICLAB_EXACT_CAP", 24)
-
-
-def exact_table_cap() -> int:
-    return _env_int("SOFICLAB_TABLE_CAP", 20)

@@ -4,8 +4,9 @@ Partition values, site marginals and joint distributions of a few sites come
 from min-degree variable elimination over the pairwise factors of the
 Boltzmann weight, rescaled at each step (bucket elimination: Dechter 1999;
 Koller & Friedman 2009, ch. 9).  Pruned depth-first enumeration (`_dfs`)
-visits every admissible configuration; it gives full tables (`all_configs`,
-the derived-space enumeration of finitemodel), the budgeted admissibility
+visits every admissible configuration; it gives full tables (`all_configs`),
+the derived-space enumeration of finitemodel (streamed through `_Stream`,
+which keeps log Z and the mean log-weight), the budgeted admissibility
 search, and the tests' independent oracle for the elimination route.  These
 exact routes are what the transfer-matrix and self-avoiding-walk routes are
 checked against.
@@ -55,25 +56,37 @@ class SiteGraph:
 
 
 class _Stream:
-    """Streaming log-sum-exp accumulator."""
+    """Streaming log-sum-exp of log-weights lw, which also carries the sum
+    of w * lw, so that one pass gives log Z and the mean of lw."""
 
-    __slots__ = ("m", "acc")
+    __slots__ = ("m", "acc", "acc_lw")
 
     def __init__(self):
         self.m = -math.inf
-        self.acc = 0.0
+        self.acc = 0.0  # sum of exp(lw - m)
+        self.acc_lw = 0.0  # sum of exp(lw - m) * lw
 
     def add(self, lw: float):
         if lw <= self.m:
-            self.acc += math.exp(lw - self.m)
-        else:
-            self.acc = self.acc * math.exp(self.m - lw) + 1.0 if self.acc else 1.0
+            e = math.exp(lw - self.m)
+            self.acc += e
+            self.acc_lw += e * lw
+        elif self.acc:
+            scale = math.exp(self.m - lw)
+            self.acc = self.acc * scale + 1.0
+            self.acc_lw = self.acc_lw * scale + lw
             self.m = lw
+        else:
+            self.m, self.acc, self.acc_lw = lw, 1.0, lw
 
     def logsum(self) -> float:
         if self.acc == 0.0:
             return -math.inf
         return self.m + math.log(self.acc)
+
+    def mean(self) -> float:
+        """The w-weighted mean of lw; nan when nothing was added."""
+        return self.acc_lw / self.acc if self.acc else math.nan
 
 
 def _compile(graph: SiteGraph, structure: ConstraintStructure, potential: Potential | None):

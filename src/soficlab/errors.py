@@ -42,7 +42,9 @@ class InconsistentPinsError(SoficLabError):
 
 
 class EmptyFiberError(SoficLabError):
-    """No interior completion of an admissible boundary; internal error."""
+    """No configuration where a measure needs one: no interior completion of
+    an admissible boundary, or an empty derived space, which has no Gibbs
+    measure and so no entropy."""
 
     exit_code = 11
 

@@ -1,6 +1,12 @@
 """Derived finite models on a sofic map: pullback names, membership, energy,
-and the derived partition function by exact enumeration, transfer matrices,
-or thermodynamic integration.
+the derived partition function by exact enumeration, transfer matrices, or
+thermodynamic integration, and `size_sweep`, the per-size pressure and
+entropy rows of a builder family.
+
+Every entropy row is H(mu_n) = log Z_n - E_{mu_n}[energy]: the exact pass
+carries the mean energy beside log Z, the cycle route reads it from each
+cycle's pair marginal, and the MCMC route takes it from heat-bath samples
+(`sampling.sample_derived_gibbs`).
 
 The derived configuration space enforces the allowed-pair relation on every
 non-self edge of the labeled sofic graph (plus, for structures without a safe
@@ -25,13 +31,14 @@ from .constraints import ConstraintStructure, Pattern, Potential, detect_safe_sy
 from .constraints import Verdict, is_globally_admissible
 from .errors import (
     CapExceededError,
+    EmptyFiberError,
     NoConsistentColorError,
     NoSafeSymbolError,
     SchemaError,
 )
 from .kernels import Pcg64
 from .modelbuild import build_sofic, builder_generators
-from .sampling import GlauberEngine
+from .sampling import GlauberEngine, sample_derived_gibbs
 from .schema import MCMC, METHODS, check
 from .soficmaps import SoficMap, good_vertices
 from .transfer import LOG_FLOAT_MAX, TransferMatrix, build_transfer
@@ -238,6 +245,7 @@ class PartitionResult:
     method: str
     stderr: float = 0.0
     diagnostics: dict = field(default_factory=dict)
+    mean_energy: float = math.nan  # E_{mu_n}[energy], where the route computed it
 
 
 def _iter_Xn(space: DerivedSpace, visit):
@@ -259,24 +267,23 @@ def _iter_Xn(space: DerivedSpace, visit):
 
 
 def partition_exact(space: DerivedSpace) -> PartitionResult:
-    """Exact log Z by constraint-pruned enumeration of the derived space."""
+    """Exact log Z and mean energy by one constraint-pruned enumeration of
+    the derived space, with no table: the energy of a configuration is its
+    log-weight, so the mean energy is the weighted mean of the log-weights.
+    An empty space gives log Z = -inf and a nan mean energy."""
     cap = exact_partition_cap()
     if space.n > cap:
         raise CapExceededError(f"n={space.n} exceeds exact enumeration cap {cap}")
     acc = enumeration._Stream()
-    count = [0]
-
-    def visit(values, lw):
-        acc.add(lw)
-        count[0] += 1
-
-    _iter_Xn(space, visit)
-    return PartitionResult(acc.logsum(), "exact", 0.0, {"n_configs": count[0]})
+    _iter_Xn(space, lambda values, lw: acc.add(lw))
+    return PartitionResult(acc.logsum(), "exact", mean_energy=acc.mean())
 
 
 def partition_cycle_decomposition(space: DerivedSpace, tm: TransferMatrix | None = None) -> PartitionResult:
-    """Exact log Z for any single-generator map: the labeled graph is a
-    disjoint union of directed cycles, so Z factorizes into transfer traces.
+    """Exact log Z and mean energy for any single-generator map: the labeled
+    graph is a disjoint union of directed cycles, so Z factorizes into
+    transfer traces, and the mean energy is the sum over cycles of length
+    times the cycle's per-site mean energy (nan when log Z is -inf).
 
     Length-1 cycles are self-loops, which carry energy but no constraint.
     tm is the model's transfer matrix, built here when not given; a sweep
@@ -288,7 +295,7 @@ def partition_cycle_decomposition(space: DerivedSpace, tm: TransferMatrix | None
     if tm is None:
         tm = build_transfer(space.structure, space.potential)
     seen = np.zeros(space.n, dtype=bool)
-    log_z = 0.0
+    log_z = energy = 0.0
     lengths = []
     for v0 in range(space.n):
         if seen[v0]:
@@ -301,12 +308,16 @@ def partition_cycle_decomposition(space: DerivedSpace, tm: TransferMatrix | None
             length += 1
         lengths.append(length)
         if length == 1:
-            log_z += float(
-                np.log(np.exp(space.potential.h + np.diag(space.potential.J[0])).sum())
-            )
+            w = space.potential.h + np.diag(space.potential.J[0])
+            ew = np.exp(w)
+            log_z += float(np.log(ew.sum()))
+            energy += float(ew / ew.sum() @ w)
         else:
             log_z += tm.log_trace_power(length)
-    return PartitionResult(log_z, "cycle_decomposition", 0.0, {"cycle_lengths": lengths})
+            if log_z > -math.inf:  # an empty cycle has no pair marginal
+                energy += length * tm.mean_energy_per_site_cycle(length)
+    return PartitionResult(log_z, "cycle_decomposition", 0.0, {"cycle_lengths": lengths},
+                           energy if log_z > -math.inf else math.nan)
 
 
 def partition_mcmc(
@@ -414,12 +425,12 @@ def _simpson_irregular(ts: np.ndarray, ys: np.ndarray):
     return float(w @ ys), w
 
 
-def choose_method(builder: dict, method: str, exact_cap: int):
+def choose_method(builder: dict, method: str):
     """The route of each size of a builder family, as a function of the
     size's vertex count n: `method` itself, or under "auto" cycle
     decomposition on a one-generator builder, exact enumeration up to
-    exact_cap vertices and thermodynamic integration beyond.  An unknown
-    method, or cycles on a builder of more than one generator, is a
+    SOFICLAB_EXACT_CAP vertices and thermodynamic integration beyond.  An
+    unknown method, or cycles on a builder of more than one generator, is a
     SchemaError here, before any size runs."""
     if method != "auto" and method not in METHODS:
         raise SchemaError(f"unknown method {method!r}; expected auto or one of {', '.join(METHODS)}")
@@ -430,11 +441,23 @@ def choose_method(builder: dict, method: str, exact_cap: int):
     if method == "auto" and generators == 1:
         method = "cycles"
     if method == "auto":
-        return lambda n: "exact" if n <= exact_cap else "mcmc"
+        cap = exact_partition_cap()
+        return lambda n: "exact" if n <= cap else "mcmc"
     return lambda n: method
 
 
-def pressure_estimate(
+# the fields of a size-sweep row, in order, by experiment
+SWEEP_FIELDS = {
+    "pressure": ("n", "log_Z", "pressure_estimate", "stderr", "method", "seed"),
+    "entropy": ("n", "entropy_rate", "stderr", "method"),
+}
+# the mean energy of an mcmc entropy row is that of ENERGY_SAMPLES heat-bath
+# states ENERGY_THIN sweeps apart, after ENERGY_BURN sweeps from all-safe
+ENERGY_BURN, ENERGY_SAMPLES, ENERGY_THIN = 200, 200, 2
+
+
+def size_sweep(
+    experiment: str,
     structure: ConstraintStructure,
     potential: Potential,
     builder: dict,
@@ -443,10 +466,21 @@ def pressure_estimate(
     seed: int = 0,
     mcmc_kwargs: dict | None = None,
 ):
-    """Per-size normalized log partition values for a builder family; mcmc_kwargs
-    are a RunConfig's params.mcmc, checked with the method before any size runs."""
+    """Per-size rows of `experiment`, "pressure" or "entropy", for a builder
+    family, with the fields SWEEP_FIELDS[experiment].
+
+    Each size's route (`choose_method`) gives log Z and its stderr.  A
+    pressure row is log Z / n; an entropy row is H(mu_n) / n = (log Z -
+    E[energy]) / n, the mean energy from the same exact pass or cycle
+    decomposition, or for mcmc from heat-bath samples, whose standard error
+    adds to TI's.  An
+    empty derived space (log Z = -inf) is a pressure of -inf, and an
+    EmptyFiberError for the entropy.  mcmc_kwargs are a RunConfig's
+    params.mcmc, checked with the method before any size runs.
+    """
+    fields = SWEEP_FIELDS[experiment]
     check(mcmc_kwargs or {}, MCMC, "params.mcmc")
-    route = choose_method(builder, method, exact_partition_cap())
+    route = choose_method(builder, method)
     transfer = cache(lambda: build_transfer(structure, potential))  # once per sweep
     routes = {
         "cycles": lambda space: partition_cycle_decomposition(space, transfer()),
@@ -455,17 +489,23 @@ def pressure_estimate(
     }
     rows = []
     for size in sizes:
-        sm = build_sofic({**builder, "size": int(size)}, seed=seed)
-        space = DerivedSpace(sm, structure, potential)
-        res = routes[route(space.n)](space)
-        rows.append(
-            {
-                "n": space.n,
-                "log_Z": res.log_Z,
-                "pressure_estimate": res.log_Z / space.n,
-                "stderr": res.stderr / space.n,
-                "method": res.method,
-                "seed": seed,
-            }
-        )
+        space = DerivedSpace(build_sofic({**builder, "size": int(size)}, seed=seed), structure, potential)
+        n, chosen = space.n, route(space.n)
+        res = routes[chosen](space)
+        if experiment == "pressure":
+            values = (n, res.log_Z, res.log_Z / n, res.stderr / n, res.method, seed)
+        elif res.log_Z == -math.inf:
+            raise EmptyFiberError(f"the derived space of the {builder.get('builder')} map of size {size} "
+                                  f"(n = {n}) has no configuration, so it has no Gibbs measure and no entropy")
+        else:
+            mean_e, se_e = _sampled_mean_energy(space, seed + 1) if chosen == "mcmc" else (res.mean_energy, 0.0)
+            values = (n, (res.log_Z - mean_e) / n, (res.stderr + se_e) / n, chosen)
+        rows.append(dict(zip(fields, values)))
     return rows
+
+
+def _sampled_mean_energy(space: DerivedSpace, seed: int):
+    """The mean energy of heat-bath samples of mu_n and its standard error."""
+    samples = sample_derived_gibbs(space, sweeps=ENERGY_BURN, seed=seed, n_samples=ENERGY_SAMPLES, thin=ENERGY_THIN)
+    energies = np.array([derived_energy(space, x) for x in samples])
+    return energies.mean(), energies.std(ddof=1) / math.sqrt(len(energies))

@@ -1,36 +1,33 @@
-"""Specifications, derived Gibbs measures, entropies, and mixing diagnostics.
+"""Specifications, derived Gibbs measures, and mixing diagnostics.
 
-Exact tables are built by enumeration; finite-window conditional kernels are
-true conditionals of the Boltzmann weights (interface edge terms counted in
-both directions), which is what the exact-table cross checks require.
+Exact tables are built by enumeration, up to TABLE_CAP sites; they are the
+tests' reference for the entropy and mean energy that `finitemodel`'s exact
+pass streams without a table.  Finite-window conditional kernels are true
+conditionals of the Boltzmann weights (interface edge terms counted in both
+directions), which is what the exact-table cross checks require.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations, product
 
 import numpy as np
 
 from . import enumeration, groups
-from .config import exact_table_cap
 from .constraints import ConstraintStructure, Pattern, Potential, core_symbols
 from .enumeration import SiteGraph
-from .errors import BudgetExceededError, CapExceededError, EmptyFiberError, NoSafeSymbolError
-from .finitemodel import DerivedSpace, _iter_Xn, choose_method, derived_energy, partition_cycle_decomposition
-from .finitemodel import partition_mcmc
+from .errors import BudgetExceededError, CapExceededError, EmptyFiberError
+from .finitemodel import DerivedSpace, _iter_Xn, derived_energy
 from .groups import GroupSpec
-from .kernels import Pcg64
 from .marginals import make_oracle
-from .modelbuild import build_sofic
-from .sampling import GlauberEngine
-from .schema import MCMC, check
+from .sampling import sample_derived_gibbs
 from .transfer import build_transfer
 
 SSM_BOUNDARY_PATTERNS = 8192  # of one shell in `ssm_profile`: on Z^2 over 2 symbols, r <= 2
 UNIFORM_BOUND_SUBSETS = 4096  # the pinned subsets of B_r that `uniform_bound_c` tries
+TABLE_CAP = 20  # the most sites of a full table of `derived_gibbs_exact`
 
 
 @dataclass
@@ -88,9 +85,8 @@ class ExactGibbs:
 
 
 def derived_gibbs_exact(space: DerivedSpace) -> ExactGibbs:
-    cap = exact_table_cap()
-    if space.n > cap:
-        raise CapExceededError(f"n={space.n} exceeds exact table cap {cap}")
+    if space.n > TABLE_CAP:
+        raise CapExceededError(f"n={space.n} exceeds exact table cap {TABLE_CAP}")
     configs, logws = [], []
 
     def visit(values, lw):
@@ -98,6 +94,8 @@ def derived_gibbs_exact(space: DerivedSpace) -> ExactGibbs:
         logws.append(lw)
 
     _iter_Xn(space, visit)
+    if not configs:
+        raise EmptyFiberError("the derived space has no configuration to tabulate")
     arr = np.array(configs, dtype=np.int8)
     logws = np.array(logws)
     m = logws.max()
@@ -116,26 +114,6 @@ def mean_energy_exact(table: ExactGibbs) -> float:
     return float(
         sum(p * derived_energy(table.space, x) for p, x in zip(table.probs, table.configs))
     )
-
-
-def sample_derived_gibbs(space: DerivedSpace, sweeps: int, seed: int, n_samples: int = 1, thin: int = 1) -> np.ndarray:
-    """Heat-bath samples of the derived Gibbs measure, shape (n_samples, n).
-
-    Runs `sweeps` burn-in sweeps from the all-safe configuration, then
-    `thin` sweeps between retained samples.
-    """
-    if space.safe_symbol is None:
-        raise NoSafeSymbolError("heat-bath sampling needs a safe symbol")
-    rng = Pcg64([seed, space.n, 0x6B5])
-    engine = GlauberEngine(space.sm, space.structure, space.potential)
-    x = engine.initial_state(space.safe_symbol)
-    engine.sweeps(x, sweeps, rng)
-    out = np.empty((n_samples, space.n), dtype=np.int8)
-    out[0] = x
-    for i in range(1, n_samples):
-        engine.sweeps(x, thin, rng)
-        out[i] = x
-    return out
 
 
 def pushforward_tables(space: DerivedSpace, r: int, probe) -> list[dict]:
@@ -319,58 +297,6 @@ def uniform_bound_c(
         - 2.0 * potential.norm() * m_size**4
     )
     return UniformBound(c_hat, log_c_formula, witness)
-
-
-def entropy_rate_estimate(
-    structure: ConstraintStructure,
-    potential: Potential,
-    builder: dict,
-    sizes,
-    method: str = "auto",
-    seed: int = 0,
-    mcmc_kwargs: dict | None = None,
-    sample_kwargs: dict | None = None,
-):
-    """Per-size H(mu_n)/n via the exact table, the cycle identities, or log Z
-    (MCMC) minus a sampled energy expectation; mcmc_kwargs are a RunConfig's
-    params.mcmc, checked with the method before any size runs."""
-    check(mcmc_kwargs or {}, MCMC, "params.mcmc")
-    route = choose_method(builder, method, exact_table_cap())
-    transfer = cache(lambda: build_transfer(structure, potential))  # once per sweep
-    rows = []
-    for size in sizes:
-        sm = build_sofic({**builder, "size": int(size)}, seed=seed)
-        space = DerivedSpace(sm, structure, potential)
-        chosen = route(space.n)
-        stderr = 0.0
-        if chosen == "exact":
-            rate = shannon_entropy_exact(space) / space.n
-        elif chosen == "cycles":
-            tm = transfer()
-            res = partition_cycle_decomposition(space, tm)
-            mean_e = sum(
-                length * tm.mean_energy_per_site_cycle(length)
-                for length in res.diagnostics["cycle_lengths"]
-                if length > 1
-            )
-            for length in res.diagnostics["cycle_lengths"]:
-                if length == 1:
-                    w = np.exp(potential.h + np.diag(potential.J[0]))
-                    p = w / w.sum()
-                    mean_e += float(p @ (potential.h + np.diag(potential.J[0])))
-            rate = (res.log_Z - mean_e) / space.n
-        else:
-            res = partition_mcmc(space, seed=seed, **(mcmc_kwargs or {}))
-            sk = {"sweeps": 200, "n_samples": 200, "thin": 2, **(sample_kwargs or {})}
-            samples = sample_derived_gibbs(
-                space, sweeps=sk["sweeps"], seed=seed + 1, n_samples=sk["n_samples"], thin=sk["thin"]
-            )
-            energies = np.array([derived_energy(space, s) for s in samples])
-            se_e = energies.std(ddof=1) / math.sqrt(len(energies))
-            rate = (res.log_Z - energies.mean()) / space.n
-            stderr = (res.stderr + se_e) / space.n
-        rows.append({"n": space.n, "entropy_rate": rate, "stderr": stderr, "method": chosen})
-    return rows
 
 
 def transfer_reference_marginal(

@@ -183,8 +183,8 @@ def _data(arr: np.ndarray):
     costs about a fifth of `ndarray.ctypes`; it needs a writeable, non-empty
     buffer; an empty one takes `ndarray.ctypes`, about 5 µs, so a kernel
     passes NULL for a workspace it does not read.  A sweep call passes
-    eight to ten arrays, and sample_derived_gibbs makes one such call per
-    retained sample, so this counts.
+    eight to ten arrays, and `sampling.sample_derived_gibbs` makes one such
+    call per retained sample, so this counts.
     """
     if arr.flags.writeable and arr.size:
         return ctypes.c_ubyte.from_buffer(arr)

@@ -1,11 +1,15 @@
-"""Single-site heat-bath (Glauber) dynamics over a sofic map's labeled graph."""
+"""Single-site heat-bath (Glauber) dynamics over a sofic map's labeled
+graph: the sweep engine, and `sample_derived_gibbs`, which draws states of a
+derived Gibbs measure with it (for the MCMC entropy rows of
+`finitemodel.size_sweep` and the sampled pushforwards of `gibbs`)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential
-from .kernels import SweepWorkspace, glauber_sweeps
+from .errors import NoSafeSymbolError
+from .kernels import Pcg64, SweepWorkspace, glauber_sweeps
 from .soficmaps import SoficMap
 
 
@@ -53,3 +57,24 @@ class GlauberEngine:
         glauber_sweeps(x, self.nbr_out, self.nbr_in, self.wh, self.wj, self.allowed, rng, k, counts, safe,
                        self._work)
         return x
+
+
+def sample_derived_gibbs(space, sweeps: int, seed: int, n_samples: int = 1, thin: int = 1) -> np.ndarray:
+    """Heat-bath samples of the derived Gibbs measure of a
+    `finitemodel.DerivedSpace`, shape (n_samples, n).
+
+    Runs `sweeps` burn-in sweeps from the all-safe configuration, then
+    `thin` sweeps between retained samples.
+    """
+    if space.safe_symbol is None:
+        raise NoSafeSymbolError("heat-bath sampling needs a safe symbol")
+    rng = Pcg64([seed, space.n, 0x6B5])
+    engine = GlauberEngine(space.sm, space.structure, space.potential)
+    x = engine.initial_state(space.safe_symbol)
+    engine.sweeps(x, sweeps, rng)
+    out = np.empty((n_samples, space.n), dtype=np.int8)
+    out[0] = x
+    for i in range(1, n_samples):
+        engine.sweeps(x, thin, rng)
+        out[i] = x
+    return out

@@ -1,15 +1,17 @@
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from soficlab import finitemodel, gibbs, kernels
+from soficlab import finitemodel, gibbs, kernels, soficmaps
 from soficlab.cli import (
     compare_configs,
     main,
@@ -22,7 +24,6 @@ from soficlab.cli import (
     main_tssm_check,
     run_config,
 )
-from soficlab.gibbs import entropy_rate_estimate
 from soficlab.modelfile import hardcore_model_dict, load_model, parse_model
 from soficlab.errors import SchemaError, SoficLabError
 from soficlab.sampling import GlauberEngine
@@ -295,8 +296,7 @@ def test_run_unknown_name_is_schema_error(params, experiment, tmp_path, capsys, 
     """A refused input is a SchemaError (exit 2) before any size runs, and its
     message names what was refused: the name "nope", the method transfer, or
     the generator count of a builder that method cycles cannot take."""
-    for module in (finitemodel, gibbs):
-        monkeypatch.setattr(module, "build_sofic", _no_build)
+    monkeypatch.setattr(finitemodel, "build_sofic", _no_build)
     d = params.get("builder_desc", {}).get("d", 1)
     model = tmp_path / "hardcore.json"
     model.write_text(json.dumps(hardcore_model_dict("Zd", d, 1.0)))
@@ -378,8 +378,8 @@ def test_entropy_config_passes_mcmc_block(hc_model):
         "seed": 2,
     })
     model = load_model(hc_model)
-    direct = entropy_rate_estimate(model.structure, model.potential, builder, [8], method="mcmc",
-                                   seed=2, mcmc_kwargs=block)
+    direct = finitemodel.size_sweep("entropy", model.structure, model.potential, builder, [8], method="mcmc",
+                                    seed=2, mcmc_kwargs=block)
     assert record["outputs"] == direct
 
 
@@ -476,6 +476,73 @@ def test_record_names_the_kernel_backend(hc_model):
     record = run_config(config)
     assert record["kernel_backend"] == kernels.BACKEND in ("c", "python")
     assert list(record["outputs"][0]) == ["n", "log_Z", "pressure_estimate", "stderr", "method", "seed"]
+
+
+@pytest.mark.parametrize("method", ["exact", "cycles", "mcmc"])
+def test_every_route_writes_the_sweep_fields(method, hc_model, tmp_path):
+    """Each route's pressure and entropy rows carry exactly the fields of
+    finitemodel.SWEEP_FIELDS, in order, and so do the console scripts' CSV
+    headers."""
+    for experiment, main_fn in (("pressure", main_pressure), ("entropy", main_entropy)):
+        record = run_config({"experiment": experiment, "model": hc_model, "params": {
+            "builder_desc": {"builder": "torus", "d": 1}, "sizes": [6, 8], "method": method,
+            "mcmc": SWEEP_MCMC}})
+        assert [list(row) for row in record["outputs"]] == [list(finitemodel.SWEEP_FIELDS[experiment])] * 2
+        out = tmp_path / f"{experiment}.csv"
+        main_fn(["--model", hc_model, "--builder", "torus", "--sizes", "6", "--method", method, "--out", str(out)])
+        assert out.read_text().splitlines()[0].split(",") == list(finitemodel.SWEEP_FIELDS[experiment])
+
+
+EMPTY_SPACES = {
+    # an odd cycle or an odd torus has no proper 2-colouring
+    "cycles-Z1": (1, ["--sizes", "3"], "cycle_decomposition"),
+    "exact-Z1": (1, ["--sizes", "3", "--method", "exact"], "exact"),
+    "auto-Z2": (2, ["--d", "2", "--sizes", "3"], "exact"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_SPACES))
+def test_entropy_of_an_empty_derived_space_is_a_typed_error(case, tmp_path, capsys):
+    """The checkerboard on an odd torus has no configuration.  Its entropy
+    row was nan after a RuntimeWarning on the cycles route and a bare numpy
+    ValueError on the exact one; it is now an EmptyFiberError (exit 11),
+    with no warning, while the pressure still reports log Z = -inf."""
+    d, args, pressure_method = EMPTY_SPACES[case]
+    relation = [[False, True], [True, False]]
+    path = tmp_path / "checkerboard.json"
+    path.write_text(json.dumps({"group": {"kind": "Zd", "d": d}, "alphabet": 2, "vertex_log_weights": [0.0, 0.0],
+                                "relations": {f"e{i + 1}": relation for i in range(d)}}))
+    argv = ["--model", str(path), "--builder", "torus", *args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main_entropy(argv)
+    assert exc.value.code == 11
+    assert json.loads(capsys.readouterr().err)["error"] == "EmptyFiberError"
+    main_pressure(argv)
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert (row["log_Z"], row["pressure_estimate"], row["method"]) == ("-inf", "-inf", pressure_method)
+
+
+def test_entropy_takes_exact_up_to_the_exact_cap(tmp_path, monkeypatch, capsys):
+    """On a random F_2 map of n = 22 sites, within SOFICLAB_EXACT_CAP = 24,
+    `entropy --method exact` answers (it once exited 3 at a table cap of 20)
+    and `auto` takes it too (it once took mcmc, and gave 0.38022779188740086
+    with stderr 0.004328132881313971 at the default settings).  The row is
+    the full table's entropy, to 1e-12, and within 2 stderr of that figure."""
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(hardcore_model_dict("Free", 2, 2.5)))
+    rows = []
+    for method in ("exact", "auto"):
+        main_entropy(["--model", str(path), "--builder", "random_perm", "--k", "2", "--sizes", "22",
+                      "--seed", "3", "--method", method, "--json"])
+        rows += json.loads(capsys.readouterr().out)["outputs"]
+    assert rows[0] == rows[1] and rows[0]["method"] == "exact" and rows[0]["stderr"] == 0.0
+    monkeypatch.setattr(gibbs, "TABLE_CAP", 22)
+    model = load_model(str(path))
+    space = finitemodel.DerivedSpace(soficmaps.build_random_perm(2, 22, 3), model.structure, model.potential)
+    assert rows[0]["entropy_rate"] == pytest.approx(gibbs.shannon_entropy_exact(space) / 22, abs=1e-12)
+    assert abs(rows[0]["entropy_rate"] - 0.38022779188740086) < 2 * 0.004328132881313971
 
 
 def _records_on_both_backends(configs) -> list:
@@ -578,6 +645,67 @@ ROUTE_RECORDS = [
     ("Zd", 2, 1.0, {"oracle": "ball", "pad": 1, "r": 2, "past": "lex", "N": 1}, 2, "ball",
      0.5280674302004967, 0.0),
 ]
+
+
+# (experiment, group kind, rank, builder, sizes, method, seed, rows) of
+# hardcore size sweeps at activity 2.5, `mcmc` at SWEEP_MCMC; the rows are
+# those recorded before the pressure and the entropy sweeps became one.
+# Exact entropy rows hold to 1e-12, every other row bitwise
+SWEEP_MCMC = {"grid_points": 5, "samples_per_point": 40}
+SWEEP_RECORDS = [
+    ("pressure", "Zd", 2, {"builder": "torus", "d": 2}, [4], "exact", 0,
+     [{"n": 16, "log_Z": 10.853918958535578, "pressure_estimate": 0.6783699349084736, "stderr": 0.0,
+       "method": "exact", "seed": 0}]),
+    ("entropy", "Zd", 2, {"builder": "torus", "d": 2}, [4], "exact", 0,
+     [{"n": 16, "entropy_rate": 0.36420427102881314, "stderr": 0.0, "method": "exact"}]),
+    ("pressure", "Free", 2, {"builder": "random_perm", "k": 2}, [12], "exact", 3,
+     [{"n": 12, "log_Z": 7.451023891237495, "pressure_estimate": 0.6209186576031246, "stderr": 0.0,
+       "method": "exact", "seed": 3}]),
+    ("entropy", "Free", 2, {"builder": "random_perm", "k": 2}, [12], "exact", 3,
+     [{"n": 12, "entropy_rate": 0.37883974229004247, "stderr": 0.0, "method": "exact"}]),
+    ("pressure", "Zd", 1, {"builder": "torus", "d": 1}, [8, 16], "auto", 0,
+     [{"n": 8, "log_Z": 6.161471000009063, "pressure_estimate": 0.7701838750011328, "stderr": 0.0,
+       "method": "cycle_decomposition", "seed": 0},
+      {"n": 16, "log_Z": 12.309273240393857, "pressure_estimate": 0.7693295775246161, "stderr": 0.0,
+       "method": "cycle_decomposition", "seed": 0}]),
+    ("entropy", "Zd", 1, {"builder": "torus", "d": 1}, [8, 16], "auto", 0,
+     [{"n": 8, "entropy_rate": 0.4482863268275732, "stderr": 0.0, "method": "cycles"},
+      {"n": 16, "entropy_rate": 0.4493071541415918, "stderr": 0.0, "method": "cycles"}]),
+    ("pressure", "Zd", 1, {"builder": "folner", "d": 1}, [3], "cycles", 0,
+     [{"n": 3, "log_Z": 2.1400661634962708, "pressure_estimate": 0.7133553878320903, "stderr": 0.0,
+       "method": "cycle_decomposition", "seed": 0}]),
+    ("entropy", "Zd", 1, {"builder": "folner", "d": 1}, [3], "cycles", 0,
+     [{"n": 3, "entropy_rate": 0.4438581137514564, "stderr": 0.0, "method": "cycles"}]),
+    ("pressure", "Zd", 1, {"builder": "torus", "d": 1}, [8], "mcmc", 3,
+     [{"n": 8, "log_Z": 5.526204223185709, "pressure_estimate": 0.6907755278982136,
+       "stderr": 0.026450743283629834, "method": "mcmc", "seed": 3}]),
+    ("entropy", "Zd", 1, {"builder": "torus", "d": 1}, [8], "mcmc", 3,
+     [{"n": 8, "entropy_rate": 0.3666376814977313, "stderr": 0.03231181863970351, "method": "mcmc"}]),
+    ("pressure", "Zd", 2, {"builder": "torus", "d": 2}, [4], "mcmc", 3,
+     [{"n": 16, "log_Z": 10.620673741435034, "pressure_estimate": 0.6637921088396896,
+       "stderr": 0.03623689562306346, "method": "mcmc", "seed": 3}]),
+    ("entropy", "Zd", 2, {"builder": "torus", "d": 2}, [4], "mcmc", 3,
+     [{"n": 16, "entropy_rate": 0.34566742036713144, "stderr": 0.041768992813632555, "method": "mcmc"}]),
+]
+
+
+def test_size_sweep_records_are_pinned(tmp_path):
+    """Pressure and entropy sweeps by every route (exact on Z^2 and F_2,
+    cycles on Z^1 tori and a Folner box, mcmc on Z^1 and Z^2) give the same record on both backends and the pinned
+    rows."""
+    configs = []
+    for experiment, kind, rank, builder, sizes, method, seed, _ in SWEEP_RECORDS:
+        path = tmp_path / f"{kind}{rank}.json"
+        path.write_text(json.dumps(hardcore_model_dict(kind, rank, 2.5)))
+        configs.append({"experiment": experiment, "model": str(path), "seed": seed, "params": {
+            "builder_desc": builder, "sizes": sizes, "method": method, "mcmc": SWEEP_MCMC}})
+    for (twin, here), (experiment, *_, method, _, rows) in zip(_records_on_both_backends(configs), SWEEP_RECORDS):
+        assert json.dumps(twin) == json.dumps(here)
+        if experiment == "entropy" and method == "exact":
+            for row, pinned in zip(here["outputs"], rows, strict=True):
+                assert row == {**pinned, "entropy_rate": pytest.approx(pinned["entropy_rate"], abs=1e-12)}
+        else:
+            assert here["outputs"] == rows
 
 
 def _check_pinned_records(records, tmp_path):

@@ -17,7 +17,7 @@ from soficlab.finitemodel import (
     partition_cycle_decomposition,
     partition_exact,
     partition_mcmc,
-    pressure_estimate,
+    size_sweep,
     pullback,
 )
 from soficlab.transfer import build_transfer
@@ -255,15 +255,15 @@ def test_cycle_decomposition_matches_exact():
 
 def test_pressure_estimate_sequences():
     st, pot = HC1
-    rows = pressure_estimate(st, pot, {"builder": "torus", "d": 1}, [8, 16, 32, 64])
+    rows = size_sweep("pressure", st, pot, {"builder": "torus", "d": 1}, [8, 16, 32, 64])
     assert [r["method"] for r in rows] == ["cycle_decomposition"] * 4
     # auto's cycle route on the rank-1 torus is bitwise the transfer trace
     tm = build_transfer(st, pot)
     assert [r["log_Z"] for r in rows] == [tm.log_trace_power(n) for n in (8, 16, 32, 64)]
     errs = [abs(r["pressure_estimate"] - golden_pressure()) for r in rows]
     assert errs == sorted(errs, reverse=True) and errs[-1] < 1e-6
-    fs_rows = pressure_estimate(
-        full_shift(2, 1), zero_potential(2, 1), {"builder": "folner", "d": 1}, [6, 10], method="exact"
+    fs_rows = size_sweep(
+        "pressure", full_shift(2, 1), zero_potential(2, 1), {"builder": "folner", "d": 1}, [6, 10], method="exact"
     )
     for r in fs_rows:
         assert r["pressure_estimate"] == pytest.approx(math.log(2), abs=1e-12)

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from soficlab import enumeration, gibbs, groups, soficmaps
+from soficlab import enumeration, finitemodel, gibbs, groups, soficmaps
 from soficlab.constraints import (
     ConstraintStructure,
     Pattern,
@@ -17,14 +17,12 @@ from soficlab.constraints import (
     zero_potential,
 )
 from soficlab.errors import BudgetExceededError, EmptyFiberError
-from soficlab.finitemodel import DerivedSpace, derived_energy
+from soficlab.finitemodel import DerivedSpace, derived_energy, size_sweep
 from soficlab.gibbs import (
     BallDistribution,
     derived_gibbs_exact,
-    entropy_rate_estimate,
     local_weakstar_gap,
     mean_energy_exact,
-    sample_derived_gibbs,
     shannon_entropy_exact,
     specification_ball,
     ssm_profile,
@@ -32,6 +30,7 @@ from soficlab.gibbs import (
     uniform_bound_c,
 )
 from soficlab.kernels import Pcg64
+from soficlab.sampling import sample_derived_gibbs
 
 from oracles import golden_pressure, hardcore_line_density, sigma_word
 
@@ -105,6 +104,46 @@ def test_equilibrium_identity_random_models():
         lhs = t.log_Z
         rhs = shannon_entropy_exact(sp, t) + mean_energy_exact(t)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def _colourings(n: int) -> DerivedSpace:
+    """Weighted proper 3-colourings of the n-cycle: there is no safe
+    symbol, so the window filter of `_iter_Xn` runs at every vertex."""
+    st = ConstraintStructure(3, ~np.eye(3, dtype=bool)[None])
+    return DerivedSpace(soficmaps.build_torus(1, n), st, Potential(np.array([0.0, 0.2, -0.1]), np.zeros((1, 3, 3))))
+
+
+STREAMED_CASES = {
+    "hardcore-Z2-4x4": lambda: DerivedSpace(soficmaps.build_torus(2, 4), *hardcore(2, 2.5)),
+    "hardcore-F2-12": lambda: DerivedSpace(soficmaps.build_random_perm(2, 12, seed=3), *hardcore(2, 2.5)),
+    "hardcore-F2-18": lambda: DerivedSpace(soficmaps.build_random_perm(2, 18, seed=1), *hardcore(2, 0.6)),
+    "weighted-Z2-3x3": lambda: DerivedSpace(soficmaps.build_torus(2, 3), *random_safe_model(np.random.default_rng(5))),
+    "colourings-Z1-12": lambda: _colourings(12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+def test_streamed_exact_pass_is_the_table(case):
+    """The one exact pass of `partition_exact`, with no table, gives the
+    entropy log Z - E[energy] and the mean energy of the full table to
+    1e-12, and log Z itself."""
+    sp = STREAMED_CASES[case]()
+    assert (sp.safe_symbol is None) == case.startswith("colourings")
+    res = finitemodel.partition_exact(sp)
+    t = derived_gibbs_exact(sp)
+    assert res.log_Z == pytest.approx(t.log_Z, abs=1e-12)
+    assert res.log_Z - res.mean_energy == pytest.approx(shannon_entropy_exact(sp, t), abs=1e-12)
+    assert res.mean_energy == pytest.approx(mean_energy_exact(t), abs=1e-12)
+
+
+def test_empty_derived_space_has_no_table():
+    """The checkerboard on the 3-cycle has no configuration: the exact pass
+    gives log Z = -inf, and the table is a typed error, not numpy's
+    ValueError on an empty reduction."""
+    sp = DerivedSpace(soficmaps.build_torus(1, 3), checkerboard(1), zero_potential(2, 1))
+    assert finitemodel.partition_exact(sp).log_Z == -math.inf
+    with pytest.raises(EmptyFiberError):
+        derived_gibbs_exact(sp)
 
 
 def test_specification_pullback_matches_exact_conditional():
@@ -343,13 +382,13 @@ def test_ssm_coupling_proxy():
 
 def test_entropy_rate_estimate_transfer():
     st, pot = HC1
-    rows = entropy_rate_estimate(st, pot, {"builder": "torus", "d": 1}, [16, 64])
+    rows = size_sweep("entropy", st, pot, {"builder": "torus", "d": 1}, [16, 64])
     assert rows[-1]["entropy_rate"] == pytest.approx(golden_pressure(), abs=1e-4)
     st2, pot2 = hardcore(1, 2.0)
-    rows2 = entropy_rate_estimate(st2, pot2, {"builder": "torus", "d": 1}, [64])
+    rows2 = size_sweep("entropy", st2, pot2, {"builder": "torus", "d": 1}, [64])
     assert rows2[0]["entropy_rate"] == pytest.approx((2 / 3) * math.log(2), abs=1e-6)
-    fs_rows = entropy_rate_estimate(
-        full_shift(2, 1), zero_potential(2, 1), {"builder": "torus", "d": 1}, [8, 12], method="exact"
+    fs_rows = size_sweep(
+        "entropy", full_shift(2, 1), zero_potential(2, 1), {"builder": "torus", "d": 1}, [8, 12], method="exact"
     )
     for row in fs_rows:
         assert row["entropy_rate"] == pytest.approx(math.log(2), abs=1e-12)
@@ -357,12 +396,12 @@ def test_entropy_rate_estimate_transfer():
 
 def test_entropy_rate_estimate_cycles_route():
     st, pot = hardcore(1, 2.0)
-    rows = entropy_rate_estimate(
-        st, pot, {"builder": "random_perm", "k": 1, "seed": 7}, [14], method="cycles"
+    rows = size_sweep(
+        "entropy", st, pot, {"builder": "random_perm", "k": 1, "seed": 7}, [14], method="cycles"
     )
     sp = DerivedSpace(soficmaps.build_random_perm(1, 14, seed=7), st, pot)
     assert rows[0]["entropy_rate"] == pytest.approx(shannon_entropy_exact(sp) / 14, abs=1e-12)
-    folner = entropy_rate_estimate(st, pot, {"builder": "folner", "d": 1}, [64])
+    folner = size_sweep("entropy", st, pot, {"builder": "folner", "d": 1}, [64])
     assert folner[0]["method"] == "cycles"
     assert folner[0]["entropy_rate"] == pytest.approx((2 / 3) * math.log(2), abs=1e-9)
 
@@ -371,13 +410,13 @@ def test_entropy_rate_estimate_cycles_route():
 def test_cycle_sweeps_build_the_transfer_matrix_once(monkeypatch):
     """The transfer matrix depends only on the model, so a sweep of the
     cycles route over Z^1 tori of 8, 16 and 32 sites builds it once, for
-    the entropy (which used to build it twice per size) and the pressure
-    (once per size), and the rows are those of a matrix built per size."""
-    from soficlab import finitemodel, gibbs, transfer
+    the entropy and for the pressure, and the rows are those of a matrix
+    built per size."""
+    from soficlab import transfer
 
     st, pot = HC1
     builder, sizes = {"builder": "torus", "d": 1}, [8, 16, 32]
-    expect = [entropy_rate_estimate(st, pot, builder, sizes), finitemodel.pressure_estimate(st, pot, builder, sizes)]
+    expect = {experiment: size_sweep(experiment, st, pot, builder, sizes) for experiment in ("entropy", "pressure")}
     calls = []
 
     def counted(*args):
@@ -385,16 +424,16 @@ def test_cycle_sweeps_build_the_transfer_matrix_once(monkeypatch):
         return transfer.build_transfer(*args)
 
     monkeypatch.setattr(finitemodel, "build_transfer", counted)
-    monkeypatch.setattr(gibbs, "build_transfer", counted)
-    assert entropy_rate_estimate(st, pot, builder, sizes) == expect[0]
-    assert len(calls) == 1
-    assert finitemodel.pressure_estimate(st, pot, builder, sizes) == expect[1]
-    assert len(calls) == 2
-    assert [row["method"] for row in expect[0]] == ["cycles"] * 3
+    for k, experiment in enumerate(("entropy", "pressure"), 1):
+        assert size_sweep(experiment, st, pot, builder, sizes) == expect[experiment]
+        assert len(calls) == k
+    assert [row["method"] for row in expect["entropy"]] == ["cycles"] * 3
 
-def test_entropy_rate_estimate_mcmc_route():
+def test_entropy_rate_estimate_mcmc_route(monkeypatch):
     st, pot = hardcore(1, 2.0)
-    rows = entropy_rate_estimate(
+    monkeypatch.setattr(finitemodel, "ENERGY_SAMPLES", 400)
+    rows = size_sweep(
+        "entropy",
         st,
         pot,
         {"builder": "torus", "d": 1},
@@ -402,7 +441,6 @@ def test_entropy_rate_estimate_mcmc_route():
         method="mcmc",
         seed=3,
         mcmc_kwargs={"samples_per_point": 1500, "grid_points": 48},
-        sample_kwargs={"sweeps": 200, "n_samples": 400, "thin": 2},
     )
     row = rows[0]
     assert abs(row["entropy_rate"] - (2 / 3) * math.log(2)) < 3 * row["stderr"] + 0.01

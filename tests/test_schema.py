@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from soficlab import cli, soficmaps
 from soficlab.cli import main, run_config
 from soficlab.errors import SchemaError
-from soficlab.finitemodel import DerivedSpace, partition_mcmc, pressure_estimate
-from soficlab.gibbs import entropy_rate_estimate
+from soficlab.finitemodel import DerivedSpace, partition_mcmc, size_sweep
 from soficlab.modelfile import hardcore_model_dict, parse_model
 from soficlab.sampling import GlauberEngine
 from soficlab.schema import check
@@ -130,12 +129,12 @@ def test_partition_mcmc_checks_its_settings_before_any_sweep(monkeypatch):
         partition_mcmc(space, seed=0, grid_points=5, samples_per_point=2)
 
 
-@pytest.mark.parametrize("estimate", [pressure_estimate, entropy_rate_estimate])
-def test_estimators_check_mcmc_kwargs_whatever_the_route(estimate):
+@pytest.mark.parametrize("experiment", ["pressure", "entropy"])
+def test_estimators_check_mcmc_kwargs_whatever_the_route(experiment):
     model = parse_model(Z1)
     with pytest.raises(SchemaError, match="params.mcmc.grid_points"):
-        estimate(model.structure, model.potential, TORUS, [8], method="cycles",
-                 mcmc_kwargs={"grid_points": 1})
+        size_sweep(experiment, model.structure, model.potential, TORUS, [8], method="cycles",
+                   mcmc_kwargs={"grid_points": 1})
 
 
 # ---------------------------------------------------------------- files
@@ -307,7 +306,7 @@ def _run_checked(doc: dict, model_path: Path) -> dict:
     if "model" in config and config["model"] in ("", "hardcore.json"):
         config["model"] = str(model_path)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("pressure_estimate", "entropy_rate_estimate", "ssm_profile", "make_oracle"):
+        for name in ("size_sweep", "ssm_profile", "make_oracle"):
             mp.setattr(cli, name, reached)
         return run_config(config)
 

@@ -7,8 +7,8 @@ from soficlab import groups
 from soficlab.constraints import ConstraintStructure, Potential, checkerboard, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph, joint_distribution, log_partition, site_marginal
 from soficlab.errors import ReducibleTransferError
-from soficlab.finitemodel import pressure_estimate
-from soficlab.gibbs import entropy_rate_estimate, uniform_bound_c
+from soficlab.finitemodel import size_sweep
+from soficlab.gibbs import uniform_bound_c
 from soficlab.transfer import build_transfer
 
 from oracles import (
@@ -241,10 +241,10 @@ def test_reducible_relation_keeps_trace_routes():
     for allowed in REDUCIBLE:
         st, pot = _reducible(allowed)
         # the admissible 8-cycles are all-0 and all-1
-        (row,) = pressure_estimate(st, pot, builder, [8])
+        (row,) = size_sweep("pressure", st, pot, builder, [8])
         assert row["method"] == "cycle_decomposition"
         assert row["pressure_estimate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
-        (row,) = entropy_rate_estimate(st, pot, builder, [8])
+        (row,) = size_sweep("entropy", st, pot, builder, [8])
         assert row["method"] == "cycles"
         assert row["entropy_rate"] == pytest.approx(math.log(2) / 8, abs=1e-12)
 
