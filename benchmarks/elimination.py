@@ -1,0 +1,132 @@
+"""Cost of one exact elimination: ms per mixing-profile radius and per
+ball-oracle conditional, warm, in a fresh interpreter per tree and round.
+
+    python benchmarks/elimination.py                                  # this checkout, 10 rounds
+    python benchmarks/elimination.py --src before=../old/src --src after=src --rounds 15
+
+Each --src LABEL=DIR is a soficlab source tree (the directory holding the
+`soficlab` package).  A round starts one fresh child per tree, the trees
+alternating, so a slow spell of a shared host falls on all of them alike.
+A child runs on the default kernel backend (elimination is numpy alone) and
+times, after one untimed call each:
+
+- `beta_z2_r1`, `beta_z2_r2`, `beta_f2_r1`: one radius of `ssm-profile`
+  (`gibbs._beta_enumeration`: one elimination on B_{r+1} that keeps the
+  center and the shell), hardcore at lambda = 1 on Z^2 and at lambda = 0.3
+  on F_2; the median over REPS = 20 calls;
+- `ball_z2_pad2`, `ball_f2_ising_b3`: one elimination of the ball oracle,
+  that is `BallEnumerationOracle.batch` over ROWS = 200 distinct percolation
+  masks at the all-safe pattern (the rows of `kp-estimate` at the fixed
+  point) divided by ROWS; hardcore at lambda = 1 on Z^2 at r = 2, pad 2
+  (B_4, 41 sites), and F_2 Ising (J = +-0.3, h = (0, 0.1)) at r = 2, pad 1
+  (B_3, 53 sites); a fresh oracle per timed batch, the median over
+  BALL_REPS = 3 batches.
+
+The medians over rounds and every raw sample go to --out
+(benchmarks/BENCH_elimination.json), merged by label into what is there,
+with each tree's git commit and kernel backend.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+from cold_start import _git_version
+
+HERE = Path(__file__).resolve().parent
+REPS, BALL_REPS, ROWS = 20, 3, 200  # timed beta calls, timed ball batches, rows of one batch
+
+_CHILD = r"""
+import json, statistics, sys, time
+import numpy as np
+from soficlab import groups, kernels
+from soficlab.constraints import ConstraintStructure, Potential, hardcore
+from soficlab.gibbs import _beta_enumeration
+from soficlab.marginals import BallEnumerationOracle
+
+reps, ball_reps, n_rows = json.loads(sys.argv[1])
+z2, f2 = groups.zd(2), groups.free(2)
+J = np.array([[0.3, -0.3], [-0.3, 0.3]])
+ising = (ConstraintStructure(2, np.ones((2, 2, 2), dtype=bool)), Potential(np.array([0.0, 0.1]), np.array([J, J])))
+
+
+def beta_ms(model, spec, r):
+    _beta_enumeration(*model, spec, r)
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        _beta_enumeration(*model, spec, r)
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def ball_ms(model, spec, r, pad):
+    width = len(groups.ball(spec, r))
+    draws = np.random.default_rng(0).random((8 * n_rows, width)) < 0.5
+    draws[:, 0] = False
+    _, first = np.unique(draws, axis=0, return_index=True)
+    masks = draws[np.sort(first)[:n_rows]]
+    values = np.zeros(masks.shape, dtype=np.int64)
+    times = []
+    for k in range(ball_reps + 1):  # the first batch is untimed
+        oracle = BallEnumerationOracle(*model, spec, r, pad=pad)
+        t0 = time.perf_counter()
+        oracle.batch(values, masks)
+        if k:
+            times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times) / len(masks)
+
+
+out = {"backend": kernels.BACKEND, "numpy": np.__version__}
+out["beta_z2_r1"] = beta_ms(hardcore(2, 1.0), z2, 1)
+out["beta_z2_r2"] = beta_ms(hardcore(2, 1.0), z2, 2)
+out["beta_f2_r1"] = beta_ms(hardcore(2, 0.3), f2, 1)
+out["ball_z2_pad2"] = ball_ms(hardcore(2, 1.0), z2, 2, 2)
+out["ball_f2_ising_b3"] = ball_ms(ising, f2, 2, 1)
+print(json.dumps(out))
+"""
+CASES = ("beta_z2_r1", "beta_z2_r2", "beta_f2_r1", "ball_z2_pad2", "ball_f2_ising_b3")
+
+
+def _child(src: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "SOFICLAB_KERNEL"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([REPS, BALL_REPS, ROWS])], env=env,
+                          capture_output=True, text=True, timeout=600, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", action="append", metavar="LABEL=DIR",
+                    help="a labelled soficlab source tree; repeatable (default: current=src of this checkout)")
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--out", type=Path, default=HERE / "BENCH_elimination.json")
+    args = ap.parse_args(argv)
+    trees = dict(item.split("=", 1) for item in args.src or [f"current={HERE.parent / 'src'}"])
+    trees = {label: Path(path).resolve() for label, path in trees.items()}
+    samples = {label: [] for label in trees}
+    for r in range(args.rounds):
+        for label, src in trees.items():
+            samples[label].append(_child(src))
+        print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+    results = json.loads(args.out.read_text()) if args.out.exists() else {}
+    results["host"] = {"python": platform.python_version(), "machine": platform.machine(),
+                       "nproc": os.cpu_count(), "note": "ms per elimination; medians over rounds"}
+    for label, runs in samples.items():
+        entry = {"git": _git_version(trees[label]), "backend": runs[0]["backend"], "numpy": runs[0]["numpy"],
+                 "rounds": args.rounds, "reps": REPS, "ball_reps": BALL_REPS, "rows": ROWS}
+        for case in CASES:
+            entry[case] = {"ms": statistics.median(s[case] for s in runs), "samples": [s[case] for s in runs]}
+        results[label] = entry
+        print(f"{label:>8} " + "  ".join(f"{case} {entry[case]['ms']:7.3f}" for case in CASES))
+    args.out.write_text(json.dumps(results, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -146,6 +146,9 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
         pad=params.get("pad", 4),
         saw_boundary=params.get("saw_boundary", "free"),
     )
+    # the budget is deterministic, so computing it first changes no record;
+    # a model whose budget is refused fails before the estimate is run
+    beta, c_hat = truncation_budget(model.structure, model.potential, model.spec, r)
     if nu == "mu":
         est = kp_pressure_at_measure(
             model.structure,
@@ -162,7 +165,6 @@ def run_kp_estimate(model: Model, params: dict, seed: int) -> dict:
             model.structure, model.potential, model.spec, oracle, r, N, seed,
             past=past,
         )
-    beta, c_hat = truncation_budget(model.structure, model.potential, model.spec, r)
     return {
         "value": est.value,
         "stderr": est.stderr,

@@ -184,30 +184,51 @@ def _factors(graph, structure, potential, pins):
     alphabet; a pinned site is a one-value domain, so its axis is dropped
     and its terms fold into the tables of its unpinned neighbours (or into
     the scalar table of scope ()).  Parallel edges share one table.
+
+    The tables come from one set per call and generator s: the log-table
+    where(allowed[s], J[s], -inf), its transpose, its row and column views
+    and the self-loop diagonal J[s][c, c].  A scope with one term holds one
+    of these objects, h itself or a 0-d slice of one (never a copy), so that
+    `_eliminate` scales each distinct object once; a scope with several
+    terms holds their sum, added in site then edge order.  No table is
+    written in place.
     """
     a = structure.alphabet
     h = np.zeros(a) if potential is None else potential.h
     J = np.zeros((structure.n_generators, a, a)) if potential is None else potential.J
-    symbols = np.arange(a)
-    dom = [np.array([pins[i]]) if i in pins else symbols for i in range(graph.n)]
+    tables = []  # per generator: (log-table, transpose, rows, columns, diagonal)
+    for s in range(structure.n_generators):
+        log = np.where(structure.allowed[s], J[s], -np.inf)
+        tables.append((log, log.T, list(log), list(log.T), J[s].diagonal()))
     logs: dict[tuple, np.ndarray] = {}
 
-    def add(sites, table):
-        free = [k for k, i in enumerate(sites) if i not in pins]
-        scope = tuple(sites[k] for k in free)
-        table = table.reshape([table.shape[k] for k in free])
-        if len(scope) == 2 and scope[0] > scope[1]:
-            scope, table = scope[::-1], table.T
+    def add(scope, table):
         logs[scope] = logs[scope] + table if scope in logs else table
 
     for i in range(graph.n):
-        add((i,), h[dom[i]])
-    for (i, s, j) in graph.edges:
-        if i == j:
-            add((i,), J[s][dom[i], dom[i]])
+        if i in pins:
+            add((), h[pins[i], ...])
         else:
-            ix = np.ix_(dom[i], dom[j])
-            add((i, j), np.where(structure.allowed[s][ix], J[s][ix], -np.inf))
+            add((i,), h)
+    for (i, s, j) in graph.edges:
+        log, transpose, rows, cols, diagonal = tables[s]
+        pi, pj = pins.get(i), pins.get(j)
+        if i == j:  # a self-loop carries energy but no constraint
+            if pi is None:
+                add((i,), diagonal)
+            else:
+                add((), J[s][pi, pi, ...])
+        elif pi is None and pj is None:
+            if i < j:
+                add((i, j), log)
+            else:
+                add((j, i), transpose)
+        elif pi is None:
+            add((i,), cols[pj])
+        elif pj is None:
+            add((j,), rows[pi])
+        else:
+            add((), log[pi, pj, ...])
     return logs
 
 
@@ -242,12 +263,17 @@ def _eliminate(graph, structure, potential, pins, keep):
     a = structure.alphabet
     log_scale = 0.0
     factors = {}
+    # id -> (table, max, exp(table - max)): a table object shared by several
+    # scopes is scaled once; the entry holds the table, so its id stays its own
+    scaled = {}
     for scope, table in _factors(graph, structure, potential, pins).items():
-        m = table.max()
-        if m == -np.inf:
-            return None
-        log_scale += float(m)
-        factors[scope] = np.exp(table - m)
+        if id(table) not in scaled:
+            m = table.max()
+            if m == -np.inf:
+                return None
+            scaled[id(table)] = (table, float(m), np.exp(table - m))
+        _, m, factors[scope] = scaled[id(table)]
+        log_scale += m
     out = [i for i in keep if i not in pins]
     nbrs = {i: set() for i in range(graph.n) if i not in pins}
     for scope in factors:

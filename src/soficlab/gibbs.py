@@ -217,8 +217,10 @@ def _beta_enumeration(structure, potential, spec, r) -> float:
         raise EmptyFiberError("no admissible boundary at this radius")
     table = res[1] / res[1].sum()
     core = list(core_symbols(structure))
+    if core != list(range(a)):  # else every boundary is core-valued: no copy
+        table = table[np.ix_(range(a), *[core] * len(shell))]
     # one row per core-valued boundary, one column per center symbol
-    conditionals = np.moveaxis(table[np.ix_(range(a), *[core] * len(shell))], 0, -1).reshape(-1, a)
+    conditionals = np.moveaxis(table, 0, -1).reshape(-1, a)
     conditionals = conditionals[conditionals.any(axis=1)]
     if not len(conditionals):
         raise EmptyFiberError("no admissible boundary at this radius")

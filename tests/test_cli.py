@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from soficlab import finitemodel, gibbs, kernels, soficmaps
+from soficlab import cli, finitemodel, gibbs, kernels, soficmaps
 from soficlab.cli import (
     compare_configs,
     main,
@@ -468,6 +468,27 @@ def test_overflowing_tail_bound_is_schema_error_before_any_sweep(experiment, tmp
         run_config({"experiment": experiment, "model": str(path), "params": {
             "builder_desc": {"builder": "torus", "d": 2}, "sizes": [4], "method": "mcmc"}})
     assert exc.value.exit_code == 2
+
+
+def test_refused_budget_fails_before_the_estimate(tmp_path, monkeypatch, capsys):
+    """The truncation budget is computed before the estimate: on F_2 Ising
+    the c estimate asks the ball oracle at pad 3 for B_4, 161 sites, and
+    `kp-estimate` exits 4 with BudgetExceededError without running the
+    estimator."""
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the estimate ran")
+
+    names = ("a", "b")
+    path = tmp_path / "ising_f2.json"
+    path.write_text(json.dumps({
+        "group": {"kind": "Free", "k": 2}, "alphabet": 2,
+        "relations": {n: [[True, True], [True, True]] for n in names}, "vertex_log_weights": [0.0, 0.1],
+        "edge_log_weights": {n: [[0.3, -0.3], [-0.3, 0.3]] for n in names}}))
+    monkeypatch.setattr(cli, "kp_pressure_at_fixed_point", no_estimate)
+    with pytest.raises(SystemExit) as exc:
+        main_kp_estimate(["--model", str(path), "--oracle", "ball", "--pad", "1", "--r", "2", "--N", "20000"])
+    assert exc.value.code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceededError"
 
 
 def test_record_names_the_kernel_backend(hc_model):

@@ -7,9 +7,9 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from soficlab import groups
+from soficlab import groups, soficmaps
 from soficlab.constraints import ConstraintStructure, Potential, core_symbols, hardcore
 from soficlab.enumeration import SiteGraph, all_configs, joint_distribution, log_partition, site_marginal
 from soficlab.gibbs import _beta_enumeration
@@ -53,26 +53,70 @@ def _brute(graph, structure, potential, pins, query):
     return m + math.log(z), marginals, joint
 
 
+# a three-symbol model on two generators with forbidden pairs in both
+# directions; A3[s][1][1] and A3[1][0][1] are false, so a self-loop at symbol 1
+# (which carries energy only) and an edge (i, 1, j) pinned to (0, 1) differ
+A3 = [[[True, True, False], [True, False, True], [True, True, True]],
+      [[True, False, True], [True, False, True], [False, True, True]]]
+H3 = [0.1, -0.4, 0.7]
+J3 = [[[0.2, -0.1, 0.5], [0.3, 0.0, -0.6], [-0.2, 0.4, 0.1]],
+      [[-0.3, 0.2, 0.0], [0.6, -0.5, 0.1], [0.25, 0.15, -0.35]]]
+LOOPS = SiteGraph(4, [(0, 0, 0), (0, 0, 1), (1, 1, 1), (1, 1, 2), (3, 0, 2), (2, 1, 2), (3, 1, 3)])
+# B_1 of a random_perm map of F_2 on four sites: edges (0, 0, 1) and (1, 1, 0)
+# are antiparallel and (3, 0, 2), (3, 1, 2) parallel, so scopes take sums of a
+# table and a transpose, and of two tables
+PERM4 = SiteGraph.from_sofic(soficmaps.build_random_perm(2, 4, 0))
+PATH = SiteGraph(4, [(0, 0, 1), (2, 1, 1), (2, 0, 3)])
+
+
+def _factor_case(graph, pins):
+    """One hand-picked path of the elimination's factor set-up on the model above."""
+    return (graph, ConstraintStructure(3, np.array(A3)), Potential(np.array(H3), np.array(J3)), pins, [0, 1, 2])
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(models())
+@example(_factor_case(LOOPS, {}))  # self-loops
+@example(_factor_case(LOOPS, {1: 1, 3: 2}))  # pinned self-loops
+@example(_factor_case(PERM4, {}))  # parallel and antiparallel edges
+@example(_factor_case(PERM4, {1: 2}))  # ... one end pinned
+@example(_factor_case(PERM4, {3: 0, 2: 0}))  # ... both ends pinned
+@example(_factor_case(PATH, {0: 2}))  # source pinned
+@example(_factor_case(PATH, {1: 0, 3: 1}))  # target pinned
+@example(_factor_case(PATH, {0: 2, 1: 0}))  # both ends pinned, allowed
+@example(_factor_case(PATH, {0: 0, 1: 2}))  # both ends pinned, forbidden: no configuration
+@example(_factor_case(PATH, {2: 1, 1: 1}))  # both ends pinned, forbidden backwards
 def test_elimination_matches_dfs(model):
+    """log Z, every site marginal and one joint window against the DFS sums;
+    the examples cover self-loops, parallel and antiparallel edges, and pins
+    at one or both ends of an edge, allowed and forbidden.  Elimination
+    writes neither the potential nor the relations, and a repeated call
+    gives the same bytes."""
     graph, structure, potential, pins, query = model
+    inputs = (potential.h.tobytes(), potential.J.tobytes(), structure.allowed.tobytes())
     log_z, marginals, joint = _brute(graph, structure, potential, pins, query)
-    ve_log_z = log_partition(graph, structure, potential, pins=pins)
+
+    def answers():
+        return (log_partition(graph, structure, potential, pins=pins),
+                [site_marginal(graph, structure, potential, i, pins=pins) for i in range(graph.n)],
+                joint_distribution(graph, structure, potential, query, pins=pins))
+
+    ve_log_z, ve_marginals, ve_joint = answers()
     if marginals is None:
         assert ve_log_z == -math.inf
-        assert joint_distribution(graph, structure, potential, query, pins=pins) == {}
-        for i in range(graph.n):
-            assert np.isnan(site_marginal(graph, structure, potential, i, pins=pins)).all()
-        return
-    assert ve_log_z == pytest.approx(log_z, abs=1e-12)
-    for i in range(graph.n):
-        p = site_marginal(graph, structure, potential, i, pins=pins)
-        assert np.allclose(p, marginals[i], rtol=0.0, atol=1e-13)
-    ve_joint = joint_distribution(graph, structure, potential, query, pins=pins)
-    assert set(ve_joint) == set(joint)
-    for key, p in joint.items():
-        assert ve_joint[key] == pytest.approx(p, abs=1e-13)
+        assert ve_joint == {}
+        assert all(np.isnan(p).all() for p in ve_marginals)
+    else:
+        assert ve_log_z == pytest.approx(log_z, abs=1e-12)
+        for i, p in enumerate(ve_marginals):
+            assert np.allclose(p, marginals[i], rtol=0.0, atol=1e-13)
+        assert set(ve_joint) == set(joint)
+        for key, p in joint.items():
+            assert ve_joint[key] == pytest.approx(p, abs=1e-13)
+    assert (potential.h.tobytes(), potential.J.tobytes(), structure.allowed.tobytes()) == inputs
+    again = answers()
+    assert repr(again[0]) == repr(ve_log_z) and again[2] == ve_joint
+    assert [p.tobytes() for p in again[1]] == [p.tobytes() for p in ve_marginals]
 
 
 def _beta_pinned_loop(structure, potential, spec, r) -> float:
@@ -140,3 +184,4 @@ def test_elimination_refuses_a_table_past_the_cap_before_allocating(monkeypatch)
     monkeypatch.setattr(enumeration, "ELIMINATION_TABLE_CAP", 2**3)
     with pytest.raises(CapExceededError):
         joint_distribution(graph, structure, potential, [0, 1, 2, 3])
+

@@ -302,6 +302,19 @@ def test_ssm_profile_enumeration_is_pinned(monkeypatch):
     assert ssm_profile(st, pot, groups.free(2), 1).tolist() == [0.7590830572601427]
 
 
+def test_uniform_bound_and_ising_profile_are_pinned():
+    """c on B_1 by the `auto` oracle at pad 3 (the ball oracle on Z^2, the
+    SAW oracle on F_2 hardcore) and beta on Z^2 Ising with a field: bitwise
+    the figures recorded before the elimination tables were built once per
+    generator."""
+    assert uniform_bound_c(*hardcore(2, 1.0), Z2, 1).c_hat == 0.14060167642668506
+    assert uniform_bound_c(*hardcore(2, 0.3), groups.free(2), 1).c_hat == 0.13729584545140175
+    J = np.array([[0.3, -0.3], [-0.3, 0.3]])
+    st, pot = full_shift(2, 2), Potential(np.array([0.0, 0.1]), np.array([J, J]))
+    assert ssm_profile(st, pot, Z2, 2).tolist() == [0.6867276119982334, 0.5296633637985007]
+    assert uniform_bound_c(st, pot, Z2, 1).c_hat == 0.07585818002124356
+
+
 def test_uniform_bound():
     st, pot = HC1
     ub = uniform_bound_c(st, pot, Z1, 2)
