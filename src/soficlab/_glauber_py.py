@@ -32,6 +32,8 @@ from .pasts import percolation_chunks
 # float64: enough sweeps per draw to amortise it on small graphs, without a
 # buffer that grows with the number of sweeps
 UNIFORM_BUFFER = 2**14
+# the most symbols of a sweep on either backend: the C kernel's weights buffer
+MAX_ALPHABET = 64
 
 
 def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts=None, safe=0, work=None):
@@ -49,8 +51,8 @@ def glauber_sweeps(x, nbr_out, nbr_in, wh, wj, allowed, uniforms, sweeps, counts
     n = x.shape[0]
     n_gen = nbr_out.shape[0]
     a = wh.shape[0]
-    if a > 64:
-        raise ValueError("alphabet too large for kernel")
+    if a > MAX_ALPHABET:
+        raise ValueError(f"alphabet too large for kernel (at most {MAX_ALPHABET} symbols)")
     if not isinstance(uniforms, np.ndarray):
         checked_stream(uniforms, "uniforms, unless a float64 array,")
         chunk = max(1, UNIFORM_BUFFER // max(1, n))

@@ -195,7 +195,7 @@ def is_globally_admissible(
 
     radius = max(groups.word_length(spec, g) for g in pattern.sites)
     b = groups.ball(spec, radius + pad)
-    graph = SiteGraph(len(b.elements), list(b.edges))
+    graph = SiteGraph.from_ball(b)
     pins = {b.index[g]: v for g, v in zip(pattern.sites, pattern.values)}
     found = has_admissible_filling(graph, structure, pins, symbols=core, node_budget=ADMISSIBILITY_NODE_BUDGET)
     if found is None:
@@ -249,7 +249,6 @@ def check_tssm(
     core = core_symbols(structure)
     elements = groups.ball(spec, radius).elements
     checked = 0
-    complete = True
     for size in range(2, k_max + 1):
         for support in combinations(elements, size):
             # windows F ∩ B_m g for g in F
@@ -287,6 +286,4 @@ def check_tssm(
                         tested_support=k_max,
                         witness=full,
                     )
-    return TssmVerdict(
-        kind="holds_up_to", tested_radius=radius, tested_support=k_max, complete=complete
-    )
+    return TssmVerdict(kind="holds_up_to", tested_radius=radius, tested_support=k_max)

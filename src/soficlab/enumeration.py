@@ -1,22 +1,22 @@
 """Exact counting over labeled site graphs.
 
-Partition values, site marginals and joint distributions of a few sites come
-from min-degree variable elimination over the pairwise factors of the
-Boltzmann weight, rescaled at each step (bucket elimination: Dechter 1999;
-Koller & Friedman 2009, ch. 9).  Pruned depth-first enumeration (`_dfs`)
-visits every admissible configuration; it gives full tables (`all_configs`),
-the derived-space enumeration of finitemodel (streamed through `_Stream`,
-which keeps log Z and the mean log-weight), the budgeted admissibility
-search, and the tests' independent oracle for the elimination route.  These
-exact routes are what the transfer-matrix and self-avoiding-walk routes are
-checked against.
+Partition values, site marginals and joint tables of a few sites come from
+min-degree variable elimination over the pairwise factors of the Boltzmann
+weight, planned from the factor scopes first and then contracted and
+rescaled step by step (bucket elimination: Dechter 1999; Koller & Friedman
+2009, ch. 9).  Pruned depth-first enumeration (`_dfs`) visits every
+admissible configuration; it gives full tables (`all_configs`), the
+derived-space enumeration of finitemodel (streamed through `_Stream`, which
+keeps log Z and the mean log-weight), the budgeted admissibility search, and
+the tests' independent oracle for the elimination route.  These exact routes
+are what the transfer-matrix and self-avoiding-walk routes are checked
+against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .constraints import ConstraintStructure, Potential
 from .errors import CapExceededError
 
 # the most entries of one elimination table, a message or the final table:
-# 2^26 float64, 512 MiB.  Elimination learns a table's scope only as it
-# reaches it, so each table is checked just before it is allocated.  The
-# hardcore lex query on Z^2 with the ball oracle at pad 2 needs scopes of 26
-# sites at r = 20, which fit, and of 31 at r = 22, a 16 GiB table
+# 2^26 float64, 512 MiB.  Each call's plan gives every table's scope before
+# any is built, so the widest is checked once.  The hardcore lex query on
+# Z^2 with the ball oracle at pad 2 needs scopes of 26 sites at r = 20,
+# which fit, and of 31 at r = 22, a 16 GiB table
 ELIMINATION_TABLE_CAP = 2**26
 
 
@@ -155,19 +155,16 @@ def _dfs(graph, structure, potential, pins, symbols, visit, node_budget=None):
                 return False
         return True
 
-    completed = rec(0, 0.0)
-    return completed
+    return rec(0, 0.0)
 
 
 def has_admissible_filling(graph, structure, pins, symbols=None, node_budget=None):
     """True/False, or None if the node budget ran out first."""
-    found = []
 
     class _Stop(Exception):
         pass
 
     def visit(values, lw):
-        found.append(True)
         raise _Stop
 
     try:
@@ -243,12 +240,27 @@ def _contract(factors, out):
     return np.einsum(*args, [label[v] for v in out])
 
 
-def _check_table(symbols: int, sites: int):
-    """CapExceededError if a table over `sites` unpinned sites of `symbols`
-    candidates each would pass ELIMINATION_TABLE_CAP entries."""
-    if symbols**sites > ELIMINATION_TABLE_CAP:
-        raise CapExceededError(f"an elimination table over {sites} sites of {symbols} symbols has "
-                               f"{symbols}^{sites} entries, past the cap of {ELIMINATION_TABLE_CAP}")
+def _plan(scopes, sites, out):
+    """The min-degree order (ties to the lower site) that eliminates every
+    site of `sites` outside out, from the factor scopes alone: a list of
+    (site, the sorted neighbours it has when it goes, its message's scope)."""
+    nbrs = {i: set() for i in sites}
+    for scope in scopes:
+        for i in scope:
+            nbrs[i].update(scope)
+            nbrs[i].discard(i)
+    todo = set(nbrs) - set(out)
+    steps = []
+    while todo:
+        v = min(todo, key=lambda i: (len(nbrs[i]), i))
+        todo.remove(v)
+        scope = tuple(sorted(nbrs[v]))
+        steps.append((v, scope))
+        for i in scope:
+            nbrs[i].update(scope)
+            nbrs[i].discard(i)
+            nbrs[i].discard(v)
+    return steps
 
 
 def _eliminate(graph, structure, potential, pins, keep):
@@ -256,17 +268,25 @@ def _eliminate(graph, structure, potential, pins, keep):
 
     Returns (log_scale, table), where exp(log_scale) * table is the unnormalised
     weight of the unpinned sites of keep (in keep order, indexed by symbol),
-    or None when no admissible configuration exists.  A message or final
-    table past ELIMINATION_TABLE_CAP entries is a CapExceededError, raised
-    before it is allocated.
+    or None when no admissible configuration exists.  The plan (`_plan`)
+    comes first, from the factor scopes; when its widest message or the
+    final table would pass ELIMINATION_TABLE_CAP entries, the call is a
+    CapExceededError before any table is contracted or scaled.
     """
     a = structure.alphabet
+    logs = _factors(graph, structure, potential, pins)
+    out = [i for i in keep if i not in pins]
+    steps = _plan(logs, [i for i in range(graph.n) if i not in pins], out)
+    widest = max([len(out)] + [len(scope) for _, scope in steps])
+    if a**widest > ELIMINATION_TABLE_CAP:
+        raise CapExceededError(f"the elimination plan needs a table over {widest} sites of {a} symbols, "
+                               f"{a}^{widest} entries, past the cap of {ELIMINATION_TABLE_CAP}")
     log_scale = 0.0
     factors = {}
     # id -> (table, max, exp(table - max)): a table object shared by several
     # scopes is scaled once; the entry holds the table, so its id stays its own
     scaled = {}
-    for scope, table in _factors(graph, structure, potential, pins).items():
+    for scope, table in logs.items():
         if id(table) not in scaled:
             m = table.max()
             if m == -np.inf:
@@ -274,18 +294,7 @@ def _eliminate(graph, structure, potential, pins, keep):
             scaled[id(table)] = (table, float(m), np.exp(table - m))
         _, m, factors[scope] = scaled[id(table)]
         log_scale += m
-    out = [i for i in keep if i not in pins]
-    nbrs = {i: set() for i in range(graph.n) if i not in pins}
-    for scope in factors:
-        for i in scope:
-            nbrs[i].update(scope)
-            nbrs[i].discard(i)
-    todo = set(nbrs) - set(out)
-    while todo:
-        v = min(todo, key=lambda i: (len(nbrs[i]), i))
-        todo.remove(v)
-        scope = tuple(sorted(nbrs[v]))
-        _check_table(a, len(scope))
+    for v, scope in steps:
         bucket = [s for s in factors if v in s]
         msg = _contract([(s, factors.pop(s)) for s in bucket], scope)
         m = msg.max()
@@ -294,11 +303,6 @@ def _eliminate(graph, structure, potential, pins, keep):
         log_scale += math.log(m)
         msg = msg / m
         factors[scope] = factors[scope] * msg if scope in factors else msg
-        for i in scope:
-            nbrs[i].update(scope)
-            nbrs[i].discard(i)
-            nbrs[i].discard(v)
-    _check_table(a, len(out))
     table = _contract(list(factors.items()), out)
     if not table.sum() > 0.0:
         return None
@@ -317,25 +321,17 @@ def site_marginal(graph, structure, potential, site: int, pins=None) -> np.ndarr
     if res is None:
         return np.full(structure.alphabet, np.nan)
     if site in pins:
-        p = np.zeros(structure.alphabet)
-        p[pins[site]] = 1.0
-        return p
+        return np.eye(structure.alphabet)[pins[site]]
     return res[1] / res[1].sum()
 
 
-def joint_distribution(graph, structure, potential, sites, pins=None) -> dict:
-    """Exact joint distribution of a tuple of sites given the pins, keyed by
-    value tuples of positive probability."""
-    pins = pins or {}
-    sites = list(sites)
-    res = _eliminate(graph, structure, potential, pins, sites)
-    if res is None:
-        return {}
-    table = res[1] / res[1].sum()
-    # the table's axes are the unpinned sites of `sites`, in order, so C order
-    # walks the product of the site domains with the last site fastest
-    domains = [(pins[i],) if i in pins else range(structure.alphabet) for i in sites]
-    return {key: p for key, p in zip(product(*domains), table.ravel().tolist()) if p > 0.0}
+def joint_distribution(graph, structure, potential, sites, pins=None) -> np.ndarray | None:
+    """Exact joint distribution of the unpinned sites of `sites` given the
+    pins: a dense table with one axis per such site, in the order of
+    `sites`, indexed by symbol and summing to 1, or None when the pins admit
+    no configuration."""
+    res = _eliminate(graph, structure, potential, pins or {}, list(sites))
+    return None if res is None else res[1] / res[1].sum()
 
 
 def all_configs(graph, structure, potential, pins=None):

@@ -59,7 +59,8 @@ def specification_ball(
     """Exact conditional distribution on A^{B_r} given a boundary on the shell.
 
     The boundary pattern must cover the B_1-boundary of B_r (word length
-    exactly r+1) and be admissible with some interior filling.
+    exactly r+1) and be admissible with some interior filling.  The table
+    is the positive entries of `enumeration.joint_distribution` of the interior.
     """
     b = groups.ball(spec, r + 1)
     shell = set(groups.boundary_shell(spec, r))
@@ -69,10 +70,11 @@ def specification_ball(
     graph = SiteGraph.from_ball(b)
     pins = {b.index[g]: v for g, v in zip(boundary.sites, boundary.values) if g in shell}
     interior = [i for i, g in enumerate(b.elements) if g not in shell]
-    dist = enumeration.joint_distribution(graph, structure, potential, interior, pins=pins)
-    if not dist:
+    table = enumeration.joint_distribution(graph, structure, potential, interior, pins=pins)
+    if table is None:
         raise EmptyFiberError("no interior completion of the given boundary")
-    return BallDistribution(spec, r, dist)
+    keys = product(range(structure.alphabet), repeat=len(interior))  # C order: the last site fastest
+    return BallDistribution(spec, r, {key: p for key, p in zip(keys, table.ravel().tolist()) if p > 0.0})
 
 
 @dataclass
@@ -161,34 +163,24 @@ def local_weakstar_gap(
     return bad / space.n
 
 
-def ssm_profile(
-    structure: ConstraintStructure,
-    potential: Potential,
-    spec: GroupSpec,
-    r_max: int,
-    method: str = "auto",
-) -> np.ndarray:
+def ssm_profile(structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r_max: int) -> np.ndarray:
     """Empirical strong-spatial-mixing profile beta(r), r = 1..r_max.
 
     beta(r) is the largest change of the center conditional when the boundary
     condition on the shell at distance r+1 is varied over admissible values;
-    it lower-bounds the true decay function on the tested family.  The
-    enumeration route reads every boundary from one joint table of the center
-    and the shell, computed by variable elimination; it is budgeted by that
-    table's size: shells with more than SSM_BOUNDARY_PATTERNS patterns over
-    the whole alphabet raise BudgetExceededError.  (The table holds boundary
-    values outside the core symbols too, so counting core-valued patterns
-    alone would not bound it.)  The transfer route (rank 1) reads every
-    radius from the scaled powers of the transfer matrix
-    (`TransferMatrix.mixing_profile`); on both routes boundaries of
-    probability zero, such as those of a periodic line, are skipped.
+    it lower-bounds the true decay function on the tested family.  On rank-1
+    groups every radius is read from the scaled powers of the transfer
+    matrix (`TransferMatrix.mixing_profile`).  Elsewhere each radius is
+    `_beta_enumeration`, one joint table of the center and the shell; it is
+    budgeted by that table's size: shells with more than
+    SSM_BOUNDARY_PATTERNS patterns over the whole alphabet raise
+    BudgetExceededError.  (The table holds boundary values outside the core
+    symbols too, so counting core-valued patterns alone would not bound it.)
+    On both routes boundaries of probability zero, such as those of a
+    periodic line, are skipped.
     """
-    if method == "auto":
-        method = "transfer" if spec.rank == 1 else "enumeration"
-    if method == "transfer":
+    if spec.rank == 1:
         return build_transfer(structure, potential).mixing_profile(r_max, core_symbols(structure))
-    if method != "enumeration":
-        raise ValueError(f"unknown method {method!r}")
     out = np.zeros(r_max + 1)
     for r in range(1, r_max + 1):
         shell = groups.boundary_shell(spec, r)
@@ -204,18 +196,16 @@ def _beta_enumeration(structure, potential, spec, r) -> float:
     """beta(r) from one joint table of the center and the shell on B_{r+1}:
     the center conditional given each core-valued boundary of positive mass.
 
-    The table is the dense elimination table of `enumeration._eliminate`,
-    one axis per site (center first, then the shell) over the whole
-    alphabet, normalised as `joint_distribution` normalises it; its
-    core-valued boundaries are read in place, with no dict of keys."""
+    The table is `enumeration.joint_distribution` of the center, then the
+    shell, with nothing pinned: one axis per site over the whole alphabet.
+    Its core-valued boundaries are read in place, with no dict of keys."""
     b = groups.ball(spec, r + 1)
     shell = [b.index[g] for g in groups.boundary_shell(spec, r)]
     center = b.index[groups.identity(spec)]
     a = structure.alphabet
-    res = enumeration._eliminate(SiteGraph.from_ball(b), structure, potential, {}, [center, *shell])
-    if res is None:
+    table = enumeration.joint_distribution(SiteGraph.from_ball(b), structure, potential, [center, *shell])
+    if table is None:
         raise EmptyFiberError("no admissible boundary at this radius")
-    table = res[1] / res[1].sum()
     core = list(core_symbols(structure))
     if core != list(range(a)):  # else every boundary is core-valued: no copy
         table = table[np.ix_(range(a), *[core] * len(shell))]

@@ -70,7 +70,6 @@ _SOURCE = Path(__file__).with_name("_glauber.c")
 # the same sweep code ran about 5% slower on the Z^2 TI benchmark
 # workload, gcc -O2 on a 2-core x86_64 host)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-shared", "-fPIC")
-_MAX_ALPHABET = 64  # the C kernel's weights buffer
 # the most doubles of the sweep's weight table, 128 KB: the keys of up to 5
 # generators over 2 symbols (5^5 keys), 3 over 3 (10^3) or 2 over 4 (17^2).
 # Larger alphabets and ranks take the direct route, whose updates compute
@@ -79,7 +78,7 @@ SWEEP_TABLE_CAP = 2**14
 # non-zero status codes of the C sweep kernel, then of the C percolation
 # kernels; each kernel sets one only before its first draw
 _C_ERRORS = {
-    1: f"alphabet too large for kernel (at most {_MAX_ALPHABET} symbols)",
+    1: f"alphabet too large for kernel (at most {_glauber_py.MAX_ALPHABET} symbols)",
     2: "neighbour index outside [0, n)",
     3: "symbol of x outside [0, alphabet)",
     4: str(_glauber_py.column_error()),
@@ -383,7 +382,7 @@ class SweepWorkspace:
             return
         n_gen, n = _checked_shape("nbr_out", nbr_out, _I64, 2)
         a = _checked_shape("wj", wj, _F64, 3)[-1]
-        if a > _MAX_ALPHABET:
+        if a > _glauber_py.MAX_ALPHABET:
             raise ValueError(_C_ERRORS[1])
         for name, arr, dtype, want in (
             ("nbr_in", nbr_in, _I64, (n_gen, n)),

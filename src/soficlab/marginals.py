@@ -1,5 +1,5 @@
 """Conditional-marginal oracles: exact transfer matrices on lines, ball
-elimination with a safe boundary shell, memoised per distinct row, and exact
+elimination with a safe boundary shell, memoised per pin set, and exact
 hardcore marginals of a pinned ball graph on tree groups (a numpy tree
 recursion over the whole batch).  Off tree groups the ball oracle is the one
 pinned-ball engine: for hardcore its empty shell at radius R+1 is a free
@@ -102,6 +102,11 @@ class BallEnumerationOracle:
     empty shell at radius r_max + pad is a free boundary one step in, so at
     pad p+1 this oracle gives the free-boundary conditionals of B_{r_max+p}.
     Pins that admit no configuration raise InconsistentPinsError.
+
+    One memo, kept for the oracle's lifetime, maps each pin set (the mask
+    and the symbols at the masked sites) to the center marginal of one
+    elimination; every row with that pin set reads it, whatever its center
+    symbol and its symbols at unpinned sites.
     """
 
     name = "ball"
@@ -129,60 +134,63 @@ class BallEnumerationOracle:
         # the (i, s, j) edges of the ball between non-center sites, which two
         # pins of one past can hold
         self._pin_edges = np.array([e for e in self.ball.edges if e[0] and e[2]], np.int64).reshape(-1, 3)
-        # the center marginal of the last pin set: rows that differ only in
-        # the center symbol, such as those of `uniform_bound_c`, arrive
-        # consecutively and share one elimination
-        self._last = (None, None)
-        self._memo: dict[bytes, float] = {}
+        # pin set (`_key`) -> center marginal, over the oracle's lifetime
+        self._memo: dict[bytes, list] = {}
+
+    @staticmethod
+    def _key(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """The pin set of each row as int64: its mask, then its symbols at
+        the masked sites and 0 elsewhere (so a row's width is in its key)."""
+        return np.concatenate([masks, np.where(masks, values, 0)], axis=-1, dtype=np.int64)
 
     def conditional(self, values, mask) -> float:
-        """The center conditional of one row: a center or pinned symbol
-        outside the alphabet, center first, is `symbol_error`."""
+        """The center conditional of one row, from the memoised center
+        marginal of its pin set, eliminated on a miss: a center or pinned
+        symbol outside the alphabet, center first, is `symbol_error`."""
         _check_width(len(values), len(self.ball), self.r_max + self.pad)
         a = self.structure.alphabet
-        pinned = np.flatnonzero(np.asarray(mask))
+        values, mask = np.asarray(values), np.asarray(mask, dtype=bool)
+        pinned = np.flatnonzero(mask)
         for i in (0, *pinned):
             if not 0 <= values[i] < a:
                 raise symbol_error(int(values[i]), a)
-        pins = dict(self.shell_pins)
-        for i in pinned:
-            pins[int(i)] = int(values[i])
-        if self._last[0] != pins:
-            probs = enumeration.site_marginal(
-                self.graph, self.structure, self.potential, 0, pins=pins
-            )
+        key = self._key(values, mask).tobytes()
+        if key not in self._memo:
+            pins = {**self.shell_pins, **{int(i): int(values[i]) for i in pinned}}
+            probs = enumeration.site_marginal(self.graph, self.structure, self.potential, 0, pins=pins)
             if np.isnan(probs[0]):
                 raise InconsistentPinsError("the pins admit no configuration of the ball and its safe shell")
-            self._last = (pins, probs)
-        return float(self._last[1][int(values[0])])
+            self._memo[key] = probs.tolist()
+        return self._memo[key][int(values[0])]
 
     def batch(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """(N, L) patterns and masks -> (N,) center conditionals, one
-        `conditional` call per distinct row over the oracle's lifetime.
-
-        The memo lives on the oracle, so a stream of small batches solves
-        each distinct row once, as one large batch would.  Rows are keyed as
-        int64 values and bool masks, 9 bytes per site, so rows of different
-        widths never share a key, and a row wider than the padded ball is
-        refused by `conditional` before it is keyed.
-        """
+        `conditional` call per distinct pin set over the oracle's lifetime,
+        so a stream of small batches solves each pin set once, as one large
+        batch would.  A memo hit checks its center symbol as `conditional`
+        does; rows wider than the padded ball are refused before any row."""
         values = np.asarray(values, dtype=np.int64)
         masks = np.asarray(masks, dtype=bool)
-        cache = self._memo
+        _check_width(values.shape[-1], len(self.ball), self.r_max + self.pad)
+        a = self.structure.alphabet
+        memo = self._memo
         out = np.empty(len(values))
-        for k, (v, m) in enumerate(zip(values, masks)):
-            key = v.tobytes() + m.tobytes()
-            if key not in cache:
-                cache[key] = self.conditional(v, m)
-            out[k] = cache[key]
+        for k, (key, center) in enumerate(zip(self._key(values, masks), values[:, 0].tolist())):
+            probs = memo.get(key.tobytes())
+            if probs is None:
+                out[k] = self.conditional(values[k], masks[k])
+            elif 0 <= center < a:
+                out[k] = probs[center]
+            else:
+                raise symbol_error(center, a)
         return out
 
     def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, out: np.ndarray):
         """out[k] = the conditional of the center of patterns[k // n_inner]
         given the k-th of len(out) percolation pasts, drawn from rng in the
         chunks of `pasts.percolation_chunks`, each chunk one `batch`, whose
-        memo needs whole rows.  Before any draw, whatever the pasts would
-        pin, rows that do not fit are `check_rows`'s ValueError, a symbol
+        memo keys each row's pin set.  Before any draw, whatever the pasts
+        would pin, rows that do not fit are `check_rows`'s ValueError, a symbol
         outside the alphabet anywhere in the patterns is `symbol_error`, and
         two sites that some past could pin together into no configuration
         are `_check_pin_pairs`'s InconsistentPinsError."""

@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential
-from .errors import NoSafeSymbolError
+from ._glauber_py import MAX_ALPHABET
+from .errors import CapExceededError, NoSafeSymbolError
 from .kernels import Pcg64, SweepWorkspace, glauber_sweeps
 from .soficmaps import SoficMap
 
@@ -20,12 +21,16 @@ class GlauberEngine:
     edge weights, and zeroes candidates that violate an incident non-self
     edge.  A per-symbol bias set by `set_bias` (thermodynamic integration)
     adds to h.  The engine's `kernels.SweepWorkspace` keeps the compiled
-    sweep's checks, pointers and workspaces across its calls.
+    sweep's checks, pointers and workspaces across its calls.  An alphabet
+    past the kernels' MAX_ALPHABET is a CapExceededError, before any draw.
     """
 
     def __init__(self, sm: SoficMap, structure: ConstraintStructure, potential: Potential):
         if structure.n_generators != sm.n_generators:
             raise ValueError("structure and sofic map disagree on generator count")
+        if structure.alphabet > MAX_ALPHABET:
+            raise CapExceededError(f"the heat-bath sweep takes at most {MAX_ALPHABET} symbols, and the model has "
+                                   f"{structure.alphabet}; the exact and cycles routes have no such limit")
         self.sm = sm
         self.structure = structure
         self.potential = potential

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from soficlab import cli, finitemodel, gibbs, kernels, soficmaps
+from soficlab import cli, enumeration, finitemodel, gibbs, kernels, sampling, soficmaps
 from soficlab.cli import (
     compare_configs,
     main,
@@ -25,7 +25,7 @@ from soficlab.cli import (
     run_config,
 )
 from soficlab.modelfile import hardcore_model_dict, load_model, parse_model
-from soficlab.errors import SchemaError, SoficLabError
+from soficlab.errors import CapExceededError, SchemaError, SoficLabError
 from soficlab.sampling import GlauberEngine
 
 from oracles import golden_pressure
@@ -758,6 +758,69 @@ def test_kp_transfer_and_ball_records_are_pinned(tmp_path):
     oracle on Z^2 at pad 1 under the percolation and the lexicographic
     past, give the pinned value and stderr on both backends."""
     _check_pinned_records(ROUTE_RECORDS, tmp_path)
+
+
+def test_too_wide_ball_query_is_refused_before_its_elimination(tmp_path, monkeypatch):
+    """The Z^2 hardcore `past: lex` query through the ball oracle at pad 2
+    needs a 2^31-entry table at r = 22: it exits 3 from the elimination
+    plan.  The only tables contracted are those of the truncation budget,
+    none wider than 9 sites; the query once contracted tables up to its
+    26-site messages (3.4 s, 1.1 GB) before it was refused."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(hardcore_model_dict("Zd", 2, 1.0)))
+    widths = []
+    contract = enumeration._contract
+    monkeypatch.setattr(enumeration, "_contract", lambda factors, out: widths.append(len(out)) or contract(factors, out))
+    with pytest.raises(CapExceededError, match=r"over 31 sites .* past the cap") as exc:
+        run_config({"experiment": "kp-estimate", "model": str(path), "seed": 1,
+                    "params": {"oracle": "ball", "pad": 2, "r": 22, "past": "lex", "N": 1}})
+    assert exc.value.exit_code == 3
+    assert max(widths) <= 9
+
+
+# a full shift on 65 symbols over Z^2, schema-valid, one symbol past the sweep kernels
+A65 = {"group": {"kind": "Zd", "d": 2}, "alphabet": 65,
+       "relations": {g: [[True] * 65] * 65 for g in ("e1", "e2")}, "vertex_log_weights": [0.0] * 65}
+
+
+def test_mcmc_refuses_an_alphabet_past_the_sweep_kernels(tmp_path, monkeypatch):
+    """`pressure` and `entropy` on the 65-symbol full shift, under `method:
+    mcmc` on the 2x2 torus and under `auto` on the 5x5 torus (past
+    SOFICLAB_EXACT_CAP, so mcmc too), are a CapExceededError (exit 3) that
+    names the 64-symbol limit and the exact and cycles routes, before any
+    uniform is drawn, on both backends; each was a bare ValueError (exit 1)."""
+    path = tmp_path / "a65.json"
+    path.write_text(json.dumps(A65))
+    configs = [{"experiment": experiment, "model": str(path), "params": {
+        "builder_desc": {"builder": "torus", "d": 2}, "sizes": [m], "method": method}}
+        for experiment in ("pressure", "entropy") for method, m in (("mcmc", 2), ("auto", 5))]
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "SOFICLAB_KERNEL": "python",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from soficlab.cli import run_config\n"
+         "for c in json.loads(sys.argv[1]):\n"
+         "    try: run_config(c)\n"
+         "    except Exception as e: print(json.dumps([type(e).__name__, getattr(e, 'exit_code', 1), str(e)]))"
+         "\n", json.dumps(configs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    twins = [json.loads(line) for line in out.stdout.splitlines()]
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a uniform was drawn")
+
+    monkeypatch.setattr(sampling, "glauber_sweeps", drawn)
+    monkeypatch.setattr(kernels.Pcg64, "random", drawn)
+    here = []
+    for config in configs:
+        with pytest.raises(CapExceededError) as exc:
+            run_config(config)
+        here.append([type(exc.value).__name__, exc.value.exit_code, str(exc.value)])
+    assert twins == here
+    for name, code, message in here:
+        assert code == 3
+        assert "at most 64 symbols" in message and "exact and cycles routes" in message
 
 
 def test_lambda_param_rewrites_activity(hc_model):

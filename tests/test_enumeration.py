@@ -37,19 +37,20 @@ def models(draw):
 
 
 def _brute(graph, structure, potential, pins, query):
-    """log Z, every site marginal and the joint of query, summed over DFS's configurations."""
+    """log Z, every site marginal and the dense joint table of the unpinned
+    sites of query, summed over DFS's configurations."""
     configs, logw = all_configs(graph, structure, potential, pins=pins)
     if not configs:
-        return -math.inf, None, {}
+        return -math.inf, None, None
     m = logw.max()
     w = np.exp(logw - m)
     z = w.sum()
     marginals = np.zeros((graph.n, structure.alphabet))
-    joint: dict = {}
+    free = [i for i in query if i not in pins]
+    joint = np.zeros((structure.alphabet,) * len(free))
     for x, wx in zip(configs, w / z):
         marginals[np.arange(graph.n), x] += wx
-        key = tuple(x[i] for i in query)
-        joint[key] = joint.get(key, 0.0) + wx
+        joint[tuple(x[i] for i in free)] += wx
     return m + math.log(z), marginals, joint
 
 
@@ -87,11 +88,11 @@ def _factor_case(graph, pins):
 @example(_factor_case(PATH, {0: 0, 1: 2}))  # both ends pinned, forbidden: no configuration
 @example(_factor_case(PATH, {2: 1, 1: 1}))  # both ends pinned, forbidden backwards
 def test_elimination_matches_dfs(model):
-    """log Z, every site marginal and one joint window against the DFS sums;
-    the examples cover self-loops, parallel and antiparallel edges, and pins
-    at one or both ends of an edge, allowed and forbidden.  Elimination
-    writes neither the potential nor the relations, and a repeated call
-    gives the same bytes."""
+    """log Z, every site marginal and the dense joint table of one window
+    against the DFS sums; the examples cover self-loops, parallel and
+    antiparallel edges, and pins at one or both ends of an edge, allowed and
+    forbidden.  Elimination writes neither the potential nor the relations,
+    and a repeated call gives the same bytes."""
     graph, structure, potential, pins, query = model
     inputs = (potential.h.tobytes(), potential.J.tobytes(), structure.allowed.tobytes())
     log_z, marginals, joint = _brute(graph, structure, potential, pins, query)
@@ -104,18 +105,20 @@ def test_elimination_matches_dfs(model):
     ve_log_z, ve_marginals, ve_joint = answers()
     if marginals is None:
         assert ve_log_z == -math.inf
-        assert ve_joint == {}
+        assert ve_joint is None
         assert all(np.isnan(p).all() for p in ve_marginals)
     else:
         assert ve_log_z == pytest.approx(log_z, abs=1e-12)
         for i, p in enumerate(ve_marginals):
             assert np.allclose(p, marginals[i], rtol=0.0, atol=1e-13)
-        assert set(ve_joint) == set(joint)
-        for key, p in joint.items():
-            assert ve_joint[key] == pytest.approx(p, abs=1e-13)
+        assert ve_joint.shape == joint.shape
+        assert np.array_equal(ve_joint > 0.0, joint > 0.0)
+        assert np.allclose(ve_joint, joint, rtol=0.0, atol=1e-13)
+        assert ve_joint.sum() == pytest.approx(1.0, abs=1e-13)
     assert (potential.h.tobytes(), potential.J.tobytes(), structure.allowed.tobytes()) == inputs
     again = answers()
-    assert repr(again[0]) == repr(ve_log_z) and again[2] == ve_joint
+    assert repr(again[0]) == repr(ve_log_z)
+    assert (again[2] is None) if ve_joint is None else again[2].tobytes() == ve_joint.tobytes()
     assert [p.tobytes() for p in again[1]] == [p.tobytes() for p in ve_marginals]
 
 
@@ -152,9 +155,9 @@ def test_joint_table_beta_matches_pinned_loop(spec, lam, r):
 def test_elimination_refuses_a_table_past_the_cap_before_allocating(monkeypatch):
     """With ELIMINATION_TABLE_CAP lowered below the widest table of a site
     marginal on B_2 of Z^2, elimination raises CapExceededError (exit 3)
-    before it allocates any table past the cap; at the widest table's size
-    it answers as before.  A joint table of more sites than the cap allows
-    is refused the same way."""
+    from its plan, before it contracts any table; at the widest table's
+    size it answers as before.  A joint table of more sites than the cap
+    allows is refused the same way."""
     from soficlab import enumeration
     from soficlab.errors import CapExceededError
 
@@ -178,10 +181,28 @@ def test_elimination_refuses_a_table_past_the_cap_before_allocating(monkeypatch)
     with pytest.raises(CapExceededError, match="past the cap") as exc:
         site_marginal(graph, structure, potential, 0, pins={5: 1})
     assert exc.value.exit_code == 3
-    assert max(sizes, default=0) <= widest - 1
+    assert sizes == []
     monkeypatch.setattr(enumeration, "ELIMINATION_TABLE_CAP", widest)
     assert np.array_equal(site_marginal(graph, structure, potential, 0, pins={5: 1}), expect)
+    sizes.clear()
     monkeypatch.setattr(enumeration, "ELIMINATION_TABLE_CAP", 2**3)
     with pytest.raises(CapExceededError):
         joint_distribution(graph, structure, potential, [0, 1, 2, 3])
+    assert sizes == []
 
+
+@pytest.mark.parametrize("seed, sites", [(3, 28), (4, 31)])
+def test_a_plan_past_the_cap_is_refused_before_any_table(seed, sites, monkeypatch):
+    """log Z of F_2 hardcore on the random_perm maps n = 96, seeds 3 and 4,
+    needs an elimination table of 2^28 and 2^31 entries: the plan, from the
+    factor scopes alone, refuses each with no table contracted."""
+    from soficlab import enumeration
+    from soficlab.errors import CapExceededError
+
+    contracted = []
+    contract = enumeration._contract
+    monkeypatch.setattr(enumeration, "_contract", lambda factors, out: contracted.append(out) or contract(factors, out))
+    graph = SiteGraph.from_sofic(soficmaps.build_random_perm(2, 96, seed))
+    with pytest.raises(CapExceededError, match=rf"over {sites} sites of 2 symbols, 2\^{sites} entries, past the cap"):
+        log_partition(graph, *hardcore(2, 1.0))
+    assert contracted == []

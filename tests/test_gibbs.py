@@ -249,7 +249,7 @@ def test_ssm_profile_decay_and_regression():
     assert all(prof[i] > prof[i + 1] for i in range(len(prof) - 1))
     assert prof[4] < 0.01  # beta(5)
     assert prof[0] == pytest.approx(0.3, abs=1e-12)  # frozen: 1/2 - 1/5
-    prof_enum = ssm_profile(st, pot, Z1, 4, method="enumeration")
+    prof_enum = [gibbs._beta_enumeration(st, pot, Z1, r) for r in range(1, 5)]
     assert np.allclose(prof[:4], prof_enum, atol=1e-12)
 
 
@@ -263,7 +263,7 @@ def test_ssm_profile_checkerboard_line():
     transfer route skips them as the enumeration route does."""
     st, pot = checkerboard(1), zero_potential(2, 1)
     transfer = ssm_profile(st, pot, Z1, 4)
-    assert list(transfer) == list(ssm_profile(st, pot, Z1, 4, method="enumeration")) == [1.0] * 4
+    assert list(transfer) == [gibbs._beta_enumeration(st, pot, Z1, r) for r in range(1, 5)] == [1.0] * 4
 
 
 def test_ssm_profile_enumeration_z2():

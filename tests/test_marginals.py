@@ -493,7 +493,8 @@ def test_batch_on_repeated_rows_equals_conditional(make):
     distinct_masks[2, 1] = distinct_masks[3, 1:3] = True
     pick = np.array([0, 1, 0, 2, 3, 3, 1, 0])
     values, masks = distinct_values[pick], distinct_masks[pick]
-    expect = [oracle.conditional(v, m) for v, m in zip(values, masks)]
+    fresh = make()  # the ball oracle's conditional fills its memo
+    expect = [fresh.conditional(v, m) for v, m in zip(values, masks)]
     if not isinstance(oracle, BallEnumerationOracle):
         # no memo: every row is computed in one vectorised pass
         assert list(oracle.batch(values, masks)) == expect
@@ -502,7 +503,30 @@ def test_batch_on_repeated_rows_equals_conditional(make):
     conditional = oracle.conditional
     oracle.conditional = lambda v, m: calls.append(1) or conditional(v, m)
     assert list(oracle.batch(values, masks)) == expect
-    assert len(calls) == 4  # memo misses go through conditional, once per distinct row
+    # memo misses go through conditional, once per distinct pin set: the
+    # distinct rows 0 and 1 differ only in the center symbol
+    assert len(calls) == 3
+
+
+def test_ball_oracle_memo_is_keyed_by_the_pin_set(monkeypatch):
+    """Rows of two pin sets, interleaved, each pin set's rows differing in
+    the center symbol and in their symbols at unpinned sites: one
+    `site_marginal` call per pin set, and each row reads its center's entry
+    of that marginal, bitwise what a fresh oracle answers for the row alone.
+    A memo of the last pin set and of whole rows eliminated four times."""
+    make = lambda: BallEnumerationOracle(*hardcore(2, 1.0), groups.zd(2), 1, pad=1)
+    values = np.array([[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [1, 0, 1, 1, 0], [1, 0, 1, 0, 1]])
+    masks = np.zeros(values.shape, dtype=bool)
+    masks[[0, 2], 3] = masks[[1, 3], 2] = True
+    expect = [make().conditional(v, m) for v, m in zip(values, masks)]
+    assert expect[0] != expect[2]
+    calls = []
+    site_marginal = enumeration.site_marginal
+    monkeypatch.setattr(enumeration, "site_marginal", lambda *a, **k: calls.append(1) or site_marginal(*a, **k))
+    oracle = make()
+    assert oracle.batch(values, masks).tolist() == expect
+    assert oracle.batch(values[::-1], masks[::-1]).tolist() == expect[::-1]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -521,8 +545,11 @@ def test_auto_oracle_routes(model, spec, kind):
 
 
 def test_trace_targets_resolve():
-    """Each span target of the benchmark's tracer is a module attribute, or a
-    method defined in its own class's __dict__, which is what the tracer patches."""
+    """Each span target of the benchmark's tracer, loaded by path and left
+    unchanged, is a plain function of its module, or of its own class's
+    __dict__, which is what `install` wraps, and its span counts in one of
+    the tracer's layers; a rename in the package that would break traced
+    benchmark runs fails here."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -532,9 +559,11 @@ def test_trace_targets_resolve():
         module = importlib.import_module(modname)
         if "." in attr:
             cls_name, meth = attr.split(".")
-            assert meth in vars(getattr(module, cls_name)), f"{name}: {attr} not in its class's __dict__"
+            target = vars(getattr(module, cls_name)).get(meth)
         else:
-            assert callable(getattr(module, attr, None)), f"{name}: {modname}.{attr} missing"
+            target = getattr(module, attr, None)
+        assert inspect.isfunction(target), f"{name}: {modname}.{attr} is not a function"
+        assert name.split(".", 1)[0] in tracing.MODULES, name
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -176,8 +176,8 @@ def test_cycle_pair_marginal_vs_exact_table():
     graph = _cycle_graph(m)
     joint = joint_distribution(graph, st, pot, [0, 1])
     pair = tm.cycle_pair_marginal(m)
-    for (a, b), p in joint.items():
-        assert p == pytest.approx(pair[a, b], abs=1e-12)
+    assert joint.shape == pair.shape
+    assert joint == pytest.approx(pair, abs=1e-12)
 
 
 def test_cycle_pair_marginal_of_a_long_cycle_is_the_stationary_pair():
