@@ -1,5 +1,6 @@
-"""Cost of one exact elimination: ms per mixing-profile radius and per
-ball-oracle conditional, warm, in a fresh interpreter per tree and round.
+"""Cost of one exact elimination: ms per mixing-profile radius, per
+ball-oracle conditional, per exact size-sweep row and per long-cycle
+partition, warm, in a fresh interpreter per tree and round.
 
     python benchmarks/elimination.py                                  # this checkout, 10 rounds
     python benchmarks/elimination.py --src before=../old/src --src after=src --rounds 15
@@ -20,7 +21,14 @@ times, after one untimed call each:
   point) divided by ROWS; hardcore at lambda = 1 on Z^2 at r = 2, pad 2
   (B_4, 41 sites), and F_2 Ising (J = +-0.3, h = (0, 0.1)) at r = 2, pad 1
   (B_3, 53 sites); a fresh oracle per timed batch, the median over
-  BALL_REPS = 3 batches.
+  BALL_REPS = 3 batches;
+- `sweep_f2_n24_pressure`, `sweep_f2_n24_entropy`, `sweep_f2_n64_pressure`,
+  `sweep_f2_n64_entropy`: one exact row of `finitemodel.size_sweep`, F_2
+  hardcore at lambda = 1 on the random_perm map of n = 24 or 64 sites,
+  seed 3 (the map build included); `log_partition_cycle3000`:
+  `enumeration.log_partition` of hardcore at lambda = 1 on the 3,000-cycle;
+  the median over SLOW_REPS = 3 calls.  A tree that refuses a case (a
+  CapExceededError) records null for it.
 
 The medians over rounds and every raw sample go to --out
 (benchmarks/BENCH_elimination.json), merged by label into what is there,
@@ -39,17 +47,20 @@ from pathlib import Path
 from cold_start import _git_version
 
 HERE = Path(__file__).resolve().parent
-REPS, BALL_REPS, ROWS = 20, 3, 200  # timed beta calls, timed ball batches, rows of one batch
+REPS, BALL_REPS, ROWS, SLOW_REPS = 20, 3, 200, 3  # timed beta calls, ball batches, rows of one batch, slow calls
 
 _CHILD = r"""
 import json, statistics, sys, time
 import numpy as np
 from soficlab import groups, kernels
 from soficlab.constraints import ConstraintStructure, Potential, hardcore
+from soficlab.enumeration import SiteGraph, log_partition
+from soficlab.errors import CapExceededError
+from soficlab.finitemodel import size_sweep
 from soficlab.gibbs import _beta_enumeration
 from soficlab.marginals import BallEnumerationOracle
 
-reps, ball_reps, n_rows = json.loads(sys.argv[1])
+reps, ball_reps, n_rows, slow_reps = json.loads(sys.argv[1])
 z2, f2 = groups.zd(2), groups.free(2)
 J = np.array([[0.3, -0.3], [-0.3, 0.3]])
 ising = (ConstraintStructure(2, np.ones((2, 2, 2), dtype=bool)), Potential(np.array([0.0, 0.1]), np.array([J, J])))
@@ -82,21 +93,44 @@ def ball_ms(model, spec, r, pad):
     return 1e3 * statistics.median(times) / len(masks)
 
 
+def slow_ms(call):
+    try:
+        call()
+    except CapExceededError:
+        return None
+    times = []
+    for _ in range(slow_reps):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def sweep(experiment, n):
+    return lambda: size_sweep(experiment, *hardcore(2, 1.0), {"builder": "random_perm", "k": 2}, [n], "exact", 3)
+
+
+cycle = SiteGraph(3000, [(i, 0, (i + 1) % 3000) for i in range(3000)])
 out = {"backend": kernels.BACKEND, "numpy": np.__version__}
 out["beta_z2_r1"] = beta_ms(hardcore(2, 1.0), z2, 1)
 out["beta_z2_r2"] = beta_ms(hardcore(2, 1.0), z2, 2)
 out["beta_f2_r1"] = beta_ms(hardcore(2, 0.3), f2, 1)
 out["ball_z2_pad2"] = ball_ms(hardcore(2, 1.0), z2, 2, 2)
 out["ball_f2_ising_b3"] = ball_ms(ising, f2, 2, 1)
+for n in (24, 64):
+    for experiment in ("pressure", "entropy"):
+        out[f"sweep_f2_n{n}_{experiment}"] = slow_ms(sweep(experiment, n))
+out["log_partition_cycle3000"] = slow_ms(lambda: log_partition(cycle, *hardcore(1, 1.0)))
 print(json.dumps(out))
 """
-CASES = ("beta_z2_r1", "beta_z2_r2", "beta_f2_r1", "ball_z2_pad2", "ball_f2_ising_b3")
+CASES = ("beta_z2_r1", "beta_z2_r2", "beta_f2_r1", "ball_z2_pad2", "ball_f2_ising_b3", "sweep_f2_n24_pressure",
+         "sweep_f2_n24_entropy", "sweep_f2_n64_pressure", "sweep_f2_n64_entropy", "log_partition_cycle3000")
 
 
 def _child(src: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "SOFICLAB_KERNEL"}
     env["PYTHONPATH"] = str(src)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([REPS, BALL_REPS, ROWS])], env=env,
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([REPS, BALL_REPS, ROWS, SLOW_REPS])], env=env,
                           capture_output=True, text=True, timeout=600, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -120,11 +154,13 @@ def main(argv=None):
                        "nproc": os.cpu_count(), "note": "ms per elimination; medians over rounds"}
     for label, runs in samples.items():
         entry = {"git": _git_version(trees[label]), "backend": runs[0]["backend"], "numpy": runs[0]["numpy"],
-                 "rounds": args.rounds, "reps": REPS, "ball_reps": BALL_REPS, "rows": ROWS}
+                 "rounds": args.rounds, "reps": REPS, "ball_reps": BALL_REPS, "rows": ROWS, "slow_reps": SLOW_REPS}
         for case in CASES:
-            entry[case] = {"ms": statistics.median(s[case] for s in runs), "samples": [s[case] for s in runs]}
+            samples = [s[case] for s in runs]
+            ms = None if None in samples else statistics.median(samples)
+            entry[case] = {"ms": ms, "samples": samples}
         results[label] = entry
-        print(f"{label:>8} " + "  ".join(f"{case} {entry[case]['ms']:7.3f}" for case in CASES))
+        print(f"{label:>8} " + "  ".join(f"{case} {entry[case]['ms']}" for case in CASES))
     args.out.write_text(json.dumps(results, indent=1) + "\n")
 
 

@@ -1,20 +1,19 @@
 """Exact counting over labeled site graphs.
 
-Partition values, site marginals and joint tables of a few sites come from
-min-degree variable elimination over the pairwise factors of the Boltzmann
-weight, planned from the factor scopes first and then contracted and
-rescaled step by step (bucket elimination: Dechter 1999; Koller & Friedman
-2009, ch. 9).  Pruned depth-first enumeration (`_dfs`) visits every
-admissible configuration; it gives full tables (`all_configs`), the
-derived-space enumeration of finitemodel (streamed through `_Stream`, which
-keeps log Z and the mean log-weight), the budgeted admissibility search, and
-the tests' independent oracle for the elimination route.  These exact routes
-are what the transfer-matrix and self-avoiding-walk routes are checked
-against.
+Partition values, mean log-weights, site marginals and joint tables of a
+few sites come from min-degree variable elimination over the pairwise
+factors of the Boltzmann weight, planned from the factor scopes first and
+then contracted and rescaled step by step (bucket elimination: Dechter 1999;
+Koller & Friedman 2009, ch. 9; the mean in the first-order expectation
+semiring: Li & Eisner 2009).  Pruned depth-first enumeration (`_dfs`) gives
+full tables (`all_configs`), the budgeted admissibility search, and the
+tests' independent oracle.  These exact routes are what the transfer-matrix
+and self-avoiding-walk routes are checked against.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -25,9 +24,9 @@ from .errors import CapExceededError
 
 # the most entries of one elimination table, a message or the final table:
 # 2^26 float64, 512 MiB.  Each call's plan gives every table's scope before
-# any is built, so the widest is checked once.  The hardcore lex query on
-# Z^2 with the ball oracle at pad 2 needs scopes of 26 sites at r = 20,
-# which fit, and of 31 at r = 22, a 16 GiB table
+# any is built, and stops at the first past the cap.  The hardcore lex query
+# on Z^2 with the ball oracle at pad 2 needs scopes of 26 sites at r = 20,
+# which fit, and more at r = 22
 ELIMINATION_TABLE_CAP = 2**26
 
 
@@ -53,40 +52,6 @@ class SiteGraph:
             for v in range(sm.n):
                 edges.append((v, s, int(dst[v])))
         return SiteGraph(sm.n, edges)
-
-
-class _Stream:
-    """Streaming log-sum-exp of log-weights lw, which also carries the sum
-    of w * lw, so that one pass gives log Z and the mean of lw."""
-
-    __slots__ = ("m", "acc", "acc_lw")
-
-    def __init__(self):
-        self.m = -math.inf
-        self.acc = 0.0  # sum of exp(lw - m)
-        self.acc_lw = 0.0  # sum of exp(lw - m) * lw
-
-    def add(self, lw: float):
-        if lw <= self.m:
-            e = math.exp(lw - self.m)
-            self.acc += e
-            self.acc_lw += e * lw
-        elif self.acc:
-            scale = math.exp(self.m - lw)
-            self.acc = self.acc * scale + 1.0
-            self.acc_lw = self.acc_lw * scale + lw
-            self.m = lw
-        else:
-            self.m, self.acc, self.acc_lw = lw, 1.0, lw
-
-    def logsum(self) -> float:
-        if self.acc == 0.0:
-            return -math.inf
-        return self.m + math.log(self.acc)
-
-    def mean(self) -> float:
-        """The w-weighted mean of lw; nan when nothing was added."""
-        return self.acc_lw / self.acc if self.acc else math.nan
 
 
 def _compile(graph: SiteGraph, structure: ConstraintStructure, potential: Potential | None):
@@ -174,7 +139,7 @@ def has_admissible_filling(graph, structure, pins, symbols=None, node_budget=Non
     return False if completed else None
 
 
-def _factors(graph, structure, potential, pins):
+def _factors(graph, structure, potential, pins, windows=None):
     """Log-weight tables of the Boltzmann weight, one per scope.
 
     A scope is a sorted tuple of unpinned sites, each over the whole
@@ -188,7 +153,9 @@ def _factors(graph, structure, potential, pins):
     of these objects, h itself or a 0-d slice of one (never a copy), so that
     `_eliminate` scales each distinct object once; a scope with several
     terms holds their sum, added in site then edge order.  No table is
-    written in place.
+    written in place.  `windows` = (allowed, scopes) adds one 0/-inf factor
+    per scope of distinct sites: a view of one table, 0 on the patterns of
+    allowed, sliced at the pins and its axes put in site order.
     """
     a = structure.alphabet
     h = np.zeros(a) if potential is None else potential.h
@@ -226,6 +193,13 @@ def _factors(graph, structure, potential, pins):
             add((j,), rows[pi])
         else:
             add((), log[pi, pj, ...])
+    if windows:
+        allowed, scopes = windows
+        window = np.full((a,) * len(scopes[0]), -np.inf)
+        window[tuple(np.array(list(allowed), dtype=np.intp).reshape(-1, window.ndim).T)] = 0.0
+        for scope in scopes:
+            free = [i for i in scope if i not in pins]
+            add(tuple(sorted(free)), window[tuple(pins.get(i, slice(None)) for i in scope)].transpose(np.argsort(free)))
     return logs
 
 
@@ -240,78 +214,142 @@ def _contract(factors, out):
     return np.einsum(*args, [label[v] for v in out])
 
 
-def _plan(scopes, sites, out):
+def _check_width(sites: int, alphabet: int):
+    """CapExceededError when a table over `sites` sites passes ELIMINATION_TABLE_CAP."""
+    if alphabet**sites > ELIMINATION_TABLE_CAP:
+        raise CapExceededError(f"the elimination plan needs a table over {sites} sites of {alphabet} symbols, "
+                               f"{alphabet}^{sites} entries, past the cap of {ELIMINATION_TABLE_CAP}")
+
+
+def _plan(scopes, sites, out, alphabet=1):
     """The min-degree order (ties to the lower site) that eliminates every
     site of `sites` outside out, from the factor scopes alone: a list of
-    (site, the sorted neighbours it has when it goes, its message's scope)."""
+    (site, its message's scope: its sorted neighbours when it goes), taken
+    off a heap keyed by (degree, site) that skips stale entries.  The first
+    message past the table cap over `alphabet` symbols is a CapExceededError."""
     nbrs = {i: set() for i in sites}
     for scope in scopes:
         for i in scope:
             nbrs[i].update(scope)
             nbrs[i].discard(i)
     todo = set(nbrs) - set(out)
+    heap = [(len(nbrs[i]), i) for i in todo]
+    heapq.heapify(heap)
     steps = []
-    while todo:
-        v = min(todo, key=lambda i: (len(nbrs[i]), i))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v not in todo or degree != len(nbrs[v]):
+            continue
+        _check_width(degree, alphabet)
         todo.remove(v)
-        scope = tuple(sorted(nbrs[v]))
+        near = nbrs[v]
+        scope = tuple(sorted(near))
         steps.append((v, scope))
         for i in scope:
-            nbrs[i].update(scope)
+            nbrs[i] |= near
             nbrs[i].discard(i)
             nbrs[i].discard(v)
+            if i in todo:
+                heapq.heappush(heap, (len(nbrs[i]), i))
     return steps
 
 
-def _eliminate(graph, structure, potential, pins, keep):
+def _mean_term(factors, energies, out):
+    """The energy part of contracting factors = [(scope, value table)] with
+    energies[j] the energy table of factor j: the sum over j of the
+    contraction with factor j's energy in place of its value."""
+    return sum(_contract(factors[:j] + [(factors[j][0], g)] + factors[j + 1:], out)
+               for j, g in enumerate(energies))
+
+
+def _eliminate(graph, structure, potential, pins, keep, windows=None, energy=False):
     """Min-degree variable elimination of every unpinned site outside keep.
 
-    Returns (log_scale, table), where exp(log_scale) * table is the unnormalised
-    weight of the unpinned sites of keep (in keep order, indexed by symbol),
-    or None when no admissible configuration exists.  The plan (`_plan`)
-    comes first, from the factor scopes; when its widest message or the
-    final table would pass ELIMINATION_TABLE_CAP entries, the call is a
-    CapExceededError before any table is contracted or scaled.
+    Returns (log_scale, table, energy_table), where exp(log_scale) * table
+    is the unnormalised weight of the unpinned sites of keep (in keep order,
+    indexed by symbol), or None when no admissible configuration exists.
+    With energy, exp(log_scale) * energy_table weighs each configuration by
+    its log-weight too, from (value, energy) pairs: log-table L gives (f, f
+    L), 0 where f is; a bucket's energy takes one contraction per factor
+    with its energy in place of its value; scaling divides both parts;
+    merging gives (f1 f2, f1 g2 + g1 f2).  The values are the same bytes
+    either way.  The final table and windows (as in `_factors`) are checked
+    against ELIMINATION_TABLE_CAP first, each message as `_plan` reaches it,
+    all before any table is contracted.  Each bucket comes from an index
+    from sites to scopes, in the order the scopes entered the factor set.
     """
     a = structure.alphabet
-    logs = _factors(graph, structure, potential, pins)
     out = [i for i in keep if i not in pins]
-    steps = _plan(logs, [i for i in range(graph.n) if i not in pins], out)
-    widest = max([len(out)] + [len(scope) for _, scope in steps])
-    if a**widest > ELIMINATION_TABLE_CAP:
-        raise CapExceededError(f"the elimination plan needs a table over {widest} sites of {a} symbols, "
-                               f"{a}^{widest} entries, past the cap of {ELIMINATION_TABLE_CAP}")
+    windows_wide = [len(scope) for scope in windows[1]] if windows else []
+    _check_width(max([len(out), *windows_wide]), a)
+    logs = _factors(graph, structure, potential, pins, windows)
+    steps = _plan(logs, [i for i in range(graph.n) if i not in pins], out, a)
     log_scale = 0.0
-    factors = {}
-    # id -> (table, max, exp(table - max)): a table object shared by several
-    # scopes is scaled once; the entry holds the table, so its id stays its own
+    factors, energies = {}, {}
+    holders = {i: {} for i in range(graph.n)}  # site -> the scopes of factors that hold it, in order
+    # id -> (table, max, exp(table - max), its energy): a table object shared
+    # by several scopes is scaled once; the entry holds the table, so its id
+    # stays its own
     scaled = {}
     for scope, table in logs.items():
         if id(table) not in scaled:
             m = table.max()
             if m == -np.inf:
                 return None
-            scaled[id(table)] = (table, float(m), np.exp(table - m))
-        _, m, factors[scope] = scaled[id(table)]
+            f = np.exp(table - m)
+            g = np.multiply(f, table, out=np.zeros_like(f), where=f > 0.0) if energy else None
+            scaled[id(table)] = (table, float(m), f, g)
+        _, m, factors[scope], energies[scope] = scaled[id(table)]
         log_scale += m
+        for i in scope:
+            holders[i][scope] = None
     for v, scope in steps:
-        bucket = [s for s in factors if v in s]
-        msg = _contract([(s, factors.pop(s)) for s in bucket], scope)
+        held = list(holders[v])
+        for s in held:
+            for i in s:
+                del holders[i][s]
+        bucket = [(s, factors.pop(s)) for s in held]
+        parts = [energies.pop(s) for s in held]
+        msg = _contract(bucket, scope)
+        msg_e = _mean_term(bucket, parts, scope) if energy else None
+        del bucket, parts  # the bucket's tables go before the message is scaled
         m = msg.max()
         if m == 0.0:
             return None
         log_scale += math.log(m)
         msg = msg / m
-        factors[scope] = factors[scope] * msg if scope in factors else msg
-    table = _contract(list(factors.items()), out)
+        msg_e = msg_e / m if energy else None
+        if scope in factors:
+            if energy:
+                energies[scope] = factors[scope] * msg_e + energies[scope] * msg
+            factors[scope] = factors[scope] * msg
+        else:
+            factors[scope], energies[scope] = msg, msg_e
+            for i in scope:
+                holders[i][scope] = None
+    final = list(factors.items())
+    table = _contract(final, out)
     if not table.sum() > 0.0:
         return None
-    return log_scale, table
+    return log_scale, table, _mean_term(final, list(energies.values()), out) if energy else None
 
 
-def log_partition(graph, structure, potential, pins=None) -> float:
-    res = _eliminate(graph, structure, potential, pins or {}, [])
+def log_partition(graph, structure, potential, pins=None, windows=None) -> float:
+    """log Z given the pins, -inf when they admit no configuration;
+    `windows` as in `_factors`."""
+    res = _eliminate(graph, structure, potential, pins or {}, [], windows)
     return -math.inf if res is None else res[0] + math.log(float(res[1]))
+
+
+def log_partition_and_mean(graph, structure, potential, pins=None, windows=None) -> tuple[float, float]:
+    """log Z, the same bytes as `log_partition`, and the Gibbs mean of the
+    log-weight (the mean energy) from the same plan carrying (value, energy)
+    pairs; (-inf, nan) when the pins admit no configuration."""
+    res = _eliminate(graph, structure, potential, pins or {}, [], windows, energy=True)
+    if res is None:
+        return -math.inf, math.nan
+    log_scale, z, mean = res
+    return log_scale + math.log(float(z)), float(mean) / float(z)
 
 
 def site_marginal(graph, structure, potential, site: int, pins=None) -> np.ndarray:

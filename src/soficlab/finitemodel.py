@@ -1,12 +1,12 @@
 """Derived finite models on a sofic map: pullback names, membership, energy,
-the derived partition function by exact enumeration, transfer matrices, or
+the derived partition function by exact elimination, transfer matrices, or
 thermodynamic integration, and `size_sweep`, the per-size pressure and
 entropy rows of a builder family.
 
-Every entropy row is H(mu_n) = log Z_n - E_{mu_n}[energy]: the exact pass
-carries the mean energy beside log Z, the cycle route reads it from each
-cycle's pair marginal, and the MCMC route takes it from heat-bath samples
-(`sampling.sample_derived_gibbs`).
+Every entropy row is H(mu_n) = log Z_n - E_{mu_n}[energy]: the exact route
+carries the mean energy beside log Z through the same elimination, the cycle
+route reads it from each cycle's pair marginal, and the MCMC route takes it
+from heat-bath samples (`sampling.sample_derived_gibbs`).
 
 The derived configuration space enforces the allowed-pair relation on every
 non-self edge of the labeled sofic graph (plus, for structures without a safe
@@ -26,11 +26,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import enumeration, groups
-from .config import exact_partition_cap
 from .constraints import ConstraintStructure, Pattern, Potential, detect_safe_symbol
 from .constraints import Verdict, is_globally_admissible
 from .errors import (
-    CapExceededError,
     EmptyFiberError,
     NoConsistentColorError,
     NoSafeSymbolError,
@@ -249,34 +247,32 @@ class PartitionResult:
 
 
 def _iter_Xn(space: DerivedSpace, visit):
-    graph = enumeration.SiteGraph.from_sofic(space.sm)
+    """Visit every configuration of the derived space with its log-weight, by DFS."""
     if space.safe_symbol is None:
-        W = space._window_arrays
-        good = space.mm_good
-        table = space._admissible_windows
+        windows, table, inner = space._window_arrays[:, space.mm_good].T, space._admissible_windows, visit
 
-        def filtered(values, lw):
-            for v in good:
-                if tuple(values[W[i, v]] for i in range(W.shape[0])) not in table:
-                    return
-            visit(values, lw)
+        def visit(values, lw):
+            if all(tuple(values[i] for i in window) in table for window in windows):
+                inner(values, lw)
 
-        enumeration._dfs(graph, space.structure, space.potential, {}, None, filtered)
-    else:
-        enumeration._dfs(graph, space.structure, space.potential, {}, None, visit)
+    enumeration._dfs(enumeration.SiteGraph.from_sofic(space.sm), space.structure, space.potential, {}, None, visit)
 
 
-def partition_exact(space: DerivedSpace) -> PartitionResult:
-    """Exact log Z and mean energy by one constraint-pruned enumeration of
-    the derived space, with no table: the energy of a configuration is its
-    log-weight, so the mean energy is the weighted mean of the log-weights.
-    An empty space gives log Z = -inf and a nan mean energy."""
-    cap = exact_partition_cap()
-    if space.n > cap:
-        raise CapExceededError(f"n={space.n} exceeds exact enumeration cap {cap}")
-    acc = enumeration._Stream()
-    _iter_Xn(space, lambda values, lw: acc.add(lw))
-    return PartitionResult(acc.logsum(), "exact", mean_energy=acc.mean())
+def partition_exact(space: DerivedSpace, energy: bool = True) -> PartitionResult:
+    """Exact log Z by elimination over the labeled sofic graph, the bytes of
+    `enumeration.log_partition`, and with `energy` the mean energy (the
+    Gibbs mean of the log-weight) from the same plan, else nan.  Without a
+    safe symbol each window-good vertex adds a factor over its B_2 window,
+    from `_admissible_windows`.  A plan past the elimination table cap is a
+    CapExceededError; an empty space gives log Z = -inf and a nan energy."""
+    args = (enumeration.SiteGraph.from_sofic(space.sm), space.structure, space.potential)
+    windows = None
+    if space.safe_symbol is None and space.mm_good.size:
+        windows = (space._admissible_windows, [tuple(space._window_arrays[:, v]) for v in space.mm_good])
+    if not energy:
+        return PartitionResult(enumeration.log_partition(*args, windows=windows), "exact")
+    log_z, mean = enumeration.log_partition_and_mean(*args, windows=windows)
+    return PartitionResult(log_z, "exact", mean_energy=mean)
 
 
 def partition_cycle_decomposition(space: DerivedSpace, tm: TransferMatrix | None = None) -> PartitionResult:
@@ -425,11 +421,15 @@ def _simpson_irregular(ts: np.ndarray, ys: np.ndarray):
     return float(w @ ys), w
 
 
+# the most vertices of a size that `auto` gives the exact route, off one generator
+AUTO_EXACT_SITES = 24
+
+
 def choose_method(builder: dict, method: str):
     """The route of each size of a builder family, as a function of the
     size's vertex count n: `method` itself, or under "auto" cycle
-    decomposition on a one-generator builder, exact enumeration up to
-    SOFICLAB_EXACT_CAP vertices and thermodynamic integration beyond.  An
+    decomposition on a one-generator builder, exact elimination up to
+    AUTO_EXACT_SITES vertices and thermodynamic integration beyond.  An
     unknown method, or cycles on a builder of more than one generator, is a
     SchemaError here, before any size runs."""
     if method != "auto" and method not in METHODS:
@@ -441,8 +441,7 @@ def choose_method(builder: dict, method: str):
     if method == "auto" and generators == 1:
         method = "cycles"
     if method == "auto":
-        cap = exact_partition_cap()
-        return lambda n: "exact" if n <= cap else "mcmc"
+        return lambda n: "exact" if n <= AUTO_EXACT_SITES else "mcmc"
     return lambda n: method
 
 
@@ -471,12 +470,12 @@ def size_sweep(
 
     Each size's route (`choose_method`) gives log Z and its stderr.  A
     pressure row is log Z / n; an entropy row is H(mu_n) / n = (log Z -
-    E[energy]) / n, the mean energy from the same exact pass or cycle
-    decomposition, or for mcmc from heat-bath samples, whose standard error
-    adds to TI's.  An
-    empty derived space (log Z = -inf) is a pressure of -inf, and an
-    EmptyFiberError for the entropy.  mcmc_kwargs are a RunConfig's
-    params.mcmc, checked with the method before any size runs.
+    E[energy]) / n, the mean energy from the same exact elimination (which
+    a pressure row skips) or cycle decomposition, or for mcmc from heat-bath
+    samples, whose standard error adds to TI's.  An empty derived space (log
+    Z = -inf) is a pressure of -inf, and an EmptyFiberError for the entropy.
+    mcmc_kwargs are a RunConfig's params.mcmc, checked with the method
+    before any size runs.
     """
     fields = SWEEP_FIELDS[experiment]
     check(mcmc_kwargs or {}, MCMC, "params.mcmc")
@@ -484,7 +483,7 @@ def size_sweep(
     transfer = cache(lambda: build_transfer(structure, potential))  # once per sweep
     routes = {
         "cycles": lambda space: partition_cycle_decomposition(space, transfer()),
-        "exact": partition_exact,
+        "exact": lambda space: partition_exact(space, energy=experiment == "entropy"),
         "mcmc": lambda space: partition_mcmc(space, seed=seed, **(mcmc_kwargs or {})),
     }
     rows = []

@@ -1,8 +1,8 @@
 """Specifications, derived Gibbs measures, and mixing diagnostics.
 
 Exact tables are built by enumeration, up to TABLE_CAP sites; they are the
-tests' reference for the entropy and mean energy that `finitemodel`'s exact
-pass streams without a table.  Finite-window conditional kernels are true
+tests' reference for the log Z and mean energy that `finitemodel`'s exact
+route computes by elimination, with no table.  Finite-window conditional kernels are true
 conditionals of the Boltzmann weights (interface edge terms counted in both
 directions), which is what the exact-table cross checks require.
 """

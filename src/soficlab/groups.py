@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import ball_cap
 from .errors import CapExceededError
 
+BALL_CAP = 1_000_000  # the most elements of a ball
 Element = tuple  # Z^d: tuple[int] of length d; F_k: reduced tuple of signed letters
 
 
@@ -162,7 +162,7 @@ def ball(spec: GroupSpec, r: int) -> CayleyBall:
     B_r is grown a shell at a time from the largest smaller ball of the
     group asked for so far (B_0 if none), and kept for the process;
     `ball.cache_clear()` drops every kept ball.  A ball of more than
-    `ball_cap()` elements is a CapExceededError.
+    BALL_CAP elements is a CapExceededError.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -174,9 +174,8 @@ def ball(spec: GroupSpec, r: int) -> CayleyBall:
         else:
             e = identity(spec)
             b = CayleyBall(spec=spec, radius=0, elements=(e,), index={e: 0}, edges=(), shell_sizes=(1,))
-        cap = ball_cap()
         while b.radius < r:
-            b = _next_ball(b, cap)
+            b = _next_ball(b, BALL_CAP)
         _BALLS[spec, r] = b
     return b
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -103,32 +102,34 @@ class TransferMatrix:
         return {k: v for k, v in out.items() if v > 0.0}
 
     def conditional_center(self, pins: dict) -> np.ndarray:
-        """Exact mu(x_0 = . | pinned offsets), offsets as nonzero ints.
+        """Exact mu(x_0 = . | pinned offsets), offsets as nonzero ints: a
+        column of `conditional_tables`.
 
         The stationary chain is Markov, so only the nearest pinned offset on
         each side matters.
         """
         lpins = [(-o, v) for o, v in pins.items() if o < 0]
         rpins = [(o, v) for o, v in pins.items() if o > 0]
-        dl, bl = min(lpins) if lpins else (0, -1)
-        dr, br = min(rpins) if rpins else (0, -1)
-        w = _center_weights(self._scaled_powers(max(dl, dr, 1)), *self.perron(), dl, bl, dr, br)
-        tot = w.sum()
-        if tot <= 0.0:
+        dl, bl = min(lpins) if lpins else (0, 0)
+        dr, br = min(rpins) if rpins else (0, 0)
+        p = self.conditional_tables(max(dl, dr, 1))[:, dl, bl, dr, br]
+        if not p.any():
             raise ValueError("conditioning pattern has probability zero")
-        return w / tot
+        return p.copy()
 
     def conditional_tables(self, r_max: int):
         """Lookup tables for batched center conditionals with pins inside [-r_max..r_max].
 
         Returns probs[a, dl, bl, dr, br] with dl/dr the distance to the nearest
         pinned site on each side (0 = no pin on that side, then b index 0 used);
-        a conditioning of probability zero gets an all-zero column.
+        a conditioning of probability zero gets an all-zero column.  The
+        center weights are lw[dl, bl, v] * rw[dr, br, v]: the row bl of the
+        scaled power (T / lam)^dl, or the left Perron vector when dl = 0,
+        times the column br of (T / lam)^dr, or the right Perron vector.
         """
         a = self.alphabet
         left, right = self.perron()
         powers = self._scaled_powers(r_max)[1:]
-        # the weight factors of _center_weights: lw[dl, bl, v] and rw[dr, br, v]
         lw = np.concatenate([np.broadcast_to(left, (1, a, a)), powers])
         rw = np.concatenate([np.broadcast_to(right, (1, a, a)), powers.transpose(0, 2, 1)])
         w = lw[:, :, None, None, :] * rw[None, None]
@@ -139,21 +140,15 @@ class TransferMatrix:
     def mixing_profile(self, r_max: int, symbols) -> np.ndarray:
         """beta(r) for r = 1..r_max: the largest change of mu(x_0 = .) over
         boundaries bl at -(r+1) and br at r+1, both in `symbols`, read from
-        one table of scaled powers; boundaries of probability zero are
-        skipped."""
-        left, right = self.perron()
-        powers = self._scaled_powers(r_max + 1)
+        `conditional_tables`; boundaries of probability zero, its all-zero
+        columns, are skipped."""
+        symbols = list(symbols)
+        tables = self.conditional_tables(r_max + 1)
         out = np.zeros(r_max)
         for r in range(1, r_max + 1):
-            lo = np.full(self.alphabet, np.inf)
-            hi = np.full(self.alphabet, -np.inf)
-            for bl, br in product(symbols, symbols):
-                w = _center_weights(powers, left, right, r + 1, bl, r + 1, br)
-                tot = w.sum()
-                if tot > 0.0:
-                    p = w / tot
-                    lo, hi = np.minimum(lo, p), np.maximum(hi, p)
-            out[r - 1] = float(np.max(hi - lo))
+            cols = tables[:, r + 1, :, r + 1][:, symbols][:, :, symbols].reshape(self.alphabet, -1)
+            cols = cols[:, cols.any(axis=0)]
+            out[r - 1] = float(np.max(cols.max(axis=1, initial=-np.inf) - cols.min(axis=1, initial=np.inf)))
         return out
 
     def sample_windows(self, r: int, n_samples: int, rng) -> np.ndarray:
@@ -183,15 +178,6 @@ class TransferMatrix:
         pair = self.cycle_pair_marginal(m)
         site = pair.sum(axis=1)
         return float(site @ self.potential.h + (pair * self.potential.J[0]).sum())
-
-
-def _center_weights(powers, left, right, dl: int, bl: int, dr: int, br: int) -> np.ndarray:
-    """Unnormalised mu(x_0 = .) given symbol bl at distance dl to the left and
-    br at distance dr to the right (distance 0: no pin on that side), from the
-    scaled powers of T and the Perron pair."""
-    lw = powers[dl][bl, :] if dl else left
-    rw = powers[dr][:, br] if dr else right
-    return lw * rw
 
 
 def build_transfer(structure: ConstraintStructure, potential: Potential) -> TransferMatrix:

@@ -197,3 +197,25 @@ def sigma_word(perms, g, v, free=False):
         perm = [int(u) for u in perms[abs(letter) - 1]]
         v = perm[v] if letter > 0 else perm.index(v)
     return v
+
+
+def min_degree_plan_scan(scopes, sites, out):
+    """Min-degree elimination order by a scan of every remaining site for
+    the least (degree, site), on the graph whose edges join the sites of
+    each scope: a list of (site, its sorted neighbours when it goes), each
+    step joining those neighbours into a clique.  Sites of out stay."""
+    nbrs = {i: set() for i in sites}
+    for scope in scopes:
+        for i in scope:
+            nbrs[i] |= set(scope) - {i}
+    todo = set(nbrs) - set(out)
+    steps = []
+    while todo:
+        v = min(todo, key=lambda i: (len(nbrs[i]), i))
+        todo.remove(v)
+        near = sorted(nbrs[v])
+        steps.append((v, tuple(near)))
+        for i in near:
+            nbrs[i] |= set(near) - {i}
+            nbrs[i].discard(v)
+    return steps

@@ -546,7 +546,7 @@ def test_entropy_of_an_empty_derived_space_is_a_typed_error(case, tmp_path, caps
 
 
 def test_entropy_takes_exact_up_to_the_exact_cap(tmp_path, monkeypatch, capsys):
-    """On a random F_2 map of n = 22 sites, within SOFICLAB_EXACT_CAP = 24,
+    """On a random F_2 map of n = 22 sites, within auto's 24 exact sites,
     `entropy --method exact` answers (it once exited 3 at a table cap of 20)
     and `auto` takes it too (it once took mcmc, and gave 0.38022779188740086
     with stderr 0.004328132881313971 at the default settings).  The row is
@@ -675,12 +675,12 @@ ROUTE_RECORDS = [
 SWEEP_MCMC = {"grid_points": 5, "samples_per_point": 40}
 SWEEP_RECORDS = [
     ("pressure", "Zd", 2, {"builder": "torus", "d": 2}, [4], "exact", 0,
-     [{"n": 16, "log_Z": 10.853918958535578, "pressure_estimate": 0.6783699349084736, "stderr": 0.0,
+     [{"n": 16, "log_Z": 10.853918958535582, "pressure_estimate": 0.6783699349084739, "stderr": 0.0,
        "method": "exact", "seed": 0}]),
     ("entropy", "Zd", 2, {"builder": "torus", "d": 2}, [4], "exact", 0,
      [{"n": 16, "entropy_rate": 0.36420427102881314, "stderr": 0.0, "method": "exact"}]),
     ("pressure", "Free", 2, {"builder": "random_perm", "k": 2}, [12], "exact", 3,
-     [{"n": 12, "log_Z": 7.451023891237495, "pressure_estimate": 0.6209186576031246, "stderr": 0.0,
+     [{"n": 12, "log_Z": 7.451023891237498, "pressure_estimate": 0.6209186576031248, "stderr": 0.0,
        "method": "exact", "seed": 3}]),
     ("entropy", "Free", 2, {"builder": "random_perm", "k": 2}, [12], "exact", 3,
      [{"n": 12, "entropy_rate": 0.37883974229004247, "stderr": 0.0, "method": "exact"}]),
@@ -762,16 +762,17 @@ def test_kp_transfer_and_ball_records_are_pinned(tmp_path):
 
 def test_too_wide_ball_query_is_refused_before_its_elimination(tmp_path, monkeypatch):
     """The Z^2 hardcore `past: lex` query through the ball oracle at pad 2
-    needs a 2^31-entry table at r = 22: it exits 3 from the elimination
-    plan.  The only tables contracted are those of the truncation budget,
-    none wider than 9 sites; the query once contracted tables up to its
-    26-site messages (3.4 s, 1.1 GB) before it was refused."""
+    needs tables of up to 2^31 entries at r = 22: it exits 3 from the
+    elimination plan, which stops at its first message past the cap, of
+    2^27 entries.  The only tables contracted are those of the truncation
+    budget, none wider than 9 sites; the query once contracted tables up to
+    its 26-site messages (3.4 s, 1.1 GB) before it was refused."""
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(hardcore_model_dict("Zd", 2, 1.0)))
     widths = []
     contract = enumeration._contract
     monkeypatch.setattr(enumeration, "_contract", lambda factors, out: widths.append(len(out)) or contract(factors, out))
-    with pytest.raises(CapExceededError, match=r"over 31 sites .* past the cap") as exc:
+    with pytest.raises(CapExceededError, match=r"over 27 sites .* past the cap") as exc:
         run_config({"experiment": "kp-estimate", "model": str(path), "seed": 1,
                     "params": {"oracle": "ball", "pad": 2, "r": 22, "past": "lex", "N": 1}})
     assert exc.value.exit_code == 3
@@ -785,8 +786,8 @@ A65 = {"group": {"kind": "Zd", "d": 2}, "alphabet": 65,
 
 def test_mcmc_refuses_an_alphabet_past_the_sweep_kernels(tmp_path, monkeypatch):
     """`pressure` and `entropy` on the 65-symbol full shift, under `method:
-    mcmc` on the 2x2 torus and under `auto` on the 5x5 torus (past
-    SOFICLAB_EXACT_CAP, so mcmc too), are a CapExceededError (exit 3) that
+    mcmc` on the 2x2 torus and under `auto` on the 5x5 torus (past auto's 24
+    exact sites, so mcmc too), are a CapExceededError (exit 3) that
     names the 64-symbol limit and the exact and cycles routes, before any
     uniform is drawn, on both backends; each was a bare ValueError (exit 1)."""
     path = tmp_path / "a65.json"

@@ -1,6 +1,7 @@
 """Variable elimination against sums over the DFS enumeration of every
-configuration, on random small site graphs, and the joint-table mixing
-profile against the per-boundary pinned loop it replaced."""
+configuration, on random small site graphs, its heap plan against a planner
+that scans every site, and the joint-table mixing profile against the
+per-boundary pinned loop it replaced."""
 
 import math
 from itertools import product
@@ -11,8 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from soficlab import groups, soficmaps
 from soficlab.constraints import ConstraintStructure, Potential, core_symbols, hardcore
-from soficlab.enumeration import SiteGraph, all_configs, joint_distribution, log_partition, site_marginal
+from soficlab.enumeration import (SiteGraph, _plan, all_configs, joint_distribution, log_partition,
+                                  log_partition_and_mean, site_marginal)
 from soficlab.gibbs import _beta_enumeration
+
+from oracles import min_degree_plan_scan
 
 
 @st.composite
@@ -37,11 +41,12 @@ def models(draw):
 
 
 def _brute(graph, structure, potential, pins, query):
-    """log Z, every site marginal and the dense joint table of the unpinned
-    sites of query, summed over DFS's configurations."""
+    """log Z, every site marginal, the dense joint table of the unpinned
+    sites of query and the weighted mean log-weight, summed over DFS's
+    configurations."""
     configs, logw = all_configs(graph, structure, potential, pins=pins)
     if not configs:
-        return -math.inf, None, None
+        return -math.inf, None, None, math.nan
     m = logw.max()
     w = np.exp(logw - m)
     z = w.sum()
@@ -51,7 +56,7 @@ def _brute(graph, structure, potential, pins, query):
     for x, wx in zip(configs, w / z):
         marginals[np.arange(graph.n), x] += wx
         joint[tuple(x[i] for i in free)] += wx
-    return m + math.log(z), marginals, joint
+    return m + math.log(z), marginals, joint, float(w @ logw) / z
 
 
 # a three-symbol model on two generators with forbidden pairs in both
@@ -91,11 +96,12 @@ def test_elimination_matches_dfs(model):
     """log Z, every site marginal and the dense joint table of one window
     against the DFS sums; the examples cover self-loops, parallel and
     antiparallel edges, and pins at one or both ends of an edge, allowed and
-    forbidden.  Elimination writes neither the potential nor the relations,
-    and a repeated call gives the same bytes."""
+    forbidden.  The (value, energy) pass gives log Z in the same bytes and
+    the mean log-weight to 1e-12.  Elimination writes neither the potential
+    nor the relations, and a repeated call gives the same bytes."""
     graph, structure, potential, pins, query = model
     inputs = (potential.h.tobytes(), potential.J.tobytes(), structure.allowed.tobytes())
-    log_z, marginals, joint = _brute(graph, structure, potential, pins, query)
+    log_z, marginals, joint, mean = _brute(graph, structure, potential, pins, query)
 
     def answers():
         return (log_partition(graph, structure, potential, pins=pins),
@@ -103,12 +109,16 @@ def test_elimination_matches_dfs(model):
                 joint_distribution(graph, structure, potential, query, pins=pins))
 
     ve_log_z, ve_marginals, ve_joint = answers()
+    pair_log_z, ve_mean = log_partition_and_mean(graph, structure, potential, pins=pins)
+    assert repr(pair_log_z) == repr(ve_log_z)
     if marginals is None:
         assert ve_log_z == -math.inf
+        assert math.isnan(ve_mean)
         assert ve_joint is None
         assert all(np.isnan(p).all() for p in ve_marginals)
     else:
         assert ve_log_z == pytest.approx(log_z, abs=1e-12)
+        assert ve_mean == pytest.approx(mean, abs=1e-12)
         for i, p in enumerate(ve_marginals):
             assert np.allclose(p, marginals[i], rtol=0.0, atol=1e-13)
         assert ve_joint.shape == joint.shape
@@ -120,6 +130,30 @@ def test_elimination_matches_dfs(model):
     assert repr(again[0]) == repr(ve_log_z)
     assert (again[2] is None) if ve_joint is None else again[2].tobytes() == ve_joint.tobytes()
     assert [p.tobytes() for p in again[1]] == [p.tobytes() for p in ve_marginals]
+
+
+@st.composite
+def site_graphs(draw):
+    """Factor scopes over up to 40 sites: random edges and a few wider
+    scopes, some sites kept out of the plan."""
+    n = draw(st.integers(1, 40))
+    site = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(site, site).filter(lambda e: e[0] != e[1]).map(sorted), max_size=3 * n))
+    wide = draw(st.lists(st.lists(site, min_size=min(n, 3), max_size=6, unique=True).map(sorted), max_size=3))
+    out = draw(st.lists(site, max_size=3, unique=True))
+    return [tuple(scope) for scope in edges + wide] + [(i,) for i in range(n)], list(range(n)), out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(site_graphs())
+@example(([(i, i + 1) for i in range(29)] + [(i,) for i in range(30)], list(range(30)), []))  # a path
+@example(([(i, (i + 1) % 12) for i in range(12)] + [(0, 3, 6, 9)], list(range(12)), [5]))  # a cycle with a chord clique
+def test_heap_plan_is_the_scan(graph):
+    """The heap plan's steps, each a site and its message's scope, are the
+    steps of the planner that scans every remaining site for the least
+    (degree, site)."""
+    scopes, sites, out = graph
+    assert _plan(scopes, sites, out) == min_degree_plan_scan(scopes, sites, out)
 
 
 def _beta_pinned_loop(structure, potential, spec, r) -> float:
@@ -191,11 +225,12 @@ def test_elimination_refuses_a_table_past_the_cap_before_allocating(monkeypatch)
     assert sizes == []
 
 
-@pytest.mark.parametrize("seed, sites", [(3, 28), (4, 31)])
+@pytest.mark.parametrize("seed, sites", [(3, 27), (4, 29)])
 def test_a_plan_past_the_cap_is_refused_before_any_table(seed, sites, monkeypatch):
     """log Z of F_2 hardcore on the random_perm maps n = 96, seeds 3 and 4,
-    needs an elimination table of 2^28 and 2^31 entries: the plan, from the
-    factor scopes alone, refuses each with no table contracted."""
+    needs elimination tables of up to 2^28 and 2^31 entries: the plan, from
+    the factor scopes alone, stops at its first message past the cap (2^27
+    and 2^29 entries) and refuses each with no table contracted."""
     from soficlab import enumeration
     from soficlab.errors import CapExceededError
 

@@ -1,12 +1,12 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
-from soficlab import groups, soficmaps
+from soficlab import enumeration, groups, soficmaps
 from soficlab.constraints import Pattern, checkerboard, full_shift, hardcore, zero_potential
-from soficlab.config import exact_partition_cap
-from soficlab.errors import CapExceededError, NoSafeSymbolError, SchemaError
+from soficlab.errors import CapExceededError, NoSafeSymbolError
 from soficlab.finitemodel import (
     DerivedSpace,
     correct_errors,
@@ -161,16 +161,39 @@ def test_partition_exact_values():
     assert partition_exact(fs).log_Z == pytest.approx(10 * math.log(2), abs=1e-12)
 
 
-def test_partition_cap():
-    sp = _space(soficmaps.build_torus(1, 30), HC1)
-    with pytest.raises(CapExceededError):
-        partition_exact(sp)
+def test_partition_cap(monkeypatch):
+    """The exact route is bounded by its elimination plan alone: on the Z^2
+    16x16 torus it is a CapExceededError (exit 3) with no table contracted,
+    and the Z^1 30-cycle, past the old 24-site cap, answers log Lucas(30)."""
+    contracted = []
+    contract = enumeration._contract
+    monkeypatch.setattr(enumeration, "_contract", lambda factors, out: contracted.append(out) or contract(factors, out))
+    with pytest.raises(CapExceededError, match="past the cap") as exc:
+        partition_exact(_space(soficmaps.build_torus(2, 16), HC2))
+    assert exc.value.exit_code == 3
+    assert contracted == []
+    res = partition_exact(_space(soficmaps.build_torus(1, 30), HC1))
+    assert res.log_Z == pytest.approx(math.log(lucas(30)), abs=1e-12)
 
 
-def test_malformed_cap_is_schema_error(monkeypatch):
-    monkeypatch.setenv("SOFICLAB_EXACT_CAP", "1e3")
-    with pytest.raises(SchemaError, match="SOFICLAB_EXACT_CAP='1e3'"):
-        exact_partition_cap()
+def test_exact_route_against_a_50_digit_sum():
+    """F_2 hardcore at activity 2.5 on the random_perm map n = 20, seed 3
+    (2,987 configurations): log Z and the mean energy of the exact route
+    are within 1e-14 of sums over the DFS occupation counts at 50 digits;
+    the weight of k occupied sites is exp(k h(1)) for the float h(1)."""
+    st, pot = hardcore(2, 2.5)
+    sp = DerivedSpace(soficmaps.build_random_perm(2, 20, seed=3), st, pot)
+    configs, _ = enumeration.all_configs(enumeration.SiteGraph.from_sofic(sp.sm), st, pot)
+    assert len(configs) == 2987
+    counts = np.bincount([sum(x) for x in configs])
+    with decimal.localcontext(prec=50):
+        h1 = decimal.Decimal(float(pot.h[1]))
+        z = sum(int(c) * (k * h1).exp() for k, c in enumerate(counts))
+        energy = sum(int(c) * k * h1 * (k * h1).exp() for k, c in enumerate(counts)) / z
+        log_z = z.ln()
+    res = partition_exact(sp)
+    assert abs(res.log_Z - float(log_z)) <= 1e-14
+    assert abs(res.mean_energy - float(energy)) <= 1e-14
 
 
 def test_exact_vs_transfer_all_small_cycles():

@@ -146,11 +146,11 @@ def test_ball_grown_by_shells_is_the_ball_built_from_scratch(spec, rmax):
 
 
 def test_ball_cap(monkeypatch):
-    monkeypatch.setenv("SOFICLAB_BALL_CAP", "10")
+    monkeypatch.setattr(groups, "BALL_CAP", 10)
     groups.ball.cache_clear()
     from soficlab.errors import CapExceededError
 
     with pytest.raises(CapExceededError):
         groups.ball(Z2, 3)
-    monkeypatch.delenv("SOFICLAB_BALL_CAP")
+    monkeypatch.undo()
     groups.ball.cache_clear()
