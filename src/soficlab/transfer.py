@@ -61,16 +61,6 @@ class TransferMatrix:
         _, right = self.perron()
         return self.T * right[None, :] / (self.lam * right[:, None])
 
-    def _scaled_powers(self, k_max: int) -> np.ndarray:
-        """(T / lam)^k for k = 0..k_max."""
-        a = self.alphabet
-        out = np.empty((k_max + 1, a, a))
-        out[0] = np.eye(a)
-        M = self.T / self.lam
-        for k in range(1, k_max + 1):
-            out[k] = out[k - 1] @ M
-        return out
-
     def log_trace_power(self, m: int) -> float:
         """log trace(T^m), the exact cycle partition value; -inf if the trace is 0."""
         tr = float(np.trace(np.linalg.matrix_power(self.T / self.lam, m)))
@@ -129,7 +119,10 @@ class TransferMatrix:
         """
         a = self.alphabet
         left, right = self.perron()
-        powers = self._scaled_powers(r_max)[1:]
+        M = self.T / self.lam
+        powers = np.empty((r_max, a, a))  # (T / lam)^k for k = 1..r_max
+        for k in range(r_max):
+            powers[k] = powers[k - 1] @ M if k else M
         lw = np.concatenate([np.broadcast_to(left, (1, a, a)), powers])
         rw = np.concatenate([np.broadcast_to(right, (1, a, a)), powers.transpose(0, 2, 1)])
         w = lw[:, :, None, None, :] * rw[None, None]
