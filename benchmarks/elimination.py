@@ -1,6 +1,7 @@
 """Cost of one exact elimination: ms per mixing-profile radius, per
-ball-oracle conditional, per exact size-sweep row and per long-cycle
-partition, warm, in a fresh interpreter per tree and round.
+ball-oracle conditional, per exact size-sweep row, per long-cycle
+partition, per `saw-marginal` query and per c estimate, warm, in a fresh
+interpreter per tree and round.
 
     python benchmarks/elimination.py                                  # this checkout, 10 rounds
     python benchmarks/elimination.py --src before=../old/src --src after=src --rounds 15
@@ -27,8 +28,14 @@ times, after one untimed call each:
   hardcore at lambda = 1 on the random_perm map of n = 24 or 64 sites,
   seed 3 (the map build included); `log_partition_cycle3000`:
   `enumeration.log_partition` of hardcore at lambda = 1 on the 3,000-cycle;
+  `saw_marginal_tree3000`, `saw_marginal_grid7`, `saw_marginal_grid12`:
+  `cli.run_saw_marginal` of hardcore at lambda = 1 on a random 3,000-site
+  tree (each vertex joined to a uniform earlier one, seed 0; root 0) and at
+  the center of the 7x7 and 12x12 grids, the graph file's read included;
+  `uniform_bound_f2_ising`: `gibbs.uniform_bound_c` of F_2 Ising on B_1;
   the median over SLOW_REPS = 3 calls.  A tree that refuses a case (a
-  CapExceededError) records null for it.
+  CapExceededError or BudgetExceededError) records null for it after its
+  first call.
 
 The medians over rounds and every raw sample go to --out
 (benchmarks/BENCH_elimination.json), merged by label into what is there,
@@ -50,14 +57,15 @@ HERE = Path(__file__).resolve().parent
 REPS, BALL_REPS, ROWS, SLOW_REPS = 20, 3, 200, 3  # timed beta calls, ball batches, rows of one batch, slow calls
 
 _CHILD = r"""
-import json, statistics, sys, time
+import json, os, statistics, sys, tempfile, time
 import numpy as np
 from soficlab import groups, kernels
+from soficlab.cli import run_saw_marginal
 from soficlab.constraints import ConstraintStructure, Potential, hardcore
 from soficlab.enumeration import SiteGraph, log_partition
-from soficlab.errors import CapExceededError
+from soficlab.errors import BudgetExceededError, CapExceededError
 from soficlab.finitemodel import size_sweep
-from soficlab.gibbs import _beta_enumeration
+from soficlab.gibbs import _beta_enumeration, uniform_bound_c
 from soficlab.marginals import BallEnumerationOracle
 
 reps, ball_reps, n_rows, slow_reps = json.loads(sys.argv[1])
@@ -96,7 +104,7 @@ def ball_ms(model, spec, r, pad):
 def slow_ms(call):
     try:
         call()
-    except CapExceededError:
+    except (CapExceededError, BudgetExceededError):
         return None
     times = []
     for _ in range(slow_reps):
@@ -110,7 +118,23 @@ def sweep(experiment, n):
     return lambda: size_sweep(experiment, *hardcore(2, 1.0), {"builder": "random_perm", "k": 2}, [n], "exact", 3)
 
 
+graphs = tempfile.TemporaryDirectory()
+
+
+def saw_marginal(name, n, edges, root):
+    path = os.path.join(graphs.name, f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump({"n": n, "edges": edges}, fh)
+    return lambda: run_saw_marginal({"graph": path, "root": root})
+
+
+def grid(m):
+    edges = [[v, v + 1] for v in range(m * m) if (v + 1) % m] + [[v, v + m] for v in range(m * m - m)]
+    return saw_marginal(f"grid{m}", m * m, edges, m // 2 * m + m // 2)
+
+
 cycle = SiteGraph(3000, [(i, 0, (i + 1) % 3000) for i in range(3000)])
+parents = np.random.default_rng(0).integers(0, np.arange(1, 3000))
 out = {"backend": kernels.BACKEND, "numpy": np.__version__}
 out["beta_z2_r1"] = beta_ms(hardcore(2, 1.0), z2, 1)
 out["beta_z2_r2"] = beta_ms(hardcore(2, 1.0), z2, 2)
@@ -121,10 +145,15 @@ for n in (24, 64):
     for experiment in ("pressure", "entropy"):
         out[f"sweep_f2_n{n}_{experiment}"] = slow_ms(sweep(experiment, n))
 out["log_partition_cycle3000"] = slow_ms(lambda: log_partition(cycle, *hardcore(1, 1.0)))
+out["saw_marginal_tree3000"] = slow_ms(saw_marginal("tree", 3000, [[int(u), v + 1] for v, u in enumerate(parents)], 0))
+out["saw_marginal_grid7"] = slow_ms(grid(7))
+out["saw_marginal_grid12"] = slow_ms(grid(12))
+out["uniform_bound_f2_ising"] = slow_ms(lambda: uniform_bound_c(*ising, f2, 1))
 print(json.dumps(out))
 """
 CASES = ("beta_z2_r1", "beta_z2_r2", "beta_f2_r1", "ball_z2_pad2", "ball_f2_ising_b3", "sweep_f2_n24_pressure",
-         "sweep_f2_n24_entropy", "sweep_f2_n64_pressure", "sweep_f2_n64_entropy", "log_partition_cycle3000")
+         "sweep_f2_n24_entropy", "sweep_f2_n64_pressure", "sweep_f2_n64_entropy", "log_partition_cycle3000",
+         "saw_marginal_tree3000", "saw_marginal_grid7", "saw_marginal_grid12", "uniform_bound_f2_ising")
 
 
 def _child(src: Path) -> dict:

@@ -14,15 +14,15 @@ import time
 import numpy as np
 
 from . import groups, kernels
-from .constraints import check_tssm
-from .errors import SchemaError, SoficLabError
+from .constraints import check_tssm, hardcore
+from .enumeration import SiteGraph, site_marginal
+from .errors import InconsistentPinsError, SchemaError, SoficLabError
 from .finitemodel import SWEEP_FIELDS, size_sweep
 from .gibbs import ssm_profile
 from .marginals import make_oracle
 from .modelbuild import build_sofic, builder_generators
 from .modelfile import Model, load_graph, load_model, parse_model
 from .randominfo import kp_pressure_at_fixed_point, kp_pressure_at_measure, truncation_budget
-from .saw import hardcore_marginal_via_saw
 from .schema import BUILDERS, METHODS, PARAMS, RUNCONFIG, check, read_json
 from .soficmaps import good_vertices
 from .version import __version__
@@ -185,7 +185,12 @@ def run_saw_marginal(params: dict) -> dict:
     root = params.get("root", 0)
     if root >= len(adj):
         raise SchemaError(f"params.root must be a vertex of the graph, below n = {len(adj)}, got {root}")
-    p = hardcore_marginal_via_saw(adj, root, lam, pins)
+    graph = SiteGraph(len(adj), [(u, 0, w) for u in range(len(adj)) for w in adj[u] if u < w])
+    lams = lam if isinstance(lam, list) else [lam] * len(adj)
+    activities = [((v,), np.array([0.0, math.log(x)])) for v, x in enumerate(lams)]
+    p = float(site_marginal(graph, hardcore(1, 1.0)[0], None, root, pins, activities)[1])
+    if math.isnan(p):
+        raise InconsistentPinsError("two adjacent vertices are pinned occupied")
     return {"root": root, "lambda": lam, "p_occupied": p, "pins": pins}
 
 
@@ -338,14 +343,15 @@ def _size_sweep(experiment: str, description: str, argv):
     p = argparse.ArgumentParser(prog=experiment, description=description)
     p.add_argument("--model", required=True)
     _add_builder_flags(p)
-    p.add_argument("--sizes", required=True)
+    # argparse makes a ValueError here its usage error (exit 2) naming --sizes
+    p.add_argument("--sizes", required=True, type=lambda text: [int(x) for x in text.split(",") if x])
     p.add_argument("--method", default="auto", choices=["auto", *METHODS])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     args = p.parse_args(argv)
-    params = {"sizes": [int(x) for x in args.sizes.split(",") if x], "method": args.method}
+    params = {"sizes": args.sizes, "method": args.method}
     if args.builder:
         size_key = "d" if args.builder in ("torus", "folner") else "k"
         params["builder_desc"] = {"builder": args.builder, size_key: getattr(args, size_key), "seed": args.seed}
@@ -392,13 +398,13 @@ def main_kp_estimate(argv=None):
     args = p.parse_args(argv)
     params = {"r": args.r, "N": args.N, "nu": args.nu, "oracle": args.oracle, "pad": args.pad,
               "N_inner": args.N_inner, "past": args.past, "saw_boundary": args.saw_boundary}
-    if args.M_outer:
+    if args.M_outer is not None:
         params["M_outer"] = args.M_outer
     _console(args, {"experiment": "kp-estimate", "model": args.model, "params": params, "seed": args.seed})
 
 
 def main_saw_marginal(argv=None):
-    p = argparse.ArgumentParser(prog="saw-marginal", description="Hardcore root marginal via the SAW tree")
+    p = argparse.ArgumentParser(prog="saw-marginal", description="Exact hardcore root marginal of a finite graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float)

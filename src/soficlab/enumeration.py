@@ -139,7 +139,7 @@ def has_admissible_filling(graph, structure, pins, symbols=None, node_budget=Non
     return False if completed else None
 
 
-def _factors(graph, structure, potential, pins, windows=None):
+def _factors(graph, structure, potential, pins, extra=None):
     """Log-weight tables of the Boltzmann weight, one per scope.
 
     A scope is a sorted tuple of unpinned sites, each over the whole
@@ -153,9 +153,9 @@ def _factors(graph, structure, potential, pins, windows=None):
     of these objects, h itself or a 0-d slice of one (never a copy), so that
     `_eliminate` scales each distinct object once; a scope with several
     terms holds their sum, added in site then edge order.  No table is
-    written in place.  `windows` = (allowed, scopes) adds one 0/-inf factor
-    per scope of distinct sites: a view of one table, 0 on the patterns of
-    allowed, sliced at the pins and its axes put in site order.
+    written in place.  `extra` adds further (scope, log-table) factors, one
+    axis per site of the scope (distinct sites): views sliced at the pins,
+    their axes put in site order.
     """
     a = structure.alphabet
     h = np.zeros(a) if potential is None else potential.h
@@ -193,13 +193,9 @@ def _factors(graph, structure, potential, pins, windows=None):
             add((j,), rows[pi])
         else:
             add((), log[pi, pj, ...])
-    if windows:
-        allowed, scopes = windows
-        window = np.full((a,) * len(scopes[0]), -np.inf)
-        window[tuple(np.array(list(allowed), dtype=np.intp).reshape(-1, window.ndim).T)] = 0.0
-        for scope in scopes:
-            free = [i for i in scope if i not in pins]
-            add(tuple(sorted(free)), window[tuple(pins.get(i, slice(None)) for i in scope)].transpose(np.argsort(free)))
+    for scope, table in extra or ():
+        free = [i for i in scope if i not in pins]
+        add(tuple(sorted(free)), table[(*[pins.get(i, slice(None)) for i in scope], ...)].transpose(np.argsort(free)))
     return logs
 
 
@@ -262,7 +258,7 @@ def _mean_term(factors, energies, out):
                for j, g in enumerate(energies))
 
 
-def _eliminate(graph, structure, potential, pins, keep, windows=None, energy=False):
+def _eliminate(graph, structure, potential, pins, keep, extra=None, energy=False):
     """Min-degree variable elimination of every unpinned site outside keep.
 
     Returns (log_scale, table, energy_table), where exp(log_scale) * table
@@ -273,16 +269,15 @@ def _eliminate(graph, structure, potential, pins, keep, windows=None, energy=Fal
     L), 0 where f is; a bucket's energy takes one contraction per factor
     with its energy in place of its value; scaling divides both parts;
     merging gives (f1 f2, f1 g2 + g1 f2).  The values are the same bytes
-    either way.  The final table and windows (as in `_factors`) are checked
-    against ELIMINATION_TABLE_CAP first, each message as `_plan` reaches it,
-    all before any table is contracted.  Each bucket comes from an index
-    from sites to scopes, in the order the scopes entered the factor set.
+    either way.  The final table is checked against ELIMINATION_TABLE_CAP
+    first, each message as `_plan` reaches it, all before any table is
+    contracted.  Each bucket comes from an index from sites to scopes, in
+    the order the scopes entered the factor set.
     """
     a = structure.alphabet
     out = [i for i in keep if i not in pins]
-    windows_wide = [len(scope) for scope in windows[1]] if windows else []
-    _check_width(max([len(out), *windows_wide]), a)
-    logs = _factors(graph, structure, potential, pins, windows)
+    _check_width(len(out), a)
+    logs = _factors(graph, structure, potential, pins, extra)
     steps = _plan(logs, [i for i in range(graph.n) if i not in pins], out, a)
     log_scale = 0.0
     factors, energies = {}, {}
@@ -334,28 +329,29 @@ def _eliminate(graph, structure, potential, pins, keep, windows=None, energy=Fal
     return log_scale, table, _mean_term(final, list(energies.values()), out) if energy else None
 
 
-def log_partition(graph, structure, potential, pins=None, windows=None) -> float:
+def log_partition(graph, structure, potential, pins=None, extra=None) -> float:
     """log Z given the pins, -inf when they admit no configuration;
-    `windows` as in `_factors`."""
-    res = _eliminate(graph, structure, potential, pins or {}, [], windows)
+    `extra` as in `_factors`."""
+    res = _eliminate(graph, structure, potential, pins or {}, [], extra)
     return -math.inf if res is None else res[0] + math.log(float(res[1]))
 
 
-def log_partition_and_mean(graph, structure, potential, pins=None, windows=None) -> tuple[float, float]:
+def log_partition_and_mean(graph, structure, potential, pins=None, extra=None) -> tuple[float, float]:
     """log Z, the same bytes as `log_partition`, and the Gibbs mean of the
     log-weight (the mean energy) from the same plan carrying (value, energy)
     pairs; (-inf, nan) when the pins admit no configuration."""
-    res = _eliminate(graph, structure, potential, pins or {}, [], windows, energy=True)
+    res = _eliminate(graph, structure, potential, pins or {}, [], extra, energy=True)
     if res is None:
         return -math.inf, math.nan
     log_scale, z, mean = res
     return log_scale + math.log(float(z)), float(mean) / float(z)
 
 
-def site_marginal(graph, structure, potential, site: int, pins=None) -> np.ndarray:
-    """Exact marginal distribution of one site given the pins."""
+def site_marginal(graph, structure, potential, site: int, pins=None, extra=None) -> np.ndarray:
+    """Exact marginal distribution of one site given the pins, `extra` as
+    in `_factors`; nan when the pins admit no configuration."""
     pins = pins or {}
-    res = _eliminate(graph, structure, potential, pins, [site])
+    res = _eliminate(graph, structure, potential, pins, [site], extra)
     if res is None:
         return np.full(structure.alphabet, np.nan)
     if site in pins:

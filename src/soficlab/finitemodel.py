@@ -101,6 +101,13 @@ class DerivedSpace:
                 keep.add(values)
         return keep
 
+    @cached_property
+    def _window_table(self) -> np.ndarray:
+        """0 on the patterns of `_admissible_windows`, -inf elsewhere: one axis per element of B_2."""
+        table = np.full((self.structure.alphabet,) * len(self.mm_ball), -np.inf)
+        table[tuple(np.array(list(self._admissible_windows), dtype=np.intp).reshape(-1, table.ndim).T)] = 0.0
+        return table
+
 
 def pullback(space: DerivedSpace, x: np.ndarray, v: int, r: int) -> Pattern:
     """The B_r pullback name of x at v: pattern g -> x(sigma^g(v))."""
@@ -262,16 +269,16 @@ def partition_exact(space: DerivedSpace, energy: bool = True) -> PartitionResult
     """Exact log Z by elimination over the labeled sofic graph, the bytes of
     `enumeration.log_partition`, and with `energy` the mean energy (the
     Gibbs mean of the log-weight) from the same plan, else nan.  Without a
-    safe symbol each window-good vertex adds a factor over its B_2 window,
-    from `_admissible_windows`.  A plan past the elimination table cap is a
+    safe symbol each window-good vertex adds `_window_table` over its B_2
+    window as a factor.  A plan past the elimination table cap is a
     CapExceededError; an empty space gives log Z = -inf and a nan energy."""
     args = (enumeration.SiteGraph.from_sofic(space.sm), space.structure, space.potential)
     windows = None
-    if space.safe_symbol is None and space.mm_good.size:
-        windows = (space._admissible_windows, [tuple(space._window_arrays[:, v]) for v in space.mm_good])
+    if space.safe_symbol is None:
+        windows = [(tuple(space._window_arrays[:, v]), space._window_table) for v in space.mm_good]
     if not energy:
-        return PartitionResult(enumeration.log_partition(*args, windows=windows), "exact")
-    log_z, mean = enumeration.log_partition_and_mean(*args, windows=windows)
+        return PartitionResult(enumeration.log_partition(*args, extra=windows), "exact")
+    log_z, mean = enumeration.log_partition_and_mean(*args, extra=windows)
     return PartitionResult(log_z, "exact", mean_energy=mean)
 
 

@@ -240,14 +240,13 @@ def uniform_bound_c(
     |A|^(-|M|^4) e^(-2|phi||M|^4) |A|^(-|M|^6) with |M| = |B_1|.
 
     Every conditional comes from the `auto` oracle of `marginals.make_oracle`
-    at pad 3; the ball oracle is budgeted by ball size.  Conditionings are
+    at pad 3; the ball oracle is bounded, like every elimination, by its
+    plan's table cap alone (CapExceededError).  Conditionings are
     core-valued pins on subsets of B_r minus the center, in ball order; those
     whose pins break the relation on an edge between two pinned sites are
     skipped, and the rows of all the others go to the oracle in one batch.
     """
     oracle = make_oracle("auto", structure, potential, spec, r, pad=3)
-    if oracle.name == "ball" and len(oracle.ball) > 45:
-        raise BudgetExceededError("ball too large for enumeration-backed c estimate")
     b = groups.ball(spec, r)
     a = structure.alphabet
     core = core_symbols(structure)

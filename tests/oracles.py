@@ -89,6 +89,51 @@ def brute_hardcore_marginal(adj, v, lam, pins):
     return num / den
 
 
+def random_connected_graph(rng, n):
+    """Sorted adjacency lists of a random tree on n vertices (each vertex
+    joined to an earlier one) plus up to n - 1 random extra edges."""
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(int(rng.integers(0, n))):
+        u, v = rng.integers(0, n, 2)
+        if u != v:
+            adj[int(u)].add(int(v))
+            adj[int(v)].add(int(u))
+    return [sorted(s) for s in adj]
+
+
+def grid_hardcore_marginal(rows, cols, root, lam, pins):
+    """P(root occupied) of hardcore on the rows x cols grid graph (vertex
+    i * cols + j) by a transfer from row to row over the independent sets of
+    one row, as bitmasks; pins map vertices to 0 or 1, lam is a scalar or one
+    activity per vertex.  The full and the root-occupied vectors are scaled
+    by the same factor each row."""
+    lams = list(lam) if hasattr(lam, "__getitem__") else [lam] * (rows * cols)
+    states = [s for s in range(1 << cols) if not s & (s >> 1)]
+    compatible = np.array([[not s & t for t in states] for s in states], dtype=float)
+
+    def weights(i, forced):
+        w = np.ones(len(states))
+        for k, s in enumerate(states):
+            for j in range(cols):
+                v, bit = i * cols + j, s >> j & 1
+                if pins.get(v, bit) != bit or forced and v == root and not bit:
+                    w[k] = 0.0
+                elif bit:
+                    w[k] *= lams[v]
+        return w
+
+    full, occupied = weights(0, False), weights(0, True)
+    for i in range(1, rows):
+        scale = full.sum()
+        full = weights(i, False) * (compatible @ full) / scale
+        occupied = weights(i, True) * (compatible @ occupied) / scale
+    return float(occupied.sum() / full.sum())
+
+
 def golden_pressure():
     return math.log((1 + math.sqrt(5)) / 2)
 

@@ -471,24 +471,57 @@ def test_overflowing_tail_bound_is_schema_error_before_any_sweep(experiment, tmp
 
 
 def test_refused_budget_fails_before_the_estimate(tmp_path, monkeypatch, capsys):
-    """The truncation budget is computed before the estimate: on F_2 Ising
-    the c estimate asks the ball oracle at pad 3 for B_4, 161 sites, and
-    `kp-estimate` exits 4 with BudgetExceededError without running the
-    estimator."""
+    """The truncation budget is computed before the estimate: on Z^3
+    hardcore beta(1) needs the 2^18 boundary patterns of an 18-site shell,
+    past SSM_BOUNDARY_PATTERNS, and `kp-estimate` exits 4 with
+    BudgetExceededError without running the estimator."""
     def no_estimate(*args, **kwargs):
         raise AssertionError("the estimate ran")
 
+    path = tmp_path / "hardcore_z3.json"
+    path.write_text(json.dumps(hardcore_model_dict("Zd", 3, 1.0)))
+    monkeypatch.setattr(cli, "kp_pressure_at_fixed_point", no_estimate)
+    with pytest.raises(SystemExit) as exc:
+        main_kp_estimate(["--model", str(path), "--oracle", "ball", "--pad", "1", "--r", "2", "--N", "20000"])
+    assert exc.value.code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceededError"
+
+
+def test_f2_ising_gets_a_truncation_budget(tmp_path, capsys):
+    """c on B_1 of F_2 Ising asks the ball oracle at pad 3 for B_4, 161
+    sites of a tree, which elimination answers: `kp-estimate` writes a
+    record with a finite budget where it once exited 4 at a 45-site limit."""
     names = ("a", "b")
     path = tmp_path / "ising_f2.json"
     path.write_text(json.dumps({
         "group": {"kind": "Free", "k": 2}, "alphabet": 2,
         "relations": {n: [[True, True], [True, True]] for n in names}, "vertex_log_weights": [0.0, 0.1],
         "edge_log_weights": {n: [[0.3, -0.3], [-0.3, 0.3]] for n in names}}))
-    monkeypatch.setattr(cli, "kp_pressure_at_fixed_point", no_estimate)
+    main_kp_estimate(["--model", str(path), "--oracle", "ball", "--pad", "1", "--r", "2", "--N", "2000"])
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert (out["budget_beta"], out["budget_c"]) == (0.6867276119982335, 0.07585818002124356)
+    assert out["budget_total"] == pytest.approx(27.158347793445, rel=1e-12)
+
+
+@pytest.mark.parametrize("main_fn", [main_pressure, main_entropy])
+def test_non_integer_size_is_a_usage_error(main_fn, hc_model, capsys):
+    """`--sizes 8.5` is argparse's usage error (exit 2) naming --sizes, not a
+    ValueError traceback."""
     with pytest.raises(SystemExit) as exc:
-        main_kp_estimate(["--model", str(path), "--oracle", "ball", "--pad", "1", "--r", "2", "--N", "20000"])
-    assert exc.value.code == 4
-    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceededError"
+        main_fn(["--model", hc_model, "--builder", "torus", "--sizes", "8,8.5"])
+    assert exc.value.code == 2
+    assert "--sizes" in capsys.readouterr().err
+
+
+def test_m_outer_zero_is_refused(hc_model, capsys):
+    """`--M-outer 0` reaches the schema, which refuses it as it refuses 1
+    (exit 2), in place of running with the default M_outer."""
+    for m_outer in ("0", "1"):
+        with pytest.raises(SystemExit) as exc:
+            main_kp_estimate(["--model", hc_model, "--nu", "mu", "--M-outer", m_outer, "--r", "2", "--N", "400"])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and "M_outer" in err["message"]
 
 
 def test_record_names_the_kernel_backend(hc_model):

@@ -315,6 +315,17 @@ def test_uniform_bound_and_ising_profile_are_pinned():
     assert uniform_bound_c(st, pot, Z2, 1).c_hat == 0.07585818002124356
 
 
+def test_f2_ising_beta_and_c_are_pinned():
+    """On F_2 Ising c on B_1 asks the ball oracle at pad 3 for B_4 (161
+    sites, a tree), bounded by the elimination plan alone since the 45-site
+    limit went; beta(1) is the budget's other half."""
+    J = np.array([[0.3, -0.3], [-0.3, 0.3]])
+    st, pot = full_shift(2, 2), Potential(np.array([0.0, 0.1]), np.array([J, J]))
+    F2 = groups.free(2)
+    assert ssm_profile(st, pot, F2, 1).tolist() == [0.6867276119982335]
+    assert uniform_bound_c(st, pot, F2, 1).c_hat == 0.07585818002124356
+
+
 def test_uniform_bound():
     st, pot = HC1
     ub = uniform_bound_c(st, pot, Z1, 2)

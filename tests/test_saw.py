@@ -13,7 +13,7 @@ from soficlab.saw import (
     weitz_threshold,
 )
 
-from oracles import brute_hardcore_marginal
+from oracles import brute_hardcore_marginal, random_connected_graph
 
 
 def test_single_vertex():
@@ -70,26 +70,12 @@ def test_saw_tree_past_its_cap_is_budget_error(monkeypatch):
         build_saw_tree(k5, 0)
 
 
-def _random_connected_graph(rng, n):
-    adj = [set() for _ in range(n)]
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        adj[u].add(v)
-        adj[v].add(u)
-    for _ in range(int(rng.integers(0, n))):
-        u, v = rng.integers(0, n, 2)
-        if u != v:
-            adj[int(u)].add(int(v))
-            adj[int(v)].add(int(u))
-    return [sorted(s) for s in adj]
-
-
 def test_weitz_exactness_random_graphs():
     """SAW marginal equals brute-force enumeration, with random consistent pins."""
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        adj = _random_connected_graph(rng, n)
+        adj = random_connected_graph(rng, n)
         lam = float(rng.choice([0.5, 1.0, 2.0]))
         root = int(rng.integers(0, n))
         pins = {}
@@ -108,7 +94,7 @@ def test_weitz_exactness_per_vertex_activities():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(2, 8))
-        adj = _random_connected_graph(rng, n)
+        adj = random_connected_graph(rng, n)
         lams = rng.uniform(0.3, 2.0, n)
         root = int(rng.integers(0, n))
         p_saw = hardcore_marginal_via_saw(adj, root, lams)
