@@ -14,11 +14,13 @@ bitwise between backends.  `transfer_lookup` and
 backends: the C percolation lookup reads the table entry per row that
 `transfer_lookup` reads, and the C tree kernel repeats the arithmetic of
 `tree_batch`.  The percolation twins draw the C kernels' uniforms through
-`pasts.percolation_chunks`, so the stream ends in the same state.  Both
-backends' percolation kernels first refuse, through `check_rows` and
-`check_patterns`, rows that do not fit and a pattern that some past could
-make an error, before any draw and whatever their chunks and seed; past
-those checks they raise nothing and leave the stream where their draws do.
+`pasts.percolation_chunks` and hand their conditionals to the caller's
+consumer in the chunks of `pasts.percolation_rows`, so the stream ends in
+the same state.  Both backends' percolation kernels first refuse, through
+`check_rows` and `check_patterns`, rows that do not fit and a pattern that
+some past could make an error, before any draw and whatever their chunks
+and seed; past those checks only the consumer can raise, and the stream
+ends where the whole call's draws leave it.
 """
 
 from typing import NamedTuple
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InconsistentPinsError
-from .pasts import percolation_chunks
+from .pasts import percolation_rows
 
 # the most uniforms the sweep draws from a stream at once, 128 KB of
 # float64: enough sweeps per draw to amortise it on small graphs, without a
@@ -208,18 +210,24 @@ def check_patterns(patterns, a: int, edges=None):
         raise clash_error(*(int(i) for i in edges[clash[clash.any(axis=1).argmax()].argmax()]))
 
 
-def check_rows(patterns, n_inner: int, out):
-    """Refuse, before any draw, patterns without a center column, or an
-    out that does not hold exactly n_inner >= 1 rows per pattern."""
-    if patterns.shape[1] < 1 or n_inner < 1 or len(out) != len(patterns) * n_inner:
-        raise ValueError(f"{len(out)} rows do not fit {len(patterns)} patterns of width {patterns.shape[1]} "
-                         f"at {n_inner} per pattern")
+def check_rows(patterns, n_inner: int, consume, unit: int):
+    """Refuse, before any draw, patterns without a center column, n_inner
+    < 1, a consume that is not callable, or a consumer's unit that does not
+    divide the n_inner rows per pattern into whole units."""
+    if not callable(consume):
+        raise ValueError(f"consume must be callable, not {type(consume).__name__}")
+    n = len(patterns) * n_inner
+    if patterns.shape[1] < 1 or n_inner < 1 or unit < 1 or n % unit:
+        raise ValueError(f"{n} rows of {len(patterns)} patterns of width {patterns.shape[1]} at {n_inner} "
+                         f"per pattern do not fit units of {unit} rows")
 
 
-def percolation_lookup(patterns, n_inner, sides, tables, rng, out):
-    """out[i] = the transfer lookup of patterns[i // n_inner] under the
-    i-th of len(out) = len(patterns) * n_inner percolation pasts drawn from
-    rng, each past on the pattern's own columns.
+def percolation_lookup(patterns, n_inner, sides, tables, rng, consume, unit=1):
+    """consume(lo, hi, p), p[i] the transfer lookup of row lo + i: pattern
+    (lo + i) // n_inner under the (lo + i)-th of len(patterns) * n_inner
+    percolation pasts drawn from rng, each past on the pattern's own
+    columns, in the chunks of `pasts.percolation_rows`, split at multiples
+    of unit.
 
     Before any draw, `checked_stream` refuses an rng that is not a
     `kernels.Pcg64`, `check_rows` rows that do not fit, `check_patterns` a
@@ -228,12 +236,12 @@ def percolation_lookup(patterns, n_inner, sides, tables, rng, out):
     each chunk is read through `transfer_lookup`.
     """
     checked_stream(rng)
-    check_rows(patterns, n_inner, out)
+    check_rows(patterns, n_inner, consume, unit)
     check_patterns(patterns, tables.shape[0])
     if (sides < 0).any():
         raise column_error()
-    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, rng):
-        out[start:stop] = transfer_lookup(rows, masks, sides, tables)
+    percolation_rows(patterns, n_inner, rng, lambda rows, masks: transfer_lookup(rows, masks, sides, tables),
+                     consume, unit)
 
 
 class Tree(NamedTuple):
@@ -310,15 +318,14 @@ def tree_batch(values, masks, tree: Tree):
     return np.where(values[:, 0] == 1, p_occ, 1.0 - p_occ)
 
 
-def tree_percolation(patterns, n_inner, tree: Tree, rng, out):
-    """out[i] = the `tree_batch` conditional of patterns[i // n_inner]
-    under the i-th of len(out) percolation pasts drawn from rng, as
-    `percolation_lookup` draws them.  An rng that is not a `kernels.Pcg64`,
-    rows that do not fit, and a symbol outside {0, 1} or two adjacent 1s
-    anywhere in the patterns, are refused by `checked_stream`, `check_rows`
-    and `check_patterns` before any draw."""
+def tree_percolation(patterns, n_inner, tree: Tree, rng, consume, unit=1):
+    """consume(lo, hi, p), p[i] the `tree_batch` conditional of pattern
+    (lo + i) // n_inner under the (lo + i)-th percolation past drawn from
+    rng, drawn and handed over as `percolation_lookup` does.  An rng that
+    is not a `kernels.Pcg64`, rows that do not fit, and a symbol outside
+    {0, 1} or two adjacent 1s anywhere in the patterns, are refused by
+    `checked_stream`, `check_rows` and `check_patterns` before any draw."""
     checked_stream(rng)
-    check_rows(patterns, n_inner, out)
+    check_rows(patterns, n_inner, consume, unit)
     check_patterns(patterns, 2, tree.edges)
-    for start, stop, rows, masks in percolation_chunks(patterns, n_inner, rng):
-        out[start:stop] = tree_batch(rows, masks, tree)
+    percolation_rows(patterns, n_inner, rng, lambda rows, masks: tree_batch(rows, masks, tree), consume, unit)

@@ -24,15 +24,21 @@ compiled sweep tabulates the cumulative candidate weights of every
 neighbourhood key once per call and reads one row per site update, unless
 the table would pass SWEEP_TABLE_CAP doubles or outnumber the call's
 updates; `_sweep_table_keys` decides, and the C kernel takes its key
-count.  The percolation kernels take C-contiguous patterns only, n_inner
-rows per pattern, each row's past drawn on the pattern's own sites, and
-both backends refuse a pattern that some past could make an error before
-any draw (`_glauber_py.check_patterns`), so past their checks they cannot
-fail.  A call's rows run in contiguous ranges, one per usable core and at
-least ROWS_PER_WORKER rows each, on threads; a row takes exactly as many
-steps of the PCG64 as its pattern has columns, so each range starts from
-the state advanced past the rows before it by an exact jump, and the
-results and the end state are the single call's (`_run_on_pcg64`).  On the
+count.  The percolation kernels take C-contiguous integer patterns only,
+n_inner rows per pattern, each row's past drawn on the pattern's own
+sites, and both backends refuse a pattern that some past could make an
+error before any draw (`_glauber_py.check_patterns`), so past their checks
+they cannot fail.  They hold no array of every row's result: each hands the
+conditionals of a chunk of at most `pasts.CHUNK_FLOATS` rows to the
+caller's consume(lo, hi, p) as soon as the chunk is done, in chunks that
+start at multiples of the caller's unit.  A call's rows run in contiguous
+ranges, one per usable core and at least ROWS_PER_WORKER rows each, split
+at multiples of the unit, on threads; each range runs its chunks through
+one buffer and calls consume itself, converting only its chunk's patterns
+to int64.  A row takes exactly as many steps of the PCG64 as its pattern
+has columns, so each range starts from the state advanced past the rows
+before it by an exact jump, and the conditionals and the end state are the
+single call's (`_run_on_pcg64`).  On the
 first import, `_glauber.c` is compiled once into the user cache,
 `$XDG_CACHE_HOME/soficlab` or `~/.cache/soficlab`, as one shared library
 whose name is keyed by a CRC-32 of the source, the compiler flags and the
@@ -61,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _glauber_py
+from . import _glauber_py, pasts
 
 _SOURCE = Path(__file__).with_name("_glauber.c")
 # no FMA contraction: a fused multiply-add rounds once, Python rounds twice;
@@ -481,17 +487,16 @@ def _checked_geometry(sides, tables) -> tuple:
     return r_max, a
 
 
-def _checked_percolation(patterns, n_inner, rng, out) -> tuple:
-    """(width, n, n_inner) of the arguments both C percolation kernels
+def _checked_percolation(patterns, n_inner, rng, consume, unit) -> tuple:
+    """(width, n_inner, unit) of the arguments both C percolation kernels
     share, checked as `_c_percolation_lookup` says."""
-    _, L = _checked_shape("patterns", patterns, _I64, 2)
-    (n,) = _checked_shape("out", out, _F64, 1)
-    if not out.flags.writeable:
-        raise ValueError("out must be writeable")
-    n_inner = operator.index(n_inner)
-    _glauber_py.check_rows(patterns, n_inner, out)
+    if not (isinstance(patterns, np.ndarray) and patterns.dtype.kind in "iu" and patterns.ndim == 2
+            and patterns.flags.c_contiguous):
+        raise ValueError("patterns must be a C-contiguous 2-d integer array")
+    n_inner, unit = operator.index(n_inner), operator.index(unit)
+    _glauber_py.check_rows(patterns, n_inner, consume, unit)
     _glauber_py.checked_stream(rng)
-    return L, n, n_inner
+    return patterns.shape[1], n_inner, unit
 
 
 def _workspace(size: int, dtype) -> np.ndarray:
@@ -512,50 +517,85 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _row_bounds(n: int) -> list:
-    """The bounds of W contiguous ranges of n rows, W = min(usable cores,
-    n // ROWS_PER_WORKER) and at least 1."""
-    w = max(1, min(_usable_cores(), n // ROWS_PER_WORKER))
-    return [n * k // w for k in range(w + 1)]
+def _row_bounds(n: int, unit: int = 1) -> list:
+    """The bounds of W contiguous ranges of n rows, each a whole number of
+    units of rows (unit divides n), W = min(usable cores, n //
+    ROWS_PER_WORKER, n // unit) and at least 1."""
+    units = n // unit
+    w = max(1, min(_usable_cores(), n // ROWS_PER_WORKER, units))
+    return [unit * (units * k // w) for k in range(w + 1)]
 
 
-def _run_on_pcg64(kernel, range_args, n: int, width: int, rng):
-    """Run the C percolation kernel over n rows of patterns of the given
-    width on the Pcg64 rng, in the ranges of `_row_bounds`.
+def _run_on_pcg64(kernel, geometry, workspaces, patterns, n_inner, rng, consume, unit):
+    """Run the C percolation kernel over the n = len(patterns) * n_inner
+    rows of the C-contiguous integer patterns on the Pcg64 rng, in the
+    ranges of `_row_bounds(n, unit)`, and hand every chunk of conditionals
+    to consume(lo, hi, p).
 
-    range_args(start, stop) gives the kernel's arguments for rows start to
-    stop, up to pcg and jump; each range has its own workspaces.  pcg is a
-    PCG64 state and increment as four uint64 words, low word first, which
-    the kernel advances; jump is its workspace of width + 1 jumps.  A row
-    takes exactly width steps, so range w starts from rng's state advanced
-    by start_w * width steps (`_jumped`) and draws what the serial call
-    draws for those rows.  The calling thread runs the first
-    range and one thread each the others; ctypes releases the GIL, and
-    every thread is joined before this returns or raises.  A kernel sets a
-    non-zero status only before its first draw, from arguments every range
-    shares: then this raises its ValueError and leaves rng as it was; else
-    rng ends in the last range's end state, the serial call's.  rng's lock
-    is held throughout.
+    Range k runs its rows in chunks of `pasts.chunk_rows(unit)` rows, the
+    last one fewer, through one buffer of its own; for each chunk it
+    converts the chunk's patterns alone to int64, calls the kernel as
+    kernel(patterns, width, n_inner, row offset, rows, *geometry, out,
+    *workspaces, pcg, jump), and then calls consume itself, in its own
+    thread, with p a view of the buffer that consume may overwrite.
+    workspaces gives the (size, dtype) of each per-range workspace
+    (`_workspace`).  pcg is a PCG64 state and increment as four uint64
+    words, low word first, which the kernel advances; jump is its workspace
+    of width + 1 jumps.  A row takes exactly width steps, so range k starts
+    from rng's state advanced by start_k * width steps (`_jumped`) and
+    draws what the serial call draws for those rows.  The calling thread
+    runs the first range and one thread each the others; ctypes releases
+    the GIL, and every thread is joined before this returns or raises.
+
+    A kernel sets a non-zero status only before its first draw, from
+    arguments every range shares: then this raises its ValueError and
+    leaves rng as it was.  A range whose consume raises runs no further
+    chunk; once every range is joined, the error of the lowest such range,
+    that of the lowest row that consume refused, is raised, and rng ends
+    where the whole call leaves it, as it does after a call that consumes
+    every chunk: at the last range's end state, the serial call's.  rng's
+    lock is held throughout.
     """
-    bounds = _row_bounds(n)
+    n, width = len(patterns) * n_inner, patterns.shape[1]
+    bounds = _row_bounds(n, unit)
     w = len(bounds) - 1
+    step = pasts.chunk_rows(unit)
     pcg = np.empty((w, 4), np.uint64)
     jump = np.empty((w, 4 * (width + 1)), np.uint64)
-    calls = [(*range_args(start, stop), _data(pcg[k]), _data(jump[k]))
-             for k, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
     status = [None] * w
+    errors = [None] * w
 
     def run(k):
-        status[k] = kernel(*calls[k])
+        lo, hi = bounds[k], bounds[k + 1]
+        out = _workspace(min(step, hi - lo), np.float64)
+        spaces = [_data(_workspace(size, dtype)) for size, dtype in workspaces]
+        words = _data(pcg[k]), _data(jump[k])
+        for start in range(lo, max(hi, lo + 1), step):  # a range of no rows still checks its arguments
+            stop = min(start + step, hi)
+            first = start // n_inner
+            rows = np.ascontiguousarray(patterns[first:(stop - 1) // n_inner + 1], dtype=np.int64)
+            p = out[:stop - start]
+            code = kernel(_data(rows), width, n_inner, start - first * n_inner, stop - start, *geometry,
+                          _data(p), *spaces, *words)
+            if code:
+                status[k] = code
+                return
+            if stop == start:  # no rows: the call only checked the arguments
+                break
+            try:
+                consume(start, stop, p)
+            except Exception as exc:
+                errors[k] = exc
+                break
+        status[k] = 0
 
     with rng.lock:
         pcg[:] = rng.words
-        if w > 1:
-            ints = rng._ints()
-            start = ints["state"]
-            for k in range(1, w):
-                start = _jumped(start, ints["inc"], (bounds[k] - bounds[k - 1]) * width)
-                pcg[k, :2] = [start & _WORD, start >> 64]
+        ints = rng._ints()
+        start = ints["state"]
+        for k in range(1, w):
+            start = _jumped(start, ints["inc"], (bounds[k] - bounds[k - 1]) * width)
+            pcg[k, :2] = [start & _WORD, start >> 64]
         threads = []
         try:
             for k in range(1, w):
@@ -570,56 +610,61 @@ def _run_on_pcg64(kernel, range_args, n: int, width: int, rng):
             raise RuntimeError("a percolation kernel thread did not return")
         if any(status):
             raise ValueError(_C_ERRORS[max(status)])
+        failed = [exc for exc in errors if exc is not None]
+        if failed:
+            end = _jumped(ints["state"], ints["inc"], n * width)
+            rng.words[:2] = [end & _WORD, end >> 64]
+            raise failed[0]
         rng.words[:2] = pcg[-1, :2]
 
 
-def _c_percolation_lookup(patterns, n_inner, sides, tables, rng, out):
-    """out[i] = the lookup of patterns[i // n_inner] under the i-th of
-    len(out) percolation pasts drawn from rng, with the C kernel.
+def _c_percolation_lookup(patterns, n_inner, sides, tables, rng, consume, unit=1):
+    """consume(lo, hi, p), p[i] the lookup of row lo + i: pattern
+    (lo + i) // n_inner under the (lo + i)-th of len(patterns) * n_inner
+    percolation pasts drawn from rng, with the C kernel.
 
     The arguments are those of `_glauber_py.percolation_lookup`:
-    C-contiguous int64 patterns of width L >= 1; n_inner >= 1;
-    C-contiguous int64 sides of shape (2, R) and float64 tables of shape
-    (a, R+1, a, R+1, a); a `Pcg64` rng; and a writeable C-contiguous
-    float64 out of exactly len(patterns) * n_inner rows.  The pasts are the
-    rows of `rng.random((len(out), L))`: the kernel steps rng's words
-    itself, draws of each row only the columns it scans for the nearest
-    pins, each by its own exact jump, and leaves rng where that call would.
-    The rows run in the ranges of `_run_on_pcg64` and give bitwise the
-    single call's out and end state.  Everything the C
-    code trusts is checked here first, before any draw, and the symbols by
-    `_glauber_py.check_patterns`, so nothing fails after the first draw;
-    the C code checks every side column it reads.  Any failure is a
-    ValueError, a symbol or side column the twin's, and leaves rng as it
-    was.
+    C-contiguous patterns of any integer dtype and of width L >= 1;
+    n_inner >= 1; C-contiguous int64 sides of shape (2, R) and float64
+    tables of shape (a, R+1, a, R+1, a); a `Pcg64` rng; a callable consume;
+    and a unit >= 1 that divides the rows.  The pasts are the rows of
+    `rng.random((n, L))`: the kernel steps rng's words itself, draws of
+    each row only the columns it scans for the nearest pins, each by its
+    own exact jump, and leaves rng where that call would.  The rows run in
+    the ranges and chunks of `_run_on_pcg64`, whose threads call consume,
+    and give bitwise the single call's conditionals and end state.
+    Everything the C code trusts is checked here first, before any draw,
+    and the symbols by `_glauber_py.check_patterns`, so nothing but
+    consume fails after the first draw; the C code checks every side
+    column it reads.  Any failure before the first draw is a ValueError, a
+    symbol or side column the twin's, and leaves rng as it was.
     """
-    L, n, n_inner = _checked_percolation(patterns, n_inner, rng, out)
+    L, n_inner, unit = _checked_percolation(patterns, n_inner, rng, consume, unit)
     r_max, a = _checked_geometry(sides, tables)
     _glauber_py.check_patterns(patterns, a)
-    _run_on_pcg64(_c_percolation, lambda start, stop: (
-        _data(patterns), L, n_inner, start, stop - start, _data(sides), r_max,
-        _data(tables), a, _data(out[start:stop])), n, L, rng)
+    _run_on_pcg64(_c_percolation, (_data(sides), r_max, _data(tables), a), (),
+                  patterns, n_inner, rng, consume, unit)
 
 
-def _c_tree_percolation(patterns, n_inner, tree, rng, out):
-    """out[i] = the hardcore conditional of the center of
-    patterns[i // n_inner] under the i-th of len(out) percolation pasts
+def _c_tree_percolation(patterns, n_inner, tree, rng, consume, unit=1):
+    """consume(lo, hi, p), p[i] the hardcore conditional of the center of
+    pattern (lo + i) // n_inner under the (lo + i)-th percolation past
     drawn from rng, by the C tree kernel.
 
     The arguments are those of `_glauber_py.tree_percolation`: patterns,
-    n_inner, rng and out as `_c_percolation_lookup` takes them, and a
-    `_glauber_py.Tree` of C-contiguous arrays (int64 starts,
+    n_inner, rng, consume and unit as `_c_percolation_lookup` takes them,
+    and a `_glauber_py.Tree` of C-contiguous arrays (int64 starts,
     child_ptr of one more entry than lam, children and (m, 2) edges; float64
     lam and free of one length), no narrower than the patterns.  The pasts,
     their draw and the stream's end state are those of
     `_c_percolation_lookup`; a row reads only the sites whose ancestors are
-    all unpinned.  The rows run in ranges as `_c_percolation_lookup`'s do.
-    The result is bitwise the twin's, and so are the errors, each raised
-    before any draw with rng left as it was: `symbol_error` and
-    `clash_error` from `_glauber_py.check_patterns`, or a ValueError for
-    anything else the kernel cannot trust.
+    all unpinned.  The rows run in ranges and chunks as
+    `_c_percolation_lookup`'s do.  The result is bitwise the twin's, and so
+    are the errors, each raised before any draw with rng left as it was:
+    `symbol_error` and `clash_error` from `_glauber_py.check_patterns`, or
+    a ValueError for anything else the kernel cannot trust.
     """
-    L, n, n_inner = _checked_percolation(patterns, n_inner, rng, out)
+    L, n_inner, unit = _checked_percolation(patterns, n_inner, rng, consume, unit)
     (sites,) = _checked_shape("tree.lam", tree.lam, _F64, 1)
     for name, arr, dtype, ndim in (("starts", tree.starts, _I64, 1), ("child_ptr", tree.child_ptr, _I64, 1),
                                    ("children", tree.children, _I64, 1), ("free", tree.free, _F64, 1),
@@ -636,11 +681,8 @@ def _c_tree_percolation(patterns, n_inner, tree, rng, out):
     geometry = (tree.child_ptr.ctypes.data_as(_BYTE_P), tree.children.ctypes.data_as(_BYTE_P),
                 len(tree.children), deep_start, n_window, tree.lam.ctypes.data_as(_BYTE_P),
                 tree.free.ctypes.data_as(_BYTE_P))
-    _run_on_pcg64(_c_tree, lambda start, stop: (
-        _data(patterns), L, n_inner, start, stop - start, *geometry,
-        _data(out[start:stop]), _data(_workspace(n_window, np.uint8)),
-        _data(_workspace(3 * n_window, np.float64)), _data(_workspace(n_window, np.int64))),
-        n, L, rng)
+    _run_on_pcg64(_c_tree, geometry, ((n_window, np.uint8), (3 * n_window, np.float64), (n_window, np.int64)),
+                  patterns, n_inner, rng, consume, unit)
 
 
 _c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()

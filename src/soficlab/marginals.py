@@ -12,10 +12,14 @@ prefix of B_R in ball order, oracles built at a larger radius serve smaller
 queries unchanged; rows wider than an oracle's ball are a ValueError.
 
 Every oracle answers the same two calls: `batch(values, masks)` for rows
-with their masks, and `percolation_batch(patterns, n_inner, rng, out)` for
-n_inner rows per pattern whose masks are percolation pasts on the pattern's
-sites drawn from rng, which the transfer and tree oracles draw inside their
-compiled kernels.
+with their masks, and `percolation_batch(patterns, n_inner, rng, consume,
+unit)` for n_inner rows per pattern whose masks are percolation pasts on
+the pattern's sites drawn from rng, which the transfer and tree oracles
+draw inside their compiled kernels.  No oracle holds every row's
+conditional: each hands them to consume(lo, hi, p) in chunks of at most
+`pasts.CHUNK_FLOATS` rows that start at multiples of unit, the compiled
+kernels from their worker threads, so the caller keeps what it needs of
+each chunk and memory does not grow with the rows.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
 from .groups import GroupSpec
-from .pasts import percolation_chunks
+from .pasts import percolation_rows
 from .transfer import build_transfer
 
 
@@ -68,19 +72,29 @@ class TransferOracle:
         _check_width(values.shape[-1], len(self.offsets), self.r_max)
         return transfer_lookup(values, np.asarray(masks, dtype=bool), self.sides, self.tables)
 
-    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, out: np.ndarray):
-        """out[k] = the conditional of the center of patterns[k // n_inner]
-        given the k-th of len(out) percolation pasts, drawn from rng.
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, consume, unit: int = 1):
+        """consume(lo, hi, p) with p[i] the conditional of the center of
+        row lo + i, pattern (lo + i) // n_inner, given the (lo + i)-th of n
+        = len(patterns) * n_inner percolation pasts, drawn from rng, in
+        chunks that start at multiples of unit (which divides n).
 
         For patterns on B_r the pasts are `pasts.sample_percolation_masks(spec,
-        r, len(out), rng)`, but `kernels.percolation_lookup` draws each one as
-        it reads it, so no uniforms, masks or value rows are held.  A symbol
+        r, n, rng)`, but `kernels.percolation_lookup` draws each one as it
+        reads it, so no uniforms, masks or value rows are held.  A symbol
         outside the alphabet anywhere in the patterns is `symbol_error`
         before any draw, whatever the pasts would read.
         """
-        patterns = np.ascontiguousarray(patterns, dtype=np.int64)
+        patterns = _integer_rows(patterns)
         _check_width(patterns.shape[1], len(self.offsets), self.r_max)
-        kernels.percolation_lookup(patterns, n_inner, self.sides, self.tables, rng, out)
+        kernels.percolation_lookup(patterns, n_inner, self.sides, self.tables, rng, consume, unit)
+
+
+def _integer_rows(patterns) -> np.ndarray:
+    """The patterns of `percolation_batch` as a C-contiguous array of their
+    own integer dtype, others as int64: each chunk of rows is converted to
+    int64 only as it runs, so the int8 windows of mu need no int64 copy."""
+    patterns = np.asarray(patterns)
+    return np.ascontiguousarray(patterns, dtype=None if patterns.dtype.kind in "iu" else np.int64)
 
 
 def _check_width(width: int, sites: int, radius: int):
@@ -185,22 +199,22 @@ class BallEnumerationOracle:
                 raise symbol_error(center, a)
         return out
 
-    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, out: np.ndarray):
-        """out[k] = the conditional of the center of patterns[k // n_inner]
-        given the k-th of len(out) percolation pasts, drawn from rng in the
-        chunks of `pasts.percolation_chunks`, each chunk one `batch`, whose
-        memo keys each row's pin set.  Before any draw, whatever the pasts
-        would pin, rows that do not fit are `check_rows`'s ValueError, a symbol
-        outside the alphabet anywhere in the patterns is `symbol_error`, and
-        two sites that some past could pin together into no configuration
-        are `_check_pin_pairs`'s InconsistentPinsError."""
-        patterns = np.asarray(patterns, dtype=np.int64)
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, consume, unit: int = 1):
+        """consume(lo, hi, p) as `TransferOracle.percolation_batch` calls
+        it, with the pasts drawn from rng in the chunks of
+        `pasts.percolation_rows`, each of `pasts.percolation_chunks` one
+        `batch`, whose memo keys each row's pin set.  Before any draw,
+        whatever the pasts would pin, rows that do not fit are
+        `check_rows`'s ValueError, a symbol outside the alphabet anywhere in
+        the patterns is `symbol_error`, and two sites that some past could
+        pin together into no configuration are `_check_pin_pairs`'s
+        InconsistentPinsError."""
+        patterns = _integer_rows(patterns)
         _check_width(patterns.shape[1], len(self.ball), self.r_max + self.pad)
-        check_rows(patterns, n_inner, out)
+        check_rows(patterns, n_inner, consume, unit)
         check_patterns(patterns, self.structure.alphabet)
         self._check_pin_pairs(patterns)
-        for start, stop, rows, masks in percolation_chunks(patterns, n_inner, rng):
-            out[start:stop] = self.batch(rows, masks)
+        percolation_rows(patterns, n_inner, rng, self.batch, consume, unit)
 
     def _check_pin_pairs(self, patterns: np.ndarray):
         """Refuse patterns, symbols checked, in which two non-center sites
@@ -351,16 +365,16 @@ class SawOracle:
         _check_width(values.shape[1], len(self.ball), self.r_max)
         return tree_batch(values, np.asarray(masks, dtype=bool), self.tree)
 
-    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, out: np.ndarray):
-        """out[k] = the conditional of the center of patterns[k // n_inner]
-        given the k-th of len(out) percolation pasts, drawn from rng inside
-        `kernels.tree_percolation`; the results and the generator's state
-        are those of `batch` over the masks of `pasts.percolation_chunks`.
-        A symbol outside {0, 1} or two adjacent 1s anywhere in the patterns
-        is refused before any draw, whatever the pasts would pin."""
-        patterns = np.ascontiguousarray(patterns, dtype=np.int64)
+    def percolation_batch(self, patterns: np.ndarray, n_inner: int, rng, consume, unit: int = 1):
+        """consume(lo, hi, p) as `TransferOracle.percolation_batch` calls
+        it, with the pasts drawn from rng inside `kernels.tree_percolation`;
+        the conditionals and the generator's state are those of `batch`
+        over the masks of `pasts.percolation_chunks`.  A symbol outside
+        {0, 1} or two adjacent 1s anywhere in the patterns is refused before
+        any draw, whatever the pasts would pin."""
+        patterns = _integer_rows(patterns)
         _check_width(patterns.shape[1], len(self.ball), self.r_max)
-        kernels.tree_percolation(patterns, n_inner, self.tree, rng, out)
+        kernels.tree_percolation(patterns, n_inner, self.tree, rng, consume, unit)
 
 
 def _tree_fixed_point(lam: float, degree: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import groups, pasts
+from . import groups
 from .constraints import ConstraintStructure, Potential, detect_safe_symbol
 from .errors import NoSafeSymbolError, SchemaError, ZeroProbabilityError
 from .gibbs import ssm_profile, uniform_bound_c
@@ -58,25 +58,30 @@ def info_fn_truncated(oracle, spec: GroupSpec, values, mask, r: int) -> float:
     return -math.log(_checked(p))
 
 
-def _streamed_info(oracle, patterns: np.ndarray, n_inner: int, rng) -> np.ndarray:
-    """f = -log of the oracle conditional on len(patterns) * n_inner rows.
+def _streamed_info(oracle, patterns: np.ndarray, n_inner: int, rng, means: bool = False) -> np.ndarray:
+    """f = -log of the oracle conditional on len(patterns) * n_inner rows,
+    or with means=True the mean of f over each pattern's n_inner rows.
 
     Row k pairs patterns[k // n_inner], a pattern on B_r, with the k-th
-    percolation past on B_r drawn from rng.  The oracle fills f in
-    one `percolation_batch`, which bounds its own rows in memory (the
-    transfer and tree oracles draw each past inside their kernels, the ball
-    oracle takes bounded chunks); f is then checked and logged in place, in
-    slices of at most `pasts.CHUNK_FLOATS` entries, so only the flat f
-    grows with the row count.
+    percolation past on B_r drawn from rng, in one `percolation_batch` of
+    the oracle, which hands the conditionals over in chunks of at most
+    `pasts.CHUNK_FLOATS` rows (the compiled kernels from their worker
+    threads).  Each chunk is checked and logged in place as it arrives;
+    then the rows are stored, since the mean and spread of the fixed point
+    need all of them, or, in chunks of whole patterns, each pattern's mean,
+    so that nothing of size len(patterns) * n_inner is held.
     """
-    n = len(patterns) * n_inner
-    f = np.empty(n)
-    oracle.percolation_batch(patterns, n_inner, rng, f)
-    step = pasts.CHUNK_FLOATS
-    for lo in range(0, n, step):
-        part = f[lo:lo + step]
-        np.negative(np.log(_checked(part), out=part), out=part)
-    return f
+    out = np.empty(len(patterns) if means else len(patterns) * n_inner)
+
+    def consume(lo, hi, p):
+        info = np.negative(np.log(_checked(p), out=p), out=p)
+        if means:
+            out[lo // n_inner:hi // n_inner] = info.reshape(-1, n_inner).mean(axis=1)
+        else:
+            out[lo:hi] = info
+
+    oracle.percolation_batch(patterns, n_inner, rng, consume, n_inner if means else 1)
+    return out
 
 
 def random_info(
@@ -92,9 +97,9 @@ def random_info(
 
     The percolation past draws i.i.d. uniforms on B_r; the N rows go
     through `_streamed_info`, one `percolation_batch` of the oracle, so the
-    cost in memory is the N values of f.  It needs N >= 2 pasts for a
-    standard error.  The lexicographic past (Z^d only) is deterministic, so a
-    single evaluation suffices.
+    cost in memory is the N values of f and one chunk per range.  It needs
+    N >= 2 pasts for a standard error.  The lexicographic past (Z^d only) is
+    deterministic, so a single evaluation suffices.
     """
     values = np.asarray(values, dtype=np.int64)
     L_r = len(groups.ball(spec, r).elements)
@@ -173,20 +178,21 @@ def kp_pressure_at_measure(
     M_outer patterns of the infinite-volume measure are sampled exactly from
     its transfer chain, so the group must have rank 1, and f is averaged
     over N_inner random pasts for each.  The M_outer * N_inner (pattern,
-    past) rows go through `_streamed_info` pattern-major, and no array of
-    all rows' values or masks is built.  The info
-    part alone estimates the entropy of mu.  The fixed-point estimator is
-    `kp_pressure_at_fixed_point`.
+    past) rows go through `_streamed_info` pattern-major, which keeps only
+    each pattern's mean: no array of all rows' values, masks or
+    conditionals is built, and the patterns stay in the windows' own small
+    integer dtype.  The info part alone estimates the entropy of mu.  The
+    fixed-point estimator is `kp_pressure_at_fixed_point`.
     """
     if spec.rank != 1:
         raise SchemaError("the pressure against mu samples the measure exactly only on rank-1 groups")
     rng = Pcg64([seed, r, 0x0AEA])
-    windows = build_transfer(structure, potential).sample_windows(r, M_outer, rng)
     cols = [groups.line_offset(spec, g) + r for g in groups.ball(spec, r).elements]
-    # one int64 copy in C order, the rows the compiled kernels read uncopied
-    patterns = np.ascontiguousarray(windows[:, cols], dtype=np.int64)
-    f = _streamed_info(oracle, patterns, N_inner, rng).reshape(M_outer, N_inner)
-    info_means = f.mean(axis=1)
+    # in the windows' dtype, int8 up to 127 symbols, and the windows
+    # themselves dropped: each range of the kernels converts only its own
+    # chunk of patterns to int64
+    patterns = build_transfer(structure, potential).sample_windows(r, M_outer, rng)[:, cols]
+    info_means = _streamed_info(oracle, patterns, N_inner, rng, means=True)
     phis = _potentials_at_center(potential, spec, patterns)
     totals = info_means + phis
     value = float(totals.mean())

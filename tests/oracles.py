@@ -210,6 +210,15 @@ def conditional_tables_loop(tm, r_max):
     return tab
 
 
+def into(out):
+    """A percolation consumer that stores the conditionals of every chunk in
+    out: the flat array of every row that the estimators no longer hold."""
+    def consume(lo, hi, p):
+        out[lo:hi] = p
+
+    return consume
+
+
 def sample_windows_loop(tm, r, n_samples, rng):
     """`TransferMatrix.sample_windows` with each step's symbol read as the
     number of cumulative step probabilities at or below its uniform."""
@@ -223,6 +232,22 @@ def sample_windows_loop(tm, r, n_samples, rng):
     for j in range(1, length):
         out[:, j] = (u[:, j, None] >= cum_P[out[:, j - 1]]).sum(axis=1).clip(0, a - 1)
     return out
+
+
+def sample_windows_rows(tm, r, n_samples, rng):
+    """`TransferMatrix.sample_windows` one row and one step at a time, in
+    Python ints: each symbol the number of cumulative probabilities at or
+    below its uniform, cut to a - 1."""
+    a = tm.alphabet
+    cum_pi = np.cumsum(tm.stationary())
+    cum_P = np.cumsum(tm.step_probs(), axis=1)
+    rows = []
+    for u in rng.random((n_samples, 2 * r + 1)):
+        row = [min(int(np.searchsorted(cum_pi, u[0], side="right")), a - 1)]
+        for x in u[1:]:
+            row.append(min(int(np.searchsorted(cum_P[row[-1]], x, side="right")), a - 1))
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(n_samples, 2 * r + 1)
 
 
 def sigma_word(perms, g, v, free=False):

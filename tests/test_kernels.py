@@ -23,7 +23,7 @@ from soficlab.marginals import SawOracle, TransferOracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.sampling import GlauberEngine
 
-from oracles import transfer_batch_argmin
+from oracles import into, transfer_batch_argmin
 
 needs_c = pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded")
 PERCOLATIONS = [_glauber_py.percolation_lookup] + (
@@ -393,7 +393,7 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
         for lookup in PERCOLATIONS:
             rng = Pcg64(seed)
             out = np.full(n, np.nan)
-            lookup(patterns, n_inner, oracle.sides, oracle.tables, rng, out)
+            lookup(patterns, n_inner, oracle.sides, oracle.tables, rng, into(out))
             assert np.array_equal(out, expect)
             assert rng.state == reference.state
     finally:
@@ -419,7 +419,7 @@ def test_percolation_symbol_or_column_is_one_error_on_both_backends(pattern, n, 
         rng = Pcg64(3)
         state = rng.state
         with pytest.raises(ValueError, match=message) as exc:
-            lookup(patterns, max(n, 1), sides, oracle.tables, rng, np.empty(n))
+            lookup(patterns, max(n, 1), sides, oracle.tables, rng, into(np.empty(n)))
         assert rng.state == state
         messages.add(str(exc.value))
     assert len(messages) == 1
@@ -442,19 +442,20 @@ def _stream_state(rng):
 
 def _percolation_args():
     oracle = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
-    return [np.zeros((2, 5), np.int64), 3, oracle.sides, oracle.tables, Pcg64(1), np.empty(6)]
+    return [np.zeros((2, 5), np.int64), 3, oracle.sides, oracle.tables, Pcg64(1), into(np.empty(6)), 1]
 
 
 @needs_c
 @pytest.mark.parametrize("arg,change", [
-    (0, lambda p: p.astype(np.int32)),  # wrong dtype
+    (0, lambda p: p.astype(np.float64)),  # not an integer dtype
     (0, lambda p: np.asfortranarray(p)),  # columns not contiguous
     (0, lambda p: p[::-1]),  # negative row stride
     (0, lambda p: p[:, :0]),  # no center column
     (0, lambda p: p[0]),  # not 2-d
     (1, lambda n_inner: 0),
-    (5, lambda out: np.empty(7)),  # the last row reads a pattern past the end
-    (5, lambda out: np.empty(5)),  # the last pattern's rows cut short
+    (6, lambda unit: 4),  # the last unit of the 6 rows reads a pattern past the end
+    (6, lambda unit: 7),  # the rows fall short of one unit
+    (6, lambda unit: 0),
     (2, lambda s: s.astype(np.int32)),
     (2, lambda s: s[:, :-1].copy()),  # sides and tables that do not fit
     (2, lambda s: np.asfortranarray(s)),
@@ -465,12 +466,11 @@ def _percolation_args():
     (4, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
     (4, lambda rng: np.random.Generator(np.random.Philox(1))),
     (4, lambda rng: np.random.default_rng(1)),
-    (5, lambda out: out.astype(np.float32)),
-    (5, _read_only),
+    (5, lambda consume: np.empty(6)),  # an array in place of the consumer
 ], ids=["patterns-dtype", "patterns-fortran", "patterns-negative-stride", "no-center", "patterns-1d",
-        "n-inner", "rows-past-the-end", "rows-short", "sides-dtype", "sides-shape", "sides-fortran",
-        "tables-dtype", "tables-shape", "tables-alphabet", "rng", "rng-mt19937", "rng-philox",
-        "rng-pcg64-generator", "out-dtype", "out-read-only"])
+        "n-inner", "rows-past-the-end", "rows-short", "unit-zero", "sides-dtype", "sides-shape",
+        "sides-fortran", "tables-dtype", "tables-shape", "tables-alphabet", "rng", "rng-mt19937", "rng-philox",
+        "rng-pcg64-generator", "consume-array"])
 def test_c_percolation_rejects_what_it_cannot_trust(arg, change):
     args = _percolation_args()
     args[arg] = change(args[arg])
@@ -550,7 +550,7 @@ def test_tree_percolation_backends_are_bitwise_the_masks_route(case):
         for tree_percolation in TREES:
             rng = Pcg64(seed)
             out = np.full(n, np.nan)
-            got = _outcome(lambda: tree_percolation(patterns, n_inner, oracle.tree, rng, out) or out)
+            got = _outcome(lambda: tree_percolation(patterns, n_inner, oracle.tree, rng, into(out)) or out)
             if isinstance(expect, tuple):
                 assert got == expect
             else:
@@ -615,7 +615,7 @@ def test_pruned_tree_kernel_is_bitwise_the_full_draw_twin(monkeypatch, workers):
         for tree_percolation in TREES:
             rng = Pcg64(23)
             out = np.full(n, np.nan)
-            got = _outcome(lambda: tree_percolation(patterns, n_inner, oracle.tree, rng, out) or out)
+            got = _outcome(lambda: tree_percolation(patterns, n_inner, oracle.tree, rng, into(out)) or out)
             if isinstance(expect, tuple):
                 assert got == expect, what
             else:
@@ -668,7 +668,7 @@ def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message
                 rng = Pcg64(5)
                 state = rng.state
                 with pytest.raises((ValueError, InconsistentPinsError), match=message) as exc:
-                    tree_percolation(patterns, 500, oracle.tree, rng, np.empty(500))
+                    tree_percolation(patterns, 500, oracle.tree, rng, into(np.empty(500)))
                 assert rng.state == state
                 messages.add((exc.type, str(exc.value)))
     finally:
@@ -678,7 +678,7 @@ def test_tree_percolation_errors_are_one_error_on_both_backends(pattern, message
 
 def _tree_args():
     oracle = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)  # 53 sites
-    return [np.zeros((2, 17), np.int64), 3, oracle.tree, Pcg64(1), np.empty(6)]
+    return [np.zeros((2, 17), np.int64), 3, oracle.tree, Pcg64(1), into(np.empty(6)), 1]
 
 
 def _bad_children(tree):
@@ -689,11 +689,11 @@ def _bad_children(tree):
 
 @needs_c
 @pytest.mark.parametrize("arg,change", [
-    (0, lambda p: p.astype(np.int32)),  # wrong dtype
+    (0, lambda p: p.astype(np.float64)),  # not an integer dtype
     (0, lambda p: np.asfortranarray(p)),  # columns not contiguous
     (0, lambda p: p[:, :0]),  # no center column
     (0, lambda p: np.zeros((2, 54), np.int64)),  # patterns wider than the tree
-    (4, lambda out: np.empty(7)),  # the last row reads a pattern past the end
+    (5, lambda unit: 4),  # the last unit of the 6 rows reads a pattern past the end
     (2, lambda t: t._replace(lam=t.lam.astype(np.float32))),
     (2, lambda t: t._replace(free=t.free[:-1].copy())),
     (2, lambda t: t._replace(child_ptr=t.child_ptr[:-1].copy())),
@@ -704,10 +704,10 @@ def _bad_children(tree):
     (3, lambda rng: np.random.Generator(np.random.MT19937(1))),  # numpy Generators
     (3, lambda rng: np.random.Generator(np.random.Philox(1))),
     (3, lambda rng: np.random.default_rng(1)),
-    (4, _read_only),
+    (4, lambda consume: np.empty(6)),  # an array in place of the consumer
 ], ids=["patterns-dtype", "patterns-fortran", "no-center", "too-wide", "rows-past-the-end", "lam-dtype",
         "free-short", "child-ptr-short", "edges-1d", "starts-narrow", "child-not-later", "rng",
-        "rng-mt19937", "rng-philox", "rng-pcg64-generator", "out-read-only"])
+        "rng-mt19937", "rng-philox", "rng-pcg64-generator", "consume-array"])
 def test_c_tree_rejects_what_it_cannot_trust(arg, change):
     args = _tree_args()
     args[arg] = change(args[arg])
@@ -743,7 +743,7 @@ def test_percolation_kernels_jump_long_strides_bitwise(width):
         for run in runs:
             rng = Pcg64(9)
             out = np.full(n, np.nan)
-            run(patterns, n_inner, *geometry, rng, out)
+            run(patterns, n_inner, *geometry, rng, into(out))
             assert np.array_equal(out, expect)
             assert rng.state == reference.state
 
@@ -774,7 +774,7 @@ def _split_outcome(kernel, geometry, patterns, n_inner, advanced=0):
     rng = Pcg64(21).advance(advanced)
     out = np.full(len(patterns) * n_inner, np.nan)
     threads = threading.active_count()
-    got = _outcome(lambda: kernel(patterns, n_inner, *geometry, rng, out) or out)
+    got = _outcome(lambda: kernel(patterns, n_inner, *geometry, rng, into(out)) or out)
     assert threading.active_count() == threads  # every range's thread joined, also after a raise
     return got, rng.state
 
@@ -885,7 +885,7 @@ def test_inadmissible_pattern_is_refused_before_any_draw(monkeypatch, case):
                     rng = Pcg64(seed)
                     state = rng.state
                     with pytest.raises(error) as exc:
-                        run(patterns, n_inner, *geometry, rng, np.empty(len(patterns) * n_inner))
+                        run(patterns, n_inner, *geometry, rng, into(np.empty(len(patterns) * n_inner)))
                     assert rng.state == state
                     errors.add((exc.type, str(exc.value)))
     assert errors == {(error, message)}

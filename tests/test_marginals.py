@@ -25,7 +25,7 @@ from soficlab.pasts import sample_percolation_masks
 from soficlab.saw import hardcore_marginal_via_saw
 from soficlab.transfer import build_transfer
 
-from oracles import transfer_batch_argmin
+from oracles import into, transfer_batch_argmin
 
 weights = st.floats(-1.5, 1.5, allow_nan=False)
 
@@ -300,7 +300,7 @@ def test_transfer_oracle_refuses_rows_wider_than_its_ball():
     with pytest.raises(ValueError, match=r"width 5 .* 3 sites"):
         narrow.batch(values, masks)
     with pytest.raises(ValueError, match=r"width 5 .* 3 sites"):
-        narrow.percolation_batch(values, 4, Pcg64(0), np.empty(4))
+        narrow.percolation_batch(values, 4, Pcg64(0), into(np.empty(4)))
     assert narrow.batch(values[:, :3], masks[:, :3])[0] == wide.batch(values[:, :3], masks[:, :3])[0]
 
 
@@ -327,7 +327,7 @@ def test_every_oracle_refuses_rows_wider_than_its_ball(make, width, pin):
     rng = Pcg64(0)
     state = rng.state
     with pytest.raises(ValueError, match=words):
-        oracle.percolation_batch(values, 4, rng, np.empty(4))
+        oracle.percolation_batch(values, 4, rng, into(np.empty(4)))
     assert rng.state == state  # refused before any draw
 
 
@@ -350,7 +350,7 @@ def test_percolation_batch_takes_any_pattern_layout(make, spec, r):
         for layout in (patterns, np.ascontiguousarray(patterns)):
             rng = Pcg64(8)
             out = np.full(60, np.nan)
-            oracle.percolation_batch(layout, 10, rng, out)
+            oracle.percolation_batch(layout, 10, rng, into(out))
             runs.append((out, rng.state))
         (out, state), (expect, expect_state) = runs
         assert np.array_equal(out, expect) and state == expect_state
@@ -362,7 +362,7 @@ def test_every_oracle_takes_one_percolation_batch_signature():
     signatures = {oracle.__name__: inspect.signature(oracle.percolation_batch)
                   for oracle in (TransferOracle, BallEnumerationOracle, SawOracle)}
     assert len(set(signatures.values())) == 1, signatures
-    assert list(signatures["SawOracle"].parameters) == ["self", "patterns", "n_inner", "rng", "out"]
+    assert list(signatures["SawOracle"].parameters) == ["self", "patterns", "n_inner", "rng", "consume", "unit"]
 
 
 @pytest.mark.parametrize("make", [
@@ -380,7 +380,7 @@ def test_every_oracle_refuses_rows_without_a_center(make):
     rng = Pcg64(0)
     state = rng.state
     with pytest.raises(ValueError, match="^rows need a center column$"):
-        oracle.percolation_batch(values, 4, rng, np.empty(12))
+        oracle.percolation_batch(values, 4, rng, into(np.empty(12)))
     assert rng.state == state
 
 
@@ -410,7 +410,7 @@ def test_every_oracle_refuses_a_symbol_outside_the_alphabet(make, symbol, column
     rng = Pcg64(0)
     state = rng.state
     with pytest.raises(ValueError, match=words):
-        oracle.percolation_batch(values, 40, rng, np.empty(40))
+        oracle.percolation_batch(values, 40, rng, into(np.empty(40)))
     assert rng.state == state
 
 
@@ -464,7 +464,7 @@ def test_ball_oracle_percolation_batch_is_the_old_masks_route(spec, r, pad, n_pa
         rng = Pcg64(11)
         if route == "new":
             out = np.empty(n_patterns * n_inner)
-            oracle.percolation_batch(patterns, n_inner, rng, out)
+            oracle.percolation_batch(patterns, n_inner, rng, into(out))
         else:
             out = _old_masks_route(oracle, spec, r, patterns, n_inner, rng)
         results.append((out, len(calls), rng.state))
@@ -577,7 +577,7 @@ def test_ball_oracle_refuses_clashing_pins_before_any_draw(seed):
     rng = Pcg64(seed)
     state = rng.state
     with pytest.raises(InconsistentPinsError, match=r"^pins 3 and 1 of pattern 0 hold the forbidden pair \(1, 1\)"):
-        oracle.percolation_batch(np.array([[0, 1, 0, 1, 0]]), 3, rng, np.empty(3))
+        oracle.percolation_batch(np.array([[0, 1, 0, 1, 0]]), 3, rng, into(np.empty(3)))
     assert rng.state == state
 
 
@@ -600,7 +600,7 @@ def test_ball_oracle_pin_check_reads_each_edge_in_its_direction():
         ([0, 0, 0, 2, 0], False),  # the same pattern cut before -3
     ]:
         rng = Pcg64(1)
-        run = lambda: oracle.percolation_batch(np.array([pattern]), 40, rng, np.empty(40))
+        run = lambda: oracle.percolation_batch(np.array([pattern]), 40, rng, into(np.empty(40)))
         if refused:
             with pytest.raises(InconsistentPinsError):
                 run()

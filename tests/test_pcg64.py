@@ -20,6 +20,8 @@ from soficlab.kernels import Pcg64
 from soficlab.marginals import SawOracle, TransferOracle
 from soficlab.sampling import GlauberEngine
 
+from oracles import into
+
 BACKENDS = ["c", "python"]
 
 
@@ -142,7 +144,7 @@ def test_threads_sharing_a_stream_lose_no_draw(backend):
                 steps.append(k + 1)
             elif i % 3 == 1:
                 kernels.percolation_lookup(np.zeros((1, 5), np.int64), 7, line.sides, line.tables, rng,
-                                           np.empty(7))
+                                           into(np.empty(7)))
                 steps.append(35)
             else:
                 engine.sweeps(engine.initial_state(0), 2, rng)
@@ -177,9 +179,9 @@ def _kernel_calls() -> dict:
         calls[f"{where}-sweeps"] = lambda rng, m=module: m.glauber_sweeps(
             engine.initial_state(0), engine.nbr_out, engine.nbr_in, engine.wh, engine.wj, engine.allowed, rng, 2)
         calls[f"{where}-lookup"] = lambda rng, m=module: m.percolation_lookup(
-            patterns, 3, line.sides, line.tables, rng, np.empty(6))
+            patterns, 3, line.sides, line.tables, rng, into(np.empty(6)))
         calls[f"{where}-tree"] = lambda rng, m=module: m.tree_percolation(
-            patterns, 3, tree.tree, rng, np.empty(6))
+            patterns, 3, tree.tree, rng, into(np.empty(6)))
     return calls
 
 

@@ -1,12 +1,13 @@
 import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from soficlab import groups, pasts, randominfo
+from soficlab import _glauber_py, groups, kernels, pasts, randominfo
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.errors import SchemaError, SoficLabError, ZeroProbabilityError
 from soficlab.gibbs import ssm_profile, uniform_bound_c
@@ -22,8 +23,9 @@ from soficlab.randominfo import (
     random_info,
     truncation_budget,
 )
+from soficlab.transfer import build_transfer
 
-from oracles import hardcore_line_pressure, hardcore_stationary_p0, info_fn_full_width
+from oracles import hardcore_line_pressure, hardcore_stationary_p0, info_fn_full_width, into, sample_windows_loop
 
 Z1 = groups.zd(1)
 F1 = groups.free(1)
@@ -149,9 +151,8 @@ class _MasksRoute:
     def __init__(self, oracle):
         self.batch = oracle.batch
 
-    def percolation_batch(self, patterns, n_inner, rng, out):
-        for start, stop, rows, masks in pasts.percolation_chunks(patterns, n_inner, rng):
-            out[start:stop] = self.batch(rows, masks)
+    def percolation_batch(self, patterns, n_inner, rng, consume, unit=1):
+        pasts.percolation_rows(patterns, n_inner, rng, self.batch, consume, unit)
 
 
 @pytest.mark.parametrize("spec,r,L,n_patterns,n_inner", [
@@ -383,3 +384,150 @@ def test_kp_measure_memory_is_bounded():
         tracemalloc.stop()
     assert est.n_samples == 800_000 and math.isfinite(est.stderr)
     assert peak < 32 * 2**20
+
+
+def _backends():
+    """{name: (percolation_lookup, tree_percolation)} of the kernels the
+    oracles can run on: the Python twins, and the compiled kernels when
+    they are loaded."""
+    pairs = {"python": (_glauber_py.percolation_lookup, _glauber_py.tree_percolation)}
+    if kernels.BACKEND == "c":
+        pairs["c"] = (kernels._c_percolation_lookup, kernels._c_tree_percolation)
+    return pairs
+
+
+def _use_backend(monkeypatch, backend):
+    lookup, tree = _backends()[backend]
+    monkeypatch.setattr(kernels, "percolation_lookup", lookup)
+    monkeypatch.setattr(kernels, "tree_percolation", tree)
+
+
+def _flat_measure(structure, potential, spec, oracle, r, N_inner, M_outer, seed):
+    """The fields of `kp_pressure_at_measure` as it ran when every row was
+    held: the windows from one draw of uniforms, an int64 copy of every
+    pattern, every row's conditional from one `percolation_lookup` into one
+    flat array, then numpy's reductions over that array."""
+    rng = Pcg64([seed, r, 0x0AEA])
+    windows = sample_windows_loop(build_transfer(structure, potential), r, M_outer, rng)
+    cols = [groups.line_offset(spec, g) + r for g in groups.ball(spec, r).elements]
+    patterns = np.ascontiguousarray(windows[:, cols], dtype=np.int64)
+    f = np.empty(M_outer * N_inner)
+    kernels.percolation_lookup(patterns, N_inner, oracle.sides, oracle.tables, rng, into(f))
+    np.negative(np.log(f, out=f), out=f)
+    info_means = f.reshape(M_outer, N_inner).mean(axis=1)
+    phis = randominfo._potentials_at_center(potential, spec, patterns)
+    totals = info_means + phis
+    return (float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(M_outer)), r, M_outer * N_inner,
+            oracle.name, {"info": float(info_means.mean()),
+                          "info_stderr": float(info_means.std(ddof=1) / math.sqrt(M_outer)),
+                          "phi": float(phis.mean())})
+
+
+@pytest.mark.parametrize("backend", list(_backends()))
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("lam,r,N_inner,M_outer", [
+    (1.0, 8, 300, 1001),  # chunks of 218 patterns: three per range of 2, the last one short
+    (2.5, 5, 7, 30_001),  # a unit of 7 rows, which does not divide 2^16
+])
+def test_kp_measure_is_the_flat_reference(monkeypatch, backend, workers, lam, r, N_inner, M_outer):
+    """kp_pressure_at_measure, which keeps only each pattern's mean of the
+    chunks its consumer is handed, in 1, 2 or 5 ranges of the compiled
+    kernel, whose threads run the consumer under a short switch interval,
+    or through the Python twin, gives bitwise the record of the flat
+    reference."""
+    structure, potential = hardcore(1, lam)
+    oracle = TransferOracle(structure, potential, Z1, r)
+    expect = _flat_measure(structure, potential, Z1, oracle, r, N_inner, M_outer, seed=6)
+    _use_backend(monkeypatch, backend)
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    assert len(kernels._row_bounds(M_outer * N_inner, N_inner)) == workers + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = kp_pressure_at_measure(structure, potential, Z1, oracle, r, N_inner=N_inner, M_outer=M_outer,
+                                     seed=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert repr(_fields(est)) == repr(expect)
+
+
+@pytest.mark.parametrize("backend", list(_backends()))
+def test_fixed_point_rows_are_the_flat_reference(monkeypatch, backend):
+    """At the CLI default N = 200,000 the fixed point's f, handed over in
+    chunks and stored row by row, is bitwise the -log of the flat lookup,
+    on the transfer and the tree route, and the stream ends in the same
+    state."""
+    _use_backend(monkeypatch, backend)
+    f2 = groups.free(2)
+    line = TransferOracle(*hardcore(1, 1.0), Z1, 8)
+    tree = SawOracle(*hardcore(2, 0.3), f2, 3, pad=1, boundary="self_consistent")
+    for spec, r, oracle, flat_run in [
+        (Z1, 8, line, lambda p, rng, f: kernels.percolation_lookup(p, len(f), line.sides, line.tables, rng,
+                                                                   into(f))),
+        (f2, 3, tree, lambda p, rng, f: kernels.tree_percolation(p, len(f), tree.tree, rng, into(f))),
+    ]:
+        pattern = np.zeros((1, len(groups.ball(spec, r))), dtype=np.int64)
+        rngs = [Pcg64([2, r]), Pcg64([2, r])]
+        f = _streamed_info(oracle, pattern, 200_000, rngs[0])
+        flat = np.empty(200_000)
+        flat_run(pattern, rngs[1], flat)
+        assert np.array_equal(f, -np.log(flat)) and rngs[0].state == rngs[1].state
+
+
+def test_kp_measure_memory_does_not_grow_with_the_rows():
+    """4 million (pattern, past) rows on B_16 of Z^1 against mu peak under
+    8 MB traced, a bound that holds at any row count: only each pattern's
+    window, in int8, and its mean grow with M_outer, and the flat f alone
+    of these rows was 32 MB."""
+    st, pot = hardcore(1, 1.0)
+    oracle = TransferOracle(st, pot, Z1, 16)
+    tracemalloc.start()
+    try:
+        est = kp_pressure_at_measure(st, pot, Z1, oracle, 16, N_inner=100, M_outer=40_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == 4_000_000 and math.isfinite(est.stderr)
+    assert peak < 8 * 2**20
+
+
+def _doctored_line(r):
+    """A Z^1 hardcore transfer oracle whose conditionals of an occupied
+    center are distinct negative numbers, one per (dl, bl, dr, br): a row
+    with an occupied center fails the consumer's check with a message that
+    names the nearest pins its past drew."""
+    oracle = TransferOracle(*hardcore(1, 1.0), Z1, r)
+    oracle.tables = oracle.tables.copy()
+    oracle.tables[1] = -1.0 - np.arange(oracle.tables[1].size).reshape(oracle.tables[1].shape)
+    return oracle
+
+
+@pytest.mark.parametrize("bad", [[330], [120, 330], [199, 200]],
+                         ids=["second-range", "both-ranges", "range-boundary"])
+def test_consumer_error_is_the_lowest_rows_on_every_split(monkeypatch, bad):
+    """A ZeroProbabilityError raised by `_streamed_info`'s consumer, in a
+    worker's range alone or in both, is the error of the lowest refused
+    row: the same text with the rows in 1 range, in 2 ranges and through
+    the Python twin, with chunks of 10 patterns.  The stream then ends
+    where the serial call leaves it, past every row's uniforms.  400
+    patterns of 100 rows, of which those in bad have an occupied center;
+    two ranges split them at pattern 200."""
+    r, n_inner = 6, 100
+    oracle = _doctored_line(r)
+    patterns = np.zeros((400, len(groups.ball(Z1, r))), dtype=np.int64)
+    patterns[bad, 0] = 1
+    monkeypatch.setattr(pasts, "CHUNK_FLOATS", 10 * n_inner)
+    outcomes = set()
+    for backend, workers in [("python", 1)] + [("c", w) for w in (1, 2) if "c" in _backends()]:
+        _use_backend(monkeypatch, backend)
+        monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+        rng = Pcg64(13)
+        with pytest.raises(ZeroProbabilityError, match=r"^oracle conditional (np\.float64\()?-\d+\.0\)? is not in") as exc:
+            _streamed_info(oracle, patterns, n_inner, rng, means=True)
+        outcomes.add((str(exc.value), repr(rng.state)))
+    assert len(outcomes) == 1
+    assert outcomes.pop()[1] == repr(Pcg64(13).advance(400 * n_inner * patterns.shape[1]).state)
+    # the text is that of the lowest refused row: its past's nearest pins
+    flat = np.empty(400 * n_inner)
+    kernels.percolation_lookup(patterns, n_inner, oracle.sides, oracle.tables, Pcg64(13), into(flat))
+    assert str(exc.value).startswith(f"oracle conditional {flat[flat < 0][0]!r} ")

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from soficlab import groups
+from soficlab import groups, pasts
 from soficlab.constraints import ConstraintStructure, Potential, checkerboard, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph, joint_distribution, log_partition, site_marginal
 from soficlab.errors import ReducibleTransferError
@@ -20,6 +21,7 @@ from oracles import (
     hardcore_stationary_p0,
     lucas,
     sample_windows_loop,
+    sample_windows_rows,
 )
 
 Z1 = groups.zd(1)
@@ -157,6 +159,27 @@ def test_sample_windows_are_bitwise_the_counting_loop(a, seed):
         got = tm.sample_windows(r, n, np.random.default_rng(seed + 40))
         expect = sample_windows_loop(tm, r, n, np.random.default_rng(seed + 40))
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("a", [127, 128, 130])
+@pytest.mark.parametrize("short", [False, True], ids=["exact", "short-rows"])
+def test_sample_windows_of_large_alphabets_are_the_row_reference(a, short, monkeypatch):
+    """Alphabets of 127, 128 and 130 symbols give the per-row reference's
+    windows, in int8 up to 127 symbols and a wider signed dtype past it,
+    over several row chunks of the uniforms.  At 130 symbols the int8
+    counts once raised OverflowError; with short-rows every step
+    probability row sums to 1/2, so half the uniforms lie past its last
+    cumulative entry and the count reaches a before it is cut to a - 1,
+    which an int8 count wraps to -128 at 128 symbols."""
+    tm = _random_rank1(a, 1)
+    if short:
+        tm = dataclasses.replace(tm, lam=2 * tm.lam)
+    monkeypatch.setattr(pasts, "CHUNK_FLOATS", 100 * 9)
+    got = tm.sample_windows(4, 450, np.random.default_rng(5))
+    expect = sample_windows_rows(tm, 4, 450, np.random.default_rng(5))
+    assert got.dtype == (np.int8 if a <= 127 else np.int16)
+    assert np.array_equal(got, expect) and got.min() >= 0
+    assert not short or (got[:, 1:] == a - 1).mean() > 0.4
 
 
 def test_window_distribution_normalizes_and_matches_pairs():
