@@ -28,6 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cold_start import _git_version
+
 HERE = Path(__file__).resolve().parent
 
 _CHILD = r"""
@@ -58,13 +60,6 @@ def _child(src: Path, config, cache: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(config)], env=env,
                           capture_output=True, text=True, timeout=600, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _git_version(src: Path) -> str | None:
-    """The tree's commit, marked -dirty when it has uncommitted changes."""
-    proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=12"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main(argv=None):
