@@ -639,7 +639,7 @@ def _c_percolation_lookup(patterns, n_inner, sides, tables, rng, consume, unit=1
     column it reads.  Any failure before the first draw is a ValueError, a
     symbol or side column the twin's, and leaves rng as it was.
     """
-    L, n_inner, unit = _checked_percolation(patterns, n_inner, rng, consume, unit)
+    _, n_inner, unit = _checked_percolation(patterns, n_inner, rng, consume, unit)
     r_max, a = _checked_geometry(sides, tables)
     _glauber_py.check_patterns(patterns, a)
     _run_on_pcg64(_c_percolation, (_data(sides), r_max, _data(tables), a), (),
