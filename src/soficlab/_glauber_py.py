@@ -1,4 +1,4 @@
-"""Pure-Python twins of the three kernels in _glauber.c: the fallback when
+"""Pure-Python twins of the five kernels in _glauber.c: the fallback when
 the C library is unavailable, and the tests' reference for it.
 
 Every kernel of either backend draws from one stream type,
@@ -20,15 +20,19 @@ the same state.  Both backends' percolation kernels first refuse, through
 `check_rows` and `check_patterns`, rows that do not fit and a pattern that
 some past could make an error, before any draw and whatever their chunks
 and seed; past those checks only the consumer can raise, and the stream
-ends where the whole call's draws leave it.
+ends where the whole call's draws leave it.  `markov_windows` is the numpy
+counting loop that the C window sampler repeats per uniform, and
+`permutations` is numpy's own `Generator.permutation`, which the C
+Fisher-Yates shuffle repeats draw for draw.
 """
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
+from . import pasts
 from .errors import InconsistentPinsError
-from .pasts import percolation_rows
 
 # the most uniforms the sweep draws from a stream at once, 128 KB of
 # float64: enough sweeps per draw to amortise it on small graphs, without a
@@ -240,8 +244,8 @@ def percolation_lookup(patterns, n_inner, sides, tables, rng, consume, unit=1):
     check_patterns(patterns, tables.shape[0])
     if (sides < 0).any():
         raise column_error()
-    percolation_rows(patterns, n_inner, rng, lambda rows, masks: transfer_lookup(rows, masks, sides, tables),
-                     consume, unit)
+    pasts.percolation_rows(patterns, n_inner, rng, lambda rows, masks: transfer_lookup(rows, masks, sides, tables),
+                           consume, unit)
 
 
 class Tree(NamedTuple):
@@ -328,4 +332,77 @@ def tree_percolation(patterns, n_inner, tree: Tree, rng, consume, unit=1):
     checked_stream(rng)
     check_rows(patterns, n_inner, consume, unit)
     check_patterns(patterns, 2, tree.edges)
-    percolation_rows(patterns, n_inner, rng, lambda rows, masks: tree_batch(rows, masks, tree), consume, unit)
+    pasts.percolation_rows(patterns, n_inner, rng, lambda rows, masks: tree_batch(rows, masks, tree), consume, unit)
+
+
+def check_sizes(**sizes) -> tuple:
+    """The sizes as ints, each refused before any draw with a ValueError
+    unless it is a non-negative integer."""
+    sizes = {name: operator.index(size) for name, size in sizes.items()}
+    for name, size in sizes.items():
+        if size < 0:
+            raise ValueError(f"{name} must be non-negative, not {size}")
+    return tuple(sizes.values())
+
+
+def check_windows(cum_pi, cum_step, n, length) -> tuple:
+    """(a, n, length, dtype) of `markov_windows`' arguments, refused before
+    any draw with a ValueError unless cum_pi is a float64 array of a >= 1
+    entries, cum_step a float64 array of shape (a, a), n >= 0 and length
+    >= 1.  The dtype is int8 up to 127 symbols, else the smallest signed
+    integer dtype that holds a, which the twin's count reaches before it is
+    cut to a - 1."""
+    n, length = check_sizes(n=n, length=length)
+    if not (isinstance(cum_pi, np.ndarray) and isinstance(cum_step, np.ndarray)
+            and cum_pi.dtype == cum_step.dtype == np.float64 and cum_pi.ndim == 1 and len(cum_pi)
+            and cum_step.shape == (len(cum_pi),) * 2 and length):
+        raise ValueError(f"cum_pi {getattr(cum_pi, 'shape', None)} and cum_step "
+                         f"{getattr(cum_step, 'shape', None)} must be float64 of shapes (a,) and (a, a), "
+                         f"a >= 1, for windows of length {length} >= 1")
+    a = len(cum_pi)
+    return a, n, length, np.min_scalar_type(-a - 1)
+
+
+def markov_windows(cum_pi, cum_step, n, length, rng):
+    """(n, length) windows of the stationary Markov chain on a = len(cum_pi)
+    symbols whose cumulative laws are cum_pi, at symbol 0, and cum_step[x],
+    for a step from symbol x: the symbols of the uniforms `rng.random((n,
+    length))`, each the number of cumulative probabilities at or below its
+    uniform, cut to a - 1, and in the dtype of `check_windows`.
+
+    The uniforms are drawn in row chunks of at most `pasts.CHUNK_FLOATS`,
+    so no array of every row's uniforms is held, and each step's symbols
+    are counted one candidate symbol at a time over the chunk.  rng must be
+    a `kernels.Pcg64` (`checked_stream`), and the arguments pass
+    `check_windows`, before any draw.
+    """
+    checked_stream(rng)
+    a, n, length, dtype = check_windows(cum_pi, cum_step, n, length)
+    cum_by_symbol = np.ascontiguousarray(cum_step.T)
+    out = np.empty((n, length), dtype=dtype)
+    step = max(1, pasts.CHUNK_FLOATS // length)
+    for lo in range(0, n, step):
+        block = out[lo:lo + step]
+        u = rng.random(block.shape)
+        block[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(0, a - 1)
+        count = np.empty(len(block), dtype=dtype)
+        for j in range(1, length):
+            # the symbols c with u >= cum_step[prev, c], counted one c at a time
+            prev, uj = block[:, j - 1], u[:, j]
+            count[:] = 0
+            for c in range(a):
+                count += uj >= cum_by_symbol[c][prev]
+            np.minimum(count, a - 1, out=block[:, j])
+    return out
+
+
+def permutations(k, n, rng):
+    """(k, n) int64: k permutations of range(n), each numpy's
+    `Generator.permutation(n)` in turn on one Generator in rng's state;
+    rng then takes that Generator's state, and a uint32 half it keeps
+    buffered is dropped (`kernels.Pcg64.numpy_draw`).  rng must be a
+    `kernels.Pcg64`, and k and n non-negative integers, before any draw."""
+    checked_stream(rng)
+    k, n = check_sizes(k=k, n=n)
+    return rng.numpy_draw(lambda generator: np.array([generator.permutation(n) for _ in range(k)],
+                                                     dtype=np.int64).reshape(k, n))

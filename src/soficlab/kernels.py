@@ -1,25 +1,30 @@
 """The compiled kernels of `_glauber.c` through ctypes, else their Python
 twins, and `Pcg64`, the one random stream that every kernel draws from.
 
-Three kernels: `glauber_sweeps`, the heat-bath sweep, over a uniforms
+Five kernels: `glauber_sweeps`, the heat-bath sweep, over a uniforms
 array or uniforms it draws itself from a Pcg64; `percolation_lookup`, the
 transfer oracle's nearest-pin table lookup over percolation pasts that it
-draws itself; and `tree_percolation`, the tree oracle's hardcore ratio
-recursion over pasts drawn the same way.  `Pcg64(entropy)` is soficlab's
-own PCG64 (O'Neill 2014): four uint64 words and a lock, seeded, drawn and
-jumped bitwise as numpy's `default_rng(SeedSequence(entropy))`, but seeded
-in plain ints, so that a run on the compiled backend never imports
+draws itself; `tree_percolation`, the tree oracle's hardcore ratio
+recursion over pasts drawn the same way; `markov_windows`, the windows of
+mu that `TransferMatrix.sample_windows` samples from the stationary chain;
+and `permutations`, the draws of `soficmaps.build_random_perm`, bitwise
+numpy's `Generator.permutation`.  `Pcg64(entropy)` is soficlab's own PCG64
+(O'Neill 2014): four uint64 words and a lock, seeded, drawn and jumped
+bitwise as numpy's `default_rng(SeedSequence(entropy))`, but seeded in
+plain ints, so that a run on the compiled backend never imports
 `numpy.random` (on numpy >= 2 that import, with `secrets`, `hashlib` and
 OpenSSL, cost more than the F_2 random-past workload itself; numpy 1.x
 loads it with numpy anyway).  `numpy.random` is loaded only by the Python
-backend's `Pcg64.random` and by `soficmaps.build_random_perm`.  The
-compiled kernels step the stream's words themselves under its lock: the
-sweep draws one double per site update, and a percolation row draws each
-column it reads by its own exact jump from the row's start state and takes
-all its uniforms' steps in one jump.  The tree kernel reads only the sites
-whose ancestors are all unpinned, since a pinned site cuts the tree.  Both
-backends' kernels refuse any other stream, a numpy Generator included,
-with a ValueError before drawing (`_glauber_py.checked_stream`).  The
+backend's draws (`Pcg64.numpy_draw`).  The compiled kernels step the
+stream's words themselves under its lock: the sweep draws one double per
+site update, the window sampler one per symbol, and a percolation row
+draws each column it reads by its own exact jump from the row's start
+state and takes all its uniforms' steps in one jump; the lookup draws the
+first columns of each side without a branch and scans only past them.
+The tree kernel reads only the sites whose ancestors are all unpinned,
+since a pinned site cuts the tree.  Both backends' kernels refuse any
+other stream, a numpy Generator included, with a ValueError before drawing
+(`_glauber_py.checked_stream`).  The
 compiled sweep tabulates the cumulative candidate weights of every
 neighbourhood key once per call and reads one row per site update, unless
 the table would pass SWEEP_TABLE_CAP doubles or outnumber the call's
@@ -46,13 +51,13 @@ platform; a build removes the libraries of other versions there, and later
 imports only load it.  The compiler is the one Python was built with
 (`sysconfig` CC), else `cc`.  If the build or the load fails, or the
 library lacks any of `_C_FUNCTIONS`, a RuntimeWarning names the cause and
-all three pure-Python twins of `_glauber_py` are used, and `Pcg64.random`
+all five pure-Python twins of `_glauber_py` are used, and `Pcg64.random`
 draws through numpy's Generator; `SOFICLAB_KERNEL=python` forces the
 twins.  The backends are never mixed.  The sweeps consume identical
 uniforms, give bitwise-equal trajectories and leave a stream in the same
-state; the percolation kernels give bitwise-equal results, raise the same
-errors before any draw, read the same uniforms and leave the stream in the
-same state.  `BACKEND` is "c" or "python".
+state; the percolation, window and permutation kernels give bitwise-equal
+results, raise the same errors before any draw, read the same uniforms and
+leave the stream in the same state.  `BACKEND` is "c" or "python".
 """
 
 import contextlib
@@ -93,7 +98,8 @@ _C_ERRORS = {
 _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.float64))
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
 # the functions the library must export, in the order _load_c_kernel returns them
-_C_FUNCTIONS = ("glauber_sweeps", "percolation_lookup", "tree_percolation", "pcg64_fill")
+_C_FUNCTIONS = ("glauber_sweeps", "percolation_lookup", "tree_percolation", "markov_windows", "pcg64_fill",
+                "pcg64_permutations")
 _WORD = 2**64 - 1
 _U32 = 2**32 - 1
 _U128 = 2**128 - 1
@@ -139,9 +145,10 @@ def _compile(compiler: str, lib: Path):
 
 def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
     """The C functions `_C_FUNCTIONS` (sweep, percolation lookup, tree
-    percolation, uniform fill) of one library, compiled into the cache first
-    if needed, which then removes the libraries of other source versions
-    there; None if that fails or any is missing."""
+    percolation, Markov windows, uniform fill, permutations) of one library,
+    compiled into the cache first if needed, which then removes the
+    libraries of other source versions there; None if that fails or any is
+    missing."""
     try:
         if cache_dir is None:
             cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "soficlab"
@@ -158,7 +165,7 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
                     with contextlib.suppress(OSError):  # a stale library is no reason to fall back
                         old.unlink()
         dll = ctypes.CDLL(str(lib))
-        sweeps, percolation, tree, fill = (getattr(dll, name) for name in _C_FUNCTIONS)
+        sweeps, percolation, tree, windows, fill, perms = (getattr(dll, name) for name in _C_FUNCTIONS)
     except Exception as exc:  # any failure means the Python twins, never a failed import
         warnings.warn(f"C kernels unavailable, using the Python kernels: {exc!r}",
                       RuntimeWarning, stacklevel=2)
@@ -169,9 +176,12 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 3
     tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 4 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
         _BYTE_P] * 8
+    windows.argtypes = [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [_BYTE_P, ctypes.c_int64, _BYTE_P]
     fill.argtypes = [_BYTE_P, _BYTE_P, ctypes.c_int64]
-    sweeps.restype = percolation.restype = tree.restype = fill.restype = ctypes.c_int
-    return sweeps, percolation, tree, fill
+    perms.argtypes = [_BYTE_P, _BYTE_P, ctypes.c_int64, ctypes.c_int64]
+    for function in (sweeps, percolation, tree, windows, fill, perms):
+        function.restype = ctypes.c_int
+    return sweeps, percolation, tree, windows, fill, perms
 
 
 def _checked_shape(name: str, arr, dtype: np.dtype, ndim: int) -> tuple:
@@ -318,7 +328,7 @@ class Pcg64:
         size when both are given; it is keyword-only, since the second
         argument of Generator.random is its dtype."""
         if _c is None:
-            return self._numpy_random(size, out)
+            return self.numpy_draw(lambda generator: generator.random(size, out=out))
         if out is None:
             draws = np.empty(() if size is None else size)
         else:
@@ -334,9 +344,11 @@ class Pcg64:
             _c_fill(_data(self.words), _data(draws.ravel(order="K")), draws.size)
         return float(draws) if size is None and out is None else draws
 
-    def _numpy_random(self, size, out):
-        """`random` through numpy's own Generator on the Python backend: the
-        words copied into its PCG64 and its advanced state back out."""
+    def numpy_draw(self, draw):
+        """draw(generator) on numpy's own Generator, the Python backend's
+        draws: under the lock, the words are copied into its PCG64 and its
+        advanced state back out, so a uint32 half that the draws leave
+        buffered is dropped."""
         with self.lock:
             if self._generator is None:
                 from numpy.random import PCG64, Generator
@@ -344,10 +356,10 @@ class Pcg64:
                 self._generator = Generator(PCG64(0))
             bitgen = self._generator.bit_generator
             bitgen.state = {"bit_generator": "PCG64", "state": self._ints(), "has_uint32": 0, "uinteger": 0}
-            draws = self._generator.random(size, out=out)
+            result = draw(self._generator)
             state = bitgen.state["state"]["state"]
             self.words[:2] = [state & _WORD, state >> 64]
-        return draws
+        return result
 
 
 def _sweep_table_keys(a: int, n_gen: int, updates: int) -> int:
@@ -685,17 +697,53 @@ def _c_tree_percolation(patterns, n_inner, tree, rng, consume, unit=1):
                   patterns, n_inner, rng, consume, unit)
 
 
+def _c_markov_windows(cum_pi, cum_step, n, length, rng):
+    """The windows of `_glauber_py.markov_windows`, by the C kernel.
+
+    The arguments are the twin's, the cumulative laws C-contiguous.  The
+    kernel steps rng's words itself under its lock, draws what
+    `rng.random((n, length))` would, leaves rng in that call's state and
+    gives bitwise the twin's windows, in the same dtype.  The arguments are
+    checked here first, by the twin's checks, before any draw.
+    """
+    _glauber_py.checked_stream(rng)
+    a, n, length, dtype = _glauber_py.check_windows(cum_pi, cum_step, n, length)
+    _checked_shape("cum_pi", cum_pi, _F64, 1)
+    _checked_shape("cum_step", cum_step, _F64, 2)
+    out = np.empty((n, length), dtype)
+    with rng.lock:
+        _c_windows(_data(cum_pi), _data(cum_step), a, n, length, _data(out), out.itemsize, _data(rng.words))
+    return out
+
+
+def _c_permutations(k, n, rng):
+    """The permutations of `_glauber_py.permutations`, by the C
+    Fisher-Yates shuffle: bitwise the twin's, with rng left in the twin's
+    state."""
+    _glauber_py.checked_stream(rng)
+    k, n = _glauber_py.check_sizes(k=k, n=n)
+    out = np.empty((k, n), np.int64)
+    with rng.lock:
+        _c_perms(_data(rng.words), _data(out), k, n)
+    return out
+
+
 _c = None if os.environ.get("SOFICLAB_KERNEL", "").lower() == "python" else _load_c_kernel()
 if _c is None:
     glauber_sweeps = _glauber_py.glauber_sweeps
     percolation_lookup = _glauber_py.percolation_lookup
     tree_percolation = _glauber_py.tree_percolation
+    markov_windows = _glauber_py.markov_windows
+    permutations = _glauber_py.permutations
     BACKEND = "python"
 else:
-    _c_sweeps, _c_percolation, _c_tree, _c_fill = _c
+    _c_sweeps, _c_percolation, _c_tree, _c_windows, _c_fill, _c_perms = _c
     glauber_sweeps = _c_glauber_sweeps
     percolation_lookup = _c_percolation_lookup
     tree_percolation = _c_tree_percolation
+    markov_windows = _c_markov_windows
+    permutations = _c_permutations
     BACKEND = "c"
 
-__all__ = ["Pcg64", "SweepWorkspace", "glauber_sweeps", "percolation_lookup", "tree_percolation", "BACKEND"]
+__all__ = ["Pcg64", "SweepWorkspace", "glauber_sweeps", "percolation_lookup", "tree_percolation",
+           "markov_windows", "permutations", "BACKEND"]

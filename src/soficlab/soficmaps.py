@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import groups
+from . import groups, kernels
 from .errors import CapExceededError
 from .groups import CayleyBall, Element, GroupSpec
 
@@ -108,17 +108,15 @@ def build_random_perm(k: int, n: int, seed: int) -> SoficMap:
     Sampling full cycles (rather than uniform permutations) makes every
     generator fixed-point free and gives the single-cycle component structure
     per generator; local neighborhoods still Benjamini-Schramm converge to the
-    2k-regular tree, which good_vertices certifies per instance.
+    2k-regular tree, which good_vertices certifies per instance.  Cycle s
+    runs along `kernels.permutations(k, n, Pcg64(seed))[s]`, bitwise the
+    s-th `default_rng(SeedSequence(seed)).permutation(n)` of numpy.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     perms = np.empty((k, n), dtype=np.int64)
-    for s in range(k):
-        order = rng.permutation(n)
-        cycle = np.empty(n, dtype=np.int64)
-        cycle[order] = order[np.r_[1:n, 0]]
-        perms[s] = cycle
+    for s, order in enumerate(kernels.permutations(k, n, kernels.Pcg64(seed))):
+        perms[s, order] = order[np.r_[1:n, 0]]
     return SoficMap(
         groups.free(k), n, perms, {"builder": "random_perm", "k": k, "n": n, "seed": seed}
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pasts
+from . import kernels
 from .constraints import ConstraintStructure, Potential, core_symbols
 from .errors import ReducibleTransferError, SchemaError
 
@@ -146,34 +146,14 @@ class TransferMatrix:
         return out
 
     def sample_windows(self, r: int, n_samples: int, rng) -> np.ndarray:
-        """Exact samples of mu restricted to [-r..r], shape (n_samples, 2r+1).
-
-        The uniforms are those of `rng.random((n_samples, 2r+1))`, drawn in
-        row chunks of at most `pasts.CHUNK_FLOATS` uniforms, so no array of
-        every row's uniforms is held.  The symbols are int8 up to 127
-        symbols, else the smallest signed integer dtype that holds the
-        alphabet size, which a step's count can reach before it is cut to
-        a - 1."""
-        a = self.alphabet
-        length = 2 * r + 1
-        cum_pi = np.cumsum(self.stationary())
-        cum_by_symbol = np.ascontiguousarray(np.cumsum(self.step_probs(), axis=1).T)
-        dtype = np.min_scalar_type(-a - 1)
-        out = np.empty((n_samples, length), dtype=dtype)
-        step = max(1, pasts.CHUNK_FLOATS // length)
-        for lo in range(0, n_samples, step):
-            block = out[lo:lo + step]
-            u = rng.random(block.shape)
-            block[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(0, a - 1)
-            count = np.empty(len(block), dtype=dtype)
-            for j in range(1, length):
-                # the symbols c with u >= cum_P[prev, c], counted one c at a time
-                prev, uj = block[:, j - 1], u[:, j]
-                count[:] = 0
-                for c in range(a):
-                    count += uj >= cum_by_symbol[c][prev]
-                np.minimum(count, a - 1, out=block[:, j])
-        return out
+        """Exact samples of mu restricted to [-r..r], shape (n_samples, 2r+1),
+        from the stationary chain by `kernels.markov_windows`: the symbols
+        of the uniforms of `rng.random((n_samples, 2r+1))`, in int8 up to
+        127 symbols, else the smallest signed integer dtype that holds the
+        alphabet size.  rng must be a `kernels.Pcg64`; anything else is a
+        ValueError before any draw."""
+        return kernels.markov_windows(np.cumsum(self.stationary()), np.cumsum(self.step_probs(), axis=1),
+                                      n_samples, 2 * r + 1, rng)
 
     def mean_energy_per_site_cycle(self, m: int) -> float:
         """E_{mu_m}[h(x_v) + J(x_v, x_{v+1})], identical for every site of the cycle."""

@@ -639,6 +639,22 @@ def test_kp_transfer_record_is_the_same_on_both_backends(hc_model, nu, params):
 
 
 
+def test_kp_transfer_record_at_the_benchmark_radius_is_pinned(hc_model):
+    """The transfer route against mu at r = 16, the benchmark's radius,
+    with 200 patterns of 100 pasts: on both backends the record is
+    byte-equal JSON, and its value, stderr and parts are the figures
+    recorded before the window sampler and the lookup's branch-free block
+    were compiled."""
+    config = {"experiment": "kp-estimate", "model": hc_model, "seed": 3,
+              "params": {"oracle": "transfer", "r": 16, "nu": "mu", "N": 20_000, "N_inner": 100}}
+    ((twin, here),) = _records_on_both_backends([config])
+    assert json.dumps(twin) == json.dumps(here)
+    outputs = here["outputs"]
+    assert (outputs["value"], outputs["stderr"], outputs["parts"]) == (
+        0.4683391696959127, 0.024197533353547247,
+        {"info": 0.4683391696959127, "info_stderr": 0.024197533353547247, "phi": 0.0})
+
+
 @pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded")
 def test_kp_record_is_the_same_with_rows_split_over_cores(hc_model, tmp_path, monkeypatch):
     """Records of the transfer route (nu mu and fixed0) and of the SAW route

@@ -360,14 +360,17 @@ def test_masks_are_those_of_sample_percolation_masks():
 @st.composite
 def percolation_cases(draw):
     """Percolation-lookup arguments on a Z^1 or F_1 ball: patterns of any
-    width up to |B_r| for a query radius r of 1..8, against an oracle of
-    radius r..r+2 at one of several activities, n_inner rows per pattern,
-    and the twin's draw block cut to 1, 7 or 2^16 uniforms."""
+    width up to |B_r| for a query radius r of 1..8 or 16, the benchmark's,
+    against an oracle of radius r..r+2 at one of several activities,
+    n_inner rows per pattern, and the twin's draw block cut to 1, 7 or 2^16
+    uniforms.  Half the widths are at most 9, so that they cut the first
+    four columns of a side (columns 1, 3, 5, 7 and 2, 4, 6, 8), which the
+    C kernel tests without a branch, at every radius."""
     spec = draw(st.sampled_from([groups.zd(1), groups.free(1)]))
-    r = draw(st.integers(1, 8))
+    r = draw(st.sampled_from([*range(1, 9), 16]))
     oracle = TransferOracle(*hardcore(1, draw(st.sampled_from([0.4, 1.0, 2.5]))), spec,
                             r + draw(st.integers(0, 2)))
-    L = draw(st.integers(1, 2 * r + 1))
+    L = draw(st.one_of(st.integers(1, 2 * r + 1), st.integers(1, min(9, 2 * r + 1))))
     n_inner = draw(st.integers(1, 9))
     patterns = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
         0, 2, (draw(st.integers(0, 6)), L))

@@ -2,6 +2,7 @@
 `default_rng(SeedSequence(entropy))`, on both kernel backends; and the runs
 of the compiled backend, which never import `numpy.random`."""
 
+import itertools
 import json
 import os
 import pickle
@@ -174,7 +175,9 @@ def _kernel_calls() -> dict:
     line = TransferOracle(*hardcore(1, 1.0), groups.zd(1), 2)
     tree = SawOracle(*hardcore(2, 1.0), groups.free(2), 3)
     patterns = np.zeros((2, 5), np.int64)
-    calls = {"engine": lambda rng: engine.sweeps(engine.initial_state(0), 2, rng)}
+    cum_pi, cum_step = np.cumsum(line.tm.stationary()), np.cumsum(line.tm.step_probs(), axis=1)
+    calls = {"engine": lambda rng: engine.sweeps(engine.initial_state(0), 2, rng),
+             "sample-windows": lambda rng: line.tm.sample_windows(2, 4, rng)}
     for where, module in (("kernels", kernels), ("twin", _glauber_py)):
         calls[f"{where}-sweeps"] = lambda rng, m=module: m.glauber_sweeps(
             engine.initial_state(0), engine.nbr_out, engine.nbr_in, engine.wh, engine.wj, engine.allowed, rng, 2)
@@ -182,6 +185,8 @@ def _kernel_calls() -> dict:
             patterns, 3, line.sides, line.tables, rng, into(np.empty(6)))
         calls[f"{where}-tree"] = lambda rng, m=module: m.tree_percolation(
             patterns, 3, tree.tree, rng, into(np.empty(6)))
+        calls[f"{where}-windows"] = lambda rng, m=module: m.markov_windows(cum_pi, cum_step, 4, 5, rng)
+        calls[f"{where}-permutations"] = lambda rng, m=module: m.permutations(2, 9, rng)
     return calls
 
 
@@ -204,6 +209,40 @@ def test_kernels_refuse_any_stream_but_pcg64(stream):
         call(Pcg64(1))
 
 
+# the permutation kernel of each backend that runs here
+PERMUTATIONS = [_glauber_py.permutations] + ([kernels._c_permutations] if kernels.BACKEND == "c" else [])
+
+
+def test_permutations_are_bitwise_numpys():
+    """k = 1, 2 and 3 permutations of up to 10^5 entries are bitwise those
+    of `Generator.permutation(n)` drawn k times in turn, on each backend,
+    across the sizes where numpy's bounded draw rejects most and least, and
+    the stream ends in the generator's state."""
+    for k, n, entropy in itertools.product((1, 2, 3), (0, 1, 2, 3, 17, 1000, 2**16 + 1, 10**5),
+                                           (0, 7, [3, 2**40])):
+        reference = _numpy(entropy)
+        expect = np.array([reference.permutation(n) for _ in range(k)], np.int64).reshape(k, n)
+        for permutations in PERMUTATIONS:
+            rng = Pcg64(entropy)
+            got = permutations(k, n, rng)
+            assert got.dtype == np.int64 and np.array_equal(got, expect), (permutations, k, n, entropy)
+            assert rng.state == reference.bit_generator.state["state"]
+    for permutations in PERMUTATIONS:
+        with pytest.raises(ValueError):
+            permutations(1, -1, Pcg64(0))
+
+
+def test_random_perm_map_is_numpys_draw():
+    """The random_perm builder's cycles run along numpy's permutations of
+    `default_rng(SeedSequence(seed))`, as they did when it drew through it."""
+    for k, n, seed in ((1, 2, 0), (2, 50, 5), (3, 1000, 9)):
+        reference = _numpy(seed)
+        perms = soficmaps.build_random_perm(k, n, seed).perms
+        for s in range(k):
+            order = reference.permutation(n)
+            assert np.array_equal(perms[s, order], order[np.r_[1:n, 0]])
+
+
 _HYGIENE = r"""
 import json, sys
 import numpy
@@ -223,12 +262,11 @@ print(json.dumps(loaded))
 
 def test_compiled_runs_never_import_numpy_random(tmp_path):
     """On the compiled backend, `import soficlab.cli` and small runs of the
-    three experiments that draw random streams (`pressure` by `mcmc`,
-    `kp-estimate` through the SAW oracle, and through the transfer oracle
-    against mu with 40,000 rows, split into two ranges) leave `numpy.random`
-    unloaded.  numpy 1.x loads it with numpy, so there the test is skipped.
-    The random_perm sofic builder still draws through numpy's Generator, so
-    the pressure run is on a torus."""
+    three experiments that draw random streams (`pressure` by `mcmc` on a
+    torus and on a random_perm map, `kp-estimate` through the SAW oracle,
+    and through the transfer oracle against mu with 40,000 rows, split into
+    two ranges) leave `numpy.random` unloaded.  numpy 1.x loads it with
+    numpy, so there the test is skipped."""
     if kernels.BACKEND != "c":
         pytest.skip("C kernel not loaded")
     model = {"group": {"kind": "Zd", "d": 1}, "alphabet": 2, "vertex_log_weights": [0.0, 0.0],
@@ -242,6 +280,9 @@ def test_compiled_runs_never_import_numpy_random(tmp_path):
     configs = [
         {"experiment": "pressure", "model": paths["line"], "seed": 1,
          "params": {"builder_desc": {"builder": "torus", "d": 1}, "sizes": [12],
+                    "method": "mcmc", "mcmc": {"grid_points": 4, "samples_per_point": 16}}},
+        {"experiment": "pressure", "model": paths["free"], "seed": 1,
+         "params": {"builder_desc": {"builder": "random_perm", "k": 2}, "sizes": [12],
                     "method": "mcmc", "mcmc": {"grid_points": 4, "samples_per_point": 16}}},
         {"experiment": "kp-estimate", "model": paths["free"], "seed": 1,
          "params": {"oracle": "saw", "r": 2, "N": 50}},
@@ -258,4 +299,4 @@ def test_compiled_runs_never_import_numpy_random(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     if loaded == "numpy.random loaded with numpy":
         pytest.skip("this numpy loads numpy.random on import")
-    assert loaded == [False] * 4
+    assert loaded == [False] * 5

@@ -165,7 +165,7 @@ def test_transfer_route_is_the_masks_route(spec, r, L, n_patterns, n_inner):
     """The compiled percolation route gives the masks route's f bitwise and
     leaves the stream where the masks route leaves it."""
     oracle = TransferOracle(*hardcore(1, 2.5), spec, r)
-    patterns = oracle.tm.sample_windows(r, n_patterns, np.random.default_rng(1)).astype(np.int64)
+    patterns = oracle.tm.sample_windows(r, n_patterns, Pcg64(1)).astype(np.int64)
     patterns = patterns[:, [r + groups.line_offset(spec, g) for g in groups.ball(spec, r).elements]][:, :L]
     rngs = [Pcg64(7), Pcg64(7)]
     f = _streamed_info(oracle, patterns, n_inner, rngs[0])
@@ -196,7 +196,7 @@ def test_random_info_lex_past():
 
 def test_info_nonnegative():
     oracle, st, pot = _transfer_oracle(2.0)
-    rng = np.random.default_rng(0)
+    rng = Pcg64(0)
     masks = sample_percolation_masks(Z1, 5, 50, rng)
     windows = oracle.tm.sample_windows(5, 50, rng).astype(np.int64)
     b = groups.ball(Z1, 5)
@@ -257,7 +257,7 @@ def test_oracle_cross_agreement():
     t_oracle = TransferOracle(st, pot, Z1, 2)
     b_oracle = BallEnumerationOracle(st, pot, Z1, 2, pad=6)
     prof = ssm_profile(st, pot, Z1, 6)
-    rng = np.random.default_rng(7)
+    rng = Pcg64(7)
     L = len(groups.ball(Z1, 2).elements)
     windows = t_oracle.tm.sample_windows(2, 1000, rng).astype(np.int64)
     cols = [g[0] + 2 for g in groups.ball(Z1, 2).elements]
@@ -272,7 +272,7 @@ def test_saw_oracle_agrees_with_transfer():
     st, pot = hardcore(1, 1.0)
     t_oracle = TransferOracle(st, pot, Z1, 2)
     s_oracle = SawOracle(st, pot, Z1, 12)
-    rng = np.random.default_rng(8)
+    rng = Pcg64(8)
     windows = t_oracle.tm.sample_windows(2, 60, rng).astype(np.int64)
     cols = [g[0] + 2 for g in groups.ball(Z1, 2).elements]
     vals = windows[:, cols]
@@ -289,7 +289,7 @@ def test_saw_self_consistent_boundary_exact_on_line():
     st, pot = hardcore(1, 1.3)
     t_oracle = TransferOracle(st, pot, Z1, 3)
     s_oracle = SawOracle(st, pot, Z1, 6, boundary="self_consistent")
-    rng = np.random.default_rng(9)
+    rng = Pcg64(9)
     windows = t_oracle.tm.sample_windows(3, 40, rng).astype(np.int64)
     cols = [g[0] + 3 for g in groups.ball(Z1, 3).elements]
     vals = windows[:, cols]

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from soficlab import groups, pasts
+from soficlab import _glauber_py, groups, kernels, pasts
 from soficlab.constraints import ConstraintStructure, Potential, checkerboard, full_shift, hardcore, zero_potential
 from soficlab.enumeration import SiteGraph, joint_distribution, log_partition, site_marginal
 from soficlab.errors import ReducibleTransferError
 from soficlab.finitemodel import size_sweep
 from soficlab.gibbs import uniform_bound_c
+from soficlab.kernels import Pcg64
 from soficlab.transfer import build_transfer
 
 from oracles import (
@@ -152,34 +153,76 @@ def test_conditional_tables_are_bitwise_the_entry_loop(a, seed):
         assert not tab[:, 1, 0, 1, 1].any()
 
 
+# the window kernel of each backend that runs here: the twin always, the C
+# kernel when it is loaded
+WINDOWS = [_glauber_py.markov_windows] + ([kernels._c_markov_windows] if kernels.BACKEND == "c" else [])
+
+
+def _windows(kernel, tm, r, n, rng):
+    """`TransferMatrix.sample_windows` through the given window kernel."""
+    return kernel(np.cumsum(tm.stationary()), np.cumsum(tm.step_probs(), axis=1), n, 2 * r + 1, rng)
+
+
 @pytest.mark.parametrize("a,seed", RANK1_MODELS)
-def test_sample_windows_are_bitwise_the_counting_loop(a, seed):
+def test_sample_windows_are_bitwise_the_counting_loop(a, seed, monkeypatch):
+    """Each backend's window kernel gives the counting loop's int8 windows
+    bitwise, at r = 0, with no rows and over several row chunks of the
+    twin, and leaves the stream where `rng.random((n, 2r+1))` leaves it;
+    `sample_windows` gives the same windows."""
     tm = _rank1(a, seed)
-    for r, n in ((0, 7), (3, 500), (16, 300), (2, 0)):
-        got = tm.sample_windows(r, n, np.random.default_rng(seed + 40))
-        expect = sample_windows_loop(tm, r, n, np.random.default_rng(seed + 40))
-        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    monkeypatch.setattr(pasts, "CHUNK_FLOATS", 1000)
+    for kernel in WINDOWS:
+        for r, n in ((0, 7), (3, 500), (16, 300), (2, 0)):
+            rng, reference = Pcg64(seed + 40), Pcg64(seed + 40)
+            got = _windows(kernel, tm, r, n, rng)
+            expect = sample_windows_loop(tm, r, n, reference)
+            assert got.dtype == expect.dtype and got.shape == (n, 2 * r + 1) and np.array_equal(got, expect)
+            assert rng.state == reference.state
+            assert np.array_equal(tm.sample_windows(r, n, Pcg64(seed + 40)), expect)
 
 
 @pytest.mark.parametrize("a", [127, 128, 130])
 @pytest.mark.parametrize("short", [False, True], ids=["exact", "short-rows"])
 def test_sample_windows_of_large_alphabets_are_the_row_reference(a, short, monkeypatch):
     """Alphabets of 127, 128 and 130 symbols give the per-row reference's
-    windows, in int8 up to 127 symbols and a wider signed dtype past it,
-    over several row chunks of the uniforms.  At 130 symbols the int8
-    counts once raised OverflowError; with short-rows every step
-    probability row sums to 1/2, so half the uniforms lie past its last
-    cumulative entry and the count reaches a before it is cut to a - 1,
-    which an int8 count wraps to -128 at 128 symbols."""
+    windows on each backend, in int8 up to 127 symbols and a wider signed
+    dtype past it, over several row chunks of the twin, and leave the
+    stream alike.  At 130 symbols the int8 counts once raised
+    OverflowError; with short-rows every step probability row sums to 1/2,
+    so half the uniforms lie past its last cumulative entry and the count
+    reaches a before it is cut to a - 1, which an int8 count wraps to -128
+    at 128 symbols."""
     tm = _random_rank1(a, 1)
     if short:
         tm = dataclasses.replace(tm, lam=2 * tm.lam)
     monkeypatch.setattr(pasts, "CHUNK_FLOATS", 100 * 9)
-    got = tm.sample_windows(4, 450, np.random.default_rng(5))
-    expect = sample_windows_rows(tm, 4, 450, np.random.default_rng(5))
-    assert got.dtype == (np.int8 if a <= 127 else np.int16)
-    assert np.array_equal(got, expect) and got.min() >= 0
-    assert not short or (got[:, 1:] == a - 1).mean() > 0.4
+    for kernel in WINDOWS:
+        rng, reference = Pcg64(5), Pcg64(5)
+        got = _windows(kernel, tm, 4, 450, rng)
+        expect = sample_windows_rows(tm, 4, 450, reference)
+        assert got.dtype == (np.int8 if a <= 127 else np.int16)
+        assert np.array_equal(got, expect) and got.min() >= 0
+        assert rng.state == reference.state
+        assert not short or (got[:, 1:] == a - 1).mean() > 0.4
+
+
+def test_window_kernels_refuse_bad_arguments_before_any_draw():
+    """A stream other than a Pcg64, cumulative laws of the wrong dtype or
+    shapes, a negative row count or an empty window is a ValueError on each
+    backend, and nothing is drawn."""
+    cum_pi, cum_step = np.array([0.5, 1.0]), np.array([[0.5, 1.0], [1.0, 1.0]])
+    for kernel in WINDOWS:
+        for args in ((cum_pi, cum_step, 3, 5, np.random.default_rng(1)),
+                     (cum_pi.astype(np.float32), cum_step, 3, 5, Pcg64(1)),
+                     (cum_pi, cum_step[:1], 3, 5, Pcg64(1)),
+                     (cum_pi[:0], cum_step[:0, :0], 3, 5, Pcg64(1)),
+                     (cum_pi, cum_step, -1, 5, Pcg64(1)),
+                     (cum_pi, cum_step, 3, 0, Pcg64(1))):
+            rng = args[-1]
+            before = repr(rng.state) if isinstance(rng, Pcg64) else repr(rng.bit_generator.state)
+            with pytest.raises(ValueError):
+                kernel(*args)
+            assert before == (repr(rng.state) if isinstance(rng, Pcg64) else repr(rng.bit_generator.state))
 
 
 def test_window_distribution_normalizes_and_matches_pairs():
@@ -212,8 +255,7 @@ def test_cycle_pair_marginal_of_a_long_cycle_is_the_stationary_pair():
 def test_sample_windows_statistics():
     st, pot = hardcore(1, 1.0)
     tm = build_transfer(st, pot)
-    rng = np.random.default_rng(3)
-    X = tm.sample_windows(2, 60_000, rng)
+    X = tm.sample_windows(2, 60_000, Pcg64(3))
     freq = X[:, 2].mean()
     assert freq == pytest.approx(hardcore_line_density(1.0), abs=0.01)
     # no adjacent occupied pairs ever
