@@ -233,8 +233,9 @@ def test_permutations_are_bitwise_numpys():
 
 
 def test_random_perm_map_is_numpys_draw():
-    """The random_perm builder's cycles run along numpy's permutations of
-    `default_rng(SeedSequence(seed))`, as they did when it drew through it."""
+    """The random_perm builder's cycle s runs along the s-th permutation
+    that numpy's `default_rng(SeedSequence(seed))` draws, so a seed gives
+    the same map whichever stream draws it."""
     for k, n, seed in ((1, 2, 0), (2, 50, 5), (3, 1000, 9)):
         reference = _numpy(seed)
         perms = soficmaps.build_random_perm(k, n, seed).perms
