@@ -7,10 +7,11 @@ interpreter per tree and round.
     python benchmarks/elimination.py --src before=../old/src --src after=src --rounds 15
 
 Each --src LABEL=DIR is a soficlab source tree (the directory holding the
-`soficlab` package).  A round starts one fresh child per tree, the trees
-alternating, so a slow spell of a shared host falls on all of them alike.
-A child runs on the default kernel backend (elimination is numpy alone) and
-times, after one untimed call each:
+`soficlab` package).  The trees, their C libraries, the rounds and the
+record are those of benchmarks/harness.py, shared with cold_start.py: a
+round starts one fresh child per tree, the trees alternating.  A child runs
+on the default kernel backend (elimination is numpy alone) and times, after
+one untimed call each:
 
 - `beta_z2_r1`, `beta_z2_r2`, `beta_f2_r1`: one radius of `ssm-profile`
   (`gibbs._beta_enumeration`: one elimination on B_{r+1} that keeps the
@@ -42,16 +43,11 @@ The medians over rounds and every raw sample go to --out
 with each tree's git commit and kernel backend.
 """
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
 from pathlib import Path
 
-from cold_start import _git_version
+import harness
 
 HERE = Path(__file__).resolve().parent
 REPS, BALL_REPS, ROWS, SLOW_REPS = 20, 3, 200, 3  # timed beta calls, ball batches, rows of one batch, slow calls
@@ -156,41 +152,21 @@ CASES = ("beta_z2_r1", "beta_z2_r2", "beta_f2_r1", "ball_z2_pad2", "ball_f2_isin
          "saw_marginal_tree3000", "saw_marginal_grid7", "saw_marginal_grid12", "uniform_bound_f2_ising")
 
 
-def _child(src: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "SOFICLAB_KERNEL"}
-    env["PYTHONPATH"] = str(src)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([REPS, BALL_REPS, ROWS, SLOW_REPS])], env=env,
-                          capture_output=True, text=True, timeout=600, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", action="append", metavar="LABEL=DIR",
-                    help="a labelled soficlab source tree; repeatable (default: current=src of this checkout)")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", type=Path, default=HERE / "BENCH_elimination.json")
-    args = ap.parse_args(argv)
-    trees = dict(item.split("=", 1) for item in args.src or [f"current={HERE.parent / 'src'}"])
-    trees = {label: Path(path).resolve() for label, path in trees.items()}
-    samples = {label: [] for label in trees}
-    for r in range(args.rounds):
-        for label, src in trees.items():
-            samples[label].append(_child(src))
-        print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
-    results = json.loads(args.out.read_text()) if args.out.exists() else {}
-    results["host"] = {"python": platform.python_version(), "machine": platform.machine(),
-                       "nproc": os.cpu_count(), "note": "ms per elimination; medians over rounds"}
-    for label, runs in samples.items():
-        entry = {"git": _git_version(trees[label]), "backend": runs[0]["backend"], "numpy": runs[0]["numpy"],
-                 "rounds": args.rounds, "reps": REPS, "ball_reps": BALL_REPS, "rows": ROWS, "slow_reps": SLOW_REPS}
+    args = harness.parse_args(__doc__, 10, HERE / "BENCH_elimination.json", argv)
+    tasks = {"all": ([json.dumps([REPS, BALL_REPS, ROWS, SLOW_REPS])], None)}
+    samples = harness.measure(_CHILD, args.trees, args.rounds, tasks)
+    entries = {}
+    for label, by_task in samples.items():
+        runs = by_task["all"]
+        entry = entries[label] = {"git": harness.git_version(args.trees[label]), "backend": runs[0]["backend"],
+                                  "numpy": runs[0]["numpy"], "rounds": args.rounds, "reps": REPS,
+                                  "ball_reps": BALL_REPS, "rows": ROWS, "slow_reps": SLOW_REPS}
         for case in CASES:
-            samples = [s[case] for s in runs]
-            ms = None if None in samples else statistics.median(samples)
-            entry[case] = {"ms": ms, "samples": samples}
-        results[label] = entry
+            ms = [s[case] for s in runs]
+            entry[case] = {"ms": None if None in ms else statistics.median(ms), "samples": ms}
         print(f"{label:>8} " + "  ".join(f"{case} {entry[case]['ms']}" for case in CASES))
-    args.out.write_text(json.dumps(results, indent=1) + "\n")
+    harness.write(args.out, entries, "ms per elimination; medians over rounds")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ class SoficMap:
         inv = np.empty_like(self.perms)
         for s in range(self.perms.shape[0]):
             p = self.perms[s]
-            if sorted(p.tolist()) != list(range(self.n)):
+            if not np.array_equal(np.sort(p), np.arange(self.n)):
                 raise ValueError(f"generator {s} is not a permutation")
             inv[s, p] = np.arange(self.n, dtype=np.int64)
         self.perms_inv = inv

@@ -159,6 +159,20 @@ def hardcore_stationary_p0(lam):
     return x * x / (x * x + lam)
 
 
+def bethe_hardcore_pressure(lam, degree):
+    """Bethe pressure of hardcore at activity lam on the d-regular tree:
+    R = lam/(1+R)^(d-1) by bisection on [0, lam] down to adjacent floats (the
+    plain iteration can fall into a 2-cycle), then
+    P = log(1 + lam/(1+R)^d) - (d/2) log((1+2R)/(1+R)^2)."""
+    lo, hi = 0.0, lam
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if mid < lam / (1 + mid) ** (degree - 1):
+            lo = mid
+        else:
+            hi = mid
+    return math.log(1 + lam / (1 + lo) ** degree) - degree / 2 * math.log((1 + 2 * lo) / (1 + lo) ** 2)
+
+
 def transfer_batch_argmin(tables, offsets, r_max, values, masks):
     """Center conditionals of a rank-1 transfer oracle read from its lookup
     tables, with the nearest pin on each side found as the argmin of a

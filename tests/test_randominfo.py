@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import sys
 import tracemalloc
@@ -25,7 +26,14 @@ from soficlab.randominfo import (
 )
 from soficlab.transfer import build_transfer
 
-from oracles import hardcore_line_pressure, hardcore_stationary_p0, info_fn_full_width, into, sample_windows_loop
+from oracles import (
+    bethe_hardcore_pressure,
+    hardcore_line_pressure,
+    hardcore_stationary_p0,
+    info_fn_full_width,
+    into,
+    sample_windows_loop,
+)
 
 Z1 = groups.zd(1)
 F1 = groups.free(1)
@@ -313,6 +321,26 @@ def test_f2_exploratory_cross_validation():
     sp = DerivedSpace(soficmaps.build_random_perm(2, 1024, seed=3), st, pot)
     mc = partition_mcmc(sp, seed=4, grid_points=48, samples_per_point=1500)
     assert abs(kp.value - mc.log_Z / sp.n) < 0.005
+
+
+def test_bethe_hardcore_pressure_oracle():
+    assert bethe_hardcore_pressure(0.3, 4) == 0.19095573521757503
+    assert bethe_hardcore_pressure(1.0, 4) == 0.4012246691681729  # where plain iteration 2-cycles
+    for lam in (0.3, 1.0, 2.5):  # the 2-regular tree is Z^1
+        assert bethe_hardcore_pressure(lam, 2) == pytest.approx(hardcore_line_pressure(lam), rel=1e-14)
+
+
+def test_kp_estimate_on_f2_matches_bethe(tmp_path):
+    """The default `kp-estimate` on F_2 hardcore at lambda = 0.3 (inside
+    uniqueness) is within 4 stderr of the Bethe pressure of the 4-regular tree."""
+    from soficlab.cli import run_config
+    from soficlab.modelfile import hardcore_model_dict
+
+    model = tmp_path / "f2.json"
+    model.write_text(json.dumps(hardcore_model_dict("Free", 2, 0.3)))
+    out = run_config({"experiment": "kp-estimate", "model": str(model), "params": {"r": 5, "N": 200_000},
+                      "seed": 1})["outputs"]
+    assert abs(out["value"] - bethe_hardcore_pressure(0.3, 4)) < 4 * out["stderr"]
 
 
 @pytest.mark.parametrize(

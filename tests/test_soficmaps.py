@@ -149,3 +149,11 @@ def test_degenerate_small_map():
     sm = soficmaps.build_random_perm(1, 2, seed=0)
     rep = soficmaps.good_vertices(sm, groups.ball(groups.free(1), 1))
     assert 0.0 <= rep.fraction <= 1.0
+
+
+@pytest.mark.parametrize("row", [[0, 1, 1, 3], [0, 1, 2, 4], [0, 1, 2, -1], [0, 1, 2], [0, 1, 2, 3, 4]],
+                         ids=["repeated", "equal-to-n", "negative", "short", "long"])
+def test_a_generator_that_is_not_a_permutation_is_refused(row):
+    assert soficmaps.SoficMap(Z1, 4, [[1, 2, 3, 0]], {}).perms_inv.tolist() == [[3, 0, 1, 2]]
+    with pytest.raises(ValueError, match="^generator 0 is not a permutation$"):
+        soficmaps.SoficMap(Z1, 4, [row], {})
