@@ -151,8 +151,9 @@ def test_degenerate_small_map():
     assert 0.0 <= rep.fraction <= 1.0
 
 
-@pytest.mark.parametrize("row", [[0, 1, 1, 3], [0, 1, 2, 4], [0, 1, 2, -1], [0, 1, 2], [0, 1, 2, 3, 4]],
-                         ids=["repeated", "equal-to-n", "negative", "short", "long"])
+@pytest.mark.parametrize("row", [[0, 1, 1, 3], [0, 1, 2, 4], [0, 1, 2, 10**15], [0, 1, 2, -1], [0, 1, 2],
+                                 [0, 1, 2, 3, 4]],
+                         ids=["repeated", "equal-to-n", "far-past-n", "negative", "short", "long"])
 def test_a_generator_that_is_not_a_permutation_is_refused(row):
     assert soficmaps.SoficMap(Z1, 4, [[1, 2, 3, 0]], {}).perms_inv.tolist() == [[3, 0, 1, 2]]
     with pytest.raises(ValueError, match="^generator 0 is not a permutation$"):
