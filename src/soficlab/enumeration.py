@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential
-from .errors import CapExceededError
+from .errors import CapExceededError, SchemaError
 
 # the most entries of one elimination table, a message or the final table:
 # 2^26 float64, 512 MiB.  Each call's plan gives every table's scope before
@@ -259,11 +259,35 @@ def _mean_term(factors, energies, out):
 
 
 def _eliminate(graph, structure, potential, pins, keep, extra=None, energy=False):
+    """The result of `_eliminate_scaled`, or None when no admissible
+    configuration exists.
+
+    Each factor table is scaled by its own maximum, so weights far below it
+    flush to 0: hardcore with vertex_log_weights [0, 1000] leaves no mass.
+    So when the potential's elimination finds none, the same plan runs
+    once more with no potential; if that finds mass, the configurations
+    exist and their weights underflowed, a SchemaError naming the
+    potential's range.  Where the first elimination finds mass, this costs
+    nothing.
+    """
+    res = _eliminate_scaled(graph, structure, potential, pins, keep, extra, energy)
+    if res is None and potential is not None and (
+            _eliminate_scaled(graph, structure, None, pins, keep, extra) is not None):
+        raise SchemaError(
+            f"vertex_log_weights range over [{float(potential.h.min())!r}, {float(potential.h.max())!r}] and "
+            f"edge_log_weights over [{float(potential.J.min())!r}, {float(potential.J.max())!r}]: exact "
+            "elimination scales each factor by its largest weight, and at this spread the smaller weights "
+            "underflow to 0 and leave no mass, although admissible configurations exist"
+        )
+    return res
+
+
+def _eliminate_scaled(graph, structure, potential, pins, keep, extra=None, energy=False):
     """Min-degree variable elimination of every unpinned site outside keep.
 
     Returns (log_scale, table, energy_table), where exp(log_scale) * table
     is the unnormalised weight of the unpinned sites of keep (in keep order,
-    indexed by symbol), or None when no admissible configuration exists.
+    indexed by symbol), or None when the scaled tables hold no mass.
     With energy, exp(log_scale) * energy_table weighs each configuration by
     its log-weight too, from (value, energy) pairs: log-table L gives (f, f
     L), 0 where f is; a bucket's energy takes one contraction per factor

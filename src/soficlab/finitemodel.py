@@ -1,7 +1,7 @@
-"""Derived finite models on a sofic map: pullback names, membership, energy,
-the derived partition function by exact elimination, transfer matrices, or
-thermodynamic integration, and `size_sweep`, the per-size pressure and
-entropy rows of a builder family.
+"""Derived finite models on a sofic map: energy, the derived partition
+function by exact elimination, transfer matrices, or thermodynamic
+integration, and `size_sweep`, the per-size pressure and entropy rows of a
+builder family.
 
 Every entropy row is H(mu_n) = log Z_n - E_{mu_n}[energy]: the exact route
 carries the mean energy beside log Z through the same elimination, the cycle
@@ -28,12 +28,7 @@ import numpy as np
 from . import enumeration, groups
 from .constraints import ConstraintStructure, Pattern, Potential, detect_safe_symbol
 from .constraints import Verdict, is_globally_admissible
-from .errors import (
-    EmptyFiberError,
-    NoConsistentColorError,
-    NoSafeSymbolError,
-    SchemaError,
-)
+from .errors import EmptyFiberError, NoSafeSymbolError, SchemaError
 from .kernels import Pcg64
 from .modelbuild import build_sofic, builder_generators
 from .sampling import GlauberEngine, sample_derived_gibbs
@@ -109,13 +104,6 @@ class DerivedSpace:
         return table
 
 
-def pullback(space: DerivedSpace, x: np.ndarray, v: int, r: int) -> Pattern:
-    """The B_r pullback name of x at v: pattern g -> x(sigma^g(v))."""
-    b = groups.ball(space.spec, r)
-    values = tuple(int(x[space.sm.sigma_array(g)[v]]) for g in b.elements)
-    return Pattern(b.elements, values)
-
-
 def derived_energy(space: DerivedSpace, x: np.ndarray) -> float:
     """Sum over vertices of the potential read through the pullback window."""
     x = np.asarray(x)
@@ -125,125 +113,6 @@ def derived_energy(space: DerivedSpace, x: np.ndarray) -> float:
     return total
 
 
-def _edge_violations(space: DerivedSpace, x: np.ndarray):
-    """Boolean (S, n): edge v -> sigma^s(v) exists, is not a self-loop, and is violated."""
-    out = np.zeros((space.sm.n_generators, space.n), dtype=bool)
-    idx = np.arange(space.n)
-    for s in range(space.sm.n_generators):
-        dst = space.sm.perms[s]
-        real = dst != idx
-        out[s] = real & ~space.structure.allowed[s][x, x[dst]]
-    return out
-
-def is_in_Xn(space: DerivedSpace, x: np.ndarray) -> bool:
-    x = np.asarray(x)
-    if _edge_violations(space, x).any():
-        return False
-    if space.safe_symbol is None:
-        W = space._window_arrays
-        table = space._admissible_windows
-        for v in space.mm_good:
-            if tuple(int(x[W[i, v]]) for i in range(W.shape[0])) not in table:
-                return False
-    return True
-
-
-def error_set(space: DerivedSpace, x: np.ndarray) -> np.ndarray:
-    """Window-good vertices whose pulled-back B_2 window is not admissible."""
-    x = np.asarray(x)
-    good = space.mm_good
-    if good.size == 0:
-        return good
-    W = space._window_arrays[:, good]  # (L, n_good)
-    vals = x[W]
-    ok = np.ones(good.size, dtype=bool)
-    for (i, s, j) in space.mm_ball.edges:
-        ok &= space.structure.allowed[s][vals[i], vals[j]]
-    if space.safe_symbol is None:
-        table = space._admissible_windows
-        for col in np.flatnonzero(ok):
-            if tuple(int(v) for v in vals[:, col]) not in table:
-                ok[col] = False
-    return good[~ok]
-
-
-def extend_locally_consistent(
-    space: DerivedSpace, partial: dict, certificate=None
-) -> np.ndarray:
-    """Greedy extension of a consistent partial configuration to all of V_n.
-
-    Vertices ascend, candidate symbols ascend; with a safe symbol the greedy
-    step can never get stuck, which is the certificate that the result lies
-    in the derived space.  Without a safe symbol a TSSM certificate must be
-    supplied, and a stuck step raises NoConsistentColorError.
-    """
-    if space.safe_symbol is None and (certificate is None or certificate.kind == "violated"):
-        raise NoSafeSymbolError(
-            "greedy extension needs a safe symbol or an explicit TSSM certificate"
-        )
-    x = np.full(space.n, -1, dtype=np.int8)
-    for v, val in partial.items():
-        x[int(v)] = val
-    allowed = space.structure.allowed
-    out = space.sm.perms
-    inn = space.sm.perms_inv
-    for v in range(space.n):
-        if x[v] >= 0:
-            continue
-        placed = False
-        for c in range(space.structure.alphabet):
-            ok = True
-            for s in range(space.sm.n_generators):
-                o = out[s, v]
-                if o != v and x[o] >= 0 and not allowed[s, c, x[o]]:
-                    ok = False
-                    break
-                i = inn[s, v]
-                if i != v and x[i] >= 0 and not allowed[s, x[i], c]:
-                    ok = False
-                    break
-            if ok:
-                x[v] = c
-                placed = True
-                break
-        if not placed:
-            raise NoConsistentColorError(
-                f"no admissible symbol at vertex {v}; certificate wrong or input inconsistent"
-            )
-    if space.safe_symbol is None and not is_in_Xn(space, x):
-        raise NoConsistentColorError(
-            "greedy extension left an inadmissible window; certificate wrong or input inconsistent"
-        )
-    return x
-
-
-def correct_errors(space: DerivedSpace, x: np.ndarray) -> np.ndarray:
-    """Rewrite x inside the window-neighborhood of its error set to land in X^n.
-
-    Agrees with x off sigma^{B_2}(error_set(x)); on maps with window-bad
-    vertices the rewrite region additionally absorbs endpoints of violated
-    edges that no good window sees, so the output is always a member of the
-    derived space.
-    """
-    x = np.asarray(x, dtype=np.int8)
-    errs = error_set(space, x)
-    mask = np.zeros(space.n, dtype=bool)
-    if errs.size:
-        for g in space.mm_ball.elements:
-            mask[space.sm.sigma_array(g)[errs]] = True
-    viol = _edge_violations(space, x)
-    for s in range(space.sm.n_generators):
-        bad = np.flatnonzero(viol[s])
-        # edges with one masked endpoint are repaired by the greedy refill;
-        # only violations entirely outside the mask need absorbing
-        uncovered = bad[~(mask[bad] | mask[space.sm.perms[s][bad]])]
-        if uncovered.size:
-            mask[uncovered] = True
-            mask[space.sm.perms[s][uncovered]] = True
-    partial = {int(v): int(x[v]) for v in np.flatnonzero(~mask)}
-    return extend_locally_consistent(space, partial)
-
-
 @dataclass
 class PartitionResult:
     log_Z: float
@@ -251,18 +120,6 @@ class PartitionResult:
     stderr: float = 0.0
     diagnostics: dict = field(default_factory=dict)
     mean_energy: float = math.nan  # E_{mu_n}[energy], where the route computed it
-
-
-def _iter_Xn(space: DerivedSpace, visit):
-    """Visit every configuration of the derived space with its log-weight, by DFS."""
-    if space.safe_symbol is None:
-        windows, table, inner = space._window_arrays[:, space.mm_good].T, space._admissible_windows, visit
-
-        def visit(values, lw):
-            if all(tuple(values[i] for i in window) in table for window in windows):
-                inner(values, lw)
-
-    enumeration._dfs(enumeration.SiteGraph.from_sofic(space.sm), space.structure, space.potential, {}, None, visit)
 
 
 def partition_exact(space: DerivedSpace, energy: bool = True) -> PartitionResult:

@@ -1,10 +1,10 @@
-"""Specifications, derived Gibbs measures, and mixing diagnostics.
+"""Mixing diagnostics of the specification: the empirical strong-spatial-mixing
+profile and the uniform lower bound on single-site conditionals, the two parts
+of the truncation budget of `randominfo.truncation_budget`.
 
-Exact tables are built by enumeration, up to TABLE_CAP sites; they are the
-tests' reference for the log Z and mean energy that `finitemodel`'s exact
-route computes by elimination, with no table.  Finite-window conditional kernels are true
-conditionals of the Boltzmann weights (interface edge terms counted in both
-directions), which is what the exact-table cross checks require.
+Finite-window conditionals are true conditionals of the Boltzmann weights
+(interface edge terms counted in both directions), read from exact
+elimination or from the transfer chain.
 """
 
 from __future__ import annotations
@@ -16,151 +16,15 @@ from itertools import combinations, product
 import numpy as np
 
 from . import enumeration, groups
-from .constraints import ConstraintStructure, Pattern, Potential, core_symbols
+from .constraints import ConstraintStructure, Potential, core_symbols
 from .enumeration import SiteGraph
-from .errors import BudgetExceededError, CapExceededError, EmptyFiberError
-from .finitemodel import DerivedSpace, _iter_Xn, derived_energy
+from .errors import BudgetExceededError, EmptyFiberError
 from .groups import GroupSpec
 from .marginals import make_oracle
-from .sampling import sample_derived_gibbs
 from .transfer import build_transfer
 
 SSM_BOUNDARY_PATTERNS = 8192  # of one shell in `ssm_profile`: on Z^2 over 2 symbols, r <= 2
 UNIFORM_BOUND_SUBSETS = 4096  # the pinned subsets of B_r that `uniform_bound_c` tries
-TABLE_CAP = 20  # the most sites of a full table of `derived_gibbs_exact`
-
-
-@dataclass
-class BallDistribution:
-    """Distribution over patterns on the ball B_r, keyed by value tuples in ball order."""
-
-    spec: GroupSpec
-    radius: int
-    table: dict
-
-    def check_normalized(self, tol: float = 1e-12):
-        total = sum(self.table.values())
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"distribution sums to {total}")
-
-
-def tv_tables(a: dict, b: dict) -> float:
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
-
-
-def specification_ball(
-    structure: ConstraintStructure,
-    potential: Potential,
-    spec: GroupSpec,
-    r: int,
-    boundary: Pattern,
-) -> BallDistribution:
-    """Exact conditional distribution on A^{B_r} given a boundary on the shell.
-
-    The boundary pattern must cover the B_1-boundary of B_r (word length
-    exactly r+1) and be admissible with some interior filling.  The table
-    is the positive entries of `enumeration.joint_distribution` of the interior.
-    """
-    b = groups.ball(spec, r + 1)
-    shell = set(groups.boundary_shell(spec, r))
-    missing = shell - set(boundary.sites)
-    if missing:
-        raise ValueError(f"boundary must cover the whole shell; missing {sorted(missing)[:3]}")
-    graph = SiteGraph.from_ball(b)
-    pins = {b.index[g]: v for g, v in zip(boundary.sites, boundary.values) if g in shell}
-    interior = [i for i, g in enumerate(b.elements) if g not in shell]
-    table = enumeration.joint_distribution(graph, structure, potential, interior, pins=pins)
-    if table is None:
-        raise EmptyFiberError("no interior completion of the given boundary")
-    keys = product(range(structure.alphabet), repeat=len(interior))  # C order: the last site fastest
-    return BallDistribution(spec, r, {key: p for key, p in zip(keys, table.ravel().tolist()) if p > 0.0})
-
-
-@dataclass
-class ExactGibbs:
-    space: DerivedSpace
-    configs: np.ndarray  # (N, n) int8
-    log_weights: np.ndarray
-    log_Z: float
-    probs: np.ndarray
-
-
-def derived_gibbs_exact(space: DerivedSpace) -> ExactGibbs:
-    if space.n > TABLE_CAP:
-        raise CapExceededError(f"n={space.n} exceeds exact table cap {TABLE_CAP}")
-    configs, logws = [], []
-
-    def visit(values, lw):
-        configs.append(tuple(values))
-        logws.append(lw)
-
-    _iter_Xn(space, visit)
-    if not configs:
-        raise EmptyFiberError("the derived space has no configuration to tabulate")
-    arr = np.array(configs, dtype=np.int8)
-    logws = np.array(logws)
-    m = logws.max()
-    raw = np.exp(logws - m)
-    z = raw.sum()
-    return ExactGibbs(space, arr, logws, m + math.log(z), raw / z)
-
-
-def shannon_entropy_exact(space: DerivedSpace, table: ExactGibbs | None = None) -> float:
-    t = derived_gibbs_exact(space) if table is None else table
-    p = t.probs[t.probs > 0]
-    return float(-(p * np.log(p)).sum())
-
-
-def mean_energy_exact(table: ExactGibbs) -> float:
-    return float(
-        sum(p * derived_energy(table.space, x) for p, x in zip(table.probs, table.configs))
-    )
-
-
-def pushforward_tables(space: DerivedSpace, r: int, probe) -> list[dict]:
-    """Per-vertex window distributions (Pi_v^{sigma,r})_* mu_n.
-
-    probe = ("exact",) uses the full table; probe = ("sampled", n_samples,
-    thin, burn, seed) estimates from heat-bath samples.
-    """
-    b = groups.ball(space.spec, r)
-    W = np.stack([space.sm.sigma_array(g) for g in b.elements])
-    L = W.shape[0]
-    a = space.structure.alphabet
-    codes = a ** np.arange(L)
-    n_codes = a**L
-    if n_codes > 10**7:
-        raise CapExceededError("window too large to tabulate; reduce r")
-    if probe[0] == "exact":
-        table = derived_gibbs_exact(space)
-        weights = table.probs
-        samples = table.configs
-    elif probe[0] == "sampled":
-        _, n_samples, thin, burn, seed = probe
-        samples = sample_derived_gibbs(space, sweeps=burn, seed=seed, n_samples=n_samples, thin=thin)
-        weights = np.full(len(samples), 1.0 / len(samples))
-    else:
-        raise ValueError(f"unknown probe {probe[0]!r}")
-    out = []
-    for v in range(space.n):
-        window_codes = samples[:, W[:, v]] @ codes
-        mass = np.bincount(window_codes, weights=weights, minlength=n_codes)
-        nz = np.flatnonzero(mass)
-        out.append(
-            {tuple(int(c // codes[i] % a) for i in range(L)): float(mass[c]) for c in nz}
-        )
-    return out
-
-
-def local_weakstar_gap(
-    space: DerivedSpace, reference: BallDistribution, r: int, eps: float, probe
-) -> float:
-    """Fraction of vertices whose window pushforward is farther than eps in TV."""
-    ref = reference.table
-    tables = pushforward_tables(space, r, probe)
-    bad = sum(1 for t in tables if tv_tables(t, ref) > eps)
-    return bad / space.n
 
 
 def ssm_profile(structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r_max: int) -> np.ndarray:
@@ -288,21 +152,3 @@ def uniform_bound_c(
         - 2.0 * potential.norm() * m_size**4
     )
     return UniformBound(c_hat, log_c_formula, witness)
-
-
-def transfer_reference_marginal(
-    structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r: int
-) -> BallDistribution:
-    """Infinite-volume marginal on B_r for rank-1 groups, in ball order."""
-    if spec.rank != 1:
-        raise ValueError("transfer reference needs rank 1")
-    tm = build_transfer(structure, potential)
-    by_offset = tm.window_distribution(r)
-    b = groups.ball(spec, r)
-    # ball order -> offset positions within [-r..r]
-    positions = [groups.line_offset(spec, g) + r for g in b.elements]
-    table = {}
-    for word, p in by_offset.items():
-        key = tuple(word[pos] for pos in positions)
-        table[key] = table.get(key, 0.0) + p
-    return BallDistribution(spec, r, table)

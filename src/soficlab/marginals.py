@@ -33,7 +33,7 @@ from .enumeration import SiteGraph
 from .errors import InconsistentPinsError, NoSafeSymbolError, SchemaError
 from .groups import GroupSpec
 from .pasts import percolation_rows
-from .transfer import build_transfer
+from .transfer import LOG_FLOAT_MAX, build_transfer
 
 
 class TransferOracle:
@@ -305,7 +305,11 @@ class SawOracle:
         self.r_max = r_max
         self.pad = pad
         self.boundary = boundary
-        lam = float(np.exp(potential.h[1] - potential.h[0]))
+        log_lam = float(potential.h[1] - potential.h[0])
+        if log_lam > LOG_FLOAT_MAX:  # refused before the exp, which would overflow to inf
+            raise SchemaError(f"the activity log h(1) - h(0) = {log_lam!r} (vertex_log_weights) is above "
+                              f"log(float max) = {LOG_FLOAT_MAX:.6g}, so its activity is no float")
+        lam = float(np.exp(log_lam))
         if boundary == "self_consistent":
             outer = _tree_fixed_point(lam, 2 * spec.rank)
         elif boundary == "free":

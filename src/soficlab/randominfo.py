@@ -181,8 +181,9 @@ def kp_pressure_at_measure(
     past) rows go through `_streamed_info` pattern-major, which keeps only
     each pattern's mean: no array of all rows' values, masks or
     conditionals is built, and the patterns stay in the windows' own small
-    integer dtype.  The info part alone estimates the entropy of mu.  The
-    fixed-point estimator is `kp_pressure_at_fixed_point`.
+    integer dtype.  The parts "info" and "info_stderr" alone estimate the
+    entropy of mu and its standard error.  The fixed-point estimator is
+    `kp_pressure_at_fixed_point`.
     """
     if spec.rank != 1:
         raise SchemaError("the pressure against mu samples the measure exactly only on rank-1 groups")
@@ -208,23 +209,6 @@ def kp_pressure_at_measure(
             "info_stderr": float(info_means.std(ddof=1) / math.sqrt(M_outer)),
             "phi": float(phis.mean()),
         },
-    )
-
-
-def percolative_entropy(
-    structure: ConstraintStructure,
-    potential: Potential,
-    spec: GroupSpec,
-    oracle,
-    r: int,
-    N_inner: int,
-    M_outer: int,
-    seed: int,
-) -> InfoEstimate:
-    """Entropy of mu as the mu-average of the random information function."""
-    est = kp_pressure_at_measure(structure, potential, spec, oracle, r, N_inner, M_outer, seed)
-    return InfoEstimate(
-        est.parts["info"], est.parts["info_stderr"], r, est.n_samples, est.oracle, parts=est.parts
     )
 
 

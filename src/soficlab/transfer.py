@@ -8,7 +8,8 @@ The Perron pair needs an irreducible relation: one whose support graph on
 the core symbols is strongly connected.  A reducible relation, such as
 [[1, 1], [0, 1]] or the identity, has traces but no unique stationary chain;
 everything built on the pair raises ReducibleTransferError there.  A
-weight h(b) + J(a, b) on an allowed pair past LOG_FLOAT_MAX is a SchemaError.
+weight h(b) + J(a, b) on an allowed pair past LOG_FLOAT_MAX is a SchemaError,
+and conditional tables past the elimination table cap a CapExceededError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import kernels
 from .constraints import ConstraintStructure, Potential, core_symbols
-from .errors import ReducibleTransferError, SchemaError
+from .enumeration import ELIMINATION_TABLE_CAP
+from .errors import CapExceededError, ReducibleTransferError, SchemaError
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest x whose exponential is a float
 
@@ -39,10 +41,6 @@ class TransferMatrix:
     @property
     def alphabet(self) -> int:
         return self.structure.alphabet
-
-    def pressure(self) -> float:
-        """Per-site free energy of the line, log of the dominant eigenvalue."""
-        return math.log(self.lam)
 
     def perron(self) -> tuple[np.ndarray, np.ndarray]:
         """The Perron pair (left, right) with left . right = 1."""
@@ -75,23 +73,6 @@ class TransferMatrix:
         raw = M * np.linalg.matrix_power(M, m - 1).T
         return raw / raw.sum()
 
-    def window_distribution(self, r: int) -> dict:
-        """Infinite-volume marginal on the interval [-r..r], keyed by value tuples."""
-        pi = self.stationary()
-        P = self.step_probs()
-        out: dict[tuple, float] = {}
-
-        def rec(prefix, prob):
-            if len(prefix) == 2 * r + 1:
-                out[tuple(prefix)] = prob
-                return
-            for b in range(self.alphabet):
-                step = P[prefix[-1], b] if prefix else None
-                rec(prefix + [b], prob * (step if prefix else pi[b]))
-
-        rec([], 1.0)
-        return {k: v for k, v in out.items() if v > 0.0}
-
     def conditional_center(self, pins: dict) -> np.ndarray:
         """Exact mu(x_0 = . | pinned offsets), offsets as nonzero ints: a
         column of `conditional_tables`.
@@ -117,8 +98,15 @@ class TransferMatrix:
         center weights are lw[dl, bl, v] * rw[dr, br, v]: the row bl of the
         scaled power (T / lam)^dl, or the left Perron vector when dl = 0,
         times the column br of (T / lam)^dr, or the right Perron vector.
+        The tables hold a^3 (r_max+1)^2 doubles; past
+        `enumeration.ELIMINATION_TABLE_CAP` they are a CapExceededError
+        before anything is built (on two symbols, r_max <= 2,895).
         """
         a = self.alphabet
+        size = a**3 * (r_max + 1) ** 2
+        if size > ELIMINATION_TABLE_CAP:
+            raise CapExceededError(f"the transfer tables up to radius {r_max} hold {a}^3 ({r_max}+1)^2 = {size} "
+                                   f"doubles, past the cap of {ELIMINATION_TABLE_CAP}; lower the radius")
         left, right = self.perron()
         M = self.T / self.lam
         powers = np.empty((r_max, a, a))  # (T / lam)^k for k = 1..r_max

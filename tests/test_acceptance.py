@@ -14,29 +14,14 @@ from soficlab.constraints import check_tssm, checkerboard, hardcore
 from soficlab.constraints import Verdict, is_globally_admissible
 from soficlab.finitemodel import (
     DerivedSpace,
-    correct_errors,
     derived_energy,
-    error_set,
-    is_in_Xn,
     partition_cycle_decomposition,
     partition_exact,
     partition_mcmc,
 )
-from soficlab.gibbs import (
-    derived_gibbs_exact,
-    local_weakstar_gap,
-    mean_energy_exact,
-    shannon_entropy_exact,
-    ssm_profile,
-    transfer_reference_marginal,
-    uniform_bound_c,
-)
+from soficlab.gibbs import ssm_profile, uniform_bound_c
 from soficlab.marginals import TransferOracle
-from soficlab.randominfo import (
-    kp_pressure_at_fixed_point,
-    kp_pressure_at_measure,
-    percolative_entropy,
-)
+from soficlab.randominfo import kp_pressure_at_fixed_point, kp_pressure_at_measure
 from soficlab.saw import hardcore_marginal_via_saw, weitz_threshold
 
 from oracles import (
@@ -45,6 +30,16 @@ from oracles import (
     hardcore_line_density,
     hardcore_line_pressure,
     lucas,
+)
+from reference import (
+    correct_errors,
+    derived_gibbs_exact,
+    error_set,
+    is_in_Xn,
+    local_weakstar_gap,
+    mean_energy_exact,
+    shannon_entropy_exact,
+    transfer_reference_marginal,
 )
 
 Z1, Z2 = groups.zd(1), groups.zd(2)
@@ -125,9 +120,9 @@ def test_criterion_05_entropy_formula():
     st, pot = hardcore(1, 2.0)
     t0 = time.time()
     oracle = TransferOracle(st, pot, Z1, 16)
-    est = percolative_entropy(st, pot, Z1, oracle, r=16, N_inner=100, M_outer=16000, seed=13)
+    est = kp_pressure_at_measure(st, pot, Z1, oracle, r=16, N_inner=100, M_outer=16000, seed=13)
     elapsed = time.time() - t0
-    assert abs(est.value - target) < 0.01
+    assert abs(est.parts["info"] - target) < 0.01
     # exact Shannon entropies on small cycles converge to the same value
     rates = []
     for m in (8, 12, 16):
@@ -136,8 +131,8 @@ def test_criterion_05_entropy_formula():
     gaps = [abs(r - target) for r in rates]
     assert gaps[-1] < 0.02
     assert gaps == sorted(gaps, reverse=True)
-    _report(5, f"percolative entropy {est.value:.6f} vs (2/3)log2 = {target:.6f} "
-               f"(diff {abs(est.value-target):.2e}, {elapsed:.1f}s); H(mu_16)/16 gap {gaps[-1]:.2e}")
+    _report(5, f"percolative entropy {est.parts['info']:.6f} vs (2/3)log2 = {target:.6f} "
+               f"(diff {abs(est.parts['info']-target):.2e}, {elapsed:.1f}s); H(mu_16)/16 gap {gaps[-1]:.2e}")
 
 
 def test_criterion_06_equilibrium_identity():

@@ -9,9 +9,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from soficlab import cli, enumeration, finitemodel, gibbs, kernels, sampling, soficmaps
+from soficlab import cli, enumeration, finitemodel, kernels, sampling, soficmaps, transfer
 from soficlab.cli import (
     compare_configs,
     main,
@@ -24,10 +25,12 @@ from soficlab.cli import (
     main_tssm_check,
     run_config,
 )
+from soficlab.constraints import Potential, hardcore
 from soficlab.modelfile import hardcore_model_dict, load_model, parse_model
 from soficlab.errors import CapExceededError, SchemaError, SoficLabError
 from soficlab.sampling import GlauberEngine
 
+import reference
 from oracles import golden_pressure
 
 
@@ -452,6 +455,74 @@ def test_largest_rank1_weight_records_are_pinned(tmp_path):
     assert (kp["value"], kp["stderr"]) == (333.3823381198522, 14.944114973402883)
 
 
+@pytest.mark.parametrize("main_fn, args", [
+    (main_kp_estimate, ["--r", "3000", "--N", "10"]),
+    (main_ssm_profile, ["--rmax", "3000"]),
+], ids=["kp-estimate", "ssm-profile"])
+def test_transfer_tables_past_the_cap_exit_3_at_once(main_fn, args, hc_model, monkeypatch, capsys):
+    """The transfer tables hold a^3 (R+1)^2 doubles: at r = 3000 on Z^1
+    hardcore that is 2^3 3001^2, past enumeration.ELIMINATION_TABLE_CAP,
+    and both routes to them exit 3 before the Perron pair they are built
+    from is read.  The largest radius that fits on two symbols is 2,895."""
+    def no_tables(self):
+        raise AssertionError("the transfer tables were built")
+
+    monkeypatch.setattr(transfer.TransferMatrix, "perron", no_tables)
+    with pytest.raises(SystemExit) as exc:
+        main_fn(["--model", hc_model, *args])
+    assert exc.value.code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CapExceededError" and "transfer tables" in err["message"]
+
+
+@pytest.mark.parametrize("main_fn, model, args", [
+    (main_pressure, ("Zd", 2), ["--builder", "torus", "--d", "2", "--sizes", "4", "--method", "exact", "--json"]),
+    (main_entropy, ("Free", 2), ["--builder", "random_perm", "--k", "2", "--sizes", "12", "--json"]),
+    (main_ssm_profile, ("Zd", 2), ["--rmax", "1"]),
+], ids=["pressure-Z2-4x4", "entropy-F2-12", "ssm-profile-Z2"])
+def test_underflowing_weights_are_schema_error_not_an_empty_space(main_fn, model, args, tmp_path, capsys):
+    """Hardcore with vertex_log_weights [0, 1000] has configurations, but
+    each elimination factor is scaled by its largest weight and e^-1000
+    flushes to 0.  The exact pressure printed log_Z -inf, and the entropy
+    and the mixing profile exited 11 saying there was no configuration;
+    each now exits 2 naming the weights' range."""
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({**hardcore_model_dict(*model, 1.0), "vertex_log_weights": [0.0, 1000.0]}))
+    with pytest.raises(SystemExit) as exc:
+        main_fn(["--model", str(path), *args])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"].startswith("vertex_log_weights range over [0.0, 1000.0]") and "underflow" in err["message"]
+
+
+def test_weights_that_do_not_underflow_keep_their_answers():
+    """The controls of the underflow refusal: [0, 709] on the F_2 map of
+    12 sites (seed 3) and [0, -1e300] on the 3x3 torus answer as before."""
+    structure = hardcore(2, 1.0)[0]
+    heavy = Potential(np.array([0.0, 709.0]), np.zeros((2, 2, 2)))
+    res = finitemodel.partition_exact(finitemodel.DerivedSpace(soficmaps.build_random_perm(2, 12, 3), structure, heavy))
+    assert (res.log_Z, res.mean_energy) == (2836.69314718056, 2835.999999999999)
+    light = Potential(np.array([0.0, -1e300]), np.zeros((2, 2, 2)))
+    (row,) = finitemodel.size_sweep("pressure", structure, light, {"builder": "torus", "d": 2}, [3], method="exact")
+    assert row["pressure_estimate"] == 0.0
+
+
+def test_overflowing_saw_activity_is_schema_error(tmp_path, capsys):
+    """On F_2 hardcore with vertex_log_weights [0, 1000], `kp-estimate`
+    (auto: the SAW oracle) once built its tree with lambda = e^1000 = inf,
+    after numpy's overflow warning.  It now exits 2 with the wording of the
+    transfer matrix's refusal, before any exponential."""
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({**hardcore_model_dict("Free", 2, 1.0), "vertex_log_weights": [0.0, 1000.0]}))
+    with pytest.raises(SystemExit) as exc:
+        main_kp_estimate(["--model", str(path), "--r", "2", "--N", "10"])
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert err["message"].startswith("the activity log h(1) - h(0) = 1000.0 ") and "log(float max)" in err["message"]
+
+
 @pytest.mark.parametrize("experiment", ["pressure", "entropy"])
 def test_overflowing_tail_bound_is_schema_error_before_any_sweep(experiment, tmp_path, monkeypatch):
     """At 2|phi| = 800 the TI tail bound n a e^log_u_min e^(2|phi|) is past
@@ -592,10 +663,10 @@ def test_entropy_takes_exact_up_to_the_exact_cap(tmp_path, monkeypatch, capsys):
                       "--seed", "3", "--method", method, "--json"])
         rows += json.loads(capsys.readouterr().out)["outputs"]
     assert rows[0] == rows[1] and rows[0]["method"] == "exact" and rows[0]["stderr"] == 0.0
-    monkeypatch.setattr(gibbs, "TABLE_CAP", 22)
+    monkeypatch.setattr(reference, "TABLE_CAP", 22)
     model = load_model(str(path))
     space = finitemodel.DerivedSpace(soficmaps.build_random_perm(2, 22, 3), model.structure, model.potential)
-    assert rows[0]["entropy_rate"] == pytest.approx(gibbs.shannon_entropy_exact(space) / 22, abs=1e-12)
+    assert rows[0]["entropy_rate"] == pytest.approx(reference.shannon_entropy_exact(space) / 22, abs=1e-12)
     assert abs(rows[0]["entropy_rate"] - 0.38022779188740086) < 2 * 0.004328132881313971
 
 

@@ -9,20 +9,16 @@ from soficlab.constraints import Pattern, checkerboard, full_shift, hardcore, ze
 from soficlab.errors import CapExceededError, NoSafeSymbolError
 from soficlab.finitemodel import (
     DerivedSpace,
-    correct_errors,
     derived_energy,
-    error_set,
-    extend_locally_consistent,
-    is_in_Xn,
     partition_cycle_decomposition,
     partition_exact,
     partition_mcmc,
     size_sweep,
-    pullback,
 )
 from soficlab.transfer import build_transfer
 
 from oracles import golden_pressure, lucas, sigma_word
+from reference import correct_errors, error_set, extend_locally_consistent, is_in_Xn, pullback
 
 Z1, Z2 = groups.zd(1), groups.zd(2)
 HC1 = hardcore(1, 1.0)

@@ -18,21 +18,20 @@ from soficlab.constraints import (
 )
 from soficlab.errors import BudgetExceededError, EmptyFiberError
 from soficlab.finitemodel import DerivedSpace, derived_energy, size_sweep
-from soficlab.gibbs import (
+from soficlab.gibbs import ssm_profile, uniform_bound_c
+from soficlab.kernels import Pcg64
+from soficlab.sampling import sample_derived_gibbs
+
+from oracles import golden_pressure, hardcore_line_density, sigma_word
+from reference import (
     BallDistribution,
     derived_gibbs_exact,
     local_weakstar_gap,
     mean_energy_exact,
     shannon_entropy_exact,
     specification_ball,
-    ssm_profile,
     transfer_reference_marginal,
-    uniform_bound_c,
 )
-from soficlab.kernels import Pcg64
-from soficlab.sampling import sample_derived_gibbs
-
-from oracles import golden_pressure, hardcore_line_density, sigma_word
 
 Z1, Z2 = groups.zd(1), groups.zd(2)
 HC1 = hardcore(1, 1.0)
@@ -108,7 +107,7 @@ def test_equilibrium_identity_random_models():
 
 def _colourings(n: int) -> DerivedSpace:
     """Weighted proper 3-colourings of the n-cycle: there is no safe
-    symbol, so the window filter of `_iter_Xn` runs at every vertex."""
+    symbol, so the window filter of `derived_gibbs_exact` runs at every vertex."""
     st = ConstraintStructure(3, ~np.eye(3, dtype=bool)[None])
     return DerivedSpace(soficmaps.build_torus(1, n), st, Potential(np.array([0.0, 0.2, -0.1]), np.zeros((1, 3, 3))))
 

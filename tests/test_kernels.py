@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from soficlab import _glauber_py, groups, kernels, pasts, soficmaps
 from soficlab.constraints import full_shift, hardcore, zero_potential
 from soficlab.errors import InconsistentPinsError
-from soficlab.finitemodel import DerivedSpace, is_in_Xn
+from soficlab.finitemodel import DerivedSpace
 from soficlab.kernels import Pcg64
 from soficlab.marginals import SawOracle, TransferOracle
 from soficlab.pasts import sample_percolation_masks
 from soficlab.sampling import GlauberEngine
 
 from oracles import into, transfer_batch_argmin
+from reference import is_in_Xn
 
 needs_c = pytest.mark.skipif(kernels.BACKEND != "c", reason="C kernel not loaded")
 PERCOLATIONS = [_glauber_py.percolation_lookup] + (

@@ -20,7 +20,6 @@ from soficlab.randominfo import (
     info_fn_truncated,
     kp_pressure_at_fixed_point,
     kp_pressure_at_measure,
-    percolative_entropy,
     random_info,
     truncation_budget,
 )
@@ -255,8 +254,8 @@ def test_estimators_refuse_what_they_cannot_estimate():
 def test_percolative_entropy_smoke():
     st, pot = hardcore(1, 2.0)
     oracle = TransferOracle(st, pot, Z1, 10)
-    est = percolative_entropy(st, pot, Z1, oracle, r=10, N_inner=60, M_outer=1500, seed=2)
-    assert abs(est.value - (2 / 3) * math.log(2)) < 3 * est.stderr + 2e-3
+    est = kp_pressure_at_measure(st, pot, Z1, oracle, r=10, N_inner=60, M_outer=1500, seed=2)
+    assert abs(est.parts["info"] - (2 / 3) * math.log(2)) < 3 * est.parts["info_stderr"] + 2e-3
 
 
 def test_oracle_cross_agreement():
