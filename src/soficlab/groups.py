@@ -12,6 +12,7 @@ F_{r+1} = B_r.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError
@@ -159,18 +160,22 @@ _BALLS: dict[tuple[GroupSpec, int], CayleyBall] = {}
 def ball(spec: GroupSpec, r: int) -> CayleyBall:
     """Ball B_r sorted length-lexicographically; B_r is a prefix of B_{r+1}.
 
-    B_r is grown a shell at a time from the largest smaller ball of the
-    group asked for so far (B_0 if none), and kept for the process;
-    `ball.cache_clear()` drops every kept ball.  A ball of more than
-    BALL_CAP elements is a CapExceededError.
+    B_r is cut from the smallest larger ball of the group asked for so far
+    (`_prefix_ball`), else grown a shell at a time from the largest smaller
+    one (B_0 if none), and kept for the process; the balls grown through
+    are not kept.  `ball.cache_clear()` drops every kept ball.  A ball of
+    more than BALL_CAP elements is a CapExceededError.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
     b = _BALLS.get((spec, r))
     if b is None:
-        below = [k for g, k in list(_BALLS) if g == spec and k < r]
-        if below:
-            b = _BALLS[spec, max(below)]
+        kept = [k for g, k in list(_BALLS) if g == spec]
+        above = [k for k in kept if k > r]
+        if above:
+            b = _prefix_ball(_BALLS[spec, min(above)], r)
+        elif kept:  # every kept ball of the group is smaller
+            b = _BALLS[spec, max(kept)]
         else:
             e = identity(spec)
             b = CayleyBall(spec=spec, radius=0, elements=(e,), index={e: 0}, edges=(), shell_sizes=(1,))
@@ -217,6 +222,21 @@ def _next_ball(prev: CayleyBall, cap: int) -> CayleyBall:
         index=index,
         edges=tuple(edges),
         shell_sizes=prev.shell_sizes + (len(shell),),
+    )
+
+
+def _prefix_ball(big: CayleyBall, r: int) -> CayleyBall:
+    """B_r cut from a larger ball: its first |B_r| elements, their index,
+    and its edges with both ends among them, which are in source order."""
+    m = sum(big.shell_sizes[: r + 1])
+    elements = big.elements[:m]
+    return CayleyBall(
+        spec=big.spec,
+        radius=r,
+        elements=elements,
+        index={g: i for i, g in enumerate(elements)},
+        edges=tuple(e for e in itertools.takewhile(lambda e: e[0] < m, big.edges) if e[2] < m),
+        shell_sizes=big.shell_sizes[: r + 1],
     )
 
 

@@ -116,8 +116,14 @@ class TransferMatrix:
         rw = np.concatenate([np.broadcast_to(right, (1, a, a)), powers.transpose(0, 2, 1)])
         w = lw[:, :, None, None, :] * rw[None, None]
         tot = w.sum(axis=-1, keepdims=True)  # the center axis last, summed as w.sum() sums one column
-        probs = np.divide(w, tot, out=np.zeros_like(w), where=tot > 0.0)
-        return np.ascontiguousarray(np.moveaxis(probs, -1, 0))
+        # the probabilities in place of the weights, and the totals freed
+        # before the center axis is moved first in one copy: about two
+        # tables at the peak
+        positive = tot > 0.0
+        np.divide(w, tot, out=w, where=positive)
+        np.copyto(w, 0.0, where=~positive)
+        del tot, positive
+        return np.ascontiguousarray(np.moveaxis(w, -1, 0))
 
     def mixing_profile(self, r_max: int, symbols) -> np.ndarray:
         """beta(r) for r = 1..r_max: the largest change of mu(x_0 = .) over

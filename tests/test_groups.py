@@ -131,16 +131,21 @@ def _ball_from_scratch(spec, r):
 
 
 @pytest.mark.parametrize("spec,rmax", [(Z1, 6), (Z2, 6), (groups.free(1), 6), (F2, 5), (F3, 4)])
-def test_ball_grown_by_shells_is_the_ball_built_from_scratch(spec, rmax):
-    """Each ball, whether grown one shell at a time or asked for cold, has
-    the elements, index, edges and shell sizes of a from-scratch build."""
+def test_ball_grown_by_shells_is_the_ball_built_from_scratch(spec, rmax, monkeypatch):
+    """Each ball, whether grown one shell at a time, asked for cold or cut
+    from a larger kept ball, has the elements, index, edges and shell sizes
+    of a from-scratch build.  A cold ball keeps none of the balls it grew
+    through, and a smaller ball asked for after it is cut, not regrown."""
     groups.ball.cache_clear()
     grown = [groups.ball(spec, r) for r in range(rmax + 1)]
     groups.ball.cache_clear()
     cold = groups.ball(spec, rmax)
-    for r, b in enumerate(grown):
-        assert (b.elements, b.index, b.edges, b.shell_sizes) == _ball_from_scratch(spec, r)
-        assert b.radius == r
+    assert list(groups._BALLS) == [(spec, rmax)]
+    monkeypatch.setattr(groups, "_next_ball", lambda *args: pytest.fail("a ball inside a kept ball was regrown"))
+    cut = [groups.ball(spec, r) for r in range(rmax)]
+    assert [b.radius for b in grown + cut] == [*range(rmax + 1), *range(rmax)]
+    for b in grown + cut:
+        assert (b.elements, b.index, b.edges, b.shell_sizes) == _ball_from_scratch(spec, b.radius)
     assert (cold.elements, cold.edges, cold.shell_sizes) == (grown[-1].elements, grown[-1].edges,
                                                               grown[-1].shell_sizes)
 

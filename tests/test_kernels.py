@@ -1,4 +1,5 @@
 import inspect
+import math
 import os
 import re
 import shlex
@@ -75,7 +76,7 @@ def sweep_cases(draw):
 
     a = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        sm = soficmaps.build_torus(draw(st.integers(1, 2)), draw(st.integers(2, 5)))
+        sm = soficmaps.build_torus(draw(st.integers(1, 3)), draw(st.integers(2, 5)))
         n, nbr_out, nbr_in = sm.n, sm.perms, sm.perms_inv
     else:  # small random permutations, so some generators have fixed points
         n = draw(st.integers(1, 8))
@@ -135,41 +136,62 @@ def _stream_outcome(kernel, case, safe, seed):
 def test_c_sweep_routes_and_generator_are_bitwise_the_twin(monkeypatch):
     """Both routes of the compiled sweep, the weight table and the direct
     weights, give the twin's trajectory and counts on every drawn case: the
-    route the call takes, and the direct route forced.  Drawing from a
-    Pcg64 stream, the compiled kernel gives the twin's x, counts and end
-    state, and these are the array form's over `rng.random(sweeps * n)`."""
+    route the call takes, the table route wherever the table fits, and the
+    direct route, each forced.  Drawing from a Pcg64 stream, the compiled
+    kernel gives the twin's x, counts and end state on each of those routes,
+    and these are the array form's over `rng.random(sweeps * n)`.  The table
+    route runs one compiled instance for two symbols on each of 1, 2 and 3
+    generators and one for every other shape; each is drawn on both stream
+    forms, with self-loops, dead rows, -inf biases and, in the array form,
+    zero uniforms."""
     routes = []
     natural = kernels._sweep_table_keys
+    covered = {(shape, form): set() for shape in ("any", 1, 2, 3) for form in ("array", "drawn")}
+
+    def tabled(a, n_gen, updates):
+        return natural(a, n_gen, updates=math.inf)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(sweep_cases(), st.data())
     def check(case, data):
         x, nbr_out, *rest = case
-        a, sweeps = len(rest[1]), rest[-1]
+        n, n_gen, a, sweeps = len(x), len(nbr_out), len(rest[1]), rest[-1]
         safe = data.draw(st.integers(0, a - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
         xp, cp = x.copy(), np.full(sweeps, -1, np.int64)
         _glauber_py.glauber_sweeps(xp, nbr_out, *rest, cp, safe)
-        routes.append(natural(a, len(nbr_out), sweeps * len(x)) > 0)
-        for keys in (natural, lambda *args: 0):
+        xs, cs, twin_state = _stream_outcome(_glauber_py.glauber_sweeps, case, safe, seed)
+        routes.append(natural(a, n_gen, sweeps * n) > 0)
+        if tabled(a, n_gen, 0):
+            shape = n_gen if a == 2 and 1 <= n_gen <= 3 else "any"
+            features = {name for name, present in (
+                ("self-loop", (nbr_out == np.arange(n)).any()),
+                ("dead row", (rest[3] == 0).all(axis=2).any()),
+                ("-inf bias", (rest[1] == 0).any()),
+            ) if present}
+            covered[shape, "drawn"] |= features
+            covered[shape, "array"] |= features | ({"zero uniform"} if (rest[4][: sweeps * n] == 0).any() else set())
+        for keys in (natural, tabled, lambda *args: 0):
             monkeypatch.setattr(kernels, "_sweep_table_keys", keys)
             xc, cc = x.copy(), np.full(sweeps, -1, np.int64)
             kernels.glauber_sweeps(xc, nbr_out, *rest, cc, safe)
             assert np.array_equal(xc, xp)
             assert np.array_equal(cc, cp)
+            xc, cc, state = _stream_outcome(kernels.glauber_sweeps, case, safe, seed)
+            assert np.array_equal(xc, xs) and np.array_equal(cc, cs) and state == twin_state
         monkeypatch.setattr(kernels, "_sweep_table_keys", natural)
 
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        xc, cc, state = _stream_outcome(kernels.glauber_sweeps, case, safe, seed)
-        xp, cp, twin_state = _stream_outcome(_glauber_py.glauber_sweeps, case, safe, seed)
-        assert np.array_equal(xc, xp) and np.array_equal(cc, cp) and state == twin_state
         reference = Pcg64(seed)
         xa = x.copy()
-        _glauber_py.glauber_sweeps(xa, nbr_out, *rest[:4], reference.random(sweeps * len(x)), sweeps)
-        assert np.array_equal(xa, xc)
-        assert reference.state == state
+        _glauber_py.glauber_sweeps(xa, nbr_out, *rest[:4], reference.random(sweeps * n), sweeps)
+        assert np.array_equal(xa, xs)
+        assert reference.state == twin_state
 
     check()
     assert any(routes) and not all(routes), "the drawn cases did not take both routes"
+    for (shape, form), got in covered.items():
+        need = {"self-loop", "dead row", "-inf bias"} | ({"zero uniform"} if form == "array" else set())
+        assert need <= got, f"the {shape} table instance was not drawn on {form} uniforms with {sorted(need - got)}"
 
 
 @pytest.mark.parametrize("used", [False, True])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ def test_conditional_tables_are_bitwise_the_entry_loop(a, seed):
         assert tab.dtype == np.float64 and np.array_equal(tab, conditional_tables_loop(tm, r_max))
     if a == "checkerboard":
         assert not tab[:, 1, 0, 1, 1].any()
+
+
+def test_conditional_tables_peak_near_two_tables():
+    """The tables are computed in place of the weights and moved once, so a
+    call's traced peak stays near twice its result (the weights and the
+    moved copy), not the 3.5 tables of a separate quotient."""
+    tm = build_transfer(*hardcore(1, 1.0))
+    tracemalloc.start()
+    try:
+        tab = tm.conditional_tables(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * tab.nbytes
 
 
 # the window kernel of each backend that runs here: the twin always, the C
