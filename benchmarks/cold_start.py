@@ -100,7 +100,7 @@ def main(argv=None):
                 case = {"experiment": experiment, "model": str(path), "params": params, "seed": 1}
             configs[name] = [json.dumps(case)]
         tasks = {f"{b}/{case}": (argv, b) for b in BACKENDS for case, argv in configs.items()}
-        samples = harness.measure(_CHILD, args.trees, args.rounds, tasks)
+        samples, probes = harness.measure(_CHILD, args.trees, args.rounds, tasks)
     entries = {}
     for label, by_task in samples.items():
         entry = entries[label] = {"git": harness.git_version(args.trees[label]), "rounds": args.rounds}
@@ -121,7 +121,7 @@ def main(argv=None):
                   + f"  rss {row['peak_rss_mb']:6.1f} MB  numpy.random "
                   + str(row.get("numpy_random_after_run", row["numpy_random_after_import"]))
                   + (f"  value {row['value']!r}" if "value" in row else ""))
-    harness.write(args.out, entries, "times in seconds, RSS in MB; medians over rounds")
+    harness.write(args.out, entries, "times in seconds, RSS in MB; medians over rounds", probes)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Cost of one exact elimination: ms per mixing-profile radius, per
 ball-oracle conditional, per exact size-sweep row, per long-cycle
-partition, per `saw-marginal` query and per c estimate, warm, in a fresh
-interpreter per tree and round.
+partition, per `saw-marginal` query and per c estimate, warm, and per
+cold ball of F_2, in a fresh interpreter per tree and round.
 
     python benchmarks/elimination.py                                  # this checkout, 10 rounds
     python benchmarks/elimination.py --src before=../old/src --src after=src --rounds 15
@@ -36,7 +36,12 @@ one untimed call each:
   `uniform_bound_f2_ising`: `gibbs.uniform_bound_c` of F_2 Ising on B_1;
   the median over SLOW_REPS = 3 calls.  A tree that refuses a case (a
   CapExceededError or BudgetExceededError) records null for it after its
-  first call.
+  first call;
+- `uniform_bound_f2_hardcore`: `gibbs.uniform_bound_c` on B_1 of F_2
+  hardcore at lambda = 0.3, the model of the `kp_saw_f2` benchmark
+  workload, through the SAW oracle; the median over REPS calls;
+- `ball_f2_r5`: `groups.ball` of B_5 of F_2 grown cold, each call after
+  `ball.cache_clear()`; the median over REPS calls.
 
 The medians over rounds and every raw sample go to --out
 (benchmarks/BENCH_elimination.json), merged by label into what is there,
@@ -97,13 +102,13 @@ def ball_ms(model, spec, r, pad):
     return 1e3 * statistics.median(times) / len(masks)
 
 
-def slow_ms(call):
+def slow_ms(call, n=slow_reps):
     try:
         call()
     except (CapExceededError, BudgetExceededError):
         return None
     times = []
-    for _ in range(slow_reps):
+    for _ in range(n):
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
@@ -145,17 +150,32 @@ out["saw_marginal_tree3000"] = slow_ms(saw_marginal("tree", 3000, [[int(u), v + 
 out["saw_marginal_grid7"] = slow_ms(grid(7))
 out["saw_marginal_grid12"] = slow_ms(grid(12))
 out["uniform_bound_f2_ising"] = slow_ms(lambda: uniform_bound_c(*ising, f2, 1))
+out["uniform_bound_f2_hardcore"] = slow_ms(lambda: uniform_bound_c(*hardcore(2, 0.3), f2, 1), reps)
+
+
+def cold_ball_ms(spec, r):
+    times = []
+    for _ in range(reps + 1):  # the first call is untimed
+        groups.ball.cache_clear()
+        t0 = time.perf_counter()
+        groups.ball(spec, r)
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times[1:])
+
+
+out["ball_f2_r5"] = cold_ball_ms(f2, 5)  # last: it drops the balls every case above grew
 print(json.dumps(out))
 """
 CASES = ("beta_z2_r1", "beta_z2_r2", "beta_f2_r1", "ball_z2_pad2", "ball_f2_ising_b3", "sweep_f2_n24_pressure",
          "sweep_f2_n24_entropy", "sweep_f2_n64_pressure", "sweep_f2_n64_entropy", "log_partition_cycle3000",
-         "saw_marginal_tree3000", "saw_marginal_grid7", "saw_marginal_grid12", "uniform_bound_f2_ising")
+         "saw_marginal_tree3000", "saw_marginal_grid7", "saw_marginal_grid12", "uniform_bound_f2_ising",
+         "uniform_bound_f2_hardcore", "ball_f2_r5")
 
 
 def main(argv=None):
     args = harness.parse_args(__doc__, 10, HERE / "BENCH_elimination.json", argv)
     tasks = {"all": ([json.dumps([REPS, BALL_REPS, ROWS, SLOW_REPS])], None)}
-    samples = harness.measure(_CHILD, args.trees, args.rounds, tasks)
+    samples, probes = harness.measure(_CHILD, args.trees, args.rounds, tasks)
     entries = {}
     for label, by_task in samples.items():
         runs = by_task["all"]
@@ -166,7 +186,7 @@ def main(argv=None):
             ms = [s[case] for s in runs]
             entry[case] = {"ms": None if None in ms else statistics.median(ms), "samples": ms}
         print(f"{label:>8} " + "  ".join(f"{case} {entry[case]['ms']}" for case in CASES))
-    harness.write(args.out, entries, "ms per elimination; medians over rounds")
+    harness.write(args.out, entries, "ms per elimination; medians over rounds", probes)
 
 
 if __name__ == "__main__":

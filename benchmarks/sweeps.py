@@ -81,7 +81,7 @@ CASES = tuple(f"{shape}_lam_{lam}" for lam in ("e-6", "1") for shape in ("z2_16"
 def main(argv=None):
     args = harness.parse_args(__doc__, 10, HERE / "BENCH_sweeps.json", argv)
     tasks = {"all": ([json.dumps([UPDATES, REPS])], None)}
-    samples = harness.measure(_CHILD, args.trees, args.rounds, tasks)
+    samples, probes = harness.measure(_CHILD, args.trees, args.rounds, tasks)
     entries = {}
     for label, by_task in samples.items():
         runs = by_task["all"]
@@ -92,7 +92,7 @@ def main(argv=None):
             ns = [s[case]["ns"] for s in runs]
             entry[case] = {"ns": statistics.median(ns), "crc": runs[0][case]["crc"], "samples": ns}
         print(f"{label:>8} " + "  ".join(f"{case} {entry[case]['ns']:.2f}" for case in CASES))
-    harness.write(args.out, entries, "ns per site update; medians over rounds")
+    harness.write(args.out, entries, "ns per site update; medians over rounds", probes)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,11 @@
  * shape and stream form, with the alphabet, the generator count and the
  * form as constants: two symbols on one, two or three generators (the
  * Z^1-Z^3 tori and F_2, F_3 maps of hardcore and Ising models), and one
- * instance that reads any other shape from its arguments.  Its pick is a
- * predicted branch, never a setcc or cmov: the next site's key mostly
- * reads the symbol just picked, so a branchless pick would chain each
- * update of a sweep on the one before (see pick).
+ * instance that reads any other shape from its arguments.  Its pick of
+ * symbol 0 or not is a predicted branch, never a setcc or cmov: the next
+ * site's key mostly reads the symbol just picked, so a branchless pick
+ * would chain each update of a sweep on the one before; among the other
+ * symbols it counts (see pick).
  *
  * Sweep array layouts (C order): x[n] int8, nbr_out/nbr_in[n_gen][n] int64,
  * wh[a] double, wj[n_gen][a][a] double, allowed[n_gen][a][a] uint8,
@@ -290,28 +291,36 @@ static void fill_table(double *table, int64_t keys, int64_t *pair, const double 
 /* The heat-bath pick from cumulative weights: the first c with
  * u * total < cum[c], else a - 1; keep when the total is not positive.
  *
- * The pick must stay a branch.  The next update's key often reads the
+ * Symbol 0 or not is a branch.  The next update's key often reads the
  * symbol just picked (on a torus, site v is the in-neighbour of v + 1),
  * so a pick by setcc or cmov chains every update of a sweep on the
  * previous one through the table load and the compare, while a predicted
  * branch lets the next updates start at once.  The empty asm on the path
- * that passes c keeps gcc from turning the compare into a setcc: without
+ * past symbol 0 keeps gcc from turning the compare into a setcc: without
  * it the two-symbol Z^2 sweep ran about 70% slower (16x16 torus over TI's
- * grid, gcc 12 -O2, 2-vCPU x86_64 Xeon host). */
+ * grid, gcc 12 -O2, 2-vCPU x86_64 Xeon host).  Past symbol 0 the pick
+ * counts, without a branch, the c in 1 .. a-2 with u * total not below
+ * cum[c]: cum never decreases, so that is the first c above the uniform,
+ * also when u * total is nan (0 times an infinite total) and no c is.  A
+ * branch per symbol there mispredicted about twice as often on three
+ * symbols as on two: the three-symbol full shift on the 16x16 torus went
+ * from 18.3 to 14.4 ns per update, a four-symbol one on Z^3 (the direct
+ * route) from 43.6 to 32.0, and the two-symbol shapes, where the count is
+ * empty, stayed as they were (same host). */
 static inline int8_t pick(const double *cum, int64_t a, double u, int8_t keep)
 {
     double total = cum[a - 1], thr;
-    int64_t c;
+    int64_t c, later = 0;
 
     if (!(total > 0.0))
         return keep;
     thr = u * total;
-    for (c = 0; c < a - 1; c++) {
-        if (thr < cum[c])
-            return (int8_t)c;
-        __asm__ volatile("");
-    }
-    return (int8_t)(a - 1);
+    if (a < 2 || thr < cum[0])
+        return 0;
+    __asm__ volatile("");
+    for (c = 1; c < a - 1; c++)
+        later += !(thr < cum[c]);
+    return (int8_t)(1 + later);
 }
 
 /* pcg_double on a state held as two words, *lo and *hi.  Held as one
@@ -339,13 +348,20 @@ struct table_call {
 
 /* The table route of glauber_sweeps: each update reads the cumulative
  * weights of its neighbourhood key's row of the filled table.  Each
- * TABLE_INSTANCE inlines this body with n_gen, a and drawn (uniforms drawn
- * from pcg, else read from uniforms) as constants, so that the key loop
- * unrolls and its multiplications fold; the pick stays a branch (pick),
- * the PCG64 state stays in registers (pcg_double_words), and each update
- * counts its own site, so a sweep's count needs no second pass over x. */
+ * TABLE_INSTANCE inlines this body with drawn (uniforms drawn from pcg,
+ * else read from uniforms) as a constant, and the fixed ones with n_gen
+ * and a as constants too, so that the key loop unrolls and its
+ * multiplications fold; the instances for any other shape read them from
+ * the call, and their key loop is a plain loop (unrolled, a runtime trip
+ * count only added a jump into the unrolled body).  The pick's symbol 0
+ * stays a branch (pick), the PCG64 state stays in registers
+ * (pcg_double_words) in the fixed instances (the generic drawn instance
+ * keeps its high word on the stack: drawing its uniforms ahead in blocks
+ * kept it off, but ran 1.5 ns per update slower on three symbols), and
+ * each update counts its own site, so a sweep's count needs no second pass
+ * over x. */
 static inline __attribute__((always_inline)) void table_sweeps(const struct table_call *call,
-                                                               int64_t n_gen, int64_t a, int drawn)
+                                                               int64_t n_gen, int64_t a, int drawn, int fixed)
 {
     int8_t *x = call->x, y;
     const int64_t *nbr_out = call->nbr_out, *nbr_in = call->nbr_in;
@@ -360,10 +376,17 @@ static inline __attribute__((always_inline)) void table_sweeps(const struct tabl
         for (v = 0; v < n; v++) {
             u = drawn ? pcg_double_words(&lo, &hi, inc) : *uniforms++;
             key = 0;
+            if (fixed) {
 #pragma GCC unroll 4
-            for (s = 0; s < n_gen; s++) {
-                o = nbr_out[s * n + v];
-                key = key * (a * a + 1) + (o == v ? a * a : x[o] * a + x[nbr_in[s * n + v]]);
+                for (s = 0; s < n_gen; s++) {
+                    o = nbr_out[s * n + v];
+                    key = key * (a * a + 1) + (o == v ? a * a : x[o] * a + x[nbr_in[s * n + v]]);
+                }
+            } else {
+                for (s = 0; s < n_gen; s++) {
+                    o = nbr_out[s * n + v];
+                    key = key * (a * a + 1) + (o == v ? a * a : x[o] * a + x[nbr_in[s * n + v]]);
+                }
             }
             y = pick(table + key * a, a, u, x[v]);
             x[v] = y;
@@ -378,17 +401,17 @@ static inline __attribute__((always_inline)) void table_sweeps(const struct tabl
     }
 }
 
-#define TABLE_INSTANCE(name, n_gen, a, drawn) \
-    static void name(const struct table_call *call) { table_sweeps(call, n_gen, a, drawn); }
+#define TABLE_INSTANCE(name, n_gen, a, drawn, fixed) \
+    static void name(const struct table_call *call) { table_sweeps(call, n_gen, a, drawn, fixed); }
 
-TABLE_INSTANCE(table_any_array, call->n_gen, call->a, 0)
-TABLE_INSTANCE(table_any_drawn, call->n_gen, call->a, 1)
-TABLE_INSTANCE(table_2x1_array, 1, 2, 0)
-TABLE_INSTANCE(table_2x1_drawn, 1, 2, 1)
-TABLE_INSTANCE(table_2x2_array, 2, 2, 0)
-TABLE_INSTANCE(table_2x2_drawn, 2, 2, 1)
-TABLE_INSTANCE(table_2x3_array, 3, 2, 0)
-TABLE_INSTANCE(table_2x3_drawn, 3, 2, 1)
+TABLE_INSTANCE(table_any_array, call->n_gen, call->a, 0, 0)
+TABLE_INSTANCE(table_any_drawn, call->n_gen, call->a, 1, 0)
+TABLE_INSTANCE(table_2x1_array, 1, 2, 0, 1)
+TABLE_INSTANCE(table_2x1_drawn, 1, 2, 1, 1)
+TABLE_INSTANCE(table_2x2_array, 2, 2, 0, 1)
+TABLE_INSTANCE(table_2x2_drawn, 2, 2, 1, 1)
+TABLE_INSTANCE(table_2x3_array, 3, 2, 0, 1)
+TABLE_INSTANCE(table_2x3_drawn, 3, 2, 1, 1)
 
 /* [drawn][k]: for k = 1..3 the instance of two symbols on k generators,
  * and for k = 0 the one that takes every other shape from its arguments */

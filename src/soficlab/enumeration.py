@@ -210,6 +210,47 @@ def _contract(factors, out):
     return np.einsum(*args, [label[v] for v in out])
 
 
+# the iterator np.einsum multiplies over: `_product` allocates its result
+# through the same one, so the result has einsum's memory layout
+_EINSUM_ITER = dict(flags=["external_loop", "buffered", "delay_bufalloc", "grow_inner", "reduce_ok", "refs_ok",
+                           "zerosize_ok"], order="K")
+
+
+def _product(factors, out):
+    """`_contract` of (scope, table) factors whose scopes all lie inside
+    out, which sums nothing: the same bytes in the same memory layout, by
+    broadcasting.
+
+    Each entry is the product of the factors' entries in operand order, as
+    in einsum's inner loop.  einsum's result is not C-ordered: its iterator
+    orders the axes by the operands' strides, and `.sum()` and every
+    reshape of the table read that layout.  So the result is the array
+    that iterator allocates for these operands and axes.  One factor gives
+    a view of its table, and a result with no axis a scalar, as einsum
+    returns them."""
+    if not factors:
+        return np.ones(())
+    pos = {v: k for k, v in enumerate(out)}
+    views, axes = [], []
+    for scope, table in factors:
+        axis, shape = [-1] * len(out), [1] * len(out)  # table's axis and length on each axis of out
+        for k, v in enumerate(scope):
+            axis[pos[v]], shape[pos[v]] = k, table.shape[k]
+        view = table.transpose([k for k in axis if k >= 0])
+        views.append(view.reshape(shape))
+        axes.append(axis)
+    if len(views) == 1:
+        return view[()] if view.ndim == 0 else view
+    it = np.nditer([table for _, table in factors] + [None], op_axes=axes + [None],
+                   op_flags=[["readonly", "nbo", "aligned"]] * len(factors)
+                   + [["readwrite", "nbo", "aligned", "allocate", "no_broadcast"]], **_EINSUM_ITER)
+    acc = views[0]
+    for view in views[1:-1]:  # on the axes of the factors so far: each entry's product runs in the same order
+        acc = acc * view
+    res = np.multiply(acc, views[-1], out=it.operands[-1])
+    return res[()] if res.ndim == 0 else res
+
+
 def _check_width(sites: int, alphabet: int):
     """CapExceededError when a table over `sites` sites passes ELIMINATION_TABLE_CAP."""
     if alphabet**sites > ELIMINATION_TABLE_CAP:
@@ -250,11 +291,12 @@ def _plan(scopes, sites, out, alphabet=1):
     return steps
 
 
-def _mean_term(factors, energies, out):
-    """The energy part of contracting factors = [(scope, value table)] with
+def _mean_term(factors, energies, out, combine=_contract):
+    """The energy part of combining factors = [(scope, value table)] with
     energies[j] the energy table of factor j: the sum over j of the
-    contraction with factor j's energy in place of its value."""
-    return sum(_contract(factors[:j] + [(factors[j][0], g)] + factors[j + 1:], out)
+    combination (`_contract` or `_product`) with factor j's energy in place
+    of its value."""
+    return sum(combine(factors[:j] + [(factors[j][0], g)] + factors[j + 1:], out)
                for j, g in enumerate(energies))
 
 
@@ -296,7 +338,11 @@ def _eliminate_scaled(graph, structure, potential, pins, keep, extra=None, energ
     either way.  The final table is checked against ELIMINATION_TABLE_CAP
     first, each message as `_plan` reaches it, all before any table is
     contracted.  Each bucket comes from an index from sites to scopes, in
-    the order the scopes entered the factor set.
+    the order the scopes entered the factor set, and its message is an
+    einsum contraction.  Once every site outside keep is gone, each scope
+    left lies inside out, so the final table, and each energy term of it,
+    is a product with nothing summed: `_product` broadcasts it in einsum's
+    bytes and layout.
     """
     a = structure.alphabet
     out = [i for i in keep if i not in pins]
@@ -346,11 +392,11 @@ def _eliminate_scaled(graph, structure, potential, pins, keep, extra=None, energ
             factors[scope], energies[scope] = msg, msg_e
             for i in scope:
                 holders[i][scope] = None
-    final = list(factors.items())
-    table = _contract(final, out)
+    final = list(factors.items())  # every scope now lies inside out: a product, nothing summed
+    table = _product(final, out)
     if not table.sum() > 0.0:
         return None
-    return log_scale, table, _mean_term(final, list(energies.values()), out) if energy else None
+    return log_scale, table, _mean_term(final, list(energies.values()), out, _product) if energy else None
 
 
 def log_partition(graph, structure, potential, pins=None, extra=None) -> float:

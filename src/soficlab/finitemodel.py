@@ -98,7 +98,11 @@ class DerivedSpace:
 
     @cached_property
     def _window_table(self) -> np.ndarray:
-        """0 on the patterns of `_admissible_windows`, -inf elsewhere: one axis per element of B_2."""
+        """0 on the patterns of `_admissible_windows`, -inf elsewhere: one
+        axis per element of B_2.  A table past the elimination table cap is
+        a CapExceededError, raised before the search for the windows and
+        before any allocation."""
+        enumeration._check_width(len(self.mm_ball), self.structure.alphabet)
         table = np.full((self.structure.alphabet,) * len(self.mm_ball), -np.inf)
         table[tuple(np.array(list(self._admissible_windows), dtype=np.intp).reshape(-1, table.ndim).T)] = 0.0
         return table

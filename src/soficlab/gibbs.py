@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, groupby, islice, product
 
 import numpy as np
 
@@ -62,7 +62,8 @@ def _beta_enumeration(structure, potential, spec, r) -> float:
 
     The table is `enumeration.joint_distribution` of the center, then the
     shell, with nothing pinned: one axis per site over the whole alphabet.
-    Its core-valued boundaries are read in place, with no dict of keys."""
+    Its core-valued boundaries are read in place, with no dict of keys, as
+    the columns of one row per center symbol."""
     b = groups.ball(spec, r + 1)
     shell = [b.index[g] for g in groups.boundary_shell(spec, r)]
     center = b.index[groups.identity(spec)]
@@ -73,13 +74,15 @@ def _beta_enumeration(structure, potential, spec, r) -> float:
     core = list(core_symbols(structure))
     if core != list(range(a)):  # else every boundary is core-valued: no copy
         table = table[np.ix_(range(a), *[core] * len(shell))]
-    # one row per core-valued boundary, one column per center symbol
-    conditionals = np.moveaxis(table, 0, -1).reshape(-1, a)
-    conditionals = conditionals[conditionals.any(axis=1)]
-    if not len(conditionals):
+    # one row per center symbol, one column per core-valued boundary: each
+    # reduction over the boundaries runs along a contiguous row
+    columns = table.reshape(a, -1)
+    columns = columns.compress(columns.any(axis=0), axis=1)
+    if not columns.shape[1]:
         raise EmptyFiberError("no admissible boundary at this radius")
-    conditionals /= conditionals.sum(axis=1, keepdims=True)
-    return float(np.max(conditionals.max(axis=0) - conditionals.min(axis=0)))
+    # each boundary's total is the sum of a contiguous row of a (boundary, symbol) table, added in its order
+    columns = columns / np.ascontiguousarray(columns.T).sum(axis=1)
+    return float(np.max(columns.max(axis=1) - columns.min(axis=1)))
 
 
 @dataclass
@@ -106,46 +109,56 @@ def uniform_bound_c(
     Every conditional comes from the `auto` oracle of `marginals.make_oracle`
     at pad 3; the ball oracle is bounded, like every elimination, by its
     plan's table cap alone (CapExceededError).  Conditionings are
-    core-valued pins on subsets of B_r minus the center, in ball order; those
-    whose pins break the relation on an edge between two pinned sites are
-    skipped, and the rows of all the others go to the oracle in one batch.
+    core-valued pins on subsets of B_r minus the center: the first
+    UNIFORM_BOUND_SUBSETS subsets by size, then in `combinations` order,
+    each with its values in `product` order.  Those whose pins break the
+    relation on an edge between two pinned sites are skipped, and the rows
+    of all the others go to the oracle in one batch.  The conditionings of
+    one subset size are arrays: a row of pins over B_r per (subset, values)
+    pair, tested against each edge between non-center sites at once.
     """
     oracle = make_oracle("auto", structure, potential, spec, r, pad=3)
     b = groups.ball(spec, r)
-    a = structure.alphabet
+    n, a = len(b), structure.alphabet
     core = core_symbols(structure)
-    conditionings = []
-    n_checked = 0
-    for size in range(len(b)):
-        for subset in combinations(range(1, len(b)), size):
-            n_checked += 1
-            if n_checked > UNIFORM_BOUND_SUBSETS:
-                size = None
-                break
-            edges = [(i, s, j) for (i, s, j) in b.edges if i in subset and j in subset]
-            for values in product(core, repeat=size):
-                pins = dict(zip(subset, values))
-                if all(structure.allowed[s][pins[i], pins[j]] for (i, s, j) in edges):
-                    conditionings.append((subset, values))
-        if size is None:
-            break
+    subsets = list(islice(chain.from_iterable(combinations(range(1, n), k) for k in range(n)), UNIFORM_BOUND_SUBSETS))
+    inner = [(i, s, j) for (i, s, j) in b.edges if i and j]  # the center is never pinned
+    owners, pinned, held = [], [], []  # per conditioning: its subset, its pins over B_r (0 where free), its mask
+    first = 0
+    for size, group in groupby(subsets, len):
+        group, patterns = list(group), list(product(core, repeat=size))
+        m, p = len(group), len(patterns)
+        sites = np.array(group, dtype=np.intp).reshape(m, size)
+        patterns = np.array(patterns, dtype=np.int64).reshape(p, size)
+        values = np.zeros((m, p, n), dtype=np.int64)
+        values[np.arange(m)[:, None, None], np.arange(p)[:, None], sites[:, None, :]] = patterns
+        mask = np.zeros((m, n), dtype=bool)
+        mask[np.arange(m)[:, None], sites] = True
+        ok = np.ones((m, p), dtype=bool)
+        for (i, s, j) in inner:
+            ok &= ~(mask[:, i] & mask[:, j])[:, None] | structure.allowed[s][values[:, :, i], values[:, :, j]]
+        ok = ok.ravel()  # subset-major, values-minor: the conditionings' order
+        owner = np.repeat(np.arange(m), p)[ok]
+        owners.append(first + owner)
+        pinned.append(values.reshape(m * p, n)[ok])
+        held.append(mask[owner])
+        first += m
+    owners = np.concatenate(owners)
     # one row per center symbol and conditioning, all asked in one batch
-    rows = np.zeros((len(conditionings), a, len(b)), dtype=np.int64)
+    rows = np.repeat(np.concatenate(pinned)[:, None, :], a, axis=1)
     rows[:, :, 0] = np.arange(a)
-    masks = np.zeros(rows.shape, dtype=bool)
-    for k, (subset, values) in enumerate(conditionings):
-        rows[k][:, list(subset)] = values
-        masks[k][:, list(subset)] = True
-    probs = oracle.batch(rows.reshape(-1, len(b)), masks.reshape(-1, len(b))).reshape(-1, a)[:, list(core)]
+    masks = np.repeat(np.concatenate(held)[:, None, :], a, axis=1)
+    probs = oracle.batch(rows.reshape(-1, n), masks.reshape(-1, n)).reshape(-1, a)[:, list(core)]
     # the first smallest positive conditional, in conditioning then symbol order
     positive = np.where(probs > 0.0, probs, math.inf).ravel()
     c_hat = math.inf
     witness = {}
     if (positive < math.inf).any():
         k = int(np.argmin(positive))
-        subset, values = conditionings[k // len(core)]
+        subset = subsets[owners[k // len(core)]]
         c_hat = float(positive[k])
-        witness = {"subset": subset, "values": values, "symbol": core[k % len(core)]}
+        witness = {"subset": subset, "values": tuple(rows[k // len(core), 0, list(subset)].tolist()),
+                   "symbol": core[k % len(core)]}
     m_size = len(groups.ball(spec, 1))
     log_c_formula = (
         -(m_size**4 + m_size**6) * math.log(structure.alphabet)

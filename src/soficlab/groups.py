@@ -192,12 +192,16 @@ def _next_ball(prev: CayleyBall, cap: int) -> CayleyBall:
     """B_{r+1} from B_r = prev: one new sorted shell, prev's elements and
     index extended, and prev's edges from sites of length at most r-1 kept,
     since all their neighbours lie in B_r; only the edges of shells r and
-    r+1 are computed."""
+    r+1 are computed.  On F_k the shell and its edges come from reduced
+    words alone (`_free_shell`)."""
     spec, r = prev.spec, prev.radius
-    signed = [s for i in range(spec.rank) for s in (i + 1, -(i + 1))]
     index = prev.index
-    shell = sorted({h for g in prev.shell(r) for letter in signed
-                    if (h := apply_letter(spec, letter, g)) not in index})
+    if spec.kind == "free":
+        shell = _free_shell(spec.rank, prev.shell(r))
+    else:
+        signed = [s for i in range(spec.rank) for s in (i + 1, -(i + 1))]
+        shell = sorted({h for g in prev.shell(r) for letter in signed
+                        if (h := apply_letter(spec, letter, g)) not in index})
     total = len(prev) + len(shell)
     if total > cap:
         raise CapExceededError(f"ball size exceeds cap {cap}")
@@ -209,12 +213,15 @@ def _next_ball(prev: CayleyBall, cap: int) -> CayleyBall:
     while keep and prev.edges[keep - 1][0] >= lo:
         keep -= 1
     edges = list(prev.edges[:keep])
-    for i in range(lo, total):
-        g = elements[i]
-        for s in range(spec.rank):
-            j = index.get(apply_letter(spec, s + 1, g))
-            if j is not None:
-                edges.append((i, s, j))
+    if spec.kind == "free":
+        _free_edges(spec.rank, elements, index, lo, len(prev), edges)
+    else:
+        for i in range(lo, total):
+            g = elements[i]
+            for s in range(spec.rank):
+                j = index.get(apply_letter(spec, s + 1, g))
+                if j is not None:
+                    edges.append((i, s, j))
     return CayleyBall(
         spec=spec,
         radius=r + 1,
@@ -223,6 +230,30 @@ def _next_ball(prev: CayleyBall, cap: int) -> CayleyBall:
         edges=tuple(edges),
         shell_sizes=prev.shell_sizes + (len(shell),),
     )
+
+
+def _free_shell(rank: int, shell: tuple) -> list:
+    """The words of length r+1 of F_rank, sorted, from those of length r
+    (sorted): each letter, in order, before each word it does not cancel.
+    In a tree every such word is new, so none is looked up."""
+    return [(letter,) + g for letter in sorted(s for i in range(1, rank + 1) for s in (i, -i))
+            for g in shell if not g or g[0] != -letter]
+
+
+def _free_edges(rank: int, elements: tuple, index: dict, lo: int, hi: int, edges: list) -> None:
+    """Append to `edges` the edges (i, s, j) of F_rank's ball from the sites
+    i of shell r (lo <= i < hi) and shell r+1 (i >= hi), in source then
+    generator order.  s.g cancels g's first letter when that is -(s+1), and
+    else prefixes it: from shell r both lie in the ball; from shell r+1 only
+    the cancelling one does."""
+    for i in range(lo, hi):
+        g = elements[i]
+        for s in range(1, rank + 1):
+            edges.append((i, s - 1, index[g[1:] if g and g[0] == -s else (s,) + g]))
+    for i in range(hi, len(elements)):
+        g = elements[i]
+        if g[0] < 0:
+            edges.append((i, -g[0] - 1, index[g[1:]]))
 
 
 def _prefix_ball(big: CayleyBall, r: int) -> CayleyBall:

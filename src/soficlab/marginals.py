@@ -395,10 +395,11 @@ def _tree_fixed_point(lam: float, degree: int) -> float:
 
 
 def is_hardcore(structure: ConstraintStructure, potential: Potential) -> bool:
-    if structure.alphabet != 2 or not np.allclose(potential.J, 0.0):
+    """Two symbols, no edge weight (|J| <= 1e-8, np.allclose's tolerance
+    at 0) and the hardcore relation on every generator."""
+    if structure.alphabet != 2 or not (np.abs(potential.J) <= 1e-8).all():
         return False
-    want = np.array([[True, True], [True, False]])
-    return all(np.array_equal(structure.allowed[s], want) for s in range(structure.n_generators))
+    return bool((structure.allowed == np.array([[True, True], [True, False]])).all())
 
 
 def make_oracle(

@@ -1,8 +1,11 @@
 """Reference routes that only the tests use, built on soficlab: full Gibbs
 tables of derived spaces by enumeration, window pushforwards and local weak*
 gaps, the group-side specification on a ball, the infinite-volume window
-marginal of a rank-1 transfer chain, and the correction lemma's membership,
-error sets and greedy repair.
+marginal of a rank-1 transfer chain, the correction lemma's membership,
+error sets and greedy repair, and earlier forms of three package routes
+(the elimination's final einsum, beta's conditionals as rows, the
+conditionings of c one at a time, and balls grown by letters) that the faster forms are checked against
+byte for byte.
 
 Unlike `oracles.py`, this module imports the package; each route here is
 still independent of the one a test checks it against (the tables enumerate
@@ -14,16 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from soficlab import enumeration, groups
-from soficlab.constraints import ConstraintStructure, Pattern, Potential
+from soficlab import enumeration, gibbs, groups
+from soficlab.constraints import ConstraintStructure, Pattern, Potential, core_symbols
 from soficlab.enumeration import SiteGraph
 from soficlab.errors import CapExceededError, EmptyFiberError, NoConsistentColorError, NoSafeSymbolError
 from soficlab.finitemodel import DerivedSpace, derived_energy
-from soficlab.groups import GroupSpec
+from soficlab.groups import CayleyBall, GroupSpec
 from soficlab.sampling import sample_derived_gibbs
 from soficlab.transfer import TransferMatrix, build_transfer
 
@@ -333,3 +336,115 @@ def correct_errors(space: DerivedSpace, x: np.ndarray) -> np.ndarray:
             mask[space.sm.perms[s][uncovered]] = True
     partial = {int(v): int(x[v]) for v in np.flatnonzero(~mask)}
     return extend_locally_consistent(space, partial)
+
+
+# ------------------------------------------------------------- earlier routes
+
+
+def einsum_product(factors, out):
+    """The final step of elimination by np.einsum, as `enumeration._product`
+    replaced it: the product of (scope, table) factors whose scopes lie
+    inside out, on the axes of out."""
+    if not factors:
+        return np.ones(())
+    label = {v: k for k, v in enumerate({v for scope, _ in factors for v in scope} | set(out))}
+    args = []
+    for scope, table in factors:
+        args += [table, [label[v] for v in scope]]
+    return np.einsum(*args, [label[v] for v in out])
+
+
+def beta_by_rows(structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r: int) -> float:
+    """beta(r) of `gibbs._beta_enumeration` read from its joint table as
+    one row per core-valued boundary and one column per center symbol."""
+    b = groups.ball(spec, r + 1)
+    shell = [b.index[g] for g in groups.boundary_shell(spec, r)]
+    a = structure.alphabet
+    table = enumeration.joint_distribution(SiteGraph.from_ball(b), structure, potential, [0, *shell])
+    core = list(core_symbols(structure))
+    if core != list(range(a)):
+        table = table[np.ix_(range(a), *[core] * len(shell))]
+    conditionals = np.moveaxis(table, 0, -1).reshape(-1, a)
+    conditionals = conditionals[conditionals.any(axis=1)]
+    conditionals /= conditionals.sum(axis=1, keepdims=True)
+    return float(np.max(conditionals.max(axis=0) - conditionals.min(axis=0)))
+
+
+def uniform_bound_conditionings(structure: ConstraintStructure, spec: GroupSpec, r: int):
+    """(conditionings, rows, masks) of `gibbs.uniform_bound_c`, built one
+    conditioning at a time: every core-valued pin set (subset, values) on
+    subsets of B_r minus the center, the first gibbs.UNIFORM_BOUND_SUBSETS
+    subsets by size, skipping those that break a relation between two
+    pinned sites; and the (conditioning, center symbol, site) rows and
+    masks that go to the oracle."""
+    b = groups.ball(spec, r)
+    a = structure.alphabet
+    core = core_symbols(structure)
+    conditionings = []
+    n_checked = 0
+    for size in range(len(b)):
+        for subset in combinations(range(1, len(b)), size):
+            n_checked += 1
+            if n_checked > gibbs.UNIFORM_BOUND_SUBSETS:
+                size = None
+                break
+            edges = [(i, s, j) for (i, s, j) in b.edges if i in subset and j in subset]
+            for values in product(core, repeat=size):
+                pins = dict(zip(subset, values))
+                if all(structure.allowed[s][pins[i], pins[j]] for (i, s, j) in edges):
+                    conditionings.append((subset, values))
+        if size is None:
+            break
+    rows = np.zeros((len(conditionings), a, len(b)), dtype=np.int64)
+    rows[:, :, 0] = np.arange(a)
+    masks = np.zeros(rows.shape, dtype=bool)
+    for k, (subset, values) in enumerate(conditionings):
+        rows[k][:, list(subset)] = values
+        masks[k][:, list(subset)] = True
+    return conditionings, rows, masks
+
+
+def uniform_bound_by_loop(structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r: int):
+    """(c_hat, witness) of `gibbs.uniform_bound_c` from the conditionings of
+    `uniform_bound_conditionings`, asked of the oracle that `gibbs` makes."""
+    oracle = gibbs.make_oracle("auto", structure, potential, spec, r, pad=3)
+    conditionings, rows, masks = uniform_bound_conditionings(structure, spec, r)
+    core = core_symbols(structure)
+    n = rows.shape[-1]
+    probs = oracle.batch(rows.reshape(-1, n), masks.reshape(-1, n)).reshape(-1, structure.alphabet)[:, list(core)]
+    positive = np.where(probs > 0.0, probs, math.inf).ravel()
+    if not (positive < math.inf).any():
+        return math.inf, {}
+    k = int(np.argmin(positive))
+    subset, values = conditionings[k // len(core)]
+    return float(positive[k]), {"subset": subset, "values": values, "symbol": core[k % len(core)]}
+
+
+def grow_ball_by_letters(prev: CayleyBall, cap: int) -> CayleyBall:
+    """B_{r+1} from B_r = prev as `groups._next_ball` grows it on Z^d, on
+    every group: the shell from `apply_letter` on each element of shell r
+    and letter, less what prev holds, and each edge by an index lookup."""
+    spec, r = prev.spec, prev.radius
+    signed = [s for i in range(spec.rank) for s in (i + 1, -(i + 1))]
+    index = prev.index
+    shell = sorted({h for g in prev.shell(r) for letter in signed
+                    if (h := groups.apply_letter(spec, letter, g)) not in index})
+    total = len(prev) + len(shell)
+    if total > cap:
+        raise CapExceededError(f"ball size exceeds cap {cap}")
+    elements = prev.elements + tuple(shell)
+    index = dict(index)
+    index.update((g, i) for i, g in enumerate(shell, len(prev)))
+    lo = len(prev) - prev.shell_sizes[r]
+    keep = len(prev.edges)
+    while keep and prev.edges[keep - 1][0] >= lo:
+        keep -= 1
+    edges = list(prev.edges[:keep])
+    for i in range(lo, total):
+        g = elements[i]
+        for s in range(spec.rank):
+            j = index.get(groups.apply_letter(spec, s + 1, g))
+            if j is not None:
+                edges.append((i, s, j))
+    return CayleyBall(spec=spec, radius=r + 1, elements=elements, index=index, edges=tuple(edges),
+                      shell_sizes=prev.shell_sizes + (len(shell),))

@@ -1,5 +1,5 @@
-"""The pure parts of benchmarks/harness.py: --src parsing and the merge of a
-record by label.  No child is started."""
+"""The pure parts of benchmarks/harness.py: --src parsing, the merge of a
+record by label and the parallel probe.  No child is started."""
 
 import importlib.util
 import json
@@ -23,13 +23,22 @@ def test_src_defaults_to_this_checkout_and_resolves_each_tree(tmp_path, monkeypa
 
 def test_write_replaces_its_labels_keeps_the_others_and_rewrites_host(tmp_path):
     out = tmp_path / "BENCH.json"
-    harness.write(out, {"before": {"run_s": 1.0}, "after": {"run_s": 2.0}}, "first")
+    harness.write(out, {"before": {"run_s": 1.0}, "after": {"run_s": 2.0}}, "first", [1.0])
     assert list(json.loads(out.read_text())) == ["host", "before", "after"]
-    harness.write(out, {"after": {"run_s": 3.0}, "new": {"run_s": 4.0}}, "second")
+    harness.write(out, {"after": {"run_s": 3.0}, "new": {"run_s": 4.0}}, "second", [1.98, 1.0004])
     record = json.loads(out.read_text())
     assert list(record) == ["host", "before", "after", "new"]
     assert record["before"] == {"run_s": 1.0}
     assert record["after"] == {"run_s": 3.0}
     assert record["new"] == {"run_s": 4.0}
     assert record["host"]["note"] == "second"
-    assert set(record["host"]) == {"python", "machine", "nproc", "note"}
+    assert record["host"]["parallel_2_over_1"] == [1.98, 1.0]
+    assert set(record["host"]) == {"python", "machine", "nproc", "parallel_2_over_1", "note"}
+
+
+def test_parallel_probe_is_a_throughput_ratio(monkeypatch):
+    """The probe is two threads' throughput over one thread's: positive,
+    and at most a little over 2 on two threads."""
+    monkeypatch.setattr(harness, "PROBE_BYTES", 1 << 20)
+    ratio = harness.parallel_probe()
+    assert 0.0 < ratio < 3.0

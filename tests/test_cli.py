@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -473,6 +474,32 @@ def test_transfer_tables_past_the_cap_exit_3_at_once(main_fn, args, hc_model, mo
     assert exc.value.code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CapExceededError" and "transfer tables" in err["message"]
+
+
+def test_a_window_table_past_the_cap_exits_3_before_any_allocation(tmp_path, monkeypatch, capsys):
+    """Proper 5-colourings have no safe symbol, so the exact route adds a
+    window factor over the 17 sites of B_2 of F_2 at each window-good
+    vertex: 5^17 doubles, which ended in numpy's untyped MemoryError
+    (exit 1) on the random_perm map at n = 24, seed 3.  It exits 3 before
+    the windows are searched, with no large allocation."""
+    path = tmp_path / "colours5.json"
+    path.write_text(json.dumps({"group": {"kind": "Free", "k": 2}, "alphabet": 5,
+                                "relations": {g: (~np.eye(5, dtype=bool)).tolist() for g in "ab"},
+                                "vertex_log_weights": [0.0] * 5}))
+    monkeypatch.setattr(finitemodel.DerivedSpace, "_admissible_windows",
+                        property(lambda self: pytest.fail("the windows were searched")))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main_pressure(["--model", str(path), "--builder", "random_perm", "--k", "2", "--sizes", "24",
+                           "--seed", "3", "--method", "exact", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CapExceededError" and "5^17" in err["message"]
+    assert peak < 2**24  # 16 MiB
 
 
 @pytest.mark.parametrize("main_fn, model, args", [

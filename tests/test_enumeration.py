@@ -5,18 +5,20 @@ per-boundary pinned loop it replaced."""
 
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from soficlab import groups, soficmaps
+from soficlab import enumeration, groups, soficmaps
 from soficlab.constraints import ConstraintStructure, Potential, core_symbols, hardcore
 from soficlab.enumeration import (SiteGraph, _plan, all_configs, joint_distribution, log_partition,
                                   log_partition_and_mean, site_marginal)
 from soficlab.gibbs import _beta_enumeration
 
 from oracles import min_degree_plan_scan
+from reference import einsum_product
 
 
 @st.composite
@@ -80,18 +82,28 @@ def _factor_case(graph, pins):
     return (graph, ConstraintStructure(3, np.array(A3)), Potential(np.array(H3), np.array(J3)), pins, [0, 1, 2])
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(models())
-@example(_factor_case(LOOPS, {}))  # self-loops
-@example(_factor_case(LOOPS, {1: 1, 3: 2}))  # pinned self-loops
-@example(_factor_case(PERM4, {}))  # parallel and antiparallel edges
-@example(_factor_case(PERM4, {1: 2}))  # ... one end pinned
-@example(_factor_case(PERM4, {3: 0, 2: 0}))  # ... both ends pinned
-@example(_factor_case(PATH, {0: 2}))  # source pinned
-@example(_factor_case(PATH, {1: 0, 3: 1}))  # target pinned
-@example(_factor_case(PATH, {0: 2, 1: 0}))  # both ends pinned, allowed
-@example(_factor_case(PATH, {0: 0, 1: 2}))  # both ends pinned, forbidden: no configuration
-@example(_factor_case(PATH, {2: 1, 1: 1}))  # both ends pinned, forbidden backwards
+FACTOR_CASES = [
+    (LOOPS, {}),  # self-loops
+    (LOOPS, {1: 1, 3: 2}),  # pinned self-loops
+    (PERM4, {}),  # parallel and antiparallel edges
+    (PERM4, {1: 2}),  # ... one end pinned
+    (PERM4, {3: 0, 2: 0}),  # ... both ends pinned
+    (PATH, {0: 2}),  # source pinned
+    (PATH, {1: 0, 3: 1}),  # target pinned
+    (PATH, {0: 2, 1: 0}),  # both ends pinned, allowed
+    (PATH, {0: 0, 1: 2}),  # both ends pinned, forbidden: no configuration
+    (PATH, {2: 1, 1: 1}),  # both ends pinned, forbidden backwards
+]
+
+
+def elimination_models(test):
+    """The random models and the hand-picked factor cases, for a test of one model."""
+    for graph, pins in reversed(FACTOR_CASES):
+        test = example(_factor_case(graph, pins))(test)
+    return settings(max_examples=150, derandomize=True, deadline=None)(given(models())(test))
+
+
+@elimination_models
 def test_elimination_matches_dfs(model):
     """log Z, every site marginal and the dense joint table of one window
     against the DFS sums; the examples cover self-loops, parallel and
@@ -130,6 +142,45 @@ def test_elimination_matches_dfs(model):
     assert repr(again[0]) == repr(ve_log_z)
     assert (again[2] is None) if ve_joint is None else again[2].tobytes() == ve_joint.tobytes()
     assert [p.tobytes() for p in again[1]] == [p.tobytes() for p in ve_marginals]
+
+
+def _answers(model):
+    """log Z, log Z with the mean, every site marginal and the joint table
+    of model, as bytes and memory layouts."""
+    graph, structure, potential, pins, query = model
+    joint = joint_distribution(graph, structure, potential, query, pins=pins)
+    return (repr(log_partition(graph, structure, potential, pins=pins)),
+            repr(log_partition_and_mean(graph, structure, potential, pins=pins)),
+            [(p.tobytes(), p.strides) for p in (site_marginal(graph, structure, potential, i, pins=pins)
+                                                for i in range(graph.n))],
+            None if joint is None else (joint.tobytes(), joint.strides))
+
+
+@elimination_models
+def test_final_product_is_the_einsum_step(model):
+    """Every final table of the eliminations of the test above, and each
+    energy term of one, is the einsum step it replaced: the same type,
+    entries and memory layout, and the same `.sum()`.  Bytes are compared
+    up to the sign of a zero, which einsum drops by accumulating into
+    zeros and `_mean_term` drops by adding to 0.  Every answer is the same
+    bytes with the einsum step in the product's place."""
+    calls = []
+    product = enumeration._product
+
+    def recorded(factors, out):
+        calls.append((factors, out, product(factors, out)))
+        return calls[-1][2]
+
+    with mock.patch.object(enumeration, "_product", recorded):
+        got = _answers(model)
+    for factors, out, table in calls:
+        expect = einsum_product(factors, out)
+        assert type(table) is type(expect)
+        assert np.asarray(table).strides == np.asarray(expect).strides
+        assert (table + 0.0).tobytes() == (expect + 0.0).tobytes()
+        assert repr(table.sum() + 0.0) == repr(expect.sum() + 0.0)
+    with mock.patch.object(enumeration, "_product", einsum_product):
+        assert _answers(model) == got
 
 
 @st.composite

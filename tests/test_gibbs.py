@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -25,12 +26,16 @@ from soficlab.sampling import sample_derived_gibbs
 from oracles import golden_pressure, hardcore_line_density, sigma_word
 from reference import (
     BallDistribution,
+    beta_by_rows,
     derived_gibbs_exact,
+    einsum_product,
     local_weakstar_gap,
     mean_energy_exact,
     shannon_entropy_exact,
     specification_ball,
     transfer_reference_marginal,
+    uniform_bound_by_loop,
+    uniform_bound_conditionings,
 )
 
 Z1, Z2 = groups.zd(1), groups.zd(2)
@@ -133,6 +138,17 @@ def test_streamed_exact_pass_is_the_table(case):
     assert res.log_Z == pytest.approx(t.log_Z, abs=1e-12)
     assert res.log_Z - res.mean_energy == pytest.approx(shannon_entropy_exact(sp, t), abs=1e-12)
     assert res.mean_energy == pytest.approx(mean_energy_exact(t), abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_CASES))
+def test_streamed_exact_pass_keeps_the_einsum_bytes(case):
+    """log Z and the mean energy of the exact pass are the same bytes with
+    the elimination's final step as the einsum it was."""
+    sp = STREAMED_CASES[case]()
+    res = finitemodel.partition_exact(sp)
+    with mock.patch.object(enumeration, "_product", einsum_product):
+        expect = finitemodel.partition_exact(sp)
+    assert (repr(res.log_Z), repr(res.mean_energy)) == (repr(expect.log_Z), repr(expect.mean_energy))
 
 
 def test_empty_derived_space_has_no_table():
@@ -301,6 +317,31 @@ def test_ssm_profile_enumeration_is_pinned(monkeypatch):
     assert ssm_profile(st, pot, groups.free(2), 1).tolist() == [0.7590830572601427]
 
 
+def _random_model(a: int, k: int, seed: int):
+    """An a-symbol model on k generators with a random potential and a
+    relation that forbids one pair per generator and leaves the last
+    symbol out of the core."""
+    rng = np.random.default_rng(seed)
+    allowed = np.ones((k, a, a), dtype=bool)
+    allowed[:, 0, 1] = False
+    allowed[:, :, a - 1] = False  # no symbol is followed by a - 1: a dead end
+    return ConstraintStructure(a, allowed), Potential(rng.normal(size=a), rng.normal(size=(k, a, a)) * 0.5)
+
+
+@pytest.mark.parametrize("a, spec, r, seed", [(3, Z2, 1, 0), (3, groups.free(2), 1, 0), (9, Z1, 1, 0), (9, Z1, 2, 1),
+                                              (16, Z1, 1, 0)])
+def test_beta_is_the_row_read_of_its_table(a, spec, r, seed):
+    """beta(r) read from the joint table by rows per center symbol is the
+    same bytes as read by one row per boundary, with symbols outside the
+    core, and past the 8-term sums that numpy adds pairwise: at the seeds
+    on Z^1, boundary totals added in sequence instead change beta's last
+    bits."""
+    structure, potential = _random_model(a, spec.n_generators, seed)
+    assert core_symbols(structure) != tuple(range(a))
+    beta = gibbs._beta_enumeration(structure, potential, spec, r)
+    assert repr(beta) == repr(beta_by_rows(structure, potential, spec, r))
+
+
 def test_uniform_bound_and_ising_profile_are_pinned():
     """c on B_1 by the `auto` oracle at pad 3 (the ball oracle on Z^2, the
     SAW oracle on F_2 hardcore) and beta on Z^2 Ising with a field: bitwise
@@ -362,6 +403,71 @@ def test_uniform_bound_skips_inadmissible_conditionings_on_free2(monkeypatch):
     monkeypatch.setattr(gibbs, "UNIFORM_BOUND_SUBSETS", 64)
     c2 = uniform_bound_c(st, pot, F2, 2).c_hat
     assert math.isfinite(c2) and 0.0 < c2 <= uniform_bound_c(st, pot, F2, 1).c_hat
+
+
+ISING_J = np.array([[0.3, -0.3], [-0.3, 0.3]])
+UNIFORM_BOUND_CASES = {
+    "hardcore-Z1-r2": (hardcore(1, 1.0), Z1, 2),
+    "hardcore-Z2-r1": (hardcore(2, 1.0), Z2, 1),
+    "hardcore-F2-r1": (hardcore(2, 0.3), groups.free(2), 1),
+    "ising-F2-r1": ((full_shift(2, 2), Potential(np.array([0.0, 0.1]), np.array([ISING_J, ISING_J]))),
+                    groups.free(2), 1),
+}
+
+
+def _batches(monkeypatch, oracle=None):
+    """The (rows, masks) of each batch that `gibbs`'s oracles are asked,
+    answered by the oracle `gibbs.make_oracle` makes, or by `oracle`."""
+    asked = []
+    make = gibbs.make_oracle
+
+    class Recorded:
+        def __init__(self, *args, **kwargs):
+            self.inner = oracle or make(*args, **kwargs)
+
+        def batch(self, rows, masks):
+            asked.append((rows.dtype, rows.shape, hashlib.sha256(rows).hexdigest(),
+                          masks.dtype, masks.shape, hashlib.sha256(masks).hexdigest()))
+            return self.inner.batch(rows, masks)
+
+    monkeypatch.setattr(gibbs, "make_oracle", Recorded)
+    return asked
+
+
+@pytest.mark.parametrize("case", sorted(UNIFORM_BOUND_CASES))
+def test_uniform_bound_is_the_loop_over_conditionings(case, monkeypatch):
+    """c_hat and its witness, and the rows and masks of the oracle's batch,
+    are those of the conditionings built one at a time."""
+    model, spec, r = UNIFORM_BOUND_CASES[case]
+    asked = _batches(monkeypatch)
+    ub = uniform_bound_c(*model, spec, r)
+    c_hat, witness = uniform_bound_by_loop(*model, spec, r)
+    assert (repr(ub.c_hat), ub.witness) == (repr(c_hat), witness)
+    assert len(asked) == 2 and asked[0] == asked[1]
+
+
+class _StubOracle:
+    """Conditionals of no model, a fixed function of each row's pins: the
+    conditionings of a large ball without the cost of their eliminations."""
+
+    def batch(self, rows, masks):
+        return ((rows * masks * np.arange(1, rows.shape[1] + 1)).sum(axis=1) % 11 + 1) / 12.0
+
+
+@pytest.mark.parametrize("subsets", [700, gibbs.UNIFORM_BOUND_SUBSETS])
+def test_uniform_bound_conditionings_on_z2_b2(subsets, monkeypatch):
+    """On B_2 of Z^2 (12 pinnable sites, adjacent ones among them) the rows
+    and masks asked, c_hat and its witness are those of the conditionings
+    built one at a time, with the subsets cut at 700, inside size 4, and at
+    UNIFORM_BOUND_SUBSETS, all 4,096 (188,944 conditionings); the oracle is
+    a stub."""
+    monkeypatch.setattr(gibbs, "UNIFORM_BOUND_SUBSETS", subsets)
+    asked = _batches(monkeypatch, _StubOracle())
+    ub = uniform_bound_c(*hardcore(2, 1.0), Z2, 2)
+    c_hat, witness = uniform_bound_by_loop(*hardcore(2, 1.0), Z2, 2)
+    assert (repr(ub.c_hat), ub.witness) == (repr(c_hat), witness)
+    assert len(asked) == 2 and asked[0] == asked[1]
+    assert subsets < 4096 or asked[0][1] == (188_944 * 2, 13)
 
 
 def test_uniform_bound_ball_branch_eliminates_once_per_conditioning():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from soficlab import groups
 
 from oracles import bfs_ball_count, free_ball_closed_form, free_neighbors, zd_neighbors
+from reference import grow_ball_by_letters
 
 Z1, Z2, Z3 = groups.zd(1), groups.zd(2), groups.zd(3)
 F2, F3 = groups.free(2), groups.free(3)
@@ -148,6 +149,20 @@ def test_ball_grown_by_shells_is_the_ball_built_from_scratch(spec, rmax, monkeyp
         assert (b.elements, b.index, b.edges, b.shell_sizes) == _ball_from_scratch(spec, b.radius)
     assert (cold.elements, cold.edges, cold.shell_sizes) == (grown[-1].elements, grown[-1].edges,
                                                               grown[-1].shell_sizes)
+
+
+@pytest.mark.parametrize("spec, rmax", [(groups.free(k), 5) for k in (1, 2, 3)] + [(groups.zd(d), 4) for d in (1, 2, 3)])
+def test_next_ball_is_the_ball_grown_by_letters(spec, rmax):
+    """Each shell grown by `_next_ball` (from reduced words on F_k) gives
+    the ball that the letter-by-letter growth gives: equal elements, index
+    in the same order, edges and shell sizes."""
+    e = groups.identity(spec)
+    grown = expect = groups.CayleyBall(spec=spec, radius=0, elements=(e,), index={e: 0}, edges=(), shell_sizes=(1,))
+    for r in range(1, rmax + 1):
+        grown, expect = groups._next_ball(grown, groups.BALL_CAP), grow_ball_by_letters(expect, groups.BALL_CAP)
+        assert grown.radius == expect.radius == r
+        assert (grown.elements, list(grown.index.items()), grown.edges, grown.shell_sizes) == (
+            expect.elements, list(expect.index.items()), expect.edges, expect.shell_sizes)
 
 
 def test_ball_cap(monkeypatch):
