@@ -224,12 +224,17 @@ def _product(factors, out):
     Each entry is the product of the factors' entries in operand order, as
     in einsum's inner loop.  einsum's result is not C-ordered: its iterator
     orders the axes by the operands' strides, and `.sum()` and every
-    reshape of the table read that layout.  So the result is the array
-    that iterator allocates for these operands and axes.  One factor gives
-    a view of its table, and a result with no axis a scalar, as einsum
-    returns them."""
+    reshape of the table read that layout.  So a result of two axes or
+    more is the array that iterator allocates for these operands and axes.
+    A result with no axis is a scalar, as einsum returns it, and one
+    factor gives its table, on out's axes."""
     if not factors:
         return np.ones(())
+    if len(out) < 2:  # each table has out's one axis or none: broadcasting aligns them, in the one layout
+        acc = factors[0][1]
+        for _, table in factors[1:]:
+            acc = acc * table
+        return acc[()] if acc.ndim == 0 else acc
     pos = {v: k for k, v in enumerate(out)}
     views, axes = [], []
     for scope, table in factors:
@@ -240,15 +245,14 @@ def _product(factors, out):
         views.append(view.reshape(shape))
         axes.append(axis)
     if len(views) == 1:
-        return view[()] if view.ndim == 0 else view
-    it = np.nditer([table for _, table in factors] + [None], op_axes=axes + [None],
-                   op_flags=[["readonly", "nbo", "aligned"]] * len(factors)
-                   + [["readwrite", "nbo", "aligned", "allocate", "no_broadcast"]], **_EINSUM_ITER)
+        return view
     acc = views[0]
     for view in views[1:-1]:  # on the axes of the factors so far: each entry's product runs in the same order
         acc = acc * view
-    res = np.multiply(acc, views[-1], out=it.operands[-1])
-    return res[()] if res.ndim == 0 else res
+    it = np.nditer([table for _, table in factors] + [None], op_axes=axes + [None],
+                   op_flags=[["readonly", "nbo", "aligned"]] * len(factors)
+                   + [["readwrite", "nbo", "aligned", "allocate", "no_broadcast"]], **_EINSUM_ITER)
+    return np.multiply(acc, views[-1], out=it.operands[-1])
 
 
 def _check_width(sites: int, alphabet: int):
