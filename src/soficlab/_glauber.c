@@ -302,11 +302,11 @@ static void fill_table(double *table, int64_t keys, int64_t *pair, const double 
  * counts, without a branch, the c in 1 .. a-2 with u * total not below
  * cum[c]: cum never decreases, so that is the first c above the uniform,
  * also when u * total is nan (0 times an infinite total) and no c is.  A
- * branch per symbol there mispredicted about twice as often on three
- * symbols as on two: the three-symbol full shift on the 16x16 torus went
- * from 18.3 to 14.4 ns per update, a four-symbol one on Z^3 (the direct
- * route) from 43.6 to 32.0, and the two-symbol shapes, where the count is
- * empty, stayed as they were (same host). */
+ * branch per symbol there mispredicts on three symbols and more: counting
+ * took the three-symbol full shift on the 16x16 torus from 18.3 to 14.4 ns
+ * per update and the four-symbol one on the 8x8x8 torus (the direct route)
+ * from 43.7 to 31.4, while the two-symbol shapes, where the count is
+ * empty, stayed as they were (benchmarks/BENCH_sweeps.json, same host). */
 static inline int8_t pick(const double *cum, int64_t a, double u, int8_t keep)
 {
     double total = cum[a - 1], thr;
