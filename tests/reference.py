@@ -2,10 +2,10 @@
 tables of derived spaces by enumeration, window pushforwards and local weak*
 gaps, the group-side specification on a ball, the infinite-volume window
 marginal of a rank-1 transfer chain, the correction lemma's membership,
-error sets and greedy repair, and earlier forms of three package routes
+error sets and greedy repair, and earlier forms of four package routes
 (the elimination's final einsum, beta's conditionals as rows, the
-conditionings of c one at a time, and balls grown by letters) that the faster forms are checked against
-byte for byte.
+conditionings of c one at a time, and balls grown by letters) that the
+faster forms are checked against byte for byte.
 
 Unlike `oracles.py`, this module imports the package; each route here is
 still independent of the one a test checks it against (the tables enumerate
