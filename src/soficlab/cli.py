@@ -110,7 +110,7 @@ def run_size_sweep(experiment: str, model: Model, params: dict, seed: int):
 
 
 def run_ssm_profile(model: Model, params: dict):
-    prof = ssm_profile(model.structure, model.potential, model.spec, params.get("rmax", 8))
+    prof = ssm_profile(model.structure, model.potential, model.spec, params.get("rmax"))
     return [{"r": r + 1, "beta_hat": float(b)} for r, b in enumerate(prof)]
 
 
@@ -370,12 +370,13 @@ def main_entropy(argv=None):
 def main_ssm_profile(argv=None):
     p = argparse.ArgumentParser(prog="ssm-profile", description="Empirical mixing profile beta(r)")
     p.add_argument("--model", required=True)
-    p.add_argument("--rmax", type=int, default=8)
+    p.add_argument("--rmax", type=int)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     args = p.parse_args(argv)
-    _console(args, {"experiment": "ssm-profile", "model": args.model, "params": {"rmax": args.rmax}},
+    params = {} if args.rmax is None else {"rmax": args.rmax}
+    _console(args, {"experiment": "ssm-profile", "model": args.model, "params": params},
              ["r", "beta_hat"])
 
 

@@ -20,12 +20,13 @@ trace and is what the rest of the package assumes.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 
-from . import enumeration, groups
+from . import enumeration, groups, kernels
 from .constraints import ConstraintStructure, Pattern, Potential, detect_safe_symbol
 from .constraints import Verdict, is_globally_admissible
 from .errors import EmptyFiberError, NoSafeSymbolError, SchemaError
@@ -204,6 +205,23 @@ def partition_mcmc(
     e^t (uniform in t) and Simpson/trapezoid quadrature, and the truncated
     tail bounded by n * a * e^{t_min} * e^{2 |phi|}.  The settings are those of
     a RunConfig's params.mcmc and are checked against its schema first.
+
+    The chain is one serial chain through the grid, a burn-in then the
+    samples at each point, on one stream.  It runs in W = min(usable cores,
+    grid_points) contiguous segments of the grid at once, and the record is
+    that chain's, byte for byte, whatever W is.  The calling thread runs segment 0 as the
+    serial chain does; each other segment runs on a thread of its own from
+    the all-safe state, with a `GlauberEngine.fork` and the stream jumped
+    to its first point's draws (each point draws (burn + samples) * n
+    uniforms).  Heat-bath chains that read the same
+    uniforms coalesce, so after the first burn-in a segment nearly always
+    is the serial chain.  Once every thread is joined, each segment in turn
+    is checked: its first burn-in is run again from the serial chain's
+    state at its start, and if that state differs, as bytes, from the
+    segment's own after that burn-in, the segment is run again serially.
+    An error of any segment is raised after every thread is joined.  The
+    compiled sweep drops the GIL; the Python twin's holds it, so there the
+    segments take turns and gain nothing.
     """
     check({"grid_points": grid_points, "samples_per_point": samples_per_point, "burn_frac": burn_frac,
            "log_u_min": log_u_min}, MCMC, "params.mcmc")
@@ -218,16 +236,62 @@ def partition_mcmc(
     x = engine.initial_state(safe)
     burn = max(1, int(burn_frac * samples_per_point))
     n_blocks = max(4, min(32, samples_per_point // 8))
+    counts = np.empty((grid_points, samples_per_point), dtype=np.int64)
+    per_point = (burn + samples_per_point) * space.n  # the uniforms of one grid point
+    w = min(kernels._usable_cores(), grid_points)
+    bounds = [grid_points * k // w for k in range(w + 1)]
+
+    def run(lo, hi, engine, x, rng, burned=None):
+        """Grid points lo..hi-1 from x on rng, in place, each into its row
+        of counts; the state after the first burn-in into burned."""
+        for i in range(lo, hi):
+            engine.set_bias(ts[i] * nonsafe)
+            engine.sweeps(x, burn, rng)
+            if i == lo and burned is not None:
+                burned[:] = x
+            engine.sweeps(x, samples_per_point, rng, counts[i], safe)
+
+    # segment k >= 1: its engine, its state, its stream and its state after the first burn-in
+    segments = [(engine.fork(), engine.initial_state(safe), rng.jumped(bounds[k] * per_point),
+                 np.empty(space.n, dtype=np.int8)) for k in range(1, w)]
+    errors = [None] * w
+
+    def speculate(k):
+        try:
+            run(bounds[k], bounds[k + 1], *segments[k - 1])
+        except Exception as exc:
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, w):
+            thread = threading.Thread(target=speculate, args=(k,))
+            thread.start()
+            threads.append(thread)
+        run(0, bounds[1], engine, x, rng)
+    finally:
+        for thread in threads:
+            thread.join()
+    failed = [exc for exc in errors if exc is not None]
+    if failed:
+        raise failed[0]
+    for k in range(1, w):
+        lo, hi = bounds[k], bounds[k + 1]
+        _, end, _, burned = segments[k - 1]
+        engine.set_bias(ts[lo] * nonsafe)
+        engine.sweeps(x, burn, rng)
+        if x.tobytes() == burned.tobytes():  # coalesced: the segment is the serial chain
+            x = end
+            rng.advance((hi - lo) * per_point - burn * space.n)
+        else:
+            engine.sweeps(x, samples_per_point, rng, counts[lo], safe)
+            run(lo + 1, hi, engine, x, rng)
     means = np.empty(grid_points)
     ses = np.empty(grid_points)
-    counts = np.empty(samples_per_point, dtype=np.int64)
-    for i, t in enumerate(ts):
-        engine.set_bias(t * nonsafe)
-        engine.sweeps(x, burn, rng)
-        engine.sweeps(x, samples_per_point, rng, counts, safe)
+    for i, row in enumerate(counts):
         # sums of integer counts are exact in float64, in any order
-        means[i] = counts.mean()
-        blocks = counts[: samples_per_point - samples_per_point % n_blocks]
+        means[i] = row.mean()
+        blocks = row[: samples_per_point - samples_per_point % n_blocks]
         bm = blocks.reshape(n_blocks, -1).mean(axis=1)
         ses[i] = bm.std(ddof=1) / math.sqrt(n_blocks)
     integral, quad_w = _simpson_irregular(ts, means)

@@ -24,10 +24,12 @@ from .marginals import make_oracle
 from .transfer import build_transfer
 
 SSM_BOUNDARY_PATTERNS = 8192  # of one shell in `ssm_profile`: on Z^2 over 2 symbols, r <= 2
+SSM_RMAX = 8  # the largest radius of an `ssm_profile` whose r_max is not given
 UNIFORM_BOUND_SUBSETS = 4096  # the pinned subsets of B_r that `uniform_bound_c` tries
 
 
-def ssm_profile(structure: ConstraintStructure, potential: Potential, spec: GroupSpec, r_max: int) -> np.ndarray:
+def ssm_profile(structure: ConstraintStructure, potential: Potential, spec: GroupSpec,
+                r_max: int | None = None) -> np.ndarray:
     """Empirical strong-spatial-mixing profile beta(r), r = 1..r_max.
 
     beta(r) is the largest change of the center conditional when the boundary
@@ -41,19 +43,25 @@ def ssm_profile(structure: ConstraintStructure, potential: Potential, spec: Grou
     BudgetExceededError.  (The table holds boundary values outside the core
     symbols too, so counting core-valued patterns alone would not bound it.)
     On both routes boundaries of probability zero, such as those of a
-    periodic line, are skipped.
+    periodic line, are skipped.  Without r_max the profile runs to
+    SSM_RMAX, and on the enumeration route stops before the first radius
+    past that budget; only a budget that refuses r = 1 raises then.
     """
+    given = r_max is not None
+    r_max = r_max if given else SSM_RMAX
     if spec.rank == 1:
         return build_transfer(structure, potential).mixing_profile(r_max, core_symbols(structure))
-    out = np.zeros(r_max + 1)
+    out = []
     for r in range(1, r_max + 1):
         shell = groups.boundary_shell(spec, r)
         if structure.alphabet ** len(shell) > SSM_BOUNDARY_PATTERNS:
+            if out and not given:
+                break
             raise BudgetExceededError(
                 f"{structure.alphabet}^{len(shell)} boundary patterns at r={r}; lower r_max"
             )
-        out[r] = _beta_enumeration(structure, potential, spec, r)
-    return out[1:]
+        out.append(_beta_enumeration(structure, potential, spec, r))
+    return np.array(out)
 
 
 def _beta_enumeration(structure, potential, spec, r) -> float:

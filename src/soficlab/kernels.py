@@ -286,7 +286,8 @@ class Pcg64:
     SeedSequence takes it.  `words` is the state and the increment as four
     uint64 words, low word first: the array that the compiled kernels
     advance in place, under `lock`.  `random` draws what Generator.random
-    draws, and `advance` jumps as PCG64.advance does; no draw buffers a
+    draws, `advance` jumps as PCG64.advance does, and `jumped` is a new
+    stream at a jumped copy of the state; no draw buffers a
     uint32, so the words are the whole state.  The seeding is plain ints and
     the compiled backend draws through `pcg64_fill`, so neither imports
     `numpy.random`; the Python backend's draws go through a numpy Generator
@@ -319,6 +320,17 @@ class Pcg64:
             state = _jumped(ints["state"], ints["inc"], operator.index(steps))
             self.words[:2] = [state & _WORD, state >> 64]
         return self
+
+    def jumped(self, steps: int) -> "Pcg64":
+        """A new stream at this one's state jumped ahead by steps draws (mod
+        2^128), as `advance` jumps; this stream does not move.  The copy
+        has its own words and lock, so another thread can draw from it."""
+        copy = Pcg64.__new__(Pcg64)
+        with self.lock:
+            copy.words = self.words.copy()
+        copy.lock = threading.Lock()
+        copy._generator = None
+        return copy.advance(steps)
 
     def random(self, size=None, *, out=None):
         """Uniform doubles in [0, 1), bitwise `Generator.random(size,

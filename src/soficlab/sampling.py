@@ -5,6 +5,8 @@ derived Gibbs measure with it (for the MCMC entropy rows of
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .constraints import ConstraintStructure, Potential
@@ -40,6 +42,15 @@ class GlauberEngine:
         self.wj = np.ascontiguousarray(np.exp(potential.J))
         self._work = SweepWorkspace()
         self.set_bias(None)
+
+    def fork(self) -> GlauberEngine:
+        """An engine over this one's neighbour, pair-weight and allowed
+        arrays, which no call writes, with its own bias and
+        `kernels.SweepWorkspace`: another thread sweeps with it while this
+        one sweeps, and neither waits on the other's workspace lock."""
+        twin = copy.copy(self)
+        twin._work = SweepWorkspace()
+        return twin
 
     def set_bias(self, bias: np.ndarray | None):
         h = self.potential.h if bias is None else self.potential.h + bias

@@ -136,6 +136,32 @@ def test_ssm_profile_csv(hc_model, capsys):
     assert betas == sorted(betas, reverse=True)
 
 
+@pytest.mark.parametrize("kind, rank, lam, betas", [
+    ("Zd", 2, 1.0, [15 / 34, 0.31272944591479546]),  # 2^16 boundary patterns at r = 3
+    ("Free", 2, 0.3, [0.13571520839985096]),  # 2^36 at r = 2
+])
+def test_ssm_profile_default_stops_at_the_boundary_budget(tmp_path, capsys, kind, rank, lam, betas):
+    """Without --rmax the profile of a rank-2 model runs to the largest
+    radius whose shell fits SSM_BOUNDARY_PATTERNS, where the old default of
+    8 exited 4; an --rmax past that radius still exits 4."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(hardcore_model_dict(kind, rank, lam)))
+    main_ssm_profile(["--model", str(path), "--json"])
+    record = json.loads(capsys.readouterr().out)
+    assert record["inputs"]["params"] == {}
+    assert record["outputs"] == [{"r": r + 1, "beta_hat": b} for r, b in enumerate(betas)]
+    with pytest.raises(SystemExit) as exc:
+        main_ssm_profile(["--model", str(path), "--rmax", str(len(betas) + 1)])
+    assert exc.value.code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceededError"
+
+
+def test_ssm_profile_default_on_the_line_is_eight_radii(hc_model, capsys):
+    main_ssm_profile(["--model", hc_model])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 9))
+
+
 def test_ssm_profile_periodic_line(cb_model, capsys):
     """The checkerboard line: boundaries of zero mass are skipped, and the
     center is a function of the boundary at every radius."""

@@ -1,10 +1,14 @@
 import decimal
+import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from soficlab import enumeration, groups, soficmaps
+from soficlab import _glauber_py, enumeration, groups, kernels, sampling, soficmaps
 from soficlab.constraints import Pattern, checkerboard, full_shift, hardcore, zero_potential
 from soficlab.errors import CapExceededError, NoSafeSymbolError
 from soficlab.finitemodel import (
@@ -15,6 +19,7 @@ from soficlab.finitemodel import (
     partition_mcmc,
     size_sweep,
 )
+from soficlab.sampling import GlauberEngine
 from soficlab.transfer import build_transfer
 
 from oracles import golden_pressure, lucas, sigma_word
@@ -239,6 +244,95 @@ def test_partition_mcmc_output_is_pinned():
                          samples_per_point=1500)
     assert res.log_Z == 6.6921495839108776
     assert res.stderr == 0.04354084088252523
+
+
+@pytest.fixture(params=["c", "python"])
+def sweep_backend(request, monkeypatch):
+    """The compiled sweep and draws (skipped where not loaded), else the
+    Python twin's, which draws through numpy and holds the GIL."""
+    if request.param == "c" and kernels.BACKEND != "c":
+        pytest.skip("C kernel not loaded")
+    if request.param == "python":
+        monkeypatch.setattr(kernels, "_c", None)
+        monkeypatch.setattr(sampling, "glauber_sweeps", _glauber_py.glauber_sweeps)
+    return request.param
+
+
+def _sampled_points(monkeypatch) -> list:
+    """A list whose length counts the sample calls of every GlauberEngine,
+    one per grid point that a chain runs."""
+    calls, sweeps = [], GlauberEngine.sweeps
+
+    def counted(self, x, k, rng, counts=None, safe=0):
+        if counts is not None:
+            calls.append(k)
+        return sweeps(self, x, k, rng, counts, safe)
+
+    monkeypatch.setattr(GlauberEngine, "sweeps", counted)
+    return calls
+
+
+# (space, partition_mcmc settings, the points run again at W = 3) of the
+# pinned 4x4 run, cut to fewer samples, and of hardcore at lambda = 20 on the
+# 6x6 torus near t = 0, where a segment's first burn-in does not coalesce
+SEGMENT_CASES = [
+    (lambda: _space(soficmaps.build_torus(2, 4), HC2), {"seed": 7, "grid_points": 12, "samples_per_point": 300},
+     0),
+    (lambda: _space(soficmaps.build_torus(2, 6), hardcore(2, 20.0)),
+     {"seed": 3, "grid_points": 8, "samples_per_point": 40, "log_u_min": -1.0}, 6),
+]
+
+
+@pytest.mark.parametrize("make, settings, rerun", SEGMENT_CASES)
+def test_partition_mcmc_is_the_same_on_any_number_of_cores(sweep_backend, monkeypatch, make, settings, rerun):
+    """The record is byte-equal whether the grid runs in 1, 2, 3 or
+    grid_points segments, more threads than cores switching often; at
+    lambda = 20 the check of the segments fails and they are run again
+    serially, which shows only in the sweep calls."""
+    space, grid = make(), settings["grid_points"]
+    calls = _sampled_points(monkeypatch)
+    records, reruns = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in (1, 2, 3, grid):
+            monkeypatch.setattr(kernels, "_usable_cores", lambda w=w: w)
+            calls.clear()
+            res = partition_mcmc(space, **settings)
+            records.append(json.dumps([res.log_Z, res.method, res.stderr, res.diagnostics, res.mean_energy]))
+            reruns.append(len(calls) - grid)
+    finally:
+        sys.setswitchinterval(interval)
+    assert records == [records[0]] * 4
+    assert reruns[0] == 0 and reruns[2] == rerun
+    if rerun:
+        assert reruns[3] > 0
+
+
+def test_partition_mcmc_joins_every_segment_before_raising(monkeypatch):
+    """A ValueError from a worker segment's sweep is raised by
+    partition_mcmc once every thread is joined, a slower segment included."""
+    sweeps, lock = GlauberEngine.sweeps, threading.Lock()
+    workers = []  # in the order of their first sweep: the first one fails, the other is slow
+
+    def failing(self, x, k, rng, counts=None, safe=0):
+        thread = threading.current_thread()
+        if thread is not threading.main_thread():
+            with lock:
+                if thread not in workers:
+                    workers.append(thread)
+            if thread is workers[0]:
+                raise ValueError("a worker's sweep failed")
+            time.sleep(0.01)
+        return sweeps(self, x, k, rng, counts, safe)
+
+    monkeypatch.setattr(GlauberEngine, "sweeps", failing)
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: 3)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="a worker's sweep failed"):
+        partition_mcmc(_space(soficmaps.build_torus(2, 4), HC2), seed=1, grid_points=9, samples_per_point=40)
+    assert set(threading.enumerate()) == before
+    assert len(workers) == 2
 
 
 def test_vanishing_activity_limit():

@@ -299,6 +299,19 @@ def test_ssm_profile_budget_counts_the_whole_alphabet():
         ssm_profile(st, pot, Z2, 2)  # 3^12 patterns, of which only 2^12 are core-valued
 
 
+def test_ssm_profile_without_r_max_stops_at_the_budget(monkeypatch):
+    """Without r_max the enumeration route stops before the first shell past
+    SSM_BOUNDARY_PATTERNS and at SSM_RMAX radii; a budget that refuses
+    r = 1 still raises."""
+    st, pot = hardcore(2, 1.0)
+    assert ssm_profile(st, pot, Z2).tolist() == ssm_profile(st, pot, Z2, 2).tolist()
+    monkeypatch.setattr(gibbs, "SSM_RMAX", 1)
+    assert ssm_profile(st, pot, Z2).shape == (1,)
+    monkeypatch.setattr(gibbs, "SSM_BOUNDARY_PATTERNS", 2**7)
+    with pytest.raises(BudgetExceededError, match="2\\^8 boundary patterns at r=1"):
+        ssm_profile(st, pot, Z2)
+
+
 def test_ssm_profile_enumeration_is_pinned(monkeypatch):
     """beta(r) read in place from the dense elimination table: bitwise the
     figures recorded when it was read through a dict of value tuples, on

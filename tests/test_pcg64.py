@@ -129,6 +129,26 @@ def test_advance_is_the_draws_it_skips(backend):
     assert rng.advance(1000).state == walked.state
 
 
+@pytest.mark.parametrize("steps", [0, 1, 1000, 2**64 + 3])
+def test_jumped_copy_draws_what_the_stream_draws_after_the_jump(backend, steps):
+    """`jumped` leaves the stream where it was and returns a new stream
+    with its own words and lock, whose draws are bitwise those the stream
+    draws after the same number of steps, the sweep's included."""
+    rng = Pcg64([8, 2])
+    rng.random(3)
+    before = rng.state
+    copy = rng.jumped(steps)
+    assert rng.state == before
+    assert copy is not rng and copy.words is not rng.words and copy.lock is not rng.lock
+    rng.advance(steps)
+    assert copy.state == rng.state
+    assert copy.random(7).tobytes() == rng.random(7).tobytes()
+    engine = GlauberEngine(soficmaps.build_torus(1, 8), *hardcore(1, 1.0))
+    states = [engine.sweeps(engine.initial_state(0), 3, stream).tobytes() for stream in (copy, rng)]
+    assert states[0] == states[1]
+    assert copy.state == rng.state
+
+
 def test_threads_sharing_a_stream_lose_no_draw(backend):
     """Threads drawing from one Pcg64 at once, by `random`, by `advance`
     and through both percolation kernels and the sweep, under a short
