@@ -22,7 +22,7 @@ A task is a case on `all` the cores the child may run on, or on `one`, the
 child pinned to the lowest of them by `os.sched_setaffinity` on its own
 process before soficlab is imported, on the default kernel backend; and
 `tdi_z2` on all cores on the Python twin (`python`), whose sweeps hold the
-GIL, so that its segments take turns.  A child makes one untimed call,
+GIL, so that its grid runs as one segment.  A child makes one untimed call,
 then the task's timed ones (seven for `tdi_z2`, three for `f2_1024`, one
 on the twin), and reports their median, its usable core count and a
 CRC-32 of the record (log Z, stderr and diagnostics), so trees and tasks

@@ -207,9 +207,10 @@ def partition_mcmc(
     a RunConfig's params.mcmc and are checked against its schema first.
 
     The chain is one serial chain through the grid, a burn-in then the
-    samples at each point, on one stream.  It runs in W = min(usable cores,
-    grid_points) contiguous segments of the grid at once, and the record is
-    that chain's, byte for byte, whatever W is.  The calling thread runs segment 0 as the
+    samples at each point, on one stream.  On the compiled backend it runs
+    in W = min(usable cores, grid_points) contiguous segments of the grid at
+    once (on the Python twin's, W = 1), and the record is that chain's,
+    byte for byte, whatever W is.  The calling thread runs segment 0 as the
     serial chain does; each other segment runs on a thread of its own from
     the all-safe state, with a `GlauberEngine.fork` and the stream jumped
     to its first point's draws (each point draws (burn + samples) * n
@@ -219,9 +220,7 @@ def partition_mcmc(
     is checked: its first burn-in is run again from the serial chain's
     state at its start, and if that state differs, as bytes, from the
     segment's own after that burn-in, the segment is run again serially.
-    An error of any segment is raised after every thread is joined.  The
-    compiled sweep drops the GIL; the Python twin's holds it, so there the
-    segments take turns and gain nothing.
+    An error of any segment is raised after every thread is joined.
     """
     check({"grid_points": grid_points, "samples_per_point": samples_per_point, "burn_frac": burn_frac,
            "log_u_min": log_u_min}, MCMC, "params.mcmc")
@@ -238,7 +237,10 @@ def partition_mcmc(
     n_blocks = max(4, min(32, samples_per_point // 8))
     counts = np.empty((grid_points, samples_per_point), dtype=np.int64)
     per_point = (burn + samples_per_point) * space.n  # the uniforms of one grid point
-    w = min(kernels._usable_cores(), grid_points)
+    # the twin's sweep holds the GIL: its segments would take turns, and the
+    # handovers cost more than they save (on tdi_z2's settings two segments
+    # took 3.2 s against 2.5 s for one, 2-vCPU x86_64 host)
+    w = min(kernels._usable_cores(), grid_points) if kernels.BACKEND == "c" else 1
     bounds = [grid_points * k // w for k in range(w + 1)]
 
     def run(lo, hi, engine, x, rng, burned=None):

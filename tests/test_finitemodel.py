@@ -249,7 +249,9 @@ def test_partition_mcmc_output_is_pinned():
 @pytest.fixture(params=["c", "python"])
 def sweep_backend(request, monkeypatch):
     """The compiled sweep and draws (skipped where not loaded), else the
-    Python twin's, which draws through numpy and holds the GIL."""
+    Python twin's, which draws through numpy and holds the GIL.  The grid's
+    split follows the process's backend, so where the C library loaded the
+    twin's sweeps too run in segments."""
     if request.param == "c" and kernels.BACKEND != "c":
         pytest.skip("C kernel not loaded")
     if request.param == "python":
@@ -304,11 +306,13 @@ def test_partition_mcmc_is_the_same_on_any_number_of_cores(sweep_backend, monkey
     finally:
         sys.setswitchinterval(interval)
     assert records == [records[0]] * 4
-    assert reruns[0] == 0 and reruns[2] == rerun
-    if rerun:
-        assert reruns[3] > 0
+    if kernels.BACKEND == "c":  # else the grid runs as one segment
+        assert reruns[0] == 0 and reruns[2] == rerun
+        if rerun:
+            assert reruns[3] > 0
 
 
+@pytest.mark.skipif(kernels.BACKEND != "c", reason="the grid runs in segments on the compiled backend alone")
 def test_partition_mcmc_joins_every_segment_before_raising(monkeypatch):
     """A ValueError from a worker segment's sweep is raised by
     partition_mcmc once every thread is joined, a slower segment included."""
