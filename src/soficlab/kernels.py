@@ -99,7 +99,7 @@ _I8, _I64, _U8, _F64 = (np.dtype(t) for t in (np.int8, np.int64, np.uint8, np.fl
 _BYTE_P = ctypes.POINTER(ctypes.c_ubyte)
 # the functions the library must export, in the order _load_c_kernel returns them
 _C_FUNCTIONS = ("glauber_sweeps", "percolation_lookup", "tree_percolation", "markov_windows", "pcg64_fill",
-                "pcg64_permutations")
+                "pcg64_permutations", "percolation_lookup_scalar", "lookup_isa")
 _WORD = 2**64 - 1
 _U32 = 2**32 - 1
 _U128 = 2**128 - 1
@@ -145,7 +145,8 @@ def _compile(compiler: str, lib: Path):
 
 def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
     """The C functions `_C_FUNCTIONS` (sweep, percolation lookup, tree
-    percolation, Markov windows, uniform fill, permutations) of one library,
+    percolation, Markov windows, uniform fill, permutations, the lookup's
+    scalar instance and its instruction-set query) of one library,
     compiled into the cache first if needed, which then removes the
     libraries of other source versions there; None if that fails or any is
     missing."""
@@ -165,23 +166,24 @@ def _load_c_kernel(compiler: str | None = None, cache_dir: Path | None = None):
                     with contextlib.suppress(OSError):  # a stale library is no reason to fall back
                         old.unlink()
         dll = ctypes.CDLL(str(lib))
-        sweeps, percolation, tree, windows, fill, perms = (getattr(dll, name) for name in _C_FUNCTIONS)
+        sweeps, percolation, tree, windows, fill, perms, scalar, isa = (getattr(dll, name) for name in _C_FUNCTIONS)
     except Exception as exc:  # any failure means the Python twins, never a failed import
         warnings.warn(f"C kernels unavailable, using the Python kernels: {exc!r}",
                       RuntimeWarning, stacklevel=2)
         return None
     sweeps.argtypes = [_BYTE_P] * 8 + [ctypes.c_int64] * 4 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64, _BYTE_P]
-    percolation.argtypes = [_BYTE_P] + [ctypes.c_int64] * 4 + [
+    percolation.argtypes = scalar.argtypes = [_BYTE_P] + [ctypes.c_int64] * 4 + [
         _BYTE_P, ctypes.c_int64, _BYTE_P, ctypes.c_int64] + [_BYTE_P] * 3
     tree.argtypes = [_BYTE_P] + [ctypes.c_int64] * 4 + [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [
         _BYTE_P] * 8
     windows.argtypes = [_BYTE_P, _BYTE_P] + [ctypes.c_int64] * 3 + [_BYTE_P, ctypes.c_int64, _BYTE_P]
     fill.argtypes = [_BYTE_P, _BYTE_P, ctypes.c_int64]
     perms.argtypes = [_BYTE_P, _BYTE_P, ctypes.c_int64, ctypes.c_int64]
-    for function in (sweeps, percolation, tree, windows, fill, perms):
+    isa.argtypes = []
+    for function in (sweeps, percolation, tree, windows, fill, perms, scalar, isa):
         function.restype = ctypes.c_int
-    return sweeps, percolation, tree, windows, fill, perms
+    return sweeps, percolation, tree, windows, fill, perms, scalar, isa
 
 
 def _checked_shape(name: str, arr, dtype: np.dtype, ndim: int) -> tuple:
@@ -748,14 +750,16 @@ if _c is None:
     markov_windows = _glauber_py.markov_windows
     permutations = _glauber_py.permutations
     BACKEND = "python"
+    LOOKUP_ISA = None
 else:
-    _c_sweeps, _c_percolation, _c_tree, _c_windows, _c_fill, _c_perms = _c
+    _c_sweeps, _c_percolation, _c_tree, _c_windows, _c_fill, _c_perms, _c_percolation_scalar, _c_lookup_isa = _c
     glauber_sweeps = _c_glauber_sweeps
     percolation_lookup = _c_percolation_lookup
     tree_percolation = _c_tree_percolation
     markov_windows = _c_markov_windows
     permutations = _c_permutations
     BACKEND = "c"
+    LOOKUP_ISA = "avx512" if _c_lookup_isa() else "scalar"
 
 __all__ = ["Pcg64", "SweepWorkspace", "glauber_sweeps", "percolation_lookup", "tree_percolation",
-           "markov_windows", "permutations", "BACKEND"]
+           "markov_windows", "permutations", "BACKEND", "LOOKUP_ISA"]

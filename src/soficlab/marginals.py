@@ -383,11 +383,17 @@ class SawOracle:
 
 def _tree_fixed_point(lam: float, degree: int) -> float:
     """Occupation ratio R* = lam / (1+R*)^(degree-1) of the infinite regular
-    branch, by bisection (the right side is decreasing in R*)."""
+    branch, by bisection (the right side is decreasing in R*).  A power past
+    the largest float (lam above about 1.1e103 on F_2) takes the branch that
+    lam / inf would take, not a bare OverflowError."""
     lo, hi = 0.0, lam
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if lam / (1.0 + mid) ** (degree - 1) > mid:
+        try:
+            above = lam / (1.0 + mid) ** (degree - 1) > mid
+        except OverflowError:
+            above = False
+        if above:
             lo = mid
         else:
             hi = mid

@@ -56,9 +56,13 @@ class TransferMatrix:
         return p / p.sum()
 
     def step_probs(self) -> np.ndarray:
-        """P(a -> b) of the stationary chain."""
+        """P(a -> b) of the stationary chain.  A symbol whose right Perron
+        component underflowed to 0 (hardcore at activity 1e-300) has
+        stationary mass 0 and no step into it; its row is all 0, not the
+        nan of 0 / 0."""
         _, right = self.perron()
-        return self.T * right[None, :] / (self.lam * right[:, None])
+        return np.divide(self.T * right[None, :], self.lam * right[:, None], out=np.zeros_like(self.T),
+                         where=right[:, None] > 0)
 
     def log_trace_power(self, m: int) -> float:
         """log trace(T^m), the exact cycle partition value; -inf if the trace is 0."""

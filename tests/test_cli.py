@@ -1007,6 +1007,24 @@ def test_lambda_param_rewrites_activity(hc_model):
         run_config({**base, "params": {**base["params"], "lambda": -1.0}})
 
 
+def test_kp_estimate_against_mu_at_an_underflowing_activity_is_finite(tmp_path):
+    """Hardcore on Z^1 at lambda = 1e-300: the right Perron component of
+    symbol 1 underflows to 0, and the step probabilities once divided by
+    it, a RuntimeWarning (an error in this suite) and the row [inf, nan]
+    for the window sampler.  Symbol 1 now has the all-zero row, and the
+    estimate against mu is the pressure 0 to double precision."""
+    model = hardcore_model_dict("Zd", 1, 1e-300)
+    parsed = parse_model(model)
+    tm = transfer.build_transfer(parsed.structure, parsed.potential)
+    assert tm.right.tolist() == [1.0, 0.0]
+    assert tm.step_probs().tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(model))
+    outputs = run_config({"experiment": "kp-estimate", "model": str(path), "seed": 1,
+                          "params": {"nu": "mu", "r": 16, "N": 400}})["outputs"]
+    assert (outputs["value"], outputs["stderr"]) == (0.0, 0.0)
+
+
 def test_ssm_profile_reducible_relation_exit_code(tmp_path, capsys):
     data = {"group": {"kind": "Zd", "d": 1}, "alphabet": 2,
             "relations": {"e1": [[True, True], [False, True]]}, "vertex_log_weights": [0.0, 0.0]}
@@ -1030,6 +1048,10 @@ def test_ssm_profile_reducible_relation_exit_code(tmp_path, capsys):
         (hardcore_model_dict("Zd", 1, 1.0), {"nu": "mu", "past": "lex"}, "percolation"),
         (hardcore_model_dict("Zd", 2, 1.0), {"oracle": "saw", "r": 1, "N": 100},
          "tree groups (F_k and Z^1) only; off them oracle: ball"),
+        # the self-consistent boundary's fixed point at lambda = 1e300 once
+        # ended in a bare OverflowError (exit 1); the budget now refuses it
+        (hardcore_model_dict("Free", 2, 1e300), {"oracle": "saw", "saw_boundary": "self_consistent", "r": 3,
+                                                 "N": 400}, "vertex_log_weights range over"),
     ],
 )
 def test_run_oracle_the_model_cannot_use_is_schema_error(model, params, message, tmp_path, capsys):

@@ -426,6 +426,62 @@ def test_percolation_lookup_backends_are_bitwise_the_masks_route(case):
         pasts.CHUNK_FLOATS = saved
 
 
+@st.composite
+def lookup_instance_cases(draw):
+    """Arguments of both C lookup instances on a Z^1 or F_1 ball (two
+    orders of the side columns): a query radius of 1..5, inside and past the
+    four block columns of a side, or 16; widths up to |B_r|, half of them
+    at most 9, narrower than the block of one side or both; 1..9 rows per
+    pattern; 1..4 ranges and chunks of 1..40 rows, so that ranges and
+    chunks start inside a pattern's rows; and a stream advanced first by
+    0..2^70 steps."""
+    spec = draw(st.sampled_from([groups.zd(1), groups.free(1)]))
+    r = draw(st.sampled_from([1, 2, 3, 4, 5, 16]))
+    oracle = TransferOracle(*hardcore(1, draw(st.sampled_from([0.4, 2.5]))), spec, r)
+    L = draw(st.one_of(st.integers(1, 2 * r + 1), st.integers(1, min(9, 2 * r + 1))))
+    patterns = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2, (draw(st.integers(1, 8)), L))
+    split = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    return oracle, patterns, draw(st.integers(1, 9)), split, draw(st.integers(0, 2**70))
+
+
+@needs_c
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lookup_instance_cases())
+def test_lookup_instances_are_bitwise_the_twin(case):
+    """The dispatched C lookup (the AVX-512 instance where `LOOKUP_ISA`
+    says so) and the scalar instance, each with its rows split into ranges
+    and chunks, give the twin's conditionals bitwise and leave the stream
+    in the twin's end state."""
+    oracle, patterns, n_inner, (workers, chunk), advanced = case
+    n = len(patterns) * n_inner
+    expect = np.full(n, np.nan)
+    reference = Pcg64(5).advance(advanced)
+    _glauber_py.percolation_lookup(patterns, n_inner, oracle.sides, oracle.tables, reference, into(expect))
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, workers)
+        mp.setattr(pasts, "CHUNK_FLOATS", chunk)
+        for kernel in (kernels._c_percolation, kernels._c_percolation_scalar):
+            mp.setattr(kernels, "_c_percolation", kernel)
+            rng = Pcg64(5).advance(advanced)
+            out = np.full(n, np.nan)
+            kernels.percolation_lookup(patterns, n_inner, oracle.sides, oracle.tables, rng, into(out))
+            assert np.array_equal(out, expect)
+            assert rng.state == reference.state
+
+
+@needs_c
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/cpuinfo")
+def test_lookup_isa_is_avx512_exactly_where_the_cpu_has_it():
+    """`LOOKUP_ISA` names the AVX-512 instance exactly when the CPU lists
+    both AVX-512F and AVX-512DQ, else the scalar one."""
+    flags = set()
+    for line in Path("/proc/cpuinfo").read_text().splitlines():
+        if line.startswith("flags"):
+            flags.update(line.split(":", 1)[1].split())
+    assert kernels.LOOKUP_ISA == ("avx512" if {"avx512f", "avx512dq"} <= flags else "scalar")
+
+
 @pytest.mark.parametrize("pattern,n,message", [
     ([2, 0, 0, 0, 0], 1, r"^symbol 2 "),  # the center
     ([0, 3, 3, 3, 3], 200, r"^symbol 3 "),  # a pin, whatever the pasts
@@ -930,7 +986,7 @@ def test_row_bounds_split_by_usable_cores(monkeypatch):
     assert kernels._row_bounds(100 * rows) == [0, 100 * rows // 3, 200 * rows // 3, 100 * rows]
 
 
-KERNELS = [name for name in kernels.__all__ if name not in ("BACKEND", "Pcg64", "SweepWorkspace")]
+KERNELS = [name for name in kernels.__all__ if name not in ("BACKEND", "LOOKUP_ISA", "Pcg64", "SweepWorkspace")]
 
 
 @pytest.mark.parametrize("name", KERNELS)
