@@ -33,8 +33,8 @@ kernel itself: at 2 ranges on a host whose two cores run at once, `all`
 reads about half of `one`.
 
 A child makes one untimed call that stores every conditional, then REPS
-timed calls, and reports their median per row, `LOOKUP_ISA` (scalar for a
-tree without it) and a CRC-32 of the untimed call's conditionals and the
+timed calls, and reports their median per row, the instance it ran
+(`LOOKUP_ISA` for `dispatched`, and for a tree without it scalar) and a CRC-32 of the untimed call's conditionals and the
 stream's end state, so trees and tasks that compute the same lookups show
 the same `crc`.  The medians over rounds, every raw sample and each round's
 parallel probe go to --out (benchmarks/BENCH_lookup.json), merged by label
@@ -86,7 +86,8 @@ for _ in range(reps):
     t0 = time.perf_counter()
     oracle.percolation_batch(patterns, n_inner, rng, lambda lo, hi, p: None, n_inner)
     times.append(time.perf_counter() - t0)
-print(json.dumps({"backend": kernels.BACKEND, "isa": getattr(kernels, "LOOKUP_ISA", "scalar"),
+isa = getattr(kernels, "LOOKUP_ISA", "scalar") if instance == "dispatched" else "scalar"
+print(json.dumps({"backend": kernels.BACKEND, "isa": isa,
                   "cores": len(os.sched_getaffinity(0)), "ns": 1e9 * statistics.median(times) / out.size,
                   "crc": crc}))
 """

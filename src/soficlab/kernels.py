@@ -21,6 +21,12 @@ site update, the window sampler one per symbol, and a percolation row
 draws each column it reads by its own exact jump from the row's start
 state and takes all its uniforms' steps in one jump; the lookup draws the
 first columns of each side without a branch and scans only past them.
+The compiled lookup has two instances of one body: on an x86_64 CPU with
+AVX-512F and AVX-512DQ it draws those first columns, four a side, in one
+vector step, and elsewhere one 128-bit multiply-add at a time.  Each call
+picks by the CPU, and the stepping is exact integer arithmetic, so both
+give bitwise the same results.  `LOOKUP_ISA` is "avx512" or "scalar", the
+instance the compiled lookup runs, and None on the Python backend.
 The tree kernel reads only the sites whose ancestors are all unpinned,
 since a pinned site cuts the tree.  Both backends' kernels refuse any
 other stream, a numpy Generator included, with a ValueError before drawing
