@@ -587,9 +587,9 @@ struct lookup_call {
 };
 
 /* percolation_lookup's rows, with the hits of each row's block columns
- * from block_hits.  Each LOOKUP_INSTANCE inlines this body with its own
- * block_hits as a constant, which is inlined in turn, so an instance makes
- * no call per row.  The body itself holds no vector code: gcc will not
+ * from block_hits.  Each instance (lookup_scalar, lookup_avx512) inlines
+ * this body with its own block_hits as a constant, which is inlined in
+ * turn, so an instance makes no call per row.  The body itself holds no vector code: gcc will not
  * inline a function compiled for AVX-512 into one that is not, so the
  * AVX-512 intrinsics live in the helper, which only the AVX-512 instance
  * inlines. */
@@ -655,10 +655,10 @@ static inline __attribute__((always_inline)) int lookup_rows(
     return KERNEL_OK;
 }
 
-#define LOOKUP_INSTANCE(name, block_hits) \
-    static int name(const struct lookup_call *call) { return lookup_rows(call, block_hits); }
-
-LOOKUP_INSTANCE(lookup_scalar, scalar_block_hits)
+static int lookup_scalar(const struct lookup_call *call)
+{
+    return lookup_rows(call, scalar_block_hits);
+}
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -697,10 +697,10 @@ static inline AVX512 unsigned avx512_block_hits(u128 s, uint64_t chi0, const str
     return _mm512_cmplt_epu64_mask(_mm512_srli_epi64(v, 11), _mm512_set1_epi64((long long)chi0));
 }
 
-#define AVX512_LOOKUP_INSTANCE(name, block_hits) \
-    static AVX512 int name(const struct lookup_call *call) { return lookup_rows(call, block_hits); }
-
-AVX512_LOOKUP_INSTANCE(lookup_avx512, avx512_block_hits)
+static AVX512 int lookup_avx512(const struct lookup_call *call)
+{
+    return lookup_rows(call, avx512_block_hits);
+}
 #endif
 
 /* 1 if percolation_lookup runs its AVX-512 instance, on an x86_64 build by
