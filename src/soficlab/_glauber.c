@@ -541,8 +541,9 @@ static inline uint64_t column_bits(u128 s, const uint64_t *jump, int64_t c)
  * 800,000 rows), with each block column drawn by its own scalar
  * multiply-add.  The 2 * LOOKUP_BLOCK = 8 block columns of a row are eight
  * 64-bit lanes, one AVX-512 vector: on a host with AVX-512F/DQ they are
- * drawn and compared in one step (avx512_block_hits), which took a row
- * from 52-55 to 35 ns on that host. */
+ * drawn and compared in one step (avx512_block_hits), which took a row on
+ * one core of that host from 64.7 to 43.8 ns in a busy spell
+ * (benchmarks/BENCH_lookup.json). */
 #define LOOKUP_BLOCK 4
 #define BLOCK_COLUMNS (2 * LOOKUP_BLOCK)
 
@@ -560,9 +561,9 @@ struct lookup_block {
     unsigned in_row;
 };
 
-/* bit slot = column slot of the block (see lookup_block) is pinned, its
- * 53-bit output below chi0, for the row whose stream starts at s: the
- * plain route, one 128-bit multiply-add per column. */
+/* The hits of the block columns of the row whose stream starts at s: bit
+ * slot is set when the column of that slot (see lookup_block) is pinned,
+ * its 53-bit output below chi0.  One 128-bit multiply-add per column. */
 static inline unsigned scalar_block_hits(u128 s, uint64_t chi0, const struct lookup_block *block)
 {
     unsigned slot, hits = 0;
@@ -589,10 +590,10 @@ struct lookup_call {
 /* percolation_lookup's rows, with the hits of each row's block columns
  * from block_hits.  Each instance (lookup_scalar, lookup_avx512) inlines
  * this body with its own block_hits as a constant, which is inlined in
- * turn, so an instance makes no call per row.  The body itself holds no vector code: gcc will not
- * inline a function compiled for AVX-512 into one that is not, so the
- * AVX-512 intrinsics live in the helper, which only the AVX-512 instance
- * inlines. */
+ * turn, so an instance makes no call per row.  The body itself holds no
+ * vector code: gcc will not inline a function compiled for AVX-512 into
+ * one that is not, so the AVX-512 intrinsics live in the helper, which
+ * only the AVX-512 instance inlines. */
 static inline __attribute__((always_inline)) int lookup_rows(
     const struct lookup_call *call, unsigned (*block_hits)(u128, uint64_t, const struct lookup_block *))
 {
